@@ -996,21 +996,19 @@ let e12 () =
   in
   let image = Workloads.Locality.program params in
   let run capacity () =
-    let phys =
-      if capacity = 0 then Phys.create ~track_live:true ()
-      else Phys.create ~capacity ()
-    in
+    let phys = Phys.create ~capacity () in
     let r = Explorer.run (Os.Libos.boot phys image) in
     phys, r
   in
-  (* Footprint probe: recycling off, so every snapshot's frames stay
-     live until the GC would find them — the budget has to undercut what
-     unbounded exploration actually accumulates, not the (much smaller)
-     eagerly-recycled peak.  Timing still comes from the recycled run
-     below: that is the configuration anyone runs without a budget. *)
+  (* Footprint probe: the unbounded run with the tiered store attached but
+     never pressured ([tier_stress:0]), so every frontier payload stays
+     live — the exact peak the budgets below have to undercut.  (The plain
+     unbounded run recycles eagerly and peaks at a path's worth of frames;
+     timing still comes from it: that is what anyone runs without a
+     budget.) *)
   let peak =
-    let phys = Phys.create ~track_live:true ~recycle:false () in
-    ignore (Explorer.run (Os.Libos.boot phys image));
+    let phys = Phys.create () in
+    ignore (Explorer.run ~tier_stress:0 (Os.Libos.boot phys image));
     Phys.peak_frames_live phys
   in
   (* Rows must start from comparable GC state: each budgeted run leaves
@@ -1018,13 +1016,27 @@ let e12 () =
      collection here a later row pays the earlier rows' heap debt in its
      own wall clock (the skew dwarfs the tier machinery being measured).
      Same discipline as E13; median of 3 after one warmup. *)
+  (* Pressure decisions read exact frame counts, never GC timing, so every
+     repetition of a row must demote, promote, truncate and replay exactly
+     alike and peak at the same live count — the determinism gate. *)
+  let decisions (phys, (r : Explorer.result)) =
+    let s = r.Explorer.stats in
+    [ s.Core.Stats.demotions; s.Core.Stats.promotions;
+      s.Core.Stats.payload_evictions; s.Core.Stats.replays;
+      Phys.peak_frames_live phys; Phys.pressure_events phys ]
+  in
   let timed capacity =
-    ignore (run capacity ());
+    let first = decisions (run capacity ()) in
     let samples =
       List.init 3 (fun _ ->
           Gc.compact ();
           U.time_once_ms (run capacity))
     in
+    if List.exists (fun (_, x) -> decisions x <> first) samples then
+      failwith
+        (Printf.sprintf
+           "E12: capacity %d: pressure decisions differ between identical runs"
+           capacity);
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
     fst (List.nth sorted 1), snd (List.nth samples 2)
   in
@@ -1074,6 +1086,9 @@ let e12 () =
         failwith "E12: frame budget exceeded";
       let s = r.Explorer.stats in
       let slowdown = ms /. base_ms in
+      if label = "1/4 peak"
+         && (s.Core.Stats.demotions = 0 || s.Core.Stats.promotions = 0)
+      then failwith "E12: the quarter-peak budget no longer exercises the tiers";
       if label = "1/4 peak" && slowdown >= 3.0 then
         failwith
           (Printf.sprintf
@@ -1312,6 +1327,31 @@ let e14 () =
         cursors
     done;
     pool, log, !latencies
+  in
+  (* Every decision the pool takes — demotions, budget evictions, pressure
+     sheds, crash containment — reads exact frame counts, never GC timing:
+     two identical drives must agree on all of them and on the live count.
+     Killing every tenant afterwards must return the pool to quiescence. *)
+  let decisions pool =
+    let svcs = List.init (Tenancy.tenant_count pool) (Tenancy.service pool) in
+    let phys = Tenancy.phys pool in
+    [ List.fold_left (fun n s -> n + Service.demotions s) 0 svcs;
+      Tenancy.budget_evictions pool; Tenancy.pressure_level2 pool;
+      Tenancy.crashes pool; Phys.pressure_events phys; Phys.frames_live phys ]
+  in
+  let retire pool =
+    for id = 0 to Tenancy.tenant_count pool - 1 do Tenancy.kill pool id done;
+    Phys.assert_quiescent (Tenancy.phys pool)
+  in
+  let drive n victims =
+    let ((pool, log, _) as first) = drive n victims in
+    let pool', log', _ = drive n victims in
+    if decisions pool <> decisions pool' || log <> log' then
+      failwith
+        (Printf.sprintf "E14: %d tenants: two identical drives decided differently"
+           n);
+    retire pool';
+    first
   in
   let percentile p xs =
     let a = Array.of_list xs in

@@ -200,6 +200,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         Mem.Mem_metrics.diff mem_delta (Reclaim.suppressed_mem st)
     in
     Mem.Mem_metrics.add stats.mem mem_delta;
+    Option.iter Reclaim.close store;
     { outcome;
       transcript = Buffer.contents transcript;
       terminals = List.rev !terminals;
@@ -265,7 +266,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     | Some (ext : Ext.t) -> (
       (* Discard before resolving: a reconstruction (promotion or replay)
          clobbers the machine and bumps the epoch, which would leak the
-         finished segment's COW tail to the GC.  Sound because every
+         finished segment's COW tail.  Sound because every
          resolve path that touches the machine starts with a full restore
          and nothing reads through the outgoing map in between. *)
       discard_prev ();
@@ -552,6 +553,9 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
                | Some ext ->
                  let snap = resolve ext in
                  Snapshot.restore machine snap;
+                 (* a reconstruction may have rebuilt the origin as a new
+                    record: later captures must name it as their parent *)
+                 current_snap := Some snap;
                  marker := Libos.stdout_chunks machine;
                  Cpu.set machine.cpu Reg.rax ext.index;
                  (match probe with

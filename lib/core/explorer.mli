@@ -96,6 +96,9 @@ val run :
     unbounded memory and hammers it: every [n]-th scheduler stop demotes
     every live payload, every 5[n]-th additionally truncates so the
     replay fallback runs too — the fuzz oracle's tier-stress pipeline.
+    [tier_stress:0] attaches the store without hammering it: the
+    unbounded footprint of reclaim mode, which a frame budget has to
+    undercut.
     [spill_threshold] bounds in-memory compressed delta bytes; beyond it
     cold deltas spill to host temp files (tier 2).
     An exception escaping guest evaluation (an injected crash, a genuine
@@ -135,6 +138,7 @@ val run_image :
     dead snapshots are released to the allocator's free list as the search
     retires them, and a snapshot's last restore adopts its frames instead
     of COWing them again.  With [recycle:false] the run reproduces the
-    GC-only cost model exactly — results must be bit-identical either way.
+    no-reuse seed cost model exactly (frames stay counted live) — results
+    must be bit-identical either way.
     [poison] fills freed buffers with a marker byte to shake out
     use-after-free bugs in the release discipline (testing only). *)

@@ -39,18 +39,20 @@ type payload =
    payload is reclaimable, and it degrades through the tiers above before
    the store ever falls back to re-execution.
 
-   Frame lifetime rides on the {!Snapshot} extension-refcount discipline
-   rather than on the GC: the store holds one extension ref per Live
-   payload (taken at [add]/[add_root] and at every reconstruction) plus
-   one on the record the machine's current state derives from
-   ([t.anchor]).  Demoting, releasing or truncating a Live payload gives
-   its ref back, and [Snapshot.try_free] returns the record's
-   delta-vs-parent frames to the allocator the moment no child record and
-   no extension shares them — cascading up abandoned chains — so the
-   pressure handler reclaims frames without waiting for a major GC.
-   Records captured without a parent (the pinned root, callers that do
-   not thread lineage) simply fall back to GC reclamation: failing to
-   free eagerly leaks nothing. *)
+   Frame lifetime rides on the {!Snapshot} extension-refcount discipline:
+   the store holds one extension ref per Live payload (taken at
+   [add]/[add_root] and at every reconstruction) plus one on the record the
+   machine's current state derives from ([t.anchor]).  Demoting, releasing
+   or truncating a Live payload gives its ref back, and [Snapshot.try_free]
+   returns the record's delta-vs-parent frames to the allocator the moment
+   no child record and no extension shares them — cascading up abandoned
+   chains — so the pressure handler frees frames on the spot.  Parentless
+   records free their whole image the same way when captured [owns_image]:
+   full-image promotions always are, and so is a root its driver hands over
+   (see {!Service}); [release_all] drains every ref at teardown.  The
+   contract this puts on drivers: capture with the record [get] returned
+   (or the last capture) as the parent, so every map sharing a record's
+   frames is counted in its [child_refs]. *)
 type entry = {
   e_parent : handle option;
   e_choice : int;              (* rax delivered when re-running the edge *)
@@ -113,14 +115,6 @@ let create ?(fuel_per_step = 50_000_000) ?(spill_threshold = max_int)
       replayed_instructions = 0;
       suppressed_mem = Mem.Mem_metrics.create () }
   in
-  (* Spill files live in the host temp dir; a store that dies with spilled
-     deltas must not leak them. *)
-  Gc.finalise
-    (fun t ->
-      Hashtbl.iter
-        (fun path () -> try Sys.remove path with Sys_error _ -> ())
-        t.spill_files)
-    t;
   t
 
 let phys_of t = As.phys t.machine.Libos.aspace
@@ -284,8 +278,7 @@ let demote t h =
        frames to the allocator right here — and cascades up released
        chains — unless a child record still inherits them or the machine's
        current state derives from this record (the anchor ref), in which
-       case the frames come back the moment the last sharer drains.  This
-       is what keeps a pressure event from needing a major collection. *)
+       case the frames come back the moment the last sharer drains. *)
     Snapshot.release_ext ~phys:(phys_of t) snap;
     t.pending_raw <- t.pending_raw + 1;
     t.demotions <- t.demotions + 1;
@@ -416,14 +409,26 @@ and promote t h e d =
   let mem0 = Mem.Mem_metrics.copy (As.metrics m.Libos.aspace) in
   let pages = load_pages t d in
   Cpu.load m.Libos.cpu d.d_regs;
-  As.restore_pages m.Libos.aspace
-    ~base:(Option.map (fun (_, s) -> s.Snapshot.mem) base)
-    ~pages ~dead:d.d_dead;
+  let aspace = m.Libos.aspace in
+  (try
+     As.restore_pages aspace
+       ~base:(Option.map (fun (_, s) -> s.Snapshot.mem) base)
+       ~pages ~dead:d.d_dead
+   with ex ->
+     (* Ran out of frames half way: the pages applied so far are private
+        to the unfrozen map.  The delta itself is intact, so the entry
+        stays demoted and can be promoted again later. *)
+     (match base with
+     | Some (_, bs) -> ignore (As.discard_segment aspace ~base:bs.Snapshot.mem)
+     | None -> ignore (As.discard_map aspace));
+     raise ex);
   Libos.os_restore m d.d_os;
+  (* A full-image rebuild shares no frame with anything that came before:
+     its image dies with it. *)
   let snap =
     Snapshot.capture ~ids:t.ids
       ?parent:(Option.map snd base)
-      ~depth:e.e_depth m
+      ~owns_image:(base = None) ~depth:e.e_depth m
   in
   (* Promotion rebuilds state the original run already paid for; keep its
      memory-metric costs out of the driver's fault-free figures. *)
@@ -455,16 +460,25 @@ and replay_edge t e base =
   set_anchor t base;
   Cpu.set m.Libos.cpu Reg.rax e.e_choice;
   Option.iter (Libos.set_stdin m) e.e_stdin;
+  (* the re-executed segment is captured only on success; otherwise its
+     COW tail dies here *)
+  let discard () =
+    ignore (As.discard_segment m.Libos.aspace ~base:base.Snapshot.mem)
+  in
   (* the shared replay engine auto-resumes hint/strategy stops exactly as
      the recorder's replayer does — one deterministic re-execution path *)
   (match Record.Engine.run_to_publish m ~fuel:t.fuel with
   | Libos.Guess _ -> ()
   | stop ->
+    discard ();
     raise
       (Replay_diverged
          (Format.asprintf
             "replay reached %a where the original run published a \
-             choice point" Libos.pp_stop stop)));
+             choice point" Libos.pp_stop stop))
+  | exception ex ->
+    discard ();
+    raise ex);
   t.replays <- t.replays + 1;
   let snap = Snapshot.capture ~ids:t.ids ~parent:base ~depth:e.e_depth m in
   e.e_payload <- Some (Live snap);
@@ -557,8 +571,7 @@ let evict t h =
    under the watermark — shedding more would copy pages (and later promote
    them back) for frames nobody needed.  Only when the explicit frees
    never clear the mark (shared frames, an anchor chain) does the sweep
-   run through every victim and leave the rest to the allocator's
-   collection. *)
+   run through every victim. *)
 let demote_under_pressure t =
   let phys = phys_of t in
   let rec go n = function
@@ -594,6 +607,42 @@ let evict_all t =
   |> List.fold_left (fun n h -> if evict t h then n + 1 else n) 0
 
 let pressure_handler t = fun () -> ignore (demote_under_pressure t)
+
+(* {1 Teardown} *)
+
+(* Give back every ref the store holds — each payload, pinned roots
+   included, and the anchor — so the refcount cascade returns every record
+   frame to the allocator.  The store is dead afterwards: every handle
+   reads as released. *)
+let release_all t =
+  let phys = phys_of t in
+  Hashtbl.iter
+    (fun _ e ->
+      (match e.e_payload with
+      | Some (Live snap) -> Snapshot.release_ext ~phys snap
+      | Some (Demoted d) -> drop_delta t d
+      | None -> ());
+      e.e_payload <- None;
+      e.e_released <- true)
+    t.entries;
+  Option.iter (Snapshot.release_ext ~phys) t.anchor;
+  t.anchor <- None
+
+(* Remove every spill file: spilled entries fall back to their skeleton
+   (tier 3), which replay can still rebuild. *)
+let close t =
+  Hashtbl.iter
+    (fun _ e ->
+      match e.e_payload with
+      | Some (Demoted ({ d_blob = Spilled _; _ } as d)) ->
+        drop_delta t d;
+        e.e_payload <- None
+      | _ -> ())
+    t.entries;
+  Hashtbl.iter
+    (fun path () -> try Sys.remove path with Sys_error _ -> ())
+    t.spill_files;
+  Hashtbl.reset t.spill_files
 
 (* {1 Introspection} *)
 

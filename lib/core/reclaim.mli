@@ -138,6 +138,21 @@ val pressure_handler : t -> unit -> unit
 (** [demote_under_pressure] packaged for
     {!Mem.Phys_mem.set_pressure_handler}. *)
 
+(** {1 Teardown} *)
+
+val release_all : t -> unit
+(** Give back every ref the store holds — every payload, pinned roots
+    included, and the anchor on the machine's current state — so the
+    snapshot refcount cascade returns every record frame to the allocator
+    (parentless records too, when captured [owns_image]).  Frames the
+    machine acquired beyond its anchor are the driver's to discard first.
+    Every handle reads as released afterwards. *)
+
+val close : t -> unit
+(** Remove every spill file this store wrote.  Spilled entries fall back
+    to their skeleton (tier 3).  Drivers call it when they are done with
+    the store; nothing else deletes the files. *)
+
 val snapshot_ids : t -> Snapshot.ids
 (** The id allocator reconstruction captures under; drivers that capture
     into the store themselves must use it too, so ids stay unique per

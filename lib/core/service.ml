@@ -15,6 +15,12 @@ type t = {
      the parent of the next publish's capture so the store's explicit
      frame-free discipline sees the lineage *)
   mutable base_snap : Snapshot.t option;
+  mutable segment_epoch : int;
+      (* the address-space epoch right after the last restore (or boot);
+         while it is still current no capture has frozen the map, and
+         everything it acquired since is the segment's private COW tail —
+         the precondition of [Addr_space.discard_segment].  -1 once that
+         tail has been freed. *)
   mutable depth_next : int;
   fuel_per_step : int;
   mutable marker : string list;
@@ -42,9 +48,12 @@ let harvest t =
   String.concat "" chunks
 
 let publish t =
+  (* The first capture is the pinned root.  Every later map that shares
+     its frames is captured with a parent, so the root may own its image. *)
   let snap =
     Snapshot.capture ~ids:(Reclaim.snapshot_ids t.store)
-      ?parent:t.base_snap ~depth:t.depth_next t.machine
+      ?parent:t.base_snap ~owns_image:(t.base_snap = None)
+      ~depth:t.depth_next t.machine
   in
   t.base_snap <- Some snap;
   match t.pending with
@@ -106,6 +115,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
       store;
       pending = None;
       base_snap = None;
+      segment_epoch = Mem.Addr_space.epoch machine.Libos.aspace;
       depth_next = 0;
       fuel_per_step;
       marker = Libos.stdout_chunks machine;
@@ -114,10 +124,27 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
   in
   t, advance t
 
+(* Free the COW tail of the last segment if no capture froze it (a step
+   that failed, finished or crashed) — the same rule as the explorer's
+   [discard_prev].  Must run before anything restores or rebuilds: a
+   reconstruction clobbers the map, and the base's frames must still be
+   pinned (the store's anchor is on [base_snap]).  Without a base, nothing
+   was ever captured and the whole map is the session's. *)
+let discard_tail t =
+  let aspace = t.machine.Libos.aspace in
+  if Mem.Addr_space.epoch aspace = t.segment_epoch then begin
+    (match t.base_snap with
+    | Some b -> ignore (Mem.Addr_space.discard_segment aspace ~base:b.Snapshot.mem)
+    | None -> ignore (Mem.Addr_space.discard_map aspace));
+    t.segment_epoch <- -1
+  end
+
 let resume t r ~choice ?stdin () =
   try
+    discard_tail t;
     let snap = Reclaim.get t.store r in
     Snapshot.restore t.machine snap;
+    t.segment_epoch <- Mem.Addr_space.epoch t.machine.Libos.aspace;
     t.base_snap <- Some snap;
     t.pending <- Some (r, choice, stdin);
     t.depth_next <- Reclaim.depth t.store r + 1;
@@ -136,7 +163,10 @@ let resume t r ~choice ?stdin () =
 let release t r = Reclaim.release t.store r
 
 let depth t r = Reclaim.depth t.store r
-let pages t r = Snapshot.pages (Reclaim.get t.store r)
+let pages t r =
+  (* a reconstruction clobbers the machine: retire the tail first *)
+  discard_tail t;
+  Snapshot.pages (Reclaim.get t.store r)
 let live_candidates t = Reclaim.live_entries t.store
 
 let distinct_frames t = Snapshot.distinct_frames (Reclaim.materialised t.store)
@@ -167,4 +197,7 @@ let shed t = Reclaim.demote_under_pressure t.store
 let teardown t =
   if t.manages_pressure && Mem.Phys_mem.capacity (phys t) > 0 then
     Mem.Phys_mem.set_pressure_handler (phys t) None;
+  discard_tail t;
+  Reclaim.release_all t.store;
+  Reclaim.close t.store;
   Mem.Addr_space.drop_dedup_refs t.machine.Libos.aspace

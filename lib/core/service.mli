@@ -66,7 +66,8 @@ val resume : t -> ref_ -> choice:int -> ?stdin:string -> unit -> outcome
     payload was evicted), deliver [choice] as the guess result (and replace
     the guest's stdin if given), and run to the next event.  A reference
     stays valid until released and can be resumed any number of times —
-    that is the immutability guarantee. *)
+    that is the immutability guarantee.  The previous step's uncaptured
+    COW tail (a failed, finished or crashed path) is freed first. *)
 
 val release : t -> ref_ -> unit
 (** Drop a published candidate: its snapshot payload is discarded (frames
@@ -127,7 +128,11 @@ val flush_spills : t -> unit
     rather than on the resume path. *)
 
 val teardown : t -> int
-(** Retire the session: uninstall the pressure handler this session
-    installed (if it manages one) and return its dedup-table references
-    (see {!Mem.Addr_space.drop_dedup_refs}); reports how many were
-    dropped.  Candidates become garbage once the caller drops [t]. *)
+(** Retire the session and return every frame it holds: the uncaptured
+    tail of its last step, every candidate payload (the pinned root
+    included), the store's anchor, its spill files, and its dedup-table
+    references (see {!Mem.Addr_space.drop_dedup_refs}); reports how many
+    dedup references were dropped.  Also uninstalls the pressure handler
+    this session installed (if it manages one).  Counters stay readable;
+    every candidate reads as released and the machine must not run
+    again. *)

@@ -20,6 +20,9 @@ type t = {
   mutable adopted : bool;
       (* restored via [restore_adopting]: its frames now change in place,
          so restoring it again would observe the adopter's writes *)
+  owns_image : bool;
+      (* parentless, and every map that shares its frames is a descendant
+         counted in [child_refs] — so its whole image dies with it *)
 }
 
 (* Snapshot ids are allocated per exploration run, not from a process-global
@@ -31,7 +34,9 @@ type ids = int Atomic.t
 
 let ids () = Atomic.make 0
 
-let capture ~ids ?parent ~depth (machine : Os.Libos.t) =
+let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Os.Libos.t) =
+  if owns_image && parent <> None then
+    invalid_arg "Snapshot.capture: only a parentless snapshot owns its image";
   let id = Atomic.fetch_and_add ids 1 in
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:id
@@ -47,7 +52,8 @@ let capture ~ids ?parent ~depth (machine : Os.Libos.t) =
     ext_refs = 0;
     child_refs = 0;
     freed = false;
-    adopted = false }
+    adopted = false;
+    owns_image }
 
 let restore (machine : Os.Libos.t) t =
   if Obs.Trace.enabled () then
@@ -62,11 +68,12 @@ let restore (machine : Os.Libos.t) t =
    frontier extension can restore it any more ([ext_refs] = 0) and no child
    snapshot shares its frames ([child_refs] = 0).  Death cascades upward: a
    parent whose extensions all drained may only have been kept alive by
-   us.  Roots (no parent) are never freed: there is no base to compute
-   their delta against, and the scheduler restores them after exhaustion.
+   us.  A root (no parent) frees its whole image only if it was captured
+   [owns_image]; the schedulers' roots are not, because they restore them
+   after exhaustion and capture later roots over the same frames.
 
-   The counts are advisory in one direction only: failing to release leaks
-   nothing (the GC is still underneath), but releasing twice would free
+   Failing to release leaks the frames (they stay counted live until the
+   owner tears the whole session down), and releasing twice would free
    live frames — which is why every transition here is guarded. *)
 
 let retain ?(n = 1) t = t.ext_refs <- t.ext_refs + n
@@ -83,7 +90,11 @@ let rec try_free ~phys t =
     && Mem.Phys_mem.recycling phys
   then
     match t.parent with
-    | None -> ()
+    | None ->
+      if t.owns_image then begin
+        t.freed <- true;
+        ignore (As.release_image ~phys t.mem)
+      end
     | Some p ->
       t.freed <- true;
       ignore (As.release_snapshot ~phys ~parent:p.mem t.mem);

@@ -22,6 +22,7 @@ type t = private {
   mutable freed : bool;    (** private frames returned to the allocator *)
   mutable adopted : bool;  (** restored via {!restore_adopting}; must never
                                be restored again *)
+  owns_image : bool;       (** parentless, freed whole (see {!capture}) *)
 }
 
 type ids
@@ -32,24 +33,29 @@ type ids
 
 val ids : unit -> ids
 
-val capture : ids:ids -> ?parent:t -> depth:int -> Os.Libos.t -> t
+val capture :
+  ids:ids -> ?parent:t -> ?owns_image:bool -> depth:int -> Os.Libos.t -> t
 (** Capturing with a parent also counts this snapshot in the parent's
-    [child_refs] — part of the release discipline below. *)
+    [child_refs] — part of the release discipline below.  [owns_image]
+    (default [false]; only without a parent) marks a root whose every
+    sharer is a descendant captured with it as parent: when both counts
+    drain, its whole map is freed rather than kept.  Raises
+    [Invalid_argument] when combined with a parent. *)
 
 val restore : Os.Libos.t -> t -> unit
 
 (** {1 Explicit release}
 
-    Schedulers that want allocation-free backtracking (rather than waiting
-    for the GC) maintain two reference counts per snapshot: [ext_refs],
+    Schedulers that want allocation-free backtracking maintain two
+    reference counts per snapshot: [ext_refs],
     raised by {!retain} once per frontier extension pushed and lowered by
     {!release_ext} when that extension restores away (or is evicted
     unexplored); and [child_refs], maintained by {!capture}.  When both
     reach zero the snapshot is dead: its delta-vs-parent frames go back to
     {!Mem.Phys_mem}'s free list, and death cascades to the parent if this
-    child was the last thing keeping it alive.  Roots are never freed.
-    The whole discipline is a no-op when the physical memory was created
-    with [recycle:false]. *)
+    child was the last thing keeping it alive.  Roots are freed whole only
+    when captured [owns_image].  The whole discipline is a no-op when the
+    physical memory was created with [recycle:false]. *)
 
 val retain : ?n:int -> t -> unit
 val release_ext : phys:Mem.Phys_mem.t -> t -> unit

@@ -33,7 +33,11 @@
    - {e containment}: [Service.advance] already converts an allocation
      failure mid-step into a [Crashed] outcome for that session only;
      the pool classifies the crash (deadline vs fault vs allocation),
-     retires the tenant, and returns its dedup references. *)
+     retires the tenant, and returns every frame it held.
+   - {e exact accounting}: a frame dies only through [Phys_mem.free_frame],
+     so live and per-account counts are exact at every decision point and
+     killing every tenant leaves the pool quiescent
+     ([Phys_mem.assert_quiescent]). *)
 
 module Libos = Os.Libos
 module Phys = Mem.Phys_mem
@@ -131,7 +135,7 @@ let pressure t () =
 let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
     ?(frame_budget = 0) ?(fuel_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
     ?(queue_limit = 64) ?(dedup = true) () =
-  let phys = Phys.create ~capacity ~track_live:true () in
+  let phys = Phys.create ~capacity () in
   let t =
     { phys;
       fuel_per_step;
@@ -162,15 +166,13 @@ let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
 
 (* {1 Teardown} *)
 
-(* Retire a tenant's footprint: compress its candidate payloads out of the
-   frame pool and return its dedup-table references.  The service record
-   stays (clients may still query state and counters); its remaining
-   frames become unreachable and drain back through the GC finalisers. *)
+(* Retire a tenant's footprint: every frame it holds goes back to the pool
+   and its dedup-table references are returned.  The service record stays
+   (clients may still query state and counters). *)
 let teardown_tenant tn st =
   if tn.st = Running then begin
     tn.st <- st;
     Queue.clear tn.requests;
-    ignore (Service.demote_all tn.svc);
     ignore (Service.teardown tn.svc);
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:tn.id Obs.Names.tenancy_evict
@@ -297,8 +299,9 @@ let next_tenant t = Queue.peek_opt t.run_queue
 (* Post-step police work, in degradation order: classify a crash; then the
    cumulative fuel budget (cheap: the vCPU's retired counter is monotone —
    snapshots do not save it); then the frame budget — demote everything
-   the tenant holds, collect so the finaliser-driven accounting catches
-   up, and evict only if the tenant is still over (incompressible). *)
+   the tenant holds (each demotion frees its frames on the spot, so the
+   account is exact right after) and evict only if the tenant is still
+   over (incompressible). *)
 let police t tn outcome =
   (match (outcome : Service.outcome) with
   | Crashed msg ->
@@ -322,11 +325,6 @@ let police t tn outcome =
   then begin
     ignore (Service.demote_all tn.svc);
     Service.flush_spills tn.svc;
-    (* finalisers registered during one major cycle run as part of the
-       next; two collections make "unreachable now" visible in the
-       account before we judge the tenant incompressible *)
-    Gc.full_major ();
-    Gc.full_major ();
     if Phys.account_frames_live t.phys tn.account > t.frame_budget then begin
       t.budget_evictions <- t.budget_evictions + 1;
       teardown_tenant tn (Evicted "frame budget")

@@ -47,8 +47,8 @@ val create :
   ?queue_limit:int ->
   ?dedup:bool ->
   unit -> t
-(** [capacity] bounds the shared frame pool (0 = unbounded; live tracking
-    is enabled regardless so per-tenant accounting works).  [frame_budget]
+(** [capacity] bounds the shared frame pool (0 = unbounded; live and
+    per-tenant counts are exact either way).  [frame_budget]
     bounds any one tenant's live frames (0 = none): an over-budget tenant
     is demoted to compressed deltas and evicted only if still over.
     [fuel_budget] bounds a tenant's cumulative retired instructions
@@ -88,9 +88,11 @@ val next_tenant : t -> id option
     injected fault at a specific victim's next allocation. *)
 
 val kill : t -> id -> unit
-(** Explicitly retire a tenant: clear its queued requests, demote its
-    candidate payloads out of the frame pool, and return its dedup-table
-    references.  Idempotent on non-running tenants. *)
+(** Explicitly retire a tenant: clear its queued requests and return every
+    frame it holds to the pool (see {!Service.teardown}) together with its
+    dedup-table references.  Once every tenant is retired the pool passes
+    {!Mem.Phys_mem.assert_quiescent}.  Idempotent on non-running
+    tenants. *)
 
 (** {1 Introspection} *)
 

@@ -141,8 +141,8 @@ let compare_multiset pipeline (a : run) (b : run) =
 
 (* {1 Pipelines} *)
 
-let boot ?recycle ?poison ?track_live ?dispatch image ~icache =
-  let phys = Mem.Phys_mem.create ?recycle ?poison ?track_live () in
+let boot ?recycle ?poison ?dispatch image ~icache =
+  let phys = Mem.Phys_mem.create ?recycle ?poison () in
   Libos.boot ~icache ?dispatch phys image
 
 let explorer_pipeline ?on_stop ?recycle ?poison ?dispatch ?fuel_per_step
@@ -243,11 +243,10 @@ let first_some checks =
 
 let check_image ?(ckpt_every = 1) image =
   (* Baseline: explorer with icache, tracing every Addr_space op.  Frame
-     recycling off: the baseline keeps the GC-only seed cost model, so the
+     recycling off: the baseline keeps the no-reuse seed cost model, so the
      recycling pipeline below is checked against an allocator that never
-     reuses a buffer.  Live tracking gives the peak the tiered-store
-     pipeline sizes its frame budget under. *)
-  let machine = boot ~recycle:false ~track_live:true image ~icache:true in
+     reuses a buffer. *)
+  let machine = boot ~recycle:false image ~icache:true in
   let initial_pages =
     List.map
       (fun vpn -> (vpn, page_string machine.Libos.aspace vpn))
@@ -259,6 +258,17 @@ let check_image ?(ckpt_every = 1) image =
   As.set_trace machine.Libos.aspace None;
   let base = machine_run machine base_result in
   let ops = List.rev !ops in
+  (* Eager release + adoption + buffer reuse, with freed buffers poisoned:
+     a frame released while a live path could still read it diverges
+     loudly instead of silently.  Its exact live peak (a no-free baseline's
+     peak is every frame it ever allocated) sizes the tiered-store budget
+     below. *)
+  let recycled =
+    lazy
+      (let m = boot ~recycle:true ~poison:true image ~icache:true in
+       let r = machine_run m (Explorer.run m) in
+       (r, Mem.Phys_mem.peak_frames_live (As.phys m.Libos.aspace)))
+  in
   first_some
     [ (fun () ->
         compare_exact "icache-off" base
@@ -285,22 +295,17 @@ let check_image ?(ckpt_every = 1) image =
         compare_exact "ckpt-roundtrip" base
           (explorer_pipeline ~icache:true
              ~on_stop:(ckpt_on_stop ckpt_every) image));
-      (fun () ->
-        (* Eager release + adoption + buffer reuse, with freed buffers
-           poisoned: a frame released while a live path could still read
-           it diverges loudly instead of silently. *)
-        compare_exact "recycle" base
-          (explorer_pipeline ~icache:true ~recycle:true ~poison:true image));
+      (fun () -> compare_exact "recycle" base (fst (Lazy.force recycled)));
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
-           the GC-only peak, a hook that demotes every live payload to its
+           the recycling peak, a hook that demotes every live payload to its
            compressed delta at every scheduler stop (truncating everything
            every 5th, so the replay fallback runs too), and a zero spill
            budget pushing cold deltas through host disk — on a poisoned
            recycling allocator, so a frame freed while a delta still
            described it diverges loudly.  Reconstruction is supposed to be
            invisible: exact agreement, instruction count included. *)
-        let peak = Mem.Phys_mem.peak_frames_live (As.phys machine.Libos.aspace) in
+        let peak = snd (Lazy.force recycled) in
         let phys =
           Mem.Phys_mem.create ~capacity:(max 64 (peak / 3)) ~poison:true ()
         in
@@ -496,16 +501,23 @@ let check_image_tenants ?(tenants = 4) image =
           charged entries
       else begin
         List.iter (fun w -> Tenancy.kill pool w.w_id) walks;
-        (* finalisers registered during one major cycle run in the next *)
-        Gc.full_major ();
-        Gc.full_major ();
+        Tenancy.kill base_pool base.w_id;
         let refs = Mem.Phys_mem.dedup_refs phys in
         let entries = Mem.Phys_mem.dedup_entries phys in
+        let leak pool =
+          match Mem.Phys_mem.assert_quiescent (Tenancy.phys pool) with
+          | () -> None
+          | exception Failure msg -> Some msg
+        in
         if refs <> 0 then
           fail "dedup refs did not drain at teardown: %d left" refs
         else if entries <> 0 then
           fail "dedup entries survived their last reference: %d left" entries
-        else None
+        else
+          match (leak base_pool, leak pool) with
+          | Some msg, _ -> fail "baseline pool leaked at teardown: %s" msg
+          | None, Some msg -> fail "shared pool leaked at teardown: %s" msg
+          | None, None -> None
       end
   end
 

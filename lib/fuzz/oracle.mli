@@ -26,13 +26,13 @@
       faithful checkpoint implementation is invisible, so this too must
       match exactly;
     + {b recycle}: the explorer with frame recycling on and freed
-      buffers poisoned, against a baseline that runs the GC-only
+      buffers poisoned, against a baseline that runs the no-reuse
       [recycle:false] allocator — eager frame reclamation, zero-fill
       elision and adopting restores must be guest-invisible, and the
       poison turns any premature free into a loud divergence; must match
       exactly;
     + {b tiered-store}: the explorer under a frame budget below the
-      baseline's peak with the tiered {!Core.Reclaim} store hammered at
+      recycling run's exact live peak with the tiered {!Core.Reclaim} store hammered at
       every scheduler stop — every live payload demoted to its compressed
       delta (truncated outright every 5th stop, so the replay fallback
       runs too) and a zero spill budget pushing cold deltas through host
@@ -83,7 +83,8 @@ val check_image_tenants : ?tenants:int -> Isa.Asm.image -> divergence option
     the surviving tenant count, the hash-consed table matches the
     single-tenant one, live frames never exceed the sum of per-tenant
     charges plus shared frames, and references drain to zero once every
-    tenant is killed. *)
+    tenant is killed — as does every frame: both pools must pass
+    {!Mem.Phys_mem.assert_quiescent} after the kills. *)
 
 val check_prog_tenants : ?tenants:int -> Gen_prog.prog -> divergence option
 

@@ -178,6 +178,17 @@ let writable_frame t vpn addr =
   if f.Phys_mem.owner = t.gen || f.Phys_mem.owner = shared_owner then f
   else cow t vpn f
 
+(* A frame the current generation owns was allocated (or adopted) since the
+   last capture/restore, so no live snapshot can restore it: once the map
+   drops it, nothing reaches it any more.  (An adopted frame is still named
+   by the adopted snapshot, which is never restored again and whose release
+   skips frames already freed.) *)
+let drop_private t vpn =
+  match Ptmap.find_opt vpn t.map with
+  | Some (f : Phys_mem.frame) when f.owner = t.gen && not f.freed ->
+    Phys_mem.free_frame t.phys f
+  | Some _ | None -> ()
+
 (* {1 Mapping} *)
 
 let map_zero t ~vpn =
@@ -231,6 +242,7 @@ let map_shared t ~vpn =
     (match Ptmap.find_opt vpn t.map with
     | Some (existing : Phys_mem.frame) ->
       Bytes.blit existing.bytes 0 f.Phys_mem.bytes 0 Page.size;
+      drop_private t vpn;
       t.map <- Ptmap.remove vpn t.map
     | None -> ());
     Phys_mem.set_shared_page t.phys ~vpn f;
@@ -239,6 +251,7 @@ let map_shared t ~vpn =
 let is_shared t ~vpn = shared_frame t vpn <> None
 
 let unmap t ~vpn =
+  drop_private t vpn;
   t.map <- Ptmap.remove vpn t.map;
   (* A shared page is unmapped from this address space only: the registry
      entry stays so sibling machines on the same [Phys_mem] keep it. *)
@@ -386,20 +399,25 @@ let restore t s =
 
 let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y
 
+(* Free one frame if it is private and still live; counts what it freed. *)
+let free_private phys n (f : Phys_mem.frame) =
+  if f != Phys_mem.zero_frame phys && f.owner >= 0 && not f.freed then begin
+    Phys_mem.free_frame phys f;
+    n + 1
+  end
+  else n
+
 (* Free the now-side frames of [delta]: entries added or replaced relative
    to the base.  Frames only present on the base side (unmapped later) stay
    — the base still references them. *)
 let free_delta phys delta =
-  let zero = Phys_mem.zero_frame phys in
   List.fold_left
     (fun n (_vpn, _before, now) ->
-      match now with
-      | Some (f : Phys_mem.frame)
-        when f != zero && f.owner >= 0 && not f.freed ->
-        Phys_mem.free_frame phys f;
-        n + 1
-      | Some _ | None -> n)
+      match now with Some f -> free_private phys n f | None -> n)
     0 delta
+
+(* Free every private frame of a whole map. *)
+let free_map phys map = Ptmap.fold (fun _ f n -> free_private phys n f) map 0
 
 (* Release a dead snapshot: return the frames it acquired since [parent] to
    the allocator.  The caller asserts the snapshot left the frontier, every
@@ -422,6 +440,18 @@ let release_snapshot ~phys ~parent s =
    immediately after, before any further access through the map. *)
 let discard_segment t ~base =
   free_delta t.phys (Ptmap.sym_diff frame_eq base.snap_map t.map)
+
+(* The whole-image counterparts: a parentless snapshot (a boot image, a
+   full-image rebuild) owns every private frame of its map, and so does a
+   current map that no capture ever froze.  Same soundness conditions as
+   the delta versions, with the empty map as the base. *)
+let release_image ~phys s =
+  let freed = free_map phys s.snap_map in
+  if Obs.Trace.enabled () then
+    Obs.Trace.instant ~a:s.snap_id ~b:freed Obs.Names.snap_release;
+  freed
+
+let discard_map t = free_map t.phys t.map
 
 (* Restore [s] knowing it is the last reference to its branch: the frames
    it holds beyond [parent] become ours to write in place, instead of being

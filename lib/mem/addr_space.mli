@@ -19,10 +19,9 @@ exception Page_fault of { addr : int; access : access }
 type t
 
 type snapshot
-(** An immutable logical copy of the entire address space.  Holding one
-    keeps its frames alive; dropping the last reference lets the GC reclaim
-    them — or, under the explicit lifecycle below, lets the owner return
-    them to the allocator's free list without waiting for a collection. *)
+(** An immutable logical copy of the entire address space.  Its frames
+    stay allocated until the owner returns them under the explicit
+    lifecycle below — dropping the last reference alone frees nothing. *)
 
 val create : Phys_mem.t -> t
 val phys : t -> Phys_mem.t
@@ -70,6 +69,10 @@ val set_account : t -> int -> unit
 val account : t -> int
 
 val unmap : t -> vpn:int -> unit
+(** Drop the page from this address space.  A frame the current
+    generation owns (written since the last capture or restore) is freed on
+    the spot: no snapshot can restore it. *)
+
 val is_mapped : t -> vpn:int -> bool
 val mapped_pages : t -> int
 
@@ -118,11 +121,11 @@ val snapshot_map_for_debug : snapshot -> Phys_mem.frame Stdx.Ptmap.t
 
 (** {1 Explicit frame lifecycle}
 
-    The GC reclaims dead snapshots eventually; these entry points reclaim
-    them {e now}, feeding {!Phys_mem}'s buffer free list so the COW fault
-    path stops allocating in steady state.  All three operate on a
-    {e delta}: the frames a map acquired relative to a base it was derived
-    from.  Under the generation discipline those frames are private to the
+    {!Phys_mem.free_frame} is the only way a frame dies; these entry
+    points are how the layers above call it, feeding {!Phys_mem}'s buffer
+    free list so the COW fault path stops allocating in steady state.
+    Most operate on a {e delta}: the frames a map acquired relative to a
+    base it was derived from.  Under the generation discipline those frames are private to the
     one execution path between the two maps, which is what makes eager
     reclamation sound — provided the caller really holds the last
     reference (see the refcount discipline in [Core.Snapshot]). *)
@@ -147,6 +150,18 @@ val discard_segment : t -> base:snapshot -> int
     {!epoch} unchanged since that restore, and the caller must restore
     another snapshot immediately after, before any access through the
     now-dangling map. *)
+
+val release_image : phys:Phys_mem.t -> snapshot -> int
+(** {!release_snapshot} for a snapshot with no parent (a boot image, a
+    full-image rebuild): every private frame of its map is returned.  Sound
+    only when no other map was derived from it without the caller knowing
+    — the owner asserts every descendant is already dead. *)
+
+val discard_map : t -> int
+(** {!discard_segment} against the empty map: free every private frame
+    the current map holds.  For a map no capture ever froze (a session
+    torn down before its first snapshot, a full-image rebuild that failed
+    half way); the same no-access-afterwards rule applies. *)
 
 val restore_adopt : t -> parent:snapshot -> snapshot -> int
 (** Restore [s] and take ownership of the frames it holds beyond [parent]:

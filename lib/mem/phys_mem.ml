@@ -44,10 +44,10 @@ type t = {
          an address space that fell at most that far behind can shoot down
          just the affected entries instead of wiping its whole TLB *)
   capacity : int;  (* 0 = unbounded *)
-  track_live : bool;
-  live : int Atomic.t;
-      (* frames allocated minus frames the GC has proven unreachable; the
-         finaliser on each frame is the simulation's refcounted free list *)
+  mutable live : int;
+      (* frames allocated minus frames released through [free_frame] —
+         exact: [free_frame] is the only way a frame dies.  A plain int:
+         every physical memory is private to one domain. *)
   mutable peak_live : int;
   mutable on_pressure : (unit -> unit) option;
   mutable pressure_events : int;
@@ -56,7 +56,7 @@ type t = {
   recycle : bool;
       (* when set, explicitly-released frames feed a buffer free list and
          full-page-overwrite allocations skip the zero fill; when clear the
-         allocator behaves exactly like the GC-only seed (the conservative
+         allocator behaves exactly like the no-reuse seed (the conservative
          baseline the fuzz oracle compares against) *)
   mutable poison : bool;
       (* debug: fill released buffers with [poison_byte] immediately, so a
@@ -102,9 +102,12 @@ let zero_generation = 0
    never written in place: a store through them always COWs. *)
 let dedup_owner = -2
 
-let create ?(capacity = 0) ?(track_live = false) ?(recycle = true)
-    ?(poison = false) () =
+let create ?(capacity = 0) ?(recycle = true) ?(poison = false) () =
   if capacity < 0 then invalid_arg "Phys_mem.create: negative capacity";
+  (* The schedulers' explicit-free discipline is gated on [recycle]; without
+     it nothing ever gives a live slot back and a bounded pool only fills. *)
+  if capacity > 0 && not recycle then
+    invalid_arg "Phys_mem.create: a bounded pool needs recycle (explicit frees)";
   let zero =
     { id = 0; bytes = Bytes.make Page.size '\000'; owner = zero_generation;
       freed = false; account = 0 }
@@ -112,8 +115,7 @@ let create ?(capacity = 0) ?(track_live = false) ?(recycle = true)
   { next_frame = 1; next_gen = 1; zero; metrics = Mem_metrics.create ();
     shared_pages = Hashtbl.create 8; share_epoch = 0;
     share_log = Array.make share_log_size (-1);
-    capacity; track_live = track_live || capacity > 0;
-    live = Atomic.make 0; peak_live = 0;
+    capacity; live = 0; peak_live = 0;
     on_pressure = None; pressure_events = 0; watermark_armed = true;
     alloc_fault = None;
     recycle; poison; free_bufs = []; free_len = 0; total_allocs = 0;
@@ -131,7 +133,7 @@ let recycling t = t.recycle
 let set_poison t b = t.poison <- b
 let poisoning t = t.poison
 let free_buffers t = t.free_len
-let frames_live t = Atomic.get t.live
+let frames_live t = t.live
 let peak_frames_live t = t.peak_live
 let pressure_events t = t.pressure_events
 let set_pressure_handler t f = t.on_pressure <- f
@@ -146,30 +148,18 @@ let peak_delta_bytes t = t.peak_delta_bytes
 let note_spill_bytes t n = t.spill_bytes <- t.spill_bytes + n
 let spill_bytes_held t = t.spill_bytes
 
-(* Finalisers registered during one major cycle run as part of the next, so
-   a single [full_major] can leave just-dropped frames still counted; the
-   second pass makes "unreachable now" observable in [live]. *)
-let collect t =
-  Gc.full_major ();
-  Gc.full_major ();
-  ignore t
-
 let high_watermark t = t.capacity - (t.capacity / 8)
 
-let below_watermark t = t.capacity > 0 && Atomic.get t.live < high_watermark t
+let below_watermark t = t.capacity > 0 && t.live < high_watermark t
 
-(* Fire the pressure protocol: let the registered reclaimer shed payload
-   references, then collect so the freed frames actually leave [live].
-   A handler that returns frames explicitly (the tiered store's eager
-   demotion free feeds {!free_frame} directly) already moved [live]; when
-   that alone clears the watermark the full collection — two major GC
-   cycles, by far the dominant cost of a pressure event — is skipped. *)
+(* Fire the pressure protocol: the registered reclaimer sheds payloads and
+   returns their frames through {!free_frame}, which moves [live] on the
+   spot; the caller re-checks the count. *)
 let pressure t =
   t.pressure_events <- t.pressure_events + 1;
   if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:(Atomic.get t.live) ~b:t.capacity Obs.Names.pressure;
-  (match t.on_pressure with Some f -> f () | None -> ());
-  if Atomic.get t.live >= high_watermark t then collect t
+    Obs.Trace.instant ~a:t.live ~b:t.capacity Obs.Names.pressure;
+  match t.on_pressure with Some f -> f () | None -> ()
 
 let ensure_frame_available t =
   (match t.alloc_fault with
@@ -177,13 +167,13 @@ let ensure_frame_available t =
     (* Injected transient allocation failure: indistinguishable from a
        momentarily exhausted free list, so callers exercise the same
        recovery path a real out-of-frames condition takes. *)
-    raise (Out_of_frames { capacity = t.capacity; live = Atomic.get t.live })
+    raise (Out_of_frames { capacity = t.capacity; live = t.live })
   | _ -> ());
   if t.capacity > 0 then begin
-    let live = Atomic.get t.live in
+    let live = t.live in
     if live >= t.capacity then begin
       pressure t;
-      let live = Atomic.get t.live in
+      let live = t.live in
       if live >= t.capacity then begin
         if Obs.Trace.enabled () then
           Obs.Trace.instant ~a:live ~b:t.capacity Obs.Names.out_of_frames;
@@ -193,7 +183,7 @@ let ensure_frame_available t =
     else if live >= high_watermark t then begin
       (* High-watermark crossing: reclaim early, and only once per
          excursion above the mark, so steady state near the watermark does
-         not degenerate into a collection per allocation. *)
+         not degenerate into a reclaim pass per allocation. *)
       if t.watermark_armed then begin
         t.watermark_armed <- false;
         pressure t
@@ -235,21 +225,22 @@ let account_frames_live t account =
     | Some r -> !r
     | None -> 0
 
+let assert_quiescent t =
+  let charged =
+    Hashtbl.fold (fun a r acc -> if !r <> 0 then (a, !r) :: acc else acc)
+      t.account_live_tbl []
+  in
+  if t.live <> 0 || charged <> [] then
+    failwith
+      (Printf.sprintf "Phys_mem.assert_quiescent: %d frames live%s" t.live
+         (String.concat ""
+            (List.map (fun (a, n) -> Printf.sprintf ", account %d holds %d" a n)
+               (List.sort compare charged))))
+
 let account_live t f =
-  if t.track_live then begin
-    let live = 1 + Atomic.fetch_and_add t.live 1 in
-    if live > t.peak_live then t.peak_live <- live;
-    charge_account t f.account;
-    (* An explicitly-freed frame already gave its live slot back; the
-       finaliser must not return it twice. *)
-    Gc.finalise
-      (fun (f : frame) ->
-        if not f.freed then begin
-          Atomic.decr t.live;
-          credit_account t f.account
-        end)
-      f
-  end
+  t.live <- t.live + 1;
+  if t.live > t.peak_live then t.peak_live <- t.live;
+  charge_account t f.account
 
 (* Pop a released page buffer, if the pool has one.  The buffer comes back
    with arbitrary contents (possibly poisoned): callers overwrite it. *)
@@ -318,10 +309,8 @@ let free_frame t (f : frame) =
     invalid_arg (Printf.sprintf "Phys_mem.free_frame: double free of frame %d" f.id);
   f.freed <- true;
   t.metrics.frames_freed <- t.metrics.frames_freed + 1;
-  if t.track_live then begin
-    Atomic.decr t.live;
-    credit_account t f.account
-  end;
+  t.live <- t.live - 1;
+  credit_account t f.account;
   if t.recycle && t.free_len < max_free_bufs then begin
     if t.poison then Bytes.fill f.bytes 0 Page.size poison_byte;
     t.free_bufs <- f.bytes :: t.free_bufs;

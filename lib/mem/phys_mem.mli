@@ -3,9 +3,11 @@
     A frame is one 4 KiB page of backing store plus the id of the
     address-space *generation* that owns it.  Ownership drives copy-on-write:
     a store through a mapping whose frame belongs to an older generation must
-    first copy the frame (see {!Addr_space}).  Frames unreachable from any
-    live snapshot are reclaimed by the OCaml GC, standing in for the
-    refcounted physical-page free list a real libOS would keep. *)
+    first copy the frame (see {!Addr_space}).  A frame dies only through
+    {!free_frame}, called by the explicit-release discipline of the layers
+    above (snapshot refcounts, segment discard, tenant teardown) — the
+    simulation's refcounted physical-page free list.  The live count is
+    therefore exact: frames allocated minus frames freed. *)
 
 type frame = private {
   mutable id : int;
@@ -28,22 +30,19 @@ exception Out_of_frames of { capacity : int; live : int }
     allocation fault fires (see {!set_alloc_fault}).  Schedulers treat it
     as a recoverable per-path failure, not a crash. *)
 
-val create :
-  ?capacity:int -> ?track_live:bool -> ?recycle:bool -> ?poison:bool ->
-  unit -> t
+val create : ?capacity:int -> ?recycle:bool -> ?poison:bool -> unit -> t
 (** [capacity] (default 0 = unbounded) bounds the number of
-    simultaneously-live frames.  [track_live] (implied by a positive
-    capacity) enables live-frame accounting: every frame carries a GC
-    finaliser that decrements the live count when the frame becomes
-    unreachable — the simulation's stand-in for the refcounted free list a
-    real libOS would keep.
+    simultaneously-live frames.
 
     [recycle] (default [true]) enables the explicit free list:
     {!free_frame} keeps released page buffers for reuse and
     full-page-overwrite allocations ({!alloc_copy}, {!alloc_data}) skip
     the zero fill.  With [recycle:false] the allocator reproduces the
-    GC-only baseline bit for bit — the reference the fuzz oracle's
-    recycling pipeline is compared against.  [poison] (default [false])
+    no-reuse seed cost model bit for bit — the reference the fuzz oracle's
+    recycling pipeline is compared against — and the schedulers skip their
+    explicit frees, so nothing leaves the live count: a positive
+    [capacity] with [recycle:false] raises [Invalid_argument].  [poison]
+    (default [false])
     fills released buffers with a recognizable byte immediately, so a
     frame freed while still reachable diverges loudly instead of
     silently. *)
@@ -56,8 +55,7 @@ val capacity : t -> int
 (** The configured frame capacity; 0 means unbounded. *)
 
 val frames_live : t -> int
-(** Frames allocated and not yet proven unreachable by the GC.  Only
-    meaningful when live tracking is enabled. *)
+(** Frames allocated and not yet released through {!free_frame}. *)
 
 val peak_frames_live : t -> int
 (** High-water mark of {!frames_live} — with a capacity set, never exceeds
@@ -76,10 +74,10 @@ val below_watermark : t -> bool
 val set_pressure_handler : t -> (unit -> unit) option -> unit
 (** The reclaimer invoked under memory pressure: at the high watermark
     (⅞ of capacity, once per excursion above it) and again before giving
-    up at the hard capacity limit.  The handler should drop references to
-    reclaimable frames (e.g. evict snapshot payloads); the allocator then
-    collects and re-checks.  Called from inside {!alloc}, so it must not
-    allocate frames itself. *)
+    up at the hard capacity limit.  The handler should free reclaimable
+    frames through {!free_frame} (e.g. demote snapshot payloads); the
+    allocator then re-checks the live count.  Called from inside {!alloc},
+    so it must not allocate frames itself. *)
 
 val note_delta_bytes : t -> int -> unit
 (** Adjust (signed) the count of demoted-snapshot delta bytes held in host
@@ -182,16 +180,22 @@ val fresh_generation : t -> int
 
     Accounts attribute live frames to the session that allocated them —
     the quantity a multi-tenant pool's per-tenant frame budgets are
-    enforced against.  Accounting requires live tracking (a positive
-    capacity, or [track_live:true]); account 0 is the shared pool and is
-    never tracked. *)
+    enforced against.  Account 0 is the shared pool and is never
+    tracked. *)
 
 val fresh_account : t -> int
 (** A fresh non-zero account id. *)
 
 val account_frames_live : t -> int -> int
-(** Frames charged to the account and not yet freed or proven unreachable.
-    Always 0 for account 0. *)
+(** Frames charged to the account and not yet freed.  Always 0 for
+    account 0. *)
+
+val assert_quiescent : t -> unit
+(** The leak check: raises [Failure] naming the live count and every
+    non-zero account unless no frame is live.  Holds once every session
+    over the memory has been torn down (see [Core.Tenancy.kill]); frames
+    registered with {!set_shared_page} are pool-lifetime and count as
+    live. *)
 
 (** {1 Content-addressed frame dedup}
 

@@ -177,13 +177,27 @@ let sym_diff eqv a b =
   if a == b then []
   else begin
     let acc = ref [] in
-    let tbl : (int, 'a option * 'a option) Hashtbl.t = Hashtbl.create 64 in
+    (* Keys are placed by their bits, so a key of one side can only meet
+       its twin in the region of the other side reached along the same
+       path: aligned leaves are compared on the spot, and only regions
+       whose shapes diverge need the table that pairs keys up. *)
+    let tbl : (int, 'a option * 'a option) Hashtbl.t option ref = ref None in
+    let table () =
+      match !tbl with
+      | Some t -> t
+      | None ->
+        let t = Hashtbl.create 16 in
+        tbl := Some t;
+        t
+    in
     let note_left k v =
+      let tbl = table () in
       match Hashtbl.find_opt tbl k with
       | None -> Hashtbl.replace tbl k (Some v, None)
       | Some (_, r) -> Hashtbl.replace tbl k (Some v, r)
     in
     let note_right k v =
+      let tbl = table () in
       match Hashtbl.find_opt tbl k with
       | None -> Hashtbl.replace tbl k (None, Some v)
       | Some (l, _) -> Hashtbl.replace tbl k (l, Some v)
@@ -194,17 +208,19 @@ let sym_diff eqv a b =
         match x, y with
         | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
           go l0 l1; go r0 r1
+        | Leaf (k0, v0), Leaf (k1, v1) when k0 = k1 ->
+          if not (eqv v0 v1) then acc := (k0, Some v0, Some v1) :: !acc
         | _, _ ->
           iter note_left x;
           iter note_right y
     in
     go a b;
-    Hashtbl.iter
-      (fun k -> function
-        | Some v, Some w -> if not (eqv v w) then acc := (k, Some v, Some w) :: !acc
-        | (None, None) as both -> ignore both
-        | l, r -> acc := (k, l, r) :: !acc)
-      tbl;
+    Option.iter
+      (Hashtbl.iter (fun k -> function
+         | Some v, Some w -> if not (eqv v w) then acc := (k, Some v, Some w) :: !acc
+         | (None, None) as both -> ignore both
+         | l, r -> acc := (k, l, r) :: !acc))
+      !tbl;
     !acc
   end
 

@@ -482,11 +482,11 @@ let explorer_survives_memory_pressure () =
     Workloads.Locality.program
       { depth = 4; branch = 3; touch_pages = 3; work = 5; arena_pages = 16 }
   in
-  (* Fault-free run on unbounded memory establishes the footprint.
-     Recycling off: the budget must undercut the GC-only peak, not the
-     (much smaller) eagerly-recycled one. *)
-  let phys0 = Mem.Phys_mem.create ~track_live:true ~recycle:false () in
-  let base = Explorer.run (Libos.boot phys0 image) in
+  (* Fault-free run on unbounded memory establishes the footprint: the
+     tiered store attached but never pressured, so every frontier payload
+     stays live — the exact peak a budget has to undercut. *)
+  let phys0 = Mem.Phys_mem.create () in
+  let base = Explorer.run ~tier_stress:0 (Libos.boot phys0 image) in
   let peak = Mem.Phys_mem.peak_frames_live phys0 in
   let capacity = max 24 (peak / 10) in
   check Alcotest.bool "budget is genuinely below the fault-free peak" true
@@ -702,7 +702,7 @@ let rec run_to_guess m =
     Alcotest.failf "expected a choice point, got %a" Libos.pp_stop stop
 
 let boot_store ?spill_threshold () =
-  let phys = Mem.Phys_mem.create ~track_live:true ~poison:true () in
+  let phys = Mem.Phys_mem.create ~poison:true () in
   let image =
     Workloads.Locality.program
       { depth = 3; branch = 2; touch_pages = 2; work = 1; arena_pages = 8 }
@@ -715,13 +715,17 @@ let boot_store ?spill_threshold () =
   let h0 = Reclaim.add_root store root in
   (phys, m, store, ids, h0)
 
-(* Resume [parent] with [choice], run to the next publish, register it. *)
+(* Resume [parent] with [choice], run to the next publish, register it —
+   captured with the restored record as its parent, the lineage the
+   store's explicit frees rely on. *)
 let extend store ids m parent ~choice =
-  Snapshot.restore m (Reclaim.get store parent);
+  let base = Reclaim.get store parent in
+  Snapshot.restore m base;
   Vcpu.Cpu.set m.Libos.cpu R.rax choice;
   ignore (run_to_guess m);
   let depth = Reclaim.depth store parent + 1 in
-  Reclaim.add store ~parent ~choice ~depth (Snapshot.capture ~ids ~depth m)
+  Reclaim.add store ~parent ~choice ~depth
+    (Snapshot.capture ~ids ~parent:base ~depth m)
 
 (* Bit-level identity of a snapshot: resume point plus every mapped page. *)
 let snap_image (s : Snapshot.t) =
@@ -922,6 +926,74 @@ let service_alloc_fail_contained () =
       (Service.resume svc candidate ~choice:0 ())
   | _ -> Alcotest.fail "expected a choice point"
 
+let service_failed_resumes_keep_live_flat () =
+  (* Every leaf of this tree dirties its pages and then fails, so no
+     capture ever freezes a leaf segment.  Resuming the same leaf edge
+     over and over must not grow the live count: each resume frees the
+     previous attempt's COW tail before restoring. *)
+  let svc, outcome = Service.boot locality_image in
+  let phys = Service.phys svc in
+  let rec leaf_parent r =
+    match Service.resume svc r ~choice:0 () with
+    | Service.Ready { candidate; _ } -> leaf_parent candidate
+    | Service.Failed _ -> r
+    | _ -> Alcotest.fail "expected a choice point or a failed leaf"
+  in
+  match outcome with
+  | Service.Ready { candidate; _ } ->
+    let r = leaf_parent candidate in
+    let cow0 = (Mem.Phys_mem.metrics phys).Mem.Mem_metrics.cow_faults in
+    let lives =
+      List.init 20 (fun k ->
+          (match Service.resume svc r ~choice:(k mod 2) () with
+          | Service.Failed _ -> ()
+          | _ -> Alcotest.fail "expected the leaf to fail");
+          Mem.Phys_mem.frames_live phys)
+    in
+    check Alcotest.bool "each failed leaf dirtied pages" true
+      ((Mem.Phys_mem.metrics phys).Mem.Mem_metrics.cow_faults - cow0 >= 20);
+    check (Alcotest.list Alcotest.int) "live frames stay flat"
+      (List.map (fun _ -> List.hd lives) lives) lives
+  | _ -> Alcotest.fail "expected a choice point"
+
+let spill_files_removed () =
+  (* Spill files are deleted explicitly — by the explorer when its run
+     ends and by a session's teardown — never left for a finaliser. *)
+  let dir = Filename.temp_file "lwsnap-spill-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  let spill_files () =
+    List.filter
+      (fun f -> String.length f >= 12 && String.sub f 0 12 = "lwsnap-delta")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let m = Libos.boot (Mem.Phys_mem.create ()) locality_image in
+      let r = Explorer.run ~tier_stress:1 ~spill_threshold:0 m in
+      check Alcotest.bool "the explorer spilled" true
+        (r.Explorer.stats.Core.Stats.spills > 0);
+      check (Alcotest.list Alcotest.string) "no file left after the run" []
+        (spill_files ());
+      let svc, outcome = Service.boot ~spill_threshold:0 locality_image in
+      (match outcome with
+      | Service.Ready { candidate; _ } ->
+        ignore (Service.resume svc candidate ~choice:0 ());
+        ignore (Service.resume svc candidate ~choice:1 ());
+        ignore (Service.demote_all svc);
+        Service.flush_spills svc
+      | _ -> Alcotest.fail "expected a choice point");
+      check Alcotest.bool "the session spilled" true (spill_files () <> []);
+      ignore (Service.teardown svc);
+      check (Alcotest.list Alcotest.string) "no file left after teardown" []
+        (spill_files ()))
+
 (* {1 Multi-tenant pool} *)
 
 let pool_roots pool n image =
@@ -930,6 +1002,13 @@ let pool_roots pool n image =
       | Tenancy.Admitted (id, Service.Ready { candidate; _ }) -> (id, candidate)
       | Tenancy.Admitted (_, _) -> Alcotest.fail "tenant boot missed its choice point"
       | Tenancy.Queued _ | Tenancy.Rejected -> Alcotest.fail "tenant boot refused")
+
+(* Retire every tenant the pool admitted: not one frame may stay live. *)
+let quiesce pool =
+  for id = 0 to Tenancy.tenant_count pool - 1 do Tenancy.kill pool id done;
+  Mem.Phys_mem.assert_quiescent (Tenancy.phys pool);
+  check Alcotest.int "dedup references drained" 0
+    (Mem.Phys_mem.dedup_refs (Tenancy.phys pool))
 
 let tenancy_dedup_shares_image_frames () =
   let pool = Tenancy.create () in
@@ -954,7 +1033,8 @@ let tenancy_dedup_shares_image_frames () =
   check Alcotest.int "dedup references drain at teardown" 0
     (Mem.Phys_mem.dedup_refs phys);
   check Alcotest.int "dedup table empties with the last tenant" 0
-    (Mem.Phys_mem.dedup_entries phys)
+    (Mem.Phys_mem.dedup_entries phys);
+  quiesce pool
 
 let tenancy_fault_containment () =
   (* kill one tenant with an injected allocation fault; its siblings'
@@ -997,7 +1077,8 @@ let tenancy_fault_containment () =
     (match run t2 r2 ~choice:0 with
     | Service.Ready _ -> ()
     | _ -> Alcotest.fail "survivor t2 lost its choice point");
-    check Alcotest.int "two tenants still live" 2 (Tenancy.live_tenants pool)
+    check Alcotest.int "two tenants still live" 2 (Tenancy.live_tenants pool);
+    quiesce pool
   | _ -> Alcotest.fail "expected three tenants")
 
 let tenancy_round_robin_is_fair () =
@@ -1019,7 +1100,8 @@ let tenancy_round_robin_is_fair () =
     in
     check (Alcotest.list Alcotest.int) "one slot per tenant per round"
       [ t0; t1; t0; t1; t0 ] order;
-    check Alcotest.bool "drained" true (Tenancy.step pool = None)
+    check Alcotest.bool "drained" true (Tenancy.step pool = None);
+    quiesce pool
   | _ -> Alcotest.fail "expected two tenants"
 
 let tenancy_admission_control () =
@@ -1048,7 +1130,8 @@ let tenancy_admission_control () =
   pump_until 20;
   check Alcotest.int "queue drained" 0 (Tenancy.pending_boots pool);
   check Alcotest.int "admissions counted" 3 (Tenancy.admits pool);
-  check Alcotest.int "rejections counted" 1 (Tenancy.rejects pool)
+  check Alcotest.int "rejections counted" 1 (Tenancy.rejects pool);
+  quiesce pool
 
 let tenancy_deadline_kills_runaway () =
   (* extension 1 spins forever; the pool deadline must kill that tenant
@@ -1077,7 +1160,8 @@ let tenancy_deadline_kills_runaway () =
     (match Tenancy.step pool with
     | Some (id, Service.Finished { status; _ }) ->
       check Alcotest.int "sibling survives" t1 id;
-      check Alcotest.int "sibling exits cleanly" 0 status
+      check Alcotest.int "sibling exits cleanly" 0 status;
+      quiesce pool
     | _ -> Alcotest.fail "sibling should finish")
   | _ -> Alcotest.fail "expected two tenants"
 
@@ -1140,7 +1224,9 @@ let tenancy_frame_budget_degrades_fairly () =
     check Alcotest.bool "payloads were demoted to fit" true
       (Service.demotions (Tenancy.service pool id) > 0);
     check Alcotest.bool "budget respected after degradation" true
-      (Tenancy.tenant_frames pool id <= budget)
+      (Tenancy.tenant_frames pool id <= budget);
+    quiesce pool;
+    quiesce probe
   | _ -> Alcotest.fail "budgeted boot failed");
   (* a budget below the live working set is incompressible: evict *)
   let pool2 = Tenancy.create ~frame_budget:2 () in
@@ -1149,7 +1235,10 @@ let tenancy_frame_budget_degrades_fairly () =
     drive pool2 id root 1;
     check Alcotest.bool "incompressible tenant evicted" true
       (Tenancy.state pool2 id = Some (Tenancy.Evicted "frame budget"));
-    check Alcotest.int "eviction counted" 1 (Tenancy.budget_evictions pool2)
+    check Alcotest.int "eviction counted" 1 (Tenancy.budget_evictions pool2);
+    check Alcotest.int "eviction returned every frame" 0
+      (Tenancy.tenant_frames pool2 id);
+    quiesce pool2
   | _ -> Alcotest.fail "tiny-budget boot failed"
 
 let tenancy_shared_pressure_pool () =
@@ -1203,7 +1292,107 @@ let tenancy_shared_pressure_pool () =
     tenants;
   check Alcotest.bool "budget respected" true
     (Mem.Phys_mem.peak_frames_live (Tenancy.phys pool) <= capacity);
-  check Alcotest.int "all tenants survived" 4 (Tenancy.live_tenants pool)
+  check Alcotest.int "all tenants survived" 4 (Tenancy.live_tenants pool);
+  quiesce probe;
+  quiesce pool
+
+let tenancy_kill_all_is_quiescent () =
+  (* Sessions in every state — mid-search with demoted, promoted and
+     released candidates, crashed by an injected fault, finished — over a
+     bounded pool, with and without image dedup.  Killing them all must
+     return every frame and every dedup reference. *)
+  let image =
+    Workloads.Locality.program
+      { depth = 3; branch = 2; touch_pages = 3; work = 1; arena_pages = 8 }
+  in
+  List.iter
+    (fun dedup ->
+      let pool = Tenancy.create ~capacity:64 ~dedup () in
+      let tenants = pool_roots pool 3 image in
+      let serve id r ~choice =
+        ignore (Tenancy.post pool id r ~choice ());
+        match Tenancy.step pool with
+        | Some (_, o) -> o
+        | None -> Alcotest.fail "pool had work but no step"
+      in
+      List.iter
+        (fun (id, root) ->
+          match serve id root ~choice:0 with
+          | Service.Ready { candidate; _ } ->
+            ignore (serve id candidate ~choice:1);
+            ignore (Service.demote_all (Tenancy.service pool id));
+            ignore (serve id candidate ~choice:0);
+            Service.release (Tenancy.service pool id) candidate;
+            ignore (serve id root ~choice:1)
+          | _ -> Alcotest.fail "expected a choice point")
+        tenants;
+      (* one more tenant dies of an injected allocation fault mid-step *)
+      (match tenants with
+      | (id, root) :: _ ->
+        let phys = Tenancy.phys pool in
+        ignore (Tenancy.post pool id root ~choice:0 ());
+        Mem.Phys_mem.set_alloc_fault phys
+          (Inject.alloc_hook
+             (Inject.arm
+                { Inject.seed = 0;
+                  faults =
+                    [ Inject.Alloc_fail (Mem.Phys_mem.next_frame_ordinal phys) ] }));
+        (match Tenancy.step pool with
+        | Some (_, Service.Crashed _) -> ()
+        | _ -> Alcotest.fail "expected the injected fault to crash the step");
+        Mem.Phys_mem.set_alloc_fault phys None
+      | [] -> ());
+      check Alcotest.bool "the pool held frames" true
+        (Mem.Phys_mem.frames_live (Tenancy.phys pool) > 0);
+      quiesce pool)
+    [ true; false ]
+
+let tenancy_budget_decided_without_collection () =
+  (* A frame-budget verdict reads the exact account the moment demotion
+     returns: the same run decides the same way whatever the state of the
+     host heap.  One run churns garbage and collects between steps, the
+     other never does; every step's verdict and account must agree. *)
+  let image =
+    Workloads.Locality.program
+      { depth = 4; branch = 2; touch_pages = 4; work = 1; arena_pages = 16 }
+  in
+  let run ~budget ~churn =
+    let pool = Tenancy.create ~frame_budget:budget () in
+    let garbage = ref [] in
+    let trace =
+      match pool_roots pool 1 image with
+      | [ (id, root) ] ->
+        List.init 6 (fun k ->
+            if churn then begin
+              garbage := Array.make 4096 k :: !garbage;
+              Gc.full_major ()
+            end;
+            ignore (Tenancy.post pool id root ~choice:(k mod 2) ());
+            ignore (Tenancy.step pool);
+            ( Tenancy.tenant_frames pool id,
+              Service.demotions (Tenancy.service pool id),
+              Tenancy.budget_evictions pool ))
+      | _ -> Alcotest.fail "budgeted boot failed"
+    in
+    ignore (Sys.opaque_identity !garbage);
+    quiesce pool;
+    trace
+  in
+  let triple = Alcotest.(list (triple int int int)) in
+  let fair = run ~budget:14 ~churn:false in
+  check triple "a fair budget decides the same way under churn" fair
+    (run ~budget:14 ~churn:true);
+  check Alcotest.bool "the fair budget demoted" true
+    (List.exists (fun (_, d, _) -> d > 0) fair);
+  check Alcotest.bool "and never evicted" true
+    (List.for_all (fun (_, _, e) -> e = 0) fair);
+  let tiny = run ~budget:2 ~churn:false in
+  check triple "an eviction is decided the same way under churn" tiny
+    (run ~budget:2 ~churn:true);
+  match tiny with
+  | (frames, _, 1) :: _ ->
+    check Alcotest.int "evicted on the first step with nothing left" 0 frames
+  | _ -> Alcotest.fail "a hopeless budget must evict on the first step"
 
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
@@ -1256,6 +1445,10 @@ let tests =
       service_spill_threshold_end_to_end;
     Alcotest.test_case "service alloc fail contained" `Quick
       service_alloc_fail_contained;
+    Alcotest.test_case "service failed resumes keep live flat" `Quick
+      service_failed_resumes_keep_live_flat;
+    Alcotest.test_case "spill files removed explicitly" `Quick
+      spill_files_removed;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
       tenancy_dedup_shares_image_frames;
     Alcotest.test_case "tenancy fault containment" `Quick
@@ -1268,6 +1461,10 @@ let tests =
       tenancy_deadline_kills_runaway;
     Alcotest.test_case "tenancy frame budget degrades fairly" `Quick
       tenancy_frame_budget_degrades_fairly;
+    Alcotest.test_case "tenancy kill all is quiescent" `Quick
+      tenancy_kill_all_is_quiescent;
+    Alcotest.test_case "tenancy budget decided without collection" `Quick
+      tenancy_budget_decided_without_collection;
     Alcotest.test_case "tenancy shared pressure pool" `Quick
       tenancy_shared_pressure_pool;
     Alcotest.test_case "divergent path killed by fuel" `Quick

@@ -548,13 +548,13 @@ let pressure_handler_reclaims () =
   let phys = Phys.create ~capacity:8 () in
   let held = ref [] in
   for _ = 1 to 8 do held := Phys.alloc phys ~owner:1 :: !held done;
-  (* The handler drops every held reference; the allocator's follow-up
-     collection must then free the frames and let the allocation through. *)
-  Phys.set_pressure_handler phys (Some (fun () -> held := []));
+  (* The handler frees every held frame; the allocator re-checks the live
+     count and lets the allocation through — no collection involved. *)
+  Phys.set_pressure_handler phys
+    (Some (fun () -> List.iter (Phys.free_frame phys) !held; held := []));
   let f = Phys.alloc phys ~owner:1 in
   check Alcotest.bool "alloc succeeds after reclaim" true (f.Phys.id > 0);
-  check Alcotest.bool "live dropped below capacity" true
-    (Phys.frames_live phys < 8);
+  check Alcotest.int "live is exactly the new frame" 1 (Phys.frames_live phys);
   check Alcotest.int "peak is the pre-reclaim high-water mark" 8
     (Phys.peak_frames_live phys)
 
@@ -938,16 +938,33 @@ let delta_bytes_accounting () =
   Phys.note_spill_bytes phys (-700);
   check Alcotest.int "spill back to zero" 0 (Phys.spill_bytes_held phys)
 
-let untracked_by_default () =
+let live_always_counted () =
   let phys = Phys.create () in
-  let _f = Phys.alloc phys ~owner:1 in
-  check Alcotest.int "no live accounting without capacity" 0
+  let f = Phys.alloc phys ~owner:1 in
+  let g = Phys.alloc_data phys ~owner:1 "x" in
+  check Alcotest.int "an unbounded memory counts live frames" 2
     (Phys.frames_live phys);
-  check Alcotest.int "no peak either" 0 (Phys.peak_frames_live phys);
-  let tracked = Phys.create ~track_live:true () in
-  let keep = Phys.alloc tracked ~owner:1 in
-  check Alcotest.int "opt-in tracking counts" 1 (Phys.frames_live tracked);
-  ignore (Sys.opaque_identity keep)
+  check Alcotest.int "and their peak" 2 (Phys.peak_frames_live phys);
+  (match Phys.assert_quiescent phys with
+  | () -> Alcotest.fail "live frames must fail the leak check"
+  | exception Failure _ -> ());
+  Phys.free_frame phys f;
+  Phys.free_frame phys g;
+  check Alcotest.int "free_frame is how a frame dies" 0 (Phys.frames_live phys);
+  Phys.assert_quiescent phys;
+  (* accounts are checked too, and exactly *)
+  let account = Phys.fresh_account phys in
+  let h = Phys.alloc ~account phys ~owner:1 in
+  check Alcotest.int "charged to its account" 1
+    (Phys.account_frames_live phys account);
+  Phys.free_frame phys h;
+  check Alcotest.int "credited back on free" 0
+    (Phys.account_frames_live phys account);
+  Phys.assert_quiescent phys;
+  (* a bounded pool only drains through explicit frees *)
+  match Phys.create ~capacity:8 ~recycle:false () with
+  | _ -> Alcotest.fail "a bounded pool without recycling must be refused"
+  | exception Invalid_argument _ -> ()
 
 let tests =
   [ Alcotest.test_case "page geometry" `Quick page_geometry;
@@ -979,7 +996,7 @@ let tests =
     Alcotest.test_case "pressure handler reclaims" `Quick pressure_handler_reclaims;
     Alcotest.test_case "injected alloc fault is single-shot" `Quick
       injected_alloc_fault_single_shot;
-    Alcotest.test_case "live tracking is opt-in" `Quick untracked_by_default;
+    Alcotest.test_case "live is always counted" `Quick live_always_counted;
     Alcotest.test_case "crossing u64 is chunked, not per-byte" `Quick
       crossing_u64_is_chunked;
     Alcotest.test_case "free list recycles buffers" `Quick

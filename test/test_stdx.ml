@@ -59,6 +59,36 @@ let ptmap_sym_diff () =
   check (Alcotest.list Alcotest.int) "no self diff" []
     (List.map (fun (k, _, _) -> k) (Ptmap.sym_diff ( = ) a a))
 
+(* sym_diff against the obvious model, on a base map and a second map
+   derived from it by a random script — so the two share some subtrees,
+   align at others and diverge in shape at the rest *)
+let ptmap_sym_diff_model =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list (pair (int_range (-64) 64) small_int))
+        (list (pair (int_range (-64) 64) (option small_int))))
+  in
+  qtest "ptmap sym_diff agrees with a model" gen (fun (base, script) ->
+      let a = Ptmap.of_list base in
+      let b =
+        List.fold_left
+          (fun m (k, op) ->
+            match op with Some v -> Ptmap.add k v m | None -> Ptmap.remove k m)
+          a script
+      in
+      let keys =
+        List.sort_uniq compare (List.map fst base @ List.map fst script)
+      in
+      let model =
+        List.filter_map
+          (fun k ->
+            let l = Ptmap.find_opt k a and r = Ptmap.find_opt k b in
+            if l = r then None else Some (k, l, r))
+          keys
+      in
+      List.sort compare (Ptmap.sym_diff ( = ) a b) = model)
+
 (* model-based property: a Ptmap behaves like a Hashtbl under a random
    script of add/remove operations *)
 let ptmap_model =
@@ -262,6 +292,7 @@ let tests =
     Alcotest.test_case "ptmap update" `Quick ptmap_update;
     Alcotest.test_case "ptmap union" `Quick ptmap_union;
     Alcotest.test_case "ptmap sym_diff" `Quick ptmap_sym_diff;
+    ptmap_sym_diff_model;
     ptmap_model;
     ptmap_union_model;
     Alcotest.test_case "pheap order" `Quick pheap_order;
