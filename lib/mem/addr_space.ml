@@ -4,9 +4,11 @@ type access = Read | Write
 
 exception Page_fault of { addr : int; access : access }
 
-(* Direct-mapped TLB.  Entries cache vpn -> frame for the current page map;
-   they stay valid across stores (COW updates the entry in place) and are
-   flushed wholesale on snapshot capture and restore. *)
+(* Direct-mapped TLB.  Entries cache vpn -> frame for the current page map
+   (plus the shared registry); they stay valid across stores (COW updates
+   the entry in place) and across capture, which changes no translation.
+   A restore invalidates only the vpns the incoming map binds differently —
+   the software analogue of a VPID/PCID-tagged TLB. *)
 let tlb_bits = 8
 let tlb_size = 1 lsl tlb_bits
 let tlb_mask = tlb_size - 1
@@ -34,6 +36,9 @@ type t = {
   mutable gen : int;
   tlb_vpn : int array;                     (* -1 = invalid *)
   mutable tlb_frame : Phys_mem.frame array;
+  mutable tlb_budget : int;
+      (* invalidations [tlb_switch] may still make before it gives up and
+         flushes; lives here so the diff walk allocates nothing *)
   mutable next_snap_id : int;
   mutable seen_share_epoch : int;
       (* the sharing-registry epoch this space last observed; a mismatch in
@@ -72,6 +77,7 @@ let create phys =
     gen = Phys_mem.fresh_generation phys;
     tlb_vpn = Array.make tlb_size (-1);
     tlb_frame = Array.make tlb_size zero;
+    tlb_budget = 0;
     next_snap_id = 0;
     seen_share_epoch = Phys_mem.share_epoch phys;
     shared_hidden = Ptmap.empty;
@@ -99,6 +105,25 @@ let tlb_flush t =
 let tlb_invalidate t vpn =
   let i = vpn land tlb_mask in
   if t.tlb_vpn.(i) = vpn then t.tlb_vpn.(i) <- -1
+
+let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y
+
+exception Tlb_cap
+
+let tlb_switch_invalidate t vpn =
+  tlb_invalidate t vpn;
+  t.tlb_budget <- t.tlb_budget - 1;
+  if t.tlb_budget = 0 then raise_notrace Tlb_cap
+
+(* Switch the TLB from the current map to [map]: invalidate every vpn the
+   two bind differently.  Every frame freed since it was cached is absent
+   from a live [map], so its vpn is in the diff.  Unrelated maps cost at
+   most [tlb_size] invalidations, then a full flush. *)
+let tlb_switch t map =
+  t.tlb_budget <- tlb_size;
+  match Ptmap.iter_diff_keys frame_eq tlb_switch_invalidate t t.map map with
+  | () -> ()
+  | exception Tlb_cap -> tlb_flush t
 
 (* The shared page backing [vpn] as seen by THIS address space. *)
 let shared_frame t vpn =
@@ -364,7 +389,6 @@ let seal t =
 
 let snapshot t =
   t.metrics.snapshots <- t.metrics.snapshots + 1;
-  tlb_flush t;
   let s = { snap_id = t.next_snap_id; snap_map = t.map } in
   t.next_snap_id <- t.next_snap_id + 1;
   (* From now on every frame in [s] belongs to a retired generation, so the
@@ -376,7 +400,7 @@ let snapshot t =
 
 let restore t s =
   t.metrics.restores <- t.metrics.restores + 1;
-  tlb_flush t;
+  tlb_switch t s.snap_map;
   t.map <- s.snap_map;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
@@ -396,8 +420,6 @@ let restore t s =
    reachable from every tenant of the same image) and are skipped — the
    [owner >= 0] guard admits only frames some live-or-retired private
    generation allocated. *)
-
-let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y
 
 (* Free one frame if it is private and still live; counts what it freed. *)
 let free_private phys n (f : Phys_mem.frame) =
@@ -572,7 +594,6 @@ let distinct_frames snaps =
   Hashtbl.length seen
 
 let delta_pages a b =
-  let frame_eq (x : Phys_mem.frame) (y : Phys_mem.frame) = x == y in
   List.length (Ptmap.sym_diff frame_eq a.snap_map b.snap_map)
 
 let snapshot_map_for_debug s = s.snap_map

@@ -8,8 +8,11 @@
     Stores check the owning generation of the target frame: a mismatch is a
     simulated COW page fault, serviced by copying exactly one 4 KiB frame —
     the same event the paper's nested-page-table implementation takes in
-    hardware.  A direct-mapped TLB sits in front of the trie and is flushed
-    on snapshot capture and restore, mirroring the hardware cost model. *)
+    hardware.  A direct-mapped TLB sits in front of the trie and survives
+    both capture and restore — the software analogue of a VPID/PCID-tagged
+    TLB: capture is O(1) and leaves it alone, and restore is O(pages that
+    differ), invalidating only the vpns the incoming map binds differently
+    (with a full flush once that exceeds the TLB's size). *)
 
 type access = Read | Write
 
@@ -103,7 +106,12 @@ val seal : t -> unit
     instruction. *)
 
 val snapshot : t -> snapshot
+(** O(1): grabs the map and retires the generation; the TLB is kept. *)
+
 val restore : t -> snapshot -> unit
+(** O(pages that differ): invalidates the TLB entries of the vpns the
+    snapshot binds differently from the current map. *)
+
 val snapshot_id : snapshot -> int
 val snapshot_pages : snapshot -> int
 

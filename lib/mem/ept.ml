@@ -233,16 +233,54 @@ let write_bytes t ~addr data =
     pos := !pos + chunk
   done
 
+exception Tlb_cap
+
+(* The radix counterpart of [Addr_space]'s TLB switch: invalidate every vpn
+   the current root and [root] bind differently.  A table node both roots
+   reach is immutable (the current generation is younger than every node a
+   snapshot holds), so identical [Table] children are skipped whole.  After
+   [tlb_size] invalidations a full flush is cheaper. *)
+let tlb_switch t root =
+  let budget = ref tlb_size in
+  let kill vpn =
+    tlb_invalidate t vpn;
+    decr budget;
+    if !budget = 0 then raise_notrace Tlb_cap
+  in
+  (* [e] sits in slot [i] of a node at [level]; [base] holds the vpn bits
+     above that level. *)
+  let slot_vpn base level i = base lor (i lsl (bits_per_level * level)) in
+  let rec every e vpn level =
+    match e with
+    | Empty -> ()
+    | Frame _ -> kill vpn
+    | Table c ->
+      Array.iteri (fun i e -> every e (slot_vpn vpn (level - 1) i) (level - 1)) c.slots
+  in
+  let rec diff x y base level =
+    for i = 0 to fanout - 1 do
+      let vpn = slot_vpn base level i in
+      match x.slots.(i), y.slots.(i) with
+      | Empty, Empty -> ()
+      | Frame f, Frame g -> if f != g then kill vpn
+      | Table c, Table d -> if c != d then diff c d vpn (level - 1)
+      | ex, ey -> every ex vpn level; every ey vpn level
+    done
+  in
+  if t.root != root then
+    match diff t.root root 0 (levels - 1) with
+    | () -> ()
+    | exception Tlb_cap -> tlb_flush t
+
 let snapshot t =
   t.metrics.snapshots <- t.metrics.snapshots + 1;
-  tlb_flush t;
   let s = { snap_root = t.root; snap_pages = t.pages } in
   t.gen <- Phys_mem.fresh_generation t.phys;
   s
 
 let restore t s =
   t.metrics.restores <- t.metrics.restores + 1;
-  tlb_flush t;
+  tlb_switch t s.snap_root;
   t.root <- s.snap_root;
   t.pages <- s.snap_pages;
   t.gen <- Phys_mem.fresh_generation t.phys

@@ -15,10 +15,13 @@ type t = {
   mutable tlb_hits : int;
   mutable tlb_misses : int;
   mutable tlb_flushes : int;
+      (** whole-TLB wipes.  Capture and ordinary restores never flush; what
+          still does: [Addr_space.seal], a share-ring overflow, a
+          full-image rebuild ([restore_pages ~base:None]), and a restore
+          whose map diff reached the TLB's size *)
   mutable tlb_shootdowns : int;
       (** single-entry invalidations from a targeted cross-machine
-          share-epoch catch-up (vs. [tlb_flushes], which count whole-TLB
-          wipes) *)
+          share-epoch catch-up (vs. [tlb_flushes]) *)
   mutable pt_walks : int;         (** page-table / trie lookups on TLB miss *)
   mutable pt_node_copies : int;   (** EPT backend: page-table pages COW'd *)
   mutable frames_freed : int;     (** frames explicitly released to the free list *)

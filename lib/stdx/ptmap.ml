@@ -224,6 +224,26 @@ let sym_diff eqv a b =
     !acc
   end
 
+let rec iter_keys f env = function
+  | Empty -> ()
+  | Leaf (k, _) -> f env k
+  | Branch (_, _, l, r) -> iter_keys f env l; iter_keys f env r
+
+(* The allocation-free sibling of [sym_diff]: the same aligned descent, but
+   where the shapes diverge it reports every key of both regions instead of
+   pairing them up, so it may over-report — never under-report. *)
+let rec iter_diff_keys eqv f env a b =
+  if a != b then
+    match a, b with
+    | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
+      iter_diff_keys eqv f env l0 l1;
+      iter_diff_keys eqv f env r0 r1
+    | Leaf (k0, v0), Leaf (k1, v1) when k0 = k1 ->
+      if not (eqv v0 v1) then f env k0
+    | _, _ ->
+      iter_keys f env a;
+      iter_keys f env b
+
 let pp ppv fmt t =
   Format.fprintf fmt "@[<hov 1>{";
   let first = ref true in

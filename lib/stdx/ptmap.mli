@@ -50,6 +50,16 @@ val sym_diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> (int * 'a option * 'a optio
     proportional to the number of COW'd pages, not to the address-space
     size. *)
 
+val iter_diff_keys :
+  ('a -> 'a -> bool) -> ('e -> int -> unit) -> 'e -> 'a t -> 'a t -> unit
+(** [iter_diff_keys eq f env a b] calls [f env k] on every key [k] whose
+    binding differs between [a] and [b], pruning physically-equal subtrees
+    like {!sym_diff} but allocating nothing: the callback's state travels
+    in [env], so the call site needs no closure either.  Where the two
+    tries' shapes diverge it reports every key of both regions, so the keys
+    reported are a superset of [sym_diff]'s (and a subset of the keys of
+    [a] and [b]); a key may be reported twice. *)
+
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 val bindings : 'a t -> (int * 'a) list
 (** Bindings in increasing (unsigned) key order within each sign class; use

@@ -309,6 +309,7 @@ type op =
   | Seal
   | Snapshot
   | Restore of int
+  | Read of int
 
 let op_gen =
   QCheck2.Gen.(
@@ -320,7 +321,8 @@ let op_gen =
         map2 (fun v x -> WriteBytes (v land 15, x land 0xff)) small_int small_int;
         return Seal;
         return Snapshot;
-        map (fun k -> Restore k) small_int ])
+        map (fun k -> Restore k) small_int;
+        map (fun v -> Read (v land 15)) small_int ])
 
 let backends_agree =
   qtest ~count:100 "Addr_space and Ept agree on random scripts"
@@ -373,7 +375,14 @@ let backends_agree =
             | sa, se ->
               let k = k mod List.length sa in
               As.restore a (List.nth sa k);
-              Ept.restore e (List.nth se k)))
+              Ept.restore e (List.nth se k))
+          | Read vpn ->
+            (* mid-script, so a stale TLB entry left by a capture or
+               restore is read through before anything refills it *)
+            let addr = Page.addr_of_vpn vpn in
+            let ra = try `V (As.read_u8 a addr) with As.Page_fault _ -> `F in
+            let re = try `V (Ept.read_u8 e addr) with As.Page_fault _ -> `F in
+            if ra <> re then agree := false)
         script;
       (* compare first and last bytes of every reachable page (crossing
          writes from vpn 15 can touch vpn 16) *)
@@ -599,6 +608,91 @@ let crossing_u64_is_chunked () =
   check_one (fun t addr -> As.write_u64 t addr 0x1122_3344_5566_7788) "write";
   check_one (fun t addr -> ignore (As.read_u64 t addr)) "read"
 
+(* The two backends' TLB-facing surface, so one test body checks both. *)
+type ('t, 's) mmu = {
+  label : string;
+  create : unit -> 't;
+  map_zero : 't -> vpn:int -> unit;
+  read : 't -> int -> int;
+  write : 't -> int -> int -> unit;
+  snapshot : 't -> 's;
+  restore : 't -> 's -> unit;
+  metrics : 't -> Mem.Mem_metrics.t;
+}
+
+let trie_mmu =
+  { label = "trie"; create = fresh; map_zero = (fun t ~vpn -> As.map_zero t ~vpn);
+    read = As.read_u8; write = As.write_u8; snapshot = As.snapshot;
+    restore = As.restore; metrics = As.metrics }
+
+let radix_mmu =
+  { label = "radix"; create = ept_fresh;
+    map_zero = (fun t ~vpn -> Ept.map_zero t ~vpn); read = Ept.read_u8;
+    write = Ept.write_u8; snapshot = Ept.snapshot; restore = Ept.restore;
+    metrics = Ept.metrics }
+
+(* Map [n] zero pages and touch them all; returns the space and a
+   re-touch that counts the page-table walks it took. *)
+let touched_space m n =
+  let t = m.create () in
+  let pages = List.init n Fun.id in
+  List.iter (fun vpn -> m.map_zero t ~vpn) pages;
+  let touch () =
+    let w0 = (m.metrics t).pt_walks in
+    List.iter (fun vpn -> ignore (m.read t (Page.addr_of_vpn vpn))) pages;
+    (m.metrics t).pt_walks - w0
+  in
+  ignore (touch ());
+  t, touch
+
+(* The TLB survives capture and restore: re-touching the working set costs
+   no walk after a capture, none after restoring the snapshot a read-only
+   segment left, and at most one per page that differs after restoring a
+   snapshot the segment diverged from. *)
+let walks_after_switch m =
+  let t, touch = touched_space m 8 in
+  let s = m.snapshot t in
+  check Alcotest.int (m.label ^ ": capture keeps the TLB") 0 (touch ());
+  m.restore t s;
+  check Alcotest.int (m.label ^ ": restoring an unchanged map keeps it") 0
+    (touch ());
+  let k = 3 in
+  List.iter (fun vpn -> m.write t (Page.addr_of_vpn vpn) 7) (List.init k Fun.id);
+  ignore (touch ());
+  m.restore t s;
+  let w = touch () in
+  check Alcotest.bool
+    (Printf.sprintf "%s: %d walks after a %d-page switch" m.label w k)
+    true (w <= k);
+  check Alcotest.int (m.label ^ ": the restored bytes are the snapshot's") 0
+    (m.read t 0)
+
+(* A switch across more differing pages than the TLB holds (256) gives up
+   on targeted invalidation and flushes: every page then reads the
+   snapshot's byte, including those past the point where it gave up. *)
+let switch_past_tlb_size m =
+  let n = 300 in
+  let t, touch = touched_space m n in
+  let s = m.snapshot t in
+  List.iter (fun vpn -> m.write t (Page.addr_of_vpn vpn) 7) (List.init n Fun.id);
+  ignore (touch ());
+  let flushes = (m.metrics t).tlb_flushes in
+  m.restore t s;
+  check Alcotest.int (m.label ^ ": one flush") (flushes + 1)
+    (m.metrics t).tlb_flushes;
+  List.iter
+    (fun vpn ->
+      check Alcotest.int
+        (Printf.sprintf "%s: vpn %d reads the snapshot" m.label vpn)
+        0 (m.read t (Page.addr_of_vpn vpn)))
+    (List.init n Fun.id)
+
+let tlb_survives_switches () =
+  walks_after_switch trie_mmu;
+  walks_after_switch radix_mmu;
+  switch_past_tlb_size trie_mmu;
+  switch_past_tlb_size radix_mmu
+
 let free_list_recycles_buffers () =
   let phys = Phys.create () in
   let f = Phys.alloc phys ~owner:1 in
@@ -718,14 +812,21 @@ let restore_adopt_writes_in_place () =
    the snapshot is provably dead (no live children, current map elsewhere,
    has a parent) — exactly the discipline [Core.Snapshot]'s refcounts
    enforce — and then no byte readable through any live snapshot or the
-   current map may come from a freed (poisoned, recyclable) buffer. *)
+   current map may come from a freed (poisoned, recyclable) buffer.  Reads
+   happen mid-script too, so a TLB entry that outlived its translation (the
+   TLB survives captures and restores) is caught where it is used:
+   [R_discard] replays the explorer's free-before-restore order. *)
 type rop =
   | R_map of int
   | R_map_data of int * int
   | R_write of int * int
+  | R_read of int
   | R_capture
   | R_restore of int
   | R_release of int
+  | R_discard of int
+      (* discard the segment, release a dead snapshot (the base itself
+         included), restore a live one *)
 
 let rop_gen =
   QCheck2.Gen.(
@@ -736,9 +837,11 @@ let rop_gen =
       [ map (fun v -> R_map v) vp;
         map2 (fun v b -> R_map_data (v, b)) vp bv;
         map2 (fun v b -> R_write (v, b)) vp bv;
+        map (fun v -> R_read v) vp;
         return R_capture;
         map (fun k -> R_restore k) small_int;
-        map (fun k -> R_release k) small_int ])
+        map (fun k -> R_release k) small_int;
+        map (fun k -> R_discard k) small_int ])
 
 type rnode = {
   n_snap : As.snapshot;
@@ -772,6 +875,56 @@ let released_frames_never_alias_live_state =
         !nnodes - 1
       in
       let current = ref (add_node None) in    (* root: never released *)
+      let reads_match model vpn =
+        match model.(vpn) with
+        | Some b -> (
+          try As.read_u8 t (Page.addr_of_vpn vpn) = b
+          with As.Page_fault _ -> false)
+        | None -> (
+          try
+            ignore (As.read_u8 t (Page.addr_of_vpn vpn));
+            false
+          with As.Page_fault _ -> true)
+      in
+      let coherent = ref true in
+      let restore k =
+        let live = List.filter (fun n -> not n.n_released) !nodes in
+        if live <> [] then begin
+          let n = List.nth live (k mod List.length live) in
+          As.restore t n.n_snap;
+          Array.blit n.n_model 0 model 0 8;
+          (* find its index back *)
+          let idx = ref (-1) in
+          List.iteri (fun j m -> if m == n then idx := !nnodes - 1 - j) !nodes;
+          current := !idx
+        end
+      in
+      (* Release one provably dead snapshot; [~base] admits the current
+         node, whose map the caller is about to restore away. *)
+      let release ~base k =
+        let dead_candidates = ref [] in
+        List.iteri
+          (fun j n ->
+            let i = !nnodes - 1 - j in
+            if
+              (not n.n_released) && n.n_children = 0
+              && (base || i <> !current)
+              && n.n_parent <> None
+            then dead_candidates := i :: !dead_candidates)
+          !nodes;
+        match !dead_candidates with
+        | [] -> ()
+        | cs ->
+          let i = List.nth cs (k mod List.length cs) in
+          let n = node i in
+          let p = node (Option.get n.n_parent) in
+          ignore (As.release_snapshot ~phys ~parent:p.n_snap n.n_snap);
+          n.n_released <- true;
+          p.n_children <- p.n_children - 1
+      in
+      (* Every epoch bump here (capture, restore) also moves [current], so
+         the map is always the current node's plus an uncaptured segment:
+         [discard_segment] is sound at any point. *)
       List.iter
         (fun op ->
           match op with
@@ -787,62 +940,26 @@ let released_frames_never_alias_live_state =
               As.write_u8 t (Page.addr_of_vpn vpn) b;
               model.(vpn) <- Some b
             | None -> ())
+          | R_read vpn -> if not (reads_match model vpn) then coherent := false
           | R_capture -> current := add_node (Some !current)
-          | R_restore k ->
-            let live = List.filter (fun n -> not n.n_released) !nodes in
-            if live <> [] then begin
-              let n = List.nth live (k mod List.length live) in
-              As.restore t n.n_snap;
-              Array.blit n.n_model 0 model 0 8;
-              (* find its index back *)
-              let idx = ref (-1) in
-              List.iteri
-                (fun j m -> if m == n then idx := !nnodes - 1 - j)
-                !nodes;
-              current := !idx
-            end
-          | R_release k ->
-            let dead_candidates = ref [] in
-            List.iteri
-              (fun j n ->
-                let i = !nnodes - 1 - j in
-                if
-                  (not n.n_released) && n.n_children = 0 && i <> !current
-                  && n.n_parent <> None
-                then dead_candidates := i :: !dead_candidates)
-              !nodes;
-            match !dead_candidates with
-            | [] -> ()
-            | cs ->
-              let i = List.nth cs (k mod List.length cs) in
-              let n = node i in
-              let p = node (Option.get n.n_parent) in
-              ignore
-                (As.release_snapshot ~phys ~parent:p.n_snap n.n_snap);
-              n.n_released <- true;
-              p.n_children <- p.n_children - 1)
+          | R_restore k -> restore k
+          | R_release k -> release ~base:false k
+          | R_discard k ->
+            ignore (As.discard_segment t ~base:(node !current).n_snap);
+            release ~base:true k;
+            restore k)
         script;
       (* Every live snapshot (and the map restored from it) must still read
          exactly its model: a freed frame reachable from live state would
          show the 0xa5 poison instead. *)
-      List.for_all
-        (fun n ->
-          n.n_released
-          ||
-          (As.restore t n.n_snap;
-           Array.to_list n.n_model
-           |> List.mapi (fun vpn m -> vpn, m)
-           |> List.for_all (fun (vpn, m) ->
-                  match m with
-                  | Some b -> (
-                    try As.read_u8 t (Page.addr_of_vpn vpn) = b
-                    with As.Page_fault _ -> false)
-                  | None -> (
-                    try
-                      ignore (As.read_u8 t (Page.addr_of_vpn vpn));
-                      false
-                    with As.Page_fault _ -> true))))
-        !nodes)
+      !coherent
+      && List.for_all
+           (fun n ->
+             n.n_released
+             ||
+             (As.restore t n.n_snap;
+              List.for_all (reads_match n.n_model) (List.init 8 Fun.id)))
+           !nodes)
 
 (* {1 Byte-level deltas (the tiered payload store's substrate)} *)
 
@@ -999,6 +1116,8 @@ let tests =
     Alcotest.test_case "live is always counted" `Quick live_always_counted;
     Alcotest.test_case "crossing u64 is chunked, not per-byte" `Quick
       crossing_u64_is_chunked;
+    Alcotest.test_case "TLB survives capture and restore" `Quick
+      tlb_survives_switches;
     Alcotest.test_case "free list recycles buffers" `Quick
       free_list_recycles_buffers;
     Alcotest.test_case "no pool without recycling" `Quick

@@ -89,6 +89,46 @@ let ptmap_sym_diff_model =
       in
       List.sort compare (Ptmap.sym_diff ( = ) a b) = model)
 
+(* iter_diff_keys may over-report where shapes diverge, but never misses a
+   key sym_diff reports and never invents one; a [b] that only rebinds
+   keys of [a] keeps [a]'s shape, so there it is exact. *)
+let ptmap_iter_diff_keys =
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (list (pair (int_range (-64) 64) small_int))
+        (list (pair (int_range (-64) 64) (option small_int)))
+        (list (pair (int_range (-64) 64) small_int)))
+  in
+  qtest "ptmap iter_diff_keys brackets sym_diff" gen
+    (fun (base, script, rebinds) ->
+      let a = Ptmap.of_list base in
+      let b =
+        List.fold_left
+          (fun m (k, op) ->
+            match op with Some v -> Ptmap.add k v m | None -> Ptmap.remove k m)
+          a script
+      in
+      let diff_keys x y =
+        let acc = ref [] in
+        Ptmap.iter_diff_keys ( = ) (fun acc k -> acc := k :: !acc) acc x y;
+        List.sort_uniq compare !acc
+      in
+      let sym_keys x y =
+        List.sort compare (List.map (fun (k, _, _) -> k) (Ptmap.sym_diff ( = ) x y))
+      in
+      let keys m = List.map fst (Ptmap.bindings m) in
+      let reported = diff_keys a b in
+      let rebound =
+        List.fold_left
+          (fun m (k, v) -> if Ptmap.mem k a then Ptmap.add k v m else m)
+          a rebinds
+      in
+      List.for_all (fun k -> List.mem k reported) (sym_keys a b)
+      && List.for_all (fun k -> List.mem k (keys a) || List.mem k (keys b)) reported
+      && diff_keys a rebound = sym_keys a rebound
+      && diff_keys a a = [])
+
 (* model-based property: a Ptmap behaves like a Hashtbl under a random
    script of add/remove operations *)
 let ptmap_model =
@@ -293,6 +333,7 @@ let tests =
     Alcotest.test_case "ptmap union" `Quick ptmap_union;
     Alcotest.test_case "ptmap sym_diff" `Quick ptmap_sym_diff;
     ptmap_sym_diff_model;
+    ptmap_iter_diff_keys;
     ptmap_model;
     ptmap_union_model;
     Alcotest.test_case "pheap order" `Quick pheap_order;
