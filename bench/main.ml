@@ -711,7 +711,8 @@ let e10 () =
      waiting, made safe by snapshot isolation.  Workers are full virtual \
      CPUs over shared physical memory, scheduled in deterministic rounds \
      of a fixed instruction quantum - the round count is the virtual \
-     makespan.";
+     makespan.  Every row asserts the sequential explorer's terminal \
+     multiset.";
   let row = U.row_format [ 14; 9; 9; 10; 9; 12 ] in
   row [ "workload"; "workers"; "rounds"; "speedup"; "eff."; "fails/exits" ];
   let jobs =
@@ -721,8 +722,16 @@ let e10 () =
         { Workloads.Locality.depth = (if !quick then 3 else 5); branch = 3;
           touch_pages = 2; work = 300; arena_pages = 8 } ]
   in
+  (* the oracle: the sequential explorer's terminal multiset *)
+  let multiset terminals =
+    List.sort compare
+      (List.map
+         (fun (t : Explorer.terminal) -> (t.Explorer.kind, t.Explorer.output))
+         terminals)
+  in
   List.iter
     (fun (name, image) ->
+      let expected = multiset (Explorer.run_image image).Explorer.terminals in
       let base_rounds = ref 0 in
       List.iter
         (fun workers ->
@@ -736,6 +745,11 @@ let e10 () =
           | Explorer.Completed _ -> ()
           | Explorer.Stopped_first_exit _ | Explorer.Aborted _ ->
             failwith "E10: unexpected outcome");
+          if multiset r.Core.Parallel.terminals <> expected then
+            failwith
+              (Printf.sprintf
+                 "E10: %s at %d workers: terminals differ from the explorer's"
+                 name workers);
           if workers = 1 then base_rounds := r.Core.Parallel.rounds;
           let speedup =
             Float.of_int !base_rounds /. Float.of_int r.Core.Parallel.rounds

@@ -23,7 +23,7 @@
     the next scheduling point and survives backtracking, while file-system
     effects, descriptors and the heap are rolled back with the snapshot. *)
 
-type strategy =
+type builtin =
   [ `Dfs
   | `Bfs
   | `Astar
@@ -31,15 +31,17 @@ type strategy =
   | `Wastar of float  (** weighted A* (hint weight) *)
   | `Beam of int  (** greedy beam search with the given width *)
   | `Dfs_bounded of int  (** DFS refusing extensions beyond this depth *)
-  | `Random of int  (** seed *)
-  | `Custom of (unit -> Ext.t Search.Frontier.t) ]
+  | `Random of int  (** seed *) ]
+(** The strategies whose frontiers hold any element type. *)
 
-type terminal_kind =
+type strategy = [ builtin | `Custom of (unit -> Ext.t Search.Frontier.t) ]
+
+type terminal_kind = Path.terminal_kind =
   | Exit of int                (** the path terminated via exit(status) *)
   | Fail                       (** sys_guess_fail *)
   | Path_killed of string      (** fault or fuel exhaustion, described *)
 
-type terminal = {
+type terminal = Path.terminal = {
   kind : terminal_kind;
   output : string;  (** stdout produced by this path since its snapshot *)
   depth : int;
@@ -59,8 +61,13 @@ type result = {
 
 type mode = [ `Run_to_completion | `First_exit ]
 
+val builtin_frontier : builtin -> unit -> 'a Search.Frontier.t
+(** A built-in strategy's frontier factory, at any element type ({!Parallel}'s
+    work queue calls it once per shard). *)
+
 val make_frontier : strategy -> Ext.t Search.Frontier.t
-(** Instantiate a strategy's frontier (shared with {!Parallel}). *)
+(** Instantiate a strategy's frontier: {!builtin_frontier}, or the
+    [`Custom] factory. *)
 
 val strategy_of_id : int -> strategy option
 (** Map a [sys_guess_strategy] identifier to a strategy. *)

@@ -58,7 +58,11 @@ type config = {
           crashes and fuel jitter, threaded through both backends.  Faults
           fire only during worker-path evaluation — the coordinator phases
           (reaching the scope, draining after it) are unsupervised, so a
-          recoverable plan can never abort the run. *)
+          recoverable plan can never abort the run.  Frame recycling stays
+          on under faults (released snapshots and crashed segments return
+          their frames), except that restores do not adopt: adopting
+          consumes the origin a crashed path is retried from
+          ({!Path.create}). *)
 }
 
 val default_config : config

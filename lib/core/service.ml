@@ -11,19 +11,12 @@ type t = {
      stdin).  [None] only before the first publish, whose snapshot is the
      pinned replay root. *)
   mutable pending : (ref_ * int * string option) option;
-  (* the record the machine's state currently derives from; threaded as
-     the parent of the next publish's capture so the store's explicit
-     frame-free discipline sees the lineage *)
-  mutable base_snap : Snapshot.t option;
-  mutable segment_epoch : int;
-      (* the address-space epoch right after the last restore (or boot);
-         while it is still current no capture has frozen the map, and
-         everything it acquired since is the segment's private COW tail —
-         the precondition of [Addr_space.discard_segment].  -1 once that
-         tail has been freed. *)
-  mutable depth_next : int;
+  path : unit Path.t;
+      (* the stdout marker, the segment epoch, and the record the
+         machine's state derives from — threaded as the parent of the next
+         publish's capture, so the store's explicit frame-free discipline
+         sees the lineage; its depth is the next publish's *)
   fuel_per_step : int;
-  mutable marker : string list;
   manages_pressure : bool;
   mutable last_crash : Libos.reason option;
       (* set by the [Killed] arm of [advance]; [None] after a [Crashed]
@@ -37,38 +30,25 @@ type outcome =
   | Failed of { output : string }
   | Crashed of string
 
-let harvest t =
-  let cur = Libos.stdout_chunks t.machine in
-  let rec collect acc l =
-    if l == t.marker then acc
-    else match l with [] -> acc | chunk :: rest -> collect (chunk :: acc) rest
-  in
-  let chunks = collect [] cur in
-  t.marker <- cur;
-  String.concat "" chunks
-
+(* The first capture is the pinned root, owning its image: every later map
+   that shares its frames is captured with a parent.  [advance] publishes
+   at most once per step and every step after the first starts with a
+   restore, so the path's base is the published record's parent. *)
 let publish t =
-  (* The first capture is the pinned root.  Every later map that shares
-     its frames is captured with a parent, so the root may own its image. *)
-  let snap =
-    Snapshot.capture ~ids:(Reclaim.snapshot_ids t.store)
-      ?parent:t.base_snap ~owns_image:(t.base_snap = None)
-      ~depth:t.depth_next t.machine
-  in
-  t.base_snap <- Some snap;
+  let snap = Path.capture t.path ~ids:(Reclaim.snapshot_ids t.store) in
   match t.pending with
   | None -> Reclaim.add_root t.store snap
   | Some (parent, choice, stdin) ->
-    Reclaim.add t.store ~parent ~choice ?stdin ~depth:t.depth_next snap
+    Reclaim.add t.store ~parent ~choice ?stdin ~depth:(Path.depth t.path) snap
 
 let rec advance_unguarded t =
   match Libos.run t.machine ~fuel:t.fuel_per_step with
   | Libos.Guess { n } ->
-    let output = harvest t in
+    let output = Path.harvest t.path in
     let candidate = publish t in
     Ready { candidate; arity = n; output }
-  | Libos.Guess_fail -> Failed { output = harvest t }
-  | Libos.Exited { status } -> Finished { status; output = harvest t }
+  | Libos.Guess_fail -> Failed { output = Path.harvest t.path }
+  | Libos.Exited { status } -> Finished { status; output = Path.harvest t.path }
   | Libos.Guess_hint _ ->
     Cpu.set t.machine.cpu Reg.rax 0;
     advance_unguarded t
@@ -114,42 +94,22 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
     { machine;
       store;
       pending = None;
-      base_snap = None;
-      segment_epoch = Mem.Addr_space.epoch machine.Libos.aspace;
-      depth_next = 0;
+      (* before any capture the whole map is the session's own segment *)
+      path = Path.create ~refcount:false ~owns_map:true machine;
       fuel_per_step;
-      marker = Libos.stdout_chunks machine;
       manages_pressure = manage_pressure;
       last_crash = None }
   in
   t, advance t
 
-(* Free the COW tail of the last segment if no capture froze it (a step
-   that failed, finished or crashed) — the same rule as the explorer's
-   [discard_prev].  Must run before anything restores or rebuilds: a
-   reconstruction clobbers the map, and the base's frames must still be
-   pinned (the store's anchor is on [base_snap]).  Without a base, nothing
-   was ever captured and the whole map is the session's. *)
-let discard_tail t =
-  let aspace = t.machine.Libos.aspace in
-  if Mem.Addr_space.epoch aspace = t.segment_epoch then begin
-    (match t.base_snap with
-    | Some b -> ignore (Mem.Addr_space.discard_segment aspace ~base:b.Snapshot.mem)
-    | None -> ignore (Mem.Addr_space.discard_map aspace));
-    t.segment_epoch <- -1
-  end
-
 let resume t r ~choice ?stdin () =
   try
-    discard_tail t;
+    (* the last step's tail, unless a capture froze it: before [get] may
+       rebuild the machine *)
+    Path.discard t.path;
     let snap = Reclaim.get t.store r in
-    Snapshot.restore t.machine snap;
-    t.segment_epoch <- Mem.Addr_space.epoch t.machine.Libos.aspace;
-    t.base_snap <- Some snap;
+    Path.restore t.path snap ~rax:choice ~depth:(Reclaim.depth t.store r + 1);
     t.pending <- Some (r, choice, stdin);
-    t.depth_next <- Reclaim.depth t.store r + 1;
-    t.marker <- Libos.stdout_chunks t.machine;
-    Cpu.set t.machine.cpu Reg.rax choice;
     Option.iter (Libos.set_stdin t.machine) stdin;
     advance t
   with Mem.Phys_mem.Out_of_frames { capacity; live } ->
@@ -165,7 +125,7 @@ let release t r = Reclaim.release t.store r
 let depth t r = Reclaim.depth t.store r
 let pages t r =
   (* a reconstruction clobbers the machine: retire the tail first *)
-  discard_tail t;
+  Path.discard t.path;
   Snapshot.pages (Reclaim.get t.store r)
 let live_candidates t = Reclaim.live_entries t.store
 
@@ -197,7 +157,7 @@ let shed t = Reclaim.demote_under_pressure t.store
 let teardown t =
   if t.manages_pressure && Mem.Phys_mem.capacity (phys t) > 0 then
     Mem.Phys_mem.set_pressure_handler (phys t) None;
-  discard_tail t;
+  Path.discard t.path;
   Reclaim.release_all t.store;
   Reclaim.close t.store;
   Mem.Addr_space.drop_dedup_refs t.machine.Libos.aspace

@@ -412,6 +412,85 @@ let budget_abort_parity () =
           image)
        .Parallel.outcome)
 
+(* {1 One path lifecycle} *)
+
+let stale_hint_does_not_leak () =
+  (* The root guesses 2; extension 0 hints 7 and fails; extension 1 guesses
+     2 with no hint of its own.  A hint belongs to the path that set it:
+     extension 1's children must carry hint 0, under every scheduler. *)
+  let image =
+    assemble ~entry:"main"
+      ([ label "main" ]
+      @ Wl_common.sys_guess_strategy ~strategy:Abi.strategy_dfs
+      @ [ cmp R.rax (i 0); je "after" ]
+      @ Wl_common.sys_guess_imm ~n:2
+      @ [ cmp R.rax (i 0); jne "second"; mov R.rdi (i 7) ]
+      @ Wl_common.sys_guess_hint_reg
+      @ Wl_common.sys_guess_fail
+      @ [ label "second" ]
+      @ Wl_common.sys_guess_imm ~n:2
+      @ Wl_common.sys_guess_fail
+      @ [ label "after" ]
+      @ Wl_common.sys_exit ~status:0)
+  in
+  (* a DFS frontier that records the (depth, hint) of every push *)
+  let recording () =
+    let pushed = ref [] in
+    let make () =
+      let f = Search.Frontier.dfs () in
+      { f with
+        Search.Frontier.push_batch =
+          (fun batch ->
+            List.iter
+              (fun ((m : Search.Frontier.meta), _) ->
+                pushed := (m.depth, m.hint) :: !pushed)
+              batch;
+            f.Search.Frontier.push_batch batch) }
+    in
+    pushed, `Custom make
+  in
+  let expected = [ (1, 0); (1, 0); (2, 0); (2, 0) ] in
+  let metas = Alcotest.(list (pair int int)) in
+  let pushed, strategy = recording () in
+  let r = Explorer.run_image ~strategy_override:strategy image in
+  check Alcotest.int "explorer completed" 0
+    (match r.Explorer.outcome with Explorer.Completed s -> s | _ -> -1);
+  check metas "explorer pushes" expected (List.rev !pushed);
+  let pushed, strategy = recording () in
+  let r =
+    Parallel.run ~config:{ (config ~workers:1 ()) with Parallel.strategy } image
+  in
+  check Alcotest.int "cooperative completed" 0 (completed r);
+  check metas "cooperative pushes" expected (List.rev !pushed)
+
+let frames_return_after_a_run () =
+  (* Exact frame lifetime: once a run ends, every frame it allocated beyond
+     the booted machines has been freed, with and without faults. *)
+  let image = Workloads.Nqueens.program ~n:6 in
+  let boot_frames =
+    let phys = Mem.Phys_mem.create () in
+    ignore (Os.Libos.boot phys image);
+    Mem.Phys_mem.frames_live phys
+  in
+  let phys = Mem.Phys_mem.create () in
+  let r = Explorer.run (Os.Libos.boot phys image) in
+  check Alcotest.int "explorer completed" 0
+    (match r.Explorer.outcome with Explorer.Completed s -> s | _ -> -1);
+  check Alcotest.int "explorer: boot frames only" boot_frames
+    (Mem.Phys_mem.frames_live phys);
+  let held faults =
+    let cfg = { (config ~workers:2 ()) with Parallel.faults } in
+    let r = Parallel.run ~config:cfg image in
+    check Alcotest.int "completed" 0 (completed r);
+    let mm = r.Parallel.stats.Core.Stats.mem in
+    mm.Mem.Mem_metrics.frames_allocated - mm.Mem.Mem_metrics.frames_freed
+  in
+  check Alcotest.int "cooperative: boot frames only" (2 * boot_frames)
+    (held None);
+  check Alcotest.int "cooperative under faults: boot frames only"
+    (2 * boot_frames)
+    (held (Some (Inject.generate ~seed:3)))
+
 let tests =
   [ Alcotest.test_case "same solutions for any worker count" `Quick
       same_solutions_any_worker_count;
@@ -441,5 +520,7 @@ let tests =
       domains_per_domain_metrics;
     Alcotest.test_case "per-path output attribution" `Quick
       per_path_output_attribution;
+    Alcotest.test_case "stale hint does not leak" `Quick stale_hint_does_not_leak;
+    Alcotest.test_case "frames return after a run" `Quick frames_return_after_a_run;
     Alcotest.test_case "max live snapshots tracked" `Quick
       max_live_snapshots_tracked ]
