@@ -82,9 +82,33 @@ let harvest t =
   (match t.transcript with Some b -> Buffer.add_string b text | None -> ());
   text
 
+(* Silent failures ([Fail] with no output) are most of the terminals of a
+   typical search and live until it ends: share one immutable record per
+   depth instead of allocating one per path.  The table only grows, each
+   version fully built before it is published, so domains may share it. *)
+let silent_fails : terminal array Atomic.t = Atomic.make [||]
+
+let silent_fail depth =
+  let table = Atomic.get silent_fails in
+  let have = Array.length table in
+  if depth < have then Array.unsafe_get table depth
+  else begin
+    let table =
+      Array.init (max (depth + 1) (2 * have)) (fun d ->
+          if d < have then table.(d) else { kind = Fail; output = ""; depth = d })
+    in
+    Atomic.set silent_fails table;
+    table.(depth)
+  end
+
 let record ?depth t kind output =
   let depth = Option.value depth ~default:t.depth in
-  t.terminals := { kind; output; depth } :: !(t.terminals)
+  let terminal =
+    match kind with
+    | Fail when output = "" && depth >= 0 -> silent_fail depth
+    | Fail | Exit _ | Path_killed _ -> { kind; output; depth }
+  in
+  t.terminals := terminal :: !(t.terminals)
 
 (* The machine was just restored to [snap]: a segment begins there.  The
    epoch is recorded before [graft] runs, so whatever a graft that fails

@@ -13,6 +13,11 @@ type t = {
   mutable snapshots : int;        (** snapshot captures *)
   mutable restores : int;
   mutable tlb_hits : int;
+      (** translations served by the TLB.  This counts translations, not
+          accesses: the interpreter makes none for a block it reaches
+          through a same-page successor link (see [Vcpu.Interp]), so under
+          block dispatch it undercounts fetches.  E8 drives the MMU
+          directly and is unaffected. *)
   mutable tlb_misses : int;
   mutable tlb_flushes : int;
       (** whole-TLB wipes.  Capture and ordinary restores never flush; what

@@ -12,7 +12,8 @@ type t = {
   mutable retired : int;
 }
 
-type saved = { s_regs : int array; s_rip : int; s_flags : bool * bool * bool * bool }
+type saved = { s_regs : int array; s_rip : int; s_flags : int }
+(* [s_flags] packs zf, sf, lt_s, lt_u into bits 0-3. *)
 
 let create ~entry =
   { regs = Array.make Isa.Reg.count 0;
@@ -24,19 +25,30 @@ let get t reg = t.regs.(Isa.Reg.to_int reg)
 
 let set t reg v = t.regs.(Isa.Reg.to_int reg) <- v
 
+let[@inline] bit b = if b then 1 else 0
+
 let save t =
+  let f = t.flags in
   { s_regs = Array.copy t.regs;
     s_rip = t.rip;
-    s_flags = (t.flags.zf, t.flags.sf, t.flags.lt_s, t.flags.lt_u) }
+    s_flags =
+      bit f.zf lor (bit f.sf lsl 1) lor (bit f.lt_s lsl 2) lor (bit f.lt_u lsl 3) }
 
+(* A plain int loop, not [Array.blit]: [t.regs] lives in the major heap,
+   where [caml_array_blit] pays a write barrier ([caml_modify]) per element
+   because it cannot tell the array holds only ints.  Here the type says
+   so, and each store is a bare move. *)
 let load t s =
-  Array.blit s.s_regs 0 t.regs 0 Isa.Reg.count;
+  let regs = t.regs and src = s.s_regs in
+  for i = 0 to Isa.Reg.count - 1 do
+    Array.unsafe_set regs i (Array.unsafe_get src i)
+  done;
   t.rip <- s.s_rip;
-  let zf, sf, lt_s, lt_u = s.s_flags in
-  t.flags.zf <- zf;
-  t.flags.sf <- sf;
-  t.flags.lt_s <- lt_s;
-  t.flags.lt_u <- lt_u
+  let f = s.s_flags in
+  t.flags.zf <- f land 1 <> 0;
+  t.flags.sf <- f land 2 <> 0;
+  t.flags.lt_s <- f land 4 <> 0;
+  t.flags.lt_u <- f land 8 <> 0
 
 let saved_rip s = s.s_rip
 

@@ -191,27 +191,51 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
    On top of the per-instruction arrays sits basic-block superinstruction
    dispatch (the default): a cache miss decodes forward through
    straight-line code — stopping at control flow, [syscall]/[hlt], the
-   page edge, and a maximum block length — and fuses the run into a
-   preassembled instruction array.  Dispatch then executes whole blocks,
-   resolving the fetch frame once per block instead of once per
+   page edge, and a maximum block length — and compiles the run into an
+   array of closures, one per instruction.  Dispatch then executes whole
+   blocks, resolving the fetch frame once per block instead of once per
    instruction.  Invalidation rides the same frame-generation discipline
    (blocks are keyed to retired-generation frame ids that never change in
    place); the one case the per-block grain adds is a store COWing the
    block's own code page mid-block (self-modifying straight-line code),
    which is caught by re-checking the fetch mapping after every fused
-   store and splitting the block there. *)
+   store and splitting the block there.
+
+   Every instruction shape compiles ([compile_op]): register numbers,
+   immediates, the rip delta and the addressing form of a memory operand
+   ([base+disp], [base+index*scale+disp], [index*scale+disp], [disp]) are
+   resolved when the block is fused.  [exec] keeps two jobs only: the
+   uncached [step] reference, and the slow path for instructions in the
+   page-edge band or on a frame that is still written in place.
+
+   Same-page successor links.  A block keeps up to two links (page
+   offset -> block), filled the first time control passes from it to a
+   successor found by a full lookup.  A link is followed — skipping the
+   translation, the immutability check and the block-table lookup — only
+   when, within one [run], the block retired every op, its last op does
+   not store, fuel remains, and the new rip is on the page the block was
+   entered on; links only ever point at blocks fused from the linking
+   block's own frame.  That is sound because, at the end of such a block,
+   the page still maps that frame: it did at entry (a full lookup or an
+   earlier link established it); no mapping changes inside [run] other
+   than by a guest store COWing a page; and every store of the block that
+   is not its last op re-checked the fetch mapping before the next op ran
+   (a mismatch splits the block, and a split block never follows a link).
+   The frame also stays immutable, since the generation only moves
+   between runs.  The first block of every [run], a transfer to another
+   page, and a block that was split, faulted or cut short by fuel all take
+   the full lookup.  Nothing allocates per dispatch: the dispatch loop is
+   a set of top-level functions that carry their state as arguments. *)
 let max_insn_bytes = 24
 let max_block_insns = 64
 
 type dispatch = Insn | Block
 
 type op = Cpu.t -> As.t -> vmexit option
-(* One fused instruction, compiled to a closure at fuse time: operand
-   shapes are pre-matched, register numbers and immediates live in the
-   closure environment, and the rip delta is baked in.  Contract: behaves
-   exactly like [exec insn sz] — retires-and-returns-[None], returns
-   [Some] for syscall/hlt, or raises [As.Page_fault]/[Exit_run] with
-   [cpu.rip] still at the instruction. *)
+(* One fused instruction, compiled to a closure at fuse time.  Contract:
+   behaves exactly like [exec insn sz] — retires-and-returns-[None],
+   returns [Some] for syscall/hlt, or raises [As.Page_fault]/[Exit_run]
+   with [cpu.rip] still at the instruction. *)
 
 type block = {
   b_fid : int;
@@ -223,7 +247,19 @@ type block = {
       (* b_writes.(i): instruction i may store to guest memory, so the
          fetch mapping must be re-verified before running i+1 *)
   b_has_writes : bool; (* false lets dispatch skip the per-insn check *)
+  b_linkable : bool; (* the last op does not store: links may be followed *)
+  mutable b_off1 : int; (* page offset of the first link's target; -1 none *)
+  mutable b_next1 : block;
+  mutable b_off2 : int;
+  mutable b_next2 : block;
 }
+
+(* The empty link target, and the "no predecessor to link from" marker of
+   the dispatch loop: its frame id matches no real frame. *)
+let rec unlinked =
+  { b_fid = -1; b_ops = [||]; b_writes = [||]; b_has_writes = false;
+    b_linkable = false;
+    b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
 
 type icache = {
   dispatch : dispatch;
@@ -241,7 +277,7 @@ type icache = {
   mutable misses : int; (* cacheable instructions decoded into the cache *)
   mutable slow_decodes : int; (* uncacheable: page edge or mutable frame *)
   mutable block_fuses : int; (* blocks assembled *)
-  mutable block_hits : int; (* whole-block dispatches from the cache *)
+  mutable block_hits : int; (* whole-block dispatches, linked or looked up *)
   mutable block_splits : int; (* dispatches that exited a block early *)
 }
 
@@ -335,148 +371,255 @@ let writes_memory (insn : Isa.Insn.t) =
   | Nop | Hlt | Syscall | Ret | Mov _ | Lea _ | Ld _ | Bin _ | Un _ | Cmp _
   | Test _ | Jmp _ | Jcc _ | Pop _ | Setcc _ -> false
 
-(* Compile one decoded instruction into a superinstruction slot.  The
-   specialised arms cover the ALU/mov/compare shapes straight-line code is
-   made of; everything with a rare or faulting shape falls back to a
-   closure over the generic [exec].  Each arm re-derives exactly the
-   semantics of the corresponding [exec] arm — keep them in lockstep. *)
+(* {2 Compiled instruction shapes}
+
+   Each arm of [compile_op] re-derives exactly the semantics of the
+   corresponding [exec] arm — keep them in lockstep.  The helpers below
+   are the shared tails; ops only move [cpu.rip] as the last step of a
+   retiring instruction, after every access that can fault. *)
+
+let[@inline] reg (cpu : Cpu.t) r = Array.unsafe_get cpu.regs r
+let[@inline] set_reg (cpu : Cpu.t) r v = Array.unsafe_set cpu.regs r v
+
+let[@inline] next (cpu : Cpu.t) sz =
+  cpu.rip <- cpu.rip + sz;
+  cpu.retired <- cpu.retired + 1;
+  None
+
+let[@inline] alu cpu r v sz =
+  set_reg cpu r v;
+  cpu.Cpu.flags.zf <- v = 0;
+  cpu.Cpu.flags.sf <- v < 0;
+  next cpu sz
+
+let[@inline] cmp_flags cpu a b sz =
+  let f = cpu.Cpu.flags in
+  f.zf <- a = b;
+  f.sf <- a - b < 0;
+  f.lt_s <- a < b;
+  f.lt_u <- unsigned_lt a b;
+  next cpu sz
+
+let[@inline] test_flags cpu v sz =
+  let f = cpu.Cpu.flags in
+  f.zf <- v = 0;
+  f.sf <- v < 0;
+  f.lt_s <- false;
+  f.lt_u <- false;
+  next cpu sz
+
+let div_fault (cpu : Cpu.t) =
+  raise (Exit_run (Fault (Div_by_zero { rip = cpu.rip })))
+
+let shift_fault (cpu : Cpu.t) count =
+  raise (Exit_run (Fault (Bad_shift { rip = cpu.rip; count })))
+
+let[@inline] bad_shift b = b < 0 || b > 62
+
+let rsp = Isa.Reg.to_int Isa.Reg.rsp
+
+(* [push]: the value is read before rsp moves ([push rsp] pushes the old
+   rsp), and rsp moves only once the store succeeded. *)
+let[@inline] push cpu aspace v =
+  let sp = reg cpu rsp - 8 in
+  As.write_u64 aspace sp v;
+  set_reg cpu rsp sp
+
+(* [pop]: rsp moves before the destination is written, so [pop rsp] loads
+   the popped word, as in [exec]. *)
+let[@inline] pop cpu aspace =
+  let sp = reg cpu rsp in
+  let v = As.read_u64 aspace sp in
+  set_reg cpu rsp (sp + 8);
+  v
+
+(* A memory operand's addressing form, resolved at fuse time. *)
+type ea =
+  | Ea_base of int * int  (* [base + disp] *)
+  | Ea_base_index of int * int * int * int  (* [base + index*scale + disp] *)
+  | Ea_index of int * int * int  (* [index*scale + disp] *)
+  | Ea_abs of int  (* [disp] *)
+
+let ea_of (m : Isa.Insn.mem) =
+  let r = Isa.Reg.to_int in
+  match m.base, m.index with
+  | Some b, None -> Ea_base (r b, m.disp)
+  | Some b, Some (x, s) -> Ea_base_index (r b, r x, s, m.disp)
+  | None, Some (x, s) -> Ea_index (r x, s, m.disp)
+  | None, None -> Ea_abs m.disp
+
+let[@inline] lea cpu r addr sz =
+  set_reg cpu r addr;
+  next cpu sz
+
+let[@inline] ldq cpu aspace r addr sz =
+  set_reg cpu r (As.read_u64 aspace addr);
+  next cpu sz
+
+let[@inline] ldb cpu aspace r addr sz =
+  set_reg cpu r (As.read_u8 aspace addr);
+  next cpu sz
+
+let[@inline] stq cpu aspace addr v sz =
+  As.write_u64 aspace addr v;
+  next cpu sz
+
+let[@inline] stb cpu aspace addr v sz =
+  As.write_u8 aspace addr v;
+  next cpu sz
+
+(* Two-operand ALU ops.  Faulting shapes check at run time; an immediate
+   that always faults compiles to a closure that always raises. *)
+let compile_bin (op : Isa.Insn.binop) r (operand : Isa.Insn.operand) sz : op
+    =
+  let r = Isa.Reg.to_int r in
+  match op, operand with
+  | Add, Imm v -> fun cpu _ -> alu cpu r (reg cpu r + v) sz
+  | Sub, Imm v -> fun cpu _ -> alu cpu r (reg cpu r - v) sz
+  | Imul, Imm v -> fun cpu _ -> alu cpu r (reg cpu r * v) sz
+  | And, Imm v -> fun cpu _ -> alu cpu r (reg cpu r land v) sz
+  | Or, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lor v) sz
+  | Xor, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lxor v) sz
+  | (Div | Rem), Imm 0 -> fun cpu _ -> div_fault cpu
+  | Div, Imm v -> fun cpu _ -> alu cpu r (reg cpu r / v) sz
+  | Rem, Imm v -> fun cpu _ -> alu cpu r (reg cpu r mod v) sz
+  | (Shl | Shr | Sar), Imm v when bad_shift v -> fun cpu _ -> shift_fault cpu v
+  | Shl, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lsl v) sz
+  | Shr, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lsr v) sz
+  | Sar, Imm v -> fun cpu _ -> alu cpu r (reg cpu r asr v) sz
+  | op, Reg r2 -> (
+    let r2 = Isa.Reg.to_int r2 in
+    match op with
+    | Add -> fun cpu _ -> alu cpu r (reg cpu r + reg cpu r2) sz
+    | Sub -> fun cpu _ -> alu cpu r (reg cpu r - reg cpu r2) sz
+    | Imul -> fun cpu _ -> alu cpu r (reg cpu r * reg cpu r2) sz
+    | And -> fun cpu _ -> alu cpu r (reg cpu r land reg cpu r2) sz
+    | Or -> fun cpu _ -> alu cpu r (reg cpu r lor reg cpu r2) sz
+    | Xor -> fun cpu _ -> alu cpu r (reg cpu r lxor reg cpu r2) sz
+    | Div ->
+      fun cpu _ ->
+        let b = reg cpu r2 in
+        if b = 0 then div_fault cpu else alu cpu r (reg cpu r / b) sz
+    | Rem ->
+      fun cpu _ ->
+        let b = reg cpu r2 in
+        if b = 0 then div_fault cpu else alu cpu r (reg cpu r mod b) sz
+    | Shl ->
+      fun cpu _ ->
+        let b = reg cpu r2 in
+        if bad_shift b then shift_fault cpu b
+        else alu cpu r (reg cpu r lsl b) sz
+    | Shr ->
+      fun cpu _ ->
+        let b = reg cpu r2 in
+        if bad_shift b then shift_fault cpu b
+        else alu cpu r (reg cpu r lsr b) sz
+    | Sar ->
+      fun cpu _ ->
+        let b = reg cpu r2 in
+        if bad_shift b then shift_fault cpu b
+        else alu cpu r (reg cpu r asr b) sz)
+
 let compile_op (insn : Isa.Insn.t) sz : op =
   let open Isa.Insn in
-  let fallback () cpu aspace = exec cpu aspace insn sz in
   match insn with
-  | Nop ->
+  | Nop -> fun cpu _ -> next cpu sz
+  | Hlt ->
+    fun (cpu : Cpu.t) _ ->
+      cpu.retired <- cpu.retired + 1;
+      Some Halt
+  | Syscall ->
     fun (cpu : Cpu.t) _ ->
       cpu.rip <- cpu.rip + sz;
       cpu.retired <- cpu.retired + 1;
-      None
+      Some Syscall
   | Mov (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun (cpu : Cpu.t) _ ->
-      Array.unsafe_set cpu.regs r v;
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
+    fun cpu _ ->
+      set_reg cpu r v;
+      next cpu sz
   | Mov (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun (cpu : Cpu.t) _ ->
-      Array.unsafe_set cpu.regs r (Array.unsafe_get cpu.regs r2);
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
-  | Bin (op, r, operand) -> (
+    fun cpu _ ->
+      set_reg cpu r (reg cpu r2);
+      next cpu sz
+  (* memory operands: one closure per width and addressing form *)
+  | Lea (r, m) -> (
     let r = Isa.Reg.to_int r in
-    let alu f =
-      fun (cpu : Cpu.t) _ ->
-        let v = f cpu in
-        Array.unsafe_set cpu.regs r v;
-        cpu.flags.zf <- v = 0;
-        cpu.flags.sf <- v < 0;
-        cpu.rip <- cpu.rip + sz;
-        cpu.retired <- cpu.retired + 1;
-        None
-    in
-    match op, operand with
-    | Add, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r + v)
-    | Sub, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r - v)
-    | Imul, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r * v)
-    | And, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r land v)
-    | Or, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r lor v)
-    | Xor, Imm v -> alu (fun cpu -> Array.unsafe_get cpu.regs r lxor v)
-    | Add, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu -> Array.unsafe_get cpu.regs r + Array.unsafe_get cpu.regs r2)
-    | Sub, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu -> Array.unsafe_get cpu.regs r - Array.unsafe_get cpu.regs r2)
-    | Imul, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu -> Array.unsafe_get cpu.regs r * Array.unsafe_get cpu.regs r2)
-    | And, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu ->
-          Array.unsafe_get cpu.regs r land Array.unsafe_get cpu.regs r2)
-    | Or, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu ->
-          Array.unsafe_get cpu.regs r lor Array.unsafe_get cpu.regs r2)
-    | Xor, Reg r2 ->
-      let r2 = Isa.Reg.to_int r2 in
-      alu (fun cpu ->
-          Array.unsafe_get cpu.regs r lxor Array.unsafe_get cpu.regs r2)
-    | (Div | Rem | Shl | Shr | Sar), _ ->
-      (* faulting shapes: shared with the cold interpreter arm *)
-      fallback ())
-  | Un (op, r) ->
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu _ -> lea cpu r (reg cpu b + d) sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu _ -> lea cpu r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu _ -> lea cpu r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu _ -> lea cpu r d sz)
+  | Ld (Q, r, m) -> (
     let r = Isa.Reg.to_int r in
-    let f =
-      match op with
-      | Inc -> fun a -> a + 1
-      | Dec -> fun a -> a - 1
-      | Neg -> fun a -> -a
-      | Not -> lnot
-    in
-    fun (cpu : Cpu.t) _ ->
-      let v = f (Array.unsafe_get cpu.regs r) in
-      Array.unsafe_set cpu.regs r v;
-      cpu.flags.zf <- v = 0;
-      cpu.flags.sf <- v < 0;
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
-  | Cmp (r, operand) ->
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> ldq cpu a r (reg cpu b + d) sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> ldq cpu a r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu a -> ldq cpu a r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu a -> ldq cpu a r d sz)
+  | Ld (B, r, m) -> (
     let r = Isa.Reg.to_int r in
-    let value =
-      match operand with
-      | Imm v -> fun (_ : Cpu.t) -> v
-      | Reg r2 ->
-        let r2 = Isa.Reg.to_int r2 in
-        fun (cpu : Cpu.t) -> Array.unsafe_get cpu.regs r2
-    in
-    fun (cpu : Cpu.t) _ ->
-      let a = Array.unsafe_get cpu.regs r in
-      let b = value cpu in
-      cpu.flags.zf <- a = b;
-      cpu.flags.sf <- a - b < 0;
-      cpu.flags.lt_s <- a < b;
-      cpu.flags.lt_u <- unsigned_lt a b;
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
-  | Test (r, operand) ->
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> ldb cpu a r (reg cpu b + d) sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> ldb cpu a r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu a -> ldb cpu a r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu a -> ldb cpu a r d sz)
+  | St (Q, m, r) -> (
     let r = Isa.Reg.to_int r in
-    let value =
-      match operand with
-      | Imm v -> fun (_ : Cpu.t) -> v
-      | Reg r2 ->
-        let r2 = Isa.Reg.to_int r2 in
-        fun (cpu : Cpu.t) -> Array.unsafe_get cpu.regs r2
-    in
-    fun (cpu : Cpu.t) _ ->
-      let v = Array.unsafe_get cpu.regs r land value cpu in
-      cpu.flags.zf <- v = 0;
-      cpu.flags.sf <- v < 0;
-      cpu.flags.lt_s <- false;
-      cpu.flags.lt_u <- false;
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
-  | Ld (Q, r, { base = Some b; index = None; disp }) ->
-    let r = Isa.Reg.to_int r and b = Isa.Reg.to_int b in
-    fun (cpu : Cpu.t) aspace ->
-      Array.unsafe_set cpu.regs r
-        (As.read_u64 aspace (Array.unsafe_get cpu.regs b + disp));
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
-  | St (Q, { base = Some b; index = None; disp }, r) ->
-    let r = Isa.Reg.to_int r and b = Isa.Reg.to_int b in
-    fun (cpu : Cpu.t) aspace ->
-      As.write_u64 aspace
-        (Array.unsafe_get cpu.regs b + disp)
-        (Array.unsafe_get cpu.regs r);
-      cpu.rip <- cpu.rip + sz;
-      cpu.retired <- cpu.retired + 1;
-      None
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> stq cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> stq cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_index (x, s, d) ->
+      fun cpu a -> stq cpu a ((reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_abs d -> fun cpu a -> stq cpu a d (reg cpu r) sz)
+  | St (B, m, r) -> (
+    let r = Isa.Reg.to_int r in
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> stb cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> stb cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_index (x, s, d) ->
+      fun cpu a -> stb cpu a ((reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_abs d -> fun cpu a -> stb cpu a d (reg cpu r) sz)
+  | Sti (Q, m, v) -> (
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> stq cpu a (reg cpu b + d) v sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> stq cpu a (reg cpu b + (reg cpu x * s) + d) v sz
+    | Ea_index (x, s, d) -> fun cpu a -> stq cpu a ((reg cpu x * s) + d) v sz
+    | Ea_abs d -> fun cpu a -> stq cpu a d v sz)
+  | Sti (B, m, v) -> (
+    match ea_of m with
+    | Ea_base (b, d) -> fun cpu a -> stb cpu a (reg cpu b + d) v sz
+    | Ea_base_index (b, x, s, d) ->
+      fun cpu a -> stb cpu a (reg cpu b + (reg cpu x * s) + d) v sz
+    | Ea_index (x, s, d) -> fun cpu a -> stb cpu a ((reg cpu x * s) + d) v sz
+    | Ea_abs d -> fun cpu a -> stb cpu a d v sz)
+  | Bin (op, r, operand) -> compile_bin op r operand sz
+  | Un (op, r) -> (
+    let r = Isa.Reg.to_int r in
+    match op with
+    | Inc -> fun cpu _ -> alu cpu r (reg cpu r + 1) sz
+    | Dec -> fun cpu _ -> alu cpu r (reg cpu r - 1) sz
+    | Neg -> fun cpu _ -> alu cpu r (-reg cpu r) sz
+    | Not -> fun cpu _ -> alu cpu r (lnot (reg cpu r)) sz)
+  | Cmp (r, Imm v) ->
+    let r = Isa.Reg.to_int r in
+    fun cpu _ -> cmp_flags cpu (reg cpu r) v sz
+  | Cmp (r, Reg r2) ->
+    let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
+    fun cpu _ -> cmp_flags cpu (reg cpu r) (reg cpu r2) sz
+  | Test (r, Imm v) ->
+    let r = Isa.Reg.to_int r in
+    fun cpu _ -> test_flags cpu (reg cpu r land v) sz
+  | Test (r, Reg r2) ->
+    let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
+    fun cpu _ -> test_flags cpu (reg cpu r land reg cpu r2) sz
   | Jmp target ->
     fun (cpu : Cpu.t) _ ->
       cpu.rip <- target;
@@ -489,14 +632,34 @@ let compile_op (insn : Isa.Insn.t) sz : op =
       None
   | Setcc (c, r) ->
     let r = Isa.Reg.to_int r in
-    fun (cpu : Cpu.t) _ ->
-      Array.unsafe_set cpu.regs r (if Cpu.eval_cond cpu c then 1 else 0);
-      cpu.rip <- cpu.rip + sz;
+    fun cpu _ ->
+      set_reg cpu r (if Cpu.eval_cond cpu c then 1 else 0);
+      next cpu sz
+  | Push (Reg r2) ->
+    let r2 = Isa.Reg.to_int r2 in
+    fun cpu a ->
+      push cpu a (reg cpu r2);
+      next cpu sz
+  | Push (Imm v) ->
+    fun cpu a ->
+      push cpu a v;
+      next cpu sz
+  | Pop r ->
+    let r = Isa.Reg.to_int r in
+    fun cpu a ->
+      set_reg cpu r (pop cpu a);
+      next cpu sz
+  | Call target ->
+    fun (cpu : Cpu.t) a ->
+      push cpu a (cpu.rip + sz);
+      cpu.rip <- target;
       cpu.retired <- cpu.retired + 1;
       None
-  | Hlt | Syscall | Ret | Lea _ | Ld _ | St _ | Sti _ | Call _ | Push _
-  | Pop _ ->
-    fallback ()
+  | Ret ->
+    fun (cpu : Cpu.t) a ->
+      cpu.rip <- pop cpu a;
+      cpu.retired <- cpu.retired + 1;
+      None
 
 (* Decode forward from [start_offset] through straight-line code, entirely
    within the immutable frame's bytes.  Stops at block terminators, the
@@ -534,20 +697,52 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
   done;
   match !insns with
   | [] -> None
-  | l ->
+  | (last, _) :: _ as l ->
     let arr = Array.of_list (List.rev l) in
     let writes = Array.map (fun (insn, _) -> writes_memory insn) arr in
     Some
       { b_fid = frame.Mem.Phys_mem.id;
         b_ops = Array.map (fun (insn, sz) -> compile_op insn sz) arr;
         b_writes = writes;
-        b_has_writes = Array.exists Fun.id writes }
+        b_has_writes = Array.exists Fun.id writes;
+        b_linkable = not (writes_memory last);
+        b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
+
+(* Run ops [i, limit) of a block.  [None] means every one retired. *)
+let rec run_ops ops cpu aspace i limit =
+  if i >= limit then None
+  else
+    match (Array.unsafe_get ops i) cpu aspace with
+    | None -> run_ops ops cpu aspace (i + 1) limit
+    | Some _ as e -> e (* syscall/hlt terminator: always last *)
+
+(* [run_ops] for a block with stores: after each store that is not the
+   last op to run, re-verify the fetch mapping.  A mismatch means the
+   store COW'd the block's own code page (self-modifying straight-line
+   code): the fused tail decodes stale bytes, so stop there — the caller
+   sees fewer ops retired than the block holds and re-dispatches at the
+   (now mutable) frame. *)
+let rec run_ops_checked (b : block) (cpu : Cpu.t) aspace i limit =
+  if i >= limit then None
+  else
+    match (Array.unsafe_get b.b_ops i) cpu aspace with
+    | None ->
+      if
+        i + 1 < limit
+        && Array.unsafe_get b.b_writes i
+        && (As.reading_frame aspace cpu.rip).Mem.Phys_mem.id <> b.b_fid
+      then None
+      else run_ops_checked b cpu aspace (i + 1) limit
+    | Some _ as e -> e
+
+let[@inline] same_page a b =
+  Mem.Page.vpn_of_addr a = Mem.Page.vpn_of_addr b
 
 (* Execute up to [budget] instructions of [b] from its head (cpu.rip is the
-   head).  Returns the vmexit if one materialised; [None] means every
-   instruction retired and either the block is done or the budget ran out —
+   head).  Returns the vmexit if one materialised; [None] means no exit —
    the caller recomputes consumed fuel from the retired delta, which keeps
-   block dispatch bit-identical to per-instruction fuel accounting.
+   block dispatch bit-identical to per-instruction fuel accounting, and
+   learns from the same delta whether the whole block ran.
 
    The exception handler is hoisted out of the per-instruction loop: ops
    (like [exec], whose contract they share) only move [cpu.rip] as the
@@ -557,120 +752,125 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
 let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
   let n = Array.length b.b_ops in
   let limit = if budget < n then budget else n in
-  let ops = b.b_ops in
   match
-    if b.b_has_writes then begin
-      let rec go i =
-        if i >= limit then begin
-          if limit < n then cache.block_splits <- cache.block_splits + 1;
-          None
-        end
-        else
-          match (Array.unsafe_get ops i) cpu aspace with
-          | Some e -> Some e (* syscall/hlt terminator: always last *)
-          | None ->
-            if
-              i + 1 < limit
-              && Array.unsafe_get b.b_writes i
-              && (As.reading_frame aspace cpu.rip).Mem.Phys_mem.id <> b.b_fid
-            then begin
-              (* The store COW'd the block's own code page (self-modifying
-                 straight-line code): the fused tail decodes stale bytes, so
-                 split here and re-dispatch at the — now mutable — frame. *)
-              cache.block_splits <- cache.block_splits + 1;
-              None
-            end
-            else go (i + 1)
-      in
-      go 0
-    end
-    else begin
-      let rec go i =
-        if i >= limit then begin
-          if limit < n then cache.block_splits <- cache.block_splits + 1;
-          None
-        end
-        else
-          match (Array.unsafe_get ops i) cpu aspace with
-          | Some e -> Some e
-          | None -> go (i + 1)
-      in
-      go 0
-    end
+    if b.b_has_writes then run_ops_checked b cpu aspace 0 limit
+    else run_ops b.b_ops cpu aspace 0 limit
   with
   | result -> result
   | exception As.Page_fault { addr; access } ->
     cache.block_splits <- cache.block_splits + 1;
-    let rip = cpu.rip in
-    Some (Fault (Page_fault { rip; addr; access }))
+    Some (Fault (Page_fault { rip = cpu.rip; addr; access }))
   | exception Exit_run e ->
     cache.block_splits <- cache.block_splits + 1;
     Some e
 
-let run_block cache (cpu : Cpu.t) aspace ~fuel =
-  let rec loop remaining =
-    if remaining <= 0 then Out_of_fuel
-    else begin
-      let rip = cpu.rip in
-      let offset = Mem.Page.offset_of_addr rip in
-      if offset > Mem.Page.size - max_insn_bytes then slow_step remaining
-      else
-        match As.reading_frame aspace rip with
-        | exception As.Page_fault { addr; access } ->
-          Fault (Page_fault { rip; addr; access })
-        | frame ->
-          if not (As.frame_is_immutable aspace frame) then slow_step remaining
-          else begin
-            if cache.hot_bfid <> frame.Mem.Phys_mem.id then begin
-              let arr =
-                match Hashtbl.find_opt cache.bframes frame.Mem.Phys_mem.id with
-                | Some arr -> arr
-                | None ->
-                  let arr = Array.make Mem.Page.size None in
-                  Hashtbl.replace cache.bframes frame.Mem.Phys_mem.id arr;
-                  arr
-              in
-              cache.hot_bfid <- frame.Mem.Phys_mem.id;
-              cache.hot_blocks <- arr
-            end;
-            match Array.unsafe_get cache.hot_blocks offset with
-            | Some b ->
-              cache.block_hits <- cache.block_hits + 1;
-              dispatch b remaining
-            | None -> (
-              match fuse_block cache frame offset rip with
-              | None -> slow_step remaining
-              | Some b ->
-                cache.block_fuses <- cache.block_fuses + 1;
-                cache.hot_blocks.(offset) <- Some b;
-                dispatch b remaining)
-          end
+(* Give [prev] a link to [b], found at page offset [offset] right after
+   [prev] ran whole on the same page, if [b] was fused from [prev]'s frame
+   and a slot is free.  [unlinked] never matches a real frame. *)
+let link prev offset b =
+  if prev.b_fid = b.b_fid then
+    if prev.b_off1 < 0 then begin
+      prev.b_off1 <- offset;
+      prev.b_next1 <- b
     end
-  and dispatch b remaining =
-    let before = cpu.retired in
-    match exec_block cache cpu aspace b ~budget:remaining with
+    else if prev.b_off2 < 0 then begin
+      prev.b_off2 <- offset;
+      prev.b_next2 <- b
+    end
+
+(* The dispatch loop.  [lookup] resolves cpu.rip through the TLB, the
+   immutability check and the block table; [prev] is the block that just
+   ran to completion on this same page (or [unlinked]) and gains a link to
+   whatever [lookup] finds there, when that was fused from its frame. *)
+let rec lookup cache (cpu : Cpu.t) aspace remaining prev =
+  if remaining <= 0 then Out_of_fuel
+  else begin
+    let rip = cpu.rip in
+    let offset = Mem.Page.offset_of_addr rip in
+    if offset > Mem.Page.size - max_insn_bytes then
+      slow_step cache cpu aspace remaining
+    else
+      match As.reading_frame aspace rip with
+      | exception As.Page_fault { addr; access } ->
+        Fault (Page_fault { rip; addr; access })
+      | frame ->
+        if not (As.frame_is_immutable aspace frame) then
+          slow_step cache cpu aspace remaining
+        else begin
+          let fid = frame.Mem.Phys_mem.id in
+          if cache.hot_bfid <> fid then begin
+            let arr =
+              match Hashtbl.find_opt cache.bframes fid with
+              | Some arr -> arr
+              | None ->
+                let arr = Array.make Mem.Page.size None in
+                Hashtbl.replace cache.bframes fid arr;
+                arr
+            in
+            cache.hot_bfid <- fid;
+            cache.hot_blocks <- arr
+          end;
+          match Array.unsafe_get cache.hot_blocks offset with
+          | Some b ->
+            cache.block_hits <- cache.block_hits + 1;
+            link prev offset b;
+            dispatch cache cpu aspace b remaining
+          | None -> (
+            match fuse_block cache frame offset rip with
+            | None -> slow_step cache cpu aspace remaining
+            | Some b ->
+              cache.block_fuses <- cache.block_fuses + 1;
+              cache.hot_blocks.(offset) <- Some b;
+              link prev offset b;
+              dispatch cache cpu aspace b remaining)
+        end
+  end
+
+and dispatch cache cpu aspace b remaining =
+  let entry = cpu.rip and before = cpu.retired in
+  match exec_block cache cpu aspace b ~budget:remaining with
+  | Some e -> e
+  | None ->
+    let ran = cpu.retired - before in
+    let remaining = remaining - ran in
+    let rip = cpu.rip in
+    if ran < Array.length b.b_ops then begin
+      (* cut short by the fuel budget or split by a self-modifying store *)
+      cache.block_splits <- cache.block_splits + 1;
+      lookup cache cpu aspace remaining unlinked
+    end
+    else if b.b_linkable && remaining > 0 && same_page rip entry then begin
+      let offset = Mem.Page.offset_of_addr rip in
+      if offset = b.b_off1 then begin
+        cache.block_hits <- cache.block_hits + 1;
+        dispatch cache cpu aspace b.b_next1 remaining
+      end
+      else if offset = b.b_off2 then begin
+        cache.block_hits <- cache.block_hits + 1;
+        dispatch cache cpu aspace b.b_next2 remaining
+      end
+      else lookup cache cpu aspace remaining b
+    end
+    else lookup cache cpu aspace remaining unlinked
+
+and slow_step cache cpu aspace remaining =
+  cache.slow_decodes <- cache.slow_decodes + 1;
+  match step_inner cpu aspace with
+  | None -> lookup cache cpu aspace (remaining - 1) unlinked
+  | Some e -> e
+
+let rec run_insns icache cpu aspace remaining =
+  if remaining <= 0 then Out_of_fuel
+  else
+    match step_inner ?icache cpu aspace with
+    | None -> run_insns icache cpu aspace (remaining - 1)
     | Some e -> e
-    | None -> loop (remaining - (cpu.retired - before))
-  and slow_step remaining =
-    cache.slow_decodes <- cache.slow_decodes + 1;
-    match step_inner cpu aspace with
-    | None -> loop (remaining - 1)
-    | Some e -> e
-  in
-  loop fuel
 
 let run ?icache cpu aspace ~fuel =
   match icache with
-  | Some ({ dispatch = Block; _ } as cache) -> run_block cache cpu aspace ~fuel
-  | None | Some { dispatch = Insn; _ } ->
-    let rec loop remaining =
-      if remaining <= 0 then Out_of_fuel
-      else
-        match step_inner ?icache cpu aspace with
-        | None -> loop (remaining - 1)
-        | Some e -> e
-    in
-    loop fuel
+  | Some ({ dispatch = Block; _ } as cache) ->
+    lookup cache cpu aspace fuel unlinked
+  | None | Some { dispatch = Insn; _ } -> run_insns icache cpu aspace fuel
 
 let pp_fault fmt = function
   | Page_fault { rip; addr; access } ->

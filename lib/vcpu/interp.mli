@@ -28,14 +28,17 @@ type icache
     COW them into fresh frames with fresh ids).  The one hazard the
     per-block grain adds — a store COWing the block's own code page
     mid-block — is caught by re-verifying the fetch mapping after every
-    fused store and splitting the block there. *)
+    fused store and splitting the block there.  Blocks link to their
+    same-page successors; a link is only followed inside one {!run}, after
+    a block that ran whole and whose last op does not store. *)
 
 type dispatch =
   | Insn   (** per-instruction decode-cache dispatch (the PR-9 behaviour) *)
   | Block
       (** basic-block superinstruction dispatch: straight-line runs are
-          fused on first execution and dispatched whole, resolving the
-          fetch frame once per block instead of once per instruction.
+          compiled on first execution and dispatched whole, resolving the
+          fetch frame once per block instead of once per instruction, and
+          not at all when a same-page successor link is followed.
           Bit-identical to [Insn] in semantics, fuel accounting and
           vmexit placement. *)
 
@@ -50,7 +53,8 @@ val icache_counts : icache -> int * int
 
 val block_counts : icache -> int * int * int
 (** [(fuses, hits, splits)]: blocks assembled, whole-block dispatches
-    served from the cache, and dispatches that exited a block before its
+    served from the cache (through the block table or a successor link),
+    and dispatches that exited a block before its
     last instruction (fault, fuel boundary, or self-modified code).  All
     zero under {!Insn} dispatch. *)
 

@@ -470,6 +470,356 @@ let shared_page_never_cached () =
         2 (run ()))
     [ `Off; `Insn; `Block ]
 
+(* {2 Every compiled shape against the uncached reference}
+
+   Each instruction shape runs once under block dispatch and once under
+   [Interp.step] with no cache; registers, flags, rip, retired count, the
+   vmexit and the data pages must all agree.  The shape sits behind a
+   few register set-up moves in the same fused block, so faults are
+   raised from instruction k of a block, not from its head. *)
+
+let data_base = 100 * 4096 (* vpns 100-103, mapped by [load] *)
+let data_len = 4 * 4096
+let unmapped = 0x900000
+
+let fill_data aspace =
+  As.write_bytes aspace ~addr:data_base
+    (String.init data_len (fun k -> Char.chr (((k * 7) + 3) land 0xff)))
+
+let data_pages aspace =
+  Bytes.to_string (As.read_bytes aspace ~addr:data_base ~len:data_len)
+
+let rec step_n cpu aspace fuel =
+  if fuel <= 0 then Interp.Out_of_fuel
+  else
+    match Interp.step cpu aspace with
+    | None -> step_n cpu aspace (fuel - 1)
+    | Some e -> e
+
+let compare_flags name (a : Cpu.t) (b : Cpu.t) =
+  let f (c : Cpu.t) = c.flags.zf, c.flags.sf, c.flags.lt_s, c.flags.lt_u in
+  check
+    Alcotest.(pair (pair bool bool) (pair bool bool))
+    (name ^ ": same flags")
+    (let zf, sf, lt_s, lt_u = f a in ((zf, sf), (lt_s, lt_u)))
+    (let zf, sf, lt_s, lt_u = f b in ((zf, sf), (lt_s, lt_u)))
+
+let check_shape (name, setup, body) =
+  let items =
+    [ label "main" ]
+    @ List.map (fun (reg, v) -> mov reg (i v)) setup
+    @ body
+    @ [ hlt; label "target"; mov R.r15 (i 4242); hlt ]
+  in
+  let boot () =
+    let cpu, aspace = load items in
+    fill_data aspace;
+    As.seal aspace;
+    cpu, aspace
+  in
+  let cpu_ref, as_ref = boot () in
+  let e_ref = step_n cpu_ref as_ref 100 in
+  let cache = Interp.create_icache ~dispatch:Interp.Block () in
+  let cpu, aspace = boot () in
+  let e = Interp.run ~icache:cache cpu aspace ~fuel:100 in
+  check exit_testable (name ^ ": same vmexit") e_ref e;
+  compare_cpus name cpu_ref cpu;
+  compare_flags name cpu_ref cpu;
+  check Alcotest.bool (name ^ ": same data pages") true
+    (String.equal (data_pages as_ref) (data_pages aspace));
+  (* the shape really ran compiled, inside a fused block *)
+  check Alcotest.int (name ^ ": no slow-path decode") 0
+    (snd (Interp.icache_counts cache))
+
+let every_shape () =
+  let open Isa.Insn in
+  let base = data_base + 100 in
+  let addr_setup = [ R.rbx, base; R.rcx, 5; R.rsi, 0x1122334455667788 ] in
+  let forms =
+    [ "[base+disp]", R.rbx @+ 16;
+      "[disp]", abs (data_base + 40);
+      "[index*4+disp]", Isa.Insn.mem ~index:(R.rcx, 4) ~disp:(data_base + 8) () ]
+    @ List.map
+        (fun s -> Printf.sprintf "[base+index*%d+disp]" s, idxd R.rbx (R.rcx, s) 24)
+        [ 1; 2; 4; 8 ]
+  in
+  let mem_shapes =
+    List.concat_map
+      (fun (form, m) ->
+        List.map
+          (fun x -> Isa.Insn.to_string x ^ " " ^ form, addr_setup, [ insn x ])
+          [ Lea (R.rdx, m); Ld (Q, R.rdx, m); Ld (B, R.rdx, m);
+            St (Q, m, R.rsi); St (B, m, R.rsi);
+            Sti (Q, m, 0x0102030405060708); Sti (B, m, 0x1ff) ])
+      forms
+  in
+  let mem_faults =
+    let at addr = [ R.rbx, addr; R.rcx, 3; R.rsi, 0x77 ] in
+    let indexed = idx R.rbx (R.rcx, 1) and flat = R.rbx @+ 0 in
+    let edge = data_base + 4096 - 4 (* a u64 across two mapped pages *)
+    and last = data_base + data_len - 4 (* a u64 into the unmapped page *) in
+    [ "ldb indexed, unmapped", at unmapped, [ insn (Ld (B, R.rdx, indexed)) ];
+      "stb indexed, unmapped", at unmapped, [ insn (St (B, indexed, R.rsi)) ];
+      "stib indexed, unmapped", at unmapped, [ insn (Sti (B, indexed, 9)) ];
+      "ldq across pages", at edge, [ insn (Ld (Q, R.rdx, flat)) ];
+      "stq across pages", at edge, [ insn (St (Q, flat, R.rsi)) ];
+      "stiq across pages", at edge, [ insn (Sti (Q, flat, -2)) ];
+      "ldq across into unmapped", at last, [ insn (Ld (Q, R.rdx, flat)) ];
+      "stq across into unmapped", at last, [ insn (St (Q, flat, R.rsi)) ] ]
+  in
+  let bin_shapes =
+    let values = function
+      | Shl | Shr | Sar -> List.map (fun b -> -12345, b) [ 0; 3; 62; 63; -1 ]
+      | Add | Sub | Imul | Div | Rem | And | Or | Xor ->
+        [ 1234567, 37; -99, 7; 5, 0; max_int, 2 ]
+    in
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun (a, b) ->
+            let setup = [ R.rax, a; R.rbx, b ] in
+            List.map
+              (fun x ->
+                Printf.sprintf "%s (rax=%d rbx=%d)" (Isa.Insn.to_string x) a b,
+                setup, [ insn x ])
+              [ Bin (op, R.rax, Imm b); Bin (op, R.rax, Reg R.rbx) ])
+          (values op))
+      [ Add; Sub; Imul; Div; Rem; And; Or; Xor; Shl; Shr; Sar ]
+  in
+  let un_shapes =
+    List.concat_map
+      (fun op ->
+        List.map
+          (fun a ->
+            Printf.sprintf "%s (rax=%d)" (Isa.Insn.to_string (Un (op, R.rax))) a,
+            [ R.rax, a ], [ insn (Un (op, R.rax)) ])
+          [ 0; 1; -1; 77 ])
+      [ Neg; Not; Inc; Dec ]
+  in
+  let conds = [ E; NE; L; LE; G; GE; B; BE; A; AE; S; NS ] in
+  let pairs = [ 3, 3; -5, 3; 3, -5; 0, 0; 1 lsl 61, -(1 lsl 61) ] in
+  let flag_shapes =
+    List.concat_map
+      (fun (a, b) ->
+        let setup = [ R.rax, a; R.rbx, b ] in
+        let tag = Printf.sprintf "rax=%d rbx=%d" a b in
+        [ "cmp imm " ^ tag, setup, [ insn (Cmp (R.rax, Imm b)) ];
+          "cmp reg " ^ tag, setup, [ insn (Cmp (R.rax, Reg R.rbx)) ];
+          "test imm " ^ tag, setup, [ insn (Test (R.rax, Imm b)) ];
+          "test reg " ^ tag, setup, [ insn (Test (R.rax, Reg R.rbx)) ] ]
+        @ List.concat_map
+            (fun c ->
+              [ Format.asprintf "set%a %s" Isa.Insn.pp_cond c tag, setup,
+                [ cmp R.rax (r R.rbx); setcc c R.rdx ];
+                Format.asprintf "j%a %s" Isa.Insn.pp_cond c tag, setup,
+                [ cmp R.rax (r R.rbx); jcc c "target" ] ])
+            conds)
+      pairs
+  in
+  let stack = data_base + 200 and no_stack = unmapped in
+  let control_shapes =
+    [ "nop", [], [ nop ];
+      "hlt", [], [];
+      "syscall", [], [ syscall ];
+      "mov imm", [], [ mov R.rdx (i (-7)) ];
+      "mov reg", [ R.rax, 99 ], [ mov R.rdx (r R.rax) ];
+      "jmp", [], [ jmp "target" ];
+      "call", [ R.rsp, stack ], [ call "target" ];
+      "call, unmapped stack", [ R.rsp, no_stack ], [ call "target" ];
+      "ret", [ R.rsp, stack ], [ movl R.r12 "target"; push (r R.r12); ret ];
+      "ret, unmapped stack", [ R.rsp, no_stack ], [ ret ];
+      "push reg", [ R.rsp, stack; R.rax, 5 ], [ push (r R.rax) ];
+      "push imm", [ R.rsp, stack ], [ push (i (-3)) ];
+      "push rsp", [ R.rsp, stack ], [ push (r R.rsp) ];
+      "push, unmapped stack", [ R.rsp, no_stack ], [ push (i 1) ];
+      "pop", [ R.rsp, stack ], [ pop R.rdx ];
+      "pop rsp", [ R.rsp, stack ], [ pop R.rsp ];
+      "pop, unmapped stack", [ R.rsp, no_stack ], [ pop R.rdx ] ]
+  in
+  List.iter check_shape
+    (mem_shapes @ mem_faults @ bin_shapes @ un_shapes @ flag_shapes
+   @ control_shapes)
+
+(* {2 Successor links}
+
+   Links are only followed inside one [run], after a block that retired
+   every op, whose last op does not store, with fuel left and on the page
+   it was entered on.  The fuzz generator never writes to code pages, so
+   these cases are covered here only. *)
+
+(* One sealed code page plus the [load] stack pages, booted once. *)
+let boot_sealed items =
+  let image = assemble ~entry:"main" items in
+  let cpu, aspace = load items in
+  As.seal aspace;
+  image, cpu, aspace
+
+let fresh_cpu (image : image) = Cpu.create ~entry:image.entry
+
+let link_alternating_snapshots () =
+  (* Two snapshots hold different code bytes at the same vpn.  Restoring
+     them alternately under one warm cache, each run must execute its own
+     bytes: the first block of a run always takes the full lookup. *)
+  let prog n =
+    [ label "main"; mov R.rax (i 0); mov R.rcx (i 10);
+      label "loop_"; add R.rax (i n); dec R.rcx; jg "loop_"; hlt ]
+  in
+  let image, _, aspace = boot_sealed (prog 1) in
+  let s1 = As.snapshot aspace in
+  As.write_bytes aspace ~addr:image.origin (assemble ~entry:"main" (prog 2)).code;
+  let s2 = As.snapshot aspace in
+  let cache = Interp.create_icache () in
+  let run snap =
+    As.restore aspace snap;
+    let cpu = fresh_cpu image in
+    check exit_testable "halts" Interp.Halt
+      (Interp.run ~icache:cache cpu aspace ~fuel:1_000);
+    Cpu.get cpu R.rax
+  in
+  for round = 1 to 3 do
+    check Alcotest.int (Printf.sprintf "round %d: first snapshot" round) 10 (run s1);
+    check Alcotest.int (Printf.sprintf "round %d: second snapshot" round) 20 (run s2)
+  done
+
+let link_call_cows_code_page () =
+  (* [call] is the one terminator that stores.  Run once with the stack
+     elsewhere (the call block reaches [f] on the same frame), then again
+     with rsp aimed into [f] itself: the return-address push COWs the code
+     page and lands on the immediate of [f]'s [mov], so the next block
+     must be re-translated, not reached through a link to the stale
+     frame. *)
+  let items =
+    [ label "main"; call "f"; label "back"; hlt;
+      label "f"; mov R.rax (i 5); hlt ]
+  in
+  let image, _, aspace = boot_sealed items in
+  let snap = As.snapshot aspace in
+  let f = List.assoc "f" image.symbols in
+  let back = List.assoc "back" image.symbols in
+  let cache = Interp.create_icache () in
+  List.iter
+    (fun (name, sp, expected) ->
+      let run go =
+        As.restore aspace snap;
+        let cpu = fresh_cpu image in
+        Cpu.set cpu R.rsp sp;
+        let e = go cpu in
+        e, cpu
+      in
+      let e_ref, cpu_ref = run (fun cpu -> step_n cpu aspace 100) in
+      let e, cpu = run (fun cpu -> Interp.run ~icache:cache cpu aspace ~fuel:100) in
+      check exit_testable (name ^ ": same vmexit") e_ref e;
+      compare_cpus name cpu_ref cpu;
+      check Alcotest.int (name ^ ": rax") expected (Cpu.get cpu R.rax))
+    [ "stack elsewhere", 104 * 4096, 5;
+      (* [mov rax, imm]: opcode and register byte, then the immediate *)
+      "stack on f", f + 2 + 8, back;
+      "stack elsewhere again", 104 * 4096, 5 ]
+
+let link_fuel_at_linked_transfer () =
+  (* Blocks: [main..jg] (5 ops), the loop body [add; dec; jg] (3 ops),
+     and [hlt].  With links warm, every fuel budget must stop exactly
+     where stepping stops — in particular budgets that run out right at a
+     linked transfer (5 + 3k), which must not enter the next block. *)
+  let items =
+    [ label "main"; mov R.rax (i 0); mov R.rcx (i 8);
+      label "loop_"; add R.rax (i 1); dec R.rcx; jg "loop_"; hlt ]
+  in
+  let image, _, aspace = boot_sealed items in
+  let cache = Interp.create_icache () in
+  check exit_testable "warm-up halts" Interp.Halt
+    (Interp.run ~icache:cache (fresh_cpu image) aspace ~fuel:1_000);
+  for fuel = 1 to 30 do
+    let name = Printf.sprintf "fuel %d" fuel in
+    let cpu_ref = fresh_cpu image in
+    let e_ref = step_n cpu_ref aspace fuel in
+    let cpu = fresh_cpu image in
+    let _, _, splits = Interp.block_counts cache in
+    let e = Interp.run ~icache:cache cpu aspace ~fuel in
+    check exit_testable (name ^ ": same vmexit") e_ref e;
+    compare_cpus name cpu_ref cpu;
+    let _, _, splits' = Interp.block_counts cache in
+    if fuel >= 5 && (fuel - 5) mod 3 = 0 && e = Interp.Out_of_fuel then
+      check Alcotest.int (name ^ ": stops on the block boundary") splits splits'
+  done
+
+let link_after_self_modifying_split () =
+  (* The store patches the immediate of the [add] right after it.  Run
+     once with the store aimed at a data page: the first block links to
+     the loop block at [body].  Then aim it at the code: the store COWs
+     the page and splits the first block exactly at [body] — the linked
+     offset — and the same-page jump back to [body] must keep running
+     the patched bytes, never a linked block of the stale frame. *)
+  let items =
+    [ label "main"; mov R.rax (i 0); mov R.rcx (i 3);
+      sti (R.r9 @+ 0) 1000;
+      label "body"; add R.rax (i 10); dec R.rcx; jg "body"; hlt ]
+  in
+  let image, _, aspace = boot_sealed items in
+  let snap = As.snapshot aspace in
+  (* [add rax, imm]: opcode, operation and register bytes, then the
+     immediate *)
+  let imm = List.assoc "body" image.symbols + 3 in
+  let cache = Interp.create_icache () in
+  List.iter
+    (fun (name, target, expected) ->
+      let run go =
+        As.restore aspace snap;
+        let cpu = fresh_cpu image in
+        Cpu.set cpu R.r9 target;
+        let e = go cpu in
+        e, cpu
+      in
+      let e_ref, cpu_ref = run (fun cpu -> step_n cpu aspace 1_000) in
+      let e, cpu = run (fun cpu -> Interp.run ~icache:cache cpu aspace ~fuel:1_000) in
+      check exit_testable (name ^ ": halts") Interp.Halt e_ref;
+      check exit_testable (name ^ ": same vmexit") e_ref e;
+      compare_cpus name cpu_ref cpu;
+      check Alcotest.int (name ^ ": rax") expected (Cpu.get cpu R.rax))
+    [ "store to data", data_base, 30; "store to code", imm, 3000;
+      "store to data again", data_base, 30 ]
+
+let link_frame_at_two_vpns () =
+  (* One deduplicated code frame mapped at two vpns; its loop branch is
+     absolute, so the copy at the second vpn jumps into the first page.
+     After a run at the first vpn has filled the links, that page is
+     rewritten (COWed away from the shared frame): the second copy's jump
+     crosses to another page and must take the full lookup, not the link
+     its block holds for the same offset. *)
+  let prog n =
+    assemble ~entry:"main"
+      [ label "main"; mov R.rax (i 0); mov R.rcx (i 3);
+        label "loop_"; add R.rax (i n); dec R.rcx; jg "loop_"; hlt ]
+  in
+  let image = prog 1 in
+  let aspace = As.create (Mem.Phys_mem.create ()) in
+  let home = Mem.Page.vpn_of_addr image.origin and alias = 5 in
+  As.map_dedup aspace ~vpn:home image.code;
+  As.map_dedup aspace ~vpn:alias image.code;
+  As.seal aspace;
+  let moved = (alias - home) * Mem.Page.size in
+  let cache = Interp.create_icache () in
+  let run entry =
+    let go f =
+      let cpu = Cpu.create ~entry in
+      let e = f cpu in
+      e, cpu
+    in
+    let e_ref, cpu_ref = go (fun cpu -> step_n cpu aspace 1_000) in
+    let e, cpu = go (fun cpu -> Interp.run ~icache:cache cpu aspace ~fuel:1_000) in
+    check exit_testable "halts" Interp.Halt e_ref;
+    check exit_testable "same vmexit" e_ref e;
+    compare_cpus "two vpns" cpu_ref cpu;
+    Cpu.get cpu R.rax
+  in
+  check Alcotest.int "home copy" 3 (run image.entry);
+  As.write_bytes aspace ~addr:image.origin (prog 7).code;
+  As.seal aspace;
+  (* the first iteration runs in the alias copy, the other two in the
+     rewritten home page *)
+  check Alcotest.int "alias copy enters the rewritten home page" (1 + 7 + 7)
+    (run (image.entry + moved))
+
 let tests =
   [ Alcotest.test_case "arithmetic" `Quick arithmetic;
     Alcotest.test_case "fibonacci loop" `Quick fibonacci;
@@ -501,4 +851,15 @@ let tests =
     Alcotest.test_case "block: generation retire invalidates by frame id"
       `Quick block_invalidation_on_generation_retire;
     Alcotest.test_case "shared page is never decode- or block-cached" `Quick
-      shared_page_never_cached ]
+      shared_page_never_cached;
+    Alcotest.test_case "block: every shape matches step" `Quick every_shape;
+    Alcotest.test_case "link: alternating snapshots at one vpn" `Quick
+      link_alternating_snapshots;
+    Alcotest.test_case "link: call COWs its own code page" `Quick
+      link_call_cows_code_page;
+    Alcotest.test_case "link: fuel ends at a linked transfer" `Quick
+      link_fuel_at_linked_transfer;
+    Alcotest.test_case "link: same-page jump after a self-modifying split"
+      `Quick link_after_self_modifying_split;
+    Alcotest.test_case "link: one frame mapped at two vpns" `Quick
+      link_frame_at_two_vpns ]
