@@ -838,10 +838,10 @@ let fuzz_cmd =
     let rec check i =
       if i >= budget then begin
         Printf.printf
-          "fuzz: %d programs, 9 pipelines each (icache-off, icache-insn, \
-           tight-fuel, ckpt-roundtrip, recycle, tiered-store, \
-           parallel-coop, parallel-domains, ept-replay vs the \
-           block-dispatch baseline)%s%s: no divergences\n"
+          "fuzz: %d programs, 7 pipelines each (icache-off, tight-fuel, \
+           ckpt-roundtrip, tiered-store, parallel-coop, parallel-domains, \
+           ept-replay vs the block-dispatch baseline) plus the frame \
+           audit%s%s: no divergences\n"
           budget
           (if faults > 0 then
              Printf.sprintf " plus %d fault plans each" faults

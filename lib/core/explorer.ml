@@ -41,6 +41,8 @@ type result = {
 
 type mode = [ `Run_to_completion | `First_exit ]
 
+exception Audit_failed of string
+
 type scope = { root : Snapshot.t; root_handle : Reclaim.handle option;
                frontier : Ext.t Frontier.t }
 
@@ -129,6 +131,49 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   let current_handle : Reclaim.handle option ref = ref None in
   let current_choice = ref 1 in
 
+  (* The frame audit (see [run] in the interface), on a poisoned allocator
+     only.  Assumes the run's machine is the only user of its memory. *)
+  let audited = Mem.Phys_mem.poisoning phys in
+  let captured = ref [] in  (* this run's captures, pruned of the freed *)
+  let note_capture snap = if audited then captured := snap :: !captured in
+  let stops = ref 0 in
+  let audit where =
+    captured := List.filter (fun (s : Snapshot.t) -> not s.freed) !captured;
+    (* every unfreed snapshot the run holds, with its unfreed ancestors *)
+    let live = Hashtbl.create 64 in
+    let rec add (s : Snapshot.t) =
+      if not (s.freed || Hashtbl.mem live s.id) then begin
+        Hashtbl.replace live s.id s;
+        Option.iter add s.parent
+      end
+    in
+    List.iter add !captured;
+    Option.iter
+      (fun st ->
+        List.iter add (Option.to_list (Reclaim.anchor st) @ Reclaim.materialised st))
+      store;
+    let reachable visit =
+      Mem.Addr_space.iter_frames machine.aspace (visit "the current map");
+      Hashtbl.iter
+        (fun id (s : Snapshot.t) ->
+          let label = Printf.sprintf "snapshot %d" id in
+          Stdx.Ptmap.iter (fun _ -> visit label)
+            (Mem.Addr_space.snapshot_map_for_debug s.mem))
+        live
+    in
+    let held = Hashtbl.fold (fun _ (s : Snapshot.t) n -> n + s.ext_refs) live 0 in
+    let owed =
+      match !scope with Some sc -> sc.frontier.Frontier.length () + 1 | None -> 0
+    in
+    match Mem.Phys_mem.audit phys ~reachable with
+    | Error detail -> raise (Audit_failed (where ^ ": " ^ detail))
+    | Ok () when store = None && held <> owed ->
+      raise
+        (Audit_failed
+           (Printf.sprintf "%s: %d extension refs held, %d owed" where held owed))
+    | Ok () -> ()
+  in
+
   let probe_resume snap rax =
     match probe with
     | None -> ()
@@ -139,6 +184,9 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   in
 
   let finish outcome =
+    (* extensions a bounded strategy dropped since the last schedule *)
+    Option.iter (fun sc -> Path.evict path stats sc.frontier) !scope;
+    if audited then audit "end of run";
     if Obs.Trace.enabled () then begin
       (match Libos.icache_counts machine with
       | Some (misses, slow) ->
@@ -254,6 +302,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     | None -> finish (Aborted (Printf.sprintf "unknown strategy id %d" strategy))
     | Some strat ->
       let root = Path.open_scope path stats ~ids in
+      note_capture root;
       (match probe with
       | None -> ()
       | Some p ->
@@ -280,6 +329,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       loop ()
     | Path.Branch n ->
       let snap, meta = Path.branch path stats ~ids ~n in
+      note_capture snap;
       (match probe with
       | None -> ()
       | Some p -> p.Probe.capture ~snap:snap.Snapshot.id);
@@ -323,6 +373,10 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     | Ok stop -> (
       (match on_stop with None -> () | Some f -> f machine stop);
       stress_tick ();
+      if audited then begin
+        incr stops;
+        audit (Format.asprintf "stop %d (%a)" !stops Libos.pp_stop stop)
+      end;
       match !scope with
       | Some sc -> in_scope sc stop
       | None -> (
@@ -359,9 +413,9 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   loop ()
 
 let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
-    ?recycle ?poison ?strategy_override ?tier_stress ?spill_threshold
-    ?(files = []) ?stdin image =
-  let phys = Mem.Phys_mem.create ?capacity ?recycle ?poison () in
+    ?poison ?strategy_override ?tier_stress ?spill_threshold ?(files = [])
+    ?stdin image =
+  let phys = Mem.Phys_mem.create ?capacity ?poison () in
   let machine = Libos.boot phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;

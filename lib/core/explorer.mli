@@ -61,6 +61,10 @@ type result = {
 
 type mode = [ `Run_to_completion | `First_exit ]
 
+exception Audit_failed of string
+(** The frame audit of {!run} failed: the message names the stop (or the
+    end of the run) and the offending frame or the counts that differ. *)
+
 val builtin_frontier : builtin -> unit -> 'a Search.Frontier.t
 (** A built-in strategy's frontier factory, at any element type ({!Parallel}'s
     work queue calls it once per shard). *)
@@ -114,6 +118,16 @@ val run :
     [Path_killed] terminal; the search itself is never aborted by a crash
     inside a scope.
 
+    On a poisoned allocator ([~poison:true], testing only) the run audits
+    its frames at every stop (after [on_stop]) and at its end, raising
+    {!Audit_failed}: no frame reachable from live state — the current map,
+    every unfreed snapshot of the run (scope root included), the
+    {!Reclaim} store's materialised payloads and anchor, shared and dedup
+    frames — may be freed; those frames must be exactly
+    {!Mem.Phys_mem.frames_live}; without a store, the extension refs held
+    across unfreed snapshots must be the frontier's length plus the
+    running path's one.  The run must be its memory's only user.
+
     [probe] observes every scheduler decision — evaluation outcomes,
     snapshot captures, restores with the delivered [rax] — which is
     exactly the nondeterministic input stream of a run.  The recorder
@@ -130,7 +144,6 @@ val run_image :
   ?max_extensions:int ->
   ?retry_budget:int ->
   ?capacity:int ->
-  ?recycle:bool ->
   ?poison:bool ->
   ?strategy_override:strategy ->
   ?tier_stress:int ->
@@ -141,11 +154,6 @@ val run_image :
   result
 (** Convenience: boot a fresh machine on fresh physical memory and [run].
     [capacity] bounds the physical frame budget (enables reclaim; see
-    {!run}).  [recycle] (default true) controls eager frame reclamation:
-    dead snapshots are released to the allocator's free list as the search
-    retires them, and a snapshot's last restore adopts its frames instead
-    of COWing them again.  With [recycle:false] the run reproduces the
-    no-reuse seed cost model exactly (frames stay counted live) — results
-    must be bit-identical either way.
-    [poison] fills freed buffers with a marker byte to shake out
-    use-after-free bugs in the release discipline (testing only). *)
+    {!run}).  [poison] fills freed buffers with a marker byte to shake
+    out use-after-free bugs in the release discipline, and turns on the
+    frame audit (testing only). *)

@@ -274,7 +274,7 @@ let serialize_root (m : Libos.t) (root : Snapshot.t) =
 (* Boot a fresh machine on a domain-private Phys_mem and rebuild the root
    state in it.  The caller then captures a local root snapshot, which
    retires the generation — so the rebuilt pages are immutable-until-COW
-   and the decode cache works exactly as on domain 0. *)
+   and the block cache works exactly as on domain 0. *)
 let rehydrate_root image (root : root_state) =
   let phys = Mem.Phys_mem.create () in
   let m = Libos.boot phys image in
@@ -506,7 +506,9 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
                      ~path:(Path.create ~inj ~transcript:buf ~terminals:terms machine)
                      ~d_root ~st ~items ~root_path:None;
                    st.Stats.instructions <- machine.Libos.cpu.Cpu.retired;
-                   Mem.Mem_metrics.add st.Stats.mem (Mem.Phys_mem.metrics phys)
+                   Mem.Mem_metrics.add st.Stats.mem (Mem.Phys_mem.metrics phys);
+                   Obs.Metrics.gauge_set reg "mem.free_buffers"
+                     (Mem.Phys_mem.free_buffers phys)
                  with e ->
                    ignore
                      (Atomic.compare_and_set sh.outcome_cell None
@@ -562,6 +564,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
      landed — otherwise its mem.* counters would all read zero. *)
   let reg0 = Obs.Metrics.create () in
   Stats.publish st0 reg0;
+  Obs.Metrics.gauge_set reg0 "mem.free_buffers" (Mem.Phys_mem.free_buffers phys0);
   Obs.Metrics.incr reg0 ~by:!queue_steal_batches "queue.steal_batches";
   Obs.Metrics.incr reg0 ~by:!queue_stolen "queue.stolen_items";
   let stats = Stats.create () in

@@ -83,9 +83,13 @@ type result = {
       (** per-domain metrics registries under [`Domains]: index 0 is the
           coordinator domain, then the spawned workers in order.  Each
           holds the [explorer.*]/[mem.*] names {!Stats.publish} emits
-          (domain 0 additionally carries [queue.steal_batches] and
+          plus the gauge [mem.free_buffers], the domain's
+          {!Mem.Phys_mem.free_buffers} at the end of the run (domain 0
+          additionally carries [queue.steal_batches] and
           [queue.stolen_items]); merging them with {!Obs.Metrics.merge}
-          agrees with [stats].  Empty for [`Cooperative] runs and for runs
+          agrees with [stats].  Per domain, [mem.frames_freed] =
+          [mem.frames_recycled] + [mem.free_buffers] while the pool stays
+          under its 4,096-buffer cap.  Empty for [`Cooperative] runs and for runs
           aborted before workers spawned. *)
 }
 

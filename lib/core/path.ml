@@ -18,8 +18,7 @@ type terminal = {
 type 'o t = {
   machine : Libos.t;
   phys : Mem.Phys_mem.t;
-  discards : bool;  (* the memory recycles: free finished segments' tails *)
-  recycle : bool;   (* and the snapshot refcount discipline runs *)
+  refcount : bool;  (* the snapshot refcount discipline runs *)
   adopts : bool;    (* last restores adopt their snapshot's frames *)
   inj : Inject.t;
   armed : bool;     (* [inj] injects something *)
@@ -39,18 +38,14 @@ type 'o t = {
 
 let create ?(refcount = true) ?(inj = Inject.none) ?transcript
     ?(terminals = ref []) ?(owns_map = false) (machine : Libos.t) =
-  let phys = As.phys machine.aspace in
-  let discards = Mem.Phys_mem.recycling phys in
-  let recycle = refcount && discards in
   let armed = not (Inject.is_none inj) in
   { machine;
-    phys;
-    discards;
-    recycle;
+    phys = As.phys machine.aspace;
+    refcount;
     (* An adopting restore consumes the origin a crash retry restores from,
        and an armed plan can crash any path: adopting there would turn
        recoverable faults into quarantined paths. *)
-    adopts = recycle && not armed;
+    adopts = refcount && not armed;
     inj;
     armed;
     transcript;
@@ -158,7 +153,7 @@ let open_scope t (stats : Stats.t) ~ids =
   Cpu.set t.machine.cpu Reg.rax 0;
   let root = Snapshot.capture ~ids ~depth:0 t.machine in
   stats.snapshots_created <- stats.snapshots_created + 1;
-  if t.recycle then Snapshot.retain root;
+  if t.refcount then Snapshot.retain root;
   t.base <- Some root;
   t.epoch <- As.epoch t.machine.aspace;
   t.origin <- None;
@@ -247,7 +242,7 @@ let branch t (stats : Stats.t) ~ids ~n =
   stats.snapshots_created <- stats.snapshots_created + 1;
   stats.extensions_pushed <- stats.extensions_pushed + n;
   (* refs must exist before another worker can pop the extensions *)
-  if t.recycle then Snapshot.retain ~n snap;
+  if t.refcount then Snapshot.retain ~n snap;
   let meta = { Frontier.depth = t.depth + 1; hint = t.hint } in
   t.hint <- 0;
   snap, meta
@@ -282,7 +277,7 @@ let drain t stats ~root =
   | `Scope _ -> `Abort "second sys_guess_strategy scope"
   | (`Exit _ | `Abort _) as r -> r
 
-let release t snap = if t.recycle then Snapshot.release_ext ~phys:t.phys snap
+let release t snap = if t.refcount then Snapshot.release_ext ~phys:t.phys snap
 
 let evict t (stats : Stats.t) (frontier : Ext.t Frontier.t) =
   match frontier.evicted () with
@@ -297,7 +292,7 @@ let evict t (stats : Stats.t) (frontier : Ext.t Frontier.t) =
       dropped
 
 let discard t =
-  if t.discards && As.epoch t.machine.aspace = t.epoch then begin
+  if As.epoch t.machine.aspace = t.epoch then begin
     (match t.base with
     | Some b -> ignore (As.discard_segment t.machine.aspace ~base:b.Snapshot.mem)
     | None -> ignore (As.discard_map t.machine.aspace));
@@ -306,7 +301,7 @@ let discard t =
 
 let retire ?give_back t =
   discard t;
-  (if t.recycle then
+  (if t.refcount then
      match give_back, t.base with
      | Some f, _ -> f ()
      | None, Some b -> Snapshot.release_ext ~phys:t.phys b

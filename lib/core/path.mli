@@ -58,10 +58,10 @@ type 'o t
 val create :
   ?refcount:bool -> ?inj:Inject.t -> ?transcript:Buffer.t ->
   ?terminals:terminal list ref -> ?owns_map:bool -> Os.Libos.t -> 'o t
-(** Path state over a booted machine.  When its memory recycles, segment
-    tails are freed and — unless [refcount] is [false] because a
-    {!Reclaim} store manages snapshot lifetime — the snapshot refcounts run
-    ({!Snapshot.retain}, [release_ext], adopting restores).  [inj] is the
+(** Path state over a booted machine.  Segment tails are always freed;
+    unless [refcount] is [false] because a {!Reclaim} store manages
+    snapshot lifetime, the snapshot refcounts run too ({!Snapshot.retain},
+    [release_ext], adopting restores).  [inj] is the
     fault plan {!run} applies; restores never adopt under an armed plan,
     which can crash any path, because adopting consumes the origin a retry
     restores.  Harvested stdout goes to [transcript], finished paths to

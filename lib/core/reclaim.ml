@@ -654,6 +654,8 @@ let materialised t =
       match e.e_payload with Some (Live s) -> s :: acc | _ -> acc)
     t.entries []
 
+let anchor t = t.anchor
+
 let live_entries t =
   Hashtbl.fold
     (fun _ e n -> if e.e_released then n else n + 1)

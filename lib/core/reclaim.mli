@@ -161,6 +161,10 @@ val snapshot_ids : t -> Snapshot.ids
 val materialised : t -> Snapshot.t list
 (** Live (tier-0) snapshots only. *)
 
+val anchor : t -> Snapshot.t option
+(** The record the machine's current state derives from (the store holds
+    a ref on it). *)
+
 val live_entries : t -> int
 (** Entries not released. *)
 

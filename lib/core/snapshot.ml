@@ -87,7 +87,6 @@ let adopted t = t.adopted
 let rec try_free ~phys t =
   if
     (not t.freed) && t.ext_refs <= 0 && t.child_refs = 0
-    && Mem.Phys_mem.recycling phys
   then
     match t.parent with
     | None ->

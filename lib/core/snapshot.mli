@@ -54,8 +54,7 @@ val restore : Os.Libos.t -> t -> unit
     reach zero the snapshot is dead: its delta-vs-parent frames go back to
     {!Mem.Phys_mem}'s free list, and death cascades to the parent if this
     child was the last thing keeping it alive.  Roots are freed whole only
-    when captured [owns_image].  The whole discipline is a no-op when the
-    physical memory was created with [recycle:false]. *)
+    when captured [owns_image]. *)
 
 val retain : ?n:int -> t -> unit
 val release_ext : phys:Mem.Phys_mem.t -> t -> unit

@@ -45,15 +45,14 @@ let aspace_digest aspace =
     0xbf29ce484222325  (* FNV offset basis, truncated to the int range *)
     (List.sort compare (As.mapped_vpns aspace))
 
+let flat_terminal (t : Explorer.terminal) =
+  (kind_to_string t.kind, t.output, t.depth)
+
 let machine_run (machine : Libos.t) (r : Explorer.result) =
   let cpu = machine.Libos.cpu in
   { outcome = outcome_to_string r.Explorer.outcome;
     transcript = r.Explorer.transcript;
-    terminals =
-      List.map
-        (fun (t : Explorer.terminal) ->
-          (kind_to_string t.kind, t.output, t.depth))
-        r.Explorer.terminals;
+    terminals = List.map flat_terminal r.Explorer.terminals;
     instructions = r.Explorer.stats.Core.Stats.instructions;
     regs = Array.to_list cpu.Vcpu.Cpu.regs @ [ cpu.Vcpu.Cpu.rip ];
     mem_digest = aspace_digest machine.Libos.aspace }
@@ -61,11 +60,7 @@ let machine_run (machine : Libos.t) (r : Explorer.result) =
 let parallel_run (r : Parallel.result) =
   { outcome = outcome_to_string r.Parallel.outcome;
     transcript = r.Parallel.transcript;
-    terminals =
-      List.map
-        (fun (t : Explorer.terminal) ->
-          (kind_to_string t.kind, t.output, t.depth))
-        r.Parallel.terminals;
+    terminals = List.map flat_terminal r.Parallel.terminals;
     instructions = r.Parallel.stats.Core.Stats.instructions;
     regs = [];
     mem_digest = 0 }
@@ -141,15 +136,19 @@ let compare_multiset pipeline (a : run) (b : run) =
 
 (* {1 Pipelines} *)
 
-let boot ?recycle ?poison ?dispatch image ~icache =
-  let phys = Mem.Phys_mem.create ?recycle ?poison () in
-  Libos.boot ~icache ?dispatch phys image
+let boot ?poison image ~icache =
+  Libos.boot ~icache (Mem.Phys_mem.create ?poison ()) image
 
-let explorer_pipeline ?on_stop ?recycle ?poison ?dispatch ?fuel_per_step
-    ~icache image =
-  let machine = boot ?recycle ?poison ?dispatch image ~icache in
+let explorer_pipeline ?on_stop ?fuel_per_step ~icache image =
+  let machine = boot image ~icache in
   let r = Explorer.run ?on_stop ?fuel_per_step machine in
   machine_run machine r
+
+(* A poisoned run audits its frames at every stop ([Explorer.run]);
+   [check_image] reports a failed audit as pipeline [audit]. *)
+let audited name run =
+  try run () with Explorer.Audit_failed d ->
+    raise (Explorer.Audit_failed (name ^ ", " ^ d))
 
 (* Checkpoint round-trips at scheduler stops: a full eager
    capture/restore plus an incremental-chain capture and restore of the
@@ -241,12 +240,13 @@ let first_some checks =
     (fun acc check -> match acc with Some _ -> acc | None -> check ())
     None checks
 
-let check_image ?(ckpt_every = 1) image =
-  (* Baseline: explorer with icache, tracing every Addr_space op.  Frame
-     recycling off: the baseline keeps the no-reuse seed cost model, so the
-     recycling pipeline below is checked against an allocator that never
-     reuses a buffer. *)
-  let machine = boot ~recycle:false image ~icache:true in
+let check_pipelines ~ckpt_every image =
+  (* Baseline: explorer under block dispatch, tracing every Addr_space op,
+     on a poisoned allocator — so it audits its frames at every stop, and
+     a freed buffer the guest can still read holds the poison byte here
+     but old data in the unpoisoned pipelines below.  Its exact live peak
+     sizes the tiered-store budget. *)
+  let machine = boot ~poison:true image ~icache:true in
   let initial_pages =
     List.map
       (fun vpn -> (vpn, page_string machine.Libos.aspace vpn))
@@ -254,63 +254,48 @@ let check_image ?(ckpt_every = 1) image =
   in
   let ops = ref [] in
   As.set_trace machine.Libos.aspace (Some (fun op -> ops := op :: !ops));
-  let base_result = Explorer.run machine in
+  let base_result = audited "baseline" (fun () -> Explorer.run machine) in
   As.set_trace machine.Libos.aspace None;
   let base = machine_run machine base_result in
   let ops = List.rev !ops in
-  (* Eager release + adoption + buffer reuse, with freed buffers poisoned:
-     a frame released while a live path could still read it diverges
-     loudly instead of silently.  Its exact live peak (a no-free baseline's
-     peak is every frame it ever allocated) sizes the tiered-store budget
-     below. *)
-  let recycled =
-    lazy
-      (let m = boot ~recycle:true ~poison:true image ~icache:true in
-       let r = machine_run m (Explorer.run m) in
-       (r, Mem.Phys_mem.peak_frames_live (As.phys m.Libos.aspace)))
-  in
+  let peak = Mem.Phys_mem.peak_frames_live (As.phys machine.Libos.aspace) in
   first_some
     [ (fun () ->
         compare_exact "icache-off" base
           (explorer_pipeline ~icache:false image));
       (fun () ->
-        (* The baseline runs basic-block superinstruction dispatch (the
-           default); per-instruction decode-cache dispatch must be
-           indistinguishable from it — and both from icache-off above. *)
-        compare_exact "icache-insn" base
-          (explorer_pipeline ~icache:true ~dispatch:Vcpu.Interp.Insn image));
-      (fun () ->
         (* Fuel exhaustion mid-block, deterministically: a quantum far
            smaller than typical block lengths lands Out_of_fuel inside
            fused blocks at every step, and tight-fuel explorer runs kill
-           paths at the quantum — so block and per-instruction dispatch
-           must agree on every retired count, kill point and register. *)
+           paths at the quantum — so block dispatch and the uncached
+           reference must agree on every retired count, kill point and
+           register. *)
         let tight = 97 in
         compare_exact "tight-fuel"
-          (explorer_pipeline ~icache:true ~dispatch:Vcpu.Interp.Insn
-             ~fuel_per_step:tight image)
-          (explorer_pipeline ~icache:true ~dispatch:Vcpu.Interp.Block
-             ~fuel_per_step:tight image));
+          (explorer_pipeline ~icache:false ~fuel_per_step:tight image)
+          (explorer_pipeline ~icache:true ~fuel_per_step:tight image));
       (fun () ->
         compare_exact "ckpt-roundtrip" base
           (explorer_pipeline ~icache:true
              ~on_stop:(ckpt_on_stop ckpt_every) image));
-      (fun () -> compare_exact "recycle" base (fst (Lazy.force recycled)));
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
-           the recycling peak, a hook that demotes every live payload to its
-           compressed delta at every scheduler stop (truncating everything
-           every 5th, so the replay fallback runs too), and a zero spill
-           budget pushing cold deltas through host disk — on a poisoned
-           recycling allocator, so a frame freed while a delta still
-           described it diverges loudly.  Reconstruction is supposed to be
-           invisible: exact agreement, instruction count included. *)
-        let peak = snd (Lazy.force recycled) in
+           the baseline's live peak, a hook that demotes every live payload
+           to its compressed delta at every scheduler stop (truncating
+           everything every 5th, so the replay fallback runs too), and a
+           zero spill budget pushing cold deltas through host disk — on a
+           poisoned, audited allocator.  The store runs without snapshot
+           refcounts, so no restore adopts.  Reconstruction and adoption
+           are supposed to be invisible: exact agreement, instruction
+           count included. *)
         let phys =
           Mem.Phys_mem.create ~capacity:(max 64 (peak / 3)) ~poison:true ()
         in
         let m = Libos.boot ~icache:true phys image in
-        let r = Explorer.run ~tier_stress:1 ~spill_threshold:0 m in
+        let r =
+          audited "tiered-store" (fun () ->
+              Explorer.run ~tier_stress:1 ~spill_threshold:0 m)
+        in
         compare_exact "tiered-store" base (machine_run m r));
       (fun () ->
         compare_multiset "parallel-coop" base
@@ -319,6 +304,10 @@ let check_image ?(ckpt_every = 1) image =
         compare_multiset "parallel-domains" base
           (parallel_pipeline ~backend:`Domains image));
       (fun () -> ept_replay ~initial_pages ~ops ~final:machine) ]
+
+let check_image ?(ckpt_every = 1) image =
+  try check_pipelines ~ckpt_every image
+  with Explorer.Audit_failed detail -> Some { pipeline = "audit"; detail }
 
 (* {1 Fault mode}
 

@@ -4,41 +4,36 @@
     transparency claim (§3) — so the oracle runs a program through each
     and demands they agree:
 
-    + {b baseline}: {!Core.Explorer} with the decoded-instruction cache
-      under basic-block superinstruction dispatch (the default),
+    + {b baseline}: {!Core.Explorer} with the block cache (the default),
       recording the address-space operation trace (see
-      {!Mem.Addr_space.set_trace});
-    + {b icache-off}: the same explorer with the decode cache disabled —
-      must match the baseline {e exactly} (outcome, transcript, ordered
-      terminals, retired instruction count, final registers, memory
-      digest);
-    + {b icache-insn}: the explorer with the cache in per-instruction
-      dispatch mode — block fusion must be invisible, so this too must
-      match exactly;
-    + {b tight-fuel}: per-instruction vs block dispatch under a fuel
-      quantum far below typical block lengths, compared exactly against
-      each other — every step lands [Out_of_fuel] {e inside} a fused
-      block, so partial-block fuel accounting, kill points and register
-      state are all exercised;
+      {!Mem.Addr_space.set_trace}), on a poisoned allocator: freed
+      buffers are filled with a marker byte and the run audits its frames
+      at every scheduler stop (see {!Core.Explorer.run});
+    + {b icache-off}: the same explorer with the block cache disabled
+      (the uncached {!Vcpu.Interp.step} reference) on an unpoisoned
+      allocator — must match the baseline {e exactly} (outcome,
+      transcript, ordered terminals, retired instruction count, final
+      registers, memory digest).  A stale byte the guest could read from
+      a reused buffer would read as poison on one side only;
+    + {b tight-fuel}: block dispatch vs the uncached reference under a
+      fuel quantum far below typical block lengths, compared exactly
+      against each other — every step lands [Out_of_fuel] {e inside} a
+      fused block, so partial-block fuel accounting, kill points and
+      register state are all exercised;
     + {b ckpt-roundtrip}: the explorer again, but an [on_stop] hook
       performs an eager {!Ckpt} full-checkpoint capture/restore (plus an
       incremental-chain round-trip) at every k-th scheduler stop — a
       faithful checkpoint implementation is invisible, so this too must
       match exactly;
-    + {b recycle}: the explorer with frame recycling on and freed
-      buffers poisoned, against a baseline that runs the no-reuse
-      [recycle:false] allocator — eager frame reclamation, zero-fill
-      elision and adopting restores must be guest-invisible, and the
-      poison turns any premature free into a loud divergence; must match
-      exactly;
     + {b tiered-store}: the explorer under a frame budget below the
-      recycling run's exact live peak with the tiered {!Core.Reclaim} store hammered at
-      every scheduler stop — every live payload demoted to its compressed
-      delta (truncated outright every 5th stop, so the replay fallback
-      runs too) and a zero spill budget pushing cold deltas through host
-      disk, on a poisoned recycling allocator.  Demotion, promotion,
-      spilling and replay are supposed to be invisible, so this must
-      match {e exactly}, retired instruction count included;
+      baseline's exact live peak with the tiered {!Core.Reclaim} store
+      hammered at every scheduler stop — every live payload demoted to
+      its compressed delta (truncated outright every 5th stop, so the
+      replay fallback runs too) and a zero spill budget pushing cold
+      deltas through host disk, on a poisoned, audited allocator, with no
+      adopting restores (the store runs without snapshot refcounts).
+      Reconstruction and the baseline's adoption are supposed to be
+      invisible: exact agreement, retired instruction count included;
     + {b parallel-coop} / {b parallel-domains}: {!Core.Parallel} with 4
       workers on each backend.  Path completion order is
       schedule-dependent, so these are compared as multisets: same
@@ -46,6 +41,10 @@
     + {b ept-replay}: the baseline's operation trace replayed against the
       {!Mem.Ept} radix-page-table backend; the final memory images must
       be page-for-page identical.
+
+    A failed frame audit (an early free, a leak or a ref imbalance) in
+    the baseline or tiered-store run is pipeline [audit], naming the run,
+    the stop and the offending frame or counts.
 
     Generated guests avoid the documented semantic deltas between
     backends (no [sys_share], no stdin, no [sys_timeout]), which is what

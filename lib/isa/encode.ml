@@ -140,13 +140,18 @@ let decode ~fetch addr =
     done;
     Int64.to_int !v
   in
-  let reg off = Reg.of_int (u8 off) in
+  (* a register byte outside the file is junk like any other bad code *)
+  let reg_of b =
+    if b >= Reg.count then raise (Invalid_opcode { addr; opcode = b });
+    Reg.of_int b
+  in
+  let reg off = reg_of (u8 off) in
   let mem_at off =
-    let base = match u8 off with 0xFF -> None | b -> Some (Reg.of_int b) in
+    let base = match u8 off with 0xFF -> None | b -> Some (reg_of b) in
     let index =
       match u8 (off + 1) with
       | 0xFF -> None
-      | r -> Some (Reg.of_int r, u8 (off + 2))
+      | r -> Some (reg_of r, u8 (off + 2))
     in
     { base; index; disp = imm (off + 3) }
   in

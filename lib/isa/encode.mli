@@ -18,4 +18,5 @@ val encode_to_string : Insn.t list -> string
 val decode : fetch:(int -> int) -> int -> Insn.t * int
 (** [decode ~fetch addr] decodes the instruction at [addr], reading bytes
     through [fetch]; returns the instruction and its size.
-    @raise Invalid_opcode on junk. *)
+    @raise Invalid_opcode on junk: an unknown opcode or operation code, or
+    a register byte outside the register file. *)

@@ -598,6 +598,8 @@ let delta_pages a b =
 
 let snapshot_map_for_debug s = s.snap_map
 
+let iter_frames t f = Ptmap.iter (fun _ frame -> f frame) t.map
+
 let immutable_frame t ~addr =
   match Ptmap.find_opt (Page.vpn_of_addr addr) t.map with
   | Some (f : Phys_mem.frame) when f.owner <> t.gen && f.owner <> shared_owner ->

@@ -127,6 +127,9 @@ val delta_pages : snapshot -> snapshot -> int
 val generation : t -> int
 val snapshot_map_for_debug : snapshot -> Phys_mem.frame Stdx.Ptmap.t
 
+val iter_frames : t -> (Phys_mem.frame -> unit) -> unit
+(** Every frame the current map binds (the frame audit's walk). *)
+
 (** {1 Explicit frame lifecycle}
 
     {!Phys_mem.free_frame} is the only way a frame dies; these entry

@@ -53,14 +53,9 @@ type t = {
   mutable pressure_events : int;
   mutable watermark_armed : bool;
   mutable alloc_fault : (int -> bool) option;
-  recycle : bool;
-      (* when set, explicitly-released frames feed a buffer free list and
-         full-page-overwrite allocations skip the zero fill; when clear the
-         allocator behaves exactly like the no-reuse seed (the conservative
-         baseline the fuzz oracle compares against) *)
-  mutable poison : bool;
-      (* debug: fill released buffers with [poison_byte] immediately, so a
-         frame freed while still reachable diverges loudly *)
+  poison : bool;
+      (* testing: fill released buffers with [poison_byte] immediately, so
+         a frame freed while still reachable diverges loudly *)
   mutable free_bufs : Bytes.t list;
   mutable free_len : int;
   mutable total_allocs : int;
@@ -102,12 +97,8 @@ let zero_generation = 0
    never written in place: a store through them always COWs. *)
 let dedup_owner = -2
 
-let create ?(capacity = 0) ?(recycle = true) ?(poison = false) () =
+let create ?(capacity = 0) ?(poison = false) () =
   if capacity < 0 then invalid_arg "Phys_mem.create: negative capacity";
-  (* The schedulers' explicit-free discipline is gated on [recycle]; without
-     it nothing ever gives a live slot back and a bounded pool only fills. *)
-  if capacity > 0 && not recycle then
-    invalid_arg "Phys_mem.create: a bounded pool needs recycle (explicit frees)";
   let zero =
     { id = 0; bytes = Bytes.make Page.size '\000'; owner = zero_generation;
       freed = false; account = 0 }
@@ -118,7 +109,7 @@ let create ?(capacity = 0) ?(recycle = true) ?(poison = false) () =
     capacity; live = 0; peak_live = 0;
     on_pressure = None; pressure_events = 0; watermark_armed = true;
     alloc_fault = None;
-    recycle; poison; free_bufs = []; free_len = 0; total_allocs = 0;
+    poison; free_bufs = []; free_len = 0; total_allocs = 0;
     delta_bytes = 0; peak_delta_bytes = 0; spill_bytes = 0;
     next_account = 1; account_live_tbl = Hashtbl.create 8;
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
@@ -129,8 +120,6 @@ let metrics t = t.metrics
 let zero_frame t = t.zero
 
 let capacity t = t.capacity
-let recycling t = t.recycle
-let set_poison t b = t.poison <- b
 let poisoning t = t.poison
 let free_buffers t = t.free_len
 let frames_live t = t.live
@@ -274,18 +263,14 @@ let alloc ?(account = 0) t ~owner =
 
 (* A frame whose every byte is about to be overwritten: recycle a buffer or
    take uninitialised memory, either way skipping the zero fill that
-   [Bytes.make] would pay.  Gated on [recycle] so the recycling-off
-   baseline keeps the seed's exact cost model. *)
+   [Bytes.make] would pay. *)
 let alloc_overwritten t ~owner ~account =
   ensure_frame_available t;
-  if not t.recycle then mint t ~owner ~account (Bytes.make Page.size '\000')
-  else begin
-    t.metrics.zero_fills_elided <- t.metrics.zero_fills_elided + 1;
-    let bytes =
-      match take_buf t with Some b -> b | None -> Bytes.create Page.size
-    in
-    mint t ~owner ~account bytes
-  end
+  t.metrics.zero_fills_elided <- t.metrics.zero_fills_elided + 1;
+  let bytes =
+    match take_buf t with Some b -> b | None -> Bytes.create Page.size
+  in
+  mint t ~owner ~account bytes
 
 let alloc_copy t ?(account = 0) ~owner src =
   let f = alloc_overwritten t ~owner ~account in
@@ -311,11 +296,31 @@ let free_frame t (f : frame) =
   t.metrics.frames_freed <- t.metrics.frames_freed + 1;
   t.live <- t.live - 1;
   credit_account t f.account;
-  if t.recycle && t.free_len < max_free_bufs then begin
+  if t.free_len < max_free_bufs then begin
     if t.poison then Bytes.fill f.bytes 0 Page.size poison_byte;
     t.free_bufs <- f.bytes :: t.free_bufs;
     t.free_len <- t.free_len + 1
   end
+
+(* The frame audit: [reachable] walks the caller's live state, labelling
+   each group of frames; the first freed frame names its group. *)
+let audit t ~reachable =
+  let seen = Hashtbl.create 256 and stale = ref None in
+  let visit where (f : frame) =
+    if f.freed && !stale = None then
+      stale := Some (Printf.sprintf "frame %d, reachable from %s, is freed" f.id where);
+    if f != t.zero then Hashtbl.replace seen f.id ()
+  in
+  reachable visit;
+  Hashtbl.iter (fun _ f -> visit "a shared page" f) t.shared_pages;
+  Hashtbl.iter (fun _ e -> visit "the dedup table" e.d_frame) t.dedup;
+  match !stale with
+  | Some detail -> Error detail
+  | None when Hashtbl.length seen = t.live -> Ok ()
+  | None ->
+    Error
+      (Printf.sprintf "%d frames reachable from live state, %d live"
+         (Hashtbl.length seen) t.live)
 
 (* Transfer a frame into generation [owner] so stores hit it in place.  The
    id is re-stamped from the same sequence as fresh frames: decode caches

@@ -30,22 +30,16 @@ exception Out_of_frames of { capacity : int; live : int }
     allocation fault fires (see {!set_alloc_fault}).  Schedulers treat it
     as a recoverable per-path failure, not a crash. *)
 
-val create : ?capacity:int -> ?recycle:bool -> ?poison:bool -> unit -> t
+val create : ?capacity:int -> ?poison:bool -> unit -> t
 (** [capacity] (default 0 = unbounded) bounds the number of
     simultaneously-live frames.
 
-    [recycle] (default [true]) enables the explicit free list:
-    {!free_frame} keeps released page buffers for reuse and
-    full-page-overwrite allocations ({!alloc_copy}, {!alloc_data}) skip
-    the zero fill.  With [recycle:false] the allocator reproduces the
-    no-reuse seed cost model bit for bit — the reference the fuzz oracle's
-    recycling pipeline is compared against — and the schedulers skip their
-    explicit frees, so nothing leaves the live count: a positive
-    [capacity] with [recycle:false] raises [Invalid_argument].  [poison]
-    (default [false])
-    fills released buffers with a recognizable byte immediately, so a
-    frame freed while still reachable diverges loudly instead of
-    silently. *)
+    {!free_frame} keeps released page buffers in a free list for reuse,
+    and full-page-overwrite allocations ({!alloc_copy}, {!alloc_data})
+    skip the zero fill.  [poison] (default [false], testing only) fills
+    released buffers with a recognizable byte immediately, so a frame
+    freed while still reachable diverges loudly instead of silently; it
+    also switches on [Core.Explorer]'s frame audit. *)
 
 val metrics : t -> Mem_metrics.t
 
@@ -115,22 +109,30 @@ val alloc : ?account:int -> t -> owner:int -> frame
 
 val alloc_copy : t -> ?account:int -> owner:int -> frame -> frame
 (** A fresh frame owned by [owner] whose contents copy the given frame; this
-    is the COW-fault service path and is counted in the metrics.  Under
-    [recycle] the backing buffer is pooled or uninitialised (never
-    zeroed): the blit overwrites every byte. *)
+    is the COW-fault service path and is counted in the metrics.  The
+    backing buffer is pooled or uninitialised (never zeroed): the blit
+    overwrites every byte. *)
 
 val alloc_data : t -> ?account:int -> owner:int -> string -> frame
 (** A fresh frame holding [data] (at most a page) followed by zeroes.
-    Under [recycle] only the tail beyond [data] is cleared. *)
+    Only the tail beyond [data] is cleared. *)
 
 val free_frame : t -> frame -> unit
 (** Explicitly release a frame: its live slot is returned immediately and
-    (under [recycle]) its buffer joins the free list for the next
+    its buffer joins the free list (up to 4,096 buffers) for the next
     allocation.  The caller asserts no live page map, snapshot, or TLB can
     reach the frame any more — see {!Addr_space.release_snapshot} for the
     discipline that makes the assertion checkable.  Raises
     [Invalid_argument] on a double free or on the zero frame; shared
     frames must not be passed. *)
+
+val audit :
+  t -> reachable:((string -> frame -> unit) -> unit) -> (unit, string) result
+(** The exact frame audit.  [reachable visit] calls [visit label f] on
+    every frame of the caller's live state (page maps, snapshots); shared
+    and dedup-table frames are added here.  Fails naming the first freed
+    frame and its [label], else unless the distinct frames reached (the
+    zero frame excluded) are exactly {!frames_live}: a leak. *)
 
 val adopt_frame : t -> frame -> owner:int -> unit
 (** Transfer the frame to generation [owner] so the next store hits it in
@@ -138,9 +140,7 @@ val adopt_frame : t -> frame -> owner:int -> unit
     frame id is re-stamped (decode caches key on ids under the
     frames-never-change-in-place invariant). *)
 
-val recycling : t -> bool
 val poisoning : t -> bool
-val set_poison : t -> bool -> unit
 val free_buffers : t -> int
 (** Buffers currently pooled in the free list. *)
 

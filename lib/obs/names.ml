@@ -15,7 +15,7 @@ let out_of_frames = "mem.out_of_frames"
 let frame_recycle = "mem.frame_recycle" (* instant; a = free-list length *)
 let frame_adopt = "mem.frame_adopt" (* instant; a = frames adopted *)
 
-(* vcpu / decode cache (counter samples) *)
+(* vcpu / block cache (counter samples) *)
 let icache_misses = "vcpu.icache_misses"
 let icache_slow = "vcpu.icache_slow"
 

@@ -65,7 +65,7 @@ let initial_os =
     timeout = 0 }
 
 let boot ?(layout = default_layout) ?(icache = true)
-    ?(dispatch = Interp.Block) ?(dedup = false) ?(account = 0) phys
+    ?(dedup = false) ?(account = 0) phys
     (image : Isa.Asm.image) =
   if not (Mem.Page.is_aligned image.origin) then
     invalid_arg "Libos.boot: image origin not page-aligned";
@@ -99,7 +99,7 @@ let boot ?(layout = default_layout) ?(icache = true)
     cpu;
     layout;
     counters = { syscall_count = Array.make 32 0; demand_pages = 0; denied = 0 };
-    icache = (if icache then Some (Interp.create_icache ~dispatch ()) else None);
+    icache = (if icache then Some (Interp.create_icache ()) else None);
     os = { initial_os with brk = layout.heap_base };
     sys_hook = None }
 

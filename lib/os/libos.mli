@@ -49,9 +49,10 @@ type t = {
   layout : layout;
   counters : counters;
   icache : Vcpu.Interp.icache option;
-      (** shared decoded-instruction cache; [None] runs every fetch through
-          the decoder (the E9 ablation and the fuzz oracle's icache-off
-          pipeline — retired counts and semantics must not change) *)
+      (** the block cache; [None] runs every fetch through the uncached
+          {!Vcpu.Interp.step} (the E9 ablation and the fuzz oracle's
+          icache-off pipeline — retired counts and semantics must not
+          change) *)
   mutable os : os_state;
   mutable sys_hook : (int -> int -> unit) option;
       (** observer of ordinary (non-scheduler) syscalls, called with
@@ -63,14 +64,14 @@ type t = {
 val default_layout : layout
 
 val boot :
-  ?layout:layout -> ?icache:bool -> ?dispatch:Vcpu.Interp.dispatch ->
-  ?dedup:bool -> ?account:int -> Mem.Phys_mem.t -> Isa.Asm.image -> t
+  ?layout:layout -> ?icache:bool -> ?dedup:bool -> ?account:int ->
+  Mem.Phys_mem.t -> Isa.Asm.image -> t
 (** Map the image's code/data pages, point [rsp] at the stack top and the
-    break at [heap_base].  [icache] (default true) enables the decoded
-    instruction cache; [dispatch] (default {!Vcpu.Interp.Block}) selects
-    per-basic-block superinstruction dispatch or the per-instruction
-    cache — bit-identical semantics, different speed (the E9 ablation
-    runs all three).  [dedup] (default false) maps image pages through
+    break at [heap_base].  [icache] (default true) runs the guest through
+    the block cache ({!Vcpu.Interp.icache}); [~icache:false] runs the
+    uncached {!Vcpu.Interp.step} reference instead — bit-identical
+    semantics, different speed (the E9 ablation and the fuzz oracle's
+    icache-off pipeline).  [dedup] (default false) maps image pages through
     the physical memory's content-addressed table so same-image guests on
     one [Phys_mem] share read-only frames (COW on first store; references
     dropped by {!Mem.Addr_space.drop_dedup_refs} at teardown).  [account]
@@ -90,13 +91,12 @@ val stop_trace_name : stop -> string
 (** The static [Obs.Names.stop_*] event name for a stop reason. *)
 
 val icache_counts : t -> (int * int) option
-(** Decode-cache [(misses, slow_decodes)]; [None] when booted with
+(** Block-cache [(misses, slow_decodes)]; [None] when booted with
     [~icache:false].  See {!Vcpu.Interp.icache_counts}. *)
 
 val block_counts : t -> (int * int * int) option
-(** Superinstruction-cache [(fuses, hits, splits)]; [None] when booted
-    with [~icache:false], all zero under [~dispatch:Insn].  See
-    {!Vcpu.Interp.block_counts}. *)
+(** Block-cache [(fuses, hits, splits)]; [None] when booted with
+    [~icache:false].  See {!Vcpu.Interp.block_counts}. *)
 
 (** {1 OS state} *)
 

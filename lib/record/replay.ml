@@ -248,7 +248,7 @@ let goto t target =
 let create ?(anchor_every = 8) (b : Bundle.t) =
   if anchor_every <= 0 then
     invalid_arg "Replay.create: anchor_every must be positive";
-  let phys = Mem.Phys_mem.create ~recycle:false () in
+  let phys = Mem.Phys_mem.create () in
   let machine = Libos.boot phys (Bundle.image b) in
   List.iter
     (fun (path, content) -> Libos.add_file machine ~path content)

@@ -180,26 +180,24 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
     retire_at cpu next;
     None
 
-(* Decoded instructions are memoised per immutable frame: Addr_space
-   guarantees that a frame owned by a retired generation never changes in
-   place (writes COW into a fresh frame with a fresh id), so per-frame
-   decode arrays never need invalidation.  The cache keeps the last-used
-   frame's array in a hot slot — guest code is typically one or two frames.
-   Instructions close to the page edge (they may cross it) always take the
+(* Basic-block superinstruction dispatch, memoised per immutable frame:
+   Addr_space guarantees that a frame owned by a retired generation never
+   changes in place (writes COW into a fresh frame with a fresh id), so
+   per-frame block tables never need invalidation.  The cache keeps the
+   last-used frame's table in a hot slot — guest code is typically one or
+   two frames.  Instructions close to the page edge (they may cross it)
+   and instructions on a frame still written in place take the uncached
    slow path.
 
-   On top of the per-instruction arrays sits basic-block superinstruction
-   dispatch (the default): a cache miss decodes forward through
-   straight-line code — stopping at control flow, [syscall]/[hlt], the
-   page edge, and a maximum block length — and compiles the run into an
-   array of closures, one per instruction.  Dispatch then executes whole
-   blocks, resolving the fetch frame once per block instead of once per
-   instruction.  Invalidation rides the same frame-generation discipline
-   (blocks are keyed to retired-generation frame ids that never change in
-   place); the one case the per-block grain adds is a store COWing the
-   block's own code page mid-block (self-modifying straight-line code),
-   which is caught by re-checking the fetch mapping after every fused
-   store and splitting the block there.
+   A cache miss decodes forward through straight-line code — stopping at
+   control flow, [syscall]/[hlt], the page edge, and a maximum block
+   length — and compiles the run into an array of closures, one per
+   instruction.  Dispatch then executes whole blocks, resolving the fetch
+   frame once per block instead of once per instruction.  The one hazard
+   the per-block grain adds is a store COWing the block's own code page
+   mid-block (self-modifying straight-line code), which is caught by
+   re-checking the fetch mapping after every fused store and splitting
+   the block there.
 
    Every instruction shape compiles ([compile_op]): register numbers,
    immediates, the rip delta and the addressing form of a memory operand
@@ -228,8 +226,6 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
    a set of top-level functions that carry their state as arguments. *)
 let max_insn_bytes = 24
 let max_block_insns = 64
-
-type dispatch = Insn | Block
 
 type op = Cpu.t -> As.t -> vmexit option
 (* One fused instruction, compiled to a closure at fuse time.  Contract:
@@ -262,29 +258,20 @@ let rec unlinked =
     b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
 
 type icache = {
-  dispatch : dispatch;
-  (* per-instruction decode arrays (Insn dispatch, and block fusion) *)
-  mutable hot_fid : int;
-  mutable hot_arr : (Isa.Insn.t * int) option array;
-  frames : (int, (Isa.Insn.t * int) option array) Hashtbl.t;
-  (* per-block superinstruction tables (Block dispatch), keyed by the
-     block's first-instruction offset within its frame *)
+  (* per-block superinstruction tables, keyed by the block's
+     first-instruction offset within its frame *)
   mutable hot_bfid : int;
   mutable hot_blocks : block option array;
   bframes : (int, block option array) Hashtbl.t;
-  (* Observability counters, kept off the per-instruction hit path: the
-     hit count is derivable as retired - misses - slow_decodes. *)
-  mutable misses : int; (* cacheable instructions decoded into the cache *)
+  mutable misses : int; (* instructions decoded into fused blocks *)
   mutable slow_decodes : int; (* uncacheable: page edge or mutable frame *)
   mutable block_fuses : int; (* blocks assembled *)
   mutable block_hits : int; (* whole-block dispatches, linked or looked up *)
   mutable block_splits : int; (* dispatches that exited a block early *)
 }
 
-let create_icache ?(dispatch = Block) () =
-  { dispatch;
-    hot_fid = -1; hot_arr = [||]; frames = Hashtbl.create 16;
-    hot_bfid = -1; hot_blocks = [||]; bframes = Hashtbl.create 16;
+let create_icache () =
+  { hot_bfid = -1; hot_blocks = [||]; bframes = Hashtbl.create 16;
     misses = 0; slow_decodes = 0;
     block_fuses = 0; block_hits = 0; block_splits = 0 }
 
@@ -292,54 +279,9 @@ let icache_counts cache = (cache.misses, cache.slow_decodes)
 let block_counts cache =
   (cache.block_fuses, cache.block_hits, cache.block_splits)
 
-let decode_at ?icache (cpu : Cpu.t) aspace rip =
-  let slow () =
-    let fetch addr = As.read_u8 aspace addr in
-    Isa.Encode.decode ~fetch rip
-  in
-  ignore cpu;
-  match icache with
-  | None -> slow ()
-  | Some cache ->
-    let offset = Mem.Page.offset_of_addr rip in
-    if offset > Mem.Page.size - max_insn_bytes then begin
-      cache.slow_decodes <- cache.slow_decodes + 1;
-      slow ()
-    end
-    else begin
-      let frame = As.reading_frame aspace rip in
-      if not (As.frame_is_immutable aspace frame) then begin
-        cache.slow_decodes <- cache.slow_decodes + 1;
-        slow ()
-      end
-      else begin
-        if cache.hot_fid <> frame.Mem.Phys_mem.id then begin
-          let arr =
-            match Hashtbl.find_opt cache.frames frame.Mem.Phys_mem.id with
-            | Some arr -> arr
-            | None ->
-              let arr = Array.make Mem.Page.size None in
-              Hashtbl.replace cache.frames frame.Mem.Phys_mem.id arr;
-              arr
-          in
-          cache.hot_fid <- frame.Mem.Phys_mem.id;
-          cache.hot_arr <- arr
-        end;
-        match Array.unsafe_get cache.hot_arr offset with
-        | Some decoded -> decoded
-        | None ->
-          cache.misses <- cache.misses + 1;
-          let bytes = frame.Mem.Phys_mem.bytes in
-          let fetch addr = Bytes.get_uint8 bytes (offset + (addr - rip)) in
-          let decoded = Isa.Encode.decode ~fetch rip in
-          cache.hot_arr.(offset) <- Some decoded;
-          decoded
-      end
-    end
-
-let step_inner ?icache (cpu : Cpu.t) aspace =
+let step (cpu : Cpu.t) aspace =
   let rip = cpu.rip in
-  match decode_at ?icache cpu aspace rip with
+  match Isa.Encode.decode ~fetch:(As.read_u8 aspace) rip with
   | exception As.Page_fault { addr; access } ->
     Some (Fault (Page_fault { rip; addr; access }))
   | exception Isa.Encode.Invalid_opcode { addr = _; opcode } ->
@@ -354,8 +296,6 @@ let step_inner ?icache (cpu : Cpu.t) aspace =
     | exception Exit_run e ->
       cpu.rip <- rip;
       Some e)
-
-let step cpu aspace = step_inner cpu aspace
 
 (* {1 Basic-block superinstruction dispatch} *)
 
@@ -664,7 +604,7 @@ let compile_op (insn : Isa.Insn.t) sz : op =
 (* Decode forward from [start_offset] through straight-line code, entirely
    within the immutable frame's bytes.  Stops at block terminators, the
    page-edge guard (an instruction that may cross the edge must take the
-   slow path, exactly as in per-instruction mode), [max_block_insns], and
+   slow path, where [step] decodes it), [max_block_insns], and
    undecodable bytes (the block ends before them; reaching them re-raises
    the fault through the slow path).  [None] iff not even the first
    instruction was fusable. *)
@@ -741,14 +681,14 @@ let[@inline] same_page a b =
 (* Execute up to [budget] instructions of [b] from its head (cpu.rip is the
    head).  Returns the vmexit if one materialised; [None] means no exit —
    the caller recomputes consumed fuel from the retired delta, which keeps
-   block dispatch bit-identical to per-instruction fuel accounting, and
+   block dispatch bit-identical to [step]'s fuel accounting, and
    learns from the same delta whether the whole block ran.
 
    The exception handler is hoisted out of the per-instruction loop: ops
    (like [exec], whose contract they share) only move [cpu.rip] as the
    last step of a retiring instruction, so when [As.Page_fault] or
    [Exit_run] escapes, [cpu.rip] still addresses the faulting
-   instruction — exactly the rip per-instruction dispatch reports. *)
+   instruction — exactly the rip [step] reports. *)
 let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
   let n = Array.length b.b_ops in
   let limit = if budget < n then budget else n in
@@ -855,22 +795,21 @@ and dispatch cache cpu aspace b remaining =
 
 and slow_step cache cpu aspace remaining =
   cache.slow_decodes <- cache.slow_decodes + 1;
-  match step_inner cpu aspace with
+  match step cpu aspace with
   | None -> lookup cache cpu aspace (remaining - 1) unlinked
   | Some e -> e
 
-let rec run_insns icache cpu aspace remaining =
+let rec run_uncached cpu aspace remaining =
   if remaining <= 0 then Out_of_fuel
   else
-    match step_inner ?icache cpu aspace with
-    | None -> run_insns icache cpu aspace (remaining - 1)
+    match step cpu aspace with
+    | None -> run_uncached cpu aspace (remaining - 1)
     | Some e -> e
 
 let run ?icache cpu aspace ~fuel =
   match icache with
-  | Some ({ dispatch = Block; _ } as cache) ->
-    lookup cache cpu aspace fuel unlinked
-  | None | Some { dispatch = Insn; _ } -> run_insns icache cpu aspace fuel
+  | Some cache -> lookup cache cpu aspace fuel unlinked
+  | None -> run_uncached cpu aspace fuel
 
 let pp_fault fmt = function
   | Page_fault { rip; addr; access } ->

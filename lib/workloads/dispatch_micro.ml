@@ -3,8 +3,8 @@ module R = Isa.Reg
 
 (* Microbenchmarks for the E9 interpreter-dispatch ablation.  Unlike the
    search workloads these have no guess tree: they isolate the dispatch
-   loop itself so the three modes (no cache / per-instruction cache /
-   basic-block superinstructions) differ only in fetch-and-decode cost. *)
+   loop itself so the two modes (no cache / basic-block
+   superinstructions) differ only in fetch-and-decode cost. *)
 
 let default_unroll = 16
 
@@ -12,7 +12,7 @@ let default_unroll = 16
    [unroll]-fold, so the hot path is one [3*unroll + 2]-instruction basic
    block instead of a 5-instruction one.  This is the shape E3's
    work-heavy rows spend ~98% of their time in — compilers unroll hot
-   ALU loops exactly like this — and it is the row the ≥2× block-vs-insn
+   ALU loops exactly like this — and it is the row the block-vs-uncached
    gate runs on. *)
 let work_heavy ?(unroll = default_unroll) ~iters () =
   if iters <= 0 || unroll <= 0 then invalid_arg "Dispatch_micro.work_heavy";

@@ -50,28 +50,114 @@ let counting_tree_exact () =
     r.Explorer.stats.Core.Stats.extensions_pushed
 
 let recycling_is_invisible () =
-  (* Frame recycling (the default) must not change a single observable:
-     same transcript, same stop counts, same guest instruction count as
-     the GC-only baseline — while actually exercising the free list and
-     the DFS tail-child adopting restore. *)
-  let image = Workloads.Nqueens.program ~n:5 in
-  let on = Explorer.run_image image in
-  let off = Explorer.run_image ~recycle:false image in
-  check Alcotest.string "transcript identical" off.Explorer.transcript
-    on.Explorer.transcript;
-  check Alcotest.int "fails identical" off.Explorer.stats.Core.Stats.fails
-    on.Explorer.stats.Core.Stats.fails;
-  check Alcotest.int "instructions identical"
-    off.Explorer.stats.Core.Stats.instructions
-    on.Explorer.stats.Core.Stats.instructions;
+  (* Frame recycling and adopting restores must not change a single
+     observable: the fixed nqueens(5) transcript, fail count and guest
+     instruction count (those of the no-reuse allocator this replaced) —
+     while actually exercising the free list and the DFS tail-child
+     adopting restore. *)
+  let r = Explorer.run_image (Workloads.Nqueens.program ~n:5) in
+  check (Alcotest.list Alcotest.string) "transcript"
+    (Workloads.Nqueens.host_boards 5) (transcript_lines r);
+  check Alcotest.int "fails" 177 r.Explorer.stats.Core.Stats.fails;
+  check Alcotest.int "instructions" 4171 r.Explorer.stats.Core.Stats.instructions;
   check Alcotest.bool "tail children were adopted" true
-    (on.Explorer.stats.Core.Stats.adopting_restores > 0);
+    (r.Explorer.stats.Core.Stats.adopting_restores > 0);
   check Alcotest.bool "frames were recycled" true
-    (on.Explorer.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled > 0);
-  check Alcotest.int "baseline recycles nothing" 0
-    off.Explorer.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled;
-  check Alcotest.int "baseline adopts nothing" 0
-    off.Explorer.stats.Core.Stats.adopting_restores
+    (r.Explorer.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled > 0)
+
+(* {1 Frame audit}
+
+   On a poisoned allocator [Explorer.run] audits its frames at every
+   scheduler stop and when it ends: no reachable frame freed, reachable
+   frames exactly the live ones, and (refcount mode) the extension refs
+   held equal to the frontier's plus the running path's. *)
+
+let audited_nqueens ?strategy_override ?mode ?tier_stress ?on_stop () =
+  let phys = Mem.Phys_mem.create ~poison:true () in
+  let m = Libos.boot phys (Workloads.Nqueens.program ~n:6) in
+  m, Explorer.run ?strategy_override ?mode ?tier_stress ?on_stop m
+
+let audit_passes_every_scheduler () =
+  let boards = List.sort compare (Workloads.Nqueens.host_boards 6) in
+  List.iter
+    (fun (name, strategy, tier_stress, all_boards) ->
+      let _, r = audited_nqueens ~strategy_override:strategy ?tier_stress () in
+      check Alcotest.int (name ^ ": exit status") 0 (completed r);
+      if all_boards then
+        check (Alcotest.list Alcotest.string) (name ^ ": boards") boards
+          (List.sort compare (transcript_lines r));
+      match strategy with
+      | `Sma _ | `Beam _ ->
+        check Alcotest.bool (name ^ ": evicted") true
+          (r.Explorer.stats.Core.Stats.evicted > 0)
+      | _ -> ())
+    [ "dfs", `Dfs, None, true;
+      "bfs", `Bfs, None, true;
+      "sma", `Sma 4, None, false;
+      "beam", `Beam 2, None, false;
+      "tier_stress:1", `Dfs, Some 1, true ];
+  (* nqueens never exits inside its scope, so First_exit runs it whole;
+     subset sum stops at its first exit, with the frontier still full *)
+  let _, r = audited_nqueens ~mode:`First_exit () in
+  check Alcotest.int "first-exit nqueens: exit status" 0 (completed r);
+  let r =
+    Explorer.run_image ~poison:true ~mode:`First_exit
+      (Workloads.Subset_sum.program ~target:21 [ 1; 2; 4; 8; 16 ])
+  in
+  match r.Explorer.outcome with
+  | Explorer.Stopped_first_exit 0 -> ()
+  | _ -> Alcotest.fail "first-exit subset sum: expected an in-scope exit"
+
+(* Break the discipline from an [on_stop] hook at stop 5: the audit must
+   raise at that very stop, naming it. *)
+let audit_fires_at_stop ~expect ?strategy_override hook =
+  let calls = ref 0 in
+  let on_stop m _ =
+    incr calls;
+    if !calls = 5 then hook m
+  in
+  match audited_nqueens ?strategy_override ~on_stop () with
+  | _ -> Alcotest.failf "%s: the audit did not fire" expect
+  | exception Explorer.Audit_failed msg ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    check Alcotest.bool
+      (Printf.sprintf "%s, at stop 5: %s" expect msg)
+      true
+      (String.starts_with ~prefix:"stop 5 " msg && mentions expect)
+
+let audit_catches_leak () =
+  audit_fires_at_stop ~expect:"frames reachable" (fun m ->
+      ignore (Mem.Phys_mem.alloc (Mem.Addr_space.phys m.Libos.aspace) ~owner:1))
+
+let audit_catches_early_free () =
+  audit_fires_at_stop ~expect:"is freed" (fun m ->
+      let aspace = m.Libos.aspace in
+      Mem.Phys_mem.free_frame (Mem.Addr_space.phys aspace)
+        (Mem.Addr_space.reading_frame aspace m.Libos.cpu.Vcpu.Cpu.rip))
+
+let audit_catches_ref_imbalance () =
+  let pushed = ref [] in
+  let strategy =
+    `Custom
+      (fun () ->
+        let f = Search.Frontier.dfs () in
+        { f with
+          Search.Frontier.push_batch =
+            (fun batch ->
+              List.iter (fun (_, e) -> pushed := e :: !pushed) batch;
+              f.Search.Frontier.push_batch batch) })
+  in
+  audit_fires_at_stop ~expect:"refs held" ~strategy_override:strategy
+    (fun _ ->
+      match !pushed with
+      | { Core.Ext.payload = Core.Ext.Snap s; _ } :: _ -> Snapshot.retain s
+      | _ -> Alcotest.fail "no extension pushed by stop 5")
 
 let strategy_scope_returns_zero_after_exhaustion () =
   (* Figure 1's protocol: the if-block runs with rax=1, and after the scope
@@ -1403,6 +1489,13 @@ let tests =
     Alcotest.test_case "scope returns 0 after exhaustion" `Quick
       strategy_scope_returns_zero_after_exhaustion;
     Alcotest.test_case "guess outside scope aborts" `Quick guess_outside_scope_aborts;
+    Alcotest.test_case "audit passes every scheduler" `Quick
+      audit_passes_every_scheduler;
+    Alcotest.test_case "audit catches a leak" `Quick audit_catches_leak;
+    Alcotest.test_case "audit catches an early free" `Quick
+      audit_catches_early_free;
+    Alcotest.test_case "audit catches a ref imbalance" `Quick
+      audit_catches_ref_imbalance;
     Alcotest.test_case "first-exit mode" `Quick first_exit_mode_stops;
     Alcotest.test_case "all-solutions subset sum" `Quick all_solutions_subset_sum;
     Alcotest.test_case "coloring counts" `Quick coloring_counts;

@@ -119,6 +119,23 @@ let invalid_opcode () =
   | exception Encode.Invalid_opcode { opcode = 0xEE; _ } -> ()
   | exception Encode.Invalid_opcode _ -> Alcotest.fail "wrong opcode reported"
 
+(* A register, base or index byte outside the register file is junk too:
+   the decoder reports it as an invalid opcode naming the bad byte, never
+   as an OCaml exception escaping the interpreter. *)
+let bad_register_byte () =
+  let disp = String.make 8 '\000' in
+  List.iter
+    (fun (name, code, bad) ->
+      match decode_string code 0 with
+      | _ -> Alcotest.failf "%s: expected invalid opcode" name
+      | exception Encode.Invalid_opcode { opcode; addr } ->
+        check Alcotest.int (name ^ ": bad byte reported") bad opcode;
+        check Alcotest.int (name ^ ": at the instruction") 0 addr)
+    [ "register", "\x06\x10\x00", 0x10;
+      "second register", "\x06\x00\xff", 0xff;
+      "base", "\x08\x00\x20\xff\x00" ^ disp, 0x20;
+      "index", "\x08\x00\xff\x30\x01" ^ disp, 0x30 ]
+
 (* {1 Assembler} *)
 
 let asm_labels () =
@@ -170,6 +187,7 @@ let tests =
     encode_roundtrip_prop;
     stream_roundtrip;
     Alcotest.test_case "invalid opcode" `Quick invalid_opcode;
+    Alcotest.test_case "bad register byte" `Quick bad_register_byte;
     Alcotest.test_case "asm labels" `Quick asm_labels;
     Alcotest.test_case "asm duplicate label" `Quick asm_duplicate_label;
     Alcotest.test_case "asm undefined label" `Quick asm_undefined_label;

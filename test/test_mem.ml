@@ -717,18 +717,6 @@ let free_list_recycles_buffers () =
   check Alcotest.int "free counted" 1 m.Mem.Mem_metrics.frames_freed;
   check Alcotest.int "recycle counted" 1 m.Mem.Mem_metrics.frames_recycled
 
-let no_pool_without_recycling () =
-  let phys = Phys.create ~recycle:false () in
-  let f = Phys.alloc phys ~owner:1 in
-  Phys.free_frame phys f;
-  check Alcotest.int "nothing pooled" 0 (Phys.free_buffers phys);
-  check Alcotest.int "free still counted" 1
-    (Phys.metrics phys).Mem.Mem_metrics.frames_freed;
-  check Alcotest.int "no elision in the baseline cost model" 0
-    (let g = Phys.alloc_data phys ~owner:1 "d" in
-     ignore (Sys.opaque_identity g);
-     (Phys.metrics phys).Mem.Mem_metrics.zero_fills_elided)
-
 let poison_marks_freed_buffers () =
   let phys = Phys.create ~poison:true () in
   let f = Phys.alloc phys ~owner:1 in
@@ -1077,11 +1065,7 @@ let live_always_counted () =
   Phys.free_frame phys h;
   check Alcotest.int "credited back on free" 0
     (Phys.account_frames_live phys account);
-  Phys.assert_quiescent phys;
-  (* a bounded pool only drains through explicit frees *)
-  match Phys.create ~capacity:8 ~recycle:false () with
-  | _ -> Alcotest.fail "a bounded pool without recycling must be refused"
-  | exception Invalid_argument _ -> ()
+  Phys.assert_quiescent phys
 
 let tests =
   [ Alcotest.test_case "page geometry" `Quick page_geometry;
@@ -1120,8 +1104,6 @@ let tests =
       tlb_survives_switches;
     Alcotest.test_case "free list recycles buffers" `Quick
       free_list_recycles_buffers;
-    Alcotest.test_case "no pool without recycling" `Quick
-      no_pool_without_recycling;
     Alcotest.test_case "poison marks freed buffers" `Quick
       poison_marks_freed_buffers;
     Alcotest.test_case "recycled data frame clears tail" `Quick

@@ -229,19 +229,41 @@ let domains_per_domain_metrics () =
   check Alcotest.int "per-domain recycling counts sum to the aggregate"
     r.Parallel.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled
     (summed "mem.frames_recycled");
-  (* Any domain that kept exploring after its first frees must show
-     recycling — the E11 regression was exactly these rows reading zero. *)
+  (* Every domain owns its memory: each free is either recycled by a later
+     allocation or still pooled at the end, exactly, while the pool stays
+     under its 4,096-buffer cap (beyond it a free drops the buffer). *)
+  let law reg =
+    let get = Obs.Metrics.get_counter reg in
+    let pool = Obs.Metrics.get_gauge reg "mem.free_buffers" in
+    get "mem.frames_freed" = get "mem.frames_recycled" + pool && pool < 4096
+  in
   Array.iteri
     (fun dom reg ->
-      if
-        Obs.Metrics.get_counter reg "explorer.extensions_evaluated" >= 10
-        && Obs.Metrics.get_counter reg "mem.frames_freed" > 0
-      then
-        check Alcotest.bool
-          (Printf.sprintf "domain %d recycled frames" dom)
-          true
-          (Obs.Metrics.get_counter reg "mem.frames_recycled" > 0))
-    r.Parallel.domain_metrics
+      check Alcotest.bool
+        (Printf.sprintf "domain %d: freed = recycled + pooled" dom)
+        true (law reg))
+    r.Parallel.domain_metrics;
+  (* The law catches the E11 regression — a domain row reading
+     frames_recycled = 0 although its frees were reused. *)
+  let busiest =
+    Array.fold_left
+      (fun best reg ->
+        if
+          Obs.Metrics.get_counter reg "mem.frames_recycled"
+          > Obs.Metrics.get_counter best "mem.frames_recycled"
+        then reg
+        else best)
+      r.Parallel.domain_metrics.(0) r.Parallel.domain_metrics
+  in
+  let doctored = Obs.Metrics.create () in
+  Obs.Metrics.incr doctored ~by:(Obs.Metrics.get_counter busiest "mem.frames_freed")
+    "mem.frames_freed";
+  Obs.Metrics.gauge_set doctored "mem.free_buffers"
+    (Obs.Metrics.get_gauge busiest "mem.free_buffers");
+  check Alcotest.bool "some domain recycled" true
+    (Obs.Metrics.get_counter busiest "mem.frames_recycled" > 0);
+  check Alcotest.bool "a row reading frames_recycled = 0 breaks the law" false
+    (law doctored)
 
 let domains_first_exit () =
   let image = Workloads.Subset_sum.program ~target:21 [ 1; 2; 4; 8; 16 ] in

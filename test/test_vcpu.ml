@@ -234,17 +234,16 @@ let retired_counts () =
   let cpu, _ = run_to_halt [ label "main"; nop; nop; nop; hlt ] in
   check Alcotest.int "retired" 4 cpu.Cpu.retired
 
-(* Decode-cache soundness: the same guest under all three dispatch modes
-   (no cache, per-instruction cache, basic-block superinstructions) must
-   retire the same instruction count into the same terminal state.  The
-   address space is sealed after load (as the libOS does) so cached runs
-   actually cache from the first fetch. *)
+(* Block-cache soundness: the same guest with no cache (the uncached
+   [step] reference) and under basic-block superinstructions must retire
+   the same instruction count into the same terminal state.  The address
+   space is sealed after load (as the libOS does) so cached runs actually
+   cache from the first fetch. *)
 let icache_of_mode = function
   | `Off -> None
-  | `Insn -> Some (Interp.create_icache ~dispatch:Interp.Insn ())
-  | `Block -> Some (Interp.create_icache ~dispatch:Interp.Block ())
+  | `Block -> Some (Interp.create_icache ())
 
-let mode_name = function `Off -> "off" | `Insn -> "insn" | `Block -> "block"
+let mode_name = function `Off -> "off" | `Block -> "block"
 
 let run_mode ?(fuel = 1_000_000) items mode =
   let cpu, aspace = load items in
@@ -272,7 +271,7 @@ let run_both ?fuel items =
       let name = mode_name mode in
       check exit_testable (name ^ ": same vmexit") e_off e;
       compare_cpus name cpu_off cpu)
-    [ `Insn; `Block ]
+    [ `Block ]
 
 let icache_sound_adjacent_data () =
   (* writable data on the page right after the code page: the E9 layout
@@ -377,7 +376,7 @@ let block_fault_mid_block () =
       check exit_testable (name ^ ": resumes to halt") Interp.Halt
         (resume cpu aspace);
       compare_cpus (name ^ " after resume") cpu_off cpu)
-    [ `Insn; `Block ]
+    [ `Block ]
 
 let block_fuel_exhaustion_mid_block () =
   (* Out-of-fuel inside a fused block: exactly [fuel] instructions retire
@@ -444,9 +443,9 @@ let block_invalidation_on_generation_retire () =
 
 let shared_page_never_cached () =
   (* Explicitly-shared pages are written in place on every path — same
-     frame, same id — so neither the decode cache nor the block cache may
-     key on them.  Rewriting the shared code page in place must take
-     effect immediately under every dispatch mode and a warm cache. *)
+     frame, same id — so the block cache may not key on them.  Rewriting
+     the shared code page in place must take effect immediately, with or
+     without a warm cache. *)
   let prog n = assemble ~entry:"main" [ label "main"; mov R.rax (i n); hlt ] in
   let image1 = prog 1 in
   List.iter
@@ -468,7 +467,7 @@ let shared_page_never_cached () =
       check Alcotest.int
         (mode_name mode ^ ": in-place rewrite visible")
         2 (run ()))
-    [ `Off; `Insn; `Block ]
+    [ `Off; `Block ]
 
 (* {2 Every compiled shape against the uncached reference}
 
@@ -504,7 +503,7 @@ let compare_flags name (a : Cpu.t) (b : Cpu.t) =
     (let zf, sf, lt_s, lt_u = f a in ((zf, sf), (lt_s, lt_u)))
     (let zf, sf, lt_s, lt_u = f b in ((zf, sf), (lt_s, lt_u)))
 
-let check_shape (name, setup, body) =
+let check_shape ?(slow = 0) (name, setup, body) =
   let items =
     [ label "main" ]
     @ List.map (fun (reg, v) -> mov reg (i v)) setup
@@ -519,7 +518,7 @@ let check_shape (name, setup, body) =
   in
   let cpu_ref, as_ref = boot () in
   let e_ref = step_n cpu_ref as_ref 100 in
-  let cache = Interp.create_icache ~dispatch:Interp.Block () in
+  let cache = Interp.create_icache () in
   let cpu, aspace = boot () in
   let e = Interp.run ~icache:cache cpu aspace ~fuel:100 in
   check exit_testable (name ^ ": same vmexit") e_ref e;
@@ -527,8 +526,9 @@ let check_shape (name, setup, body) =
   compare_flags name cpu_ref cpu;
   check Alcotest.bool (name ^ ": same data pages") true
     (String.equal (data_pages as_ref) (data_pages aspace));
-  (* the shape really ran compiled, inside a fused block *)
-  check Alcotest.int (name ^ ": no slow-path decode") 0
+  (* the shape really ran compiled, inside a fused block (undecodable
+     bytes end the block and fault through the slow path) *)
+  check Alcotest.int (name ^ ": slow-path decodes") slow
     (snd (Interp.icache_counts cache))
 
 let every_shape () =
@@ -638,7 +638,25 @@ let every_shape () =
   in
   List.iter check_shape
     (mem_shapes @ mem_faults @ bin_shapes @ un_shapes @ flag_shapes
-   @ control_shapes)
+   @ control_shapes);
+  (* A register, base or index byte outside the register file, behind the
+     set-up moves: both paths fault [Invalid_opcode] at the instruction. *)
+  let disp = String.make 8 '\000' in
+  List.iter
+    (fun (name, code) ->
+      let shape = name, [ R.rax, 1 ], [ mov R.rdx (i 2); bytes code ] in
+      check_shape ~slow:1 shape;
+      let cpu, aspace = load [ label "main"; mov R.rdx (i 2); bytes code ] in
+      As.seal aspace;
+      match Interp.run ~icache:(Interp.create_icache ()) cpu aspace ~fuel:10 with
+      | Interp.Fault (Interp.Invalid_opcode { rip; _ }) ->
+        check Alcotest.int (name ^ ": rip at the instruction")
+          (0x1000 + Isa.Encode.size (Isa.Insn.Mov (R.rdx, Imm 2))) rip;
+        check Alcotest.int (name ^ ": cpu rip") rip cpu.Cpu.rip
+      | e -> Alcotest.failf "%s: %a" name Interp.pp_vmexit e)
+    [ "register byte 16", "\x06\x10\x00";
+      "base byte 0x20", "\x08\x00\x20\xff\x00" ^ disp;
+      "index byte 0x30", "\x08\x00\xff\x30\x01" ^ disp ]
 
 (* {2 Successor links}
 
