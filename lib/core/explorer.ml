@@ -75,7 +75,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   let mem_before = Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace) in
   let retired_before = machine.cpu.Cpu.retired in
   let transcript = Buffer.create 256 in
-  let terminals = ref [] in
+  let terminals = Path.terminal_log () in
   let scope : scope option ref = ref None in
 
   (* Memory-pressure integration: a bounded physical memory gets a tiered
@@ -229,7 +229,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     Option.iter Reclaim.close store;
     { outcome;
       transcript = Buffer.contents transcript;
-      terminals = List.rev !terminals;
+      terminals = Stdx.Vec.to_list terminals;
       stats }
   in
 

@@ -77,7 +77,7 @@ let run_cooperative ~(config : config) (image : Isa.Asm.image) =
   let stats = Stats.create () in
   let mem_before = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys) in
   let transcript = Buffer.create 256 in
-  let terminals = ref [] in
+  let terminals = Path.terminal_log () in
   let workers : Ext.t Path.t array =
     Array.init config.workers (fun _ ->
         Path.create ~inj ~transcript ~terminals (Libos.boot phys image))
@@ -182,7 +182,7 @@ let run_cooperative ~(config : config) (image : Isa.Asm.image) =
     (Mem.Mem_metrics.diff (Mem.Phys_mem.metrics phys) mem_before);
   { outcome;
     transcript = Buffer.contents transcript;
-    terminals = List.rev !terminals;
+    terminals = Stdx.Vec.to_list terminals;
     rounds = !rounds;
     busy_rounds;
     stats;
@@ -449,7 +449,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
   let mem_before = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys0) in
   let m0 = Libos.boot phys0 image in
   let transcript = Buffer.create 256 in
-  let terminals0 = ref [] in
+  let terminals0 = Path.terminal_log () in
   let path0 : unit Path.t = Path.create ~inj ~transcript ~terminals:terminals0 m0 in
   let busy_rounds = Array.make config.workers 0 in
   let worker_tail = ref [] in
@@ -495,7 +495,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
                 let st = Stats.create () in
                 let reg = Obs.Metrics.create () in
                 let buf = Buffer.create 256 in
-                let terms = ref [] in
+                let terms = Path.terminal_log () in
                 let items = ref 0 in
                 (try
                    let phys, machine = rehydrate_root image root_state in
@@ -518,7 +518,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
                                  (Printexc.to_string e)))));
                    Work_queue.stop sh.queue);
                 Stats.publish st reg;
-                st, reg, Buffer.contents buf, List.rev !terms, !items))
+                st, reg, Buffer.contents buf, Stdx.Vec.to_list terms, !items))
       in
       let items0 = ref 0 in
       Mem.Phys_mem.set_alloc_fault phys0 (Inject.alloc_hook inj);
@@ -574,7 +574,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
   stats.Stats.evicted <- stats.Stats.evicted + !queue_evicted;
   { outcome;
     transcript = Buffer.contents transcript;
-    terminals = List.rev !terminals0 @ !worker_tail;
+    terminals = Stdx.Vec.to_list terminals0 @ !worker_tail;
     rounds = 0;
     busy_rounds;
     stats;

@@ -15,6 +15,11 @@ type terminal = {
   depth : int;
 }
 
+(* An array slot per terminal, not a three-word list cell: a search's
+   terminals live until it ends, so the result list is built only then. *)
+let terminal_log () =
+  Stdx.Vec.create ~capacity:64 ~dummy:{ kind = Fail; output = ""; depth = -1 } ()
+
 type 'o t = {
   machine : Libos.t;
   phys : Mem.Phys_mem.t;
@@ -23,7 +28,7 @@ type 'o t = {
   inj : Inject.t;
   armed : bool;     (* [inj] injects something *)
   transcript : Buffer.t option;
-  terminals : terminal list ref;  (* most recent first *)
+  terminals : terminal Stdx.Vec.t;  (* in completion order *)
   mutable marker : string list;  (* stdout harvest point *)
   mutable depth : int;
   mutable hint : int;            (* pending [sys_guess_hint] *)
@@ -37,7 +42,7 @@ type 'o t = {
 }
 
 let create ?(refcount = true) ?(inj = Inject.none) ?transcript
-    ?(terminals = ref []) ?(owns_map = false) (machine : Libos.t) =
+    ?(terminals = terminal_log ()) ?(owns_map = false) (machine : Libos.t) =
   let armed = not (Inject.is_none inj) in
   { machine;
     phys = As.phys machine.aspace;
@@ -62,20 +67,29 @@ let machine t = t.machine
 let depth t = t.depth
 let live t = Option.is_some t.base
 
+(* Counts the parent chain instead of building [Snapshot.lineage]: it runs
+   on every branch. *)
 let lineage_length t =
-  match t.base with None -> 0 | Some s -> List.length (Snapshot.lineage s)
+  let rec count n (s : Snapshot.t) =
+    match s.parent with None -> n | Some p -> count (n + 1) p
+  in
+  match t.base with None -> 0 | Some s -> count 1 s
 
 let harvest t =
   let cur = Libos.stdout_chunks t.machine in
-  let rec collect acc l =
-    if l == t.marker then acc
-    else match l with [] -> acc | chunk :: rest -> collect (chunk :: acc) rest
-  in
-  let chunks = collect [] cur in
-  t.marker <- cur;
-  let text = String.concat "" chunks in
-  (match t.transcript with Some b -> Buffer.add_string b text | None -> ());
-  text
+  (* nothing written since the marker: most paths of a search end silent *)
+  if cur == t.marker then ""
+  else begin
+    let rec collect acc l =
+      if l == t.marker then acc
+      else match l with [] -> acc | chunk :: rest -> collect (chunk :: acc) rest
+    in
+    let chunks = collect [] cur in
+    t.marker <- cur;
+    let text = String.concat "" chunks in
+    (match t.transcript with Some b -> Buffer.add_string b text | None -> ());
+    text
+  end
 
 (* Silent failures ([Fail] with no output) are most of the terminals of a
    typical search and live until it ends: share one immutable record per
@@ -103,7 +117,7 @@ let record ?depth t kind output =
     | Fail when output = "" && depth >= 0 -> silent_fail depth
     | Fail | Exit _ | Path_killed _ -> { kind; output; depth }
   in
-  t.terminals := terminal :: !(t.terminals)
+  ignore (Stdx.Vec.push t.terminals terminal)
 
 (* The machine was just restored to [snap]: a segment begins there.  The
    epoch is recorded before [graft] runs, so whatever a graft that fails

@@ -50,6 +50,9 @@ type terminal = {
   depth : int;
 }
 
+val terminal_log : unit -> terminal Stdx.Vec.t
+(** An empty terminal log for {!create}: several paths may share one. *)
+
 type 'o t
 (** Per-machine path state: the stdout marker, depth, pending hint, the
     snapshot the segment derives from, the origin (['o]: what a crashed
@@ -57,7 +60,7 @@ type 'o t
 
 val create :
   ?refcount:bool -> ?inj:Inject.t -> ?transcript:Buffer.t ->
-  ?terminals:terminal list ref -> ?owns_map:bool -> Os.Libos.t -> 'o t
+  ?terminals:terminal Stdx.Vec.t -> ?owns_map:bool -> Os.Libos.t -> 'o t
 (** Path state over a booted machine.  Segment tails are always freed;
     unless [refcount] is [false] because a {!Reclaim} store manages
     snapshot lifetime, the snapshot refcounts run too ({!Snapshot.retain},
@@ -65,7 +68,7 @@ val create :
     fault plan {!run} applies; restores never adopt under an armed plan,
     which can crash any path, because adopting consumes the origin a retry
     restores.  Harvested stdout goes to [transcript], finished paths to
-    [terminals] (most recent first).  [owns_map] starts a segment on the
+    [terminals] (in completion order).  [owns_map] starts a segment on the
     boot map with no base, so a {!discard} before the first capture frees
     the whole map ({!Service}'s first step). *)
 

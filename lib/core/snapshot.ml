@@ -79,7 +79,8 @@ let restore (machine : Os.Libos.t) t =
 let retain ?(n = 1) t = t.ext_refs <- t.ext_refs + n
 
 let sole_extension t =
-  t.ext_refs = 1 && t.child_refs = 0 && t.parent <> None
+  t.ext_refs = 1 && t.child_refs = 0
+  && (match t.parent with Some _ -> true | None -> false)
   && not t.freed && not t.adopted
 
 let adopted t = t.adopted

@@ -395,7 +395,8 @@ let snapshot t =
      next store to any of them COWs.  Capture itself copies nothing. *)
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
-  record t (T_snapshot s.snap_id);
+  (* capture and restore are hot: build the op only when a sink listens *)
+  (match t.trace with None -> () | Some sink -> sink (T_snapshot s.snap_id));
   s
 
 let restore t s =
@@ -404,7 +405,7 @@ let restore t s =
   t.map <- s.snap_map;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
-  record t (T_restore s.snap_id)
+  match t.trace with None -> () | Some sink -> sink (T_restore s.snap_id)
 
 (* {1 Explicit frame lifecycle}
 
@@ -429,14 +430,11 @@ let free_private phys n (f : Phys_mem.frame) =
   end
   else n
 
-(* Free the now-side frames of [delta]: entries added or replaced relative
-   to the base.  Frames only present on the base side (unmapped later) stay
-   — the base still references them. *)
-let free_delta phys delta =
-  List.fold_left
-    (fun n (_vpn, _before, now) ->
-      match now with Some f -> free_private phys n f | None -> n)
-    0 delta
+(* The delta's now-side frames are the entries added or replaced relative
+   to the base; frames only present on the base side (unmapped later) stay
+   — the base still references them.  Folded by [Ptmap.fold_diff_now] with
+   these top-level callbacks, so a release allocates nothing. *)
+let free_now phys _vpn f n = free_private phys n f
 
 (* Free every private frame of a whole map. *)
 let free_map phys map = Ptmap.fold (fun _ f n -> free_private phys n f) map 0
@@ -449,7 +447,7 @@ let free_map phys map = Ptmap.fold (fun _ f n -> free_private phys n f) map 0
    address space: releases happen after the machine restored away. *)
 let release_snapshot ~phys ~parent s =
   let freed =
-    free_delta phys (Ptmap.sym_diff frame_eq parent.snap_map s.snap_map)
+    Ptmap.fold_diff_now frame_eq free_now phys parent.snap_map s.snap_map 0
   in
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:s.snap_id ~b:freed Obs.Names.snap_release;
@@ -461,7 +459,7 @@ let release_snapshot ~phys ~parent s =
    map in between) and when the caller restores another snapshot
    immediately after, before any further access through the map. *)
 let discard_segment t ~base =
-  free_delta t.phys (Ptmap.sym_diff frame_eq base.snap_map t.map)
+  Ptmap.fold_diff_now frame_eq free_now t.phys base.snap_map t.map 0
 
 (* The whole-image counterparts: a parentless snapshot (a boot image, a
    full-image rebuild) owns every private frame of its map, and so does a
@@ -475,6 +473,14 @@ let release_image ~phys s =
 
 let discard_map t = free_map t.phys t.map
 
+(* [restore_adopt]'s callback: take over one private now-side frame. *)
+let adopt_now t _vpn (f : Phys_mem.frame) n =
+  if f != Phys_mem.zero_frame t.phys && f.owner >= 0 && not f.freed then begin
+    Phys_mem.adopt_frame t.phys f ~owner:t.gen;
+    n + 1
+  end
+  else n
+
 (* Restore [s] knowing it is the last reference to its branch: the frames
    it holds beyond [parent] become ours to write in place, instead of being
    COW'd again one fault at a time — the DFS tail-child fast path.  After
@@ -482,19 +488,10 @@ let discard_map t = free_map t.phys t.map
    under it). *)
 let restore_adopt t ~parent s =
   restore t s;
-  let gen = t.gen in
+  (* right to left, as the list walk went: [adopt_frame] re-stamps ids
+     in this order *)
   let adopted =
-    List.fold_left
-      (fun n (_vpn, _before, now) ->
-        match now with
-        | Some (f : Phys_mem.frame)
-          when f != Phys_mem.zero_frame t.phys
-               && f.owner >= 0 && not f.freed ->
-          Phys_mem.adopt_frame t.phys f ~owner:gen;
-          n + 1
-        | Some _ | None -> n)
-      0
-      (Ptmap.sym_diff frame_eq parent.snap_map s.snap_map)
+    Ptmap.fold_diff_now frame_eq adopt_now t parent.snap_map s.snap_map 0
   in
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:adopted Obs.Names.frame_adopt;

@@ -171,58 +171,61 @@ let rec equal eqv a b =
     p0 = p1 && m0 = m1 && equal eqv l0 l1 && equal eqv r0 r1
   | (Empty | Leaf _ | Branch _), _ -> false
 
-(* Diff two tries, pruning physically-equal subtrees.  When the shapes do not
-   line up we fall back to enumerating both sides through a scratch table. *)
+(* [k] is bound in [t] to a value [eqv] accepts against [v]; allocates
+   nothing, unlike [find_opt]. *)
+let rec binds eqv k v = function
+  | Empty -> false
+  | Leaf (j, w) -> j = k && eqv w v
+  | Branch (p, m, l, r) ->
+    match_prefix k p m && binds eqv k v (if zero_bit k m then l else r)
+
+(* Diff two tries, pruning physically-equal subtrees.  Keys are placed by
+   their bits, so a key of one side can only meet its twin in the region
+   of the other side reached along the same path: aligned leaves are
+   compared on the spot, and where the shapes diverge each key is looked up
+   in the other side's region.  The descent runs left to right and conses,
+   so the list comes out right to left. *)
 let sym_diff eqv a b =
-  if a == b then []
-  else begin
-    let acc = ref [] in
-    (* Keys are placed by their bits, so a key of one side can only meet
-       its twin in the region of the other side reached along the same
-       path: aligned leaves are compared on the spot, and only regions
-       whose shapes diverge need the table that pairs keys up. *)
-    let tbl : (int, 'a option * 'a option) Hashtbl.t option ref = ref None in
-    let table () =
-      match !tbl with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 16 in
-        tbl := Some t;
-        t
-    in
-    let note_left k v =
-      let tbl = table () in
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k (Some v, None)
-      | Some (_, r) -> Hashtbl.replace tbl k (Some v, r)
-    in
-    let note_right k v =
-      let tbl = table () in
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k (None, Some v)
-      | Some (l, _) -> Hashtbl.replace tbl k (l, Some v)
-    in
-    let rec go x y =
-      if x == y then ()
-      else
-        match x, y with
-        | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
-          go l0 l1; go r0 r1
-        | Leaf (k0, v0), Leaf (k1, v1) when k0 = k1 ->
-          if not (eqv v0 v1) then acc := (k0, Some v0, Some v1) :: !acc
-        | _, _ ->
-          iter note_left x;
-          iter note_right y
-    in
-    go a b;
-    Option.iter
-      (Hashtbl.iter (fun k -> function
-         | Some v, Some w -> if not (eqv v w) then acc := (k, Some v, Some w) :: !acc
-         | (None, None) as both -> ignore both
-         | l, r -> acc := (k, l, r) :: !acc))
-      !tbl;
-    !acc
-  end
+  let rec go x y acc =
+    if x == y then acc
+    else
+      match x, y with
+      | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
+        go r0 r1 (go l0 l1 acc)
+      | Leaf (k0, v0), Leaf (k1, v1) when k0 = k1 ->
+        if eqv v0 v1 then acc else (k0, Some v0, Some v1) :: acc
+      | _, _ ->
+        let acc =
+          fold (fun k v acc -> if mem k y then acc else (k, Some v, None) :: acc) x acc
+        in
+        fold
+          (fun k v acc ->
+            match find_opt k x with
+            | None -> (k, None, Some v) :: acc
+            | Some w -> if eqv w v then acc else (k, Some w, Some v) :: acc)
+          y acc
+  in
+  go a b []
+
+(* The bindings of [t] that [a] lacks or binds differently, right to left. *)
+let rec fold_new eqv f env a t acc =
+  match t with
+  | Empty -> acc
+  | Leaf (k, v) -> if binds eqv k v a then acc else f env k v acc
+  | Branch (_, _, l, r) -> fold_new eqv f env a l (fold_new eqv f env a r acc)
+
+(* [sym_diff]'s descent run right to left, folding over the now side
+   only: the same entries in the same order as a [List.fold_left] over
+   [sym_diff]'s list, with no list, table or closure. *)
+let rec fold_diff_now eqv f env a b acc =
+  if a == b then acc
+  else
+    match a, b with
+    | Branch (p0, m0, l0, r0), Branch (p1, m1, l1, r1) when p0 = p1 && m0 = m1 ->
+      fold_diff_now eqv f env l0 l1 (fold_diff_now eqv f env r0 r1 acc)
+    | Leaf (k0, v0), Leaf (k1, v1) when k0 = k1 ->
+      if eqv v0 v1 then acc else f env k1 v1 acc
+    | _, _ -> fold_new eqv f env a b acc
 
 let rec iter_keys f env = function
   | Empty -> ()

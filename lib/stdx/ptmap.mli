@@ -48,7 +48,18 @@ val sym_diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> (int * 'a option * 'a optio
     [b] (missing bindings reported as [None]).  Shared subtrees are pruned by
     physical equality, which makes diffing two snapshots of the same lineage
     proportional to the number of COW'd pages, not to the address-space
-    size. *)
+    size.  The list runs right to left, in the reverse of {!fold}'s order
+    (a region where the shapes diverge lists [b]'s keys before the keys
+    only [a] binds). *)
+
+val fold_diff_now :
+  ('a -> 'a -> bool) -> ('e -> int -> 'a -> 'b -> 'b) -> 'e -> 'a t -> 'a t -> 'b -> 'b
+(** [fold_diff_now eq f env a b acc] folds [f env k v] over the bindings
+    [k -> v] of [b] that [a] lacks or binds differently: the now side of
+    [sym_diff eq a b], in the order of a [List.fold_left] over that list
+    (right to left).  Like {!iter_diff_keys} it prunes physically-equal
+    subtrees and allocates nothing; where the shapes diverge it pairs keys
+    exactly, by looking each one up in the other side. *)
 
 val iter_diff_keys :
   ('a -> 'a -> bool) -> ('e -> int -> unit) -> 'e -> 'a t -> 'a t -> unit

@@ -57,7 +57,11 @@ let fold f acc t =
   for i = 0 to t.len - 1 do acc := f !acc t.data.(i) done;
   !acc
 
-let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
+(* Built back to front: one list, no reversed copy. *)
+let to_list t =
+  let l = ref [] in
+  for i = t.len - 1 downto 0 do l := t.data.(i) :: !l done;
+  !l
 
 let to_array t = Array.sub t.data 0 t.len
 

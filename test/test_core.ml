@@ -239,6 +239,36 @@ let output_survives_backtracking () =
   let outputs = List.map (fun t -> t.Explorer.output) r.Explorer.terminals in
   check (Alcotest.list Alcotest.string) "attributed per path" [ "A"; "B" ] outputs
 
+(* [Path.harvest] returns at once when nothing was written since the
+   marker.  Silent siblings around a printing one, with output before the
+   scope too: the transcript and each terminal's output are what the
+   chunk-list walk attributes. *)
+let silent_siblings_harvest () =
+  let image =
+    assemble ~entry:"main"
+      ([ label "main" ]
+      @ Wl_common.write_label ~buf:"pre" ~len:1
+      @ Wl_common.sys_guess_strategy ~strategy:Abi.strategy_dfs
+      @ [ cmp R.rax (i 0); je "after" ]
+      @ Wl_common.sys_guess_imm ~n:4
+      @ [ cmp R.rax (i 1); je "loud"; cmp R.rax (i 3); jne "quiet"; label "loud";
+          mov R.rcx (r R.rax);
+          add R.rcx (i (Char.code 'A'));
+          movl R.r8 "buf";
+          stb (R.r8 @+ 0) R.rcx ]
+      @ Wl_common.write_label ~buf:"buf" ~len:1
+      @ [ label "quiet" ]
+      @ Wl_common.sys_guess_fail
+      @ [ label "after" ]
+      @ Wl_common.sys_exit ~status:0
+      @ [ label "pre"; bytes "P"; label "buf"; zeros 1 ])
+  in
+  let r = Explorer.run_image image in
+  check Alcotest.int "completed" 0 (completed r);
+  check Alcotest.string "transcript" "PBD" r.Explorer.transcript;
+  check (Alcotest.list Alcotest.string) "attributed per path" [ ""; "B"; ""; "D" ]
+    (List.map (fun t -> t.Explorer.output) r.Explorer.terminals)
+
 let file_writes_are_contained () =
   (* each extension writes its own content to the same file; the surviving
      (exhausted) state must see the pre-scope file *)
@@ -422,6 +452,39 @@ let snapshot_parent_chain () =
   check Alcotest.int "root is last"
     root.Snapshot.id
     (List.nth (Snapshot.lineage leaf) 3).Snapshot.id
+
+(* [Path.lineage_length] counts the parent chain the entered snapshot
+   heads, as [Snapshot.lineage] lists it. *)
+let path_lineage_length () =
+  let image = Workloads.Counting.program ~depth:3 ~branch:2 in
+  let machine = Libos.boot (Mem.Phys_mem.create ()) image in
+  let path : unit Core.Path.t = Core.Path.create machine in
+  let stats = Core.Stats.create () in
+  let ids = Snapshot.ids () in
+  (match Libos.run machine ~fuel:100000 with
+  | Libos.Guess_strategy _ -> ()
+  | other -> Alcotest.failf "unexpected %a" Libos.pp_stop other);
+  let root = Core.Path.open_scope path stats ~ids in
+  check Alcotest.int "at the root" 1 (Core.Path.lineage_length path);
+  let rec descend depth =
+    match Core.Path.run path ~fuel:100000 ~span:"test" with
+    | Ok (Libos.Guess { n }) ->
+      let snap, _ = Core.Path.branch path stats ~ids ~n in
+      Core.Path.enter path stats snap ~rax:0 ~depth:(depth + 1);
+      check Alcotest.int
+        (Printf.sprintf "depth %d" (depth + 1))
+        (List.length (Snapshot.lineage snap))
+        (Core.Path.lineage_length path);
+      if depth + 1 < 3 then descend (depth + 1) else snap
+    | Ok other -> Alcotest.failf "unexpected %a" Libos.pp_stop other
+    | Error e -> raise e
+  in
+  let leaf = descend 0 in
+  check Alcotest.int "three deep below the root" 4 (Core.Path.lineage_length path);
+  check Alcotest.int "the chain ends at the root"
+    root.Snapshot.id (List.nth (Snapshot.lineage leaf) 3).Snapshot.id;
+  Core.Path.retire path;
+  check Alcotest.int "retired" 0 (Core.Path.lineage_length path)
 
 let snapshot_ids_are_per_run () =
   (* Regression: snapshot ids came from one global counter, so two
@@ -1500,6 +1563,7 @@ let tests =
     Alcotest.test_case "all-solutions subset sum" `Quick all_solutions_subset_sum;
     Alcotest.test_case "coloring counts" `Quick coloring_counts;
     Alcotest.test_case "stdout survives backtracking" `Quick output_survives_backtracking;
+    Alcotest.test_case "silent siblings harvest nothing" `Quick silent_siblings_harvest;
     Alcotest.test_case "file writes contained" `Quick file_writes_are_contained;
     Alcotest.test_case "killed path does not stop search" `Quick
       killed_path_does_not_stop_search;
@@ -1512,6 +1576,7 @@ let tests =
     Alcotest.test_case "beam strategy" `Quick beam_strategy_runs;
     Alcotest.test_case "bounded dfs prunes" `Quick dfs_bounded_prunes_depth;
     Alcotest.test_case "snapshot parent chain" `Quick snapshot_parent_chain;
+    Alcotest.test_case "path lineage length" `Quick path_lineage_length;
     Alcotest.test_case "snapshot ids are per-run" `Quick snapshot_ids_are_per_run;
     Alcotest.test_case "snapshot ids atomic across domains" `Quick
       snapshot_ids_atomic_across_domains;

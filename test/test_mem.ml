@@ -795,6 +795,55 @@ let restore_adopt_writes_in_place () =
   check Alcotest.int "parent never saw any of it" (Char.code 'a')
     (As.read_u8 t 0)
 
+(* A segment that maps one page and unmaps another changes the trie's
+   shape, so the delta walk must pair keys across diverging regions.  Both
+   entry points count the now-side private frames the list-based delta
+   ([sym_diff]) names: the COW'd page and the newly mapped one — never the
+   zero frame, and never the unmapped page the base still holds. *)
+let divergent_delta_counts () =
+  let setup () =
+    let phys = Phys.create () in
+    let t = As.create phys in
+    List.iter (fun vpn -> As.map_data t ~vpn "x") [ 0; 1; 2 ];
+    let base = As.snapshot t in
+    As.write_u8 t 0 7;
+    As.map_data t ~vpn:9 "new";
+    As.map_zero t ~vpn:12;
+    As.unmap t ~vpn:1;
+    phys, t, base
+  in
+  let private_now_side phys a b =
+    List.length
+      (List.filter
+         (function
+           | _, _, Some (f : Phys.frame) -> f != Phys.zero_frame phys && f.owner >= 0
+           | _, _, None -> false)
+         (Stdx.Ptmap.sym_diff ( == ) (As.snapshot_map_for_debug a)
+            (As.snapshot_map_for_debug b)))
+  in
+  (* what the list walk names, read off a capture of the segment *)
+  let phys, t, base = setup () in
+  let tail = As.snapshot t in
+  check Alcotest.int "four pages differ" 4 (As.delta_pages base tail);
+  let expected = private_now_side phys base tail in
+  check Alcotest.int "list walk: two private frames" 2 expected;
+  (* discard the same segment's tail, uncaptured *)
+  let _, t, base = setup () in
+  check Alcotest.int "discard_segment frees them" expected
+    (As.discard_segment t ~base);
+  As.restore t base;
+  check Alcotest.int "unmapped page intact" (Char.code 'x') (As.read_u8 t Page.size);
+  (* adopt the same delta *)
+  let phys, t, base = setup () in
+  let child = As.snapshot t in
+  As.restore t base;
+  let expected = private_now_side phys base child in
+  check Alcotest.int "restore_adopt adopts them" expected
+    (As.restore_adopt t ~parent:base child);
+  check Alcotest.int "COW'd page visible" 7 (As.read_u8 t 0);
+  check Alcotest.int "mapped page visible" (Char.code 'n') (As.read_u8 t (9 * Page.size));
+  check Alcotest.bool "unmapped page gone" false (As.is_mapped t ~vpn:1)
+
 (* Random map/write/snapshot/restore/release interleavings on a poisoned
    allocator, against a first-byte model.  A release is only issued when
    the snapshot is provably dead (no live children, current map elsewhere,
@@ -1114,6 +1163,8 @@ let tests =
       discard_segment_frees_cow_tail;
     Alcotest.test_case "restore_adopt writes in place" `Quick
       restore_adopt_writes_in_place;
+    Alcotest.test_case "divergent delta: discard and adopt counts" `Quick
+      divergent_delta_counts;
     released_frames_never_alias_live_state;
     Alcotest.test_case "delta restore keeps zero sharing" `Quick
       delta_restore_keeps_zero_sharing;

@@ -129,6 +129,54 @@ let ptmap_iter_diff_keys =
       && diff_keys a rebound = sym_keys a rebound
       && diff_keys a a = [])
 
+(* fold_diff_now visits exactly the now side of sym_diff, in the order of a
+   List.fold_left over it, on every relation two maps can have: physically
+   equal, equal but rebuilt, derived by a script (shared subtrees, aligned
+   rebinds, and shape divergence where keys are added and removed),
+   disjoint, and empty on either side. *)
+let ptmap_fold_diff_now =
+  let kv = QCheck2.Gen.(pair (int_range (-64) 64) small_int) in
+  let gen =
+    QCheck2.Gen.(
+      triple (int_range 0 5) (list kv)
+        (list (pair (int_range (-64) 64) (option small_int))))
+  in
+  qtest "ptmap fold_diff_now is sym_diff's now side, in order" gen
+    (fun (relation, base, script) ->
+      let a = Ptmap.of_list base in
+      let scripted =
+        List.fold_left
+          (fun m (k, op) ->
+            match op with Some v -> Ptmap.add k v m | None -> Ptmap.remove k m)
+          a script
+      in
+      let a, b =
+        match relation with
+        | 0 -> a, a
+        | 1 -> a, Ptmap.of_list (List.rev (Ptmap.bindings a))
+        | 2 -> a, scripted
+        | 3 ->
+          (* disjoint: every key of [b] is odd, every key of [a] even *)
+          Ptmap.of_list (List.map (fun (k, v) -> 2 * k, v) base),
+          Ptmap.of_list (List.map (fun (k, v) -> (2 * k) + 1, v) base)
+        | 4 -> Ptmap.empty, scripted
+        | _ -> scripted, Ptmap.empty
+      in
+      let visited =
+        List.rev
+          (Ptmap.fold_diff_now ( = ) (fun () k v acc -> (k, v) :: acc) () a b [])
+      in
+      let now_side =
+        List.filter_map
+          (fun (k, _, now) -> Option.map (fun v -> k, v) now)
+          (Ptmap.sym_diff ( = ) a b)
+      in
+      let model =
+        List.filter (fun (k, v) -> Ptmap.find_opt k a <> Some v) (Ptmap.bindings b)
+      in
+      visited = now_side
+      && List.sort compare visited = List.sort compare model)
+
 (* model-based property: a Ptmap behaves like a Hashtbl under a random
    script of add/remove operations *)
 let ptmap_model =
@@ -334,6 +382,7 @@ let tests =
     Alcotest.test_case "ptmap sym_diff" `Quick ptmap_sym_diff;
     ptmap_sym_diff_model;
     ptmap_iter_diff_keys;
+    ptmap_fold_diff_now;
     ptmap_model;
     ptmap_union_model;
     Alcotest.test_case "pheap order" `Quick pheap_order;
