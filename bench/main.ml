@@ -691,15 +691,18 @@ let e10 () =
      CPUs over shared physical memory, scheduled in deterministic rounds \
      of a fixed instruction quantum - the round count is the virtual \
      makespan.  Every row asserts the sequential explorer's terminal \
-     multiset.";
+     multiset, and quick mode asserts the exact round counts.";
   let row = U.row_format [ 14; 9; 9; 10; 9; 12 ] in
   row [ "workload"; "workers"; "rounds"; "speedup"; "eff."; "fails/exits" ];
+  (* the rounds at 1/2/4/8 workers: the schedule is deterministic, so a
+     changed count means the cooperative schedule changed *)
   let jobs =
-    [ "queens(7)", Workloads.Nqueens.program ~n:7;
+    [ "queens(7)", Workloads.Nqueens.program ~n:7, [ 3586; 1794; 898; 450 ];
       "locality",
       Workloads.Locality.program
         { Workloads.Locality.depth = (if !quick then 3 else 5); branch = 3;
-          touch_pages = 2; work = 300; arena_pages = 8 } ]
+          touch_pages = 2; work = 300; arena_pages = 8 },
+      [ 41; 21; 11; 7 ] ]
   in
   (* the oracle: the sequential explorer's terminal multiset *)
   let multiset terminals =
@@ -709,37 +712,36 @@ let e10 () =
          terminals)
   in
   List.iter
-    (fun (name, image) ->
+    (fun (name, image, quick_rounds) ->
       let expected = multiset (Explorer.run_image image).Explorer.terminals in
       let base_rounds = ref 0 in
-      List.iter
-        (fun workers ->
-          let config =
-            { Core.Parallel.default_config with
-              Core.Parallel.workers;
-              quantum = 2000 }
-          in
-          let r = Core.Parallel.run ~config image in
-          (match r.Core.Parallel.outcome with
+      List.iter2
+        (fun workers quick_rounds ->
+          let r = Explorer.run_image ~workers ~quantum:2000 image in
+          (match r.Explorer.outcome with
           | Explorer.Completed _ -> ()
           | Explorer.Stopped_first_exit _ | Explorer.Aborted _ ->
             failwith "E10: unexpected outcome");
-          if multiset r.Core.Parallel.terminals <> expected then
+          if multiset r.Explorer.terminals <> expected then
             failwith
               (Printf.sprintf
                  "E10: %s at %d workers: terminals differ from the explorer's"
                  name workers);
-          if workers = 1 then base_rounds := r.Core.Parallel.rounds;
+          if !quick && r.Explorer.rounds <> quick_rounds then
+            failwith
+              (Printf.sprintf "E10: %s at %d workers: %d rounds, expected %d"
+                 name workers r.Explorer.rounds quick_rounds);
+          if workers = 1 then base_rounds := r.Explorer.rounds;
           let speedup =
-            Float.of_int !base_rounds /. Float.of_int r.Core.Parallel.rounds
+            Float.of_int !base_rounds /. Float.of_int r.Explorer.rounds
           in
           row
-            [ name; U.fint workers; U.fint r.Core.Parallel.rounds;
+            [ name; U.fint workers; U.fint r.Explorer.rounds;
               U.fratio speedup;
               Printf.sprintf "%.0f%%" (100.0 *. speedup /. Float.of_int workers);
-              Printf.sprintf "%d/%d" r.Core.Parallel.stats.Core.Stats.fails
-                r.Core.Parallel.stats.Core.Stats.exits ])
-        [ 1; 2; 4; 8 ])
+              Printf.sprintf "%d/%d" r.Explorer.stats.Core.Stats.fails
+                r.Explorer.stats.Core.Stats.exits ])
+        [ 1; 2; 4; 8 ] quick_rounds)
     jobs
 
 (* ------------------------------------------------------------------ *)
@@ -756,8 +758,8 @@ let e11 () =
         (steal-half batching).  Wall-clock speedup requires real cores: \
         this host reports %d (Domain.recommended_domain_count); speedup \
         assertions on the work-heavy rows are gated on that count.  \
-        Terminal-set identity with the cooperative backend is asserted on \
-        every row."
+        Terminal-set identity with the cooperative scheduler \
+        (Explorer.run_image ~workers:4) is asserted on every row."
        host_cores);
   let row = U.row_format [ 8; 8; 9; 9; 8; 12; 8; 10; 20 ] in
   row
@@ -793,23 +795,21 @@ let e11 () =
   let json_rows = ref [] in
   List.iter
     (fun (name, image, work_heavy) ->
-      let reference =
-        Core.Parallel.run
-          ~config:{ Core.Parallel.default_config with Core.Parallel.workers = 4 }
-          image
+      let signature (stats : Core.Stats.t) transcript =
+        stats.fails, stats.exits, solution_lines transcript
       in
-      let signature (r : Core.Parallel.result) =
-        ( r.Core.Parallel.stats.Core.Stats.fails,
-          r.Core.Parallel.stats.Core.Stats.exits,
-          solution_lines r.Core.Parallel.transcript )
+      let reference =
+        let r =
+          Explorer.run_image ~workers:4
+            ~quantum:Core.Parallel.default_config.quantum image
+        in
+        signature r.Explorer.stats r.Explorer.transcript
       in
       let base_ms = ref 0.0 in
       List.iter
         (fun domains ->
           let config =
-            { Core.Parallel.default_config with
-              Core.Parallel.workers = domains;
-              backend = `Domains }
+            { Core.Parallel.default_config with Core.Parallel.workers = domains }
           in
           let run_once () =
             U.time_once_ms (fun () -> Core.Parallel.run ~config image)
@@ -827,7 +827,9 @@ let e11 () =
           | Explorer.Completed _ -> ()
           | Explorer.Stopped_first_exit _ | Explorer.Aborted _ ->
             failwith "E11: unexpected outcome");
-          if signature r <> signature reference then
+          if signature r.Core.Parallel.stats r.Core.Parallel.transcript
+             <> reference
+          then
             failwith
               (Printf.sprintf
                  "E11: %s at %d domains diverges from the cooperative \

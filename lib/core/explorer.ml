@@ -36,6 +36,8 @@ type result = {
   outcome : outcome;
   transcript : string;
   terminals : terminal list;
+  rounds : int;
+  busy_rounds : int array;
   stats : Stats.t;
 }
 
@@ -43,8 +45,7 @@ type mode = [ `Run_to_completion | `First_exit ]
 
 exception Audit_failed of string
 
-type scope = { root : Snapshot.t; root_handle : Reclaim.handle option;
-               frontier : Ext.t Frontier.t }
+type scope = { root : Snapshot.t; frontier : Ext.t Frontier.t }
 
 let builtin_frontier : builtin -> unit -> 'a Frontier.t = function
   | `Dfs -> Frontier.dfs
@@ -68,12 +69,21 @@ let strategy_of_id id : strategy option =
   else if id = Os.Sys_abi.strategy_random then Some (`Random 42)
   else None
 
-let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
+let default_fuel_per_step = 50_000_000
+
+(* The scheduler: one path per machine, all on one physical memory, in
+   rounds ("Several workers" in the interface). *)
+let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step)
     ?(max_extensions = max_int) ?(retry_budget = 3) ?strategy_override
-    ?tier_stress ?spill_threshold ?on_stop ?probe (machine : Libos.t) =
+    ?tier_stress ?spill_threshold ?on_stop ?probe ?quantum ?(inj = Inject.none)
+    ~mem_before (machines : Libos.t array) =
+  let workers = Array.length machines in
+  let machine = machines.(0) in
   let stats = Stats.create () in
-  let mem_before = Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace) in
-  let retired_before = machine.cpu.Cpu.retired in
+  let retired () =
+    Array.fold_left (fun k (m : Libos.t) -> k + m.cpu.Cpu.retired) 0 machines
+  in
+  let retired_before = retired () in
   let transcript = Buffer.create 256 in
   let terminals = Path.terminal_log () in
   let scope : scope option ref = ref None in
@@ -85,8 +95,12 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
      forces the store on and exercises the tiers on an unbounded memory —
      the fuzz oracle's hammer. *)
   let phys = Mem.Addr_space.phys machine.aspace in
+  let reclaim = Mem.Phys_mem.capacity phys > 0 || tier_stress <> None in
+  (* The replay log and the [Reclaim] anchor each follow one machine. *)
+  if workers > 1 && (reclaim || probe <> None) then
+    invalid_arg "Explorer: recording or a reclaim store needs one worker";
   let store =
-    if Mem.Phys_mem.capacity phys > 0 || tier_stress <> None then begin
+    if reclaim then begin
       let st = Reclaim.create ~fuel_per_step ?spill_threshold machine in
       Mem.Phys_mem.set_pressure_handler phys (Some (Reclaim.pressure_handler st));
       Some st
@@ -117,9 +131,20 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   in
   (* Reclaim mode manages payload lifetime itself (see [Reclaim]), so the
      snapshot refcounts run only in the plain in-memory scheduler. *)
-  let path : Ext.t Path.t =
-    Path.create ~refcount:(store = None) ~transcript ~terminals machine
+  let paths : Ext.t Path.t array =
+    Array.map
+      (Path.create ~refcount:(store = None) ~inj ~transcript ~terminals)
+      machines
   in
+  let path = paths.(0) in
+  (* Faults fire only inside the scope: the allocation hook is armed while
+     it is open, and the runs outside it do not tick the plan. *)
+  let arm on =
+    if not (Inject.is_none inj) then
+      Mem.Phys_mem.set_alloc_fault phys (if on then Inject.alloc_hook inj else None)
+  in
+  let fuel = Option.value quantum ~default:fuel_per_step in
+  let preempt = Option.map (fun _ -> fuel_per_step) quantum in
   (* In reclaim mode, replays capture through the store's id allocator;
      sharing it keeps snapshot ids unique across originals and rebuilds. *)
   let ids =
@@ -132,7 +157,7 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
   let current_choice = ref 1 in
 
   (* The frame audit (see [run] in the interface), on a poisoned allocator
-     only.  Assumes the run's machine is the only user of its memory. *)
+     only.  Assumes the run's machines are the only users of its memory. *)
   let audited = Mem.Phys_mem.poisoning phys in
   let captured = ref [] in  (* this run's captures, pruned of the freed *)
   let note_capture snap = if audited then captured := snap :: !captured in
@@ -153,7 +178,14 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         List.iter add (Option.to_list (Reclaim.anchor st) @ Reclaim.materialised st))
       store;
     let reachable visit =
-      Mem.Addr_space.iter_frames machine.aspace (visit "the current map");
+      Array.iteri
+        (fun i w ->
+          (* an idle path's map dangles until its next entry ([Path]);
+             outside the scope, machine 0 runs the program itself *)
+          if Path.live w || (i = 0 && !scope = None) then
+            Mem.Addr_space.iter_frames (Path.machine w).aspace
+              (visit (Printf.sprintf "worker %d's map" i)))
+        paths;
       Hashtbl.iter
         (fun id (s : Snapshot.t) ->
           let label = Printf.sprintf "snapshot %d" id in
@@ -162,8 +194,13 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         live
     in
     let held = Hashtbl.fold (fun _ (s : Snapshot.t) n -> n + s.ext_refs) live 0 in
+    (* the frontier's refs, and one per running path *)
     let owed =
-      match !scope with Some sc -> sc.frontier.Frontier.length () + 1 | None -> 0
+      match !scope with
+      | Some sc ->
+        Array.fold_left (fun k w -> k + Bool.to_int (Path.live w))
+          (sc.frontier.Frontier.length ()) paths
+      | None -> 0
     in
     match Mem.Phys_mem.audit phys ~reachable with
     | Error detail -> raise (Audit_failed (where ^ ": " ^ detail))
@@ -183,26 +220,37 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     match probe with None -> () | Some p -> p.Probe.set_rax v
   in
 
+  let rounds = ref 0 in
+  let busy_rounds = Array.make workers 0 in
+  (* some path from [i] on runs; a loop, not [Array.exists], whose closure
+     would be allocated at every path's end *)
+  let rec running i = i < workers && (Path.live paths.(i) || running (i + 1)) in
+
   let finish outcome =
     (* extensions a bounded strategy dropped since the last schedule *)
     Option.iter (fun sc -> Path.evict path stats sc.frontier) !scope;
+    arm false;
     if audited then audit "end of run";
+    stats.instructions <- retired () - retired_before;
     if Obs.Trace.enabled () then begin
-      (match Libos.icache_counts machine with
-      | Some (misses, slow) ->
-        Obs.Trace.counter Obs.Names.icache_misses misses;
-        Obs.Trace.counter Obs.Names.icache_slow slow
-      | None -> ());
-      (match Libos.block_counts machine with
-      | Some (fuses, hits, splits) ->
-        Obs.Trace.counter Obs.Names.block_fuse fuses;
-        Obs.Trace.counter Obs.Names.block_hit hits;
-        Obs.Trace.counter Obs.Names.block_split splits
-      | None -> ());
-      Obs.Trace.counter Obs.Names.instructions
-        (machine.cpu.Cpu.retired - retired_before)
+      (* summed over the machines, which all have a block cache or none *)
+      let sum counts pick =
+        Array.fold_left
+          (fun k m -> k + Option.fold ~none:0 ~some:pick (counts m))
+          0 machines
+      in
+      if Option.is_some (Libos.icache_counts machine) then begin
+        Obs.Trace.counter Obs.Names.icache_misses (sum Libos.icache_counts fst);
+        Obs.Trace.counter Obs.Names.icache_slow (sum Libos.icache_counts snd);
+        Obs.Trace.counter Obs.Names.block_fuse
+          (sum Libos.block_counts (fun (fuses, _, _) -> fuses));
+        Obs.Trace.counter Obs.Names.block_hit
+          (sum Libos.block_counts (fun (_, hits, _) -> hits));
+        Obs.Trace.counter Obs.Names.block_split
+          (sum Libos.block_counts (fun (_, _, splits) -> splits))
+      end;
+      Obs.Trace.counter Obs.Names.instructions stats.instructions
     end;
-    stats.instructions <- machine.cpu.Cpu.retired - retired_before;
     let mem_delta =
       Mem.Mem_metrics.diff (Mem.Addr_space.metrics machine.aspace) mem_before
     in
@@ -230,6 +278,8 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
     { outcome;
       transcript = Buffer.contents transcript;
       terminals = Stdx.Vec.to_list terminals;
+      rounds = !rounds;
+      busy_rounds;
       stats }
   in
 
@@ -242,17 +292,14 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       | None -> invalid_arg "Explorer: managed extension without a store")
   in
 
-  (* Retire the finished path and start the next extension; when the scope
-     is exhausted, restore the root instead (rax is 0 there, captured
-     before it was set to 1) and leave the scope. *)
-  let rec schedule sc =
-    Path.evict path stats sc.frontier;
-    Path.retire path;
+  (* Start the next extension on the idle path [w], if there is one. *)
+  let rec pop sc w =
     match sc.frontier.Frontier.pop () with
+    | None -> ()
     | Some (ext : Ext.t) -> (
       match resolve ext with
       | snap ->
-        Path.enter path stats snap ~origin:ext ~rax:ext.index
+        Path.enter w stats snap ~origin:ext ~rax:ext.index
           ~depth:ext.meta.Frontier.depth;
         probe_resume snap ext.index;
         current_handle :=
@@ -263,17 +310,11 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         (* Reconstruction failed (e.g. genuinely out of frames): this path
            dies; the search itself survives. *)
         stats.kills <- stats.kills + 1;
-        Path.record path ~depth:ext.meta.Frontier.depth
+        Path.record w ~depth:ext.meta.Frontier.depth
           (Path_killed
              (Printf.sprintf "reconstruction failed: %s" (Printexc.to_string e)))
           "";
-        schedule sc)
-    | None ->
-      Path.enter path stats sc.root ~rax:0 ~depth:0;
-      (* the root was captured with rax already 0, the value the resumed
-         program observes — no register override to record *)
-      probe_resume sc.root (-1);
-      scope := None
+        pop sc w)
   in
 
   let track_extents sc =
@@ -285,14 +326,56 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
       match store with
       | Some _ ->
         (* managed captures carry no parent link (eviction must be able to
-           free ancestors), so count the path itself *)
+           free ancestors), so count the path itself; one machine *)
         Path.depth path + 1
-      | None -> Path.lineage_length path
+      | None -> Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
     in
     stats.max_live_snapshots <- max stats.max_live_snapshots (frontier_len + lineage_len)
   in
 
-  let rec open_scope strategy =
+  (* Everything a stop owes its observers before it is dispatched. *)
+  let observe w ~retired0 step =
+    (match probe with
+    | None -> ()
+    | Some p -> (
+      let retired = (Path.machine w).cpu.Cpu.retired - retired0 in
+      match step with
+      | Ok stop -> p.Probe.eval ~retired stop
+      | Error e -> p.Probe.crash ~retired (Printexc.to_string e)));
+    match step with
+    | Error _ -> ()
+    | Ok stop ->
+      (match on_stop with None -> () | Some f -> f (Path.machine w) stop);
+      stress_tick ();
+      if audited then begin
+        incr stops;
+        audit (Format.asprintf "stop %d (%a)" !stops Libos.pp_stop stop)
+      end
+  in
+
+  (* Outside the scope: machine 0 runs the program, unarmed. *)
+  let rec outside () =
+    let retired0 = machine.cpu.Cpu.retired in
+    let step =
+      Path.run ~armed:false path ~fuel:fuel_per_step ~span:Obs.Names.explorer_eval
+    in
+    observe path ~retired0 step;
+    match step with
+    | Error e ->
+      finish
+        (Aborted
+           (Printf.sprintf "crash outside a strategy scope: %s"
+              (Printexc.to_string e)))
+    | Ok stop -> (
+      match Path.outside path stop with
+      | `Scope strategy -> open_scope strategy
+      | `Continue ->
+        probe_set_rax 0;
+        outside ()
+      | `Exit status -> finish (Completed status)
+      | `Abort message -> finish (Aborted message))
+
+  and open_scope strategy =
     let chosen =
       match strategy_override with
       | Some s -> Some s
@@ -309,26 +392,48 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
         p.Probe.set_rax 0;
         p.Probe.capture ~snap:root.Snapshot.id;
         p.Probe.set_rax 1);
-      let root_handle = Option.map (fun st -> Reclaim.add_root st root) store in
-      scope := Some { root; root_handle; frontier = make_frontier strat };
-      current_handle := root_handle;
+      let sc = { root; frontier = make_frontier strat } in
+      scope := Some sc;
+      current_handle := Option.map (fun st -> Reclaim.add_root st root) store;
       current_choice := 1;
-      loop ()
+      arm true;
+      round sc
 
-  and in_scope sc stop =
-    match Path.classify path stats stop with
+  and round sc =
+    incr rounds;
+    turn sc 0
+
+  (* Path [i]'s turn: an idle path takes the next extension, a live one
+     runs one quantum. *)
+  and turn sc i =
+    let w = paths.(i) in
+    if not (Path.live w) then pop sc w;
+    if Path.live w then begin
+      busy_rounds.(i) <- busy_rounds.(i) + 1;
+      let retired0 = (Path.machine w).cpu.Cpu.retired in
+      let step = Path.run w ~fuel ~span:Obs.Names.explorer_eval in
+      observe w ~retired0 step;
+      match step with
+      | Error e -> crashed sc i w e
+      | Ok stop -> in_scope sc i w stop
+    end
+    else next sc i
+
+  (* the turn after path [i]'s *)
+  and next sc i = if i + 1 < workers then turn sc (i + 1) else round sc
+
+  and in_scope sc i w stop =
+    match Path.classify ?preempt w stats stop with
     | Path.Scope _ -> finish (Aborted "nested sys_guess_strategy")
     | Path.Hinted ->
       probe_set_rax 0;
-      loop ()
-    | Path.Preempted -> loop ()
+      next sc i
+    | Path.Preempted -> next sc i
     | Path.Terminal (Exit status) when mode = `First_exit ->
       finish (Stopped_first_exit status)
-    | Path.Terminal _ ->
-      schedule sc;
-      loop ()
+    | Path.Terminal _ -> finished sc i w
     | Path.Branch n ->
-      let snap, meta = Path.branch path stats ~ids ~n in
+      let snap, meta = Path.branch w stats ~ids ~n in
       note_capture snap;
       (match probe with
       | None -> ()
@@ -346,78 +451,75 @@ let run ?(mode = `Run_to_completion) ?(fuel_per_step = 50_000_000)
           in
           Ext.Ref
             (Reclaim.add st ~parent ~choice:!current_choice
-               ~depth:(Path.depth path) snap)
+               ~depth:(Path.depth w) snap)
       in
       sc.frontier.Frontier.push_batch
         (List.init n (fun index -> meta, { Ext.payload; index; meta }));
       track_extents sc;
       if stats.extensions_pushed > max_extensions then
         finish (Aborted "extension budget exhausted")
-      else begin
-        schedule sc;
-        loop ()
-      end
-
-  and loop () =
-    let eval_retired0 = machine.cpu.Cpu.retired in
-    let step = Path.run path ~fuel:fuel_per_step ~span:Obs.Names.explorer_eval in
-    (match probe with
-    | None -> ()
-    | Some p -> (
-      let retired = machine.cpu.Cpu.retired - eval_retired0 in
-      match step with
-      | Ok stop -> p.Probe.eval ~retired stop
-      | Error e -> p.Probe.crash ~retired (Printexc.to_string e)));
-    match step with
-    | Error e -> crashed e
-    | Ok stop -> (
-      (match on_stop with None -> () | Some f -> f machine stop);
-      stress_tick ();
-      if audited then begin
-        incr stops;
-        audit (Format.asprintf "stop %d (%a)" !stops Libos.pp_stop stop)
-      end;
-      match !scope with
-      | Some sc -> in_scope sc stop
-      | None -> (
-        match Path.outside path stop with
-        | `Scope strategy -> open_scope strategy
-        | `Continue ->
-          probe_set_rax 0;
-          loop ()
-        | `Exit status -> finish (Completed status)
-        | `Abort message -> finish (Aborted message)))
+      else finished sc i w
 
   (* Supervision: an exception escaping guest evaluation (an injected
      worker crash, a genuine out-of-frames) kills the attempt, not the
      run.  The path's origin is re-entered under a bounded retry budget;
      a path that keeps crashing is quarantined as [Path_killed]. *)
-  and crashed e =
-    match !scope with
-    | None ->
-      finish
-        (Aborted
-           (Printf.sprintf "crash outside a strategy scope: %s"
-              (Printexc.to_string e)))
-    | Some sc -> (
-      let retry () =
-        let snap = Path.restart path ~root:sc.root ~resolve in
-        probe_resume snap (Cpu.get machine.cpu Reg.rax)
-      in
-      match Path.supervise path stats ~budget:retry_budget ~retry e with
-      | `Retried -> loop ()
-      | `Quarantined ->
-        schedule sc;
-        loop ())
+  and crashed sc i w e =
+    let retry () =
+      let snap = Path.restart w ~root:sc.root ~resolve in
+      probe_resume snap (Cpu.get (Path.machine w).cpu Reg.rax)
+    in
+    match Path.supervise w stats ~budget:retry_budget ~retry e with
+    | `Retried -> next sc i
+    | `Quarantined -> finished sc i w
+
+  (* [w]'s path is over: retire it and start the next one.  Once no path
+     runs, the frontier is empty too, and the scope is exhausted. *)
+  and finished sc i w =
+    Path.evict w stats sc.frontier;
+    Path.retire w;
+    pop sc w;
+    if Path.live w || running 0 then next sc i else close sc
+
+  (* The scope is exhausted: in the next round machine 0 restores the root
+     (rax is 0 there, captured before it was set to 1) and leaves the
+     scope. *)
+  and close sc =
+    incr rounds;
+    arm false;
+    Path.enter path stats sc.root ~rax:0 ~depth:0;
+    (* the root was captured with rax already 0, the value the resumed
+       program observes — no register override to record *)
+    probe_resume sc.root (-1);
+    scope := None;
+    outside ()
   in
-  loop ()
+  outside ()
+
+let run ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
+    ?tier_stress ?spill_threshold ?on_stop ?probe (machine : Libos.t) =
+  explore ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
+    ?tier_stress ?spill_threshold ?on_stop ?probe
+    ~mem_before:(Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace))
+    [| machine |]
 
 let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
     ?poison ?strategy_override ?tier_stress ?spill_threshold ?(files = [])
-    ?stdin image =
+    ?stdin ?(workers = 1) ?quantum ?faults image =
+  if workers < 1 then invalid_arg "Explorer.run_image: need at least one worker";
   let phys = Mem.Phys_mem.create ?capacity ?poison () in
   let machine = Libos.boot phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
-  run ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
-    ?tier_stress ?spill_threshold machine
+  let mem_before = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys) in
+  (* A helper's paths all start from snapshots: it frees its boot image at
+     once, within the run's counters, so a run holds one boot image. *)
+  let helper _ =
+    let m = Libos.boot phys image in
+    ignore (Mem.Addr_space.discard_map m.aspace);
+    m
+  in
+  explore ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
+    ?tier_stress ?spill_threshold ?quantum
+    ?inj:(Option.map Inject.arm faults) ~mem_before
+    (Array.append [| machine |] (Array.init (workers - 1) helper))

@@ -56,6 +56,12 @@ type result = {
   outcome : outcome;
   transcript : string;     (** global stdout, Prolog-style *)
   terminals : terminal list;  (** in completion order *)
+  rounds : int;
+      (** scheduling rounds of the scope, the one that closes it included:
+          the virtual makespan of a multi-worker run (see {!run_image}) *)
+  busy_rounds : int array;
+      (** per worker, the rounds in which it ran a quantum — the
+          load-balance picture *)
   stats : Stats.t;
 }
 
@@ -75,6 +81,10 @@ val make_frontier : strategy -> Ext.t Search.Frontier.t
 
 val strategy_of_id : int -> strategy option
 (** Map a [sys_guess_strategy] identifier to a strategy. *)
+
+val default_fuel_per_step : int
+(** 50M guest instructions: the default [fuel_per_step] of {!run}, and
+    the segment budget past which {!Parallel}'s domains kill a runaway. *)
 
 val run :
   ?mode:mode ->
@@ -138,6 +148,24 @@ val run :
     fresh snapshot ids the log has never seen, so [probe] together with a
     bounded capacity or [tier_stress] raises [Invalid_argument]. *)
 
+(** {1 Several workers}
+
+    [run_image ~workers], the cooperative scheduler, simulates the paper's
+    Figure 2 deterministically: each worker is a full virtual CPU with its
+    own address space and OS state, but all workers allocate frames from
+    one {!Mem.Phys_mem} — so a snapshot captured by one worker can be
+    restored by any other (the page map is just frame references), and the
+    generation discipline keeps their COW invariants sound across workers:
+    frames inside a captured snapshot always belong to retired
+    generations, so a worker restoring a sibling's candidate can never
+    observe, or race with, the in-place writes of the worker that created
+    it.  Worker 0 runs the program outside the scope; inside it the
+    workers take turns in rounds, each busy worker running one quantum per
+    round and an idle one taking the next extension from the one
+    frontier.  The round count is the virtual makespan, so parallel
+    speedup is measurable without host threads.  {!Parallel} runs the
+    same search on real cores. *)
+
 val run_image :
   ?mode:mode ->
   ?fuel_per_step:int ->
@@ -150,10 +178,29 @@ val run_image :
   ?spill_threshold:int ->
   ?files:(string * string) list ->
   ?stdin:string ->
+  ?workers:int ->
+  ?quantum:int ->
+  ?faults:Inject.plan ->
   Isa.Asm.image ->
   result
-(** Convenience: boot a fresh machine on fresh physical memory and [run].
-    [capacity] bounds the physical frame budget (enables reclaim; see
-    {!run}).  [poison] fills freed buffers with a marker byte to shake
-    out use-after-free bugs in the release discipline, and turns on the
-    frame audit (testing only). *)
+(** Boot [workers] machines (default 1) on fresh physical memory and run
+    them as above; one worker without [quantum] is {!run}.  [capacity]
+    bounds the physical frame budget (enables reclaim; see {!run}).
+    [poison] fills freed buffers with a marker byte to shake out
+    use-after-free bugs in the release discipline, and turns on the frame
+    audit (testing only), over every running worker's map and path.
+    [files] and [stdin] go to worker 0; a helper frees its boot image at
+    once (its paths all start from snapshots), so a run holds one.
+
+    [quantum] preempts a path after that many instructions per turn; it
+    dies once its segment has run [fuel_per_step] ({!Path.classify}).
+    Without it a turn runs to the next stop.  [faults] arms a fault plan
+    (allocation failures, worker crashes, fuel jitter) inside the scope
+    only — reaching and draining it stay unarmed, so a recoverable plan
+    cannot abort the run; crashed paths are retried or quarantined as in
+    {!run}, and restores do not adopt, since adopting consumes the origin
+    a retry restores ({!Path.create}).
+
+    A {!Reclaim} store ([capacity], [tier_stress]) follows one machine,
+    as the replay log of {!run}'s [probe] does: with more than one worker
+    it raises [Invalid_argument]. *)

@@ -1,18 +1,14 @@
 module Libos = Os.Libos
 module Cpu = Vcpu.Cpu
-module Reg = Isa.Reg
 module As = Mem.Addr_space
 module Frontier = Search.Frontier
-
-type backend = [ `Cooperative | `Domains ]
 
 type config = {
   workers : int;
   quantum : int;
-  strategy : Explorer.strategy;
+  strategy_override : Explorer.strategy option;
   mode : [ `Run_to_completion | `First_exit ];
   max_extensions : int;
-  backend : backend;
   retry_budget : int;
   faults : Inject.plan option;
 }
@@ -20,10 +16,9 @@ type config = {
 let default_config =
   { workers = 4;
     quantum = 20_000;
-    strategy = `Dfs;
+    strategy_override = None;
     mode = `Run_to_completion;
     max_extensions = max_int;
-    backend = `Cooperative;
     retry_budget = 3;
     faults = None }
 
@@ -31,7 +26,6 @@ type result = {
   outcome : Explorer.outcome;
   transcript : string;
   terminals : Explorer.terminal list;
-  rounds : int;
   busy_rounds : int array;
   stats : Stats.t;
   domain_metrics : Obs.Metrics.t array;
@@ -40,21 +34,18 @@ type result = {
 exception Abort of string
 exception Done of Explorer.outcome
 
-(* Resolve the strategy exactly like the cooperative scheduler: the guest's
-   id wins while the config keeps the default. *)
+(* Resolve the strategy exactly like [Explorer]: an override wins, else
+   the guest's id. *)
 let resolve_strategy config id =
-  match config.strategy with
-  | `Dfs -> (
+  match config.strategy_override with
+  | Some s -> s
+  | None -> (
     match Explorer.strategy_of_id id with
     | Some s -> s
     | None -> raise (Abort (Printf.sprintf "unknown strategy id %d" id)))
-  | other -> other
 
-let arm_faults config =
-  match config.faults with Some p -> Inject.arm p | None -> Inject.none
-
-(* The coordinator phases around the scope, shared by both backends and
-   unsupervised: no fault ticks, no allocation hook. *)
+(* The coordinator phases around the scope, unsupervised: no fault ticks,
+   no allocation hook. *)
 let to_scope config path =
   match Path.to_scope path with
   | `Scope id -> resolve_strategy config id
@@ -66,133 +57,9 @@ let drain path stats ~root =
   | `Exit status -> Explorer.Completed status
   | `Abort message -> Explorer.Aborted message
 
-(* ------------------------------------------------------------------ *)
-(* Cooperative backend: deterministic round-robin over one Phys_mem.  *)
-(* ------------------------------------------------------------------ *)
-
-let run_cooperative ~(config : config) (image : Isa.Asm.image) =
-  let ids = Snapshot.ids () in
-  let phys = Mem.Phys_mem.create () in
-  let inj = arm_faults config in
-  let stats = Stats.create () in
-  let mem_before = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys) in
-  let transcript = Buffer.create 256 in
-  let terminals = Path.terminal_log () in
-  let workers : Ext.t Path.t array =
-    Array.init config.workers (fun _ ->
-        Path.create ~inj ~transcript ~terminals (Libos.boot phys image))
-  in
-  let rounds = ref 0 in
-  let busy_rounds = Array.make config.workers 0 in
-
-  (* Same extent accounting as [Explorer.run]'s [track_extents]: live
-     snapshots are the frontier plus the lineages of every busy path. *)
-  let track_extents frontier =
-    let frontier_len = frontier.Frontier.length () in
-    stats.Stats.max_frontier <- max stats.Stats.max_frontier frontier_len;
-    let lineage =
-      Array.fold_left (fun acc w -> acc + Path.lineage_length w) 0 workers
-    in
-    stats.Stats.max_live_snapshots <-
-      max stats.Stats.max_live_snapshots (frontier_len + lineage)
-  in
-
-  let snap_of (ext : Ext.t) =
-    match ext.Ext.payload with
-    | Ext.Snap s -> s
-    | Ext.Ref _ -> raise (Abort "managed extension in the parallel scheduler")
-  in
-  let pop_into frontier w =
-    match frontier.Frontier.pop () with
-    | None -> ()
-    | Some (ext : Ext.t) ->
-      Path.enter w stats (snap_of ext) ~origin:ext ~rax:ext.Ext.index
-        ~depth:ext.Ext.meta.Frontier.depth;
-      stats.Stats.extensions_evaluated <- stats.Stats.extensions_evaluated + 1
-  in
-  let next frontier w =
-    Path.retire w;
-    pop_into frontier w
-  in
-
-  (* One scheduling event for a busy worker. *)
-  let handle frontier ~root w = function
-    | Ok stop -> (
-      match Path.classify ~preempt:true w stats stop with
-      | Path.Preempted | Path.Hinted -> ()
-      | Path.Scope _ -> raise (Abort "nested sys_guess_strategy")
-      | Path.Terminal (Explorer.Exit status) when config.mode = `First_exit ->
-        raise (Done (Explorer.Stopped_first_exit status))
-      | Path.Terminal _ -> next frontier w
-      | Path.Branch n ->
-        let snap, meta = Path.branch w stats ~ids ~n in
-        frontier.Frontier.push_batch
-          (List.init n (fun index ->
-               meta, { Ext.payload = Ext.Snap snap; index; meta }));
-        track_extents frontier;
-        if stats.Stats.extensions_pushed > config.max_extensions then
-          raise (Abort "extension budget exhausted");
-        next frontier w)
-    | Error e -> (
-      let retry () = ignore (Path.restart w ~root ~resolve:snap_of) in
-      match Path.supervise w stats ~budget:config.retry_budget ~retry e with
-      | `Retried -> ()
-      | `Quarantined -> next frontier w)
-  in
-
-  let w0 = workers.(0) in
-  let outcome =
-    try
-      let strat = to_scope config w0 in
-      let root = Path.open_scope w0 stats ~ids in
-      let frontier = Explorer.make_frontier strat in
-      (* Worker paths start here: arm the allocation fault for the shared
-         allocator and tick the stop clock from now on. *)
-      Mem.Phys_mem.set_alloc_fault phys (Inject.alloc_hook inj);
-      (* Round-robin quanta until the scope drains. *)
-      let continue_ = ref true in
-      while !continue_ do
-        incr rounds;
-        let any_busy = ref false in
-        Array.iteri
-          (fun idx w ->
-            if not (Path.live w) then pop_into frontier w;
-            if Path.live w then begin
-              any_busy := true;
-              busy_rounds.(idx) <- busy_rounds.(idx) + 1;
-              Path.evict w stats frontier;
-              handle frontier ~root w
-                (Path.run w ~fuel:config.quantum
-                   ~span:Obs.Names.worker_eval ~a:idx)
-            end)
-          workers;
-        if (not !any_busy) && frontier.Frontier.length () = 0 then continue_ := false
-      done;
-      Mem.Phys_mem.set_alloc_fault phys None;
-      drain w0 stats ~root
-    with
-    | Done outcome -> outcome
-    | Abort message -> Explorer.Aborted message
-  in
-  stats.Stats.instructions <-
-    Array.fold_left
-      (fun acc w -> acc + (Path.machine w).Libos.cpu.Cpu.retired)
-      0 workers;
-  Mem.Mem_metrics.add stats.Stats.mem
-    (Mem.Mem_metrics.diff (Mem.Phys_mem.metrics phys) mem_before);
-  { outcome;
-    transcript = Buffer.contents transcript;
-    terminals = Stdx.Vec.to_list terminals;
-    rounds = !rounds;
-    busy_rounds;
-    stats;
-    domain_metrics = [||] }
-
-(* ------------------------------------------------------------------ *)
-(* Domains backend: one OCaml 5 domain per worker over a domain-      *)
-(* private Phys_mem; work items carry the producer's snapshot by      *)
-(* reference, and refs travel back through the producer's mailbox.   *)
-(* ------------------------------------------------------------------ *)
+(* One OCaml 5 domain per worker over a domain-private Phys_mem; work
+   items carry the producer's snapshot by reference, and refs travel back
+   through the producer's mailbox. *)
 
 type item = {
   it_snap : Snapshot.t;
@@ -366,7 +233,7 @@ let eval_domain sh ~dom ~(path : unit Path.t) ~(d_root : Snapshot.t)
     with
     | Error e -> raise e
     | Ok stop -> (
-      match Path.classify ~preempt:true path st stop with
+      match Path.classify ~preempt:Explorer.default_fuel_per_step path st stop with
       | Path.Preempted ->
         (* the stop-flag check is what lets first-exit and aborts
            interrupt long-running sibling paths *)
@@ -439,10 +306,11 @@ let eval_domain sh ~dom ~(path : unit Path.t) ~(d_root : Snapshot.t)
     abort (Printf.sprintf "worker %d: %s" dom (Printexc.to_string e)));
   if Obs.Trace.enabled () then Obs.Trace.span_end ~a:dom Obs.Names.worker
 
-let run_domains ~(config : config) (image : Isa.Asm.image) =
+let run ?(config = default_config) (image : Isa.Asm.image) =
+  if config.workers < 1 then invalid_arg "Parallel.run: need at least one worker";
   let phys0 = Mem.Phys_mem.create () in
   (* one armed plan for every domain: its fire-state is atomic *)
-  let inj = arm_faults config in
+  let inj = Option.fold ~none:Inject.none ~some:Inject.arm config.faults in
   (* Domain 0's own counters; the aggregate [stats] is assembled at the
      end so the per-domain registries stay separable. *)
   let st0 = Stats.create () in
@@ -464,7 +332,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
         match to_scope config path0 with
         | #Explorer.builtin as s -> s
         | `Custom _ ->
-          raise (Abort "`Custom strategies require the `Cooperative backend")
+          raise (Abort "`Custom strategies need Explorer.run_image ~workers")
       in
       let ids = Snapshot.ids () in
       (* Every domain's replica is serialized from the root, so they all
@@ -575,13 +443,7 @@ let run_domains ~(config : config) (image : Isa.Asm.image) =
   { outcome;
     transcript = Buffer.contents transcript;
     terminals = Stdx.Vec.to_list terminals0 @ !worker_tail;
-    rounds = 0;
     busy_rounds;
     stats;
     domain_metrics = Array.of_list (reg0 :: List.map snd !worker_stats) }
 
-let run ?(config = default_config) (image : Isa.Asm.image) =
-  if config.workers < 1 then invalid_arg "Parallel.run: need at least one worker";
-  match config.backend with
-  | `Cooperative -> run_cooperative ~config image
-  | `Domains -> run_domains ~config image

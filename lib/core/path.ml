@@ -38,6 +38,7 @@ type 'o t = {
       (* the address-space epoch right after the segment began; while it is
          current no capture has frozen the map, so everything acquired since
          is the segment's private COW tail.  -1 once that tail is freed. *)
+  mutable seg_retired : int;  (* instructions retired when the segment began *)
   mutable retries : int;
 }
 
@@ -61,6 +62,7 @@ let create ?(refcount = true) ?(inj = Inject.none) ?transcript
     base = None;
     origin = None;
     epoch = (if owns_map then As.epoch machine.aspace else -1);
+    seg_retired = machine.cpu.Cpu.retired;
     retries = 0 }
 
 let machine t = t.machine
@@ -125,6 +127,7 @@ let record ?depth t kind output =
 let begin_segment ?graft t snap ~rax =
   t.base <- Some snap;
   t.epoch <- As.epoch t.machine.aspace;
+  t.seg_retired <- t.machine.cpu.Cpu.retired;
   Option.iter (fun g -> g ()) graft;
   t.marker <- Libos.stdout_chunks t.machine;
   t.hint <- 0;
@@ -170,15 +173,17 @@ let open_scope t (stats : Stats.t) ~ids =
   if t.refcount then Snapshot.retain root;
   t.base <- Some root;
   t.epoch <- As.epoch t.machine.aspace;
+  t.seg_retired <- t.machine.cpu.Cpu.retired;
   t.origin <- None;
   t.retries <- 0;
   t.depth <- 0;
   Cpu.set t.machine.cpu Reg.rax 1;
   root
 
-let run ?a t ~fuel ~span =
+let run ?a ?(armed = true) t ~fuel ~span =
   let m = t.machine in
-  let fuel = if t.armed then Inject.jitter t.inj ~base:fuel else fuel in
+  let armed = armed && t.armed in
+  let fuel = if armed then Inject.jitter t.inj ~base:fuel else fuel in
   let res =
     if Obs.Trace.enabled () then begin
       let a =
@@ -199,7 +204,7 @@ let run ?a t ~fuel ~span =
     else try Ok (Libos.run m ~fuel) with e -> Error e
   in
   match res with
-  | Ok _ when t.armed -> ( try Inject.stop_tick t.inj; res with e -> Error e)
+  | Ok _ when armed -> ( try Inject.stop_tick t.inj; res with e -> Error e)
   | _ -> res
 
 type event =
@@ -219,7 +224,7 @@ let terminal t kind output =
   record t kind output;
   Terminal kind
 
-let classify ?(preempt = false) t (stats : Stats.t) (stop : Libos.stop) =
+let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
   match stop with
   | Guess { n } when n > 0 ->
     ignore (harvest t);
@@ -236,7 +241,8 @@ let classify ?(preempt = false) t (stats : Stats.t) (stop : Libos.stop) =
     hinted t dist;
     Hinted
   | Guess_strategy { strategy } -> Scope strategy
-  | Killed Fuel_exhausted when preempt -> Preempted
+  | Killed Fuel_exhausted when t.machine.cpu.Cpu.retired - t.seg_retired < preempt ->
+    Preempted
   | Exited { status } ->
     let output = harvest t in
     stats.exits <- stats.exits + 1;

@@ -2,8 +2,9 @@
 
     A {e path} is one execution of the guest from a candidate (a popped
     extension, or the scope-opening root) to its next scheduling stop.
-    Every scheduler — {!Explorer}, both backends of {!Parallel} — runs the
-    same lifecycle over a machine, §3 and Figures 1–2 of the paper:
+    Every scheduler — {!Explorer} over one machine or several, and
+    {!Parallel}'s domains — runs the same lifecycle over a machine, §3 and
+    Figures 1–2 of the paper:
 
     + {!enter}: restore the extension's snapshot, adopting its frames when
       this is its last restore;
@@ -120,11 +121,13 @@ val open_scope : 'o t -> Stats.t -> ids:Snapshot.ids -> Snapshot.t
 (** {1 Running and classifying} *)
 
 val run :
-  ?a:int -> 'o t -> fuel:int -> span:string -> (Os.Libos.stop, exn) result
+  ?a:int -> ?armed:bool -> 'o t -> fuel:int -> span:string ->
+  (Os.Libos.stop, exn) result
 (** Run one quantum inside a trace [span] (argument [a], by default the
     base snapshot's id), with the path's fault plan jittering the fuel and
-    ticking at the stop.  Any exception — an injected crash, an allocation
-    failure — comes back as [Error]. *)
+    ticking at the stop unless [armed] is [false] (the phases outside a
+    scope).  Any exception — an injected crash, an allocation failure —
+    comes back as [Error]. *)
 
 type event =
   | Terminal of terminal_kind  (** counted and recorded with its output *)
@@ -133,9 +136,11 @@ type event =
   | Preempted      (** the quantum ran out (only under [~preempt]) *)
   | Scope of int   (** [sys_guess_strategy] inside a scope *)
 
-val classify : ?preempt:bool -> 'o t -> Stats.t -> Os.Libos.stop -> event
-(** Classify a stop inside a scope.  Without [preempt], fuel exhaustion
-    kills the path. *)
+val classify : ?preempt:int -> 'o t -> Stats.t -> Os.Libos.stop -> event
+(** Classify a stop inside a scope.  Fuel exhaustion preempts the path
+    until its segment (since the last entry or restore) has retired
+    [preempt] instructions (default 0), and then kills it: a runaway path
+    dies under quanta as it does without them. *)
 
 val capture : 'o t -> ids:Snapshot.ids -> Snapshot.t
 (** Capture at the path's depth, parented to the snapshot the segment

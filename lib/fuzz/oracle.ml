@@ -57,13 +57,17 @@ let machine_run (machine : Libos.t) (r : Explorer.result) =
     regs = Array.to_list cpu.Vcpu.Cpu.regs @ [ cpu.Vcpu.Cpu.rip ];
     mem_digest = aspace_digest machine.Libos.aspace }
 
-let parallel_run (r : Parallel.result) =
-  { outcome = outcome_to_string r.Parallel.outcome;
-    transcript = r.Parallel.transcript;
-    terminals = List.map flat_terminal r.Parallel.terminals;
-    instructions = r.Parallel.stats.Core.Stats.instructions;
+(* A multi-worker run: no single final machine state to compare. *)
+let workers_run outcome transcript terminals (stats : Core.Stats.t) =
+  { outcome = outcome_to_string outcome;
+    transcript;
+    terminals = List.map flat_terminal terminals;
+    instructions = stats.instructions;
     regs = [];
     mem_digest = 0 }
+
+let domains_run (r : Parallel.result) =
+  workers_run r.outcome r.transcript r.terminals r.stats
 
 (* {1 Comparison} *)
 
@@ -175,9 +179,16 @@ let ckpt_on_stop every =
       | _ -> chain := Some (Ckpt.incr_start m.Libos.aspace)
     end
 
-let parallel_pipeline ~backend image =
-  let config = { Parallel.default_config with backend } in
-  parallel_run (Parallel.run ~config image)
+(* The cooperative scheduler at [Parallel]'s worker count and quantum, on
+   a poisoned memory: it audits its frames at every stop. *)
+let coop_run ?faults ?retry_budget name image =
+  let { Parallel.workers; quantum; _ } = Parallel.default_config in
+  let r =
+    audited name (fun () ->
+        Explorer.run_image ~poison:true ~workers ~quantum ?faults ?retry_budget
+          image)
+  in
+  workers_run r.outcome r.transcript r.terminals r.stats
 
 (* Replay the baseline's Addr_space operation trace against the Ept radix
    page table and compare final memory images page by page. *)
@@ -298,11 +309,10 @@ let check_pipelines ~ckpt_every image =
         in
         compare_exact "tiered-store" base (machine_run m r));
       (fun () ->
-        compare_multiset "parallel-coop" base
-          (parallel_pipeline ~backend:`Cooperative image));
+        compare_multiset "parallel-coop" base (coop_run "parallel-coop" image));
       (fun () ->
         compare_multiset "parallel-domains" base
-          (parallel_pipeline ~backend:`Domains image));
+          (domains_run (Parallel.run image)));
       (fun () -> ept_replay ~initial_pages ~ops ~final:machine) ]
 
 let check_image ?(ckpt_every = 1) image =
@@ -312,7 +322,7 @@ let check_image ?(ckpt_every = 1) image =
 (* {1 Fault mode}
 
    A recoverable fault plan must be invisible at the multiset level: the
-   supervised backends requeue crashed paths and retry failed allocations,
+   supervised schedulers retry crashed paths and failed allocations,
    so the terminal multiset and transcript-line multiset must equal the
    fault-free baseline's.  The retry budget is sized so that a recoverable
    plan can never quarantine a path: one worker-crash trigger plus one
@@ -320,18 +330,17 @@ let check_image ?(ckpt_every = 1) image =
    single path can absorb. *)
 
 let check_plan ~base image plan =
-  let with_faults backend name =
-    let config =
-      { Parallel.default_config with
-        backend;
-        faults = Some plan;
-        retry_budget = Parallel.default_config.Parallel.workers + 3 }
-    in
-    compare_multiset name base (parallel_run (Parallel.run ~config image))
-  in
+  let retry_budget = Parallel.default_config.workers + 3 in
   first_some
-    [ (fun () -> with_faults `Cooperative "faults-coop");
-      (fun () -> with_faults `Domains "faults-domains") ]
+    [ (fun () ->
+        compare_multiset "faults-coop" base
+          (coop_run ~faults:plan ~retry_budget "faults-coop" image));
+      (fun () ->
+        let config =
+          { Parallel.default_config with faults = Some plan; retry_budget }
+        in
+        compare_multiset "faults-domains" base
+          (domains_run (Parallel.run ~config image))) ]
 
 let check_image_faults ?(seed = 0) ?(plans = 4) image =
   let machine = boot image ~icache:true in
@@ -340,7 +349,10 @@ let check_image_faults ?(seed = 0) ?(plans = 4) image =
     if i >= plans then None
     else
       let plan = Inject.generate ~seed:(seed + i) in
-      match check_plan ~base image plan with
+      match
+        try check_plan ~base image plan
+        with Explorer.Audit_failed detail -> Some { pipeline = "audit"; detail }
+      with
       | Some d -> Some (plan, d)
       | None -> go (i + 1)
   in

@@ -34,17 +34,19 @@
       adopting restores (the store runs without snapshot refcounts).
       Reconstruction and the baseline's adoption are supposed to be
       invisible: exact agreement, retired instruction count included;
-    + {b parallel-coop} / {b parallel-domains}: {!Core.Parallel} with 4
-      workers on each backend.  Path completion order is
-      schedule-dependent, so these are compared as multisets: same
-      outcome, same terminal multiset, same transcript line multiset;
+    + {b parallel-coop} / {b parallel-domains}: 4 workers, as
+      {!Core.Explorer.run_image}'s cooperative rounds on a poisoned,
+      audited allocator and as {!Core.Parallel}'s domains.  Path
+      completion order is schedule-dependent, so these are compared as
+      multisets: same outcome, same terminal multiset, same transcript
+      line multiset;
     + {b ept-replay}: the baseline's operation trace replayed against the
       {!Mem.Ept} radix-page-table backend; the final memory images must
       be page-for-page identical.
 
     A failed frame audit (an early free, a leak or a ref imbalance) in
-    the baseline or tiered-store run is pipeline [audit], naming the run,
-    the stop and the offending frame or counts.
+    the baseline, tiered-store or parallel-coop run is pipeline [audit],
+    naming the run, the stop and the offending frame or counts.
 
     Generated guests avoid the documented semantic deltas between
     backends (no [sys_share], no stdin, no [sys_timeout]), which is what
@@ -63,12 +65,14 @@ val check_prog : ?ckpt_every:int -> Gen_prog.prog -> divergence option
 val check_image_faults :
   ?seed:int -> ?plans:int -> Isa.Asm.image -> (Inject.plan * divergence) option
 (** Fault-injection mode: generate [plans] (default 4) seeded fault plans
-    and run the supervised parallel backends under each.  Every plan is
+    and run 4 workers under each, cooperatively ([faults-coop], audited as
+    parallel-coop is) and on domains ([faults-domains]).  Every plan is
     recoverable by construction (faults fire once and only during
     worker-path evaluation), so each run's outcome, terminal multiset and
     transcript-line multiset must equal the fault-free baseline's — crash
     recovery and allocation-failure retry must be semantically invisible.
-    Returns the first diverging plan. *)
+    Returns the first diverging plan; a failed audit is pipeline
+    [audit]. *)
 
 val check_prog_faults :
   ?seed:int -> ?plans:int -> Gen_prog.prog -> (Inject.plan * divergence) option

@@ -70,7 +70,7 @@ let recycling_is_invisible () =
    On a poisoned allocator [Explorer.run] audits its frames at every
    scheduler stop and when it ends: no reachable frame freed, reachable
    frames exactly the live ones, and (refcount mode) the extension refs
-   held equal to the frontier's plus the running path's. *)
+   held equal to the frontier's plus one per running path. *)
 
 let audited_nqueens ?strategy_override ?mode ?tier_stress ?on_stop () =
   let phys = Mem.Phys_mem.create ~poison:true () in
@@ -96,6 +96,24 @@ let audit_passes_every_scheduler () =
       "sma", `Sma 4, None, false;
       "beam", `Beam 2, None, false;
       "tier_stress:1", `Dfs, Some 1, true ];
+  (* several workers in rounds of a short quantum, so preempted paths hold
+     their maps and refs across other workers' stops *)
+  List.iter
+    (fun (workers, faults) ->
+      let name =
+        Printf.sprintf "%d workers%s" workers
+          (if faults = None then "" else ", faults")
+      in
+      let r =
+        Explorer.run_image ~poison:true ~workers ~quantum:50 ?faults
+          (Workloads.Nqueens.program ~n:6)
+      in
+      check Alcotest.int (name ^ ": exit status") 0 (completed r);
+      if faults = None then
+        check (Alcotest.list Alcotest.string) (name ^ ": boards") boards
+          (List.sort compare (transcript_lines r)))
+    [ 2, None; 2, Some (Inject.generate ~seed:3);
+      4, None; 4, Some (Inject.generate ~seed:3) ];
   (* nqueens never exits inside its scope, so First_exit runs it whole;
      subset sum stops at its first exit, with the frontier still full *)
   let _, r = audited_nqueens ~mode:`First_exit () in
@@ -819,14 +837,10 @@ let parallel_counts_match_sequential =
     (fun (depth, branch, workers) ->
       let image = Workloads.Counting.program ~depth ~branch in
       let seq = Explorer.run_image image in
-      let par =
-        Core.Parallel.run
-          ~config:{ Core.Parallel.default_config with workers; quantum = 700 }
-          image
-      in
-      seq.Explorer.stats.Core.Stats.fails = par.Core.Parallel.stats.Core.Stats.fails
+      let par = Explorer.run_image ~workers ~quantum:700 image in
+      seq.Explorer.stats.Core.Stats.fails = par.Explorer.stats.Core.Stats.fails
       && seq.Explorer.stats.Core.Stats.guesses
-         = par.Core.Parallel.stats.Core.Stats.guesses)
+         = par.Explorer.stats.Core.Stats.guesses)
 
 (* {1 Reclaim: the tiered payload store, driven directly}
 

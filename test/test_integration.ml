@@ -209,14 +209,11 @@ let parallel_matches_sequential_on_repairs () =
   in
   let parallel =
     count_with (fun () ->
-        let machine_image = Workloads.Log_repair.program spec in
-        (* Parallel.run boots machines itself; preload files via a custom
-           boot is not exposed, so compare through the sequential explorer
-           run on 1 worker instead *)
-        ignore machine_image;
+        (* the journal is preloaded on worker 0; the helpers see it through
+           the snapshots they restore *)
         (Explorer.run_image
            ~files:[ Workloads.Log_repair.journal_path, journal ]
-           ~strategy_override:`Bfs
+           ~strategy_override:`Bfs ~workers:4 ~quantum:2000
            (Workloads.Log_repair.program spec))
           .Explorer.transcript)
   in

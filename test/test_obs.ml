@@ -201,11 +201,7 @@ let tree_export_is_sane () =
 
 let traced_domains_run_matches_untraced () =
   let image = Workloads.Nqueens.program ~n:5 in
-  let config =
-    { Core.Parallel.default_config with
-      Core.Parallel.workers = 4;
-      backend = `Domains }
-  in
+  let config = { Core.Parallel.default_config with Core.Parallel.workers = 4 } in
   let lines (r : Core.Parallel.result) =
     List.sort compare
       (List.filter (fun l -> l <> "")

@@ -1,5 +1,7 @@
-(* The parallel explorer: same answers as the sequential scheduler, real
-   makespan scaling, cross-worker isolation and sharing. *)
+(* Multi-worker exploration — the cooperative rounds of
+   [Explorer.run_image ~workers] and [Parallel]'s domains: same answers as
+   the sequential scheduler, real makespan scaling, cross-worker isolation
+   and sharing. *)
 
 module Parallel = Core.Parallel
 module Explorer = Core.Explorer
@@ -10,24 +12,32 @@ open Isa.Asm
 
 let check = Alcotest.check
 
-let config ?(workers = 4) ?(quantum = 2000) () =
-  { Parallel.default_config with Parallel.workers; quantum }
+(* The cooperative scheduler: [workers] machines in rounds of [quantum]. *)
+let coop ?(workers = 4) ?(quantum = 2000) ?mode ?fuel_per_step ?max_extensions
+    ?retry_budget ?faults ?strategy_override image =
+  Explorer.run_image ~workers ~quantum ?mode ?fuel_per_step ?max_extensions
+    ?retry_budget ?faults ?strategy_override image
 
-let solutions (r : Parallel.result) =
+let lines transcript =
   List.sort compare
-    (List.filter (fun l -> l <> "") (String.split_on_char '\n' r.Parallel.transcript))
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' transcript))
 
-let completed (r : Parallel.result) =
-  match r.Parallel.outcome with
+let solutions (r : Explorer.result) = lines r.transcript
+let dsolutions (r : Parallel.result) = lines r.transcript
+
+let outcome_status = function
   | Explorer.Completed s -> s
   | Explorer.Stopped_first_exit _ -> Alcotest.fail "unexpected first-exit"
   | Explorer.Aborted m -> Alcotest.failf "aborted: %s" m
+
+let completed (r : Explorer.result) = outcome_status r.outcome
+let dcompleted (r : Parallel.result) = outcome_status r.outcome
 
 let same_solutions_any_worker_count () =
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
   List.iter
     (fun workers ->
-      let r = Parallel.run ~config:(config ~workers ()) (Workloads.Nqueens.program ~n:6) in
+      let r = coop ~workers (Workloads.Nqueens.program ~n:6) in
       check Alcotest.int "completed" 0 (completed r);
       check (Alcotest.list Alcotest.string)
         (Printf.sprintf "solutions with %d workers" workers)
@@ -35,13 +45,10 @@ let same_solutions_any_worker_count () =
     [ 1; 2; 3; 8 ]
 
 let counting_tree_all_leaves () =
-  let r =
-    Parallel.run ~config:(config ~workers:4 ())
-      (Workloads.Counting.program ~depth:5 ~branch:3)
-  in
+  let r = coop ~workers:4 (Workloads.Counting.program ~depth:5 ~branch:3) in
   check Alcotest.int "completed" 0 (completed r);
-  check Alcotest.int "all leaves" 243 r.Parallel.stats.Core.Stats.fails;
-  check Alcotest.int "all guesses" 121 r.Parallel.stats.Core.Stats.guesses
+  check Alcotest.int "all leaves" 243 r.Explorer.stats.Core.Stats.fails;
+  check Alcotest.int "all guesses" 121 r.Explorer.stats.Core.Stats.guesses
 
 let makespan_shrinks_with_workers () =
   let rounds workers =
@@ -49,12 +56,9 @@ let makespan_shrinks_with_workers () =
       { Workloads.Locality.depth = 4; branch = 2; touch_pages = 1; work = 500;
         arena_pages = 4 }
     in
-    let r =
-      Parallel.run ~config:(config ~workers ~quantum:1000 ())
-        (Workloads.Locality.program p)
-    in
-    check Alcotest.int "leaves" 16 r.Parallel.stats.Core.Stats.fails;
-    r.Parallel.rounds
+    let r = coop ~workers ~quantum:1000 (Workloads.Locality.program p) in
+    check Alcotest.int "leaves" 16 r.Explorer.stats.Core.Stats.fails;
+    r.Explorer.rounds
   in
   let r1 = rounds 1 and r4 = rounds 4 in
   check Alcotest.bool
@@ -64,18 +68,15 @@ let makespan_shrinks_with_workers () =
 
 let total_work_is_worker_independent () =
   let instructions workers =
-    let r =
-      Parallel.run ~config:(config ~workers ()) (Workloads.Counting.program ~depth:6 ~branch:2)
-    in
-    r.Parallel.stats.Core.Stats.instructions
+    let r = coop ~workers (Workloads.Counting.program ~depth:6 ~branch:2) in
+    r.Explorer.stats.Core.Stats.instructions
   in
   check Alcotest.int "no duplicated exploration" (instructions 1) (instructions 5)
 
 let first_exit_mode () =
   let image = Workloads.Subset_sum.program ~target:21 [ 1; 2; 4; 8; 16 ] in
-  let cfg = { (config ~workers:4 ()) with Parallel.mode = `First_exit } in
-  let r = Parallel.run ~config:cfg image in
-  match r.Parallel.outcome with
+  let r = coop ~workers:4 ~mode:`First_exit image in
+  match r.Explorer.outcome with
   | Explorer.Stopped_first_exit 0 -> ()
   | _ -> Alcotest.fail "expected first exit"
 
@@ -100,7 +101,7 @@ let shared_counter_across_workers () =
       @ [ label "after"; ld R.rdi (R.r15 @+ 0) ]
       @ Wl_common.syscall3 ~number:Abi.sys_exit)
   in
-  let r = Parallel.run ~config:(config ~workers:4 ~quantum:500 ()) image in
+  let r = coop ~workers:4 ~quantum:500 image in
   check Alcotest.int "16 leaves counted across 4 workers" 16 (completed r)
 
 let isolation_between_workers () =
@@ -130,24 +131,21 @@ let isolation_between_workers () =
       @ Wl_common.sys_exit ~status:0
       @ [ align 4096; label "slot"; zeros 8 ])
   in
-  let r = Parallel.run ~config:(config ~workers:8 ~quantum:100 ()) image in
+  let r = coop ~workers:8 ~quantum:100 image in
   check Alcotest.int "no cross-worker corruption" 0 (completed r);
-  check Alcotest.int "no path saw corruption" 0 r.Parallel.stats.Core.Stats.exits
+  check Alcotest.int "no path saw corruption" 0 r.Explorer.stats.Core.Stats.exits
 
 let busy_rounds_reported () =
-  let r =
-    Parallel.run ~config:(config ~workers:3 ())
-      (Workloads.Counting.program ~depth:4 ~branch:2)
-  in
-  check Alcotest.int "per-worker rows" 3 (Array.length r.Parallel.busy_rounds);
+  let r = coop ~workers:3 (Workloads.Counting.program ~depth:4 ~branch:2) in
+  check Alcotest.int "per-worker rows" 3 (Array.length r.Explorer.busy_rounds);
   Array.iter
-    (fun b -> check Alcotest.bool "bounded by makespan" true (b <= r.Parallel.rounds))
-    r.Parallel.busy_rounds
+    (fun b -> check Alcotest.bool "bounded by makespan" true (b <= r.Explorer.rounds))
+    r.Explorer.busy_rounds
 
-(* {1 Domains backend} *)
+(* {1 Domains} *)
 
 let dconfig ?(workers = 4) ?(quantum = 2000) () =
-  { Parallel.default_config with Parallel.workers; quantum; backend = `Domains }
+  { Parallel.default_config with Parallel.workers; quantum }
 
 let domains_same_solutions () =
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
@@ -156,10 +154,10 @@ let domains_same_solutions () =
       let r =
         Parallel.run ~config:(dconfig ~workers ()) (Workloads.Nqueens.program ~n:6)
       in
-      check Alcotest.int "completed" 0 (completed r);
+      check Alcotest.int "completed" 0 (dcompleted r);
       check (Alcotest.list Alcotest.string)
         (Printf.sprintf "solutions with %d domains" workers)
-        expected (solutions r))
+        expected (dsolutions r))
     [ 1; 2; 4 ]
 
 let domains_counting_tree_all_leaves () =
@@ -167,7 +165,7 @@ let domains_counting_tree_all_leaves () =
     Parallel.run ~config:(dconfig ~workers:4 ())
       (Workloads.Counting.program ~depth:5 ~branch:3)
   in
-  check Alcotest.int "completed" 0 (completed r);
+  check Alcotest.int "completed" 0 (dcompleted r);
   check Alcotest.int "all leaves" 243 r.Parallel.stats.Core.Stats.fails;
   check Alcotest.int "all guesses" 121 r.Parallel.stats.Core.Stats.guesses;
   check Alcotest.int "every extension evaluated once" 363
@@ -191,13 +189,13 @@ let domains_recycling_terminal_identity () =
     Fun.protect ~finally:(fun () -> Obs.Trace.stop (); Obs.Trace.clear ())
       (fun () -> Parallel.run ~config:(dconfig ~workers:1 ()) image)
   in
-  check Alcotest.int "baseline completed" 0 (completed baseline);
+  check Alcotest.int "baseline completed" 0 (dcompleted baseline);
   let expected = terminal_multiset baseline in
   List.iter
     (fun workers ->
       let r = Parallel.run ~config:(dconfig ~workers ()) image in
       check Alcotest.int
-        (Printf.sprintf "%d domains completed" workers) 0 (completed r);
+        (Printf.sprintf "%d domains completed" workers) 0 (dcompleted r);
       check Alcotest.bool
         (Printf.sprintf "%d domains: recycling reached the backend" workers)
         true
@@ -215,7 +213,7 @@ let domains_per_domain_metrics () =
   let r =
     Parallel.run ~config:(dconfig ~workers ()) (Workloads.Nqueens.program ~n:5)
   in
-  check Alcotest.int "completed" 0 (completed r);
+  check Alcotest.int "completed" 0 (dcompleted r);
   check Alcotest.int "one registry per domain" workers
     (Array.length r.Parallel.domain_metrics);
   let summed name =
@@ -296,17 +294,16 @@ let per_path_output_attribution () =
       @ [ align 4096; label "slot"; zeros 8 ])
   in
   List.iter
-    (fun backend ->
-      let cfg = { (config ~workers:3 ~quantum:200 ()) with Parallel.backend } in
-      let r = Parallel.run ~config:cfg image in
-      check Alcotest.int "completed" 0 (completed r);
+    (fun run ->
+      let status, terminals, transcript = run () in
+      check Alcotest.int "completed" 0 (outcome_status status);
       let outputs =
         List.filter_map
           (fun (t : Explorer.terminal) ->
             match t.Explorer.kind with
             | Explorer.Fail when t.Explorer.output <> "" -> Some t.Explorer.output
             | _ -> None)
-          r.Parallel.terminals
+          terminals
       in
       check (Alcotest.list Alcotest.string) "each path owns its digit"
         [ "0"; "1"; "2"; "3" ]
@@ -314,56 +311,52 @@ let per_path_output_attribution () =
       check (Alcotest.list Alcotest.string) "transcript is the four digits"
         [ "0"; "1"; "2"; "3" ]
         (List.sort compare
-           (List.init
-              (String.length r.Parallel.transcript)
-              (fun i -> String.make 1 r.Parallel.transcript.[i]))))
-    [ `Cooperative; `Domains ]
+           (List.init (String.length transcript) (fun i ->
+                String.make 1 transcript.[i]))))
+    [ (fun () ->
+        let r = coop ~workers:3 ~quantum:200 image in
+        r.outcome, r.terminals, r.transcript);
+      (fun () ->
+        let r = Parallel.run ~config:(dconfig ~workers:3 ~quantum:200 ()) image in
+        r.outcome, r.terminals, r.transcript) ]
 
 let max_live_snapshots_tracked () =
   (* regression: the cooperative scheduler never updated max_live_snapshots *)
-  let r = Parallel.run ~config:(config ~workers:4 ()) (Workloads.Nqueens.program ~n:5) in
+  let r = coop ~workers:4 (Workloads.Nqueens.program ~n:5) in
   check Alcotest.int "completed" 0 (completed r);
   check Alcotest.bool "live-snapshot extent tracked" true
-    (r.Parallel.stats.Core.Stats.max_live_snapshots > 0);
+    (r.Explorer.stats.Core.Stats.max_live_snapshots > 0);
   check Alcotest.bool "extent covers the frontier" true
-    (r.Parallel.stats.Core.Stats.max_live_snapshots
-    >= r.Parallel.stats.Core.Stats.max_frontier)
+    (r.Explorer.stats.Core.Stats.max_live_snapshots
+    >= r.Explorer.stats.Core.Stats.max_frontier)
 
 (* {1 Supervision and fault injection} *)
 
-let fault_config ?(backend = `Cooperative) ?(retry_budget = 3) faults () =
-  { Parallel.default_config with
-    Parallel.workers = 4;
-    quantum = 2000;
-    backend;
-    retry_budget;
-    faults = Some { Inject.seed = 0; faults } }
+let plan faults = { Inject.seed = 0; faults }
 
 let coop_crash_recovery () =
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
   let r =
-    Parallel.run
-      ~config:(fault_config [ Inject.Worker_crash 5 ] ())
-      (Workloads.Nqueens.program ~n:6)
+    coop ~faults:(plan [ Inject.Worker_crash 5 ]) (Workloads.Nqueens.program ~n:6)
   in
   check Alcotest.int "completed" 0 (completed r);
   check (Alcotest.list Alcotest.string) "all solutions despite the crash"
     expected (solutions r);
   check Alcotest.bool "the crash was retried" true
-    (r.Parallel.stats.Core.Stats.requeues >= 1);
+    (r.Explorer.stats.Core.Stats.requeues >= 1);
   check Alcotest.int "nothing quarantined" 0
-    r.Parallel.stats.Core.Stats.quarantined
+    r.Explorer.stats.Core.Stats.quarantined
 
 let domains_crash_recovery () =
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
   let r =
     Parallel.run
-      ~config:(fault_config ~backend:`Domains [ Inject.Worker_crash 5 ] ())
+      ~config:{ (dconfig ()) with faults = Some (plan [ Inject.Worker_crash 5 ]) }
       (Workloads.Nqueens.program ~n:6)
   in
-  check Alcotest.int "completed" 0 (completed r);
+  check Alcotest.int "completed" 0 (dcompleted r);
   check (Alcotest.list Alcotest.string) "all solutions despite the crash"
-    expected (solutions r);
+    expected (dsolutions r);
   check Alcotest.bool "the crash was retried" true
     (r.Parallel.stats.Core.Stats.requeues >= 1);
   check Alcotest.int "nothing quarantined" 0
@@ -375,27 +368,25 @@ let coop_alloc_failure_recovery () =
      and the origin retry re-allocates successfully. *)
   let faults = [ Inject.Alloc_fail 120; Alloc_fail 200; Alloc_fail 300 ] in
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
-  let r =
-    Parallel.run ~config:(fault_config faults ()) (Workloads.Nqueens.program ~n:6)
-  in
+  let r = coop ~faults:(plan faults) (Workloads.Nqueens.program ~n:6) in
   check Alcotest.int "completed" 0 (completed r);
   check (Alcotest.list Alcotest.string) "all solutions despite failed allocations"
     expected (solutions r);
   check Alcotest.int "nothing quarantined" 0
-    r.Parallel.stats.Core.Stats.quarantined
+    r.Explorer.stats.Core.Stats.quarantined
 
 let quarantine_after_budget () =
   (* A retry budget of 1 turns the first crash into a quarantined path:
      the run still completes, minus the killed subtree. *)
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
   let r =
-    Parallel.run
-      ~config:(fault_config ~retry_budget:1 [ Inject.Worker_crash 5 ] ())
+    coop ~retry_budget:1
+      ~faults:(plan [ Inject.Worker_crash 5 ])
       (Workloads.Nqueens.program ~n:6)
   in
   check Alcotest.int "completed despite the quarantine" 0 (completed r);
   check Alcotest.int "one path quarantined" 1
-    r.Parallel.stats.Core.Stats.quarantined;
+    r.Explorer.stats.Core.Stats.quarantined;
   check Alcotest.bool "quarantine recorded as a killed path" true
     (List.exists
        (fun (t : Explorer.terminal) ->
@@ -403,7 +394,7 @@ let quarantine_after_budget () =
          | Explorer.Path_killed m ->
            String.length m >= 6 && String.sub m 0 6 = "crash:"
          | _ -> false)
-       r.Parallel.terminals);
+       r.Explorer.terminals);
   List.iter
     (fun s ->
       check Alcotest.bool "surviving solutions are genuine" true
@@ -422,11 +413,7 @@ let budget_abort_parity () =
   check Alcotest.string "explorer"
     expect (aborted (Explorer.run_image ~max_extensions:20 image).Explorer.outcome);
   check Alcotest.string "cooperative" expect
-    (aborted
-       (Parallel.run
-          ~config:{ (config ()) with Parallel.max_extensions = 20 }
-          image)
-       .Parallel.outcome);
+    (aborted (coop ~max_extensions:20 image).Explorer.outcome);
   check Alcotest.string "domains" expect
     (aborted
        (Parallel.run
@@ -479,9 +466,7 @@ let stale_hint_does_not_leak () =
     (match r.Explorer.outcome with Explorer.Completed s -> s | _ -> -1);
   check metas "explorer pushes" expected (List.rev !pushed);
   let pushed, strategy = recording () in
-  let r =
-    Parallel.run ~config:{ (config ~workers:1 ()) with Parallel.strategy } image
-  in
+  let r = coop ~workers:1 ~strategy_override:strategy image in
   check Alcotest.int "cooperative completed" 0 (completed r);
   check metas "cooperative pushes" expected (List.rev !pushed)
 
@@ -500,18 +485,91 @@ let frames_return_after_a_run () =
     (match r.Explorer.outcome with Explorer.Completed s -> s | _ -> -1);
   check Alcotest.int "explorer: boot frames only" boot_frames
     (Mem.Phys_mem.frames_live phys);
-  let held faults =
-    let cfg = { (config ~workers:2 ()) with Parallel.faults } in
-    let r = Parallel.run ~config:cfg image in
+  (* A run's memory counters start after worker 0's boot and take in the
+     helpers' boots: a run that frees everything it allocated, helper boot
+     images included, holds worker 0's boot image only. *)
+  let held ?faults workers =
+    let r = coop ~workers ?faults image in
     check Alcotest.int "completed" 0 (completed r);
-    let mm = r.Parallel.stats.Core.Stats.mem in
-    mm.Mem.Mem_metrics.frames_allocated - mm.Mem.Mem_metrics.frames_freed
+    let mm = r.Explorer.stats.Core.Stats.mem in
+    boot_frames + mm.Mem.Mem_metrics.frames_allocated - mm.Mem.Mem_metrics.frames_freed
   in
-  check Alcotest.int "cooperative: boot frames only" (2 * boot_frames)
-    (held None);
-  check Alcotest.int "cooperative under faults: boot frames only"
-    (2 * boot_frames)
-    (held (Some (Inject.generate ~seed:3)))
+  check Alcotest.int "cooperative: boot frames only" boot_frames (held 2);
+  check Alcotest.int "cooperative under faults: boot frames only" boot_frames
+    (held ~faults:(Inject.generate ~seed:3) 2)
+
+(* {1 Runaway paths and strategy overrides} *)
+
+let runaway_path_killed () =
+  (* The root guesses 2: extension 0 fails, extension 1 spins forever.
+     Preemption must not keep a runaway alive: once its segment has run
+     the fuel budget it dies, under quanta as without them. *)
+  let image =
+    assemble ~entry:"main"
+      ([ label "main" ]
+      @ Wl_common.sys_guess_strategy ~strategy:Abi.strategy_dfs
+      @ [ cmp R.rax (i 0); je "after" ]
+      @ Wl_common.sys_guess_imm ~n:2
+      @ [ cmp R.rax (i 0); jne "spin" ]
+      @ Wl_common.sys_guess_fail
+      @ [ label "spin"; jmp "spin"; label "after" ]
+      @ Wl_common.sys_exit ~status:0)
+  in
+  let killed terminals =
+    List.length
+      (List.filter
+         (fun (t : Explorer.terminal) ->
+           match t.kind with Explorer.Path_killed _ -> true | _ -> false)
+         terminals)
+  in
+  let r = Explorer.run_image ~fuel_per_step:1_000_000 image in
+  check Alcotest.int "explorer: completed" 0 (completed r);
+  check Alcotest.int "explorer: one kill" 1 r.stats.Core.Stats.kills;
+  let r = coop ~workers:2 ~quantum:10_000 ~fuel_per_step:1_000_000 image in
+  check Alcotest.int "cooperative: completed" 0 (completed r);
+  check Alcotest.int "cooperative: one killed path" 1 (killed r.terminals);
+  let r = Parallel.run ~config:(dconfig ~workers:2 ~quantum:10_000 ()) image in
+  check Alcotest.int "domains: completed" 0 (dcompleted r);
+  check Alcotest.int "domains: one killed path" 1 (killed r.terminals)
+
+let strategy_override_forces_dfs () =
+  (* A guest asking for BFS that prints each choice as it takes it: the
+     transcript is the visiting order.  Forced to DFS, one domain must
+     visit in the explorer's DFS order, not the guest's BFS. *)
+  let image =
+    assemble ~entry:"main"
+      ([ label "main" ]
+      @ Wl_common.sys_guess_strategy ~strategy:Abi.strategy_bfs
+      @ [ cmp R.rax (i 0); je "after"; mov R.r12 (i 2); label "step" ]
+      @ Wl_common.sys_guess_imm ~n:2
+      @ [ add R.rax (i 48); movl R.r8 "slot"; st (R.r8 @+ 0) R.rax ]
+      @ Wl_common.write_label ~buf:"slot" ~len:1
+      @ [ dec R.r12; jne "step" ]
+      @ Wl_common.sys_guess_fail
+      @ [ label "after" ]
+      @ Wl_common.sys_exit ~status:0
+      @ [ align 4096; label "slot"; zeros 8 ])
+  in
+  let bfs = (Explorer.run_image image).transcript in
+  let dfs = (Explorer.run_image ~strategy_override:`Dfs image).transcript in
+  check Alcotest.bool "the orders differ" true (bfs <> dfs);
+  let forced strategy_override =
+    (Parallel.run ~config:{ (dconfig ~workers:1 ()) with strategy_override } image)
+      .transcript
+  in
+  check Alcotest.string "guest's strategy" bfs (forced None);
+  check Alcotest.string "forced to DFS" dfs (forced (Some `Dfs))
+
+let one_machine_combinations_rejected () =
+  (* A reclaim store follows one machine: more workers are refused. *)
+  let image = Workloads.Nqueens.program ~n:4 in
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | _ -> Alcotest.failf "%s: accepted at 2 workers" name
+      | exception Invalid_argument _ -> ())
+    [ "capacity", (fun () -> Explorer.run_image ~workers:2 ~capacity:4096 image);
+      "tier_stress", (fun () -> Explorer.run_image ~workers:2 ~tier_stress:1 image) ]
 
 let tests =
   [ Alcotest.test_case "same solutions for any worker count" `Quick
@@ -545,4 +603,10 @@ let tests =
     Alcotest.test_case "stale hint does not leak" `Quick stale_hint_does_not_leak;
     Alcotest.test_case "frames return after a run" `Quick frames_return_after_a_run;
     Alcotest.test_case "max live snapshots tracked" `Quick
-      max_live_snapshots_tracked ]
+      max_live_snapshots_tracked;
+    Alcotest.test_case "runaway path killed under quanta" `Quick
+      runaway_path_killed;
+    Alcotest.test_case "strategy override forces dfs" `Quick
+      strategy_override_forces_dfs;
+    Alcotest.test_case "one-machine options need one worker" `Quick
+      one_machine_combinations_rejected ]
