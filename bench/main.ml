@@ -588,7 +588,7 @@ let e9 () =
         let cpu = machine.Os.Libos.cpu in
         let aspace = machine.Os.Libos.aspace in
         let icache =
-          if cached then Some (Vcpu.Interp.create_icache ()) else None
+          if cached then Some (Vcpu.Interp.create_icache aspace) else None
         in
         let brk = ref Os.Libos.default_layout.Os.Libos.heap_base in
         let rec drive () =

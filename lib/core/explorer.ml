@@ -14,7 +14,7 @@ type builtin =
   | `Dfs_bounded of int
   | `Random of int ]
 
-type strategy = [ builtin | `Custom of (unit -> Ext.t Frontier.t) ]
+type strategy = [ builtin | `Custom of (unit -> Ext.payload Frontier.t) ]
 
 type terminal_kind = Path.terminal_kind =
   | Exit of int
@@ -45,7 +45,7 @@ type mode = [ `Run_to_completion | `First_exit ]
 
 exception Audit_failed of string
 
-type scope = { root : Snapshot.t; frontier : Ext.t Frontier.t }
+type scope = { root : Snapshot.t; frontier : Ext.payload Frontier.t }
 
 let builtin_frontier : builtin -> unit -> 'a Frontier.t = function
   | `Dfs -> Frontier.dfs
@@ -57,7 +57,7 @@ let builtin_frontier : builtin -> unit -> 'a Frontier.t = function
   | `Dfs_bounded max_depth -> Frontier.dfs_bounded ~max_depth
   | `Random seed -> Frontier.random ~seed
 
-let make_frontier : strategy -> Ext.t Frontier.t = function
+let make_frontier : strategy -> Ext.payload Frontier.t = function
   | #builtin as s -> builtin_frontier s ()
   | `Custom make -> make ()
 
@@ -118,9 +118,13 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
      replay fallback is exercised too.  Pure store operations: the running
      machine is never touched. *)
   let stress_clock = ref 0 in
+  let stress_every =
+    match (tier_stress, store) with Some n, Some _ when n > 0 -> n | _ -> 0
+  in
   let stress_tick () =
-    match (tier_stress, store) with
-    | Some n, Some st when n > 0 ->
+    match store with
+    | Some st when stress_every > 0 ->
+      let n = stress_every in
       incr stress_clock;
       if !stress_clock mod n = 0 then begin
         ignore (Reclaim.demote_all st);
@@ -131,7 +135,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   in
   (* Reclaim mode manages payload lifetime itself (see [Reclaim]), so the
      snapshot refcounts run only in the plain in-memory scheduler. *)
-  let paths : Ext.t Path.t array =
+  let paths : Path.t array =
     Array.map
       (Path.create ~refcount:(store = None) ~inj ~transcript ~terminals)
       machines
@@ -159,6 +163,10 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   (* The frame audit (see [run] in the interface), on a poisoned allocator
      only.  Assumes the run's machines are the only users of its memory. *)
   let audited = Mem.Phys_mem.poisoning phys in
+  (* The observers of a stop, checked once per run rather than at every
+     stop: an unobserved run pays one test per stop. *)
+  let observed = probe <> None || on_stop <> None || stress_every > 0 || audited in
+  let first_exit = mode = `First_exit in
   let captured = ref [] in  (* this run's captures, pruned of the freed *)
   let note_capture snap = if audited then captured := snap :: !captured in
   let stops = ref 0 in
@@ -211,10 +219,10 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     | Ok () -> ()
   in
 
-  let probe_resume snap rax =
+  let probe_resume (snap : Snapshot.t) rax =
     match probe with
     | None -> ()
-    | Some p -> p.Probe.resume ~snap:snap.Snapshot.id ~rax
+    | Some p -> p.Probe.resume ~snap:snap.id ~rax
   in
   let probe_set_rax v =
     match probe with None -> () | Some p -> p.Probe.set_rax v
@@ -277,51 +285,54 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     Option.iter Reclaim.close store;
     { outcome;
       transcript = Buffer.contents transcript;
-      terminals = Stdx.Vec.to_list terminals;
+      terminals = Path.terminals terminals;
       rounds = !rounds;
       busy_rounds;
       stats }
   in
 
-  let resolve (ext : Ext.t) =
-    match ext.payload with
+  let resolve : Ext.payload -> Snapshot.t = function
     | Ext.Snap s -> s
     | Ext.Ref h -> (
       match store with
       | Some st -> Reclaim.get st h
       | None -> invalid_arg "Explorer: managed extension without a store")
+    | Ext.Root -> invalid_arg "Explorer: the scope root is never on a frontier"
   in
 
-  (* Start the next extension on the idle path [w], if there is one. *)
-  let rec pop sc w =
+  (* End [w]'s path, if one runs, and start the next extension on it, if
+     there is one: one [Path.switch]. *)
+  let rec start sc w =
     match sc.frontier.Frontier.pop () with
-    | None -> ()
-    | Some (ext : Ext.t) -> (
-      match resolve ext with
+    | exception Frontier.Empty -> Path.retire w
+    | (e : Ext.t) -> (
+      let index = Frontier.popped e and depth = e.meta.Frontier.depth in
+      match Path.switch w stats ~resolve e.parent ~index ~depth with
       | snap ->
-        Path.enter w stats snap ~origin:ext ~rax:ext.index
-          ~depth:ext.meta.Frontier.depth;
-        probe_resume snap ext.index;
-        current_handle :=
-          (match ext.payload with Ext.Ref h -> Some h | Ext.Snap _ -> None);
-        current_choice := ext.index;
+        probe_resume snap index;
+        (match e.parent with
+        | Ext.Ref h ->
+          current_handle := Some h;
+          current_choice := index
+        | Ext.Snap _ | Ext.Root -> ());
         stats.extensions_evaluated <- stats.extensions_evaluated + 1
-      | exception e ->
+      | exception ex ->
         (* Reconstruction failed (e.g. genuinely out of frames): this path
            dies; the search itself survives. *)
         stats.kills <- stats.kills + 1;
-        Path.record w ~depth:ext.meta.Frontier.depth
+        Path.record w ~depth
           (Path_killed
-             (Printf.sprintf "reconstruction failed: %s" (Printexc.to_string e)))
+             (Printf.sprintf "reconstruction failed: %s" (Printexc.to_string ex)))
           "";
-        pop sc w)
+        start sc w)
   in
 
+  (* [max] on ints, without the polymorphic [compare] *)
   let track_extents sc =
     let frontier_len = sc.frontier.Frontier.length () in
     if Obs.Trace.enabled () then
       Obs.Trace.counter Obs.Names.frontier_len frontier_len;
-    stats.max_frontier <- max stats.max_frontier frontier_len;
+    if frontier_len > stats.max_frontier then stats.max_frontier <- frontier_len;
     let lineage_len =
       match store with
       | Some _ ->
@@ -330,43 +341,47 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         Path.depth path + 1
       | None -> Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
     in
-    stats.max_live_snapshots <- max stats.max_live_snapshots (frontier_len + lineage_len)
+    let live = frontier_len + lineage_len in
+    if live > stats.max_live_snapshots then stats.max_live_snapshots <- live
   in
 
-  (* Everything a stop owes its observers before it is dispatched. *)
-  let observe w ~retired0 step =
+  (* Everything a stop owes its observers before it is dispatched; called
+     only when [observed]. *)
+  let observe w ~retired0 stop =
     (match probe with
     | None -> ()
-    | Some p -> (
-      let retired = (Path.machine w).cpu.Cpu.retired - retired0 in
-      match step with
-      | Ok stop -> p.Probe.eval ~retired stop
-      | Error e -> p.Probe.crash ~retired (Printexc.to_string e)));
-    match step with
-    | Error _ -> ()
-    | Ok stop ->
-      (match on_stop with None -> () | Some f -> f (Path.machine w) stop);
-      stress_tick ();
-      if audited then begin
-        incr stops;
-        audit (Format.asprintf "stop %d (%a)" !stops Libos.pp_stop stop)
-      end
+    | Some p ->
+      p.Probe.eval ~retired:((Path.machine w).cpu.Cpu.retired - retired0) stop);
+    (match on_stop with None -> () | Some f -> f (Path.machine w) stop);
+    stress_tick ();
+    if audited then begin
+      incr stops;
+      audit (Format.asprintf "stop %d (%a)" !stops Libos.pp_stop stop)
+    end
+  in
+  let observe_crash w ~retired0 e =
+    match probe with
+    | None -> ()
+    | Some p ->
+      p.Probe.crash
+        ~retired:((Path.machine w).cpu.Cpu.retired - retired0)
+        (Printexc.to_string e)
   in
 
   (* Outside the scope: machine 0 runs the program, unarmed. *)
   let rec outside () =
     let retired0 = machine.cpu.Cpu.retired in
-    let step =
+    match
       Path.run ~armed:false path ~fuel:fuel_per_step ~span:Obs.Names.explorer_eval
-    in
-    observe path ~retired0 step;
-    match step with
-    | Error e ->
+    with
+    | exception e ->
+      if observed then observe_crash path ~retired0 e;
       finish
         (Aborted
            (Printf.sprintf "crash outside a strategy scope: %s"
               (Printexc.to_string e)))
-    | Ok stop -> (
+    | stop -> (
+      if observed then observe path ~retired0 stop;
       match Path.outside path stop with
       | `Scope strategy -> open_scope strategy
       | `Continue ->
@@ -407,15 +422,17 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
      runs one quantum. *)
   and turn sc i =
     let w = paths.(i) in
-    if not (Path.live w) then pop sc w;
+    if not (Path.live w) then start sc w;
     if Path.live w then begin
       busy_rounds.(i) <- busy_rounds.(i) + 1;
       let retired0 = (Path.machine w).cpu.Cpu.retired in
-      let step = Path.run w ~fuel ~span:Obs.Names.explorer_eval in
-      observe w ~retired0 step;
-      match step with
-      | Error e -> crashed sc i w e
-      | Ok stop -> in_scope sc i w stop
+      match Path.run w ~fuel ~span:Obs.Names.explorer_eval with
+      | exception e ->
+        if observed then observe_crash w ~retired0 e;
+        crashed sc i w e
+      | stop ->
+        if observed then observe w ~retired0 stop;
+        in_scope sc i w stop
     end
     else next sc i
 
@@ -429,9 +446,11 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       probe_set_rax 0;
       next sc i
     | Path.Preempted -> next sc i
-    | Path.Terminal (Exit status) when mode = `First_exit ->
-      finish (Stopped_first_exit status)
-    | Path.Terminal _ -> finished sc i w
+    | Path.Terminal -> (
+      match stop with
+      | Libos.Exited { status } when first_exit ->
+        finish (Stopped_first_exit status)
+      | _ -> finished sc i w)
     | Path.Branch n ->
       let snap, meta = Path.branch w stats ~ids ~n in
       note_capture snap;
@@ -453,9 +472,10 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
             (Reclaim.add st ~parent ~choice:!current_choice
                ~depth:(Path.depth w) snap)
       in
-      sc.frontier.Frontier.push_batch
-        (List.init n (fun index -> meta, { Ext.payload; index; meta }));
+      sc.frontier.Frontier.push_batch [ Frontier.guess payload ~count:n meta ];
       track_extents sc;
+      (* the built-in strategies drop extensions only when pushed to *)
+      Path.evict w stats sc.frontier;
       if stats.extensions_pushed > max_extensions then
         finish (Aborted "extension budget exhausted")
       else finished sc i w
@@ -473,12 +493,10 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     | `Retried -> next sc i
     | `Quarantined -> finished sc i w
 
-  (* [w]'s path is over: retire it and start the next one.  Once no path
-     runs, the frontier is empty too, and the scope is exhausted. *)
+  (* [w]'s path is over: switch it to the next one.  Once no path runs,
+     the frontier is empty too, and the scope is exhausted. *)
   and finished sc i w =
-    Path.evict w stats sc.frontier;
-    Path.retire w;
-    pop sc w;
+    start sc w;
     if Path.live w || running 0 then next sc i else close sc
 
   (* The scope is exhausted: in the next round machine 0 restores the root

@@ -34,7 +34,9 @@ type builtin =
   | `Random of int  (** seed *) ]
 (** The strategies whose frontiers hold any element type. *)
 
-type strategy = [ builtin | `Custom of (unit -> Ext.t Search.Frontier.t) ]
+type strategy = [ builtin | `Custom of (unit -> Ext.payload Search.Frontier.t) ]
+(** A [`Custom] frontier holds one entry per guess ({!Ext.t}) and, like
+    the built-in ones, is asked for its evictions right after each push. *)
 
 type terminal_kind = Path.terminal_kind =
   | Exit of int                (** the path terminated via exit(status) *)
@@ -75,7 +77,7 @@ val builtin_frontier : builtin -> unit -> 'a Search.Frontier.t
 (** A built-in strategy's frontier factory, at any element type ({!Parallel}'s
     work queue calls it once per shard). *)
 
-val make_frontier : strategy -> Ext.t Search.Frontier.t
+val make_frontier : strategy -> Ext.payload Search.Frontier.t
 (** Instantiate a strategy's frontier: {!builtin_frontier}, or the
     [`Custom] factory. *)
 

@@ -1,9 +1,6 @@
 type payload =
+  | Root
   | Snap of Snapshot.t
   | Ref of Reclaim.handle
 
-type t = {
-  payload : payload;
-  index : int;
-  meta : Search.Frontier.meta;
-}
+type t = payload Search.Frontier.entry

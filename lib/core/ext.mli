@@ -1,8 +1,14 @@
-(** A candidate extension step (§3.1): "simply a reference to their parent
+(** Candidate extension steps (§3.1): "simply a reference to their parent
     partial candidate and the extension number".  Deferred computation —
-    nothing runs until a strategy schedules it. *)
+    nothing runs until a strategy schedules it.
+
+    A guess's extensions share one frontier entry ({!t}): the parent, the
+    range of extension numbers still to run, and their metadata. *)
 
 type payload =
+  | Root
+      (** the scope root: the origin of the scope-opening path, which a
+          crash retry restores with 1 in [rax].  Never on a frontier. *)
   | Snap of Snapshot.t
       (** the parent partial candidate, held directly *)
   | Ref of Reclaim.handle
@@ -10,8 +16,4 @@ type payload =
           be evicted under memory pressure and rebuilt by replay when the
           extension is finally scheduled *)
 
-type t = {
-  payload : payload;               (** the parent partial candidate *)
-  index : int;                     (** the extension number *)
-  meta : Search.Frontier.meta;
-}
+type t = payload Search.Frontier.entry

@@ -160,7 +160,7 @@ let rehydrate_root image (root : root_state) =
 (* The per-domain evaluation loop over [path]'s machine.  [root_path] is
    the scope-opening path, already open on domain 0's machine (counted by
    the queue's [initial_paths]); other domains start by pulling work. *)
-let eval_domain sh ~dom ~(path : unit Path.t) ~(d_root : Snapshot.t)
+let eval_domain sh ~dom ~(path : Path.t) ~(d_root : Snapshot.t)
     ~(st : Stats.t) ~items ~root_path =
   let machine = Path.machine path in
   let set_outcome o =
@@ -228,37 +228,37 @@ let eval_domain sh ~dom ~(path : unit Path.t) ~(d_root : Snapshot.t)
   (* Run the current path to its terminal scheduling event; a crash
      escapes as an exception. *)
   let rec evaluate (it : item) =
-    match
+    let stop =
       Path.run path ~fuel:sh.sh_quantum ~span:Obs.Names.worker_eval ~a:dom
-    with
-    | Error e -> raise e
-    | Ok stop -> (
-      match Path.classify ~preempt:Explorer.default_fuel_per_step path st stop with
-      | Path.Preempted ->
-        (* the stop-flag check is what lets first-exit and aborts
-           interrupt long-running sibling paths *)
-        if not (Work_queue.stopped sh.queue) then evaluate it
-      | Path.Hinted -> evaluate it
-      | Path.Scope _ -> abort "nested sys_guess_strategy"
-      | Path.Terminal (Explorer.Exit status) when sh.sh_mode = `First_exit ->
+    in
+    match Path.classify ~preempt:Explorer.default_fuel_per_step path st stop with
+    | Path.Preempted ->
+      (* the stop-flag check is what lets first-exit and aborts
+         interrupt long-running sibling paths *)
+      if not (Work_queue.stopped sh.queue) then evaluate it
+    | Path.Hinted -> evaluate it
+    | Path.Scope _ -> abort "nested sys_guess_strategy"
+    | Path.Terminal -> (
+      match stop with
+      | Libos.Exited { status } when sh.sh_mode = `First_exit ->
         set_outcome (Explorer.Stopped_first_exit status);
         Work_queue.stop sh.queue
-      | Path.Terminal _ -> ()
-      | Path.Branch n ->
-        let snap, meta = Path.branch path st ~ids:sh.sh_ids ~n in
-        Work_queue.push_batch sh.queue ~dom
-          (List.init n (fun index ->
-               ( meta,
-                 { it_snap = snap;
-                   it_root_map = d_root.Snapshot.mem;
-                   it_index = index;
-                   it_meta = meta;
-                   it_origin = dom;
-                   it_retries = 0 } )));
-        drop_evicted ();
-        track_live it;
-        if Work_queue.pushed sh.queue > sh.sh_max_extensions then
-          abort "extension budget exhausted")
+      | _ -> ())
+    | Path.Branch n ->
+      let snap, meta = Path.branch path st ~ids:sh.sh_ids ~n in
+      Work_queue.push_batch sh.queue ~dom
+        (List.init n (fun index ->
+             ( meta,
+               { it_snap = snap;
+                 it_root_map = d_root.Snapshot.mem;
+                 it_index = index;
+                 it_meta = meta;
+                 it_origin = dom;
+                 it_retries = 0 } )));
+      drop_evicted ();
+      track_live it;
+      if Work_queue.pushed sh.queue > sh.sh_max_extensions then
+        abort "extension budget exhausted"
   in
 
   (* Supervision: a crash while preparing or evaluating [it] (injected, or
@@ -318,7 +318,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   let m0 = Libos.boot phys0 image in
   let transcript = Buffer.create 256 in
   let terminals0 = Path.terminal_log () in
-  let path0 : unit Path.t = Path.create ~inj ~transcript ~terminals:terminals0 m0 in
+  let path0 : Path.t = Path.create ~inj ~transcript ~terminals:terminals0 m0 in
   let busy_rounds = Array.make config.workers 0 in
   let worker_tail = ref [] in
   let worker_stats : (Stats.t * Obs.Metrics.t) list ref = ref [] in
@@ -386,7 +386,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
                                  (Printexc.to_string e)))));
                    Work_queue.stop sh.queue);
                 Stats.publish st reg;
-                st, reg, Buffer.contents buf, Stdx.Vec.to_list terms, !items))
+                st, reg, Buffer.contents buf, Path.terminals terms, !items))
       in
       let items0 = ref 0 in
       Mem.Phys_mem.set_alloc_fault phys0 (Inject.alloc_hook inj);
@@ -442,7 +442,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   stats.Stats.evicted <- stats.Stats.evicted + !queue_evicted;
   { outcome;
     transcript = Buffer.contents transcript;
-    terminals = Stdx.Vec.to_list terminals0 @ !worker_tail;
+    terminals = Path.terminals terminals0 @ !worker_tail;
     busy_rounds;
     stats;
     domain_metrics = Array.of_list (reg0 :: List.map snd !worker_stats) }

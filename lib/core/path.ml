@@ -15,12 +15,41 @@ type terminal = {
   depth : int;
 }
 
-(* An array slot per terminal, not a three-word list cell: a search's
-   terminals live until it ends, so the result list is built only then. *)
-let terminal_log () =
-  Stdx.Vec.create ~capacity:64 ~dummy:{ kind = Fail; output = ""; depth = -1 } ()
+(* One int per terminal, in completion order, not a list cell or a pointer
+   slot: a search's terminals live until it ends, so the result list is
+   built only then.  A silent failure at depth [d] ([Fail] with no output),
+   most terminals of a typical search, is [d] itself: logging it is a
+   store into an int array, which needs no write barrier and holds no
+   pointer for the GC to follow.  Any other terminal is [-1 - i], its
+   index in [others].  The codes fill fixed-size chunks, so the log never
+   copies or re-allocates what it holds, and a log that stays empty (a
+   [Service] session's) allocates none. *)
+type terminal_log = {
+  mutable chunk : int array;  (* being filled *)
+  mutable fill : int;         (* codes in [chunk] *)
+  mutable full : int array list;  (* earlier chunks, newest first *)
+  others : terminal Stdx.Vec.t;
+}
 
-type 'o t = {
+let chunk_size = 1024
+
+let terminal_log () =
+  { chunk = [||];
+    fill = 0;
+    full = [];
+    others =
+      Stdx.Vec.create ~capacity:16 ~dummy:{ kind = Fail; output = ""; depth = -1 } () }
+
+let log_code log code =
+  if log.fill = Array.length log.chunk then begin
+    if log.fill > 0 then log.full <- log.chunk :: log.full;
+    log.chunk <- Array.make chunk_size 0;
+    log.fill <- 0
+  end;
+  Array.unsafe_set log.chunk log.fill code;
+  log.fill <- log.fill + 1
+
+type t = {
   machine : Libos.t;
   phys : Mem.Phys_mem.t;
   refcount : bool;  (* the snapshot refcount discipline runs *)
@@ -28,12 +57,13 @@ type 'o t = {
   inj : Inject.t;
   armed : bool;     (* [inj] injects something *)
   transcript : Buffer.t option;
-  terminals : terminal Stdx.Vec.t;  (* in completion order *)
+  terminals : terminal_log;
   mutable marker : string list;  (* stdout harvest point *)
   mutable depth : int;
   mutable hint : int;            (* pending [sys_guess_hint] *)
-  mutable base : Snapshot.t option;
-  mutable origin : 'o option;
+  mutable base : Snapshot.t;  (* [Snapshot.none] while no segment runs *)
+  mutable origin : Ext.payload;  (* what a crash retry restores *)
+  mutable origin_index : int;    (* and the [rax] it delivers there *)
   mutable epoch : int;
       (* the address-space epoch right after the segment began; while it is
          current no capture has frozen the map, so everything acquired since
@@ -59,23 +89,19 @@ let create ?(refcount = true) ?(inj = Inject.none) ?transcript
     marker = Libos.stdout_chunks machine;
     depth = 0;
     hint = 0;
-    base = None;
-    origin = None;
+    base = Snapshot.none;
+    origin = Ext.Root;
+    origin_index = 1;
     epoch = (if owns_map then As.epoch machine.aspace else -1);
     seg_retired = machine.cpu.Cpu.retired;
     retries = 0 }
 
 let machine t = t.machine
 let depth t = t.depth
-let live t = Option.is_some t.base
+let live t = t.base != Snapshot.none
 
-(* Counts the parent chain instead of building [Snapshot.lineage]: it runs
-   on every branch. *)
-let lineage_length t =
-  let rec count n (s : Snapshot.t) =
-    match s.parent with None -> n | Some p -> count (n + 1) p
-  in
-  match t.base with None -> 0 | Some s -> count 1 s
+(* 0 when not live: the placeholder's *)
+let lineage_length t = t.base.Snapshot.lineage_length
 
 let harvest t =
   let cur = Libos.stdout_chunks t.machine in
@@ -114,30 +140,57 @@ let silent_fail depth =
 
 let record ?depth t kind output =
   let depth = Option.value depth ~default:t.depth in
-  let terminal =
-    match kind with
-    | Fail when output = "" && depth >= 0 -> silent_fail depth
-    | Fail | Exit _ | Path_killed _ -> { kind; output; depth }
+  match kind with
+  | Fail when String.length output = 0 && depth >= 0 -> log_code t.terminals depth
+  | Fail | Exit _ | Path_killed _ ->
+    let log = t.terminals in
+    log_code log (-1 - Stdx.Vec.push log.others { kind; output; depth })
+
+let terminals log =
+  (* one lookup grows the shared table to every depth the log holds *)
+  let deepest = ref (-1) in
+  let scan chunk fill =
+    for i = 0 to fill - 1 do
+      let code = Array.unsafe_get chunk i in
+      if code > !deepest then deepest := code
+    done
   in
-  ignore (Stdx.Vec.push t.terminals terminal)
+  scan log.chunk log.fill;
+  List.iter (fun c -> scan c chunk_size) log.full;
+  if !deepest >= 0 then ignore (silent_fail !deepest);
+  let silent = Atomic.get silent_fails in
+  (* built back to front: one list, no reversed copy *)
+  let build acc chunk fill =
+    let acc = ref acc in
+    for i = fill - 1 downto 0 do
+      let code = Array.unsafe_get chunk i in
+      acc :=
+        (if code >= 0 then silent.(code) else Stdx.Vec.get log.others (-1 - code))
+        :: !acc
+    done;
+    !acc
+  in
+  List.fold_left (fun acc c -> build acc c chunk_size) (build [] log.chunk log.fill)
+    log.full
 
 (* The machine was just restored to [snap]: a segment begins there.  The
    epoch is recorded before [graft] runs, so whatever a graft that fails
    half way mapped is freed as this segment's tail. *)
 let begin_segment ?graft t snap ~rax =
-  t.base <- Some snap;
+  (* Siblings share their base, origin and stdout list: storing only what
+     changed skips most write barriers of a switch. *)
+  if t.base != snap then t.base <- snap;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
   Option.iter (fun g -> g ()) graft;
-  t.marker <- Libos.stdout_chunks t.machine;
+  let out = Libos.stdout_chunks t.machine in
+  if t.marker != out then t.marker <- out;
   t.hint <- 0;
   Cpu.set t.machine.cpu Reg.rax rax
 
-let enter ?origin ?(retries = 0) ?graft t (stats : Stats.t) snap ~rax ~depth =
-  (* set first: a crash during the restore or the graft is still this
-     origin's, at this depth *)
-  t.origin <- origin;
-  t.retries <- retries;
+(* The caller set the origin first: a crash during the restore or the graft
+   is still this origin's, at this depth. *)
+let enter_at ?graft t (stats : Stats.t) snap ~rax ~depth =
   t.depth <- depth;
   if t.adopts && Snapshot.sole_extension snap then begin
     (* Last restore of this snapshot: adopt its frames into the new
@@ -151,18 +204,24 @@ let enter ?origin ?(retries = 0) ?graft t (stats : Stats.t) snap ~rax ~depth =
   stats.restores <- stats.restores + 1;
   begin_segment ?graft t snap ~rax
 
+let enter ?(retries = 0) ?graft t stats snap ~rax ~depth =
+  t.origin <- Ext.Root;
+  t.origin_index <- 1;
+  t.retries <- retries;
+  enter_at ?graft t stats snap ~rax ~depth
+
 let restore t snap ~rax ~depth =
   Snapshot.restore t.machine snap;
   t.depth <- depth;
   begin_segment t snap ~rax
 
 let restart t ~root ~resolve =
-  let snap, rax =
+  let snap =
     match t.origin with
-    | Some (ext : Ext.t) -> resolve ext, ext.index
-    | None -> root, 1 (* the scope-opening path restarts exploring *)
+    | Ext.Root -> root (* the scope-opening path restarts exploring *)
+    | (Snap _ | Ref _) as o -> resolve o
   in
-  restore t snap ~rax ~depth:t.depth;
+  restore t snap ~rax:t.origin_index ~depth:t.depth;
   snap
 
 let open_scope t (stats : Stats.t) ~ids =
@@ -171,10 +230,11 @@ let open_scope t (stats : Stats.t) ~ids =
   let root = Snapshot.capture ~ids ~depth:0 t.machine in
   stats.snapshots_created <- stats.snapshots_created + 1;
   if t.refcount then Snapshot.retain root;
-  t.base <- Some root;
+  t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
-  t.origin <- None;
+  t.origin <- Ext.Root;
+  t.origin_index <- 1;
   t.retries <- 0;
   t.depth <- 0;
   Cpu.set t.machine.cpu Reg.rax 1;
@@ -184,31 +244,28 @@ let run ?a ?(armed = true) t ~fuel ~span =
   let m = t.machine in
   let armed = armed && t.armed in
   let fuel = if armed then Inject.jitter t.inj ~base:fuel else fuel in
-  let res =
+  let stop =
     if Obs.Trace.enabled () then begin
-      let a =
-        match a, t.base with
-        | Some a, _ -> a
-        | None, Some s -> s.Snapshot.id
-        | None, None -> -1
-      in
+      (* the placeholder's id is -1 *)
+      let a = match a with Some a -> a | None -> t.base.Snapshot.id in
       let r0 = m.cpu.Cpu.retired in
       Obs.Trace.span_begin ~a span;
-      let res = try Ok (Libos.run m ~fuel) with e -> Error e in
-      Obs.Trace.span_end ~a ~b:(m.cpu.Cpu.retired - r0) span;
-      (match res with
-      | Ok stop -> Obs.Trace.instant (Libos.stop_trace_name stop)
-      | Error _ -> ());
-      res
+      match Libos.run m ~fuel with
+      | stop ->
+        Obs.Trace.span_end ~a ~b:(m.cpu.Cpu.retired - r0) span;
+        Obs.Trace.instant (Libos.stop_trace_name stop);
+        stop
+      | exception e ->
+        Obs.Trace.span_end ~a ~b:(m.cpu.Cpu.retired - r0) span;
+        raise e
     end
-    else try Ok (Libos.run m ~fuel) with e -> Error e
+    else Libos.run m ~fuel
   in
-  match res with
-  | Ok _ when armed -> ( try Inject.stop_tick t.inj; res with e -> Error e)
-  | _ -> res
+  if armed then Inject.stop_tick t.inj;
+  stop
 
 type event =
-  | Terminal of terminal_kind
+  | Terminal
   | Branch of int
   | Hinted
   | Preempted
@@ -222,7 +279,14 @@ let hinted t dist =
 
 let terminal t kind output =
   record t kind output;
-  Terminal kind
+  Terminal
+
+(* A runaway dies once its segment has run [preempt] instructions, or the
+   guest's own timeout if that is tighter: [Libos.run] applies the timeout
+   to each quantum, and only the segment is the guest's "one run". *)
+let kill_bound t preempt =
+  let timeout = Libos.timeout t.machine in
+  if timeout > 0 && timeout < preempt then timeout else preempt
 
 let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
   match stop with
@@ -241,7 +305,8 @@ let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
     hinted t dist;
     Hinted
   | Guess_strategy { strategy } -> Scope strategy
-  | Killed Fuel_exhausted when t.machine.cpu.Cpu.retired - t.seg_retired < preempt ->
+  | Killed Fuel_exhausted
+    when t.machine.cpu.Cpu.retired - t.seg_retired < kill_bound t preempt ->
     Preempted
   | Exited { status } ->
     let output = harvest t in
@@ -253,8 +318,10 @@ let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
     terminal t (Path_killed (reason_to_string reason)) output
 
 let capture t ~ids =
-  Snapshot.capture ~ids ?parent:t.base ~owns_image:(Option.is_none t.base)
-    ~depth:t.depth t.machine
+  let live = live t in
+  Snapshot.capture ~ids
+    ?parent:(if live then Some t.base else None)
+    ~owns_image:(not live) ~depth:t.depth t.machine
 
 let branch t (stats : Stats.t) ~ids ~n =
   let snap = capture t ~ids in
@@ -299,34 +366,58 @@ let drain t stats ~root =
 
 let release t snap = if t.refcount then Snapshot.release_ext ~phys:t.phys snap
 
-let evict t (stats : Stats.t) (frontier : Ext.t Frontier.t) =
+let evict t (stats : Stats.t) (frontier : Ext.payload Frontier.t) =
   match frontier.evicted () with
   | [] -> ()
   | dropped ->
-    stats.evicted <- stats.evicted + List.length dropped;
     (* Safe before restoring away: any snapshot on a running path's lineage
        is pinned by a live child or that path's unreleased ref. *)
     List.iter
       (fun (e : Ext.t) ->
-        match e.payload with Snap s -> release t s | Ref _ -> ())
+        let n = Frontier.remaining e in
+        stats.evicted <- stats.evicted + n;
+        match e.parent with
+        | Snap s ->
+          for _ = 1 to n do
+            release t s
+          done
+        | Ref _ | Root -> ())
       dropped
 
 let discard t =
   if As.epoch t.machine.aspace = t.epoch then begin
-    (match t.base with
-    | Some b -> ignore (As.discard_segment t.machine.aspace ~base:b.Snapshot.mem)
-    | None -> ignore (As.discard_map t.machine.aspace));
+    if live t then
+      ignore (As.discard_segment t.machine.aspace ~base:t.base.Snapshot.mem)
+    else ignore (As.discard_map t.machine.aspace);
     t.epoch <- -1
   end
 
 let retire ?give_back t =
   discard t;
   (if t.refcount then
-     match give_back, t.base with
-     | Some f, _ -> f ()
-     | None, Some b -> Snapshot.release_ext ~phys:t.phys b
-     | None, None -> ());
-  t.base <- None
+     match give_back with
+     | Some f -> f ()
+     | None -> if live t then Snapshot.release_ext ~phys:t.phys t.base);
+  t.base <- Snapshot.none
+
+(* [retire], then [enter]; the base is left in place until the next one
+   overwrites it, unless [resolve] fails. *)
+let switch t stats ~resolve origin ~index ~depth =
+  discard t;
+  if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
+  (* after the discard: a store's promotion or replay clobbers the machine *)
+  let snap =
+    match resolve origin with
+    | snap -> snap
+    | exception e ->
+      t.base <- Snapshot.none;
+      raise e
+  in
+  if t.origin != origin then t.origin <- origin;
+  t.origin_index <- index;
+  t.retries <- 0;
+  enter_at t stats snap ~rax:index ~depth;
+  snap
 
 let quarantine t (stats : Stats.t) ~budget e =
   if Obs.Trace.enabled () then Obs.Trace.instant Obs.Names.sched_quarantine;
@@ -342,10 +433,8 @@ let quarantine t (stats : Stats.t) ~budget e =
 let supervise t (stats : Stats.t) ~budget ~retry e =
   (* the crashed attempt's COW tail dies here, before any re-entry *)
   discard t;
-  let adopted =
-    match t.base with Some s -> Snapshot.adopted s | None -> false
-  in
-  if adopted || t.retries >= budget - 1 then quarantine t stats ~budget e
+  (* the placeholder is never adopted *)
+  if Snapshot.adopted t.base || t.retries >= budget - 1 then quarantine t stats ~budget e
   else begin
     t.retries <- t.retries + 1;
     stats.requeues <- stats.requeues + 1;

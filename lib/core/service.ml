@@ -11,7 +11,7 @@ type t = {
      stdin).  [None] only before the first publish, whose snapshot is the
      pinned replay root. *)
   mutable pending : (ref_ * int * string option) option;
-  path : unit Path.t;
+  path : Path.t;
       (* the stdout marker, the segment epoch, and the record the
          machine's state derives from — threaded as the parent of the next
          publish's capture, so the store's explicit frame-free discipline

@@ -7,6 +7,7 @@ type t = {
   os : Os.Libos.os_state;
   parent : t option;
   depth : int;
+  lineage_length : int;  (* this snapshot and its ancestors *)
   (* Explicit-release bookkeeping (see [release_ext]).  [ext_refs] counts
      frontier extensions (plus pins) that may still restore this snapshot;
      [child_refs] counts live child snapshots whose maps share our frames.
@@ -49,11 +50,28 @@ let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Os.Libos.t) =
     os = Os.Libos.os_capture machine;
     parent;
     depth;
+    lineage_length =
+      (match parent with Some p -> p.lineage_length + 1 | None -> 1);
     ext_refs = 0;
     child_refs = 0;
     freed = false;
     adopted = false;
     owns_image }
+
+(* Freed from the start, so a stray release never reaches a map. *)
+let none =
+  { id = -1;
+    regs = Vcpu.Cpu.save (Vcpu.Cpu.create ~entry:0);
+    mem = As.empty_snapshot;
+    os = Os.Libos.initial_os;
+    parent = None;
+    depth = 0;
+    lineage_length = 0;
+    ext_refs = 0;
+    child_refs = 0;
+    freed = true;
+    adopted = false;
+    owns_image = false }
 
 let restore (machine : Os.Libos.t) t =
   if Obs.Trace.enabled () then

@@ -15,6 +15,9 @@ type t = private {
   os : Os.Libos.os_state;
   parent : t option;
   depth : int;  (** guesses from the exploration root *)
+  lineage_length : int;
+      (** snapshots on the parent chain, this one included: counted at
+          capture, so nothing walks the chain to learn it *)
   mutable ext_refs : int;
       (** frontier extensions (plus pins) that may still restore this *)
   mutable child_refs : int;
@@ -41,6 +44,11 @@ val capture :
     sharer is a descendant captured with it as parent: when both counts
     drain, its whole map is freed rather than kept.  Raises
     [Invalid_argument] when combined with a parent. *)
+
+val none : t
+(** A placeholder for "no snapshot" that needs no option box: never
+    captured, restored or released (it is born {!field-freed}), with id
+    -1 and lineage length 0. *)
 
 val restore : Os.Libos.t -> t -> unit
 

@@ -116,6 +116,15 @@ let drain_dropped t =
     d
   end
 
+(* Every item is a single-extension entry of its frontier. *)
+let pop_item frontier =
+  match frontier.Frontier.pop () with
+  | e -> Some e.Frontier.parent
+  | exception Frontier.Empty -> None
+
+let evicted_items frontier =
+  List.map (fun e -> e.Frontier.parent) (frontier.Frontier.evicted ())
+
 let push_batch t ~dom batch =
   let n = List.length batch in
   if n > 0 then begin
@@ -124,8 +133,9 @@ let push_batch t ~dom batch =
     ignore (Atomic.fetch_and_add t.outstanding n);
     ignore (Atomic.fetch_and_add t.qlen n);
     Mutex.lock sh.lock;
-    sh.frontier.Frontier.push_batch batch;
-    let ev = sh.frontier.Frontier.evicted () in
+    sh.frontier.Frontier.push_batch
+      (List.map (fun (meta, x) -> Frontier.single meta x) batch);
+    let ev = evicted_items sh.frontier in
     Mutex.unlock sh.lock;
     record_dropped t ev;
     Atomic.incr t.version;
@@ -136,7 +146,7 @@ let push_batch t ~dom batch =
 let pop_local t dom =
   let sh = t.shards.(dom) in
   Mutex.lock sh.lock;
-  let item = sh.frontier.Frontier.pop () in
+  let item = pop_item sh.frontier in
   Mutex.unlock sh.lock;
   item
 
@@ -144,7 +154,7 @@ let pop_local t dom =
 let rec pop_up_to frontier k acc =
   if k = 0 then List.rev acc
   else
-    match frontier.Frontier.pop () with
+    match pop_item frontier with
     | None -> List.rev acc
     | Some x -> pop_up_to frontier (k - 1) (x :: acc)
 
@@ -172,8 +182,8 @@ let try_steal t ~dom =
           let own = t.shards.(dom) in
           Mutex.lock own.lock;
           own.frontier.Frontier.push_batch
-            (List.map (fun x -> (t.meta_of x, x)) rest);
-          let ev = own.frontier.Frontier.evicted () in
+            (List.map (fun x -> Frontier.single (t.meta_of x) x) rest);
+          let ev = evicted_items own.frontier in
           Mutex.unlock own.lock;
           record_dropped t ev;
           Atomic.incr t.version;

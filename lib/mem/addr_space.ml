@@ -387,6 +387,8 @@ let seal t =
   t.epoch <- t.epoch + 1;
   record t T_seal
 
+let empty_snapshot = { snap_id = -1; snap_map = Ptmap.empty }
+
 let snapshot t =
   t.metrics.snapshots <- t.metrics.snapshots + 1;
   let s = { snap_id = t.next_snap_id; snap_map = t.map } in
@@ -402,7 +404,8 @@ let snapshot t =
 let restore t s =
   t.metrics.restores <- t.metrics.restores + 1;
   tlb_switch t s.snap_map;
-  t.map <- s.snap_map;
+  (* a segment that wrote nothing left the map it was restored to *)
+  if t.map != s.snap_map then t.map <- s.snap_map;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
   match t.trace with None -> () | Some sink -> sink (T_restore s.snap_id)

@@ -112,6 +112,10 @@ val restore : t -> snapshot -> unit
 (** O(pages that differ): invalidates the TLB entries of the vpns the
     snapshot binds differently from the current map. *)
 
+val empty_snapshot : snapshot
+(** A snapshot of no pages, taken of no address space: a placeholder that
+    is never restored or released. *)
+
 val snapshot_id : snapshot -> int
 val snapshot_pages : snapshot -> int
 

@@ -99,7 +99,7 @@ let boot ?(layout = default_layout) ?(icache = true)
     cpu;
     layout;
     counters = { syscall_count = Array.make 32 0; demand_pages = 0; denied = 0 };
-    icache = (if icache then Some (Interp.create_icache ()) else None);
+    icache = (if icache then Some (Interp.create_icache aspace) else None);
     os = { initial_os with brk = layout.heap_base };
     sys_hook = None }
 
@@ -108,7 +108,8 @@ let set_sys_hook t hook = t.sys_hook <- hook
 (* {1 OS state} *)
 
 let os_capture t = t.os
-let os_restore t os = t.os <- os
+(* a path that made no syscall left the state it was restored to *)
+let os_restore t os = if t.os != os then t.os <- os
 
 let add_file t ~path content = t.os <- { t.os with vfs = Vfs.add t.os.vfs ~path content }
 let read_file t ~path = Vfs.find t.os.vfs ~path
@@ -373,7 +374,9 @@ let rec run_loop t cpu remaining =
   else begin
     let retired_before = cpu.Cpu.retired in
     let exit = Interp.run ?icache:t.icache cpu t.aspace ~fuel:remaining in
-    let used = max 1 (cpu.Cpu.retired - retired_before) in
+    let used = cpu.Cpu.retired - retired_before in
+    (* an integer [max 1 used]: the polymorphic one calls [compare] *)
+    let used = if used > 1 then used else 1 in
     let remaining = remaining - used in
     match exit with
     | Interp.Out_of_fuel -> Killed Fuel_exhausted
@@ -434,8 +437,11 @@ let rec run_loop t cpu remaining =
       end
   end
 
+let timeout t = t.os.timeout
+
 let run t ~fuel =
-  let fuel = if t.os.timeout > 0 then min fuel t.os.timeout else fuel in
+  let timeout = t.os.timeout in
+  let fuel = if timeout > 0 && timeout < fuel then timeout else fuel in
   run_loop t t.cpu fuel
 
 let pp_reason fmt = function

@@ -87,6 +87,11 @@ val run : t -> fuel:int -> stop
     syscalls and demand paging internally.  [fuel] bounds retired guest
     instructions (approximately: faulted fetches count). *)
 
+val timeout : t -> int
+(** The guest's [sys_timeout] bound on the instructions of one {!run}
+    (0 = none).  A scheduler that runs a path in several quanta applies it
+    to the whole segment. *)
+
 val stop_trace_name : stop -> string
 (** The static [Obs.Names.stop_*] event name for a stop reason. *)
 
@@ -99,6 +104,9 @@ val block_counts : t -> (int * int * int) option
     [~icache:false].  See {!Vcpu.Interp.block_counts}. *)
 
 (** {1 OS state} *)
+
+val initial_os : os_state
+(** The OS state of a machine before boot: no files, no output, no break. *)
 
 val os_capture : t -> os_state
 val os_restore : t -> os_state -> unit

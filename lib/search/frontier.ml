@@ -3,59 +3,113 @@ module Prng = Stdx.Prng
 
 type meta = { depth : int; hint : int }
 
+type 'a entry = {
+  parent : 'a;
+  mutable next : int;
+  count : int;
+  meta : meta;
+}
+
+exception Empty
+
 type 'a t = {
   name : string;
-  push_batch : (meta * 'a) list -> unit;
-  pop : unit -> 'a option;
+  push_batch : 'a entry list -> unit;
+  pop : unit -> 'a entry;
   length : unit -> int;
-  evicted : unit -> 'a list;
+  evicted : unit -> 'a entry list;
 }
+
+let guess parent ~count meta = { parent; next = 0; count; meta }
+let single meta parent = { parent; next = 0; count = 1; meta }
+let popped e = e.next - 1
+let remaining e = e.count - e.next
+
+(* Hand out [e]'s next extension; [true] once it was the last. *)
+let[@inline] take e =
+  let next = e.next + 1 in
+  e.next <- next;
+  next >= e.count
 
 let no_evictions () = []
 
-let dfs () =
+(* A stack of entries, each popped extension by extension: the DFS order
+   with a guess's extension 0 first, for [dfs] and [dfs_bounded]. *)
+let stack () =
   let stack = ref [] in
   (* Explorers consult [length] on every push ([max_frontier] tracking), so
      it must be O(1) — a [List.length] here makes deep searches quadratic. *)
   let count = ref 0 in
-  { name = "dfs";
-    push_batch =
-      (fun batch ->
-        (* Prepend keeping batch order, so extension 0 pops first. *)
-        count := !count + List.length batch;
-        stack := List.fold_right (fun (_, x) acc -> x :: acc) batch !stack);
-    pop =
-      (fun () ->
-        match !stack with
-        | [] -> None
-        | x :: rest ->
-          stack := rest;
-          decr count;
-          Some x);
-    length = (fun () -> !count);
-    evicted = no_evictions }
+  let push batch =
+    List.iter (fun e -> count := !count + remaining e) batch;
+    (* prepend keeping batch order, so the first entry pops first *)
+    stack :=
+      List.fold_right (fun e acc -> if remaining e > 0 then e :: acc else acc)
+        batch !stack
+  in
+  let pop () =
+    match !stack with
+    | [] -> raise Empty
+    | e :: rest ->
+      if take e then stack := rest;
+      decr count;
+      e
+  in
+  push, pop, (fun () -> !count)
+
+let dfs () =
+  let push_batch, pop, length = stack () in
+  { name = "dfs"; push_batch; pop; length; evicted = no_evictions }
 
 let bfs () =
   let q = Queue.create () in
+  let count = ref 0 in
   { name = "bfs";
-    push_batch = (fun batch -> List.iter (fun (_, x) -> Queue.add x q) batch);
-    pop = (fun () -> Queue.take_opt q);
-    length = (fun () -> Queue.length q);
+    push_batch =
+      (fun batch ->
+        List.iter
+          (fun e ->
+            if remaining e > 0 then begin
+              count := !count + remaining e;
+              Queue.add e q
+            end)
+          batch);
+    pop =
+      (fun () ->
+        match Queue.peek q with
+        | exception Queue.Empty -> raise Empty
+        | e ->
+          if take e then ignore (Queue.take q);
+          decr count;
+          e);
+    length = (fun () -> !count);
     evicted = no_evictions }
+
+(* The strategies that order siblings one at a time hold single-extension
+   entries: [each] sees every extension of a batch, in order. *)
+let expand batch each =
+  List.iter
+    (fun e ->
+      for i = e.next to e.count - 1 do
+        each { e with next = i; count = i + 1 }
+      done)
+    batch
+
+let pop_min heap () =
+  match Pheap.delete_min !heap with
+  | None -> raise Empty
+  | Some ((_, e), rest) ->
+    heap := rest;
+    ignore (take e);
+    e
 
 let heap_based ~name ~score () =
   let heap = ref Pheap.empty in
   { name;
     push_batch =
       (fun batch ->
-        List.iter (fun (m, x) -> heap := Pheap.insert ~prio:(score m) x !heap) batch);
-    pop =
-      (fun () ->
-        match Pheap.delete_min !heap with
-        | None -> None
-        | Some ((_, x), rest) ->
-          heap := rest;
-          Some x);
+        expand batch (fun e -> heap := Pheap.insert ~prio:(score e.meta) e !heap));
+    pop = pop_min heap;
     length = (fun () -> Pheap.size !heap);
     evicted = no_evictions }
 
@@ -73,23 +127,15 @@ let bounded_best ~name ~score ~capacity () =
   { name;
     push_batch =
       (fun batch ->
-        List.iter
-          (fun (m, x) ->
-            heap := Pheap.insert ~prio:(score m) x !heap;
+        expand batch (fun e ->
+            heap := Pheap.insert ~prio:(score e.meta) e !heap;
             if Pheap.size !heap > capacity then
               match Pheap.delete_max !heap with
               | None -> ()
               | Some ((_, worst), rest) ->
                 heap := rest;
-                dropped := worst :: !dropped)
-          batch);
-    pop =
-      (fun () ->
-        match Pheap.delete_min !heap with
-        | None -> None
-        | Some ((_, x), rest) ->
-          heap := rest;
-          Some x);
+                dropped := worst :: !dropped));
+    pop = pop_min heap;
     length = (fun () -> Pheap.size !heap);
     evicted =
       (fun () ->
@@ -118,25 +164,16 @@ let beam ~width () =
 
 let dfs_bounded ~max_depth () =
   if max_depth < 0 then invalid_arg "Frontier.dfs_bounded: negative bound";
-  let stack = ref [] in
-  let count = ref 0 in
+  let push, pop, length = stack () in
   let dropped = ref [] in
   { name = Printf.sprintf "dfs<=%d" max_depth;
     push_batch =
       (fun batch ->
-        let keep, drop = List.partition (fun (m, _) -> m.depth <= max_depth) batch in
-        dropped := List.rev_append (List.map snd drop) !dropped;
-        count := !count + List.length keep;
-        stack := List.fold_right (fun (_, x) acc -> x :: acc) keep !stack);
-    pop =
-      (fun () ->
-        match !stack with
-        | [] -> None
-        | x :: rest ->
-          stack := rest;
-          decr count;
-          Some x);
-    length = (fun () -> !count);
+        let keep, drop = List.partition (fun e -> e.meta.depth <= max_depth) batch in
+        dropped := List.rev_append drop !dropped;
+        push keep);
+    pop;
+    length;
     evicted =
       (fun () ->
         let d = !dropped in
@@ -149,13 +186,7 @@ let random ~seed () =
   { name = "random";
     push_batch =
       (fun batch ->
-        List.iter (fun (_, x) -> heap := Pheap.insert ~prio:(Prng.float rng 1.0) x !heap) batch);
-    pop =
-      (fun () ->
-        match Pheap.delete_min !heap with
-        | None -> None
-        | Some ((_, x), rest) ->
-          heap := rest;
-          Some x);
+        expand batch (fun e -> heap := Pheap.insert ~prio:(Prng.float rng 1.0) e !heap));
+    pop = pop_min heap;
     length = (fun () -> Pheap.size !heap);
     evicted = no_evictions }

@@ -2,9 +2,17 @@
 
     The paper separates the search strategy from partial candidates and
     extensions (§3.1): the strategy is a policy that schedules the next
-    unevaluated extension.  A frontier is that policy's working set.  The
-    scheduler pushes each guess's extensions as one batch (in extension-
-    number order) and pops whatever the strategy says comes next.
+    unevaluated extension, and an extension is "a reference to their parent
+    partial candidate and the extension number".  A frontier is that
+    policy's working set.
+
+    The scheduler pushes one {!entry} per guess: the parent and the range
+    of extension numbers still to run.  DFS, BFS and bounded DFS hold
+    those entries as they are and hand out their extensions in number
+    order, so a guess costs one entry however many extensions it has.  The
+    best-first, random and capacity-bounded strategies order or evict
+    siblings one at a time, so they expand each entry into single-extension
+    entries at push time.
 
     All built-in strategies are deterministic: DFS and BFS by construction,
     best-first ones by FIFO tie-breaking, and the random strategy by an
@@ -15,14 +23,47 @@ type meta = {
   hint : int;   (** guest-provided heuristic distance ([sys_guess_hint]) *)
 }
 
+type 'a entry = {
+  parent : 'a;  (** the parent partial candidate *)
+  mutable next : int;
+      (** the extension number {!field-pop} hands out next; a frontier
+          advances it *)
+  count : int;  (** one past the last extension number *)
+  meta : meta;  (** shared by every extension of the entry *)
+}
+(** Extensions [next] to [count - 1] of [parent]. *)
+
+val guess : 'a -> count:int -> meta -> 'a entry
+(** The [count] extensions of one guess, numbered from 0. *)
+
+val single : meta -> 'a -> 'a entry
+(** One extension, numbered 0: how schedulers whose items are not guesses
+    (the symbolic executor, [Core.Work_queue]) push. *)
+
+val popped : 'a entry -> int
+(** The extension number {!field-pop} just handed out from this entry.
+    Read it before the next [pop]: a DFS or BFS entry hands out its next
+    sibling from the same record. *)
+
+val remaining : 'a entry -> int
+(** Extensions of the entry not yet handed out: what an evicted entry
+    releases. *)
+
+exception Empty
+
 type 'a t = {
   name : string;
-  push_batch : (meta * 'a) list -> unit;
-  pop : unit -> 'a option;
-  length : unit -> int;
-  evicted : unit -> 'a list;
-      (** extensions dropped by a memory-bounded strategy since the last
-          call (the caller must release their snapshots) *)
+  push_batch : 'a entry list -> unit;
+      (** in order: under DFS the first entry's extension 0 pops first *)
+  pop : unit -> 'a entry;
+      (** hand out the next extension: the entry returned, at number
+          {!popped}.  Raises {!Empty} on an empty frontier. *)
+  length : unit -> int;  (** extensions held, in O(1) *)
+  evicted : unit -> 'a entry list;
+      (** entries dropped by a memory-bounded strategy since the last call;
+          their {!remaining} extensions never run (the caller must release
+          their snapshots).  The built-in strategies drop entries only in
+          [push_batch]. *)
 }
 
 val dfs : unit -> 'a t
@@ -55,5 +96,5 @@ val beam : width:int -> unit -> 'a t
     than [width] extensions (the worst are evicted and reported). *)
 
 val dfs_bounded : max_depth:int -> unit -> 'a t
-(** Depth-first with a depth bound: extensions deeper than [max_depth] are
-    refused at push time and reported via [evicted]. *)
+(** Depth-first with a depth bound: entries deeper than [max_depth] are
+    refused whole at push time and reported via [evicted]. *)

@@ -349,7 +349,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
       prep_false ();
       let sibling = save_pending ~at_rip:rip_false ~constraint_:constraint_false ~mem in
       frontier.Frontier.push_batch
-        [ { Frontier.depth = sibling.p_depth; hint }, sibling ];
+        [ Frontier.single { Frontier.depth = sibling.p_depth; hint } sibling ];
       prep_true ();
       constraints := cs_true;
       incr depth;
@@ -604,9 +604,9 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
       let end_ = run_path () in
       finish_path end_;
       match frontier.Frontier.pop () with
-      | None -> ()
-      | Some p ->
-        install p;
+      | exception Frontier.Empty -> ()
+      | e ->
+        install e.Frontier.parent;
         drive ()
     end
   in

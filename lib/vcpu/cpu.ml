@@ -34,15 +34,31 @@ let save t =
     s_flags =
       bit f.zf lor (bit f.sf lsl 1) lor (bit f.lt_s lsl 2) lor (bit f.lt_u lsl 3) }
 
-(* A plain int loop, not [Array.blit]: [t.regs] lives in the major heap,
+(* Sixteen int moves, not [Array.blit]: [t.regs] lives in the major heap,
    where [caml_array_blit] pays a write barrier ([caml_modify]) per element
    because it cannot tell the array holds only ints.  Here the type says
-   so, and each store is a bare move. *)
+   so, and each store is a bare move; unrolled, because a restore runs per
+   extension and a loop costs a counter and a poll point per register. *)
+let () = assert (Isa.Reg.count = 16)
+
 let load t s =
-  let regs = t.regs and src = s.s_regs in
-  for i = 0 to Isa.Reg.count - 1 do
-    Array.unsafe_set regs i (Array.unsafe_get src i)
-  done;
+  let d = t.regs and s' = s.s_regs in
+  Array.unsafe_set d 0 (Array.unsafe_get s' 0);
+  Array.unsafe_set d 1 (Array.unsafe_get s' 1);
+  Array.unsafe_set d 2 (Array.unsafe_get s' 2);
+  Array.unsafe_set d 3 (Array.unsafe_get s' 3);
+  Array.unsafe_set d 4 (Array.unsafe_get s' 4);
+  Array.unsafe_set d 5 (Array.unsafe_get s' 5);
+  Array.unsafe_set d 6 (Array.unsafe_get s' 6);
+  Array.unsafe_set d 7 (Array.unsafe_get s' 7);
+  Array.unsafe_set d 8 (Array.unsafe_get s' 8);
+  Array.unsafe_set d 9 (Array.unsafe_get s' 9);
+  Array.unsafe_set d 10 (Array.unsafe_get s' 10);
+  Array.unsafe_set d 11 (Array.unsafe_get s' 11);
+  Array.unsafe_set d 12 (Array.unsafe_get s' 12);
+  Array.unsafe_set d 13 (Array.unsafe_get s' 13);
+  Array.unsafe_set d 14 (Array.unsafe_get s' 14);
+  Array.unsafe_set d 15 (Array.unsafe_get s' 15);
   t.rip <- s.s_rip;
   let f = s.s_flags in
   t.flags.zf <- f land 1 <> 0;

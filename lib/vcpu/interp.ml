@@ -223,11 +223,16 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
    between runs.  The first block of every [run], a transfer to another
    page, and a block that was split, faulted or cut short by fuel all take
    the full lookup.  Nothing allocates per dispatch: the dispatch loop is
-   a set of top-level functions that carry their state as arguments. *)
+   a set of top-level functions that carry their state as arguments.
+
+   A cache serves one address space: its ops close over the address space
+   they load and store through, so each is a one-argument closure that
+   dispatch calls directly (a two-argument call of an unknown closure goes
+   through [caml_apply2]). *)
 let max_insn_bytes = 24
 let max_block_insns = 64
 
-type op = Cpu.t -> As.t -> vmexit option
+type op = Cpu.t -> vmexit option
 (* One fused instruction, compiled to a closure at fuse time.  Contract:
    behaves exactly like [exec insn sz] — retires-and-returns-[None],
    returns [Some] for syscall/hlt, or raises [As.Page_fault]/[Exit_run]
@@ -258,6 +263,7 @@ let rec unlinked =
     b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
 
 type icache = {
+  aspace : As.t; (* the one address space the compiled ops access *)
   (* per-block superinstruction tables, keyed by the block's
      first-instruction offset within its frame *)
   mutable hot_bfid : int;
@@ -270,8 +276,8 @@ type icache = {
   mutable block_splits : int; (* dispatches that exited a block early *)
 }
 
-let create_icache () =
-  { hot_bfid = -1; hot_blocks = [||]; bframes = Hashtbl.create 16;
+let create_icache aspace =
+  { aspace; hot_bfid = -1; hot_blocks = [||]; bframes = Hashtbl.create 16;
     misses = 0; slow_decodes = 0;
     block_fuses = 0; block_hits = 0; block_splits = 0 }
 
@@ -414,189 +420,189 @@ let compile_bin (op : Isa.Insn.binop) r (operand : Isa.Insn.operand) sz : op
     =
   let r = Isa.Reg.to_int r in
   match op, operand with
-  | Add, Imm v -> fun cpu _ -> alu cpu r (reg cpu r + v) sz
-  | Sub, Imm v -> fun cpu _ -> alu cpu r (reg cpu r - v) sz
-  | Imul, Imm v -> fun cpu _ -> alu cpu r (reg cpu r * v) sz
-  | And, Imm v -> fun cpu _ -> alu cpu r (reg cpu r land v) sz
-  | Or, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lor v) sz
-  | Xor, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lxor v) sz
-  | (Div | Rem), Imm 0 -> fun cpu _ -> div_fault cpu
-  | Div, Imm v -> fun cpu _ -> alu cpu r (reg cpu r / v) sz
-  | Rem, Imm v -> fun cpu _ -> alu cpu r (reg cpu r mod v) sz
-  | (Shl | Shr | Sar), Imm v when bad_shift v -> fun cpu _ -> shift_fault cpu v
-  | Shl, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lsl v) sz
-  | Shr, Imm v -> fun cpu _ -> alu cpu r (reg cpu r lsr v) sz
-  | Sar, Imm v -> fun cpu _ -> alu cpu r (reg cpu r asr v) sz
+  | Add, Imm v -> fun cpu -> alu cpu r (reg cpu r + v) sz
+  | Sub, Imm v -> fun cpu -> alu cpu r (reg cpu r - v) sz
+  | Imul, Imm v -> fun cpu -> alu cpu r (reg cpu r * v) sz
+  | And, Imm v -> fun cpu -> alu cpu r (reg cpu r land v) sz
+  | Or, Imm v -> fun cpu -> alu cpu r (reg cpu r lor v) sz
+  | Xor, Imm v -> fun cpu -> alu cpu r (reg cpu r lxor v) sz
+  | (Div | Rem), Imm 0 -> fun cpu -> div_fault cpu
+  | Div, Imm v -> fun cpu -> alu cpu r (reg cpu r / v) sz
+  | Rem, Imm v -> fun cpu -> alu cpu r (reg cpu r mod v) sz
+  | (Shl | Shr | Sar), Imm v when bad_shift v -> fun cpu -> shift_fault cpu v
+  | Shl, Imm v -> fun cpu -> alu cpu r (reg cpu r lsl v) sz
+  | Shr, Imm v -> fun cpu -> alu cpu r (reg cpu r lsr v) sz
+  | Sar, Imm v -> fun cpu -> alu cpu r (reg cpu r asr v) sz
   | op, Reg r2 -> (
     let r2 = Isa.Reg.to_int r2 in
     match op with
-    | Add -> fun cpu _ -> alu cpu r (reg cpu r + reg cpu r2) sz
-    | Sub -> fun cpu _ -> alu cpu r (reg cpu r - reg cpu r2) sz
-    | Imul -> fun cpu _ -> alu cpu r (reg cpu r * reg cpu r2) sz
-    | And -> fun cpu _ -> alu cpu r (reg cpu r land reg cpu r2) sz
-    | Or -> fun cpu _ -> alu cpu r (reg cpu r lor reg cpu r2) sz
-    | Xor -> fun cpu _ -> alu cpu r (reg cpu r lxor reg cpu r2) sz
+    | Add -> fun cpu -> alu cpu r (reg cpu r + reg cpu r2) sz
+    | Sub -> fun cpu -> alu cpu r (reg cpu r - reg cpu r2) sz
+    | Imul -> fun cpu -> alu cpu r (reg cpu r * reg cpu r2) sz
+    | And -> fun cpu -> alu cpu r (reg cpu r land reg cpu r2) sz
+    | Or -> fun cpu -> alu cpu r (reg cpu r lor reg cpu r2) sz
+    | Xor -> fun cpu -> alu cpu r (reg cpu r lxor reg cpu r2) sz
     | Div ->
-      fun cpu _ ->
+      fun cpu ->
         let b = reg cpu r2 in
         if b = 0 then div_fault cpu else alu cpu r (reg cpu r / b) sz
     | Rem ->
-      fun cpu _ ->
+      fun cpu ->
         let b = reg cpu r2 in
         if b = 0 then div_fault cpu else alu cpu r (reg cpu r mod b) sz
     | Shl ->
-      fun cpu _ ->
+      fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
         else alu cpu r (reg cpu r lsl b) sz
     | Shr ->
-      fun cpu _ ->
+      fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
         else alu cpu r (reg cpu r lsr b) sz
     | Sar ->
-      fun cpu _ ->
+      fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
         else alu cpu r (reg cpu r asr b) sz)
 
-let compile_op (insn : Isa.Insn.t) sz : op =
+let compile_op a (insn : Isa.Insn.t) sz : op =
   let open Isa.Insn in
   match insn with
-  | Nop -> fun cpu _ -> next cpu sz
+  | Nop -> fun cpu -> next cpu sz
   | Hlt ->
-    fun (cpu : Cpu.t) _ ->
+    fun (cpu : Cpu.t) ->
       cpu.retired <- cpu.retired + 1;
       Some Halt
   | Syscall ->
-    fun (cpu : Cpu.t) _ ->
+    fun (cpu : Cpu.t) ->
       cpu.rip <- cpu.rip + sz;
       cpu.retired <- cpu.retired + 1;
       Some Syscall
   | Mov (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun cpu _ ->
+    fun cpu ->
       set_reg cpu r v;
       next cpu sz
   | Mov (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun cpu _ ->
+    fun cpu ->
       set_reg cpu r (reg cpu r2);
       next cpu sz
   (* memory operands: one closure per width and addressing form *)
   | Lea (r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu _ -> lea cpu r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> lea cpu r (reg cpu b + d) sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu _ -> lea cpu r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu _ -> lea cpu r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu _ -> lea cpu r d sz)
+      fun cpu -> lea cpu r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu -> lea cpu r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu -> lea cpu r d sz)
   | Ld (Q, r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> ldq cpu a r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> ldq cpu a r (reg cpu b + d) sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> ldq cpu a r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu a -> ldq cpu a r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu a -> ldq cpu a r d sz)
+      fun cpu -> ldq cpu a r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu -> ldq cpu a r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu -> ldq cpu a r d sz)
   | Ld (B, r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> ldb cpu a r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> ldb cpu a r (reg cpu b + d) sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> ldb cpu a r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu a -> ldb cpu a r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu a -> ldb cpu a r d sz)
+      fun cpu -> ldb cpu a r (reg cpu b + (reg cpu x * s) + d) sz
+    | Ea_index (x, s, d) -> fun cpu -> ldb cpu a r ((reg cpu x * s) + d) sz
+    | Ea_abs d -> fun cpu -> ldb cpu a r d sz)
   | St (Q, m, r) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> stq cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) (reg cpu r) sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> stq cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
     | Ea_index (x, s, d) ->
-      fun cpu a -> stq cpu a ((reg cpu x * s) + d) (reg cpu r) sz
-    | Ea_abs d -> fun cpu a -> stq cpu a d (reg cpu r) sz)
+      fun cpu -> stq cpu a ((reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_abs d -> fun cpu -> stq cpu a d (reg cpu r) sz)
   | St (B, m, r) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> stb cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) (reg cpu r) sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> stb cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
     | Ea_index (x, s, d) ->
-      fun cpu a -> stb cpu a ((reg cpu x * s) + d) (reg cpu r) sz
-    | Ea_abs d -> fun cpu a -> stb cpu a d (reg cpu r) sz)
+      fun cpu -> stb cpu a ((reg cpu x * s) + d) (reg cpu r) sz
+    | Ea_abs d -> fun cpu -> stb cpu a d (reg cpu r) sz)
   | Sti (Q, m, v) -> (
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> stq cpu a (reg cpu b + d) v sz
+    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) v sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> stq cpu a (reg cpu b + (reg cpu x * s) + d) v sz
-    | Ea_index (x, s, d) -> fun cpu a -> stq cpu a ((reg cpu x * s) + d) v sz
-    | Ea_abs d -> fun cpu a -> stq cpu a d v sz)
+      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) v sz
+    | Ea_index (x, s, d) -> fun cpu -> stq cpu a ((reg cpu x * s) + d) v sz
+    | Ea_abs d -> fun cpu -> stq cpu a d v sz)
   | Sti (B, m, v) -> (
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu a -> stb cpu a (reg cpu b + d) v sz
+    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) v sz
     | Ea_base_index (b, x, s, d) ->
-      fun cpu a -> stb cpu a (reg cpu b + (reg cpu x * s) + d) v sz
-    | Ea_index (x, s, d) -> fun cpu a -> stb cpu a ((reg cpu x * s) + d) v sz
-    | Ea_abs d -> fun cpu a -> stb cpu a d v sz)
+      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) v sz
+    | Ea_index (x, s, d) -> fun cpu -> stb cpu a ((reg cpu x * s) + d) v sz
+    | Ea_abs d -> fun cpu -> stb cpu a d v sz)
   | Bin (op, r, operand) -> compile_bin op r operand sz
   | Un (op, r) -> (
     let r = Isa.Reg.to_int r in
     match op with
-    | Inc -> fun cpu _ -> alu cpu r (reg cpu r + 1) sz
-    | Dec -> fun cpu _ -> alu cpu r (reg cpu r - 1) sz
-    | Neg -> fun cpu _ -> alu cpu r (-reg cpu r) sz
-    | Not -> fun cpu _ -> alu cpu r (lnot (reg cpu r)) sz)
+    | Inc -> fun cpu -> alu cpu r (reg cpu r + 1) sz
+    | Dec -> fun cpu -> alu cpu r (reg cpu r - 1) sz
+    | Neg -> fun cpu -> alu cpu r (-reg cpu r) sz
+    | Not -> fun cpu -> alu cpu r (lnot (reg cpu r)) sz)
   | Cmp (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun cpu _ -> cmp_flags cpu (reg cpu r) v sz
+    fun cpu -> cmp_flags cpu (reg cpu r) v sz
   | Cmp (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun cpu _ -> cmp_flags cpu (reg cpu r) (reg cpu r2) sz
+    fun cpu -> cmp_flags cpu (reg cpu r) (reg cpu r2) sz
   | Test (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun cpu _ -> test_flags cpu (reg cpu r land v) sz
+    fun cpu -> test_flags cpu (reg cpu r land v) sz
   | Test (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun cpu _ -> test_flags cpu (reg cpu r land reg cpu r2) sz
+    fun cpu -> test_flags cpu (reg cpu r land reg cpu r2) sz
   | Jmp target ->
-    fun (cpu : Cpu.t) _ ->
+    fun (cpu : Cpu.t) ->
       cpu.rip <- target;
       cpu.retired <- cpu.retired + 1;
       None
   | Jcc (c, target) ->
-    fun (cpu : Cpu.t) _ ->
+    fun (cpu : Cpu.t) ->
       cpu.rip <- (if Cpu.eval_cond cpu c then target else cpu.rip + sz);
       cpu.retired <- cpu.retired + 1;
       None
   | Setcc (c, r) ->
     let r = Isa.Reg.to_int r in
-    fun cpu _ ->
+    fun cpu ->
       set_reg cpu r (if Cpu.eval_cond cpu c then 1 else 0);
       next cpu sz
   | Push (Reg r2) ->
     let r2 = Isa.Reg.to_int r2 in
-    fun cpu a ->
+    fun cpu ->
       push cpu a (reg cpu r2);
       next cpu sz
   | Push (Imm v) ->
-    fun cpu a ->
+    fun cpu ->
       push cpu a v;
       next cpu sz
   | Pop r ->
     let r = Isa.Reg.to_int r in
-    fun cpu a ->
+    fun cpu ->
       set_reg cpu r (pop cpu a);
       next cpu sz
   | Call target ->
-    fun (cpu : Cpu.t) a ->
+    fun (cpu : Cpu.t) ->
       push cpu a (cpu.rip + sz);
       cpu.rip <- target;
       cpu.retired <- cpu.retired + 1;
       None
   | Ret ->
-    fun (cpu : Cpu.t) a ->
+    fun (cpu : Cpu.t) ->
       cpu.rip <- pop cpu a;
       cpu.retired <- cpu.retired + 1;
       None
@@ -642,18 +648,18 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
     let writes = Array.map (fun (insn, _) -> writes_memory insn) arr in
     Some
       { b_fid = frame.Mem.Phys_mem.id;
-        b_ops = Array.map (fun (insn, sz) -> compile_op insn sz) arr;
+        b_ops = Array.map (fun (insn, sz) -> compile_op cache.aspace insn sz) arr;
         b_writes = writes;
         b_has_writes = Array.exists Fun.id writes;
         b_linkable = not (writes_memory last);
         b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
 
 (* Run ops [i, limit) of a block.  [None] means every one retired. *)
-let rec run_ops ops cpu aspace i limit =
+let rec run_ops ops cpu i limit =
   if i >= limit then None
   else
-    match (Array.unsafe_get ops i) cpu aspace with
-    | None -> run_ops ops cpu aspace (i + 1) limit
+    match (Array.unsafe_get ops i) cpu with
+    | None -> run_ops ops cpu (i + 1) limit
     | Some _ as e -> e (* syscall/hlt terminator: always last *)
 
 (* [run_ops] for a block with stores: after each store that is not the
@@ -665,7 +671,7 @@ let rec run_ops ops cpu aspace i limit =
 let rec run_ops_checked (b : block) (cpu : Cpu.t) aspace i limit =
   if i >= limit then None
   else
-    match (Array.unsafe_get b.b_ops i) cpu aspace with
+    match (Array.unsafe_get b.b_ops i) cpu with
     | None ->
       if
         i + 1 < limit
@@ -694,7 +700,7 @@ let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
   let limit = if budget < n then budget else n in
   match
     if b.b_has_writes then run_ops_checked b cpu aspace 0 limit
-    else run_ops b.b_ops cpu aspace 0 limit
+    else run_ops b.b_ops cpu 0 limit
   with
   | result -> result
   | exception As.Page_fault { addr; access } ->
@@ -808,7 +814,10 @@ let rec run_uncached cpu aspace remaining =
 
 let run ?icache cpu aspace ~fuel =
   match icache with
-  | Some cache -> lookup cache cpu aspace fuel unlinked
+  | Some cache ->
+    if cache.aspace != aspace then
+      invalid_arg "Interp.run: the icache serves another address space";
+    lookup cache cpu aspace fuel unlinked
   | None -> run_uncached cpu aspace fuel
 
 let pp_fault fmt = function

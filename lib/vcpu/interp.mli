@@ -20,7 +20,7 @@ type vmexit =
   | Out_of_fuel  (** instruction budget exhausted; resumable *)
 
 type icache
-(** Block cache, one per machine: straight-line runs compiled on first
+(** Block cache, one per address space: straight-line runs compiled on first
     execution into per-frame basic-block tables and dispatched whole,
     bit-identical to {!step} in semantics, fuel accounting and vmexit
     placement.  Sound with no invalidation because blocks are only fused
@@ -28,9 +28,12 @@ type icache
     a store COWing the block's own code page mid-block is caught by
     re-verifying the fetch mapping after every fused store.  Same-page
     successor links are only followed inside one {!run}, after a block
-    that ran whole and whose last op does not store. *)
+    that ran whole and whose last op does not store.  Each compiled
+    instruction closes over the address space the cache was created for,
+    so dispatch calls it with the CPU alone. *)
 
-val create_icache : unit -> icache
+val create_icache : Mem.Addr_space.t -> icache
+(** An empty cache serving this address space only. *)
 
 val icache_counts : icache -> int * int
 (** [(misses, slow_decodes)]: instructions decoded into fused blocks, and
@@ -47,7 +50,9 @@ val run : ?icache:icache -> Cpu.t -> Mem.Addr_space.t -> fuel:int -> vmexit
 (** Execute at most [fuel] instructions: block dispatch through [icache],
     or one uncached {!step} at a time without it (the reference).  The
     CPU state is mutated in place; on [Fault] the instruction pointer
-    still addresses the faulting instruction. *)
+    still addresses the faulting instruction.
+    @raise Invalid_argument if [icache] was created for another address
+    space. *)
 
 val step : Cpu.t -> Mem.Addr_space.t -> vmexit option
 (** Decode and execute one instruction, uncached; [None] means it retired

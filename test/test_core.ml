@@ -168,13 +168,13 @@ let audit_catches_ref_imbalance () =
         { f with
           Search.Frontier.push_batch =
             (fun batch ->
-              List.iter (fun (_, e) -> pushed := e :: !pushed) batch;
+              List.iter (fun e -> pushed := e :: !pushed) batch;
               f.Search.Frontier.push_batch batch) })
   in
   audit_fires_at_stop ~expect:"refs held" ~strategy_override:strategy
     (fun _ ->
       match !pushed with
-      | { Core.Ext.payload = Core.Ext.Snap s; _ } :: _ -> Snapshot.retain s
+      | { Search.Frontier.parent = Core.Ext.Snap s; _ } :: _ -> Snapshot.retain s
       | _ -> Alcotest.fail "no extension pushed by stop 5")
 
 let strategy_scope_returns_zero_after_exhaustion () =
@@ -419,7 +419,31 @@ let timeout_kills_runaway_extension () =
   let r = Explorer.run_image image in
   check Alcotest.int "scope exhausted normally" 7 (completed r);
   check Alcotest.int "runaway killed" 1 r.Explorer.stats.Core.Stats.kills;
-  check Alcotest.int "survivor exited" 1 r.Explorer.stats.Core.Stats.exits
+  check Alcotest.int "survivor exited" 1 r.Explorer.stats.Core.Stats.exits;
+  (* The timeout bounds the whole segment, also when it runs in quanta:
+     the quantum is clamped to the timeout, and a path killed only at
+     [fuel_per_step] would retire 50M instructions. *)
+  let check_row name (s : Core.Stats.t) =
+    check Alcotest.int (name ^ ": runaway killed") 1 s.kills;
+    check Alcotest.int (name ^ ": survivor exited") 1 s.exits;
+    check Alcotest.int (name ^ ": instructions") 20_021 s.instructions
+  in
+  check_row "one worker" r.Explorer.stats;
+  List.iter
+    (fun (workers, quantum) ->
+      let r = Explorer.run_image ~workers ~quantum image in
+      let name = Printf.sprintf "%d workers, quantum %d" workers quantum in
+      check Alcotest.int (name ^ ": scope exhausted") 7 (completed r);
+      check_row name r.Explorer.stats)
+    [ 1, 5_000; 1, 50_000; 2, 5_000; 2, 50_000 ];
+  let r =
+    Core.Parallel.run
+      ~config:{ Core.Parallel.default_config with workers = 2; quantum = 5_000 }
+      image
+  in
+  check Alcotest.int "2 domains: scope exhausted" 7
+    (match r.Core.Parallel.outcome with Explorer.Completed s -> s | _ -> -1);
+  check_row "2 domains, quantum 5000" r.Core.Parallel.stats
 
 let beam_strategy_runs () =
   let maze = Workloads.Grid.generate ~width:7 ~height:7 ~wall_density:0.2 ~seed:3 in
@@ -476,7 +500,7 @@ let snapshot_parent_chain () =
 let path_lineage_length () =
   let image = Workloads.Counting.program ~depth:3 ~branch:2 in
   let machine = Libos.boot (Mem.Phys_mem.create ()) image in
-  let path : unit Core.Path.t = Core.Path.create machine in
+  let path : Core.Path.t = Core.Path.create machine in
   let stats = Core.Stats.create () in
   let ids = Snapshot.ids () in
   (match Libos.run machine ~fuel:100000 with
@@ -486,7 +510,7 @@ let path_lineage_length () =
   check Alcotest.int "at the root" 1 (Core.Path.lineage_length path);
   let rec descend depth =
     match Core.Path.run path ~fuel:100000 ~span:"test" with
-    | Ok (Libos.Guess { n }) ->
+    | Libos.Guess { n } ->
       let snap, _ = Core.Path.branch path stats ~ids ~n in
       Core.Path.enter path stats snap ~rax:0 ~depth:(depth + 1);
       check Alcotest.int
@@ -494,8 +518,7 @@ let path_lineage_length () =
         (List.length (Snapshot.lineage snap))
         (Core.Path.lineage_length path);
       if depth + 1 < 3 then descend (depth + 1) else snap
-    | Ok other -> Alcotest.failf "unexpected %a" Libos.pp_stop other
-    | Error e -> raise e
+    | other -> Alcotest.failf "unexpected %a" Libos.pp_stop other
   in
   let leaf = descend 0 in
   check Alcotest.int "three deep below the root" 4 (Core.Path.lineage_length path);
@@ -1557,6 +1580,24 @@ let tenancy_budget_decided_without_collection () =
     check Alcotest.int "evicted on the first step with nothing left" 0 frames
   | _ -> Alcotest.fail "a hopeless budget must evict on the first step"
 
+(* The move from one extension to the next allocates nothing: what an
+   exploration allocates is the guesses' snapshots and frontier entries
+   and the terminal list, about 15 minor words per extension on queens(8).
+   The first run warms the shared tables. *)
+let switch_allocation () =
+  let image = Workloads.Nqueens.program ~n:8 in
+  let explore () = Explorer.run (Libos.boot (Mem.Phys_mem.create ()) image) in
+  ignore (explore ());
+  let w0 = Gc.minor_words () in
+  let r = explore () in
+  let words = Gc.minor_words () -. w0 in
+  let exts = r.Explorer.stats.Core.Stats.extensions_evaluated in
+  check Alcotest.int "queens(8) completes" 0 (completed r);
+  let per_ext = words /. float exts in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f minor words per extension <= 20" per_ext)
+    true (per_ext <= 20.0)
+
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
     Alcotest.test_case "nqueens boards match host" `Quick nqueens_boards_match_host;
@@ -1646,4 +1687,6 @@ let tests =
     Alcotest.test_case "native replay cost" `Quick native_bt_replay_cost;
     Alcotest.test_case "native replay queens" `Quick native_bt_nqueens_matches;
     counting_tree_invariants;
-    parallel_counts_match_sequential ]
+    parallel_counts_match_sequential;
+    Alcotest.test_case "switch allocates little per extension" `Quick
+      switch_allocation ]

@@ -450,9 +450,12 @@ let stale_hint_does_not_leak () =
       { f with
         Search.Frontier.push_batch =
           (fun batch ->
+            (* one (depth, hint) per extension of each entry *)
             List.iter
-              (fun ((m : Search.Frontier.meta), _) ->
-                pushed := (m.depth, m.hint) :: !pushed)
+              (fun (e : _ Search.Frontier.entry) ->
+                for _ = 1 to Search.Frontier.remaining e do
+                  pushed := (e.meta.depth, e.meta.hint) :: !pushed
+                done)
               batch;
             f.Search.Frontier.push_batch batch) }
     in

@@ -239,16 +239,16 @@ let retired_counts () =
    the same instruction count into the same terminal state.  The address
    space is sealed after load (as the libOS does) so cached runs actually
    cache from the first fetch. *)
-let icache_of_mode = function
+let icache_of_mode aspace = function
   | `Off -> None
-  | `Block -> Some (Interp.create_icache ())
+  | `Block -> Some (Interp.create_icache aspace)
 
 let mode_name = function `Off -> "off" | `Block -> "block"
 
 let run_mode ?(fuel = 1_000_000) items mode =
   let cpu, aspace = load items in
   As.seal aspace;
-  let icache = icache_of_mode mode in
+  let icache = icache_of_mode aspace mode in
   let e = Interp.run ?icache cpu aspace ~fuel in
   e, cpu, aspace
 
@@ -425,7 +425,7 @@ let block_invalidation_on_generation_retire () =
   let vpn = Mem.Page.vpn_of_addr image1.origin in
   As.map_data aspace ~vpn image1.code;
   As.seal aspace;
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   let run () =
     let cpu = Cpu.create ~entry:image1.entry in
     check exit_testable "halts" Interp.Halt
@@ -455,7 +455,7 @@ let shared_page_never_cached () =
       As.map_shared aspace ~vpn;
       As.write_bytes aspace ~addr:image1.origin image1.code;
       As.seal aspace;
-      let icache = icache_of_mode mode in
+      let icache = icache_of_mode aspace mode in
       let run () =
         let cpu = Cpu.create ~entry:image1.entry in
         check exit_testable (mode_name mode ^ ": halts") Interp.Halt
@@ -518,8 +518,8 @@ let check_shape ?(slow = 0) (name, setup, body) =
   in
   let cpu_ref, as_ref = boot () in
   let e_ref = step_n cpu_ref as_ref 100 in
-  let cache = Interp.create_icache () in
   let cpu, aspace = boot () in
+  let cache = Interp.create_icache aspace in
   let e = Interp.run ~icache:cache cpu aspace ~fuel:100 in
   check exit_testable (name ^ ": same vmexit") e_ref e;
   compare_cpus name cpu_ref cpu;
@@ -648,7 +648,7 @@ let every_shape () =
       check_shape ~slow:1 shape;
       let cpu, aspace = load [ label "main"; mov R.rdx (i 2); bytes code ] in
       As.seal aspace;
-      match Interp.run ~icache:(Interp.create_icache ()) cpu aspace ~fuel:10 with
+      match Interp.run ~icache:(Interp.create_icache aspace) cpu aspace ~fuel:10 with
       | Interp.Fault (Interp.Invalid_opcode { rip; _ }) ->
         check Alcotest.int (name ^ ": rip at the instruction")
           (0x1000 + Isa.Encode.size (Isa.Insn.Mov (R.rdx, Imm 2))) rip;
@@ -686,7 +686,7 @@ let link_alternating_snapshots () =
   let s1 = As.snapshot aspace in
   As.write_bytes aspace ~addr:image.origin (assemble ~entry:"main" (prog 2)).code;
   let s2 = As.snapshot aspace in
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   let run snap =
     As.restore aspace snap;
     let cpu = fresh_cpu image in
@@ -714,7 +714,7 @@ let link_call_cows_code_page () =
   let snap = As.snapshot aspace in
   let f = List.assoc "f" image.symbols in
   let back = List.assoc "back" image.symbols in
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   List.iter
     (fun (name, sp, expected) ->
       let run go =
@@ -744,7 +744,7 @@ let link_fuel_at_linked_transfer () =
       label "loop_"; add R.rax (i 1); dec R.rcx; jg "loop_"; hlt ]
   in
   let image, _, aspace = boot_sealed items in
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   check exit_testable "warm-up halts" Interp.Halt
     (Interp.run ~icache:cache (fresh_cpu image) aspace ~fuel:1_000);
   for fuel = 1 to 30 do
@@ -778,7 +778,7 @@ let link_after_self_modifying_split () =
   (* [add rax, imm]: opcode, operation and register bytes, then the
      immediate *)
   let imm = List.assoc "body" image.symbols + 3 in
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   List.iter
     (fun (name, target, expected) ->
       let run go =
@@ -816,7 +816,7 @@ let link_frame_at_two_vpns () =
   As.map_dedup aspace ~vpn:alias image.code;
   As.seal aspace;
   let moved = (alias - home) * Mem.Page.size in
-  let cache = Interp.create_icache () in
+  let cache = Interp.create_icache aspace in
   let run entry =
     let go f =
       let cpu = Cpu.create ~entry in
@@ -837,6 +837,20 @@ let link_frame_at_two_vpns () =
      rewritten home page *)
   check Alcotest.int "alias copy enters the rewritten home page" (1 + 7 + 7)
     (run (image.entry + moved))
+
+(* Compiled ops close over the address space their cache was created
+   for: running a cache against another one, even over the same frames,
+   is refused rather than loading and storing through the wrong map. *)
+let icache_serves_one_address_space () =
+  let items = [ label "main"; mov R.rax (i 1); hlt ] in
+  let image, _, aspace = boot_sealed items in
+  let cache = Interp.create_icache aspace in
+  check exit_testable "its own address space" Interp.Halt
+    (Interp.run ~icache:cache (fresh_cpu image) aspace ~fuel:100);
+  let _, _, other = boot_sealed items in
+  Alcotest.check_raises "another address space"
+    (Invalid_argument "Interp.run: the icache serves another address space")
+    (fun () -> ignore (Interp.run ~icache:cache (fresh_cpu image) other ~fuel:100))
 
 let tests =
   [ Alcotest.test_case "arithmetic" `Quick arithmetic;
@@ -880,4 +894,6 @@ let tests =
     Alcotest.test_case "link: same-page jump after a self-modifying split"
       `Quick link_after_self_modifying_split;
     Alcotest.test_case "link: one frame mapped at two vpns" `Quick
-      link_frame_at_two_vpns ]
+      link_frame_at_two_vpns;
+    Alcotest.test_case "icache serves one address space" `Quick
+      icache_serves_one_address_space ]
