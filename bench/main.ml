@@ -971,13 +971,14 @@ let e12 () =
      exploration holds every frontier snapshot's frames live at once \
      (section 2's 'memory-management capabilities' concern).  Under a \
      frame budget the store no longer forgets payloads - it demotes \
-     them (deepest, least-recently-resumed first) to compressed \
-     dirty-page deltas against a live ancestor and promotes them back \
-     by decompress+apply when the scheduler pops them; re-execution is \
-     only the fallback for truncated chains, which pressure alone never \
-     produces.  Every budgeted run must visit the same terminals in the \
-     same order as the unbounded one, peak live frames must never \
-     exceed the budget, and the quarter-peak run must stay within 3x \
+     them (deepest, least-recently-resumed first) to dirty-page \
+     deltas against a live ancestor and promotes them back by apply \
+     when the scheduler pops them; re-execution is only the fallback \
+     for truncated chains, which pressure alone never produces.  Every \
+     budgeted run must visit the same terminals in the same order as \
+     the unbounded one, peak live frames must never exceed the budget, \
+     no budgeted run may leave more frames live after it returns than \
+     the unbounded one, and the quarter-peak run must stay within 3x \
      of the unbounded time (the old evict-and-replay store sat at \
      32-75x here).";
   let row = U.row_format [ 10; 9; 10; 8; 8; 8; 9; 8; 8; 9 ] in
@@ -1034,7 +1035,8 @@ let e12 () =
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
     fst (List.nth sorted 1), snd (List.nth samples 2)
   in
-  let base_ms, (_phys0, base) = timed 0 in
+  let base_ms, (phys0, base) = timed 0 in
+  let base_live_after = Phys.frames_live phys0 in
   let base_terminals = List.length base.Explorer.terminals in
   row
     [ "unbounded"; "-"; U.fint peak; "0"; "0"; "0"; "0"; "-"; U.fms base_ms;
@@ -1046,7 +1048,8 @@ let e12 () =
     if total = 0 then 1.0
     else Float.of_int s.Core.Stats.promotions /. Float.of_int total
   in
-  let json_row ~label ~capacity ~peak_live ~peak_delta ~ms ~slowdown stats =
+  let json_row ~label ~capacity ~peak_live ~peak_delta ~live_after ~ms
+      ~slowdown stats =
     let reg = Obs.Metrics.create () in
     Core.Stats.publish stats reg;
     Obs.Json.Obj
@@ -1054,6 +1057,7 @@ let e12 () =
         "capacity", Obs.Json.Int capacity;
         "peak_live", Obs.Json.Int peak_live;
         "peak_delta_bytes", Obs.Json.Int peak_delta;
+        "frames_live_after", Obs.Json.Int live_after;
         "tier_hit_rate", Obs.Json.Float (tier_hit_rate stats);
         "ms", Obs.Json.Float ms;
         "slowdown", Obs.Json.Float slowdown;
@@ -1062,7 +1066,8 @@ let e12 () =
   let json_rows =
     ref
       [ json_row ~label:"unbounded" ~capacity:0 ~peak_live:peak ~peak_delta:0
-          ~ms:base_ms ~slowdown:1.0 base.Explorer.stats ]
+          ~live_after:base_live_after ~ms:base_ms ~slowdown:1.0
+          base.Explorer.stats ]
   in
   List.iter
     (fun (label, num, den) ->
@@ -1078,6 +1083,12 @@ let e12 () =
         failwith "E12: transcript diverged under memory pressure";
       if Phys.peak_frames_live phys > capacity then
         failwith "E12: frame budget exceeded";
+      let live_after = Phys.frames_live phys in
+      if live_after > base_live_after then
+        failwith
+          (Printf.sprintf
+             "E12: capacity %d: %d frames live after the run, the unbounded \
+              run leaves %d" capacity live_after base_live_after);
       let s = r.Explorer.stats in
       let slowdown = ms /. base_ms in
       if label = "1/4 peak"
@@ -1090,7 +1101,7 @@ let e12 () =
               not absorbing the pressure" slowdown);
       json_rows :=
         json_row ~label ~capacity ~peak_live:(Phys.peak_frames_live phys)
-          ~peak_delta:(Phys.peak_delta_bytes phys) ~ms ~slowdown s
+          ~peak_delta:(Phys.peak_delta_bytes phys) ~live_after ~ms ~slowdown s
         :: !json_rows;
       row
         [ label; U.fint capacity; U.fint (Phys.peak_frames_live phys);

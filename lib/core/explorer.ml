@@ -75,7 +75,7 @@ let default_fuel_per_step = 50_000_000
    rounds ("Several workers" in the interface). *)
 let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step)
     ?(max_extensions = max_int) ?(retry_budget = 3) ?strategy_override
-    ?tier_stress ?spill_threshold ?on_stop ?probe ?quantum ?(inj = Inject.none)
+    ?tier_stress ?on_stop ?probe ?quantum ?(inj = Inject.none)
     ~mem_before (machines : Libos.t array) =
   let workers = Array.length machines in
   let machine = machines.(0) in
@@ -89,7 +89,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   let scope : scope option ref = ref None in
 
   (* Memory-pressure integration: a bounded physical memory gets a tiered
-     payload store, so snapshots can be demoted to compressed deltas when
+     payload store, so snapshots can be demoted to page deltas when
      frames run out and promoted back (or, past a truncation, rebuilt by
      replay) when their extension is finally scheduled.  [tier_stress]
      forces the store on and exercises the tiers on an unbounded memory —
@@ -101,7 +101,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     invalid_arg "Explorer: recording or a reclaim store needs one worker";
   let store =
     if reclaim then begin
-      let st = Reclaim.create ~fuel_per_step ?spill_threshold machine in
+      let st = Reclaim.create ~fuel_per_step machine in
       Mem.Phys_mem.set_pressure_handler phys (Some (Reclaim.pressure_handler st));
       Some st
     end
@@ -113,10 +113,9 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   if probe <> None && store <> None then
     invalid_arg "Explorer: recording requires an unbounded in-memory store";
   (* Tier-stress hook: every [n]-th scheduler stop demotes every live
-     payload (and compresses/spills immediately — stops are quiet points),
-     and every 5[n]-th additionally truncates everything non-pinned so the
-     replay fallback is exercised too.  Pure store operations: the running
-     machine is never touched. *)
+     payload, and every 5[n]-th additionally truncates everything
+     non-pinned so the replay fallback is exercised too.  Pure store
+     operations: the running machine is never touched. *)
   let stress_clock = ref 0 in
   let stress_every =
     match (tier_stress, store) with Some n, Some _ when n > 0 -> n | _ -> 0
@@ -128,7 +127,6 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       incr stress_clock;
       if !stress_clock mod n = 0 then begin
         ignore (Reclaim.demote_all st);
-        Reclaim.flush_pending st;
         if !stress_clock mod (5 * n) = 0 then ignore (Reclaim.evict_all st)
       end
     | _ -> ()
@@ -274,15 +272,17 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         stats.payload_evictions <- Reclaim.evictions st;
         stats.demotions <- Reclaim.demotions st;
         stats.promotions <- Reclaim.promotions st;
-        stats.spills <- Reclaim.spills st;
-        stats.spill_loads <- Reclaim.spill_loads st;
         stats.replays <- Reclaim.replays st;
         stats.replay_fallbacks <- Reclaim.replay_fallbacks st;
         stats.replayed_instructions <- Reclaim.replayed_instructions st;
         Mem.Mem_metrics.diff mem_delta (Reclaim.suppressed_mem st)
     in
     Mem.Mem_metrics.add stats.mem mem_delta;
-    Option.iter Reclaim.close store;
+    (* The counters are read: give back every frame the store still holds
+       (the anchor, undrained payloads), once the machine has left the
+       scope.  A run stopped inside it keeps them: the machine's map
+       still derives from the anchor. *)
+    if !scope = None then Option.iter Reclaim.release_all store;
     { outcome;
       transcript = Buffer.contents transcript;
       terminals = Path.terminals terminals;
@@ -515,14 +515,14 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   outside ()
 
 let run ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
-    ?tier_stress ?spill_threshold ?on_stop ?probe (machine : Libos.t) =
+    ?tier_stress ?on_stop ?probe (machine : Libos.t) =
   explore ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
-    ?tier_stress ?spill_threshold ?on_stop ?probe
+    ?tier_stress ?on_stop ?probe
     ~mem_before:(Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace))
     [| machine |]
 
 let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
-    ?poison ?strategy_override ?tier_stress ?spill_threshold ?(files = [])
+    ?poison ?strategy_override ?tier_stress ?(files = [])
     ?stdin ?(workers = 1) ?quantum ?faults image =
   if workers < 1 then invalid_arg "Explorer.run_image: need at least one worker";
   let phys = Mem.Phys_mem.create ?capacity ?poison () in
@@ -538,6 +538,6 @@ let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
     m
   in
   explore ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
-    ?tier_stress ?spill_threshold ?quantum
+    ?tier_stress ?quantum
     ?inj:(Option.map Inject.arm faults) ~mem_before
     (Array.append [| machine |] (Array.init (workers - 1) helper))

@@ -95,7 +95,6 @@ val run :
   ?retry_budget:int ->
   ?strategy_override:strategy ->
   ?tier_stress:int ->
-  ?spill_threshold:int ->
   ?on_stop:(Os.Libos.t -> Os.Libos.stop -> unit) ->
   ?probe:Record.Probe.t ->
   Os.Libos.t ->
@@ -112,18 +111,20 @@ val run :
     Robustness: if the machine's physical memory is bounded
     ({!Mem.Phys_mem.capacity} > 0), the run installs a tiered {!Reclaim}
     store as the pressure handler — snapshot payloads are demoted to
-    compressed dirty-page deltas under frame pressure and promoted back
-    by decompress+apply when scheduled (replay remains the fallback past
-    a truncation), so exploration completes within budgets smaller than
-    its fault-free peak.  [tier_stress] forces the store on even with
+    dirty-page deltas in host memory under frame pressure and promoted
+    back by applying them when scheduled (replay remains the fallback
+    past a truncation), so exploration completes within budgets smaller
+    than its fault-free peak.  A run that leaves its scope returns with
+    every frame the store held given back, so it leaves as many frames
+    live as a storeless run; one stopped inside the scope (first exit,
+    an abort) keeps them, since the machine's map still derives from
+    them.  [tier_stress] forces the store on even with
     unbounded memory and hammers it: every [n]-th scheduler stop demotes
     every live payload, every 5[n]-th additionally truncates so the
     replay fallback runs too — the fuzz oracle's tier-stress pipeline.
     [tier_stress:0] attaches the store without hammering it: the
     unbounded footprint of reclaim mode, which a frame budget has to
     undercut.
-    [spill_threshold] bounds in-memory compressed delta bytes; beyond it
-    cold deltas spill to host temp files (tier 2).
     An exception escaping guest evaluation (an injected crash, a genuine
     out-of-frames) is retried from the path's origin up to [retry_budget]
     total attempts (default 3) before the path is quarantined as a
@@ -177,7 +178,6 @@ val run_image :
   ?poison:bool ->
   ?strategy_override:strategy ->
   ?tier_stress:int ->
-  ?spill_threshold:int ->
   ?files:(string * string) list ->
   ?stdin:string ->
   ?workers:int ->

@@ -9,26 +9,18 @@ type handle = int
 
 (* Payload tiers.  Tier 0 holds the live snapshot (its page map pins
    physical frames).  A demotion replaces it with the byte delta against
-   the nearest still-live ancestor: first uncompressed page copies ([Raw]
-   — produced inside the allocator's pressure handler, which must not
-   spend time compressing), then codec-packed on the next store access
-   ([Packed], tier 1), then optionally spilled to host disk ([Spilled],
-   tier 2).  A truncated entry (payload [None], tier 3) keeps only the
+   the nearest still-live ancestor, as raw page copies in host memory
+   (tier 1).  A truncated entry (payload [None], tier 2) keeps only the
    skeleton and falls back to deterministic replay. *)
-type blob =
-  | Raw of (int * string) list
-  | Packed of string
-  | Spilled of { path : string; len : int }
-
 type delta = {
-  mutable d_blob : blob;
+  d_pages : (int * string) list; (* (vpn, bytes) changed against the base *)
   d_dead : int list;           (* vpns unmapped relative to the base *)
   d_regs : Cpu.saved;
   d_os : Libos.os_state;
   d_base : handle option;      (* ancestor the pages diff against; [None]
                                   = full image (a root, or no live
                                   ancestor existed at demotion time) *)
-  d_raw_bytes : int;           (* page bytes before packing *)
+  d_bytes : int;               (* page bytes held *)
 }
 
 type payload =
@@ -58,7 +50,7 @@ type entry = {
   e_choice : int;              (* rax delivered when re-running the edge *)
   e_stdin : string option;     (* stdin installed alongside (Service) *)
   e_depth : int;
-  e_pinned : bool;             (* roots: never truncated or spilled *)
+  e_pinned : bool;             (* roots: never truncated *)
   mutable e_payload : payload option;
   mutable e_last_used : int;
   mutable e_released : bool;   (* dropped by the client; skeleton kept for
@@ -70,8 +62,6 @@ type t = {
   fuel : int;
   ids : Snapshot.ids;
   entries : (handle, entry) Hashtbl.t;
-  spill_files : (string, unit) Hashtbl.t;
-  spill_threshold : int;
   mutable next : int;
   mutable clock : int;
   mutable anchor : Snapshot.t option;
@@ -79,43 +69,30 @@ type t = {
          derives from (last capture or [get]); the store keeps an
          extension ref on it so explicit freeing never touches frames the
          live address space still maps *)
-  mutable pending_raw : int;   (* demotions awaiting compression; a hint —
-                                  [flush_pending] rescans and resets *)
-  mutable evictions : int;     (* truncations (tier 3), not demotions *)
+  mutable evictions : int;     (* truncations (tier 2), not demotions *)
   mutable demotions : int;
   mutable promotions : int;
-  mutable spills : int;
-  mutable spill_loads : int;
   mutable replays : int;
   mutable replay_fallbacks : int;
   mutable replayed_instructions : int;
   suppressed_mem : Mem.Mem_metrics.t;
 }
 
-let create ?(fuel_per_step = 50_000_000) ?(spill_threshold = max_int)
-    (machine : Libos.t) =
-  let t =
-    { machine;
-      fuel = fuel_per_step;
-      ids = Snapshot.ids ();
-      entries = Hashtbl.create 64;
-      spill_files = Hashtbl.create 8;
-      spill_threshold;
-      next = 0;
-      clock = 0;
-      anchor = None;
-      pending_raw = 0;
-      evictions = 0;
-      demotions = 0;
-      promotions = 0;
-      spills = 0;
-      spill_loads = 0;
-      replays = 0;
-      replay_fallbacks = 0;
-      replayed_instructions = 0;
-      suppressed_mem = Mem.Mem_metrics.create () }
-  in
-  t
+let create ?(fuel_per_step = 50_000_000) (machine : Libos.t) =
+  { machine;
+    fuel = fuel_per_step;
+    ids = Snapshot.ids ();
+    entries = Hashtbl.create 64;
+    next = 0;
+    clock = 0;
+    anchor = None;
+    evictions = 0;
+    demotions = 0;
+    promotions = 0;
+    replays = 0;
+    replay_fallbacks = 0;
+    replayed_instructions = 0;
+    suppressed_mem = Mem.Mem_metrics.create () }
 
 let phys_of t = As.phys t.machine.Libos.aspace
 
@@ -166,83 +143,26 @@ let depth t h = (entry t h).e_depth
 let tier t h =
   match (entry t h).e_payload with
   | Some (Live _) -> 0
-  | Some (Demoted { d_blob = Raw _ | Packed _; _ }) -> 1
-  | Some (Demoted { d_blob = Spilled _; _ }) -> 2
-  | None -> 3
+  | Some (Demoted _) -> 1
+  | None -> 2
 
 let is_materialised t h = tier t h = 0
 let is_released t h = (entry t h).e_released
 
-(* {1 Delta packing}
-
-   Packed layout (before compression): varint page count, then per page a
-   varint vpn, a varint length and the raw bytes.  The whole buffer goes
-   through the {!Stdx.Codec} block codec, whose stored fallback bounds
-   incompressible deltas. *)
-
-let put_varint buf n =
-  let n = ref n in
-  while !n >= 0x80 do
-    Buffer.add_char buf (Char.chr (!n land 0x7f lor 0x80));
-    n := !n lsr 7
-  done;
-  Buffer.add_char buf (Char.chr !n)
-
-let get_varint s pos =
-  let v = ref 0 and shift = ref 0 and fin = ref false in
-  while not !fin do
-    let b = Char.code s.[!pos] in
-    incr pos;
-    v := !v lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if b < 0x80 then fin := true
-  done;
-  !v
-
-let pack_pages pages =
-  let buf = Buffer.create 4096 in
-  put_varint buf (List.length pages);
-  List.iter
-    (fun (vpn, data) ->
-      put_varint buf vpn;
-      put_varint buf (String.length data);
-      Buffer.add_string buf data)
-    pages;
-  Stdx.Codec.compress (Buffer.contents buf)
-
-let unpack_pages packed =
-  let s = Stdx.Codec.decompress packed in
-  let pos = ref 0 in
-  let n = get_varint s pos in
-  List.init n (fun _ ->
-      let vpn = get_varint s pos in
-      let len = get_varint s pos in
-      let data = String.sub s !pos len in
-      pos := !pos + len;
-      (vpn, data))
-
-(* Bytes a delta currently holds in host memory / on disk, for the
-   accounting counters in {!Mem.Phys_mem}. *)
+(* The delta's page bytes leave the host-memory count in
+   {!Mem.Phys_mem}. *)
 let drop_delta t (d : delta) =
-  let phys = phys_of t in
-  match d.d_blob with
-  | Raw _ -> Mem.Phys_mem.note_delta_bytes phys (-d.d_raw_bytes)
-  | Packed p -> Mem.Phys_mem.note_delta_bytes phys (-(String.length p))
-  | Spilled { path; len } ->
-    Mem.Phys_mem.note_spill_bytes phys (-len);
-    Hashtbl.remove t.spill_files path;
-    (try Sys.remove path with Sys_error _ -> ())
+  Mem.Phys_mem.note_delta_bytes (phys_of t) (-d.d_bytes)
 
 (* {1 Demotion (tier 0 -> 1)} *)
 
 (* Replace the live snapshot with its byte delta against the nearest
    still-live ancestor (or the full image when none exists — always the
    case for roots).  Reads frame bytes and allocates only OCaml heap,
-   never frames, so it is safe inside the allocator's pressure handler;
-   compression is deferred to [flush_pending] for the same reason the
-   handler must stay fast.  The delta is pure data: snapshot contents are
-   logically deterministic, so it stays valid however the base is later
-   rebuilt (promotion or replay). *)
+   never frames, so it is safe inside the allocator's pressure handler.
+   The delta is pure data: snapshot contents are logically deterministic,
+   so it stays valid however the base is later rebuilt (promotion or
+   replay). *)
 let demote t h =
   let e = entry t h in
   match e.e_payload with
@@ -263,16 +183,16 @@ let demote t h =
         As.snapshot_delta ~parent:bs.Snapshot.mem snap.Snapshot.mem
       | None -> (As.snapshot_contents snap.Snapshot.mem, [])
     in
-    let raw_bytes =
+    let bytes =
       List.fold_left (fun n (_, data) -> n + String.length data) 0 pages
     in
-    Mem.Phys_mem.note_delta_bytes (phys_of t) raw_bytes;
+    Mem.Phys_mem.note_delta_bytes (phys_of t) bytes;
     e.e_payload <-
       Some
         (Demoted
-           { d_blob = Raw pages; d_dead = dead; d_regs = snap.Snapshot.regs;
+           { d_pages = pages; d_dead = dead; d_regs = snap.Snapshot.regs;
              d_os = snap.Snapshot.os; d_base = Option.map fst base;
-             d_raw_bytes = raw_bytes });
+             d_bytes = bytes });
     (* The delta above copied every byte it needs; give the store's ref on
        the record back.  [Snapshot.try_free] returns its delta-vs-parent
        frames to the allocator right here — and cascades up released
@@ -280,96 +200,15 @@ let demote t h =
        current state derives from this record (the anchor ref), in which
        case the frames come back the moment the last sharer drains. *)
     Snapshot.release_ext ~phys:(phys_of t) snap;
-    t.pending_raw <- t.pending_raw + 1;
     t.demotions <- t.demotions + 1;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_demote;
     true
 
-(* {1 Spilling (tier 1 -> 2)} *)
-
-let spill t h =
-  let e = entry t h in
-  match e.e_payload with
-  | Some (Demoted ({ d_blob = Packed packed; _ } as d)) when not e.e_pinned
-    ->
-    let path = Filename.temp_file "lwsnap-delta" ".bin" in
-    let oc = open_out_bin path in
-    output_string oc packed;
-    close_out oc;
-    Hashtbl.replace t.spill_files path ();
-    let len = String.length packed in
-    let phys = phys_of t in
-    Mem.Phys_mem.note_delta_bytes phys (-len);
-    Mem.Phys_mem.note_spill_bytes phys len;
-    d.d_blob <- Spilled { path; len };
-    t.spills <- t.spills + 1;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:h ~b:len Obs.Names.reclaim_spill;
-    true
-  | _ -> false
-
-(* Pack every Raw delta, then apply the spill policy: while the packed
-   bytes held in memory exceed the threshold, spill the coldest
-   non-pinned packed deltas to disk.  Called on the store-access paths
-   ([get]), never from the pressure handler. *)
-let flush_pending t =
-  if t.pending_raw > 0 then begin
-    t.pending_raw <- 0;
-    Hashtbl.iter
-      (fun _ e ->
-        match e.e_payload with
-        | Some (Demoted ({ d_blob = Raw pages; _ } as d)) ->
-          let packed = pack_pages pages in
-          Mem.Phys_mem.note_delta_bytes (phys_of t)
-            (String.length packed - d.d_raw_bytes);
-          d.d_blob <- Packed packed
-        | _ -> ())
-      t.entries
-  end;
-  if
-    t.spill_threshold < max_int
-    && Mem.Phys_mem.delta_bytes_held (phys_of t) > t.spill_threshold
-  then begin
-    let candidates =
-      Hashtbl.fold
-        (fun h e acc ->
-          match e.e_payload with
-          | Some (Demoted { d_blob = Packed _; _ }) when not e.e_pinned ->
-            (e.e_last_used, h) :: acc
-          | _ -> acc)
-        t.entries []
-    in
-    let phys = phys_of t in
-    List.iter
-      (fun (_, h) ->
-        if Mem.Phys_mem.delta_bytes_held phys > t.spill_threshold then
-          ignore (spill t h))
-      (List.sort compare candidates)
-  end
-
 (* {1 Reconstruction (promotion, with replay as the fallback)} *)
 
-let load_pages t (d : delta) =
-  match d.d_blob with
-  | Raw pages -> pages
-  | Packed packed -> unpack_pages packed
-  | Spilled { path; len } ->
-    let packed = In_channel.with_open_bin path In_channel.input_all in
-    Hashtbl.remove t.spill_files path;
-    (try Sys.remove path with Sys_error _ -> ());
-    let phys = phys_of t in
-    Mem.Phys_mem.note_spill_bytes phys (-len);
-    Mem.Phys_mem.note_delta_bytes phys len;
-    t.spill_loads <- t.spill_loads + 1;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:len Obs.Names.reclaim_spill_load;
-    (* back in memory: uniform accounting for the drop after promotion *)
-    d.d_blob <- Packed packed;
-    unpack_pages packed
-
 (* Rebuild the entry's live snapshot.  A demoted entry promotes by
-   decompress+apply — zero guest instructions: materialise its base (the
+   applying its delta — zero guest instructions: materialise its base (the
    recursion bottoms out at a live ancestor, a full-image delta, or a
    pinned root), restore the base's page map, apply the byte delta, load
    the saved registers and OS state, capture.  A truncated entry replays
@@ -407,13 +246,12 @@ and promote t h e d =
      the page applications below allocate (and possibly fire pressure). *)
   (match base with Some (_, bs) -> set_anchor t bs | None -> ());
   let mem0 = Mem.Mem_metrics.copy (As.metrics m.Libos.aspace) in
-  let pages = load_pages t d in
   Cpu.load m.Libos.cpu d.d_regs;
   let aspace = m.Libos.aspace in
   (try
      As.restore_pages aspace
        ~base:(Option.map (fun (_, s) -> s.Snapshot.mem) base)
-       ~pages ~dead:d.d_dead
+       ~pages:d.d_pages ~dead:d.d_dead
    with ex ->
      (* Ran out of frames half way: the pages applied so far are private
         to the unfrozen map.  The delta itself is intact, so the entry
@@ -441,7 +279,8 @@ and promote t h e d =
   e.e_last_used <- tick t;
   t.promotions <- t.promotions + 1;
   if Obs.Trace.enabled () then
-    Obs.Trace.span_end ~a:h ~b:(List.length pages) Obs.Names.reclaim_promote;
+    Obs.Trace.span_end ~a:h ~b:(List.length d.d_pages)
+      Obs.Names.reclaim_promote;
   snap
 
 (* Re-execute one edge: restore the parent's payload, deliver the recorded
@@ -498,13 +337,6 @@ let get t h =
   let e = entry t h in
   if e.e_released then
     invalid_arg (Printf.sprintf "Reclaim: reference %d was released" h);
-  (* Deliberately NOT an unconditional [flush_pending]: the scheduler pops
-     right after a pressure event, and packing the whole pending set here
-     would put the codec on the search's critical path (and waste it — a
-     delta popped soon after demotion is about to be applied, not stored).
-     Raw deltas already gave their frames back; compressing them buys heap,
-     which only matters once the spill policy has a threshold to enforce. *)
-  if t.spill_threshold < max_int then flush_pending t;
   e.e_last_used <- tick t;
   let s =
     match e.e_payload with
@@ -591,7 +423,7 @@ let demote_under_pressure t =
   |> go 0
 
 (* Demote every live payload, deepest first (so each diffs against a
-   still-live parent), pinned roots included — they stop at tier 1. *)
+   still-live parent), pinned roots included. *)
 let demote_all t =
   Hashtbl.fold
     (fun h e acc ->
@@ -628,22 +460,6 @@ let release_all t =
   Option.iter (Snapshot.release_ext ~phys) t.anchor;
   t.anchor <- None
 
-(* Remove every spill file: spilled entries fall back to their skeleton
-   (tier 3), which replay can still rebuild. *)
-let close t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e.e_payload with
-      | Some (Demoted ({ d_blob = Spilled _; _ } as d)) ->
-        drop_delta t d;
-        e.e_payload <- None
-      | _ -> ())
-    t.entries;
-  Hashtbl.iter
-    (fun path () -> try Sys.remove path with Sys_error _ -> ())
-    t.spill_files;
-  Hashtbl.reset t.spill_files
-
 (* {1 Introspection} *)
 
 let snapshot_ids t = t.ids
@@ -670,8 +486,6 @@ let materialised_count t =
 let evictions t = t.evictions
 let demotions t = t.demotions
 let promotions t = t.promotions
-let spills t = t.spills
-let spill_loads t = t.spill_loads
 let replays t = t.replays
 let replay_fallbacks t = t.replay_fallbacks
 let replayed_instructions t = t.replayed_instructions

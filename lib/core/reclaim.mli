@@ -1,4 +1,4 @@
-(** Tiered snapshot storage: evict by compressing deltas, not by
+(** Tiered snapshot storage: evict by demoting to deltas, not by
     forgetting (§5).
 
     The paper argues snapshots stay viable at scale because the system can
@@ -7,19 +7,14 @@
     degrade through tiers instead of vanishing:
 
     - {e tier 0} — the live snapshot; its page map pins physical frames.
-    - {e tier 1} — a compressed dirty-page delta against the nearest
-      still-live ancestor (held in host memory, accounted via
-      {!Mem.Phys_mem.note_delta_bytes}).  {!demote} moves 0 → 1 in two
-      steps: the pressure-handler half only copies page bytes out
-      (allocation-free with respect to frames, and fast), and compression
-      is deferred to {!flush_pending} — run by {!get} only on stores with
-      a spill budget to enforce, so the codec stays off the scheduler's
-      pop path.
-    - {e tier 2} — the compressed delta spilled to a host temp file, for
-      stores given a [spill_threshold] budget on in-memory delta bytes.
-    - {e tier 3} — truncated: payload gone, skeleton kept.  Only
-      {!evict} produces this state now; it is no longer the pressure
-      policy, just the fallback the store can always recover from.
+    - {e tier 1} — a dirty-page delta against the nearest still-live
+      ancestor, raw page copies held in host memory (accounted via
+      {!Mem.Phys_mem.note_delta_bytes}).  {!demote} moves 0 → 1; it only
+      copies page bytes out, so it is allocation-free with respect to
+      frames, and fast enough for the allocator's pressure handler.
+    - {e tier 2} — truncated: payload gone, skeleton kept.  Only {!evict}
+      produces this state; it is not the pressure policy, just the
+      fallback the store can always recover from.
 
     {!get} on a demoted entry {e promotes}: materialise the delta's base
     (recursively), restore its page map, apply the byte delta, load the
@@ -34,9 +29,9 @@
     can report fault-free figures.
 
     Roots are pinned: they may demote to a tier-1 full image but never
-    spill and never truncate, so reconstruction always bottoms out.
-    Released entries drop their payload and refuse {!get}, but keep their
-    skeleton — a descendant's replay may pass through them. *)
+    truncate, so reconstruction always bottoms out.  Released entries
+    drop their payload and refuse {!get}, but keep their skeleton — a
+    descendant's replay may pass through them. *)
 
 type handle = int
 
@@ -47,17 +42,15 @@ exception Replay_diverged of string
 
 type t
 
-val create : ?fuel_per_step:int -> ?spill_threshold:int -> Os.Libos.t -> t
+val create : ?fuel_per_step:int -> Os.Libos.t -> t
 (** The machine is the reconstruction vehicle: promotion and replay both
     restore onto it.  Callers must treat machine state as clobbered
     across {!get} (every driver restores a snapshot right after, so this
-    is free).  [spill_threshold] (default [max_int] = never spill) bounds
-    the compressed delta bytes held in host memory: beyond it,
-    {!flush_pending} spills the coldest packed deltas to disk. *)
+    is free). *)
 
 val add_root : t -> Snapshot.t -> handle
-(** Register a pinned root: never spilled or truncated, the
-    reconstruction base of last resort. *)
+(** Register a pinned root: never truncated, the reconstruction base of
+    last resort. *)
 
 val add :
   t -> parent:handle -> choice:int -> ?stdin:string -> depth:int ->
@@ -66,19 +59,16 @@ val add :
     restoring [parent] and delivering [choice] (and [stdin], if given). *)
 
 val get : t -> handle -> Snapshot.t
-(** The entry's snapshot, reconstructed if not live: promotion
-    (decompress + apply) for demoted entries, replay only where the chain
-    was truncated.  Runs {!flush_pending} first when the store has a
-    [spill_threshold] to enforce; otherwise pending raw deltas stay raw —
-    their frames are already free, and packing them here would put the
-    codec on the scheduler's critical path.
+(** The entry's snapshot, reconstructed if not live: promotion (apply
+    the delta) for demoted entries, replay only where the chain was
+    truncated.
     @raise Invalid_argument on an unknown or released handle.
     @raise Replay_diverged if a replay does not reach a choice point. *)
 
 val depth : t -> handle -> int
 
 val tier : t -> handle -> int
-(** 0 live, 1 in-memory delta, 2 spilled delta, 3 truncated. *)
+(** 0 live, 1 in-memory delta, 2 truncated. *)
 
 val is_materialised : t -> handle -> bool
 (** [tier t h = 0]. *)
@@ -94,8 +84,7 @@ val release : t -> handle -> unit
 val demote : t -> handle -> bool
 (** Tier 0 → 1: replace the live snapshot with its dirty-page delta
     against the nearest still-live ancestor (a full image when none
-    exists).  The delta is left uncompressed until the next
-    {!flush_pending}; the frames the snapshot pinned become unreachable.
+    exists); the frames the snapshot pinned become unreachable.
     [false] if the payload is not live.  Safe inside a {!Mem.Phys_mem}
     pressure handler: reads frame bytes, allocates no frames, never runs
     guest code. *)
@@ -105,19 +94,8 @@ val demote_all : t -> int
     still-live parent), pinned roots included; returns the number
     demoted. *)
 
-val flush_pending : t -> unit
-(** Compress deltas parked by {!demote}, then spill the coldest packed
-    deltas while in-memory delta bytes exceed the [spill_threshold].
-    Run by {!get} on stores with a spill budget; exposed for drivers that
-    want compression to happen at a quiet point of their own choosing. *)
-
-val spill : t -> handle -> bool
-(** Tier 1 → 2: write the packed delta to a host temp file and drop the
-    in-memory copy.  [false] unless the entry holds a packed delta and is
-    not pinned. *)
-
 val evict : t -> handle -> bool
-(** Truncate: drop the payload entirely (tier 3); [false] if pinned or
+(** Truncate: drop the payload entirely (tier 2); [false] if pinned or
     already truncated.  Reconstruction degrades to replay for this
     entry. *)
 
@@ -131,8 +109,8 @@ val demote_under_pressure : t -> int
     live count drops back below its watermark (at least one victim; every
     victim when the explicit frees never clear the mark).  Returns the
     number demoted.  Safe to call from a {!Mem.Phys_mem} pressure
-    handler: it copies bytes out of frames but never allocates frames,
-    compresses, or replays. *)
+    handler: it copies bytes out of frames but never allocates frames or
+    replays. *)
 
 val pressure_handler : t -> unit -> unit
 (** [demote_under_pressure] packaged for
@@ -147,11 +125,6 @@ val release_all : t -> unit
     (parentless records too, when captured [owns_image]).  Frames the
     machine acquired beyond its anchor are the driver's to discard first.
     Every handle reads as released afterwards. *)
-
-val close : t -> unit
-(** Remove every spill file this store wrote.  Spilled entries fall back
-    to their skeleton (tier 3).  Drivers call it when they are done with
-    the store; nothing else deletes the files. *)
 
 val snapshot_ids : t -> Snapshot.ids
 (** The id allocator reconstruction captures under; drivers that capture
@@ -173,13 +146,10 @@ val materialised_count : t -> int
 (** {1 Counters} *)
 
 val evictions : t -> int
-(** Truncations (tier 3), not demotions. *)
+(** Truncations (tier 2), not demotions. *)
 
 val demotions : t -> int
 val promotions : t -> int
-
-val spills : t -> int
-val spill_loads : t -> int
 
 val replays : t -> int
 (** Edges re-executed. *)

@@ -75,7 +75,7 @@ let advance t =
     t.pending <- None;
     Crashed (Printf.sprintf "out of frames (capacity %d, live %d)" capacity live)
 
-let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
+let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
     ?stdin ?phys ?(manage_pressure = true) ?(dedup = false) ?(account = 0)
     image =
   let phys =
@@ -86,7 +86,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?spill_threshold ?(files = [])
   let machine = Libos.boot ~dedup ~account phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
-  let store = Reclaim.create ~fuel_per_step ?spill_threshold machine in
+  let store = Reclaim.create ~fuel_per_step machine in
   if manage_pressure && Mem.Phys_mem.capacity phys > 0 then
     Mem.Phys_mem.set_pressure_handler phys
       (Some (Reclaim.pressure_handler store));
@@ -139,15 +139,12 @@ let materialised_candidates t = Reclaim.materialised_count t.store
 let payload_evictions t = Reclaim.evictions t.store
 let demotions t = Reclaim.demotions t.store
 let promotions t = Reclaim.promotions t.store
-let spills t = Reclaim.spills t.store
-let spill_loads t = Reclaim.spill_loads t.store
 let replays t = Reclaim.replays t.store
 let replay_fallbacks t = Reclaim.replay_fallbacks t.store
 
 let machine t = t.machine
 let phys t = Mem.Addr_space.phys t.machine.Libos.aspace
 let last_crash_reason t = t.last_crash
-let flush_spills t = Reclaim.flush_pending t.store
 
 (* Allocation-free payload shedding for an external (pool-level) pressure
    handler: demote this session's candidates until the allocator is back
@@ -159,5 +156,4 @@ let teardown t =
     Mem.Phys_mem.set_pressure_handler (phys t) None;
   Path.discard t.path;
   Reclaim.release_all t.store;
-  Reclaim.close t.store;
   Mem.Addr_space.drop_dedup_refs t.machine.Libos.aspace

@@ -13,10 +13,11 @@
 
     Candidates live in a tiered {!Reclaim} store: under memory pressure
     (a bounded physical memory, or an explicit {!demote_all}) their
-    snapshot payloads are compressed into dirty-page deltas and promoted
-    back by decompress+apply on the next resume; only an outright
-    truncation ({!evict_all}) degrades reconstruction to deterministic
-    replay — the immutability guarantee of {!resume} survives both. *)
+    snapshot payloads are demoted to dirty-page deltas held in host memory
+    and promoted back by applying them on the next resume; only an
+    outright truncation ({!evict_all}) degrades reconstruction to
+    deterministic replay — the immutability guarantee of {!resume}
+    survives both. *)
 
 type t
 
@@ -37,7 +38,6 @@ type outcome =
 val boot :
   ?fuel_per_step:int ->
   ?capacity:int ->
-  ?spill_threshold:int ->
   ?files:(string * string) list ->
   ?stdin:string ->
   ?phys:Mem.Phys_mem.t ->
@@ -48,9 +48,8 @@ val boot :
   t * outcome
 (** Boot the guest and run it to its first choice point (or completion).
     [capacity] bounds the physical frame budget; under pressure the store
-    demotes candidate payloads to compressed deltas rather than failing
-    allocations.  [spill_threshold] bounds in-memory delta bytes; colder
-    deltas spill to host temp files past it.
+    demotes candidate payloads to page deltas rather than failing
+    allocations.
 
     The multi-tenant knobs: [phys] boots onto an {e existing} physical
     memory instead of creating a private one ([capacity] is then ignored —
@@ -91,18 +90,16 @@ val evict_all : t -> int
     resume of each falls back to replay); returns the number truncated. *)
 
 val demote_all : t -> int
-(** Demote every live candidate payload to its compressed delta; returns
+(** Demote every live candidate payload to its page delta; returns
     the number demoted. *)
 
 val candidate_tier : t -> ref_ -> int
-(** 0 live, 1 in-memory delta, 2 spilled, 3 truncated. *)
+(** 0 live, 1 in-memory delta, 2 truncated. *)
 
 val materialised_candidates : t -> int
 val payload_evictions : t -> int
 val demotions : t -> int
 val promotions : t -> int
-val spills : t -> int
-val spill_loads : t -> int
 val replays : t -> int
 val replay_fallbacks : t -> int
 
@@ -122,15 +119,10 @@ val shed : t -> int
     two-level pressure policy is built on: shed the offender first, then
     siblings.  Returns the number demoted. *)
 
-val flush_spills : t -> unit
-(** Compress parked deltas and enforce the spill budget now (see
-    {!Reclaim.flush_pending}) — lets a pool run codecs at idle points
-    rather than on the resume path. *)
-
 val teardown : t -> int
 (** Retire the session and return every frame it holds: the uncaptured
     tail of its last step, every candidate payload (the pinned root
-    included), the store's anchor, its spill files, and its dedup-table
+    included), the store's anchor, and its dedup-table
     references (see {!Mem.Addr_space.drop_dedup_refs}); reports how many
     dedup references were dropped.  Also uninstalls the pressure handler
     this session installed (if it manages one).  Counters stay readable;

@@ -18,8 +18,6 @@ type t = {
   mutable payload_evictions : int;
   mutable demotions : int;
   mutable promotions : int;
-  mutable spills : int;
-  mutable spill_loads : int;
   mutable replays : int;
   mutable replay_fallbacks : int;
   mutable replayed_instructions : int;
@@ -32,7 +30,7 @@ let create () =
     adopting_restores = 0; evicted = 0;
     max_frontier = 0; max_live_snapshots = 0; instructions = 0;
     requeues = 0; quarantined = 0; steals = 0; payload_evictions = 0;
-    demotions = 0; promotions = 0; spills = 0; spill_loads = 0; replays = 0;
+    demotions = 0; promotions = 0; replays = 0;
     replay_fallbacks = 0; replayed_instructions = 0;
     mem = Mem.Mem_metrics.create () }
 
@@ -58,8 +56,6 @@ let merge acc x =
   acc.payload_evictions <- acc.payload_evictions + x.payload_evictions;
   acc.demotions <- acc.demotions + x.demotions;
   acc.promotions <- acc.promotions + x.promotions;
-  acc.spills <- acc.spills + x.spills;
-  acc.spill_loads <- acc.spill_loads + x.spill_loads;
   acc.replays <- acc.replays + x.replays;
   acc.replay_fallbacks <- acc.replay_fallbacks + x.replay_fallbacks;
   acc.replayed_instructions <- acc.replayed_instructions + x.replayed_instructions;
@@ -91,8 +87,6 @@ let publish t (reg : Obs.Metrics.t) =
   c "explorer.payload_evictions" t.payload_evictions;
   c "explorer.demotions" t.demotions;
   c "explorer.promotions" t.promotions;
-  c "explorer.spills" t.spills;
-  c "explorer.spill_loads" t.spill_loads;
   c "explorer.replays" t.replays;
   c "explorer.replay_fallbacks" t.replay_fallbacks;
   c "explorer.replayed_instructions" t.replayed_instructions;
@@ -119,13 +113,13 @@ let pp fmt t =
     "@[<v>guesses=%d pushed=%d evaluated=%d fails=%d exits=%d kills=%d@ \
      snapshots=%d restores=%d adopting=%d evicted=%d max_frontier=%d \
      max_live=%d@ instructions=%d@ requeues=%d quarantined=%d steals=%d \
-     payload_evictions=%d demotions=%d promotions=%d spills=%d \
-     spill_loads=%d replays=%d replay_fallbacks=%d \
+     payload_evictions=%d demotions=%d promotions=%d replays=%d \
+     replay_fallbacks=%d \
      replayed_instructions=%d@ %a@]"
     t.guesses t.extensions_pushed t.extensions_evaluated t.fails t.exits
     t.kills t.snapshots_created t.restores t.adopting_restores t.evicted
     t.max_frontier t.max_live_snapshots t.instructions t.requeues
     t.quarantined t.steals t.payload_evictions t.demotions t.promotions
-    t.spills t.spill_loads t.replays t.replay_fallbacks
+    t.replays t.replay_fallbacks
     t.replayed_instructions
     Mem.Mem_metrics.pp t.mem

@@ -21,10 +21,8 @@ type t = {
   mutable steals : int;                (** work items consumed by a domain other
                                            than the one that produced them *)
   mutable payload_evictions : int;     (** snapshot payloads truncated outright *)
-  mutable demotions : int;             (** live payloads compressed to deltas *)
-  mutable promotions : int;            (** deltas rebuilt by decompress+apply *)
-  mutable spills : int;                (** packed deltas written to host disk *)
-  mutable spill_loads : int;           (** spilled deltas read back *)
+  mutable demotions : int;             (** live payloads demoted to deltas *)
+  mutable promotions : int;            (** deltas rebuilt by applying them *)
   mutable replays : int;               (** truncated payloads rebuilt by re-execution *)
   mutable replay_fallbacks : int;      (** [get]s that promotion alone could not serve *)
   mutable replayed_instructions : int; (** re-executed during those rebuilds;

@@ -4,7 +4,7 @@
    The robustness contract, in one sentence: a misbehaving tenant — guest
    crash, fuel/deadline overrun, frame-budget blowout, injected allocation
    fault — is contained to its own session, demoted first under pressure,
-   and evicted if incompressible, while every other tenant's published
+   and evicted if still over budget, while every other tenant's published
    candidates stay bit-identical resumable.
 
    Mechanisms, and where each lives:
@@ -72,7 +72,6 @@ type pending_boot = {
 type t = {
   phys : Phys.t;
   fuel_per_step : int;
-  spill_threshold : int option;
   frame_budget : int;
   fuel_budget : int;
   deadline : int;
@@ -132,14 +131,13 @@ let pressure t () =
       lru
   end
 
-let create ?(capacity = 0) ?spill_threshold ?(fuel_per_step = 50_000_000)
+let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
     ?(frame_budget = 0) ?(fuel_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
     ?(queue_limit = 64) ?(dedup = true) () =
   let phys = Phys.create ~capacity () in
   let t =
     { phys;
       fuel_per_step;
-      spill_threshold;
       frame_budget;
       fuel_budget;
       deadline;
@@ -197,8 +195,8 @@ let admit t image files stdin =
     if t.deadline > 0 then min t.fuel_per_step t.deadline else t.fuel_per_step
   in
   let svc, first =
-    Service.boot ~fuel_per_step ?spill_threshold:t.spill_threshold ~files
-      ?stdin ~phys:t.phys ~manage_pressure:false ~dedup:t.dedup ~account image
+    Service.boot ~fuel_per_step ~files ?stdin ~phys:t.phys
+      ~manage_pressure:false ~dedup:t.dedup ~account image
   in
   let tn =
     { id;
@@ -301,7 +299,7 @@ let next_tenant t = Queue.peek_opt t.run_queue
    snapshots do not save it); then the frame budget — demote everything
    the tenant holds (each demotion frees its frames on the spot, so the
    account is exact right after) and evict only if the tenant is still
-   over (incompressible). *)
+   over. *)
 let police t tn outcome =
   (match (outcome : Service.outcome) with
   | Crashed msg ->
@@ -324,7 +322,6 @@ let police t tn outcome =
      && Phys.account_frames_live t.phys tn.account > t.frame_budget
   then begin
     ignore (Service.demote_all tn.svc);
-    Service.flush_spills tn.svc;
     if Phys.account_frames_live t.phys tn.account > t.frame_budget then begin
       t.budget_evictions <- t.budget_evictions + 1;
       teardown_tenant tn (Evicted "frame budget")

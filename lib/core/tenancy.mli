@@ -38,7 +38,6 @@ type admission =
 
 val create :
   ?capacity:int ->
-  ?spill_threshold:int ->
   ?fuel_per_step:int ->
   ?frame_budget:int ->
   ?fuel_budget:int ->
@@ -50,7 +49,7 @@ val create :
 (** [capacity] bounds the shared frame pool (0 = unbounded; live and
     per-tenant counts are exact either way).  [frame_budget]
     bounds any one tenant's live frames (0 = none): an over-budget tenant
-    is demoted to compressed deltas and evicted only if still over.
+    is demoted to page deltas and evicted only if still over.
     [fuel_budget] bounds a tenant's cumulative retired instructions
     (0 = none).  [deadline] bounds a single resume (0 = none) through the
     same fuel mechanism as the guest-visible [sys_timeout]; a trip is a

@@ -291,10 +291,9 @@ let check_pipelines ~ckpt_every image =
              ~on_stop:(ckpt_on_stop ckpt_every) image));
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
-           the baseline's live peak, a hook that demotes every live payload
-           to its compressed delta at every scheduler stop (truncating
-           everything every 5th, so the replay fallback runs too), and a
-           zero spill budget pushing cold deltas through host disk — on a
+           the baseline's live peak and a hook that demotes every live
+           payload to its page delta at every scheduler stop (truncating
+           everything every 5th, so the replay fallback runs too) — on a
            poisoned, audited allocator.  The store runs without snapshot
            refcounts, so no restore adopts.  Reconstruction and adoption
            are supposed to be invisible: exact agreement, instruction
@@ -305,7 +304,7 @@ let check_pipelines ~ckpt_every image =
         let m = Libos.boot ~icache:true phys image in
         let r =
           audited "tiered-store" (fun () ->
-              Explorer.run ~tier_stress:1 ~spill_threshold:0 m)
+              Explorer.run ~tier_stress:1 m)
         in
         compare_exact "tiered-store" base (machine_run m r));
       (fun () ->

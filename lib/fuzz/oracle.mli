@@ -28,9 +28,8 @@
     + {b tiered-store}: the explorer under a frame budget below the
       baseline's exact live peak with the tiered {!Core.Reclaim} store
       hammered at every scheduler stop — every live payload demoted to
-      its compressed delta (truncated outright every 5th stop, so the
-      replay fallback runs too) and a zero spill budget pushing cold
-      deltas through host disk, on a poisoned, audited allocator, with no
+      its page delta (truncated outright every 5th stop, so the replay
+      fallback runs too) — on a poisoned, audited allocator, with no
       adopting restores (the store runs without snapshot refcounts).
       Reconstruction and the baseline's adoption are supposed to be
       invisible: exact agreement, retired instruction count included;

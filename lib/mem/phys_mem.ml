@@ -64,12 +64,10 @@ type t = {
   mutable delta_bytes : int;
       (* bytes of demoted snapshot deltas currently held in host memory by
          the tiered payload store — the budget the simulated machine spends
-         on "compressed snapshots" instead of frames.  Reported, not
-         charged against [capacity]: the substitution table maps the
-         paper's compressed store to host heap outside guest frame RAM *)
+         on demoted snapshots instead of frames.  Reported, not charged
+         against [capacity]: the substitution table maps the paper's
+         reclaimed-snapshot store to host heap outside guest frame RAM *)
   mutable peak_delta_bytes : int;
-  mutable spill_bytes : int;
-      (* bytes of deltas currently spilled to host disk (tier 2) *)
   mutable next_account : int;
   account_live_tbl : (int, int ref) Hashtbl.t;
       (* live frames charged to each non-zero account — the per-tenant
@@ -110,7 +108,7 @@ let create ?(capacity = 0) ?(poison = false) () =
     on_pressure = None; pressure_events = 0; watermark_armed = true;
     alloc_fault = None;
     poison; free_bufs = []; free_len = 0; total_allocs = 0;
-    delta_bytes = 0; peak_delta_bytes = 0; spill_bytes = 0;
+    delta_bytes = 0; peak_delta_bytes = 0;
     next_account = 1; account_live_tbl = Hashtbl.create 8;
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
     dedup_refs = 0; dedup_hits = 0 }
@@ -134,8 +132,6 @@ let note_delta_bytes t n =
 
 let delta_bytes_held t = t.delta_bytes
 let peak_delta_bytes t = t.peak_delta_bytes
-let note_spill_bytes t n = t.spill_bytes <- t.spill_bytes + n
-let spill_bytes_held t = t.spill_bytes
 
 let high_watermark t = t.capacity - (t.capacity / 8)
 

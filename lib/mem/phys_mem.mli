@@ -77,17 +77,11 @@ val note_delta_bytes : t -> int -> unit
 (** Adjust (signed) the count of demoted-snapshot delta bytes held in host
     memory by the tiered payload store.  Accounting only — the budget is
     reported next to the frame numbers, not charged against {!capacity}:
-    in the substitution table the paper's compressed snapshot store maps
+    in the substitution table the paper's reclaimed-snapshot store maps
     to host heap outside guest frame RAM. *)
 
 val delta_bytes_held : t -> int
 val peak_delta_bytes : t -> int
-
-val note_spill_bytes : t -> int -> unit
-(** Adjust (signed) the bytes of deltas currently spilled to host disk
-    (tier 2 of the payload store). *)
-
-val spill_bytes_held : t -> int
 
 val set_alloc_fault : t -> (int -> bool) option -> unit
 (** Deterministic fault injection: the callback is consulted with the

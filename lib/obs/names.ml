@@ -63,8 +63,6 @@ let reclaim_evict = "reclaim.evict" (* instant; a = handle, b = depth *)
 let reclaim_replay = "reclaim.replay" (* span; a = chain length, b = instrs *)
 let reclaim_demote = "reclaim.demote" (* instant; a = handle, b = depth *)
 let reclaim_promote = "reclaim.promote" (* span; a = handle, b = pages applied *)
-let reclaim_spill = "reclaim.spill" (* instant; a = handle, b = bytes *)
-let reclaim_spill_load = "reclaim.spill_load" (* instant; a = bytes *)
 
 (* record / replay *)
 let record_append = "record.append" (* instant; a = events logged *)

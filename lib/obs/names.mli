@@ -46,8 +46,6 @@ val reclaim_evict : string
 val reclaim_replay : string
 val reclaim_demote : string
 val reclaim_promote : string
-val reclaim_spill : string
-val reclaim_spill_load : string
 val record_append : string
 val replay_seek : string
 val replay_anchor_restore : string

@@ -887,7 +887,7 @@ let rec run_to_guess m =
   | stop ->
     Alcotest.failf "expected a choice point, got %a" Libos.pp_stop stop
 
-let boot_store ?spill_threshold () =
+let boot_store () =
   let phys = Mem.Phys_mem.create ~poison:true () in
   let image =
     Workloads.Locality.program
@@ -895,7 +895,7 @@ let boot_store ?spill_threshold () =
   in
   let m = Libos.boot phys image in
   ignore (run_to_guess m);
-  let store = Reclaim.create ?spill_threshold m in
+  let store = Reclaim.create m in
   let ids = Reclaim.snapshot_ids store in
   let root = Snapshot.capture ~ids ~depth:0 m in
   let h0 = Reclaim.add_root store root in
@@ -964,7 +964,7 @@ let reclaim_truncated_chain_falls_back_to_replay () =
   check Alcotest.bool "child demotes against its live parent" true
     (Reclaim.demote store h2);
   check Alcotest.bool "the base truncates" true (Reclaim.evict store h1);
-  check Alcotest.int "truncated entry is tier 3" 3 (Reclaim.tier store h1);
+  check Alcotest.int "truncated entry is tier 2" 2 (Reclaim.tier store h1);
   (* h2's delta now hangs off a truncated base: reconstruction must
      replay exactly the missing edge and promote the rest. *)
   let s2 = Reclaim.get store h2 in
@@ -978,42 +978,21 @@ let reclaim_truncated_chain_falls_back_to_replay () =
     (Reclaim.tier store h1)
 
 let reclaim_pinned_root_stops_at_tier1 () =
-  let _phys, m, store, ids, h0 = boot_store ~spill_threshold:0 () in
+  let _phys, m, store, ids, h0 = boot_store () in
   let _h1 = extend store ids m h0 ~choice:0 in
   let img0 = snap_image (Reclaim.get store h0) in
   check Alcotest.bool "root refuses truncation" false (Reclaim.evict store h0);
   check Alcotest.bool "root demotes to a full image" true
     (Reclaim.demote store h0);
-  Reclaim.flush_pending store;
-  check Alcotest.bool "root refuses spilling" false (Reclaim.spill store h0);
   check Alcotest.int "root stops at tier 1" 1 (Reclaim.tier store h0);
   check Alcotest.bool "root promotes from its full image" true
     (snap_image (Reclaim.get store h0) = img0);
   check Alcotest.int "full-image promotion replays nothing" 0
     (Reclaim.replays store)
 
-let reclaim_spill_roundtrip () =
-  let phys, m, store, ids, h0 = boot_store ~spill_threshold:0 () in
-  let h1 = extend store ids m h0 ~choice:0 in
-  let img1 = snap_image (Reclaim.get store h1) in
-  ignore (Reclaim.demote store h1);
-  Reclaim.flush_pending store;
-  check Alcotest.int "cold delta spilled to disk" 2 (Reclaim.tier store h1);
-  check Alcotest.bool "spill bytes accounted" true
-    (Mem.Phys_mem.spill_bytes_held phys > 0);
-  check Alcotest.int "spilled delta left host memory" 0
-    (Mem.Phys_mem.delta_bytes_held phys);
-  check Alcotest.int "spill counted" 1 (Reclaim.spills store);
-  let s1 = Reclaim.get store h1 in
-  check Alcotest.bool "identical after the disk round-trip" true
-    (snap_image s1 = img1);
-  check Alcotest.int "spill load counted" 1 (Reclaim.spill_loads store);
-  check Alcotest.int "spill bytes drained" 0
-    (Mem.Phys_mem.spill_bytes_held phys)
-
 let reclaim_tier_roundtrip_prop =
-  (* Random walk over the candidate tree with random demotions, flushes
-     and truncations interleaved; every handle must then reconstruct to
+  (* Random walk over the candidate tree with random demotions and
+     truncations interleaved; every handle must then reconstruct to
      the bit-identical snapshot it published, on a poisoned allocator. *)
   qtest ~count:25 "tiered store reconstructs bit-identical snapshots"
     QCheck2.Gen.(
@@ -1035,16 +1014,14 @@ let reclaim_tier_roundtrip_prop =
                 (h', snap_image (Reclaim.get store h')) :: !published
             end
           | 2 -> ignore (Reclaim.demote store h)
-          | 3 ->
-            ignore (Reclaim.demote_all store);
-            Reclaim.flush_pending store
+          | 3 -> ignore (Reclaim.demote_all store)
           | _ -> ignore (Reclaim.evict store h)))
         script;
       List.for_all
         (fun (h, img) -> snap_image (Reclaim.get store h) = img)
         !published)
 
-(* {1 Service robustness: spill tier and fault containment} *)
+(* {1 Service robustness: fault containment} *)
 
 let locality_image =
   Workloads.Locality.program
@@ -1063,29 +1040,6 @@ let same_outcome msg (a : Service.outcome) (b : Service.outcome) =
   | Service.Failed { output = o1 }, Service.Failed { output = o2 } ->
     check Alcotest.string (msg ^ ": output") o1 o2
   | _ -> Alcotest.failf "%s: outcomes differ in kind" msg
-
-let service_spill_threshold_end_to_end () =
-  (* boot -> demote -> spill (tier 2) -> resume promotes via spill-load
-     with bit-identical output *)
-  let svc, outcome = Service.boot ~spill_threshold:0 locality_image in
-  match outcome with
-  | Service.Ready { candidate; _ } -> (
-    match Service.resume svc candidate ~choice:0 () with
-    | Service.Ready { candidate = child; _ } ->
-      let baseline = Service.resume svc child ~choice:0 () in
-      ignore (Service.demote_all svc);
-      Service.flush_spills svc;
-      check Alcotest.int "child sits at tier 2 (spilled)" 2
-        (Service.candidate_tier svc child);
-      check Alcotest.bool "spill counted" true (Service.spills svc >= 1);
-      let after = Service.resume svc child ~choice:0 () in
-      same_outcome "resume across the disk round-trip" baseline after;
-      check Alcotest.bool "promotion loaded from disk" true
-        (Service.spill_loads svc >= 1);
-      check Alcotest.int "no reconstruction fell back to replay" 0
-        (Service.replays svc)
-    | _ -> Alcotest.fail "expected a child choice point")
-  | _ -> Alcotest.fail "expected a choice point"
 
 let service_alloc_fail_contained () =
   (* An injected Alloc_fail mid-resume must return Crashed without
@@ -1141,44 +1095,6 @@ let service_failed_resumes_keep_live_flat () =
     check (Alcotest.list Alcotest.int) "live frames stay flat"
       (List.map (fun _ -> List.hd lives) lives) lives
   | _ -> Alcotest.fail "expected a choice point"
-
-let spill_files_removed () =
-  (* Spill files are deleted explicitly — by the explorer when its run
-     ends and by a session's teardown — never left for a finaliser. *)
-  let dir = Filename.temp_file "lwsnap-spill-test" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  let saved = Filename.get_temp_dir_name () in
-  Filename.set_temp_dir_name dir;
-  let spill_files () =
-    List.filter
-      (fun f -> String.length f >= 12 && String.sub f 0 12 = "lwsnap-delta")
-      (Array.to_list (Sys.readdir dir))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Filename.set_temp_dir_name saved;
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      let m = Libos.boot (Mem.Phys_mem.create ()) locality_image in
-      let r = Explorer.run ~tier_stress:1 ~spill_threshold:0 m in
-      check Alcotest.bool "the explorer spilled" true
-        (r.Explorer.stats.Core.Stats.spills > 0);
-      check (Alcotest.list Alcotest.string) "no file left after the run" []
-        (spill_files ());
-      let svc, outcome = Service.boot ~spill_threshold:0 locality_image in
-      (match outcome with
-      | Service.Ready { candidate; _ } ->
-        ignore (Service.resume svc candidate ~choice:0 ());
-        ignore (Service.resume svc candidate ~choice:1 ());
-        ignore (Service.demote_all svc);
-        Service.flush_spills svc
-      | _ -> Alcotest.fail "expected a choice point");
-      check Alcotest.bool "the session spilled" true (spill_files () <> []);
-      ignore (Service.teardown svc);
-      check (Alcotest.list Alcotest.string) "no file left after teardown" []
-        (spill_files ()))
 
 (* {1 Multi-tenant pool} *)
 
@@ -1598,6 +1514,29 @@ let switch_allocation () =
     (Printf.sprintf "%.2f minor words per extension <= 20" per_ext)
     true (per_ext <= 20.0)
 
+(* A run with a reclaim store leaves the memory as a storeless run does:
+   once the counters are read, the store gives back the pinned root, its
+   anchor and every payload still live, at any frame budget and with the
+   store attached but unpressured. *)
+let budgeted_run_returns_frames () =
+  let image =
+    Workloads.Locality.program
+      { depth = 4; branch = 3; touch_pages = 3; work = 5; arena_pages = 16 }
+  in
+  let live_after ?tier_stress capacity =
+    let phys = Mem.Phys_mem.create ~capacity () in
+    let r = Explorer.run ?tier_stress (Libos.boot phys image) in
+    check Alcotest.int "completes" 0 (completed r);
+    Mem.Phys_mem.frames_live phys
+  in
+  let plain = live_after 0 in
+  List.iter
+    (fun (label, tier_stress, capacity) ->
+      check Alcotest.int (label ^ ": frames live after the run") plain
+        (live_after ?tier_stress capacity))
+    [ "capacity 30", None, 30; "capacity 60", None, 60;
+      "capacity 90", None, 90; "tier_stress:0", Some 0, 0 ]
+
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
     Alcotest.test_case "nqueens boards match host" `Quick nqueens_boards_match_host;
@@ -1651,17 +1590,11 @@ let tests =
       reclaim_truncated_chain_falls_back_to_replay;
     Alcotest.test_case "reclaim pinned root stops at tier 1" `Quick
       reclaim_pinned_root_stops_at_tier1;
-    Alcotest.test_case "reclaim spill roundtrip" `Quick
-      reclaim_spill_roundtrip;
     reclaim_tier_roundtrip_prop;
-    Alcotest.test_case "service spill threshold end to end" `Quick
-      service_spill_threshold_end_to_end;
     Alcotest.test_case "service alloc fail contained" `Quick
       service_alloc_fail_contained;
     Alcotest.test_case "service failed resumes keep live flat" `Quick
       service_failed_resumes_keep_live_flat;
-    Alcotest.test_case "spill files removed explicitly" `Quick
-      spill_files_removed;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
       tenancy_dedup_shares_image_frames;
     Alcotest.test_case "tenancy fault containment" `Quick
@@ -1689,4 +1622,6 @@ let tests =
     counting_tree_invariants;
     parallel_counts_match_sequential;
     Alcotest.test_case "switch allocates little per extension" `Quick
-      switch_allocation ]
+      switch_allocation;
+    Alcotest.test_case "budgeted run returns every frame" `Quick
+      budgeted_run_returns_frames ]

@@ -1087,10 +1087,7 @@ let delta_bytes_accounting () =
   check Alcotest.int "held" 1500 (Phys.delta_bytes_held phys);
   Phys.note_delta_bytes phys (-1200);
   check Alcotest.int "released" 300 (Phys.delta_bytes_held phys);
-  check Alcotest.int "peak sticks" 1500 (Phys.peak_delta_bytes phys);
-  Phys.note_spill_bytes phys 700;
-  Phys.note_spill_bytes phys (-700);
-  check Alcotest.int "spill back to zero" 0 (Phys.spill_bytes_held phys)
+  check Alcotest.int "peak sticks" 1500 (Phys.peak_delta_bytes phys)
 
 let live_always_counted () =
   let phys = Phys.create () in

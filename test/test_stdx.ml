@@ -5,7 +5,6 @@ module Pheap = Stdx.Pheap
 module Prng = Stdx.Prng
 module Vec = Stdx.Vec
 module Intset = Stdx.Intset
-module Codec = Stdx.Codec
 
 let check = Alcotest.check
 let qtest ?(count = 500) name gen prop =
@@ -305,62 +304,6 @@ let vec_bounds () =
   Alcotest.check_raises "get oob" (Invalid_argument "Vec.get: index 1 out of bounds [0,1)")
     (fun () -> ignore (Vec.get v 1))
 
-(* {1 Codec} *)
-
-let roundtrip s = Codec.decompress (Codec.compress s)
-
-let codec_edges () =
-  List.iter
-    (fun s -> check Alcotest.string "roundtrip" s (roundtrip s))
-    [ ""; "a"; "ab"; "abc"; "aaaa"; String.make 4096 '\000';
-      String.make 4096 'z'; "abcabcabcabcabc" ];
-  (* an all-zero page must actually compress, hard *)
-  let z = Codec.compress (String.make 4096 '\000') in
-  if String.length z > 600 then
-    Alcotest.failf "zero page compressed to %d bytes" (String.length z)
-
-let codec_incompressible_bound () =
-  (* pseudo-random bytes: stored fallback must cap expansion at 6 bytes *)
-  let rng = Prng.create ~seed:11 in
-  let s = String.init 4096 (fun _ -> Char.chr (Prng.int rng 256)) in
-  let c = Codec.compress s in
-  check Alcotest.string "roundtrip" s (roundtrip s);
-  if String.length c > String.length s + 6 then
-    Alcotest.failf "expanded to %d bytes" (String.length c)
-
-let codec_corrupt () =
-  let expect_raises s =
-    match Codec.decompress s with
-    | _ -> Alcotest.failf "decompress accepted corrupt input %S" s
-    | exception Invalid_argument _ -> ()
-  in
-  expect_raises "";
-  expect_raises "\002\000" (* bad method byte *);
-  expect_raises "\000\005abc" (* stored length mismatch *);
-  expect_raises "\001\004\001\000" (* match before start of output *);
-  expect_raises (String.sub (Codec.compress (String.make 4096 '\000')) 0 4)
-
-(* compressible-by-construction input: repeated short records with noise *)
-let gen_page =
-  QCheck2.Gen.(
-    let* kind = int_range 0 2 in
-    match kind with
-    | 0 -> string_size ~gen:char (int_range 0 5000)
-    | 1 ->
-      (* zero page with a few dirty bytes *)
-      let* edits = list_size (int_range 0 20) (pair (int_range 0 4095) char) in
-      let b = Bytes.make 4096 '\000' in
-      List.iter (fun (i, c) -> Bytes.set b i c) edits;
-      return (Bytes.unsafe_to_string b)
-    | _ ->
-      let* record = string_size ~gen:char (int_range 1 16) in
-      let* reps = int_range 1 400 in
-      return (String.concat "" (List.init reps (fun _ -> record))))
-
-let codec_roundtrip_prop =
-  qtest ~count:300 "codec roundtrip on random pages" gen_page (fun s ->
-      roundtrip s = s)
-
 (* {1 Intset} *)
 
 let intset_ops () =
@@ -394,8 +337,4 @@ let tests =
     Alcotest.test_case "prng shuffle permutes" `Quick prng_shuffle_permutes;
     Alcotest.test_case "vec push/pop" `Quick vec_push_pop;
     Alcotest.test_case "vec bounds" `Quick vec_bounds;
-    Alcotest.test_case "codec edge cases" `Quick codec_edges;
-    Alcotest.test_case "codec incompressible bound" `Quick codec_incompressible_bound;
-    Alcotest.test_case "codec corrupt input" `Quick codec_corrupt;
-    codec_roundtrip_prop;
     Alcotest.test_case "intset ops" `Quick intset_ops ]
