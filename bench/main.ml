@@ -806,6 +806,7 @@ let e11 () =
         signature r.Explorer.stats r.Explorer.transcript
       in
       let base_ms = ref 0.0 in
+      let domain0_after = ref (-1) and replica_after = ref (-1) in
       List.iter
         (fun domains ->
           let config =
@@ -867,6 +868,19 @@ let e11 () =
                           "E11: %s at %d domains: domain %d freed %d frames, \
                            recycled %d, pools %d"
                           name domains dom freed dom_recycled pool);
+                   (* Every domain's run ends with its frame audit (a
+                      failure raises), so what is left is exact: domain 0
+                      holds its final map, as with one domain, and every
+                      other domain its root replica, the same on each. *)
+                   let live_after = Obs.Metrics.get_gauge reg "mem.frames_live" in
+                   let expected = if dom = 0 then domain0_after else replica_after in
+                   if !expected < 0 then expected := live_after
+                   else if live_after <> !expected then
+                     failwith
+                       (Printf.sprintf
+                          "E11: %s at %d domains: domain %d ends with %d frames \
+                           live, not %d"
+                          name domains dom live_after !expected);
                    Obs.Json.Obj
                      [ "domain", Obs.Json.Int dom;
                        "extensions_evaluated", Obs.Json.Int evaluated;
@@ -877,7 +891,8 @@ let e11 () =
                        Obs.Json.Int (get "explorer.adopting_restores");
                        "steals", Obs.Json.Int (get "explorer.steals");
                        "tlb_shootdowns",
-                       Obs.Json.Int (get "mem.tlb_shootdowns") ])
+                       Obs.Json.Int (get "mem.tlb_shootdowns");
+                       "frames_live_after", Obs.Json.Int live_after ])
                  r.Core.Parallel.domain_metrics)
           in
           let reg = Obs.Metrics.create () in

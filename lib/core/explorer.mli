@@ -49,7 +49,7 @@ type terminal = Path.terminal = {
   depth : int;
 }
 
-type outcome =
+type outcome = Path.outcome =
   | Completed of int       (** guest exited outside any scope with status *)
   | Stopped_first_exit of int  (** [`First_exit] mode hit an in-scope exit *)
   | Aborted of string      (** protocol violation or machine kill *)
@@ -73,20 +73,15 @@ exception Audit_failed of string
 (** The frame audit of {!run} failed: the message names the stop (or the
     end of the run) and the offending frame or the counts that differ. *)
 
-val builtin_frontier : builtin -> unit -> 'a Search.Frontier.t
-(** A built-in strategy's frontier factory, at any element type ({!Parallel}'s
-    work queue calls it once per shard). *)
-
 val make_frontier : strategy -> Ext.payload Search.Frontier.t
-(** Instantiate a strategy's frontier: {!builtin_frontier}, or the
-    [`Custom] factory. *)
+(** Instantiate a strategy's frontier: a built-in one, or the [`Custom]
+    factory ({!Parallel}'s work queue calls it once per shard). *)
 
 val strategy_of_id : int -> strategy option
 (** Map a [sys_guess_strategy] identifier to a strategy. *)
 
 val default_fuel_per_step : int
-(** 50M guest instructions: the default [fuel_per_step] of {!run}, and
-    the segment budget past which {!Parallel}'s domains kill a runaway. *)
+(** 50M guest instructions: the default [fuel_per_step] of {!run}. *)
 
 val run :
   ?mode:mode ->
@@ -118,7 +113,11 @@ val run :
     every frame the store held given back, so it leaves as many frames
     live as a storeless run; one stopped inside the scope (first exit,
     an abort) keeps them, since the machine's map still derives from
-    them.  [tier_stress] forces the store on even with
+    them.  A storeless run stopped inside its scope gives back everything
+    the scope holds — the frontier's entries, the other workers' paths,
+    the snapshots and the root — but the frames of the machine's map,
+    which stays the stopping path's (the root's if worker 0 was idle).
+    [tier_stress] forces the store on even with
     unbounded memory and hammers it: every [n]-th scheduler stop demotes
     every live payload, every 5[n]-th additionally truncates so the
     replay fallback runs too — the fuzz oracle's tier-stress pipeline.
@@ -167,7 +166,7 @@ val run :
     round and an idle one taking the next extension from the one
     frontier.  The round count is the virtual makespan, so parallel
     speedup is measurable without host threads.  {!Parallel} runs the
-    same search on real cores. *)
+    same loop on real cores, one machine per domain. *)
 
 val run_image :
   ?mode:mode ->

@@ -15,6 +15,11 @@ type terminal = {
   depth : int;
 }
 
+type outcome =
+  | Completed of int
+  | Stopped_first_exit of int
+  | Aborted of string
+
 (* One int per terminal, in completion order, not a list cell or a pointer
    slot: a search's terminals live until it ends, so the result list is
    built only then.  A silent failure at depth [d] ([Fail] with no output),
@@ -173,24 +178,21 @@ let terminals log =
   List.fold_left (fun acc c -> build acc c chunk_size) (build [] log.chunk log.fill)
     log.full
 
-(* The machine was just restored to [snap]: a segment begins there.  The
-   epoch is recorded before [graft] runs, so whatever a graft that fails
-   half way mapped is freed as this segment's tail. *)
-let begin_segment ?graft t snap ~rax =
+(* The machine was just restored to [snap]: a segment begins there. *)
+let begin_segment t snap ~rax =
   (* Siblings share their base, origin and stdout list: storing only what
      changed skips most write barriers of a switch. *)
   if t.base != snap then t.base <- snap;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
-  Option.iter (fun g -> g ()) graft;
   let out = Libos.stdout_chunks t.machine in
   if t.marker != out then t.marker <- out;
   t.hint <- 0;
   Cpu.set t.machine.cpu Reg.rax rax
 
-(* The caller set the origin first: a crash during the restore or the graft
-   is still this origin's, at this depth. *)
-let enter_at ?graft t (stats : Stats.t) snap ~rax ~depth =
+(* The caller set the origin first: a crash during the restore is still this
+   origin's, at this depth. *)
+let enter_at t (stats : Stats.t) snap ~rax ~depth =
   t.depth <- depth;
   if t.adopts && Snapshot.sole_extension snap then begin
     (* Last restore of this snapshot: adopt its frames into the new
@@ -202,13 +204,13 @@ let enter_at ?graft t (stats : Stats.t) snap ~rax ~depth =
   end
   else Snapshot.restore t.machine snap;
   stats.restores <- stats.restores + 1;
-  begin_segment ?graft t snap ~rax
+  begin_segment t snap ~rax
 
-let enter ?(retries = 0) ?graft t stats snap ~rax ~depth =
+let enter t stats snap ~rax ~depth =
   t.origin <- Ext.Root;
   t.origin_index <- 1;
-  t.retries <- retries;
-  enter_at ?graft t stats snap ~rax ~depth
+  t.retries <- 0;
+  enter_at t stats snap ~rax ~depth
 
 let restore t snap ~rax ~depth =
   Snapshot.restore t.machine snap;
@@ -349,21 +351,6 @@ let outside t (stop : Libos.stop) =
     ignore (harvest t);
     `Abort (reason_to_string reason)
 
-let to_scope t =
-  let rec go () =
-    match outside t (Libos.run t.machine ~fuel:max_int) with
-    | `Continue -> go ()
-    | (`Scope _ | `Exit _ | `Abort _) as r -> r
-  in
-  go ()
-
-let drain t stats ~root =
-  (* the root was captured with 0 in rax: the scope's exhausted branch *)
-  enter t stats root ~rax:0 ~depth:0;
-  match to_scope t with
-  | `Scope _ -> `Abort "second sys_guess_strategy scope"
-  | (`Exit _ | `Abort _) as r -> r
-
 let release t snap = if t.refcount then Snapshot.release_ext ~phys:t.phys snap
 
 let evict t (stats : Stats.t) (frontier : Ext.payload Frontier.t) =
@@ -392,13 +379,16 @@ let discard t =
     t.epoch <- -1
   end
 
-let retire ?give_back t =
+let retire t =
   discard t;
-  (if t.refcount then
-     match give_back with
-     | Some f -> f ()
-     | None -> if live t then Snapshot.release_ext ~phys:t.phys t.base);
+  if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
   t.base <- Snapshot.none
+
+let abandon t =
+  let base = t.base in
+  t.base <- Snapshot.none;
+  t.epoch <- -1;
+  base
 
 (* [retire], then [enter]; the base is left in place until the next one
    overwrites it, unless [resolve] fails. *)

@@ -2,9 +2,9 @@
 
     A {e path} is one execution of the guest from a candidate (a popped
     extension, or the scope-opening root) to its next scheduling stop.
-    Every scheduler — {!Explorer} over one machine or several, and
-    {!Parallel}'s domains — runs the same lifecycle over a machine, §3 and
-    Figures 1–2 of the paper:
+    The one scheduler loop — {!Explorer}'s, over one machine or several,
+    and on every domain of {!Parallel} — runs the same lifecycle over a
+    machine, §3 and Figures 1–2 of the paper:
 
     + {!enter}: restore the extension's snapshot, adopting its frames when
       this is its last restore ({!switch} when a path ends and the next
@@ -66,6 +66,12 @@ type terminal = {
   depth : int;
 }
 
+type outcome =
+  | Completed of int       (** guest exited outside any scope with status *)
+  | Stopped_first_exit of int  (** [`First_exit] mode hit an in-scope exit *)
+  | Aborted of string      (** protocol violation or machine kill *)
+(** How a run ends ({!Explorer.outcome}). *)
+
 type terminal_log
 (** Terminals in completion order.  Logging a silent failure, most
     terminals of a search, is one int store. *)
@@ -116,16 +122,11 @@ val record : ?depth:int -> t -> terminal_kind -> string -> unit
 
 (** {1 Entry} *)
 
-val enter :
-  ?retries:int -> ?graft:(unit -> unit) ->
-  t -> Stats.t -> Snapshot.t -> rax:int -> depth:int -> unit
+val enter : t -> Stats.t -> Snapshot.t -> rax:int -> depth:int -> unit
 (** Start a path at [snap]: restore it, adopting when
     {!Snapshot.sole_extension} (see {!create}); record the segment epoch;
     reset the stdout marker and the pending hint; deliver [rax].  Counts the
-    restore.  [graft] finishes the entry state on top of [snap] before the
-    marker and [rax] are set (the Domains backend's steal import); what it
-    maps belongs to the segment.  [retries] (default 0) were already spent
-    on this path.  The origin becomes {!Ext.Root}. *)
+    restore.  The origin becomes {!Ext.Root}, with no retries spent. *)
 
 val switch :
   t -> Stats.t -> resolve:(Ext.payload -> Snapshot.t) -> Ext.payload ->
@@ -193,17 +194,7 @@ val outside :
 (** Classify a stop outside any scope: a hint is recorded and the program
     continues; guesses abort; an exit or a kill harvests and ends the run. *)
 
-val to_scope : t -> [ `Scope of int | `Exit of int | `Abort of string ]
-(** Coordinator phase: run unsupervised to [sys_guess_strategy]. *)
-
-val drain : t -> Stats.t -> root:Snapshot.t -> [ `Exit of int | `Abort of string ]
-(** Coordinator phase: restore the exhausted scope's [root] and run
-    unsupervised to exit.  A second scope aborts. *)
-
 (** {1 Retiring and supervision} *)
-
-val release : t -> Snapshot.t -> unit
-(** Give back one extension ref (when refcounting). *)
 
 val evict : t -> Stats.t -> Ext.payload Search.Frontier.t -> unit
 (** Give back the refs of the extensions a bounded strategy dropped since
@@ -213,10 +204,14 @@ val evict : t -> Stats.t -> Ext.payload Search.Frontier.t -> unit
 val discard : t -> unit
 (** Free the segment's COW tail if no capture froze it; idempotent. *)
 
-val retire : ?give_back:(unit -> unit) -> t -> unit
-(** End the path: {!discard}, then give the origin's ref back — {!release}
-    on the entered snapshot unless [give_back] says otherwise (the Domains
-    backend posts foreign refs to their owner). *)
+val retire : t -> unit
+(** End the path: {!discard}, then give the entered snapshot's ref back. *)
+
+val abandon : t -> Snapshot.t
+(** End the path without freeing or releasing anything, and return its
+    base ({!Snapshot.none} when it was not live): how a run that stops
+    inside its scope hands its paths' snapshots to {!Snapshot.abandon}.
+    Free a tail the caller does not keep with {!discard} first. *)
 
 val supervise :
   t -> Stats.t -> budget:int -> retry:(unit -> unit) -> exn ->

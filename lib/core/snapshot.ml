@@ -13,8 +13,8 @@ type t = {
      [child_refs] counts live child snapshots whose maps share our frames.
      Both are plain ints: a snapshot's refcounts are only ever mutated by
      the domain that owns it — single-threaded schedulers trivially, and
-     the domains backend routes cross-domain releases through per-domain
-     mailboxes back to the owner ([Parallel.Mailbox]). *)
+     the domains backend routes a stolen entry's refs back to the owning
+     domain, which releases them itself. *)
   mutable ext_refs : int;
   mutable child_refs : int;
   mutable freed : bool;
@@ -27,10 +27,8 @@ type t = {
 }
 
 (* Snapshot ids are allocated per exploration run, not from a process-global
-   counter: two runs (possibly concurrent — the domains backend captures
-   from several domains at once) never share an allocator, and within a run
-   the counter is atomic so captures racing across domains still get
-   distinct ids. *)
+   counter: two runs (possibly concurrent — each domain of the domains
+   backend is one) never share an allocator. *)
 type ids = int Atomic.t
 
 let ids () = Atomic.make 0
@@ -128,6 +126,20 @@ let free_delta ~phys ~parent t =
   else begin
     t.freed <- true;
     As.release_snapshot ~phys ~parent:parent.mem t.mem
+  end
+
+let import ~ids ~root ~base (machine : Os.Libos.t) t =
+  restore machine root;
+  ignore (As.import_delta machine.aspace ~base:base.mem ~target:t.mem);
+  Vcpu.Cpu.load machine.cpu t.regs;
+  Os.Libos.os_restore machine t.os;
+  capture ~ids ~parent:root ~depth:t.depth machine
+
+let rec abandon ~phys ~keep t =
+  if not t.freed then begin
+    t.freed <- true;
+    ignore (As.release_snapshot ~phys ~parent:keep t.mem);
+    Option.iter (abandon ~phys ~keep) t.parent
   end
 
 let restore_adopting (machine : Os.Libos.t) t =

@@ -30,9 +30,9 @@ type t = private {
 
 type ids
 (** A per-run snapshot-id allocator.  Every exploration run creates its
-    own ([Explorer.run], [Parallel.run], [Service.boot]), so concurrent
-    runs never share a counter; allocation is atomic, so captures racing
-    across domains within one run still get distinct ids. *)
+    own ([Explorer.run], each domain of [Parallel.run], [Service.boot]),
+    so concurrent runs never share a counter; allocation is atomic all the
+    same. *)
 
 val ids : unit -> ids
 
@@ -86,6 +86,21 @@ val free_delta : phys:Mem.Phys_mem.t -> parent:t -> t -> int
     track lineage outside the [parent] field, e.g. {!Reclaim}).  The
     caller asserts the same death conditions as {!release_ext}.  Idempotent
     via the [freed] flag; returns the number of frames freed. *)
+
+val import : ids:ids -> root:t -> base:t -> Os.Libos.t -> t -> t
+(** [import ~ids ~root ~base machine t]: a copy of [t], a snapshot another
+    machine took on its own memory below [base], captured on [machine]
+    below [root], [machine]'s replica of [base]'s contents: restore [root],
+    map private copies of the pages [t] changed since [base]
+    ({!Mem.Addr_space.import_delta}), load [t]'s registers and OS state,
+    capture.  [t]'s frames must stay immutable for the duration: its owner
+    holds a ref on it until the caller is done. *)
+
+val abandon : phys:Mem.Phys_mem.t -> keep:Mem.Addr_space.snapshot -> t -> unit
+(** Free the snapshot and its unfreed ancestors whatever their counts,
+    sparing every frame [keep] maps: how a run that stops inside its scope
+    gives back all it holds while its machine keeps the map [keep] grabbed.
+    Idempotent via the [freed] flag. *)
 
 val pages : t -> int
 (** Logical pages mapped in the snapshot's address space. *)

@@ -1,44 +1,42 @@
 (* Sharded work-stealing queue: one strategy frontier per domain, each
    behind its own mutex, with steal-half batching between shards.
 
-   The previous design — a single frontier behind a single mutex with a
-   [Condition.broadcast] per push — serialised every worker on one lock
-   and woke the whole fleet for one item.  Here a worker touches only its
-   own shard in steady state; cross-shard traffic happens only when a
-   shard runs dry, and then the thief migrates half the victim's items in
-   one lock acquisition, so a deep local subtree is split O(log n) times
-   rather than leaking one leaf per steal.
+   A worker touches only its own shard in steady state; cross-shard traffic
+   happens only when a shard runs dry, and then the thief migrates half the
+   victim's extensions in one lock acquisition, so a deep local subtree is
+   split O(log n) times rather than leaking one leaf per steal.  Shards
+   hold per-guess entries; a steal hands the victim's extensions out one by
+   one and coalesces the consecutive ones of an entry back into one range,
+   so a split entry becomes two ranges, never a list of singletons.
 
-   Termination is a single atomic [outstanding] counter: paths queued plus
-   paths in flight.  Pushes only ever happen while the pusher is itself in
-   flight, so the counter can reach 0 only when the whole scope is
-   exhausted — 0 is absorbing, which makes the lock-free check in [take]
-   sound.  Lost wakeups are prevented by a version counter: sleepers
-   record the version before scanning, and pushers bump it after inserting
-   (and before signalling), so a sleeper re-checks whenever an insert
-   raced its scan. *)
+   Termination is a single atomic [outstanding] counter: extensions queued
+   plus paths in flight.  Pushes only ever happen while the pusher is
+   itself in flight, so the counter can reach 0 only when the whole scope
+   is exhausted — 0 is absorbing, which makes the lock-free check in [take]
+   sound.  Lost wakeups are prevented by a version counter: sleepers record
+   the version before scanning, and pushers bump it after inserting (and
+   before signalling), so a sleeper re-checks whenever an insert raced its
+   scan. *)
 
 module Frontier = Search.Frontier
 
 type 'a shard = {
   lock : Mutex.t;
-  frontier : 'a Frontier.t; (* guarded by [lock] *)
+  frontier : 'a Frontier.t;  (* guarded by [lock] *)
+  mutable dropped : 'a Frontier.entry list;
+      (* evicted by the strategy, not yet drained; guarded by [lock] *)
 }
 
 type 'a t = {
   shards : 'a shard array;
-  meta_of : 'a -> Frontier.meta;
-      (* recomputes scheduling metadata when a stolen item is re-pushed
-         into the thief's shard *)
-  outstanding : int Atomic.t; (* queued + in-flight paths; 0 = terminated *)
-  qlen : int Atomic.t;        (* queued items, all shards *)
+  outstanding : int Atomic.t; (* queued extensions + in-flight paths; 0 = terminated *)
+  qlen : int Atomic.t;        (* queued extensions, all shards *)
   stop_requested : bool Atomic.t;
   version : int Atomic.t;     (* bumped after every insert *)
   sleep : Mutex.t;
   wakeup : Condition.t;
   mutable sleepers : int;     (* guarded by [sleep] *)
-  drop_lock : Mutex.t;
-  mutable dropped : 'a list;  (* evicted by bounded strategies; see [drain_dropped] *)
+  mutable left : int;         (* workers done with the queue; guarded by [sleep] *)
   pushed_n : int Atomic.t;
   evicted_n : int Atomic.t;
   steal_batches : int Atomic.t;
@@ -46,12 +44,11 @@ type 'a t = {
   max_len : int Atomic.t;
 }
 
-let create ?(shards = 1) ?(initial_paths = 0) ~meta_of make_frontier =
+let create ?(shards = 1) ?(initial_paths = 0) make_frontier =
   if shards < 1 then invalid_arg "Work_queue.create: need at least one shard";
   { shards =
       Array.init shards (fun _ ->
-          { lock = Mutex.create (); frontier = make_frontier () });
-    meta_of;
+          { lock = Mutex.create (); frontier = make_frontier (); dropped = [] });
     outstanding = Atomic.make initial_paths;
     qlen = Atomic.make 0;
     stop_requested = Atomic.make false;
@@ -59,8 +56,7 @@ let create ?(shards = 1) ?(initial_paths = 0) ~meta_of make_frontier =
     sleep = Mutex.create ();
     wakeup = Condition.create ();
     sleepers = 0;
-    drop_lock = Mutex.create ();
-    dropped = [];
+    left = 0;
     pushed_n = Atomic.make 0;
     evicted_n = Atomic.make 0;
     steal_batches = Atomic.make 0;
@@ -68,6 +64,9 @@ let create ?(shards = 1) ?(initial_paths = 0) ~meta_of make_frontier =
     max_len = Atomic.make 0 }
 
 let shard_count t = Array.length t.shards
+
+let extensions entries =
+  List.fold_left (fun k e -> k + Frontier.remaining e) 0 entries
 
 let sample_len t =
   let len = Atomic.get t.qlen in
@@ -78,7 +77,7 @@ let sample_len t =
   bump ();
   if Obs.Trace.enabled () then Obs.Trace.counter Obs.Names.queue_len len
 
-(* Wake at most [n] sleepers — one per item made available, never the
+(* Wake at most [n] sleepers — one per extension made available, never the
    whole fleet. *)
 let signal_waiters t n =
   if n > 0 then begin
@@ -90,125 +89,114 @@ let signal_waiters t n =
     Mutex.unlock t.sleep
   end
 
-(* Items a bounded strategy evicted leave the termination accounting here;
-   they surface through [drain_dropped] so the scheduler can release their
-   snapshots.  No wakeup bookkeeping: eviction only removes work, and the
-   pusher/thief responsible is itself still in flight, so [outstanding]
-   cannot reach 0 in this call. *)
-let record_dropped t = function
-  | [] -> ()
-  | items ->
-    let n = List.length items in
+(* Insert entries (already counted) into [sh]; what its strategy evicts
+   leaves the termination accounting and waits in [dropped].  No wakeup
+   bookkeeping for evictions: they only remove work, and the inserter is
+   itself in flight, so [outstanding] cannot reach 0 here.  Returns the
+   extensions evicted. *)
+let insert t sh entries =
+  Mutex.lock sh.lock;
+  sh.frontier.Frontier.push_batch entries;
+  let ev = sh.frontier.Frontier.evicted () in
+  if ev <> [] then sh.dropped <- List.rev_append ev sh.dropped;
+  Mutex.unlock sh.lock;
+  let n = extensions ev in
+  if n > 0 then begin
     ignore (Atomic.fetch_and_add t.evicted_n n);
     ignore (Atomic.fetch_and_add t.outstanding (-n));
-    ignore (Atomic.fetch_and_add t.qlen (-n));
-    Mutex.lock t.drop_lock;
-    t.dropped <- List.rev_append items t.dropped;
-    Mutex.unlock t.drop_lock
-
-let drain_dropped t =
-  if t.dropped == [] then [] (* racy peek: a miss is re-checked next drain *)
-  else begin
-    Mutex.lock t.drop_lock;
-    let d = t.dropped in
-    t.dropped <- [];
-    Mutex.unlock t.drop_lock;
-    d
-  end
-
-(* Every item is a single-extension entry of its frontier. *)
-let pop_item frontier =
-  match frontier.Frontier.pop () with
-  | e -> Some e.Frontier.parent
-  | exception Frontier.Empty -> None
-
-let evicted_items frontier =
-  List.map (fun e -> e.Frontier.parent) (frontier.Frontier.evicted ())
+    ignore (Atomic.fetch_and_add t.qlen (-n))
+  end;
+  Atomic.incr t.version;
+  n
 
 let push_batch t ~dom batch =
-  let n = List.length batch in
+  let n = extensions batch in
   if n > 0 then begin
-    let sh = t.shards.(dom) in
     ignore (Atomic.fetch_and_add t.pushed_n n);
     ignore (Atomic.fetch_and_add t.outstanding n);
     ignore (Atomic.fetch_and_add t.qlen n);
-    Mutex.lock sh.lock;
-    sh.frontier.Frontier.push_batch
-      (List.map (fun (meta, x) -> Frontier.single meta x) batch);
-    let ev = evicted_items sh.frontier in
-    Mutex.unlock sh.lock;
-    record_dropped t ev;
-    Atomic.incr t.version;
+    let ev = insert t t.shards.(dom) batch in
     sample_len t;
-    signal_waiters t (n - List.length ev)
+    signal_waiters t (n - ev)
   end
 
+(* The extension handed out, as an entry of its own: a thief may advance
+   the shard's entry as soon as the lock is released. *)
 let pop_local t dom =
   let sh = t.shards.(dom) in
   Mutex.lock sh.lock;
-  let item = pop_item sh.frontier in
+  let e =
+    match sh.frontier.Frontier.pop () with
+    | e -> Some { e with count = e.next }
+    | exception Frontier.Empty -> None
+  in
   Mutex.unlock sh.lock;
-  item
+  e
 
-(* Pop up to [k] items from a locked frontier, preserving pop order. *)
-let rec pop_up_to frontier k acc =
+(* Hand out up to [k] extensions of a locked frontier as range entries in
+   pop order: consecutive extensions of one parent join one range. *)
+let rec pop_ranges frontier k acc =
   if k = 0 then List.rev acc
   else
-    match pop_item frontier with
-    | None -> List.rev acc
-    | Some x -> pop_up_to frontier (k - 1) (x :: acc)
+    match frontier.Frontier.pop () with
+    | exception Frontier.Empty -> List.rev acc
+    | e ->
+      let i = Frontier.popped e in
+      let acc =
+        match acc with
+        | (r : _ Frontier.entry) :: rest when r.parent == e.parent && r.count = i ->
+          { r with count = i + 1 } :: rest
+        | _ -> { e with next = i; count = i + 1 } :: acc
+      in
+      pop_ranges frontier (k - 1) acc
 
-(* Steal half the victim's items (all of them when it holds just one): the
-   first is consumed by the thief, the rest migrate into the thief's own
-   shard.  Locks are never held pairwise, so steals cannot deadlock. *)
-let try_steal t ~dom =
+(* Steal half the victim's extensions (the only one when it holds one),
+   pass each stolen entry through [steal] outside every lock, migrate them
+   into the thief's own shard (empty: only its owner fills it) and pop the
+   thief's first extension there.  Locks are never held pairwise, so
+   steals cannot deadlock. *)
+let try_steal t ~dom ~steal =
   let n = Array.length t.shards in
   let rec attempt i =
     if i >= n then None
     else begin
-      let v = (dom + i) mod n in
-      let sh = t.shards.(v) in
+      let victim = (dom + i) mod n in
+      let sh = t.shards.(victim) in
       Mutex.lock sh.lock;
       let len = sh.frontier.Frontier.length () in
       let k = if len <= 1 then len else len / 2 in
-      let batch = pop_up_to sh.frontier k [] in
+      let batch = pop_ranges sh.frontier k [] in
       Mutex.unlock sh.lock;
-      match batch with
-      | [] -> attempt (i + 1)
-      | first :: rest ->
+      if k = 0 then attempt (i + 1)
+      else begin
         Atomic.incr t.steal_batches;
         ignore (Atomic.fetch_and_add t.stolen_items k);
-        if rest <> [] then begin
-          let own = t.shards.(dom) in
-          Mutex.lock own.lock;
-          own.frontier.Frontier.push_batch
-            (List.map (fun x -> Frontier.single (t.meta_of x) x) rest);
-          let ev = evicted_items own.frontier in
-          Mutex.unlock own.lock;
-          record_dropped t ev;
-          Atomic.incr t.version;
-          (* the migrated items are claimable by other sleepers *)
-          signal_waiters t (List.length rest - List.length ev)
-        end;
-        Some first
+        let ev = insert t t.shards.(dom) (List.map (steal ~victim) batch) in
+        match pop_local t dom with
+        | None -> attempt (i + 1)  (* the thief's strategy evicted them all *)
+        | Some _ as first ->
+          (* the rest are claimable by sleepers *)
+          signal_waiters t (k - ev - 1);
+          first
+      end
     end
   in
   attempt 1
 
-let rec take t ~dom =
+let rec take t ~dom ~steal =
   if Atomic.get t.stop_requested then None
   else begin
     let v0 = Atomic.get t.version in
-    let got item =
+    let got e =
       sample_len t;
       ignore (Atomic.fetch_and_add t.qlen (-1));
-      Some item
+      Some e
     in
     match pop_local t dom with
-    | Some item -> got item
-    | None ->
-      (match try_steal t ~dom with
-      | Some item -> got item
+    | Some e -> got e
+    | None -> (
+      match try_steal t ~dom ~steal with
+      | Some e -> got e
       | None ->
         if Atomic.get t.outstanding = 0 then begin
           (* Global termination: nothing queued anywhere and nobody who
@@ -232,7 +220,7 @@ let rec take t ~dom =
             t.sleepers <- t.sleepers - 1
           end;
           Mutex.unlock t.sleep;
-          take t ~dom
+          take t ~dom ~steal
         end)
   end
 
@@ -243,6 +231,31 @@ let finish_path t =
     Condition.broadcast t.wakeup;
     Mutex.unlock t.sleep
   end
+
+let drain_dropped t ~dom =
+  let sh = t.shards.(dom) in
+  Mutex.lock sh.lock;
+  let d = sh.dropped in
+  sh.dropped <- [];
+  Mutex.unlock sh.lock;
+  d
+
+let drain t ~dom =
+  let sh = t.shards.(dom) in
+  Mutex.lock sh.lock;
+  let left = pop_ranges sh.frontier (sh.frontier.Frontier.length ()) [] in
+  Mutex.unlock sh.lock;
+  ignore (Atomic.fetch_and_add t.qlen (-extensions left));
+  left
+
+let leave t =
+  Mutex.lock t.sleep;
+  t.left <- t.left + 1;
+  if t.left = Array.length t.shards then Condition.broadcast t.wakeup;
+  while t.left < Array.length t.shards do
+    Condition.wait t.wakeup t.sleep
+  done;
+  Mutex.unlock t.sleep
 
 let stop t =
   Atomic.set t.stop_requested true;

@@ -40,7 +40,6 @@ let snap_release = "snap.release" (* instant; a = snapshot id, b = frames freed 
 (* explorer / parallel *)
 let explorer_eval = "explorer.eval" (* span; a = snapshot id, b = instructions *)
 let worker = "worker" (* span; a = worker index *)
-let worker_eval = "worker.eval" (* span; a = worker index, b = instructions *)
 let frontier_len = "frontier.len" (* counter *)
 let queue_len = "queue.len" (* counter *)
 let queue_steal = "queue.steal" (* instant; a = origin domain, b = this domain *)

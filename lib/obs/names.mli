@@ -29,7 +29,6 @@ val snap_restore : string
 val snap_release : string
 val explorer_eval : string
 val worker : string
-val worker_eval : string
 val frontier_len : string
 val queue_len : string
 val queue_steal : string

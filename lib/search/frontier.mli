@@ -38,7 +38,7 @@ val guess : 'a -> count:int -> meta -> 'a entry
 
 val single : meta -> 'a -> 'a entry
 (** One extension, numbered 0: how schedulers whose items are not guesses
-    (the symbolic executor, [Core.Work_queue]) push. *)
+    (the symbolic executor) push. *)
 
 val popped : 'a entry -> int
 (** The extension number {!field-pop} just handed out from this entry.

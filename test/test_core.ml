@@ -126,6 +126,38 @@ let audit_passes_every_scheduler () =
   | Explorer.Stopped_first_exit 0 -> ()
   | _ -> Alcotest.fail "first-exit subset sum: expected an in-scope exit"
 
+(* A storeless run stopped inside its scope gives back everything the scope
+   held: the frames live afterwards are exactly those its machine's map
+   reaches. *)
+let in_scope_stop_keeps_only_the_map () =
+  let only_the_map name ?mode ?max_extensions image =
+    let phys = Mem.Phys_mem.create () in
+    let m = Libos.boot phys image in
+    let r = Explorer.run ?mode ?max_extensions m in
+    (match r.Explorer.outcome with
+    | Explorer.Completed _ -> Alcotest.failf "%s: expected an in-scope stop" name
+    | Explorer.Stopped_first_exit _ | Explorer.Aborted _ -> ());
+    match
+      Mem.Phys_mem.audit phys ~reachable:(fun visit ->
+          Mem.Addr_space.iter_frames m.Libos.aspace (visit "the map"))
+    with
+    | Ok () -> ()
+    | Error detail -> Alcotest.failf "%s: %s" name detail
+  in
+  let queens = Workloads.Nqueens.program ~n:6 in
+  only_the_map "budget 20" ~max_extensions:20 queens;
+  only_the_map "budget 200" ~max_extensions:200 queens;
+  only_the_map "first exit" ~mode:`First_exit
+    (Workloads.Subset_sum.program ~target:21 [ 1; 2; 4; 8; 16 ]);
+  (* two workers, one of them idle or mid-path when the budget runs out:
+     the poisoned end-of-run audit checks the same *)
+  match
+    (Explorer.run_image ~poison:true ~workers:2 ~quantum:50 ~max_extensions:20 queens)
+      .Explorer.outcome
+  with
+  | Explorer.Aborted _ -> ()
+  | _ -> Alcotest.fail "two workers: expected the budget abort"
+
 (* Break the discipline from an [on_stop] hook at stop 5: the audit must
    raise at that very stop, naming it. *)
 let audit_fires_at_stop ~expect ?strategy_override hook =
@@ -1624,4 +1656,6 @@ let tests =
     Alcotest.test_case "switch allocates little per extension" `Quick
       switch_allocation;
     Alcotest.test_case "budgeted run returns every frame" `Quick
-      budgeted_run_returns_frames ]
+      budgeted_run_returns_frames;
+    Alcotest.test_case "in-scope stop keeps only the map" `Quick
+      in_scope_stop_keeps_only_the_map ]

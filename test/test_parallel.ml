@@ -147,7 +147,25 @@ let busy_rounds_reported () =
 let dconfig ?(workers = 4) ?(quantum = 2000) () =
   { Parallel.default_config with Parallel.workers; quantum }
 
+(* One engine, one behaviour: a single domain runs Explorer's loop, so it
+   reproduces [Explorer.run_image] exactly — transcript, terminals in
+   order, and counts. *)
+let one_domain_is_the_explorer ?strategy_override name image =
+  let e = Explorer.run_image ?strategy_override image in
+  let d =
+    Parallel.run ~config:{ (dconfig ~workers:1 ()) with strategy_override } image
+  in
+  check Alcotest.string (name ^ ": transcript") e.transcript d.transcript;
+  check Alcotest.bool (name ^ ": terminals, in order") true
+    (e.terminals = d.terminals);
+  let counts (s : Core.Stats.t) =
+    [ s.fails; s.exits; s.guesses; s.restores; s.adopting_restores;
+      s.snapshots_created; s.extensions_evaluated ]
+  in
+  check Alcotest.(list int) (name ^ ": counts") (counts e.stats) (counts d.stats)
+
 let domains_same_solutions () =
+  one_domain_is_the_explorer "queens(6)" (Workloads.Nqueens.program ~n:6);
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
   List.iter
     (fun workers ->
@@ -561,7 +579,27 @@ let strategy_override_forces_dfs () =
       .transcript
   in
   check Alcotest.string "guest's strategy" bfs (forced None);
-  check Alcotest.string "forced to DFS" dfs (forced (Some `Dfs))
+  check Alcotest.string "forced to DFS" dfs (forced (Some `Dfs));
+  one_domain_is_the_explorer "guest's BFS" image;
+  one_domain_is_the_explorer ~strategy_override:`Dfs "forced DFS" image;
+  (* a [`Custom] strategy is each shard's frontier *)
+  let deepest_first () =
+    Search.Frontier.best_first ~name:"deepest"
+      ~score:(fun m -> -.Float.of_int m.Search.Frontier.depth) ()
+  in
+  let reference = (Explorer.run_image image).terminals in
+  let r =
+    Parallel.run
+      ~config:{ (dconfig ~workers:2 ()) with strategy_override = Some (`Custom deepest_first) }
+      image
+  in
+  check Alcotest.int "custom on 2 domains: completed" 0 (dcompleted r);
+  let multiset l =
+    List.sort compare
+      (List.map (fun (t : Explorer.terminal) -> (t.Explorer.kind, t.Explorer.output)) l)
+  in
+  check Alcotest.bool "custom on 2 domains: the reference terminals" true
+    (multiset reference = multiset r.Parallel.terminals)
 
 let one_machine_combinations_rejected () =
   (* A reclaim store follows one machine: more workers are refused. *)

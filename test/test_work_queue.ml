@@ -10,9 +10,14 @@ let check = Alcotest.check
 
 let meta depth = { Frontier.depth; hint = 0 }
 
-(* Items in these tests are bare ints (their depth). *)
-let create ?shards ?initial_paths () =
-  Wq.create ?shards ?initial_paths ~meta_of:meta Frontier.dfs
+(* Entries in these tests carry bare ints (their depth) as parents. *)
+let create ?shards ?initial_paths () = Wq.create ?shards ?initial_paths Frontier.dfs
+
+let one depth = Frontier.single (meta depth) depth
+
+(* A take whose stolen entries stay as they are; the parent handed out. *)
+let take q ~dom =
+  Option.map (fun (e : _ Frontier.entry) -> e.parent) (Wq.take q ~dom ~steal:(fun ~victim:_ e -> e))
 
 (* Four domains expand a synthetic binary tree through the queue, one
    shard each.  Every worker pushes children BEFORE finish_path, so the
@@ -20,18 +25,16 @@ let create ?shards ?initial_paths () =
    must drain the whole tree and exit their take loops. *)
 let push_then_finish_termination () =
   let q = create ~shards:4 () in
-  Wq.push_batch q ~dom:0 [ (meta 0, 0) ];
+  Wq.push_batch q ~dom:0 [ one 0 ];
   let max_depth = 7 in
   let taken = Atomic.make 0 in
   let worker dom () =
     let rec loop () =
-      match Wq.take q ~dom with
+      match take q ~dom with
       | None -> ()
       | Some depth ->
         Atomic.incr taken;
-        if depth < max_depth then
-          Wq.push_batch q ~dom
-            [ (meta (depth + 1), depth + 1); (meta (depth + 1), depth + 1) ];
+        if depth < max_depth then Wq.push_batch q ~dom [ one (depth + 1); one (depth + 1) ];
         Wq.finish_path q;
         loop ()
     in
@@ -54,7 +57,7 @@ let stop_wakes_blocked_takers () =
   let results = Array.make 3 (Some 0) in
   let taker dom () =
     Atomic.incr waiting;
-    results.(dom) <- Wq.take q ~dom
+    results.(dom) <- take q ~dom
   in
   let domains = List.init 3 (fun dom -> Domain.spawn (taker dom)) in
   (* let the takers reach the queue (and, in practice, block on it) *)
@@ -78,18 +81,18 @@ let stop_wakes_blocked_takers () =
 let initial_paths_accounting () =
   let q0 = create () in
   check Alcotest.bool "no initial paths: empty queue terminates" true
-    (Wq.take q0 ~dom:0 = None);
+    (take q0 ~dom:0 = None);
   let q = create ~initial_paths:1 () in
   let got = ref (Some (-1)) in
-  let taker = Domain.spawn (fun () -> got := Wq.take q ~dom:0) in
+  let taker = Domain.spawn (fun () -> got := take q ~dom:0) in
   (* the implicit root path pushes one child, then finishes *)
-  Wq.push_batch q ~dom:0 [ (meta 1, 7) ];
+  Wq.push_batch q ~dom:0 [ Frontier.single (meta 1) 7 ];
   Wq.finish_path q;
   Domain.join taker;
   check Alcotest.bool "taker got the root's child" true (!got = Some 7);
   (* that child is now in flight; finishing it ends the search *)
   Wq.finish_path q;
-  check Alcotest.bool "drained and no paths in flight" true (Wq.take q ~dom:0 = None)
+  check Alcotest.bool "drained and no paths in flight" true (take q ~dom:0 = None)
 
 (* Steal-half: a take on an empty shard migrates half the victim's items
    in one batch — the thief consumes one and keeps the rest locally — and
@@ -97,8 +100,8 @@ let initial_paths_accounting () =
 let steal_half_leaves_half () =
   let steal_case n =
     let q = create ~shards:2 () in
-    Wq.push_batch q ~dom:0 (List.init n (fun i -> (meta i, i)));
-    (match Wq.take q ~dom:1 with
+    Wq.push_batch q ~dom:0 (List.init n one);
+    (match take q ~dom:1 with
     | None -> Alcotest.failf "n=%d: thief found nothing" n
     | Some _ -> ());
     let k = n / 2 in
@@ -124,8 +127,8 @@ let steal_half_leaves_half () =
    thief empty-handed forever and stall the fleet on one-item frontiers. *)
 let steal_singleton () =
   let q = create ~shards:2 () in
-  Wq.push_batch q ~dom:0 [ (meta 0, 42) ];
-  check Alcotest.bool "thief gets the singleton" true (Wq.take q ~dom:1 = Some 42);
+  Wq.push_batch q ~dom:0 [ Frontier.single (meta 0) 42 ];
+  check Alcotest.bool "thief gets the singleton" true (take q ~dom:1 = Some 42);
   check Alcotest.int "victim empty" 0 (Wq.shard_length q 0);
   check Alcotest.int "thief shard empty" 0 (Wq.shard_length q 1);
   check Alcotest.int "stolen accounting" 1 (Wq.stolen_items q)
@@ -135,12 +138,12 @@ let steal_singleton () =
 let concurrent_steal_conservation () =
   let n = 1000 in
   let q = create ~shards:4 () in
-  Wq.push_batch q ~dom:0 (List.init n (fun i -> (meta 0, i)));
+  Wq.push_batch q ~dom:0 (List.init n (fun i -> Frontier.single (meta 0) i));
   let seen = Array.make n (Atomic.make 0) in
   Array.iteri (fun i _ -> seen.(i) <- Atomic.make 0) seen;
   let worker dom () =
     let rec loop () =
-      match Wq.take q ~dom with
+      match take q ~dom with
       | None -> ()
       | Some i ->
         Atomic.incr seen.(i);
@@ -160,6 +163,36 @@ let concurrent_steal_conservation () =
   check Alcotest.bool "steals migrate in batches" true
     (Wq.stolen_items q >= Wq.steal_batches q)
 
+(* Steal-half splits an entry's range: one DFS entry of 8 extensions in
+   shard 0, then a take from shard 1.  The two shards' extension numbers
+   do not overlap and are 0..7 between them, each once; the stolen half
+   passed through the thief's [steal] once, as one range. *)
+let steal_half_splits_a_range () =
+  let q = create ~shards:2 () in
+  Wq.push_batch q ~dom:0 [ Frontier.guess "parent" ~count:8 (meta 1) ];
+  let imported = ref [] in
+  let steal ~victim (e : _ Frontier.entry) =
+    imported := (victim, e.next, e.count) :: !imported;
+    e
+  in
+  let taken =
+    match Wq.take q ~dom:1 ~steal with
+    | Some e -> Frontier.popped e
+    | None -> Alcotest.fail "the thief found nothing"
+  in
+  let numbers dom =
+    List.concat_map
+      (fun (e : _ Frontier.entry) -> List.init (e.count - e.next) (( + ) e.next))
+      (Wq.drain q ~dom)
+  in
+  let thief = taken :: numbers 1 and victim = numbers 0 in
+  check Alcotest.(list (triple int int int)) "one range stolen from shard 0"
+    [ (0, 0, 4) ] !imported;
+  check Alcotest.(list int) "the thief's half" [ 0; 1; 2; 3 ] thief;
+  check Alcotest.(list int) "the victim's half" [ 4; 5; 6; 7 ] victim;
+  check Alcotest.(list int) "each extension once" (List.init 8 Fun.id)
+    (List.sort compare (thief @ victim))
+
 let tests =
   [ Alcotest.test_case "push-then-finish termination, 4 domains" `Quick
       push_then_finish_termination;
@@ -171,4 +204,5 @@ let tests =
       steal_half_leaves_half;
     Alcotest.test_case "singleton is stolen whole" `Quick steal_singleton;
     Alcotest.test_case "conservation under concurrent steals" `Quick
-      concurrent_steal_conservation ]
+      concurrent_steal_conservation;
+    Alcotest.test_case "steal-half splits a range" `Quick steal_half_splits_a_range ]
