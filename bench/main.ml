@@ -260,8 +260,6 @@ let e3 () =
             "touch_pages", Obs.Json.Int touch_pages;
             "hand_ms", Obs.Json.Float hand_ms;
             "syslvl_ms", Obs.Json.Float sys_ms;
-            "adopting_restores",
-            Obs.Json.Int stats.Core.Stats.adopting_restores;
             "frames_recycled",
             Obs.Json.Int stats.Core.Stats.mem.Mm.frames_recycled;
             "frames_freed", Obs.Json.Int stats.Core.Stats.mem.Mm.frames_freed;
@@ -887,8 +885,6 @@ let e11 () =
                        "frames_recycled", Obs.Json.Int dom_recycled;
                        "frames_freed", Obs.Json.Int freed;
                        "free_buffers", Obs.Json.Int pool;
-                       "adopting_restores",
-                       Obs.Json.Int (get "explorer.adopting_restores");
                        "steals", Obs.Json.Int (get "explorer.steals");
                        "tlb_shootdowns",
                        Obs.Json.Int (get "mem.tlb_shootdowns");

@@ -265,7 +265,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     if not (Path.live path) then Path.restore path sc.root ~rax:0 ~depth:0;
     let free = Snapshot.abandon ~phys ~keep:(Mem.Addr_space.snapshot machine.aspace) in
     let free_entry (e : Ext.t) =
-      match e.parent with Ext.Snap s -> free s | Ext.Ref _ | Ext.Root -> ()
+      match e.parent with Ext.Snap s -> free s | Ext.Ref _ -> ()
     in
     (try
        while true do
@@ -348,7 +348,6 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       match store with
       | Some st -> Reclaim.get st h
       | None -> invalid_arg "Explorer: managed extension without a store")
-    | Ext.Root -> invalid_arg "Explorer: the scope root is never on a frontier"
   in
 
   (* End [w]'s path, if one runs, and start the next extension on it, if
@@ -365,7 +364,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         | Ext.Ref h ->
           current_handle := Some h;
           current_choice := index
-        | Ext.Snap _ | Ext.Root -> ());
+        | Ext.Snap _ -> ());
         stats.extensions_evaluated <- stats.extensions_evaluated + 1
       | exception ex ->
         (* Reconstruction failed (e.g. genuinely out of frames): this path
@@ -553,7 +552,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
      a path that keeps crashing is quarantined as [Path_killed]. *)
   and crashed sc i w e =
     let retry () =
-      let snap = Path.restart w ~root:sc.root ~resolve in
+      let snap = Path.restart w ~resolve in
       probe_resume snap (Cpu.get (Path.machine w).cpu Reg.rax)
     in
     match Path.supervise w stats ~budget:retry_budget ~retry e with

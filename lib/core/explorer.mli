@@ -199,8 +199,8 @@ val run_image :
     (allocation failures, worker crashes, fuel jitter) inside the scope
     only — reaching and draining it stay unarmed, so a recoverable plan
     cannot abort the run; crashed paths are retried or quarantined as in
-    {!run}, and restores do not adopt, since adopting consumes the origin
-    a retry restores ({!Path.create}).
+    {!run}.  Paths restore alike with or without a plan, so a plan whose
+    faults never fire leaves every count as a fault-free run's.
 
     A {!Reclaim} store ([capacity], [tier_stress]) follows one machine,
     as the replay log of {!run}'s [probe] does: with more than one worker

@@ -1,5 +1,4 @@
 type payload =
-  | Root
   | Snap of Snapshot.t
   | Ref of Reclaim.handle
 

@@ -6,11 +6,10 @@
     range of extension numbers still to run, and their metadata. *)
 
 type payload =
-  | Root
-      (** the scope root: the origin of the scope-opening path, which a
-          crash retry restores with 1 in [rax].  Never on a frontier. *)
   | Snap of Snapshot.t
-      (** the parent partial candidate, held directly *)
+      (** the parent partial candidate, held directly (or the scope root,
+          as the origin of the scope-opening path, which is never on a
+          frontier) *)
   | Ref of Reclaim.handle
       (** the parent held through a {!Reclaim} store, so its snapshot can
           be evicted under memory pressure and rebuilt by replay when the

@@ -64,7 +64,7 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) (stats : Stats.t) =
   let settle sh = List.iter give_back (Atomic.exchange sh.mailboxes.(dom) []) in
   let import sh path ~victim (e : Ext.t) =
     match e.parent with
-    | Ext.Root | Ext.Ref _ -> e
+    | Ext.Ref _ -> e
     | Ext.Snap foreign ->
       Mem.Phys_mem.set_alloc_fault phys None;
       Path.discard path (* the previous segment's tail, before the rebuild *);

@@ -4,7 +4,7 @@
 
     Every domain runs {!Explorer}'s own scheduler loop over one machine
     on a {e domain-private} {!Mem.Phys_mem}, with the full frame-recycling
-    lifecycle (free-list reuse, zero-fill elision, adopting restores).
+    lifecycle (free-list reuse, zero-fill elision, explicit release).
     Domain 0 runs the program to its scope and opens it; every other
     domain rebuilds the scope root on its own memory and joins the scope.
     Each domain's frontier is its shard of a {!Work_queue}: the entries
@@ -46,8 +46,7 @@ type config = {
           quarantined as [Path_killed] instead of aborting the run *)
   faults : Inject.plan option;
       (** a fault plan, as {!Explorer.run_image}'s [faults]: it fires only
-          while domains evaluate paths, and restores do not adopt under
-          it *)
+          while domains evaluate paths *)
 }
 
 val default_config : config

@@ -58,7 +58,6 @@ type t = {
   machine : Libos.t;
   phys : Mem.Phys_mem.t;
   refcount : bool;  (* the snapshot refcount discipline runs *)
-  adopts : bool;    (* last restores adopt their snapshot's frames *)
   inj : Inject.t;
   armed : bool;     (* [inj] injects something *)
   transcript : Buffer.t option;
@@ -77,25 +76,24 @@ type t = {
   mutable retries : int;
 }
 
+(* The origin of a path entered outside any scope, which never crashes
+   into a retry: one static box, so [enter] allocates nothing. *)
+let no_origin = Ext.Snap Snapshot.none
+
 let create ?(refcount = true) ?(inj = Inject.none) ?transcript
     ?(terminals = terminal_log ()) ?(owns_map = false) (machine : Libos.t) =
-  let armed = not (Inject.is_none inj) in
   { machine;
     phys = As.phys machine.aspace;
     refcount;
-    (* An adopting restore consumes the origin a crash retry restores from,
-       and an armed plan can crash any path: adopting there would turn
-       recoverable faults into quarantined paths. *)
-    adopts = refcount && not armed;
     inj;
-    armed;
+    armed = not (Inject.is_none inj);
     transcript;
     terminals;
     marker = Libos.stdout_chunks machine;
     depth = 0;
     hint = 0;
     base = Snapshot.none;
-    origin = Ext.Root;
+    origin = no_origin;
     origin_index = 1;
     epoch = (if owns_map then As.epoch machine.aspace else -1);
     seg_retired = machine.cpu.Cpu.retired;
@@ -194,20 +192,12 @@ let begin_segment t snap ~rax =
    origin's, at this depth. *)
 let enter_at t (stats : Stats.t) snap ~rax ~depth =
   t.depth <- depth;
-  if t.adopts && Snapshot.sole_extension snap then begin
-    (* Last restore of this snapshot: adopt its frames into the new
-       generation instead of COWing them all over again — the DFS
-       tail-child fast path.  Running paths hold their refs until
-       [retire], so this really is the last reference anywhere. *)
-    Snapshot.restore_adopting t.machine snap;
-    stats.adopting_restores <- stats.adopting_restores + 1
-  end
-  else Snapshot.restore t.machine snap;
+  Snapshot.restore t.machine snap;
   stats.restores <- stats.restores + 1;
   begin_segment t snap ~rax
 
 let enter t stats snap ~rax ~depth =
-  t.origin <- Ext.Root;
+  t.origin <- no_origin;
   t.origin_index <- 1;
   t.retries <- 0;
   enter_at t stats snap ~rax ~depth
@@ -217,12 +207,8 @@ let restore t snap ~rax ~depth =
   t.depth <- depth;
   begin_segment t snap ~rax
 
-let restart t ~root ~resolve =
-  let snap =
-    match t.origin with
-    | Ext.Root -> root (* the scope-opening path restarts exploring *)
-    | (Snap _ | Ref _) as o -> resolve o
-  in
+let restart t ~resolve =
+  let snap = resolve t.origin in
   restore t snap ~rax:t.origin_index ~depth:t.depth;
   snap
 
@@ -235,7 +221,7 @@ let open_scope t (stats : Stats.t) ~ids =
   t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
-  t.origin <- Ext.Root;
+  t.origin <- Ext.Snap root;
   t.origin_index <- 1;
   t.retries <- 0;
   t.depth <- 0;
@@ -368,7 +354,7 @@ let evict t (stats : Stats.t) (frontier : Ext.payload Frontier.t) =
           for _ = 1 to n do
             release t s
           done
-        | Ref _ | Root -> ())
+        | Ref _ -> ())
       dropped
 
 let discard t =
@@ -423,8 +409,7 @@ let quarantine t (stats : Stats.t) ~budget e =
 let supervise t (stats : Stats.t) ~budget ~retry e =
   (* the crashed attempt's COW tail dies here, before any re-entry *)
   discard t;
-  (* the placeholder is never adopted *)
-  if Snapshot.adopted t.base || t.retries >= budget - 1 then quarantine t stats ~budget e
+  if t.retries >= budget - 1 then quarantine t stats ~budget e
   else begin
     t.retries <- t.retries + 1;
     stats.requeues <- stats.requeues + 1;

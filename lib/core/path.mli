@@ -6,9 +6,8 @@
     and on every domain of {!Parallel} — runs the same lifecycle over a
     machine, §3 and Figures 1–2 of the paper:
 
-    + {!enter}: restore the extension's snapshot, adopting its frames when
-      this is its last restore ({!switch} when a path ends and the next
-      begins on the same machine);
+    + {!enter}: restore the extension's snapshot ({!switch} when a path
+      ends and the next begins on the same machine);
     + {!run}: run a quantum to the next stop;
     + {!classify}: harvest the path's stdout and turn the stop into a
       terminal, a branch, a hint, a preemption or a scope request;
@@ -30,18 +29,13 @@
       anything rebuilds or restores the machine — including resolving the
       next extension through a {!Reclaim} store, whose promotions and
       replays clobber the machine.
-    - {b Release before the [sole_extension] check.}  {!retire} gives the
-      finished path's origin ref back before the next {!enter} asks
-      {!Snapshot.sole_extension}; otherwise the previous sibling's
-      still-held ref (and its chain of live descendants) would mask every
-      last-extension restore and the adopting fast path could never fire.
     - {b One switch.}  {!switch} retires the ended segment, resolves the
-      next extension and enters it, in the order the two rules above ask
-      for; the caller pops the frontier before it and has nothing to do
+      next extension and enters it, in the order the rule above asks for;
+      the caller pops the frontier before it and has nothing to do
       between.  It allocates nothing: the base and the origin are stored
-      unboxed ({!Snapshot.none} and {!Ext.Root} stand for "none"), and
-      {!run} and {!classify} return the stop and an event that carry no
-      box on the way to a terminal.  Siblings of one guess share their
+      unboxed ({!Snapshot.none} and one static [Snap Snapshot.none] stand
+      for "none"), and {!run} and {!classify} return the stop and an
+      event that carry no box on the way to a terminal.  Siblings of one guess share their
       base, origin and stdout list, so the switch between them writes
       none of those fields again.
     - {b Evict right after the push.}  The built-in strategies drop
@@ -95,10 +89,9 @@ val create :
 (** Path state over a booted machine.  Segment tails are always freed;
     unless [refcount] is [false] because a {!Reclaim} store manages
     snapshot lifetime, the snapshot refcounts run too ({!Snapshot.retain},
-    [release_ext], adopting restores).  [inj] is the
-    fault plan {!run} applies; restores never adopt under an armed plan,
-    which can crash any path, because adopting consumes the origin a retry
-    restores.  Harvested stdout goes to [transcript], finished paths to
+    [release_ext]).  [inj] is the fault plan {!run} applies; it changes
+    nothing else, so a faulted path restores exactly as a fault-free one.
+    Harvested stdout goes to [transcript], finished paths to
     [terminals] (in completion order).  [owns_map] starts a segment on the
     boot map with no base, so a {!discard} before the first capture frees
     the whole map ({!Service}'s first step). *)
@@ -123,10 +116,10 @@ val record : ?depth:int -> t -> terminal_kind -> string -> unit
 (** {1 Entry} *)
 
 val enter : t -> Stats.t -> Snapshot.t -> rax:int -> depth:int -> unit
-(** Start a path at [snap]: restore it, adopting when
-    {!Snapshot.sole_extension} (see {!create}); record the segment epoch;
-    reset the stdout marker and the pending hint; deliver [rax].  Counts the
-    restore.  The origin becomes {!Ext.Root}, with no retries spent. *)
+(** Start a path at [snap] outside any scope: restore it; record the
+    segment epoch; reset the stdout marker and the pending hint; deliver
+    [rax].  Counts the restore.  The path has no origin to retry, and no
+    retries spent. *)
 
 val switch :
   t -> Stats.t -> resolve:(Ext.payload -> Snapshot.t) -> Ext.payload ->
@@ -142,17 +135,18 @@ val restore : t -> Snapshot.t -> rax:int -> depth:int -> unit
 (** {!enter} with a plain restore, not counted, origin unchanged:
     {!Service.resume}'s steps and {!restart}. *)
 
-val restart :
-  t -> root:Snapshot.t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
-(** In-place crash retry: {!restore} the origin extension, resolved again
-    (a store may have rebuilt it as a new record, which later captures must
-    name as their parent), or [root] with 1 in [rax] for the scope-opening
-    path ({!Ext.Root}).  Returns the snapshot restored. *)
+val restart : t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
+(** In-place crash retry: {!restore} the origin, resolved again (a store
+    may have rebuilt it as a new record, which later captures must name as
+    their parent), with its extension index in [rax]: the scope-opening
+    path's origin is the scope root, with 1.  Returns the snapshot
+    restored. *)
 
 val open_scope : t -> Stats.t -> ids:Snapshot.ids -> Snapshot.t
 (** [sys_guess_strategy] accepted: harvest, capture the scope root with 0
     in [rax] (what the program sees once the scope is exhausted) and go on
-    as the root path with 1.  The root path holds one ref on the root. *)
+    as the root path with 1, the root as its origin.  The root path holds
+    one ref on the root. *)
 
 (** {1 Running and classifying} *)
 
@@ -216,9 +210,9 @@ val abandon : t -> Snapshot.t
 val supervise :
   t -> Stats.t -> budget:int -> retry:(unit -> unit) -> exn ->
   [ `Retried | `Quarantined ]
-(** A crash escaped the path; its tail is freed.  An origin restored
-    adopting has changed in place and can never be restored again, so it is
-    quarantined at once, as is a path that spent [budget] attempts:
-    counted and recorded as [Path_killed]; the caller retires it.
-    Otherwise a requeue is counted and [retry] re-enters the origin in
-    place or requeues it (quarantined if [retry] raises). *)
+(** A crash escaped the path; its tail is freed.  A path that spent
+    [budget] attempts is quarantined: counted and recorded as
+    [Path_killed]; the caller retires it.  Otherwise a requeue is counted
+    and [retry] re-enters the origin in place or requeues it (quarantined
+    if [retry] raises).  Nothing consumes an origin, so a retry can always
+    restore it. *)

@@ -18,9 +18,6 @@ type t = {
   mutable ext_refs : int;
   mutable child_refs : int;
   mutable freed : bool;
-  mutable adopted : bool;
-      (* restored via [restore_adopting]: its frames now change in place,
-         so restoring it again would observe the adopter's writes *)
   owns_image : bool;
       (* parentless, and every map that shares its frames is a descendant
          counted in [child_refs] — so its whole image dies with it *)
@@ -53,7 +50,6 @@ let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Os.Libos.t) =
     ext_refs = 0;
     child_refs = 0;
     freed = false;
-    adopted = false;
     owns_image }
 
 (* Freed from the start, so a stray release never reaches a map. *)
@@ -68,7 +64,6 @@ let none =
     ext_refs = 0;
     child_refs = 0;
     freed = true;
-    adopted = false;
     owns_image = false }
 
 let restore (machine : Os.Libos.t) t =
@@ -93,13 +88,6 @@ let restore (machine : Os.Libos.t) t =
    live frames — which is why every transition here is guarded. *)
 
 let retain ?(n = 1) t = t.ext_refs <- t.ext_refs + n
-
-let sole_extension t =
-  t.ext_refs = 1 && t.child_refs = 0
-  && (match t.parent with Some _ -> true | None -> false)
-  && not t.freed && not t.adopted
-
-let adopted t = t.adopted
 
 let rec try_free ~phys t =
   if
@@ -141,17 +129,6 @@ let rec abandon ~phys ~keep t =
     ignore (As.release_snapshot ~phys ~parent:keep t.mem);
     Option.iter (abandon ~phys ~keep) t.parent
   end
-
-let restore_adopting (machine : Os.Libos.t) t =
-  match t.parent with
-  | None -> invalid_arg "Snapshot.restore_adopting: snapshot has no parent"
-  | Some p ->
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:t.id Obs.Names.snap_restore;
-    Vcpu.Cpu.load machine.cpu t.regs;
-    ignore (As.restore_adopt machine.aspace ~parent:p.mem t.mem);
-    Os.Libos.os_restore machine t.os;
-    t.adopted <- true
 
 let pages t = As.snapshot_pages t.mem
 

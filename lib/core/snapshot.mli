@@ -23,8 +23,6 @@ type t = private {
   mutable child_refs : int;
       (** live children whose maps share this snapshot's frames *)
   mutable freed : bool;    (** private frames returned to the allocator *)
-  mutable adopted : bool;  (** restored via {!restore_adopting}; must never
-                               be restored again *)
   owns_image : bool;       (** parentless, freed whole (see {!capture}) *)
 }
 
@@ -66,20 +64,6 @@ val restore : Os.Libos.t -> t -> unit
 
 val retain : ?n:int -> t -> unit
 val release_ext : phys:Mem.Phys_mem.t -> t -> unit
-
-val sole_extension : t -> bool
-(** The snapshot is being restored for the last time: one extension ref
-    left, no live children, and a parent to compute the delta against —
-    the precondition for {!restore_adopting}. *)
-
-val restore_adopting : Os.Libos.t -> t -> unit
-(** Restore knowing this is the snapshot's last restore (see
-    {!sole_extension}): its delta-vs-parent frames are adopted into the
-    current generation and written in place instead of COW'd again.
-    Marks the snapshot {!adopted}; restoring it again afterwards would
-    observe the adopter's writes. *)
-
-val adopted : t -> bool
 
 val free_delta : phys:Mem.Phys_mem.t -> parent:t -> t -> int
 (** Directly free this snapshot's frames beyond [parent] (for stores that

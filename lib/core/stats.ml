@@ -45,7 +45,6 @@ let merge acc x =
   acc.kills <- acc.kills + x.kills;
   acc.snapshots_created <- acc.snapshots_created + x.snapshots_created;
   acc.restores <- acc.restores + x.restores;
-  acc.adopting_restores <- acc.adopting_restores + x.adopting_restores;
   acc.evicted <- acc.evicted + x.evicted;
   acc.max_frontier <- max acc.max_frontier x.max_frontier;
   acc.max_live_snapshots <- max acc.max_live_snapshots x.max_live_snapshots;
@@ -76,7 +75,6 @@ let publish t (reg : Obs.Metrics.t) =
   c "explorer.kills" t.kills;
   c "explorer.snapshots_created" t.snapshots_created;
   c "explorer.restores" t.restores;
-  c "explorer.adopting_restores" t.adopting_restores;
   c "explorer.evicted" t.evicted;
   Obs.Metrics.gauge_max reg "explorer.max_frontier" t.max_frontier;
   Obs.Metrics.gauge_max reg "explorer.max_live_snapshots" t.max_live_snapshots;
@@ -111,13 +109,13 @@ let publish t (reg : Obs.Metrics.t) =
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>guesses=%d pushed=%d evaluated=%d fails=%d exits=%d kills=%d@ \
-     snapshots=%d restores=%d adopting=%d evicted=%d max_frontier=%d \
+     snapshots=%d restores=%d evicted=%d max_frontier=%d \
      max_live=%d@ instructions=%d@ requeues=%d quarantined=%d steals=%d \
      payload_evictions=%d demotions=%d promotions=%d replays=%d \
      replay_fallbacks=%d \
      replayed_instructions=%d@ %a@]"
     t.guesses t.extensions_pushed t.extensions_evaluated t.fails t.exits
-    t.kills t.snapshots_created t.restores t.adopting_restores t.evicted
+    t.kills t.snapshots_created t.restores t.evicted
     t.max_frontier t.max_live_snapshots t.instructions t.requeues
     t.quarantined t.steals t.payload_evictions t.demotions t.promotions
     t.replays t.replay_fallbacks

@@ -10,8 +10,10 @@ type t = {
   mutable kills : int;                 (** paths killed (fault / fuel) *)
   mutable snapshots_created : int;
   mutable restores : int;
-  mutable adopting_restores : int;     (** last-reference restores that adopted
-                                           the snapshot's frames in place *)
+  mutable adopting_restores : int;     (** always 0: no restore adopts a
+                                           snapshot's frames.  Kept only
+                                           because [perfbench] reads it; not
+                                           merged, published or printed *)
   mutable evicted : int;               (** dropped by memory-bounded strategies *)
   mutable max_frontier : int;
   mutable max_live_snapshots : int;

@@ -294,10 +294,9 @@ let check_pipelines ~ckpt_every image =
            the baseline's live peak and a hook that demotes every live
            payload to its page delta at every scheduler stop (truncating
            everything every 5th, so the replay fallback runs too) — on a
-           poisoned, audited allocator.  The store runs without snapshot
-           refcounts, so no restore adopts.  Reconstruction and adoption
-           are supposed to be invisible: exact agreement, instruction
-           count included. *)
+           poisoned, audited allocator, without snapshot refcounts.
+           Reconstruction is supposed to be invisible: exact agreement,
+           instruction count included. *)
         let phys =
           Mem.Phys_mem.create ~capacity:(max 64 (peak / 3)) ~poison:true ()
         in

@@ -203,14 +203,12 @@ let writable_frame t vpn addr =
   if f.Phys_mem.owner = t.gen || f.Phys_mem.owner = shared_owner then f
   else cow t vpn f
 
-(* A frame the current generation owns was allocated (or adopted) since the
-   last capture/restore, so no live snapshot can restore it: once the map
-   drops it, nothing reaches it any more.  (An adopted frame is still named
-   by the adopted snapshot, which is never restored again and whose release
-   skips frames already freed.) *)
+(* A frame the current generation owns was allocated since the last
+   capture/restore, so no snapshot maps it: once the map drops it, nothing
+   reaches it any more. *)
 let drop_private t vpn =
   match Ptmap.find_opt vpn t.map with
-  | Some (f : Phys_mem.frame) when f.owner = t.gen && not f.freed ->
+  | Some (f : Phys_mem.frame) when f.owner = t.gen ->
     Phys_mem.free_frame t.phys f
   | Some _ | None -> ()
 
@@ -379,7 +377,21 @@ let write_u64 t addr v =
     write_bytes t ~addr (Bytes.unsafe_to_string le)
   end
 
-(* {1 Snapshots} *)
+(* {1 Snapshots}
+
+   The generation discipline, which makes snapshots sound.  A store writes
+   a frame in place only when the frame's owner is the current generation
+   (or the frame is explicitly shared, and then it lives outside every
+   snapshot map); any other frame is copied first ([cow]).  Capture,
+   restore and seal each retire the current generation for a fresh one; a
+   retired generation never becomes current again, and a frame's owner
+   never changes.  So, without exception: once a capture or restore
+   retires a generation, none of its frames is written again.  Every frame
+   a snapshot maps belongs to a generation its capture retired, or an older
+   one, so the snapshot's contents are fixed while its frames live.  Frame
+   ids are never reused, so an id never names two contents: the decode
+   caches key on ids ([immutable_frame], [frame_is_immutable]) and rely on
+   exactly this. *)
 
 let seal t =
   tlb_flush t;
@@ -412,13 +424,14 @@ let restore t s =
 
 (* {1 Explicit frame lifecycle}
 
-   All three entry points below free or adopt exactly the frames of a
-   *delta*: the pages whose backing differs between a base map and a later
-   map derived from it.  Under the generation discipline those frames were
-   allocated (COW'd or eagerly mapped) after the base's capture, on the one
-   execution path that leads from the base to the later map — private
-   frames enter a map at one vpn and are never re-mapped elsewhere, so no
-   other snapshot or address space can reach them.  The zero frame,
+   [release_snapshot] and [discard_segment] below free exactly the frames
+   of a *delta*: the pages whose backing differs between a base map and a
+   later map derived from it.  Under the generation discipline those
+   frames were allocated (COW'd or eagerly mapped) after the base's
+   capture, on the one execution path that leads from the base to the
+   later map — private frames enter a map at one vpn and are never
+   re-mapped elsewhere, so no other snapshot or address space can reach
+   them.  The zero frame,
    explicitly-shared frames and dedup-table frames never satisfy that
    (shared frames do not even live in snapshot maps; dedup frames are
    reachable from every tenant of the same image) and are skipped — the
@@ -476,30 +489,6 @@ let release_image ~phys s =
 
 let discard_map t = free_map t.phys t.map
 
-(* [restore_adopt]'s callback: take over one private now-side frame. *)
-let adopt_now t _vpn (f : Phys_mem.frame) n =
-  if f != Phys_mem.zero_frame t.phys && f.owner >= 0 && not f.freed then begin
-    Phys_mem.adopt_frame t.phys f ~owner:t.gen;
-    n + 1
-  end
-  else n
-
-(* Restore [s] knowing it is the last reference to its branch: the frames
-   it holds beyond [parent] become ours to write in place, instead of being
-   COW'd again one fault at a time — the DFS tail-child fast path.  After
-   this the snapshot must never be restored again (its frames will change
-   under it). *)
-let restore_adopt t ~parent s =
-  restore t s;
-  (* right to left, as the list walk went: [adopt_frame] re-stamps ids
-     in this order *)
-  let adopted =
-    Ptmap.fold_diff_now frame_eq adopt_now t parent.snap_map s.snap_map 0
-  in
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:adopted Obs.Names.frame_adopt;
-  adopted
-
 (* Rebuild, in THIS address space, the page delta between two snapshots a
    sibling address space captured over the same logical root contents: map
    a private copy of every frame [target] holds beyond [base], and unmap
@@ -528,7 +517,7 @@ let import_delta t ~base ~target =
 
 (* {1 Byte-level deltas}
 
-   The frame-level entry points above free or adopt the delta's frames;
+   The frame-level entry points above free the delta's frames;
    these two read the delta's *contents*.  The result is pure data —
    strings, no frames — so it stays valid however long it is retained and
    wherever the parent's frames go afterwards: snapshot contents are

@@ -178,13 +178,6 @@ val discard_map : t -> int
     torn down before its first snapshot, a full-image rebuild that failed
     half way); the same no-access-afterwards rule applies. *)
 
-val restore_adopt : t -> parent:snapshot -> snapshot -> int
-(** Restore [s] and take ownership of the frames it holds beyond [parent]:
-    they join the new current generation and are written in place instead
-    of being COW'd again — the restore-last-reference (DFS tail-child)
-    fast path.  Returns the number of frames adopted.  [s] must never be
-    restored again afterwards: its pages change under it. *)
-
 val import_delta : t -> base:snapshot -> target:snapshot -> int
 (** Rebuild in this address space the page delta between two snapshots a
     {e sibling} address space captured over the same logical root
@@ -198,7 +191,7 @@ val import_delta : t -> base:snapshot -> target:snapshot -> int
 
 (** {1 Byte-level deltas}
 
-    Where the explicit-lifecycle entry points free or adopt a delta's
+    Where the explicit-lifecycle entry points free a delta's
     {e frames}, these read its {e contents}.  The result is pure data —
     no frames — so it stays valid however long it is retained and
     survives the parent being freed, rematerialised or replayed: snapshot

@@ -1,7 +1,7 @@
 type frame = {
-  mutable id : int;
+  id : int;
   bytes : Bytes.t;
-  mutable owner : int;
+  owner : int;
   mutable freed : bool;
   mutable account : int;
 }
@@ -58,9 +58,6 @@ type t = {
          a frame freed while still reachable diverges loudly *)
   mutable free_bufs : Bytes.t list;
   mutable free_len : int;
-  mutable total_allocs : int;
-      (* frames ever allocated; [next_frame] cannot serve because adoption
-         re-stamps frame ids from the same sequence *)
   mutable delta_bytes : int;
       (* bytes of demoted snapshot deltas currently held in host memory by
          the tiered payload store — the budget the simulated machine spends
@@ -107,7 +104,7 @@ let create ?(capacity = 0) ?(poison = false) () =
     capacity; live = 0; peak_live = 0;
     on_pressure = None; pressure_events = 0; watermark_armed = true;
     alloc_fault = None;
-    poison; free_bufs = []; free_len = 0; total_allocs = 0;
+    poison; free_bufs = []; free_len = 0;
     delta_bytes = 0; peak_delta_bytes = 0;
     next_account = 1; account_live_tbl = Hashtbl.create 8;
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
@@ -243,7 +240,6 @@ let take_buf t =
 let mint t ~owner ~account bytes =
   let f = { id = t.next_frame; bytes; owner; freed = false; account } in
   t.next_frame <- t.next_frame + 1;
-  t.total_allocs <- t.total_allocs + 1;
   t.metrics.frames_allocated <- t.metrics.frames_allocated + 1;
   account_live t f;
   f
@@ -318,16 +314,8 @@ let audit t ~reachable =
       (Printf.sprintf "%d frames reachable from live state, %d live"
          (Hashtbl.length seen) t.live)
 
-(* Transfer a frame into generation [owner] so stores hit it in place.  The
-   id is re-stamped from the same sequence as fresh frames: decode caches
-   key on frame ids under the frames-never-change-in-place invariant, and an
-   adopted frame is about to start changing. *)
-let adopt_frame t (f : frame) ~owner =
-  f.id <- t.next_frame;
-  t.next_frame <- t.next_frame + 1;
-  f.owner <- owner
-
-let frames_allocated t = t.total_allocs
+(* [mint] is the only stamp of ids, and the zero frame holds id 0 *)
+let frames_allocated t = t.next_frame - 1
 let next_frame_ordinal t = t.next_frame
 
 (* {1 Content-addressed frame dedup}

@@ -10,12 +10,12 @@
     therefore exact: frames allocated minus frames freed. *)
 
 type frame = private {
-  mutable id : int;
-      (** unique stamp, used for space accounting and decode-cache keys;
-          re-stamped by {!adopt_frame} because adoption ends the frame's
-          never-written-in-place phase *)
+  id : int;
+      (** unique stamp, never reused: space accounting and decode-cache
+          keys (a frame of a retired generation never changes again — see
+          {!Addr_space}) *)
   bytes : Bytes.t;          (** always {!Page.size} bytes *)
-  mutable owner : int;      (** generation allowed to write in place *)
+  owner : int;              (** generation allowed to write in place *)
   mutable freed : bool;     (** released via {!free_frame}; any further use
                                 through a page map is a lifecycle bug *)
   mutable account : int;    (** session (tenant) the frame's live slot is
@@ -128,17 +128,13 @@ val audit :
     frame and its [label], else unless the distinct frames reached (the
     zero frame excluded) are exactly {!frames_live}: a leak. *)
 
-val adopt_frame : t -> frame -> owner:int -> unit
-(** Transfer the frame to generation [owner] so the next store hits it in
-    place instead of COWing — the restore-last-reference fast path.  The
-    frame id is re-stamped (decode caches key on ids under the
-    frames-never-change-in-place invariant). *)
-
 val poisoning : t -> bool
 val free_buffers : t -> int
 (** Buffers currently pooled in the free list. *)
 
 val frames_allocated : t -> int
+(** Frames ever allocated: {!alloc} and its variants are the only stamps
+    of frame ids. *)
 
 val shared_page : t -> vpn:int -> frame option
 (** Explicitly-shared frames are registered system-globally so that every

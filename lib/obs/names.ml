@@ -13,7 +13,6 @@ let share_flush = "mem.share_flush"
 let pressure = "mem.pressure"
 let out_of_frames = "mem.out_of_frames"
 let frame_recycle = "mem.frame_recycle" (* instant; a = free-list length *)
-let frame_adopt = "mem.frame_adopt" (* instant; a = frames adopted *)
 
 (* vcpu / block cache (counter samples) *)
 let icache_misses = "vcpu.icache_misses"

@@ -12,7 +12,6 @@ val share_flush : string
 val pressure : string
 val out_of_frames : string
 val frame_recycle : string
-val frame_adopt : string
 val icache_misses : string
 val icache_slow : string
 val block_fuse : string

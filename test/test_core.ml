@@ -50,20 +50,41 @@ let counting_tree_exact () =
     r.Explorer.stats.Core.Stats.extensions_pushed
 
 let recycling_is_invisible () =
-  (* Frame recycling and adopting restores must not change a single
-     observable: the fixed nqueens(5) transcript, fail count and guest
-     instruction count (those of the no-reuse allocator this replaced) —
-     while actually exercising the free list and the DFS tail-child
-     adopting restore. *)
+  (* Frame recycling must not change a single observable: the fixed
+     nqueens(5) transcript, fail count and guest instruction count (those
+     of the no-reuse allocator this replaced) — while actually exercising
+     the free list. *)
   let r = Explorer.run_image (Workloads.Nqueens.program ~n:5) in
   check (Alcotest.list Alcotest.string) "transcript"
     (Workloads.Nqueens.host_boards 5) (transcript_lines r);
   check Alcotest.int "fails" 177 r.Explorer.stats.Core.Stats.fails;
   check Alcotest.int "instructions" 4171 r.Explorer.stats.Core.Stats.instructions;
-  check Alcotest.bool "tail children were adopted" true
-    (r.Explorer.stats.Core.Stats.adopting_restores > 0);
   check Alcotest.bool "frames were recycled" true
     (r.Explorer.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled > 0)
+
+(* One restore rule: an armed fault plan whose only fault never fires (an
+   allocation ordinal no run reaches) changes nothing — the same
+   transcript, the same terminals in order, and the same restores, COW
+   faults and frame allocations as the fault-free run. *)
+let armed_plan_restores_alike () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let plain = Explorer.run_image image in
+  let armed =
+    Explorer.run_image
+      ~faults:{ Inject.seed = 0; faults = [ Inject.Alloc_fail max_int ] }
+      image
+  in
+  check Alcotest.string "transcript" plain.Explorer.transcript
+    armed.Explorer.transcript;
+  check Alcotest.bool "terminals, in order" true
+    (plain.Explorer.terminals = armed.Explorer.terminals);
+  let counts (r : Explorer.result) =
+    let s = r.Explorer.stats in
+    [ s.Core.Stats.restores; s.Core.Stats.mem.Mem.Mem_metrics.cow_faults;
+      s.Core.Stats.mem.Mem.Mem_metrics.frames_allocated ]
+  in
+  check Alcotest.(list int) "restores, COW faults, frames allocated"
+    (counts plain) (counts armed)
 
 (* {1 Frame audit}
 
@@ -1658,4 +1679,6 @@ let tests =
     Alcotest.test_case "budgeted run returns every frame" `Quick
       budgeted_run_returns_frames;
     Alcotest.test_case "in-scope stop keeps only the map" `Quick
-      in_scope_stop_keeps_only_the_map ]
+      in_scope_stop_keeps_only_the_map;
+    Alcotest.test_case "armed plan restores alike" `Quick
+      armed_plan_restores_alike ]

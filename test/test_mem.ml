@@ -774,30 +774,9 @@ let discard_segment_frees_cow_tail () =
     (As.read_u8 t 0);
   check Alcotest.int "buffer pooled" 1 (Phys.free_buffers phys)
 
-let restore_adopt_writes_in_place () =
-  let phys = Phys.create () in
-  let t = As.create phys in
-  As.map_data t ~vpn:0 "a";
-  let parent = As.snapshot t in
-  As.write_u8 t 0 (Char.code 'b');
-  let child = As.snapshot t in
-  As.restore t parent;
-  let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
-  let adopted = As.restore_adopt t ~parent child in
-  check Alcotest.int "one frame adopted" 1 adopted;
-  check Alcotest.int "child contents visible" (Char.code 'b') (As.read_u8 t 0);
-  As.write_u8 t 0 (Char.code 'c');
-  let d = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
-  check Alcotest.int "write hits the adopted frame in place" 0
-    d.Mem.Mem_metrics.cow_faults;
-  check Alcotest.int "in-place write landed" (Char.code 'c') (As.read_u8 t 0);
-  As.restore t parent;
-  check Alcotest.int "parent never saw any of it" (Char.code 'a')
-    (As.read_u8 t 0)
-
 (* A segment that maps one page and unmaps another changes the trie's
-   shape, so the delta walk must pair keys across diverging regions.  Both
-   entry points count the now-side private frames the list-based delta
+   shape, so the delta walk must pair keys across diverging regions.  The
+   discard counts the now-side private frames the list-based delta
    ([sym_diff]) names: the COW'd page and the newly mapped one — never the
    zero frame, and never the unmapped page the base still holds. *)
 let divergent_delta_counts () =
@@ -832,17 +811,7 @@ let divergent_delta_counts () =
   check Alcotest.int "discard_segment frees them" expected
     (As.discard_segment t ~base);
   As.restore t base;
-  check Alcotest.int "unmapped page intact" (Char.code 'x') (As.read_u8 t Page.size);
-  (* adopt the same delta *)
-  let phys, t, base = setup () in
-  let child = As.snapshot t in
-  As.restore t base;
-  let expected = private_now_side phys base child in
-  check Alcotest.int "restore_adopt adopts them" expected
-    (As.restore_adopt t ~parent:base child);
-  check Alcotest.int "COW'd page visible" 7 (As.read_u8 t 0);
-  check Alcotest.int "mapped page visible" (Char.code 'n') (As.read_u8 t (9 * Page.size));
-  check Alcotest.bool "unmapped page gone" false (As.is_mapped t ~vpn:1)
+  check Alcotest.int "unmapped page intact" (Char.code 'x') (As.read_u8 t Page.size)
 
 (* Random map/write/snapshot/restore/release interleavings on a poisoned
    allocator, against a first-byte model.  A release is only issued when
@@ -1158,9 +1127,7 @@ let tests =
       release_snapshot_frees_delta;
     Alcotest.test_case "discard_segment frees the COW tail" `Quick
       discard_segment_frees_cow_tail;
-    Alcotest.test_case "restore_adopt writes in place" `Quick
-      restore_adopt_writes_in_place;
-    Alcotest.test_case "divergent delta: discard and adopt counts" `Quick
+    Alcotest.test_case "divergent delta: discard counts" `Quick
       divergent_delta_counts;
     released_frames_never_alias_live_state;
     Alcotest.test_case "delta restore keeps zero sharing" `Quick

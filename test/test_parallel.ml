@@ -159,8 +159,8 @@ let one_domain_is_the_explorer ?strategy_override name image =
   check Alcotest.bool (name ^ ": terminals, in order") true
     (e.terminals = d.terminals);
   let counts (s : Core.Stats.t) =
-    [ s.fails; s.exits; s.guesses; s.restores; s.adopting_restores;
-      s.snapshots_created; s.extensions_evaluated ]
+    [ s.fails; s.exits; s.guesses; s.restores; s.snapshots_created;
+      s.extensions_evaluated ]
   in
   check Alcotest.(list int) (name ^ ": counts") (counts e.stats) (counts d.stats)
 
