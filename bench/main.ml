@@ -8,7 +8,8 @@
 
 module As = Mem.Addr_space
 module Phys = Mem.Phys_mem
-module Mm = Mem.Mem_metrics
+module M = Obs.Metrics
+module N = Obs.Names
 module Explorer = Core.Explorer
 module Service = Core.Service
 module U = Bench_util
@@ -122,7 +123,7 @@ let e2 () =
          drops it, so the next fault's buffer comes from the free
          list — steady state allocates nothing. *)
       let fault_iters = 500 in
-      let m0 = Mm.copy (As.metrics t) in
+      let m0 = M.copy (Phys.registry phys) in
       let fault_ms, _ =
         U.time_ms (fun () ->
             for _ = 1 to fault_iters do
@@ -132,12 +133,12 @@ let e2 () =
               As.restore t s
             done)
       in
-      let md = Mm.diff (As.metrics t) m0 in
+      let md = M.get (M.sub (Phys.registry phys) m0) in
       let bpf =
         Float.of_int
-          ((md.Mm.frames_allocated - md.Mm.frames_recycled)
+          ((md N.mem_frames_allocated - md N.mem_frames_recycled)
           * Mem.Page.size)
-        /. Float.of_int (max 1 md.Mm.cow_faults)
+        /. Float.of_int (max 1 (md N.mem_cow_faults))
       in
       (* Acceptance: recycling must cut freshly-allocated bytes per COW
          fault by at least 1.3x against a no-reuse allocator, which pays
@@ -174,7 +175,7 @@ let e2 () =
             done;
             Ckpt.incr_capture chain t)
       in
-      let total = Mm.diff (As.metrics t) m0 in
+      let total = M.get (M.sub (Phys.registry phys) m0) in
       json_rows :=
         Obs.Json.Obj
           [ "pages", Obs.Json.Int pages;
@@ -190,11 +191,11 @@ let e2 () =
             "clone_ms", Obs.Json.Float clone_ms;
             "ckpt_ms", Obs.Json.Float ckpt_ms;
             "incr_ms", Obs.Json.Float incr_ms;
-            "cow_faults", Obs.Json.Int total.Mm.cow_faults;
-            "frames_allocated", Obs.Json.Int total.Mm.frames_allocated;
-            "frames_recycled", Obs.Json.Int total.Mm.frames_recycled;
-            "frames_freed", Obs.Json.Int total.Mm.frames_freed;
-            "zero_fills_elided", Obs.Json.Int total.Mm.zero_fills_elided ]
+            "cow_faults", Obs.Json.Int (total N.mem_cow_faults);
+            "frames_allocated", Obs.Json.Int (total N.mem_frames_allocated);
+            "frames_recycled", Obs.Json.Int (total N.mem_frames_recycled);
+            "frames_freed", Obs.Json.Int (total N.mem_frames_freed);
+            "zero_fills_elided", Obs.Json.Int (total N.mem_zero_fills_elided) ]
         :: !json_rows;
       row
         [ U.fint pages;
@@ -252,26 +253,23 @@ let e3 () =
       let stats = result.Explorer.stats in
       assert (stats.Core.Stats.fails = Workloads.Locality.expected_paths p);
       let steps = max 1 stats.Core.Stats.extensions_evaluated in
-      let reg = Obs.Metrics.create () in
-      Core.Stats.publish stats reg;
+      let get = M.get result.Explorer.metrics in
       json_rows :=
         Obs.Json.Obj
           [ "work", Obs.Json.Int work;
             "touch_pages", Obs.Json.Int touch_pages;
             "hand_ms", Obs.Json.Float hand_ms;
             "syslvl_ms", Obs.Json.Float sys_ms;
-            "frames_recycled",
-            Obs.Json.Int stats.Core.Stats.mem.Mm.frames_recycled;
-            "frames_freed", Obs.Json.Int stats.Core.Stats.mem.Mm.frames_freed;
-            "zero_fills_elided",
-            Obs.Json.Int stats.Core.Stats.mem.Mm.zero_fills_elided;
-            "metrics", Obs.Metrics.to_json reg ]
+            "frames_recycled", Obs.Json.Int (get N.mem_frames_recycled);
+            "frames_freed", Obs.Json.Int (get N.mem_frames_freed);
+            "zero_fills_elided", Obs.Json.Int (get N.mem_zero_fills_elided);
+            "metrics", M.to_json result.Explorer.metrics ]
         :: !json_rows;
       row
         [ U.fint work; U.fint touch_pages; U.fms hand_ms; U.fms sys_ms;
           U.fratio (sys_ms /. hand_ms);
           Printf.sprintf "%.2f"
-            (Float.of_int stats.Core.Stats.mem.Mm.cow_faults /. Float.of_int steps);
+            (Float.of_int (get N.mem_cow_faults) /. Float.of_int steps);
           U.fint (stats.Core.Stats.instructions / steps) ])
     sweeps;
   U.emit_json ~experiment:"E3" ~quick:!quick
@@ -388,7 +386,7 @@ let e5 () =
           let paths = List.length r.Symex.Engine.paths in
           let copied_bytes =
             match mode with
-            | Symex.Engine.Cow -> r.Symex.Engine.mem.Mm.bytes_copied
+            | Symex.Engine.Cow -> M.get r.Symex.Engine.mem N.mem_bytes_copied
             | Symex.Engine.Eager_copy ->
               r.Symex.Engine.eager_pages_copied * Mem.Page.size
           in
@@ -432,8 +430,8 @@ let e6 () =
               [ U.fint seed; name; U.fint len;
                 (match opt with Some o when o = len -> "yes" | Some _ | None -> "no");
                 U.fint r.Explorer.stats.Core.Stats.extensions_evaluated;
-                U.fint r.Explorer.stats.Core.Stats.max_live_snapshots;
-                U.fint r.Explorer.stats.Core.Stats.evicted ]
+                U.fint (M.get r.Explorer.metrics N.snapshot_max_live);
+                U.fint (M.get r.Explorer.metrics N.search_evicted) ]
           | Explorer.Completed _ -> row [ U.fint seed; name; "-"; "-"; "-"; "-"; "-" ]
           | Explorer.Aborted m -> Printf.printf "%d %s aborted: %s\n" seed name m)
         [ "dfs", `Dfs; "bfs", `Bfs; "astar", `Astar; "sma-128", `Sma 128;
@@ -542,7 +540,7 @@ let e8 () =
           ~write:(fun addr v -> As.write_u64 t addr v)
           ~snapshot:(fun () -> As.snapshot t)
           ~restore:(fun s -> As.restore t s);
-        Mm.copy (Phys.metrics phys))
+        Phys.registry phys)
   in
   let ept_ms, ept_metrics =
     U.time_ms (fun () ->
@@ -555,16 +553,17 @@ let e8 () =
           ~write:(fun addr v -> Mem.Ept.write_u64 t addr v)
           ~snapshot:(fun () -> Mem.Ept.snapshot t)
           ~restore:(fun s -> Mem.Ept.restore t s);
-        Mm.copy (Phys.metrics phys))
+        Phys.registry phys)
   in
-  let print_row name ms (m : Mm.t) =
+  let print_row name ms metrics =
+    let get = M.get metrics in
     let hit_rate =
-      Float.of_int m.Mm.tlb_hits
-      /. Float.of_int (max 1 (m.Mm.tlb_hits + m.Mm.tlb_misses))
+      Float.of_int (get N.mem_tlb_hits)
+      /. Float.of_int (max 1 (get N.mem_tlb_hits + get N.mem_tlb_misses))
     in
     row
-      [ name; U.fms ms; U.fint m.Mm.cow_faults; U.fint m.Mm.pt_node_copies;
-        Printf.sprintf "%.1f%%" (100.0 *. hit_rate); U.fint m.Mm.frames_allocated ]
+      [ name; U.fms ms; U.fint (get N.mem_cow_faults); U.fint (get N.mem_pt_node_copies);
+        Printf.sprintf "%.1f%%" (100.0 *. hit_rate); U.fint (get N.mem_frames_allocated) ]
   in
   print_row "persistent trie" as_ms as_metrics;
   print_row "radix (EPT-like)" ept_ms ept_metrics
@@ -738,7 +737,7 @@ let e10 () =
               U.fratio speedup;
               Printf.sprintf "%.0f%%" (100.0 *. speedup /. Float.of_int workers);
               Printf.sprintf "%d/%d" r.Explorer.stats.Core.Stats.fails
-                r.Explorer.stats.Core.Stats.exits ])
+                (M.get r.Explorer.metrics N.search_exits) ])
         [ 1; 2; 4; 8 ] quick_rounds)
     jobs
 
@@ -793,15 +792,16 @@ let e11 () =
   let json_rows = ref [] in
   List.iter
     (fun (name, image, work_heavy) ->
-      let signature (stats : Core.Stats.t) transcript =
-        stats.fails, stats.exits, solution_lines transcript
+      let signature metrics transcript =
+        M.get metrics N.search_fails, M.get metrics N.search_exits,
+        solution_lines transcript
       in
       let reference =
         let r =
           Explorer.run_image ~workers:4
             ~quantum:Core.Parallel.default_config.quantum image
         in
-        signature r.Explorer.stats r.Explorer.transcript
+        signature r.Explorer.metrics r.Explorer.transcript
       in
       let base_ms = ref 0.0 in
       let domain0_after = ref (-1) and replica_after = ref (-1) in
@@ -826,7 +826,7 @@ let e11 () =
           | Explorer.Completed _ -> ()
           | Explorer.Stopped_first_exit _ | Explorer.Aborted _ ->
             failwith "E11: unexpected outcome");
-          if signature r.Core.Parallel.stats r.Core.Parallel.transcript
+          if signature r.Core.Parallel.metrics r.Core.Parallel.transcript
              <> reference
           then
             failwith
@@ -855,11 +855,11 @@ let e11 () =
             Array.to_list
               (Array.mapi
                  (fun dom reg ->
-                   let get = Obs.Metrics.get_counter reg in
-                   let evaluated = get "explorer.extensions_evaluated" in
-                   let dom_recycled = get "mem.frames_recycled" in
-                   let freed = get "mem.frames_freed" in
-                   let pool = Obs.Metrics.get_gauge reg "mem.free_buffers" in
+                   let get = M.get reg in
+                   let evaluated = get N.search_extensions in
+                   let dom_recycled = get N.mem_frames_recycled in
+                   let freed = get N.mem_frames_freed in
+                   let pool = get N.mem_free_buffers in
                    if freed <> dom_recycled + pool || pool >= 4096 then
                      failwith
                        (Printf.sprintf
@@ -870,7 +870,7 @@ let e11 () =
                       failure raises), so what is left is exact: domain 0
                       holds its final map, as with one domain, and every
                       other domain its root replica, the same on each. *)
-                   let live_after = Obs.Metrics.get_gauge reg "mem.frames_live" in
+                   let live_after = get N.mem_frames_live in
                    let expected = if dom = 0 then domain0_after else replica_after in
                    if !expected < 0 then expected := live_after
                    else if live_after <> !expected then
@@ -885,22 +885,12 @@ let e11 () =
                        "frames_recycled", Obs.Json.Int dom_recycled;
                        "frames_freed", Obs.Json.Int freed;
                        "free_buffers", Obs.Json.Int pool;
-                       "steals", Obs.Json.Int (get "explorer.steals");
-                       "tlb_shootdowns",
-                       Obs.Json.Int (get "mem.tlb_shootdowns");
+                       "steals", Obs.Json.Int (get N.queue_steals);
+                       "tlb_shootdowns", Obs.Json.Int (get N.mem_tlb_shootdowns);
                        "frames_live_after", Obs.Json.Int live_after ])
                  r.Core.Parallel.domain_metrics)
           in
-          let reg = Obs.Metrics.create () in
-          Core.Stats.publish stats reg;
-          let steal_batches =
-            Obs.Metrics.get_counter r.Core.Parallel.domain_metrics.(0)
-              "queue.steal_batches"
-          in
-          let stolen_items =
-            Obs.Metrics.get_counter r.Core.Parallel.domain_metrics.(0)
-              "queue.stolen_items"
-          in
+          let get = M.get r.Core.Parallel.metrics in
           json_rows :=
             Obs.Json.Obj
               [ "workload", Obs.Json.Str name;
@@ -909,19 +899,18 @@ let e11 () =
                 "ms", Obs.Json.Float ms;
                 "speedup", Obs.Json.Float speedup;
                 "matches_reference", Obs.Json.Bool true;
-                "steals", Obs.Json.Int stats.Core.Stats.steals;
-                "steal_batches", Obs.Json.Int steal_batches;
-                "stolen_items", Obs.Json.Int stolen_items;
+                "steals", Obs.Json.Int (get N.queue_steals);
+                "steal_batches", Obs.Json.Int (get N.queue_steal_batches);
+                "stolen_items", Obs.Json.Int (get N.queue_stolen_items);
                 "frames_recycled", Obs.Json.Int recycled;
                 "per_domain", Obs.Json.Arr per_domain;
-                "metrics", Obs.Metrics.to_json reg ]
+                "metrics", M.to_json r.Core.Parallel.metrics ]
             :: !json_rows;
           row
             [ name; U.fint domains; U.fms ms; U.fratio speedup;
               Printf.sprintf "%.0f%%" (100.0 *. speedup /. Float.of_int domains);
-              Printf.sprintf "%d/%d" stats.Core.Stats.fails
-                stats.Core.Stats.exits;
-              U.fint stats.Core.Stats.steals;
+              Printf.sprintf "%d/%d" stats.Core.Stats.fails (get N.search_exits);
+              U.fint (get N.queue_steals);
               U.fint recycled;
               String.concat "/"
                 (Array.to_list (Array.map string_of_int r.Core.Parallel.busy_rounds))
@@ -1026,9 +1015,9 @@ let e12 () =
      repetition of a row must demote, promote, truncate and replay exactly
      alike and peak at the same live count — the determinism gate. *)
   let decisions (phys, (r : Explorer.result)) =
-    let s = r.Explorer.stats in
-    [ s.Core.Stats.demotions; s.Core.Stats.promotions;
-      s.Core.Stats.payload_evictions; s.Core.Stats.replays;
+    let get = M.get r.Explorer.metrics in
+    [ get N.reclaim_demotions; get N.reclaim_promotions;
+      get N.reclaim_evictions; get N.reclaim_replays;
       Phys.peak_frames_live phys; Phys.pressure_events phys ]
   in
   let timed capacity =
@@ -1054,31 +1043,29 @@ let e12 () =
       U.fratio 1.0 ];
   (* Fraction of reconstructions served from the delta tiers without
      re-executing a single guest instruction. *)
-  let tier_hit_rate (s : Core.Stats.t) =
-    let total = s.Core.Stats.promotions + s.Core.Stats.replay_fallbacks in
-    if total = 0 then 1.0
-    else Float.of_int s.Core.Stats.promotions /. Float.of_int total
+  let tier_hit_rate metrics =
+    let promotions = M.get metrics N.reclaim_promotions in
+    let total = promotions + M.get metrics N.reclaim_replay_fallbacks in
+    if total = 0 then 1.0 else Float.of_int promotions /. Float.of_int total
   in
   let json_row ~label ~capacity ~peak_live ~peak_delta ~live_after ~ms
-      ~slowdown stats =
-    let reg = Obs.Metrics.create () in
-    Core.Stats.publish stats reg;
+      ~slowdown metrics =
     Obs.Json.Obj
       [ "budget", Obs.Json.Str label;
         "capacity", Obs.Json.Int capacity;
         "peak_live", Obs.Json.Int peak_live;
         "peak_delta_bytes", Obs.Json.Int peak_delta;
         "frames_live_after", Obs.Json.Int live_after;
-        "tier_hit_rate", Obs.Json.Float (tier_hit_rate stats);
+        "tier_hit_rate", Obs.Json.Float (tier_hit_rate metrics);
         "ms", Obs.Json.Float ms;
         "slowdown", Obs.Json.Float slowdown;
-        "metrics", Obs.Metrics.to_json reg ]
+        "metrics", M.to_json metrics ]
   in
   let json_rows =
     ref
       [ json_row ~label:"unbounded" ~capacity:0 ~peak_live:peak ~peak_delta:0
           ~live_after:base_live_after ~ms:base_ms ~slowdown:1.0
-          base.Explorer.stats ]
+          base.Explorer.metrics ]
   in
   List.iter
     (fun (label, num, den) ->
@@ -1112,14 +1099,15 @@ let e12 () =
               not absorbing the pressure" slowdown);
       json_rows :=
         json_row ~label ~capacity ~peak_live:(Phys.peak_frames_live phys)
-          ~peak_delta:(Phys.peak_delta_bytes phys) ~live_after ~ms ~slowdown s
+          ~peak_delta:(Phys.peak_delta_bytes phys) ~live_after ~ms ~slowdown
+          r.Explorer.metrics
         :: !json_rows;
       row
         [ label; U.fint capacity; U.fint (Phys.peak_frames_live phys);
           U.fint s.Core.Stats.demotions; U.fint s.Core.Stats.promotions;
           U.fint s.Core.Stats.replays;
           U.fint (Phys.peak_delta_bytes phys / 1024);
-          Printf.sprintf "%.0f%%" (100.0 *. tier_hit_rate s); U.fms ms;
+          Printf.sprintf "%.0f%%" (100.0 *. tier_hit_rate r.Explorer.metrics); U.fms ms;
           U.fratio slowdown ])
     [ "3/4 peak", 3, 4; "1/2 peak", 1, 2; "1/3 peak", 1, 3;
       "1/4 peak", 1, 4 ];
@@ -1207,7 +1195,7 @@ let e13 () =
   let enabled_pct = 100.0 *. ((on_ms /. off_ms) -. 1.0) in
   let signature (r : Explorer.result) =
     ( r.Explorer.stats.Core.Stats.fails,
-      r.Explorer.stats.Core.Stats.exits,
+      M.get r.Explorer.metrics N.search_exits,
       r.Explorer.transcript )
   in
   if signature off_r <> signature on_r then
@@ -1228,8 +1216,6 @@ let e13 () =
     failwith "E13: projected disabled-tracing overhead reached 1%";
   if enabled_pct >= 10.0 then
     failwith "E13: enabled-tracing overhead reached 10%";
-  let reg = Obs.Metrics.create () in
-  Core.Stats.publish on_r.Explorer.stats reg;
   U.emit_json ~experiment:"E13" ~quick:!quick
     ~params:
       [ "depth", Obs.Json.Int p.Workloads.Locality.depth;
@@ -1248,7 +1234,7 @@ let e13 () =
           "projected_disabled_overhead_pct", Obs.Json.Float projected_pct;
           "export_ms", Obs.Json.Float export_ms;
           "export_bytes", Obs.Json.Int (String.length chrome);
-          "metrics", Obs.Metrics.to_json reg ] ]
+          "metrics", M.to_json on_r.Explorer.metrics ] ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: multi-tenant snapshot service (density, isolation, fairness)  *)
@@ -1351,9 +1337,10 @@ let e14 () =
   let decisions pool =
     let svcs = List.init (Tenancy.tenant_count pool) (Tenancy.service pool) in
     let phys = Tenancy.phys pool in
+    let get = M.get (Tenancy.metrics pool) in
     [ List.fold_left (fun n s -> n + Service.demotions s) 0 svcs;
-      Tenancy.budget_evictions pool; Tenancy.pressure_level2 pool;
-      Tenancy.crashes pool; Phys.pressure_events phys; Phys.frames_live phys ]
+      get N.tenancy_budget_evictions; Tenancy.pressure_level2 pool;
+      get N.tenancy_crashes; Phys.pressure_events phys; Phys.frames_live phys ]
   in
   let retire pool =
     for id = 0 to Tenancy.tenant_count pool - 1 do Tenancy.kill pool id done;
@@ -1437,7 +1424,7 @@ let e14 () =
   if not survivors_ok then
     failwith "E14: a fault-storm survivor's outcomes diverged from the \
               fault-free run";
-  if Tenancy.crashes pool <> List.length victims then
+  if M.get (Tenancy.metrics pool) N.tenancy_crashes <> List.length victims then
     failwith "E14: crash containment miscounted the storm's victims";
   U.emit_json ~experiment:"E14" ~quick:!quick
     ~params:
@@ -1496,7 +1483,7 @@ let e15 () =
   in
   let signature (r : Explorer.result) =
     ( r.Explorer.stats.Core.Stats.fails,
-      r.Explorer.stats.Core.Stats.exits,
+      M.get r.Explorer.metrics N.search_exits,
       r.Explorer.transcript )
   in
   if signature off_r <> signature on_r then

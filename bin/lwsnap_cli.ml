@@ -172,7 +172,7 @@ let run_cmd =
       | Core.Explorer.Completed s -> Printf.printf "[completed, status %d]\n" s
       | Core.Explorer.Stopped_first_exit s -> Printf.printf "[first exit, status %d]\n" s
       | Core.Explorer.Aborted m -> Printf.printf "[aborted: %s]\n" m);
-      Format.printf "%a@." Core.Stats.pp result.Core.Explorer.stats;
+      Format.printf "%a@." Obs.Metrics.pp result.Core.Explorer.metrics;
       (match trace_out with
       | Some path ->
         Obs.Trace.stop ();

@@ -54,7 +54,8 @@ let () =
       let r = Symex.Engine.run ~config (Workloads.Symex_targets.branch_tree ~depth:8) in
       Printf.printf
         "  %-11s: %4d paths, COW faults %5d, eagerly copied pages %6d\n" name
-        (List.length r.Symex.Engine.paths) r.Symex.Engine.mem.Mem.Mem_metrics.cow_faults
+        (List.length r.Symex.Engine.paths)
+        (Obs.Metrics.get r.Symex.Engine.mem Obs.Names.mem_cow_faults)
         r.Symex.Engine.eager_pages_copied)
     [ "cow", Symex.Engine.Cow; "eager-copy", Symex.Engine.Eager_copy ];
 

@@ -28,12 +28,11 @@ let () =
   Printf.printf "\n%d solutions (hand-coded reference says %d)\n"
     (List.length boards)
     (Workloads.Nqueens.host_count n);
-  let stats = result.Core.Explorer.stats in
+  let get = Obs.Metrics.get result.Core.Explorer.metrics in
+  let module N = Obs.Names in
   Printf.printf
     "search: %d guesses, %d extensions evaluated, %d snapshots, %d restores\n"
-    stats.Core.Stats.guesses stats.Core.Stats.extensions_evaluated
-    stats.Core.Stats.snapshots_created stats.Core.Stats.restores;
+    (get N.search_guesses) (get N.search_extensions)
+    (get N.snapshot_captures) (get N.snapshot_restores);
   Printf.printf "memory: %d COW faults, %d pages copied (vs %d mapped pages)\n"
-    stats.Core.Stats.mem.Mem.Mem_metrics.cow_faults
-    stats.Core.Stats.mem.Mem.Mem_metrics.pages_copied
-    (stats.Core.Stats.mem.Mem.Mem_metrics.frames_allocated)
+    (get N.mem_cow_faults) (get N.mem_pages_copied) (get N.mem_frames_allocated)

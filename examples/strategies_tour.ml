@@ -25,9 +25,9 @@ let () =
       match r.Core.Explorer.outcome with
       | Core.Explorer.Stopped_first_exit len ->
         Printf.printf "%-12s %8d %12d %12d %10d\n" name len
-          r.Core.Explorer.stats.Core.Stats.extensions_evaluated
-          r.Core.Explorer.stats.Core.Stats.max_live_snapshots
-          r.Core.Explorer.stats.Core.Stats.evicted
+          (Obs.Metrics.get r.Core.Explorer.metrics Obs.Names.search_extensions)
+          (Obs.Metrics.get r.Core.Explorer.metrics Obs.Names.snapshot_max_live)
+          (Obs.Metrics.get r.Core.Explorer.metrics Obs.Names.search_evicted)
       | Core.Explorer.Completed 255 ->
         Printf.printf "%-12s %8s (exhausted: unreachable)\n" name "-"
       | Core.Explorer.Completed s -> Printf.printf "%-12s completed %d\n" name s

@@ -8,6 +8,8 @@ module Cpu = Vcpu.Cpu
 module Reg = Isa.Reg
 module Frontier = Search.Frontier
 module Probe = Record.Probe
+module M = Obs.Metrics
+module N = Obs.Names
 
 type builtin =
   [ `Dfs
@@ -43,6 +45,7 @@ type result = {
   terminals : terminal list;
   rounds : int;
   busy_rounds : int array;
+  metrics : M.t;
   stats : Stats.t;
 }
 
@@ -97,10 +100,9 @@ type domain = {
 let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step)
     ?(max_extensions = max_int) ?(retry_budget = 3) ?strategy_override
     ?tier_stress ?on_stop ?probe ?quantum ?(inj = Inject.none) ?domain
-    ~mem_before (machines : Libos.t array) =
+    ?(metrics = M.create ()) ~mem_before (machines : Libos.t array) =
   let workers = Array.length machines in
   let machine = machines.(0) in
-  let stats = Stats.create () in
   let retired () =
     Array.fold_left (fun k (m : Libos.t) -> k + m.cpu.Cpu.retired) 0 machines
   in
@@ -122,7 +124,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     invalid_arg "Explorer: recording or a reclaim store needs one worker";
   let store =
     if reclaim then begin
-      let st = Reclaim.create ~fuel_per_step machine in
+      let st = Reclaim.create ~fuel_per_step ~metrics machine in
       Mem.Phys_mem.set_pressure_handler phys (Some (Reclaim.pressure_handler st));
       Some st
     end
@@ -284,11 +286,11 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
 
   let finish outcome =
     (* extensions a bounded strategy dropped since the last schedule *)
-    Option.iter (fun sc -> Path.evict path stats sc.frontier) !scope;
+    Option.iter (fun sc -> Path.evict path metrics sc.frontier) !scope;
     arm false;
     (match !scope with Some sc when store = None -> abandon sc | _ -> ());
     if audits_end then audit "end of run";
-    stats.instructions <- retired () - retired_before;
+    let instructions = retired () - retired_before in
     if Obs.Trace.enabled () then begin
       (* summed over the machines, which all have a block cache or none *)
       let sum counts pick =
@@ -306,29 +308,15 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         Obs.Trace.counter Obs.Names.block_split
           (sum Libos.block_counts (fun (_, _, splits) -> splits))
       end;
-      Obs.Trace.counter Obs.Names.instructions stats.instructions
+      Obs.Trace.counter Obs.Names.instructions instructions
     end;
-    let mem_delta =
-      Mem.Mem_metrics.diff (Mem.Addr_space.metrics machine.aspace) mem_before
-    in
-    let mem_delta =
-      (* Replays re-execute work the original run already performed and
-         accounted; reporting it again would make eviction look like extra
-         guest progress. *)
-      match store with
-      | None -> mem_delta
-      | Some st ->
-        stats.instructions <-
-          stats.instructions - Reclaim.replayed_instructions st;
-        stats.payload_evictions <- Reclaim.evictions st;
-        stats.demotions <- Reclaim.demotions st;
-        stats.promotions <- Reclaim.promotions st;
-        stats.replays <- Reclaim.replays st;
-        stats.replay_fallbacks <- Reclaim.replay_fallbacks st;
-        stats.replayed_instructions <- Reclaim.replayed_instructions st;
-        Mem.Mem_metrics.diff mem_delta (Reclaim.suppressed_mem st)
-    in
-    Mem.Mem_metrics.add stats.mem mem_delta;
+    (* Replays re-execute work the original run already performed and
+       accounted; reporting it again would make eviction look like extra
+       guest progress.  The store took their memory events back out of
+       [metrics] already. *)
+    M.add metrics N.vcpu_instructions
+      (instructions - M.get metrics N.reclaim_replayed_instructions);
+    M.merge ~into:metrics (M.sub (Mem.Phys_mem.registry phys) mem_before);
     (* The counters are read: give back every frame the store still holds
        (the anchor, undrained payloads), once the machine has left the
        scope.  A run with a store stopped inside it keeps them: the
@@ -339,7 +327,8 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       terminals = Path.terminals terminals;
       rounds = !rounds;
       busy_rounds;
-      stats }
+      metrics;
+      stats = Stats.of_metrics metrics }
   in
 
   let resolve : Ext.payload -> Snapshot.t = function
@@ -357,7 +346,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     | exception Frontier.Empty -> Path.retire w
     | (e : Ext.t) -> (
       let index = Frontier.popped e and depth = e.meta.Frontier.depth in
-      match Path.switch w stats ~resolve e.parent ~index ~depth with
+      match Path.switch w metrics ~resolve e.parent ~index ~depth with
       | snap ->
         probe_resume snap index;
         (match e.parent with
@@ -365,11 +354,11 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
           current_handle := Some h;
           current_choice := index
         | Ext.Snap _ -> ());
-        stats.extensions_evaluated <- stats.extensions_evaluated + 1
+        M.incr metrics N.search_extensions
       | exception ex ->
         (* Reconstruction failed (e.g. genuinely out of frames): this path
            dies; the search itself survives. *)
-        stats.kills <- stats.kills + 1;
+        M.incr metrics N.search_kills;
         Path.record w ~depth
           (Path_killed
              (Printf.sprintf "reconstruction failed: %s" (Printexc.to_string ex)))
@@ -377,12 +366,11 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         start sc w)
   in
 
-  (* [max] on ints, without the polymorphic [compare] *)
   let track_extents sc =
     let frontier_len = sc.frontier.Frontier.length () in
     if Obs.Trace.enabled () then
       Obs.Trace.counter Obs.Names.frontier_len frontier_len;
-    if frontier_len > stats.max_frontier then stats.max_frontier <- frontier_len;
+    M.peak metrics N.search_max_frontier frontier_len;
     let lineage_len =
       match store with
       | Some _ ->
@@ -391,8 +379,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         Path.depth path + 1
       | None -> Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
     in
-    let live = frontier_len + lineage_len in
-    if live > stats.max_live_snapshots then stats.max_live_snapshots <- live
+    M.peak metrics N.snapshot_max_live (frontier_len + lineage_len)
   in
 
   (* Everything a stop owes its observers before it is dispatched; called
@@ -452,7 +439,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       (* the other domains joined the first scope only *)
       finish (Aborted "second sys_guess_strategy scope")
     | Some strat ->
-      let root = Path.open_scope path stats ~ids in
+      let root = Path.open_scope path metrics ~ids in
       (match probe with
       | None -> ()
       | Some p ->
@@ -503,7 +490,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   and next sc i = if i + 1 < workers then turn sc (i + 1) else round sc
 
   and in_scope sc i w stop =
-    match Path.classify ?preempt w stats stop with
+    match Path.classify ?preempt w metrics stop with
     | Path.Scope _ -> halt sc (Some (Aborted "nested sys_guess_strategy"))
     | Path.Hinted ->
       probe_set_rax 0;
@@ -518,7 +505,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         halt sc (Some (Stopped_first_exit status))
       | _ -> finished sc i w)
     | Path.Branch n ->
-      let snap, meta = Path.branch w stats ~ids ~n in
+      let snap, meta = Path.branch w metrics ~ids ~n in
       note_capture snap;
       (match probe with
       | None -> ()
@@ -541,8 +528,8 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       sc.frontier.Frontier.push_batch [ Frontier.guess payload ~count:n meta ];
       track_extents sc;
       (* the built-in strategies drop extensions only when pushed to *)
-      Path.evict w stats sc.frontier;
-      if stats.extensions_pushed > max_extensions then
+      Path.evict w metrics sc.frontier;
+      if M.get metrics N.search_extensions_pushed > max_extensions then
         halt sc (Some (Aborted "extension budget exhausted"))
       else finished sc i w
 
@@ -555,7 +542,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       let snap = Path.restart w ~resolve in
       probe_resume snap (Cpu.get (Path.machine w).cpu Reg.rax)
     in
-    match Path.supervise w stats ~budget:retry_budget ~retry e with
+    match Path.supervise w metrics ~budget:retry_budget ~retry e with
     | `Retried -> next sc i
     | `Quarantined -> finished sc i w
 
@@ -581,7 +568,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   and leave sc =
     incr rounds;
     arm false;
-    Path.enter path stats sc.root ~rax:0 ~depth:0;
+    Path.enter path metrics sc.root ~rax:0 ~depth:0;
     (* the root was captured with rax already 0, the value the resumed
        program observes — no register override to record *)
     probe_resume sc.root (-1);

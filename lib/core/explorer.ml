@@ -4,7 +4,8 @@ let run ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
     ?tier_stress ?on_stop ?probe (machine : Libos.t) =
   explore ?mode ?fuel_per_step ?max_extensions ?retry_budget ?strategy_override
     ?tier_stress ?on_stop ?probe
-    ~mem_before:(Mem.Mem_metrics.copy (Mem.Addr_space.metrics machine.aspace))
+    ~mem_before:
+      (Obs.Metrics.copy (Mem.Phys_mem.registry (Mem.Addr_space.phys machine.aspace)))
     [| machine |]
 
 let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
@@ -15,7 +16,7 @@ let run_image ?mode ?fuel_per_step ?max_extensions ?retry_budget ?capacity
   let machine = Libos.boot phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
-  let mem_before = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys) in
+  let mem_before = Obs.Metrics.copy (Mem.Phys_mem.registry phys) in
   (* A helper's paths all start from snapshots: it frees its boot image at
      once, within the run's counters, so a run holds one boot image. *)
   let helper _ =

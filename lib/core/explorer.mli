@@ -64,7 +64,11 @@ type result = {
   busy_rounds : int array;
       (** per worker, the rounds in which it ran a quantum — the
           load-balance picture *)
-  stats : Stats.t;
+  metrics : Obs.Metrics.t;
+      (** the run's counts: the search, snapshot, scheduler and reclaim
+          events, and the memory events of the run ([mem.*], a
+          reconstruction's excluded) *)
+  stats : Stats.t;  (** a view of [metrics], built once at the end *)
 }
 
 type mode = [ `Run_to_completion | `First_exit ]

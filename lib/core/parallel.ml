@@ -1,5 +1,7 @@
 module Libos = Os.Libos
 module As = Mem.Addr_space
+module M = Obs.Metrics
+module N = Obs.Names
 
 type config = {
   workers : int;
@@ -25,6 +27,7 @@ type result = {
   transcript : string;
   terminals : Explorer.terminal list;
   busy_rounds : int array;
+  metrics : M.t;
   stats : Stats.t;
   domain_metrics : Obs.Metrics.t array;
 }
@@ -54,7 +57,7 @@ let stop sh o =
    off), its refs posted back to the victim at once.  Once every domain is
    done ([Work_queue.leave]: no steal reads its frames any more), [halt]
    gives back the rest; only domain 0 leaves an exhausted scope. *)
-let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) (stats : Stats.t) =
+let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) metrics =
   let phys = As.phys m.aspace in
   let give_back (s, n) =
     for _ = 1 to n do
@@ -73,8 +76,8 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) (stats : Stats.t) =
       Snapshot.retain ~n local;
       post sh.mailboxes.(victim) (foreign, n);
       Mem.Phys_mem.set_alloc_fault phys (Inject.alloc_hook inj);
-      stats.snapshots_created <- stats.snapshots_created + 1;
-      stats.steals <- stats.steals + n;
+      M.incr metrics N.snapshot_captures;
+      M.add metrics N.queue_steals n;
       if Obs.Trace.enabled () then Obs.Trace.instant ~a:victim ~b:dom Obs.Names.queue_steal;
       { e with parent = Ext.Snap local }
   in
@@ -140,23 +143,21 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   let inj = Option.fold ~none:Inject.none ~some:Inject.arm config.faults in
   let ids = Snapshot.ids () in
   let scope = ref None and spawned = ref [] in
-  (* Domain [dom]'s engine on its machine; its steals count apart *)
+  (* Domain [dom]'s engine on its machine, counting into [metrics] *)
   let engine ?(sh = fun () -> Option.get !scope) ?(opens = fun _ _ -> ()) ?joins ~dom
-      ~mem_before (m : Libos.t) =
-    let stats = Stats.create () in
-    let domain = { (hooks sh ~opens ~dom ~ids ~inj m stats) with joins } in
+      ~metrics ~mem_before (m : Libos.t) =
+    let domain = { (hooks sh ~opens ~dom ~ids ~inj m metrics) with joins } in
     if Obs.Trace.enabled () then Obs.Trace.span_begin ~a:dom Obs.Names.worker;
     (* the engine audits the domain's frames when it ends *)
     let r =
       try
         Engine.explore ~mode:config.mode ~max_extensions:config.max_extensions
           ~retry_budget:config.retry_budget ?strategy_override:config.strategy_override
-          ~quantum:config.quantum ~inj ~domain ~mem_before [| m |]
+          ~quantum:config.quantum ~inj ~domain ~metrics ~mem_before [| m |]
       with Explorer.Audit_failed d ->
         raise (Explorer.Audit_failed (Printf.sprintf "domain %d, %s" dom d))
     in
     if Obs.Trace.enabled () then Obs.Trace.span_end ~a:dom Obs.Names.worker;
-    Stats.merge r.stats stats;
     m, r
   in
   let m0 = Libos.boot (Mem.Phys_mem.create ()) image in
@@ -177,12 +178,10 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
       try
         let m, root = rebuild () in
         sh.roots.(dom) <- root;
-        let m, r =
-          engine ~sh:(fun () -> sh) ~joins:(root, strat) ~dom
-            ~mem_before:(Mem.Mem_metrics.create ()) m
-        in
-        r.stats.snapshots_created <- r.stats.snapshots_created + 1 (* the root *);
-        m, r
+        let metrics = M.create () in
+        M.incr metrics N.snapshot_captures (* the root *);
+        engine ~sh:(fun () -> sh) ~joins:(root, strat) ~dom ~metrics
+          ~mem_before:(M.create ()) m
       with e ->
         stop sh (Explorer.Aborted (Printf.sprintf "worker %d: %s" dom (Printexc.to_string e)));
         Work_queue.leave sh.queue;
@@ -192,33 +191,34 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
     spawned := List.init (config.workers - 1) (fun i -> Domain.spawn (join (i + 1)))
   in
   let m0, r0 =
-    engine ~opens ~dom:0 ~mem_before:(Mem.Mem_metrics.copy (As.metrics m0.aspace)) m0
+    let mem_before = M.copy (Mem.Phys_mem.registry (As.phys m0.aspace)) in
+    engine ~opens ~dom:0 ~metrics:(M.create ()) ~mem_before m0
   in
   let domains = (m0, r0) :: List.map Domain.join !spawned in
-  let stats = Stats.create () in
   let registry ((m : Libos.t), (r : Engine.result)) =
-    let reg = Obs.Metrics.create () and phys = As.phys m.aspace in
-    Stats.merge stats r.stats;
-    Stats.publish r.stats reg;
-    Obs.Metrics.gauge_set reg "mem.free_buffers" (Mem.Phys_mem.free_buffers phys);
-    Obs.Metrics.gauge_set reg "mem.frames_live" (Mem.Phys_mem.frames_live phys);
-    reg
+    let phys = As.phys m.aspace in
+    M.peak r.metrics N.mem_free_buffers (Mem.Phys_mem.free_buffers phys);
+    M.peak r.metrics N.mem_frames_live (Mem.Phys_mem.frames_live phys);
+    r.metrics
   in
   let domain_metrics = Array.of_list (List.map registry domains) in
   let outcome =
     match !scope with
     | None -> r0.outcome
     | Some sh ->
-      let q = sh.queue in
-      Obs.Metrics.incr domain_metrics.(0) ~by:(Work_queue.steal_batches q) "queue.steal_batches";
-      Obs.Metrics.incr domain_metrics.(0) ~by:(Work_queue.stolen_items q) "queue.stolen_items";
-      stats.max_frontier <- max stats.max_frontier (Work_queue.max_length q);
+      let q = sh.queue and d0 = domain_metrics.(0) in
+      M.add d0 N.queue_steal_batches (Work_queue.steal_batches q);
+      M.add d0 N.queue_stolen_items (Work_queue.stolen_items q);
+      M.peak d0 N.search_max_frontier (Work_queue.max_length q);
       Option.value (Atomic.get sh.outcome) ~default:r0.outcome
   in
+  let metrics = M.create () in
+  Array.iter (M.merge ~into:metrics) domain_metrics;
   let each f = List.map (fun (_, r) -> f r) domains in
   { outcome;
     transcript = String.concat "" (each (fun r -> r.Engine.transcript));
     terminals = List.concat (each (fun r -> r.Engine.terminals));
-    busy_rounds = Array.of_list (each (fun r -> r.Engine.stats.extensions_evaluated));
-    stats;
+    busy_rounds = Array.map (fun reg -> M.get reg N.search_extensions) domain_metrics;
+    metrics;
+    stats = Stats.of_metrics metrics;
     domain_metrics }

@@ -58,19 +58,18 @@ type result = {
   transcript : string;       (** all workers' stdout, in completion order *)
   terminals : Explorer.terminal list;
   busy_rounds : int array;
-      (** per-domain extensions evaluated — the load-balance picture.
-          Total guest instructions live in [stats.instructions]. *)
-  stats : Stats.t;
+      (** per-domain extensions evaluated — the load-balance picture. *)
+  metrics : Obs.Metrics.t;  (** the merge of [domain_metrics] *)
+  stats : Stats.t;  (** a view of [metrics] *)
   domain_metrics : Obs.Metrics.t array;
-      (** per-domain metrics registries: index 0 is the coordinator
-          domain, then the spawned workers in order.  Each
-          holds the [explorer.*]/[mem.*] names {!Stats.publish} emits
-          plus the gauges [mem.free_buffers] and [mem.frames_live], the
-          domain's {!Mem.Phys_mem.free_buffers} and
-          {!Mem.Phys_mem.frames_live} at the end of the run, after its
-          audit (domain 0 additionally carries [queue.steal_batches] and
-          [queue.stolen_items]); merging them with {!Obs.Metrics.merge}
-          agrees with [stats].  Per domain, [mem.frames_freed] =
+      (** per-domain registries: index 0 is the coordinator domain, then
+          the spawned workers in order.  Each holds its domain's run
+          counts (as {!Explorer.result}'s [metrics]) and, as peaks, its
+          {!Mem.Phys_mem.free_buffers} and {!Mem.Phys_mem.frames_live} at
+          the end of the run, after its audit ([mem.free_buffers],
+          [mem.frames_live]).  Domain 0's also holds the work queue's
+          [queue.steal_batches], [queue.stolen_items] and peak length
+          ([search.max_frontier]).  Per domain, [mem.frames_freed] =
           [mem.frames_recycled] + [mem.free_buffers] while the pool stays
           under its 4,096-buffer cap.  Domain 0's alone when the guest
           never opened a scope. *)

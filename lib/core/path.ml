@@ -3,6 +3,8 @@ module Cpu = Vcpu.Cpu
 module Reg = Isa.Reg
 module As = Mem.Addr_space
 module Frontier = Search.Frontier
+module M = Obs.Metrics
+module N = Obs.Names
 
 type terminal_kind =
   | Exit of int
@@ -190,17 +192,17 @@ let begin_segment t snap ~rax =
 
 (* The caller set the origin first: a crash during the restore is still this
    origin's, at this depth. *)
-let enter_at t (stats : Stats.t) snap ~rax ~depth =
+let enter_at t metrics snap ~rax ~depth =
   t.depth <- depth;
   Snapshot.restore t.machine snap;
-  stats.restores <- stats.restores + 1;
+  M.incr metrics N.snapshot_restores;
   begin_segment t snap ~rax
 
-let enter t stats snap ~rax ~depth =
+let enter t metrics snap ~rax ~depth =
   t.origin <- no_origin;
   t.origin_index <- 1;
   t.retries <- 0;
-  enter_at t stats snap ~rax ~depth
+  enter_at t metrics snap ~rax ~depth
 
 let restore t snap ~rax ~depth =
   Snapshot.restore t.machine snap;
@@ -212,11 +214,11 @@ let restart t ~resolve =
   restore t snap ~rax:t.origin_index ~depth:t.depth;
   snap
 
-let open_scope t (stats : Stats.t) ~ids =
+let open_scope t metrics ~ids =
   ignore (harvest t);
   Cpu.set t.machine.cpu Reg.rax 0;
   let root = Snapshot.capture ~ids ~depth:0 t.machine in
-  stats.snapshots_created <- stats.snapshots_created + 1;
+  M.incr metrics N.snapshot_captures;
   if t.refcount then Snapshot.retain root;
   t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
@@ -276,18 +278,18 @@ let kill_bound t preempt =
   let timeout = Libos.timeout t.machine in
   if timeout > 0 && timeout < preempt then timeout else preempt
 
-let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
+let classify ?(preempt = 0) t metrics (stop : Libos.stop) =
   match stop with
   | Guess { n } when n > 0 ->
     ignore (harvest t);
     Branch n
   | Guess _ ->
     ignore (harvest t);
-    stats.fails <- stats.fails + 1;
+    M.incr metrics N.search_fails;
     terminal t Fail ""
   | Guess_fail ->
     let output = harvest t in
-    stats.fails <- stats.fails + 1;
+    M.incr metrics N.search_fails;
     terminal t Fail output
   | Guess_hint { dist } ->
     hinted t dist;
@@ -298,11 +300,11 @@ let classify ?(preempt = 0) t (stats : Stats.t) (stop : Libos.stop) =
     Preempted
   | Exited { status } ->
     let output = harvest t in
-    stats.exits <- stats.exits + 1;
+    M.incr metrics N.search_exits;
     terminal t (Exit status) output
   | Killed reason ->
     let output = harvest t in
-    stats.kills <- stats.kills + 1;
+    M.incr metrics N.search_kills;
     terminal t (Path_killed (reason_to_string reason)) output
 
 let capture t ~ids =
@@ -311,11 +313,11 @@ let capture t ~ids =
     ?parent:(if live then Some t.base else None)
     ~owns_image:(not live) ~depth:t.depth t.machine
 
-let branch t (stats : Stats.t) ~ids ~n =
+let branch t metrics ~ids ~n =
   let snap = capture t ~ids in
-  stats.guesses <- stats.guesses + 1;
-  stats.snapshots_created <- stats.snapshots_created + 1;
-  stats.extensions_pushed <- stats.extensions_pushed + n;
+  M.incr metrics N.search_guesses;
+  M.incr metrics N.snapshot_captures;
+  M.add metrics N.search_extensions_pushed n;
   (* refs must exist before another worker can pop the extensions *)
   if t.refcount then Snapshot.retain ~n snap;
   let meta = { Frontier.depth = t.depth + 1; hint = t.hint } in
@@ -339,7 +341,7 @@ let outside t (stop : Libos.stop) =
 
 let release t snap = if t.refcount then Snapshot.release_ext ~phys:t.phys snap
 
-let evict t (stats : Stats.t) (frontier : Ext.payload Frontier.t) =
+let evict t metrics (frontier : Ext.payload Frontier.t) =
   match frontier.evicted () with
   | [] -> ()
   | dropped ->
@@ -348,7 +350,7 @@ let evict t (stats : Stats.t) (frontier : Ext.payload Frontier.t) =
     List.iter
       (fun (e : Ext.t) ->
         let n = Frontier.remaining e in
-        stats.evicted <- stats.evicted + n;
+        M.add metrics N.search_evicted n;
         match e.parent with
         | Snap s ->
           for _ = 1 to n do
@@ -378,7 +380,7 @@ let abandon t =
 
 (* [retire], then [enter]; the base is left in place until the next one
    overwrites it, unless [resolve] fails. *)
-let switch t stats ~resolve origin ~index ~depth =
+let switch t metrics ~resolve origin ~index ~depth =
   discard t;
   if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
   (* after the discard: a store's promotion or replay clobbers the machine *)
@@ -392,13 +394,13 @@ let switch t stats ~resolve origin ~index ~depth =
   if t.origin != origin then t.origin <- origin;
   t.origin_index <- index;
   t.retries <- 0;
-  enter_at t stats snap ~rax:index ~depth;
+  enter_at t metrics snap ~rax:index ~depth;
   snap
 
-let quarantine t (stats : Stats.t) ~budget e =
+let quarantine t metrics ~budget e =
   if Obs.Trace.enabled () then Obs.Trace.instant Obs.Names.sched_quarantine;
-  stats.quarantined <- stats.quarantined + 1;
-  stats.kills <- stats.kills + 1;
+  M.incr metrics N.sched_quarantined;
+  M.incr metrics N.search_kills;
   record t
     (Path_killed
        (Printf.sprintf "crash: %s (quarantined after %d attempts)"
@@ -406,16 +408,16 @@ let quarantine t (stats : Stats.t) ~budget e =
     "";
   `Quarantined
 
-let supervise t (stats : Stats.t) ~budget ~retry e =
+let supervise t metrics ~budget ~retry e =
   (* the crashed attempt's COW tail dies here, before any re-entry *)
   discard t;
-  if t.retries >= budget - 1 then quarantine t stats ~budget e
+  if t.retries >= budget - 1 then quarantine t metrics ~budget e
   else begin
     t.retries <- t.retries + 1;
-    stats.requeues <- stats.requeues + 1;
+    M.incr metrics N.sched_requeues;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:t.retries Obs.Names.sched_requeue;
     match retry () with
     | () -> `Retried
-    | exception e' -> quarantine t stats ~budget e'
+    | exception e' -> quarantine t metrics ~budget e'
   end

@@ -115,14 +115,14 @@ val record : ?depth:int -> t -> terminal_kind -> string -> unit
 
 (** {1 Entry} *)
 
-val enter : t -> Stats.t -> Snapshot.t -> rax:int -> depth:int -> unit
+val enter : t -> Obs.Metrics.t -> Snapshot.t -> rax:int -> depth:int -> unit
 (** Start a path at [snap] outside any scope: restore it; record the
     segment epoch; reset the stdout marker and the pending hint; deliver
     [rax].  Counts the restore.  The path has no origin to retry, and no
     retries spent. *)
 
 val switch :
-  t -> Stats.t -> resolve:(Ext.payload -> Snapshot.t) -> Ext.payload ->
+  t -> Obs.Metrics.t -> resolve:(Ext.payload -> Snapshot.t) -> Ext.payload ->
   index:int -> depth:int -> Snapshot.t
 (** End the path, if one runs, and start extension [index] of [origin]:
     {!retire}; resolve the origin's snapshot (after the discard, which a
@@ -142,7 +142,7 @@ val restart : t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
     path's origin is the scope root, with 1.  Returns the snapshot
     restored. *)
 
-val open_scope : t -> Stats.t -> ids:Snapshot.ids -> Snapshot.t
+val open_scope : t -> Obs.Metrics.t -> ids:Snapshot.ids -> Snapshot.t
 (** [sys_guess_strategy] accepted: harvest, capture the scope root with 0
     in [rax] (what the program sees once the scope is exhausted) and go on
     as the root path with 1, the root as its origin.  The root path holds
@@ -166,7 +166,7 @@ type event =
   | Preempted      (** the quantum ran out (only under [~preempt]) *)
   | Scope of int   (** [sys_guess_strategy] inside a scope *)
 
-val classify : ?preempt:int -> t -> Stats.t -> Os.Libos.stop -> event
+val classify : ?preempt:int -> t -> Obs.Metrics.t -> Os.Libos.stop -> event
 (** Classify a stop inside a scope.  Fuel exhaustion preempts the path
     until its segment (since the last entry or restore) has retired
     [preempt] instructions (default 0), or the guest's {!Os.Libos.timeout}
@@ -178,7 +178,7 @@ val capture : t -> ids:Snapshot.ids -> Snapshot.t
     derives from; without one (a fresh boot map) it owns its image. *)
 
 val branch :
-  t -> Stats.t -> ids:Snapshot.ids -> n:int -> Snapshot.t * Search.Frontier.meta
+  t -> Obs.Metrics.t -> ids:Snapshot.ids -> n:int -> Snapshot.t * Search.Frontier.meta
 (** {!capture} the partial candidate of a [Branch n], retained [n] times
     before any extension can be published, and the extensions' metadata;
     the pending hint is consumed. *)
@@ -190,7 +190,7 @@ val outside :
 
 (** {1 Retiring and supervision} *)
 
-val evict : t -> Stats.t -> Ext.payload Search.Frontier.t -> unit
+val evict : t -> Obs.Metrics.t -> Ext.payload Search.Frontier.t -> unit
 (** Give back the refs of the extensions a bounded strategy dropped since
     the last call (each evicted entry's {!Search.Frontier.remaining}):
     they will never run. *)
@@ -208,7 +208,7 @@ val abandon : t -> Snapshot.t
     Free a tail the caller does not keep with {!discard} first. *)
 
 val supervise :
-  t -> Stats.t -> budget:int -> retry:(unit -> unit) -> exn ->
+  t -> Obs.Metrics.t -> budget:int -> retry:(unit -> unit) -> exn ->
   [ `Retried | `Quarantined ]
 (** A crash escaped the path; its tail is freed.  A path that spent
     [budget] attempts is quarantined: counted and recorded as

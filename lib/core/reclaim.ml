@@ -2,6 +2,8 @@ module Libos = Os.Libos
 module Cpu = Vcpu.Cpu
 module Reg = Isa.Reg
 module As = Mem.Addr_space
+module M = Obs.Metrics
+module N = Obs.Names
 
 exception Replay_diverged of string
 
@@ -69,16 +71,11 @@ type t = {
          derives from (last capture or [get]); the store keeps an
          extension ref on it so explicit freeing never touches frames the
          live address space still maps *)
-  mutable evictions : int;     (* truncations (tier 2), not demotions *)
-  mutable demotions : int;
-  mutable promotions : int;
-  mutable replays : int;
-  mutable replay_fallbacks : int;
-  mutable replayed_instructions : int;
-  suppressed_mem : Mem.Mem_metrics.t;
+  metrics : M.t;  (* the owner's: [reclaim.*] counts, and the memory
+                     events reconstruction redid, taken back out *)
 }
 
-let create ?(fuel_per_step = 50_000_000) (machine : Libos.t) =
+let create ?(fuel_per_step = 50_000_000) ~metrics (machine : Libos.t) =
   { machine;
     fuel = fuel_per_step;
     ids = Snapshot.ids ();
@@ -86,15 +83,15 @@ let create ?(fuel_per_step = 50_000_000) (machine : Libos.t) =
     next = 0;
     clock = 0;
     anchor = None;
-    evictions = 0;
-    demotions = 0;
-    promotions = 0;
-    replays = 0;
-    replay_fallbacks = 0;
-    replayed_instructions = 0;
-    suppressed_mem = Mem.Mem_metrics.create () }
+    metrics }
 
 let phys_of t = As.phys t.machine.Libos.aspace
+
+(* Reconstruction rebuilds state the original run already paid for: take
+   the memory events since [mem0], a copy of the memory's registry, back
+   out of the owner's counts, so its figures stay fault-free. *)
+let uncount_mem t mem0 =
+  M.merge ~into:t.metrics (M.sub mem0 (Mem.Phys_mem.registry (phys_of t)))
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -200,7 +197,7 @@ let demote t h =
        current state derives from this record (the anchor ref), in which
        case the frames come back the moment the last sharer drains. *)
     Snapshot.release_ext ~phys:(phys_of t) snap;
-    t.demotions <- t.demotions + 1;
+    M.incr t.metrics N.reclaim_demotions;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_demote;
     true
@@ -245,7 +242,7 @@ and promote t h e d =
   (* The machine is about to derive from the base's map: anchor it before
      the page applications below allocate (and possibly fire pressure). *)
   (match base with Some (_, bs) -> set_anchor t bs | None -> ());
-  let mem0 = Mem.Mem_metrics.copy (As.metrics m.Libos.aspace) in
+  let mem0 = M.copy (Mem.Phys_mem.registry (phys_of t)) in
   Cpu.load m.Libos.cpu d.d_regs;
   let aspace = m.Libos.aspace in
   (try
@@ -268,16 +265,13 @@ and promote t h e d =
       ?parent:(Option.map snd base)
       ~owns_image:(base = None) ~depth:e.e_depth m
   in
-  (* Promotion rebuilds state the original run already paid for; keep its
-     memory-metric costs out of the driver's fault-free figures. *)
-  Mem.Mem_metrics.add t.suppressed_mem
-    (Mem.Mem_metrics.diff (As.metrics m.Libos.aspace) mem0);
+  uncount_mem t mem0;
   drop_delta t d;
   e.e_payload <- Some (Live snap);
   Snapshot.retain snap;
   set_anchor t snap;
   e.e_last_used <- tick t;
-  t.promotions <- t.promotions + 1;
+  M.incr t.metrics N.reclaim_promotions;
   if Obs.Trace.enabled () then
     Obs.Trace.span_end ~a:h ~b:(List.length d.d_pages)
       Obs.Names.reclaim_promote;
@@ -286,15 +280,15 @@ and promote t h e d =
 (* Re-execute one edge: restore the parent's payload, deliver the recorded
    choice (and stdin), run to the next publish, capture.  The re-run's
    output and costs are not new information: stdout is discarded (the
-   caller resets its harvest marker after the restore that follows) and
-   the instruction/memory-metric deltas are accumulated for drivers to
-   subtract from the figures they report. *)
+   caller resets its harvest marker after the restore that follows), the
+   instructions count as replayed, and the memory events are taken back
+   out of the owner's counts. *)
 and replay_edge t e base =
   let m = t.machine in
   if Obs.Trace.enabled () then
     Obs.Trace.span_begin ~a:1 Obs.Names.reclaim_replay;
   let retired0 = m.Libos.cpu.Cpu.retired in
-  let mem0 = Mem.Mem_metrics.copy (As.metrics m.Libos.aspace) in
+  let mem0 = M.copy (Mem.Phys_mem.registry (phys_of t)) in
   Snapshot.restore m base;
   set_anchor t base;
   Cpu.set m.Libos.cpu Reg.rax e.e_choice;
@@ -318,20 +312,19 @@ and replay_edge t e base =
   | exception ex ->
     discard ();
     raise ex);
-  t.replays <- t.replays + 1;
+  M.incr t.metrics N.reclaim_replays;
   let snap = Snapshot.capture ~ids:t.ids ~parent:base ~depth:e.e_depth m in
   e.e_payload <- Some (Live snap);
   Snapshot.retain snap;
   set_anchor t snap;
   e.e_last_used <- tick t;
-  t.replayed_instructions <-
-    t.replayed_instructions + (m.Libos.cpu.Cpu.retired - retired0);
+  M.add t.metrics N.reclaim_replayed_instructions
+    (m.Libos.cpu.Cpu.retired - retired0);
   if Obs.Trace.enabled () then
     Obs.Trace.span_end ~a:1
       ~b:(m.Libos.cpu.Cpu.retired - retired0)
       Obs.Names.reclaim_replay;
-  Mem.Mem_metrics.add t.suppressed_mem
-    (Mem.Mem_metrics.diff (As.metrics m.Libos.aspace) mem0)
+  uncount_mem t mem0
 
 let get t h =
   let e = entry t h in
@@ -342,13 +335,13 @@ let get t h =
     match e.e_payload with
     | Some (Live s) -> s
     | Some (Demoted _) | None ->
-      let replays0 = t.replays in
+      let replays0 = M.get t.metrics N.reclaim_replays in
       let s = materialise t h in
       (* A reconstruction that had to re-execute even one edge means a
          delta chain was truncated under it: the promotion path alone
          could not serve this [get]. *)
-      if t.replays > replays0 then
-        t.replay_fallbacks <- t.replay_fallbacks + 1;
+      if M.get t.metrics N.reclaim_replays > replays0 then
+        M.incr t.metrics N.reclaim_replay_fallbacks;
       s
   in
   (* Every driver restores the snapshot it just got (reconstruction
@@ -386,7 +379,7 @@ let evict t h =
     | Live snap -> Snapshot.release_ext ~phys:(phys_of t) snap
     | Demoted d -> drop_delta t d);
     e.e_payload <- None;
-    t.evictions <- t.evictions + 1;
+    M.incr t.metrics N.reclaim_evictions;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_evict;
     true
@@ -482,11 +475,3 @@ let materialised_count t =
     (fun _ e n ->
       match e.e_payload with Some (Live _) -> n + 1 | _ -> n)
     t.entries 0
-
-let evictions t = t.evictions
-let demotions t = t.demotions
-let promotions t = t.promotions
-let replays t = t.replays
-let replay_fallbacks t = t.replay_fallbacks
-let replayed_instructions t = t.replayed_instructions
-let suppressed_mem t = t.suppressed_mem

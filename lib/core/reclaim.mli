@@ -23,10 +23,11 @@
     from the parent: restore, deliver the recorded choice in [rax] (and
     the recorded stdin, if any), run to the next [sys_guess], capture.
     Guest output produced during reconstruction is discarded (drivers
-    reset their harvest marker after the restore that follows a [get])
-    and the replay instruction / memory-metric cost is accumulated
-    separately ({!replayed_instructions}, {!suppressed_mem}) so drivers
-    can report fault-free figures.
+    reset their harvest marker after the restore that follows a [get]).
+    Its cost is kept out of the owner's figures: the re-executed
+    instructions count under [reclaim.replayed_instructions], and the
+    memory events of a promotion or replay are taken back out of the
+    owner's [mem.*] slots where they happen.
 
     Roots are pinned: they may demote to a tier-1 full image but never
     truncate, so reconstruction always bottoms out.  Released entries
@@ -42,9 +43,12 @@ exception Replay_diverged of string
 
 type t
 
-val create : ?fuel_per_step:int -> Os.Libos.t -> t
+val create : ?fuel_per_step:int -> metrics:Obs.Metrics.t -> Os.Libos.t -> t
 (** The machine is the reconstruction vehicle: promotion and replay both
-    restore onto it.  Callers must treat machine state as clobbered
+    restore onto it.  [metrics] is the owner's registry: the store counts
+    its [reclaim.*] events into it, and takes reconstruction's memory
+    events back out of it (so a registry that never adds its memory's
+    events reads them negative).  Callers must treat machine state as clobbered
     across {!get} (every driver restores a snapshot right after, so this
     is free). *)
 
@@ -142,23 +146,3 @@ val live_entries : t -> int
 (** Entries not released. *)
 
 val materialised_count : t -> int
-
-(** {1 Counters} *)
-
-val evictions : t -> int
-(** Truncations (tier 2), not demotions. *)
-
-val demotions : t -> int
-val promotions : t -> int
-
-val replays : t -> int
-(** Edges re-executed. *)
-
-val replay_fallbacks : t -> int
-(** {!get}s that could not be served by promotion alone because a delta
-    chain was truncated under them. *)
-
-val replayed_instructions : t -> int
-val suppressed_mem : t -> Mem.Mem_metrics.t
-(** Memory-metric deltas incurred by reconstruction, to subtract from
-    reports. *)

@@ -6,6 +6,7 @@ type ref_ = Reclaim.handle
 
 type t = {
   machine : Libos.t;
+  metrics : Obs.Metrics.t;  (* the session's, which its store counts into *)
   store : Reclaim.t;
   (* the resume edge that leads to the next publish: (parent, choice,
      stdin).  [None] only before the first publish, whose snapshot is the
@@ -86,12 +87,14 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
   let machine = Libos.boot ~dedup ~account phys image in
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
-  let store = Reclaim.create ~fuel_per_step machine in
+  let metrics = Obs.Metrics.create () in
+  let store = Reclaim.create ~fuel_per_step ~metrics machine in
   if manage_pressure && Mem.Phys_mem.capacity phys > 0 then
     Mem.Phys_mem.set_pressure_handler phys
       (Some (Reclaim.pressure_handler store));
   let t =
     { machine;
+      metrics;
       store;
       pending = None;
       (* before any capture the whole map is the session's own segment *)
@@ -136,11 +139,10 @@ let demote_all t = Reclaim.demote_all t.store
 let candidate_tier t r = Reclaim.tier t.store r
 
 let materialised_candidates t = Reclaim.materialised_count t.store
-let payload_evictions t = Reclaim.evictions t.store
-let demotions t = Reclaim.demotions t.store
-let promotions t = Reclaim.promotions t.store
-let replays t = Reclaim.replays t.store
-let replay_fallbacks t = Reclaim.replay_fallbacks t.store
+let metrics t = t.metrics
+let demotions t = Obs.Metrics.get t.metrics Obs.Names.reclaim_demotions
+let promotions t = Obs.Metrics.get t.metrics Obs.Names.reclaim_promotions
+let replays t = Obs.Metrics.get t.metrics Obs.Names.reclaim_replays
 
 let machine t = t.machine
 let phys t = Mem.Addr_space.phys t.machine.Libos.aspace

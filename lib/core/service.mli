@@ -97,11 +97,17 @@ val candidate_tier : t -> ref_ -> int
 (** 0 live, 1 in-memory delta, 2 truncated. *)
 
 val materialised_candidates : t -> int
-val payload_evictions : t -> int
+
+val metrics : t -> Obs.Metrics.t
+(** The session's registry: its store's [reclaim.*] counts.  Its [mem.*]
+    slots read minus the memory events reconstruction cost: a session
+    does not own its memory, so it never adds the memory's own events
+    (see {!Reclaim.create}). *)
+
 val demotions : t -> int
 val promotions : t -> int
 val replays : t -> int
-val replay_fallbacks : t -> int
+(** [reclaim.demotions], [reclaim.promotions] and [reclaim.replays]. *)
 
 val machine : t -> Os.Libos.t
 val phys : t -> Mem.Phys_mem.t

@@ -2,7 +2,7 @@
    multiplexed over ONE shared physical memory.
 
    The robustness contract, in one sentence: a misbehaving tenant — guest
-   crash, fuel/deadline overrun, frame-budget blowout, injected allocation
+   crash, deadline overrun, frame-budget blowout, injected allocation
    fault — is contained to its own session, demoted first under pressure,
    and evicted if still over budget, while every other tenant's published
    candidates stay bit-identical resumable.
@@ -41,6 +41,8 @@
 
 module Libos = Os.Libos
 module Phys = Mem.Phys_mem
+module M = Obs.Metrics
+module N = Obs.Names
 
 type id = int
 
@@ -73,7 +75,6 @@ type t = {
   phys : Phys.t;
   fuel_per_step : int;
   frame_budget : int;
-  fuel_budget : int;
   deadline : int;
   max_tenants : int;
   queue_limit : int;
@@ -84,15 +85,7 @@ type t = {
   run_queue : id Queue.t;
   mutable pending : pending_boot list; (* FIFO; admitted from the head *)
   mutable running : tenant option;     (* the pressure offender *)
-  (* counters *)
-  mutable admits : int;
-  mutable rejects : int;
-  mutable queued_boots : int;
-  mutable deadline_kills : int;
-  mutable budget_evictions : int;
-  mutable fuel_evictions : int;
-  mutable crashes : int;
-  mutable pressure_level2 : int;
+  metrics : M.t;                       (* the pool's [tenancy.*] counts *)
 }
 
 type admission =
@@ -115,7 +108,7 @@ let pressure t () =
   | Some tn when tn.st = Running -> ignore (Service.shed tn.svc)
   | Some _ | None -> ());
   if not (Phys.below_watermark t.phys) then begin
-    t.pressure_level2 <- t.pressure_level2 + 1;
+    M.incr t.metrics N.tenancy_pressure_level2;
     let others =
       Hashtbl.fold
         (fun _ tn acc ->
@@ -132,14 +125,13 @@ let pressure t () =
   end
 
 let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
-    ?(frame_budget = 0) ?(fuel_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
+    ?(frame_budget = 0) ?(deadline = 0) ?(max_tenants = 0)
     ?(queue_limit = 64) ?(dedup = true) () =
   let phys = Phys.create ~capacity () in
   let t =
     { phys;
       fuel_per_step;
       frame_budget;
-      fuel_budget;
       deadline;
       max_tenants;
       queue_limit;
@@ -150,14 +142,7 @@ let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
       run_queue = Queue.create ();
       pending = [];
       running = None;
-      admits = 0;
-      rejects = 0;
-      queued_boots = 0;
-      deadline_kills = 0;
-      budget_evictions = 0;
-      fuel_evictions = 0;
-      crashes = 0;
-      pressure_level2 = 0 }
+      metrics = M.create () }
   in
   if capacity > 0 then Phys.set_pressure_handler phys (Some (pressure t));
   t
@@ -209,14 +194,14 @@ let admit t image files stdin =
       requests = Queue.create () }
   in
   Hashtbl.add t.tenants id tn;
-  t.admits <- t.admits + 1;
+  M.incr t.metrics N.tenancy_admits;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:id ~b:(live_tenant_count t) Obs.Names.tenancy_admit;
   (* A boot that crashed on arrival (e.g. allocation failure despite the
      admission gate) is contained exactly like a crashed resume. *)
   (match first with
   | Service.Crashed msg ->
-    t.crashes <- t.crashes + 1;
+    M.incr t.metrics N.tenancy_crashes;
     teardown_tenant tn (Crashed msg)
   | _ -> ());
   (id, first)
@@ -227,7 +212,7 @@ let boot ?(files = []) ?stdin t image =
     Admitted (id, first)
   end
   else if List.length t.pending >= t.queue_limit then begin
-    t.rejects <- t.rejects + 1;
+    M.incr t.metrics N.tenancy_rejects;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:(live_tenant_count t) Obs.Names.tenancy_reject;
     Rejected
@@ -240,7 +225,7 @@ let boot ?(files = []) ?stdin t image =
             p_stdin = stdin;
             retry_at = t.tick + 1;
             backoff = 1 } ];
-    t.queued_boots <- t.queued_boots + 1;
+    M.incr t.metrics N.tenancy_queued_boots;
     let pos = List.length t.pending in
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:pos Obs.Names.tenancy_queue;
@@ -295,35 +280,27 @@ let post t id r ~choice ?stdin () =
 let next_tenant t = Queue.peek_opt t.run_queue
 
 (* Post-step police work, in degradation order: classify a crash; then the
-   cumulative fuel budget (cheap: the vCPU's retired counter is monotone —
-   snapshots do not save it); then the frame budget — demote everything
-   the tenant holds (each demotion frees its frames on the spot, so the
-   account is exact right after) and evict only if the tenant is still
-   over. *)
+   frame budget — demote everything the tenant holds (each demotion frees
+   its frames on the spot, so the account is exact right after) and evict
+   only if the tenant is still over. *)
 let police t tn outcome =
   (match (outcome : Service.outcome) with
   | Crashed msg ->
     (match Service.last_crash_reason tn.svc with
     | Some Libos.Fuel_exhausted when t.deadline > 0 ->
-      t.deadline_kills <- t.deadline_kills + 1;
+      M.incr t.metrics N.tenancy_deadline_kills;
       if Obs.Trace.enabled () then
         Obs.Trace.instant ~a:tn.id Obs.Names.tenancy_deadline_kill
     | _ -> ());
-    t.crashes <- t.crashes + 1;
+    M.incr t.metrics N.tenancy_crashes;
     teardown_tenant tn (Crashed msg)
   | Ready _ | Finished _ | Failed _ -> ());
-  if tn.st = Running && t.fuel_budget > 0
-     && (Service.machine tn.svc).Libos.cpu.Vcpu.Cpu.retired > t.fuel_budget
-  then begin
-    t.fuel_evictions <- t.fuel_evictions + 1;
-    teardown_tenant tn (Evicted "fuel budget")
-  end;
   if tn.st = Running && t.frame_budget > 0
      && Phys.account_frames_live t.phys tn.account > t.frame_budget
   then begin
     ignore (Service.demote_all tn.svc);
     if Phys.account_frames_live t.phys tn.account > t.frame_budget then begin
-      t.budget_evictions <- t.budget_evictions + 1;
+      M.incr t.metrics N.tenancy_budget_evictions;
       teardown_tenant tn (Evicted "frame budget")
     end
   end
@@ -375,14 +352,8 @@ let resumes_of t id =
   | Some tn -> tn.resumes
 
 let pending_boots t = List.length t.pending
-let admits t = t.admits
-let rejects t = t.rejects
-let queued_boots t = t.queued_boots
-let deadline_kills t = t.deadline_kills
-let budget_evictions t = t.budget_evictions
-let fuel_evictions t = t.fuel_evictions
-let crashes t = t.crashes
-let pressure_level2 t = t.pressure_level2
+let metrics t = t.metrics
+let pressure_level2 t = M.get t.metrics N.tenancy_pressure_level2
 
 let dedup_ratio t =
   let entries = Phys.dedup_entries t.phys in

@@ -9,8 +9,8 @@
     generation discipline that makes snapshots sound makes the sharing
     invisible).
 
-    Robustness contract: a misbehaving tenant — guest crash, deadline or
-    fuel-budget overrun, frame-budget blowout, injected allocation fault —
+    Robustness contract: a misbehaving tenant — guest crash, deadline
+    overrun, frame-budget blowout, injected allocation fault —
     is contained to its own session.  Pressure demotes the offender's
     candidates first (through the tiered {!Reclaim} store), then the rest
     of the pool least-recently-scheduled first; admission control queues or
@@ -27,7 +27,7 @@ type id = int
 type state =
   | Running
   | Crashed of string   (** guest killed or allocation failed mid-step *)
-  | Evicted of string   (** pool policy: fuel or frame budget exceeded *)
+  | Evicted of string   (** pool policy: frame budget exceeded *)
   | Retired             (** explicit {!kill} *)
 
 type admission =
@@ -40,7 +40,6 @@ val create :
   ?capacity:int ->
   ?fuel_per_step:int ->
   ?frame_budget:int ->
-  ?fuel_budget:int ->
   ?deadline:int ->
   ?max_tenants:int ->
   ?queue_limit:int ->
@@ -50,8 +49,7 @@ val create :
     per-tenant counts are exact either way).  [frame_budget]
     bounds any one tenant's live frames (0 = none): an over-budget tenant
     is demoted to page deltas and evicted only if still over.
-    [fuel_budget] bounds a tenant's cumulative retired instructions
-    (0 = none).  [deadline] bounds a single resume (0 = none) through the
+    [deadline] bounds a single resume (0 = none) through the
     same fuel mechanism as the guest-visible [sys_timeout]; a trip is a
     deadline kill.  [max_tenants] caps concurrent running sessions
     (0 = none).  [queue_limit] bounds the admission queue (beyond it boots
@@ -117,14 +115,11 @@ val dedup_ratio : t -> float
 
 (** {1 Counters} *)
 
-val admits : t -> int
-val rejects : t -> int
-val queued_boots : t -> int
-val deadline_kills : t -> int
-val budget_evictions : t -> int
-val fuel_evictions : t -> int
-val crashes : t -> int
+val metrics : t -> Obs.Metrics.t
+(** The pool's registry: admissions, rejections, queued boots, deadline
+    kills, budget evictions and crashes ([tenancy.*]). *)
 
 val pressure_level2 : t -> int
-(** Pressure events where shedding the offender alone did not clear the
-    watermark and the pool fell back to LRU shedding across tenants. *)
+(** [tenancy.pressure_level2]: pressure events where shedding the offender
+    alone did not clear the watermark and the pool fell back to LRU
+    shedding across tenants. *)

@@ -31,7 +31,7 @@ type trace_op =
 
 type t = {
   phys : Phys_mem.t;
-  metrics : Mem_metrics.t;
+  metrics : Obs.Metrics.t;  (* the memory's registry *)
   mutable map : Phys_mem.frame Ptmap.t;
   mutable gen : int;
   tlb_vpn : int array;                     (* -1 = invalid *)
@@ -72,7 +72,7 @@ type snapshot = { snap_id : int; snap_map : Phys_mem.frame Ptmap.t }
 let create phys =
   let zero = Phys_mem.zero_frame phys in
   { phys;
-    metrics = Phys_mem.metrics phys;
+    metrics = Phys_mem.registry phys;
     map = Ptmap.empty;
     gen = Phys_mem.fresh_generation phys;
     tlb_vpn = Array.make tlb_size (-1);
@@ -92,7 +92,6 @@ let record t op =
   match t.trace with None -> () | Some sink -> sink op
 
 let phys t = t.phys
-let metrics t = t.metrics
 let set_account t account = t.account <- account
 let account t = t.account
 let generation t = t.gen
@@ -100,7 +99,7 @@ let epoch t = t.epoch
 
 let tlb_flush t =
   Array.fill t.tlb_vpn 0 tlb_size (-1);
-  t.metrics.tlb_flushes <- t.metrics.tlb_flushes + 1
+  Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_flushes
 
 let tlb_invalidate t vpn =
   let i = vpn land tlb_mask in
@@ -144,7 +143,7 @@ let share_catch_up t epoch =
     Phys_mem.share_changes_since t.phys ~seen:t.seen_share_epoch
       ~f:(fun vpn -> tlb_invalidate t vpn; incr n)
   in
-  if targeted then t.metrics.tlb_shootdowns <- t.metrics.tlb_shootdowns + !n
+  if targeted then Obs.Metrics.add t.metrics Obs.Names.mem_tlb_shootdowns !n
   else tlb_flush t;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:epoch ~b:(if targeted then !n else -1)
@@ -157,12 +156,12 @@ let lookup t vpn access addr =
   if t.seen_share_epoch <> epoch then share_catch_up t epoch;
   let i = vpn land tlb_mask in
   if t.tlb_vpn.(i) = vpn then begin
-    t.metrics.tlb_hits <- t.metrics.tlb_hits + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_hits;
     t.tlb_frame.(i)
   end
   else begin
-    t.metrics.tlb_misses <- t.metrics.tlb_misses + 1;
-    t.metrics.pt_walks <- t.metrics.pt_walks + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_misses;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_pt_walks;
     let resolved =
       match shared_frame t vpn with
       | Some _ as hit -> hit
@@ -183,12 +182,12 @@ let cow t vpn (f : Phys_mem.frame) =
   let zero = Phys_mem.zero_frame t.phys in
   let f' =
     if f == zero then begin
-      t.metrics.zero_fills <- t.metrics.zero_fills + 1;
+      Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills;
       if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.zero_fill;
       Phys_mem.alloc ~account:t.account t.phys ~owner:t.gen
     end
     else begin
-      t.metrics.cow_faults <- t.metrics.cow_faults + 1;
+      Obs.Metrics.incr t.metrics Obs.Names.mem_cow_faults;
       if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.cow_fault;
       Phys_mem.alloc_copy t.phys ~account:t.account ~owner:t.gen f
     end
@@ -402,7 +401,7 @@ let seal t =
 let empty_snapshot = { snap_id = -1; snap_map = Ptmap.empty }
 
 let snapshot t =
-  t.metrics.snapshots <- t.metrics.snapshots + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_snapshots;
   let s = { snap_id = t.next_snap_id; snap_map = t.map } in
   t.next_snap_id <- t.next_snap_id + 1;
   (* From now on every frame in [s] belongs to a retired generation, so the
@@ -414,7 +413,7 @@ let snapshot t =
   s
 
 let restore t s =
-  t.metrics.restores <- t.metrics.restores + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_restores;
   tlb_switch t s.snap_map;
   (* a segment that wrote nothing left the map it was restored to *)
   if t.map != s.snap_map then t.map <- s.snap_map;
@@ -560,7 +559,7 @@ let restore_pages t ~base ~pages ~dead =
   (match base with
   | Some b -> restore t b
   | None ->
-    t.metrics.restores <- t.metrics.restores + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_restores;
     tlb_flush t;
     t.map <- Ptmap.empty;
     t.gen <- Phys_mem.fresh_generation t.phys;

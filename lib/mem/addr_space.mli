@@ -28,7 +28,6 @@ type snapshot
 
 val create : Phys_mem.t -> t
 val phys : t -> Phys_mem.t
-val metrics : t -> Mem_metrics.t
 
 (** {1 Mapping} *)
 

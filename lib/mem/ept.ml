@@ -19,7 +19,7 @@ and node = { mutable owner : int; slots : entry array }
 
 type t = {
   phys : Phys_mem.t;
-  metrics : Mem_metrics.t;
+  metrics : Obs.Metrics.t;  (* the memory's registry *)
   mutable root : node;
   mutable gen : int;
   mutable pages : int;
@@ -43,7 +43,7 @@ let create phys =
   let gen = Phys_mem.fresh_generation phys in
   let t =
     { phys;
-      metrics = Phys_mem.metrics phys;
+      metrics = Phys_mem.registry phys;
       root = { owner = gen; slots = Array.make fanout Empty };
       gen;
       pages = 0;
@@ -52,11 +52,10 @@ let create phys =
   in
   t
 
-let metrics t = t.metrics
 
 let tlb_flush t =
   Array.fill t.tlb_vpn 0 tlb_size (-1);
-  t.metrics.tlb_flushes <- t.metrics.tlb_flushes + 1
+  Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_flushes
 
 let tlb_invalidate t vpn =
   let i = vpn land tlb_mask in
@@ -78,7 +77,7 @@ let walk t vpn =
 (* Mutable walk: path-copies every node not owned by the current generation
    and materialises missing interior nodes. *)
 let copy_node t node =
-  t.metrics.pt_node_copies <- t.metrics.pt_node_copies + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_pt_node_copies;
   { owner = t.gen; slots = Array.copy node.slots }
 
 let writable_root t =
@@ -139,12 +138,12 @@ let mapped_pages t = t.pages
 let lookup t vpn access addr =
   let i = vpn land tlb_mask in
   if t.tlb_vpn.(i) = vpn then begin
-    t.metrics.tlb_hits <- t.metrics.tlb_hits + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_hits;
     t.tlb_frame.(i)
   end
   else begin
-    t.metrics.tlb_misses <- t.metrics.tlb_misses + 1;
-    t.metrics.pt_walks <- t.metrics.pt_walks + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_misses;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_pt_walks;
     match walk t vpn with
     | f ->
       t.tlb_vpn.(i) <- vpn;
@@ -160,11 +159,11 @@ let writable_frame t vpn addr =
     let zero = Phys_mem.zero_frame t.phys in
     let f' =
       if f == zero then begin
-        t.metrics.zero_fills <- t.metrics.zero_fills + 1;
+        Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills;
         Phys_mem.alloc t.phys ~owner:t.gen
       end
       else begin
-        t.metrics.cow_faults <- t.metrics.cow_faults + 1;
+        Obs.Metrics.incr t.metrics Obs.Names.mem_cow_faults;
         Phys_mem.alloc_copy t.phys ~owner:t.gen f
       end
     in
@@ -273,13 +272,13 @@ let tlb_switch t root =
     | exception Tlb_cap -> tlb_flush t
 
 let snapshot t =
-  t.metrics.snapshots <- t.metrics.snapshots + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_snapshots;
   let s = { snap_root = t.root; snap_pages = t.pages } in
   t.gen <- Phys_mem.fresh_generation t.phys;
   s
 
 let restore t s =
-  t.metrics.restores <- t.metrics.restores + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_restores;
   tlb_switch t s.snap_root;
   t.root <- s.snap_root;
   t.pages <- s.snap_pages;

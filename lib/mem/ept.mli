@@ -12,7 +12,6 @@ type t
 type snapshot
 
 val create : Phys_mem.t -> t
-val metrics : t -> Mem_metrics.t
 
 val map_zero : t -> vpn:int -> unit
 val map_data : t -> vpn:int -> string -> unit

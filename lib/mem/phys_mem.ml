@@ -29,7 +29,7 @@ type t = {
   mutable next_frame : int;
   mutable next_gen : int;
   zero : frame;
-  metrics : Mem_metrics.t;
+  metrics : Obs.Metrics.t;  (* every event of this memory, see [Obs.Names] *)
   shared_pages : (int, frame) Hashtbl.t;
       (* explicitly-shared frames by vpn: system-global so that every
          address space over this physical memory sees the same page *)
@@ -50,7 +50,6 @@ type t = {
          every physical memory is private to one domain. *)
   mutable peak_live : int;
   mutable on_pressure : (unit -> unit) option;
-  mutable pressure_events : int;
   mutable watermark_armed : bool;
   mutable alloc_fault : (int -> bool) option;
   poison : bool;
@@ -78,8 +77,6 @@ type t = {
          is what makes cross-tenant sharing sound. *)
   dedup_rev : (int, string) Hashtbl.t;  (* frame id -> digest, for unref *)
   mutable dedup_refs : int;             (* sum of d_refs over all entries *)
-  mutable dedup_hits : int;             (* dedup_frame calls served by an
-                                           existing entry *)
 }
 
 (* Generation 0 is reserved: it owns the zero frame and nothing else, so no
@@ -98,19 +95,20 @@ let create ?(capacity = 0) ?(poison = false) () =
     { id = 0; bytes = Bytes.make Page.size '\000'; owner = zero_generation;
       freed = false; account = 0 }
   in
-  { next_frame = 1; next_gen = 1; zero; metrics = Mem_metrics.create ();
+  { next_frame = 1; next_gen = 1; zero; metrics = Obs.Metrics.create ();
     shared_pages = Hashtbl.create 8; share_epoch = 0;
     share_log = Array.make share_log_size (-1);
     capacity; live = 0; peak_live = 0;
-    on_pressure = None; pressure_events = 0; watermark_armed = true;
+    on_pressure = None; watermark_armed = true;
     alloc_fault = None;
     poison; free_bufs = []; free_len = 0;
     delta_bytes = 0; peak_delta_bytes = 0;
     next_account = 1; account_live_tbl = Hashtbl.create 8;
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
-    dedup_refs = 0; dedup_hits = 0 }
+    dedup_refs = 0 }
 
-let metrics t = t.metrics
+let registry t = t.metrics
+let metrics t = Mem_metrics.of_metrics t.metrics
 
 let zero_frame t = t.zero
 
@@ -119,7 +117,7 @@ let poisoning t = t.poison
 let free_buffers t = t.free_len
 let frames_live t = t.live
 let peak_frames_live t = t.peak_live
-let pressure_events t = t.pressure_events
+let pressure_events t = Obs.Metrics.get t.metrics Obs.Names.mem_pressure_events
 let set_pressure_handler t f = t.on_pressure <- f
 let set_alloc_fault t f = t.alloc_fault <- f
 
@@ -138,7 +136,7 @@ let below_watermark t = t.capacity > 0 && t.live < high_watermark t
    returns their frames through {!free_frame}, which moves [live] on the
    spot; the caller re-checks the count. *)
 let pressure t =
-  t.pressure_events <- t.pressure_events + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_pressure_events;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:t.live ~b:t.capacity Obs.Names.pressure;
   match t.on_pressure with Some f -> f () | None -> ()
@@ -232,7 +230,7 @@ let take_buf t =
   | b :: rest ->
     t.free_bufs <- rest;
     t.free_len <- t.free_len - 1;
-    t.metrics.frames_recycled <- t.metrics.frames_recycled + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_frames_recycled;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:t.free_len Obs.Names.frame_recycle;
     Some b
@@ -240,7 +238,7 @@ let take_buf t =
 let mint t ~owner ~account bytes =
   let f = { id = t.next_frame; bytes; owner; freed = false; account } in
   t.next_frame <- t.next_frame + 1;
-  t.metrics.frames_allocated <- t.metrics.frames_allocated + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_frames_allocated;
   account_live t f;
   f
 
@@ -258,7 +256,7 @@ let alloc ?(account = 0) t ~owner =
    [Bytes.make] would pay. *)
 let alloc_overwritten t ~owner ~account =
   ensure_frame_available t;
-  t.metrics.zero_fills_elided <- t.metrics.zero_fills_elided + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills_elided;
   let bytes =
     match take_buf t with Some b -> b | None -> Bytes.create Page.size
   in
@@ -267,8 +265,8 @@ let alloc_overwritten t ~owner ~account =
 let alloc_copy t ?(account = 0) ~owner src =
   let f = alloc_overwritten t ~owner ~account in
   Bytes.blit src.bytes 0 f.bytes 0 Page.size;
-  t.metrics.pages_copied <- t.metrics.pages_copied + 1;
-  t.metrics.bytes_copied <- t.metrics.bytes_copied + Page.size;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_pages_copied;
+  Obs.Metrics.add t.metrics Obs.Names.mem_bytes_copied Page.size;
   f
 
 let alloc_data t ?(account = 0) ~owner data =
@@ -285,7 +283,7 @@ let free_frame t (f : frame) =
   if f.freed then
     invalid_arg (Printf.sprintf "Phys_mem.free_frame: double free of frame %d" f.id);
   f.freed <- true;
-  t.metrics.frames_freed <- t.metrics.frames_freed + 1;
+  Obs.Metrics.incr t.metrics Obs.Names.mem_frames_freed;
   t.live <- t.live - 1;
   credit_account t f.account;
   if t.free_len < max_free_bufs then begin
@@ -314,8 +312,6 @@ let audit t ~reachable =
       (Printf.sprintf "%d frames reachable from live state, %d live"
          (Hashtbl.length seen) t.live)
 
-(* [mint] is the only stamp of ids, and the zero frame holds id 0 *)
-let frames_allocated t = t.next_frame - 1
 let next_frame_ordinal t = t.next_frame
 
 (* {1 Content-addressed frame dedup}
@@ -343,7 +339,7 @@ let dedup_frame t data =
   | Some e ->
     e.d_refs <- e.d_refs + 1;
     t.dedup_refs <- t.dedup_refs + 1;
-    t.dedup_hits <- t.dedup_hits + 1;
+    Obs.Metrics.incr t.metrics Obs.Names.mem_dedup_hits;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:e.d_frame.id ~b:e.d_refs Obs.Names.dedup_hit;
     e.d_frame
@@ -371,7 +367,6 @@ let dedup_unref t (f : frame) =
 
 let dedup_entries t = Hashtbl.length t.dedup
 let dedup_refs t = t.dedup_refs
-let dedup_hits t = t.dedup_hits
 
 let shared_page t ~vpn = Hashtbl.find_opt t.shared_pages vpn
 

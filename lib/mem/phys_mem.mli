@@ -41,7 +41,12 @@ val create : ?capacity:int -> ?poison:bool -> unit -> t
     freed while still reachable diverges loudly instead of silently; it
     also switches on [Core.Explorer]'s frame audit. *)
 
+val registry : t -> Obs.Metrics.t
+(** The memory's counters: every [mem.*] slot of {!Obs.Names}, counted
+    here, by {!Addr_space} and by {!Ept}. *)
+
 val metrics : t -> Mem_metrics.t
+(** A view of {!registry}, built on each call. *)
 
 (** {1 Frame budget and memory pressure} *)
 
@@ -57,7 +62,7 @@ val peak_frames_live : t -> int
 
 val pressure_events : t -> int
 (** Times the pressure protocol ran (watermark crossings plus hard
-    capacity hits). *)
+    capacity hits): the [mem.pressure_events] slot. *)
 
 val below_watermark : t -> bool
 (** [true] when {!frames_live} sits below the pressure watermark (⅞ of
@@ -131,10 +136,6 @@ val audit :
 val poisoning : t -> bool
 val free_buffers : t -> int
 (** Buffers currently pooled in the free list. *)
-
-val frames_allocated : t -> int
-(** Frames ever allocated: {!alloc} and its variants are the only stamps
-    of frame ids. *)
 
 val shared_page : t -> vpn:int -> frame option
 (** Explicitly-shared frames are registered system-globally so that every
@@ -212,10 +213,6 @@ val dedup_entries : t -> int
 val dedup_refs : t -> int
 (** Outstanding references over all entries; 0 once every address space
     that booted through the table has been torn down. *)
-
-val dedup_hits : t -> int
-(** {!dedup_frame} calls served by an existing entry — each one is a frame
-    some earlier tenant already paid for. *)
 
 val next_frame_ordinal : t -> int
 (** The ordinal the next allocated frame will carry — the value an

@@ -1,142 +1,56 @@
-(* Metrics registry: named counters, gauges and log2-bucket histograms.
+(* Metrics registry: an int per slot of one program-wide table.
 
-   Values are plain ints; merge is commutative and associative for all
-   three kinds (counter: +, gauge: max, histogram: bucket-wise +), so
-   per-domain registries can be combined in any order — the qcheck
-   property in test/test_obs.ml pins this down. *)
+   [Names] fills the table while the program starts, before any registry
+   exists; [create] freezes it.  So every registry is as long as the table,
+   a slot always indexes inside it, and counting needs no bounds check. *)
 
-let bucket_count = 64
+type kind = Counter | Peak
+type slot = int
+type t = int array
 
-type histogram = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  h_buckets : int array; (* bucket 0: v <= 0; bucket i: 2^(i-1) <= v < 2^i *)
-}
+let names = ref [||]
+let kinds = ref [||]
+let frozen = ref false
 
-type value = Counter of int | Gauge of int | Histogram of histogram
-type t = { tbl : (string, value) Hashtbl.t }
+let declare kind name =
+  let fail why = invalid_arg (Printf.sprintf "Obs.Metrics.declare: %s %s" name why) in
+  if !frozen then fail "after the first registry";
+  if Array.mem name !names then fail "twice";
+  names := Array.append !names [| name |];
+  kinds := Array.append !kinds [| kind |];
+  Array.length !names - 1
 
-let create () = { tbl = Hashtbl.create 64 }
+let create () =
+  frozen := true;
+  Array.make (Array.length !names) 0
 
-let bucket_of v =
-  if v <= 0 then 0
-  else
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    min (bucket_count - 1) (bits v 0)
+let[@inline] incr (t : t) s = Array.unsafe_set t s (Array.unsafe_get t s + 1)
+let[@inline] add (t : t) s n = Array.unsafe_set t s (Array.unsafe_get t s + n)
+let[@inline] peak (t : t) s v = if v > Array.unsafe_get t s then Array.unsafe_set t s v
+let[@inline] get (t : t) s = Array.unsafe_get t s
 
-let bucket_lo i =
-  if i <= 0 then 0
-  else if i - 1 >= Sys.int_size - 1 then max_int (* 1 lsl would overflow *)
-  else 1 lsl (i - 1)
+let merge ~(into : t) (src : t) =
+  Array.iteri
+    (fun s -> function
+      | Counter -> into.(s) <- into.(s) + src.(s)
+      | Peak -> if src.(s) > into.(s) then into.(s) <- src.(s))
+    !kinds
 
-let kind_error name =
-  invalid_arg (Printf.sprintf "Obs.Metrics: %s used with two kinds" name)
+let copy = Array.copy
 
-let incr t ?(by = 1) name =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> Hashtbl.replace t.tbl name (Counter by)
-  | Some (Counter c) -> Hashtbl.replace t.tbl name (Counter (c + by))
-  | Some _ -> kind_error name
+let sub (a : t) (b : t) =
+  Array.mapi (fun s -> function Counter -> a.(s) - b.(s) | Peak -> a.(s)) !kinds
 
-let gauge_set t name v =
-  match Hashtbl.find_opt t.tbl name with
-  | None | Some (Gauge _) -> Hashtbl.replace t.tbl name (Gauge v)
-  | Some _ -> kind_error name
-
-let gauge_max t name v =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> Hashtbl.replace t.tbl name (Gauge v)
-  | Some (Gauge g) -> Hashtbl.replace t.tbl name (Gauge (max g v))
-  | Some _ -> kind_error name
-
-let observe t name v =
-  let h =
-    match Hashtbl.find_opt t.tbl name with
-    | Some (Histogram h) -> h
-    | None ->
-        let h = { h_count = 0; h_sum = 0; h_buckets = Array.make bucket_count 0 } in
-        Hashtbl.replace t.tbl name (Histogram h);
-        h
-    | Some _ -> kind_error name
+let find name =
+  let rec go s =
+    if s = Array.length !names then None
+    else if String.equal !names.(s) name then Some s
+    else go (s + 1)
   in
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum + v;
-  let i = bucket_of v in
-  h.h_buckets.(i) <- h.h_buckets.(i) + 1
+  go 0
 
-let merge ~into src =
-  Hashtbl.iter
-    (fun name v ->
-      match (Hashtbl.find_opt into.tbl name, v) with
-      | None, Counter c -> Hashtbl.replace into.tbl name (Counter c)
-      | None, Gauge g -> Hashtbl.replace into.tbl name (Gauge g)
-      | None, Histogram h ->
-          Hashtbl.replace into.tbl name
-            (Histogram
-               {
-                 h_count = h.h_count;
-                 h_sum = h.h_sum;
-                 h_buckets = Array.copy h.h_buckets;
-               })
-      | Some (Counter a), Counter b -> Hashtbl.replace into.tbl name (Counter (a + b))
-      | Some (Gauge a), Gauge b -> Hashtbl.replace into.tbl name (Gauge (max a b))
-      | Some (Histogram a), Histogram b ->
-          a.h_count <- a.h_count + b.h_count;
-          a.h_sum <- a.h_sum + b.h_sum;
-          Array.iteri (fun i n -> a.h_buckets.(i) <- a.h_buckets.(i) + n) b.h_buckets
-      | Some _, _ -> kind_error name)
-    src.tbl
+let to_list (t : t) =
+  List.sort compare (Array.to_list (Array.mapi (fun s name -> (name, t.(s))) !names))
 
-let find t name = Hashtbl.find_opt t.tbl name
-
-let get_counter t name =
-  match find t name with Some (Counter c) -> c | _ -> 0
-
-let get_gauge t name = match find t name with Some (Gauge g) -> g | _ -> 0
-
-let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let equal a b =
-  let norm t =
-    List.map
-      (fun (k, v) ->
-        match v with
-        | Counter c -> (k, `C c)
-        | Gauge g -> (k, `G g)
-        | Histogram h -> (k, `H (h.h_count, h.h_sum, Array.to_list h.h_buckets)))
-      (to_list t)
-  in
-  norm a = norm b
-
-let to_json t =
-  let value_json = function
-    | Counter c -> Json.Int c
-    | Gauge g -> Json.Obj [ ("gauge", Json.Int g) ]
-    | Histogram h ->
-        let buckets =
-          Array.to_list h.h_buckets
-          |> List.mapi (fun i n -> (i, n))
-          |> List.filter (fun (_, n) -> n > 0)
-          |> List.map (fun (i, n) ->
-                 Json.Obj [ ("ge", Json.Int (bucket_lo i)); ("n", Json.Int n) ])
-        in
-        Json.Obj
-          [
-            ("count", Json.Int h.h_count);
-            ("sum", Json.Int h.h_sum);
-            ("buckets", Json.Arr buckets);
-          ]
-  in
-  Json.Obj (List.map (fun (k, v) -> (k, value_json v)) (to_list t))
-
-let pp ppf t =
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | Counter c -> Format.fprintf ppf "%-32s %d@." k c
-      | Gauge g -> Format.fprintf ppf "%-32s %d (gauge)@." k g
-      | Histogram h ->
-          Format.fprintf ppf "%-32s count=%d sum=%d@." k h.h_count h.h_sum)
-    (to_list t)
+let to_json t = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (to_list t))
+let pp ppf t = List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@." k v) (to_list t)

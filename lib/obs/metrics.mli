@@ -1,48 +1,46 @@
-(** Metrics registry: named counters, gauges and histograms.
+(** Metrics registry: one [int] per slot of a program-wide slot table.
 
-    All values are ints.  {!merge} is commutative and associative for
-    every kind — counters add, gauges combine by max, histograms add
-    bucket-wise — so per-domain registries combine in any order.
-    Binding a name to two different kinds raises [Invalid_argument]. *)
+    Every slot is declared once, in {!Names}, when the program starts: a
+    name ([layer.event]) and a kind.  A counter adds on {!merge}; a peak
+    takes the max.  A registry is a plain array over the table, so
+    counting is one array store, and {!merge}, {!copy} and {!sub} are
+    loops over it.  {!merge} is commutative and associative, so per-domain
+    registries combine in any order. *)
 
-type histogram = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  h_buckets : int array;
-      (** log2 buckets: index 0 holds v <= 0, index i holds
-          2^(i-1) <= v < 2^i, capped at {!bucket_count} - 1 *)
-}
-
-type value = Counter of int | Gauge of int | Histogram of histogram
+type kind = Counter | Peak
+type slot = private int
 type t
 
-val bucket_count : int
-
-val bucket_of : int -> int
-(** Histogram bucket index for a value. *)
-
-val bucket_lo : int -> int
-(** Inclusive lower bound of a bucket. *)
+val declare : kind -> string -> slot
+(** A new slot.  Raises [Invalid_argument] on a name declared twice, or
+    once a registry exists: every registry spans the whole table. *)
 
 val create : unit -> t
-val incr : t -> ?by:int -> string -> unit
-val gauge_set : t -> string -> int -> unit
-val gauge_max : t -> string -> int -> unit
-val observe : t -> string -> int -> unit
+(** A registry with every slot at 0. *)
+
+val incr : t -> slot -> unit
+val add : t -> slot -> int -> unit
+
+val peak : t -> slot -> int -> unit
+(** Raise the slot to the value if it is higher. *)
+
+val get : t -> slot -> int
 
 val merge : into:t -> t -> unit
-(** Fold [src] into [into]; commutative and associative. *)
+(** Fold a registry into [into]: counters add, peaks take the max. *)
 
-val find : t -> string -> value option
-val get_counter : t -> string -> int
-(** 0 when absent. *)
+val copy : t -> t
 
-val get_gauge : t -> string -> int
-(** 0 when absent. *)
+val sub : t -> t -> t
+(** [sub after before]: counters subtract; a peak keeps [after]'s value.
+    [merge ~into:r (sub before after)] takes [after - before]'s counts
+    back out of [r]. *)
 
-val to_list : t -> (string * value) list
-(** Name-sorted. *)
+val find : string -> slot option
+(** The slot declared under a name. *)
 
-val equal : t -> t -> bool
+val to_list : t -> (string * int) list
+(** Every slot, zeros included, sorted by name. *)
+
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

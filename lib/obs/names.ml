@@ -66,3 +66,66 @@ let reclaim_promote = "reclaim.promote" (* span; a = handle, b = pages applied *
 let record_append = "record.append" (* instant; a = events logged *)
 let replay_seek = "replay.seek" (* instant; a = target stop index *)
 let replay_anchor_restore = "replay.anchor_restore" (* instant; a = anchor stop index *)
+
+(* {1 Metric slots}
+
+   Every counter of the program, declared once: the slot of [layer.event]
+   is [layer_event].  Slots are named as the repo benchmark names the same
+   event. *)
+
+let counter = Metrics.declare Metrics.Counter
+let peak = Metrics.declare Metrics.Peak
+
+(* memory: counted into the [Mem.Phys_mem]'s registry *)
+let mem_cow_faults = counter "mem.cow_faults" (* writes that had to copy a page *)
+let mem_zero_fills = counter "mem.zero_fills" (* demand-zero pages materialised *)
+let mem_pages_copied = counter "mem.pages_copied" (* page copies, COW or eager *)
+let mem_bytes_copied = counter "mem.bytes_copied"
+let mem_frames_allocated = counter "mem.frames_allocated"
+let mem_frames_freed = counter "mem.frames_freed"
+let mem_frames_recycled = counter "mem.frames_recycled" (* served by a freed buffer *)
+let mem_zero_fills_elided = counter "mem.zero_fills_elided" (* overwritten whole *)
+let mem_snapshots = counter "mem.snapshots" (* address-space captures *)
+let mem_restores = counter "mem.restores"
+let mem_tlb_hits = counter "mem.tlb_hits" (* translations, not accesses *)
+let mem_tlb_misses = counter "mem.tlb_misses"
+let mem_tlb_flushes = counter "mem.tlb_flushes" (* whole-TLB wipes *)
+let mem_tlb_shootdowns = counter "mem.tlb_shootdowns" (* single-entry invalidations *)
+let mem_pt_walks = counter "mem.pt_walks" (* page-table / trie lookups on a TLB miss *)
+let mem_pt_node_copies = counter "mem.pt_node_copies" (* EPT page-table pages COW'd *)
+let mem_pressure_events = counter "mem.pressure_events" (* pressure protocol runs *)
+let mem_dedup_hits = counter "mem.dedup_hits" (* dedup lookups served by an entry *)
+let mem_frames_live = peak "mem.frames_live" (* a domain's, after its run *)
+let mem_free_buffers = peak "mem.free_buffers" (* a domain's, after its run *)
+
+(* a run's, a session's or a pool's own registry *)
+let vcpu_instructions = counter "vcpu.instructions" (* retired, replays excluded *)
+let snapshot_captures = counter "snapshot.captures"
+let snapshot_restores = counter "snapshot.restores"
+let snapshot_max_live = peak "snapshot.max_live" (* frontier plus lineages *)
+let search_guesses = counter "search.guesses" (* [sys_guess] calls served *)
+let search_extensions_pushed = counter "search.extensions_pushed"
+let search_extensions = counter "search.extensions" (* extensions evaluated *)
+let search_evicted = counter "search.evicted" (* dropped by bounded strategies *)
+let search_fails = counter "search.fails"
+let search_exits = counter "search.exits"
+let search_kills = counter "search.kills"
+let search_max_frontier = peak "search.max_frontier"
+let sched_requeues = counter "sched.requeues" (* crashed paths rescheduled *)
+let sched_quarantined = counter "sched.quarantined" (* killed after the retry budget *)
+let queue_steals = counter "queue.steals" (* extensions a domain imported *)
+let queue_steal_batches = counter "queue.steal_batches"
+let queue_stolen_items = counter "queue.stolen_items"
+let reclaim_demotions = counter "reclaim.demotions" (* live payloads made deltas *)
+let reclaim_promotions = counter "reclaim.promotions" (* deltas applied back *)
+let reclaim_replays = counter "reclaim.replays" (* edges re-executed *)
+let reclaim_evictions = counter "reclaim.evictions" (* payloads truncated *)
+let reclaim_replay_fallbacks = counter "reclaim.replay_fallbacks" (* gets that replayed *)
+let reclaim_replayed_instructions = counter "reclaim.replayed_instructions"
+let tenancy_admits = counter "tenancy.admits"
+let tenancy_rejects = counter "tenancy.rejects"
+let tenancy_queued_boots = counter "tenancy.queued_boots"
+let tenancy_deadline_kills = counter "tenancy.deadline_kills"
+let tenancy_budget_evictions = counter "tenancy.budget_evictions"
+let tenancy_crashes = counter "tenancy.crashes"
+let tenancy_pressure_level2 = counter "tenancy.pressure_level2" (* beyond the offender *)

@@ -52,7 +52,7 @@ type result = {
   concretizations : int;
   eager_pages_copied : int;
   instructions : int;
-  mem : Mem.Mem_metrics.t;
+  mem : Obs.Metrics.t;
 }
 
 (* Symbolic memory overlay entry: a value of the given width lives at this
@@ -91,7 +91,6 @@ let make_frontier : strategy -> pending Frontier.t = function
 
 let run ?(config = default_config) (image : Isa.Asm.image) =
   let phys = Mem.Phys_mem.create () in
-  let mem_metrics_base = Mem.Mem_metrics.copy (Mem.Phys_mem.metrics phys) in
   (* Boot state: map the image and a stack, like the libOS but without OS
      state (the executor interposes on syscalls itself). *)
   let boot_aspace () =
@@ -615,7 +614,6 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   regs.(Reg.to_int Reg.rsp) <- Expr.const stack_top;
   rip := image.entry;
   drive ();
-  let mem = Mem.Mem_metrics.diff (Mem.Phys_mem.metrics phys) mem_metrics_base in
   { paths = List.rev !reports;
     explored = !explored;
     infeasible = !infeasible;
@@ -625,4 +623,4 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
     concretizations = !concretizations;
     eager_pages_copied = !eager_pages;
     instructions = !instructions;
-    mem }
+    mem = Mem.Phys_mem.registry phys }

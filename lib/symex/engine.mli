@@ -61,7 +61,7 @@ type result = {
                                   (addresses, stack pointers) *)
   eager_pages_copied : int;   (** pages duplicated by [Eager_copy] forks *)
   instructions : int;
-  mem : Mem.Mem_metrics.t;    (** memory events during the run *)
+  mem : Obs.Metrics.t;        (** the run's memory's registry: its events *)
 }
 
 val run : ?config:config -> Isa.Asm.image -> result

@@ -2,6 +2,8 @@
 
 module As = Mem.Addr_space
 module Phys = Mem.Phys_mem
+module M = Obs.Metrics
+module N = Obs.Names
 
 let check = Alcotest.check
 
@@ -80,10 +82,10 @@ let clone_is_deep () =
 
 let clone_costs_linear () =
   let phys, t = setup 32 in
-  let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
+  let m0 = M.copy (Phys.registry phys) in
   let _ = Ckpt.clone phys t in
-  let diff = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
-  check Alcotest.int "one frame per mapped page" 32 diff.Mem.Mem_metrics.frames_allocated
+  let diff = M.sub (Phys.registry phys) m0 in
+  check Alcotest.int "one frame per mapped page" 32 (M.get diff N.mem_frames_allocated)
 
 let tests =
   [ Alcotest.test_case "full restore roundtrip" `Quick full_restore_roundtrip;

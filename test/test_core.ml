@@ -12,6 +12,11 @@ module R = Isa.Reg
 module Wl_common = Workloads.Wl_common
 open Isa.Asm
 
+module M = Obs.Metrics
+module N = Obs.Names
+
+(* A pool's count *)
+let tenancy pool slot = M.get (Tenancy.metrics pool) slot
 let check = Alcotest.check
 
 let transcript_lines (r : Explorer.result) =
@@ -45,9 +50,9 @@ let counting_tree_exact () =
   let r = Explorer.run_image (Workloads.Counting.program ~depth:4 ~branch:3) in
   check Alcotest.int "every leaf failed" 81 r.Explorer.stats.Core.Stats.fails;
   (* interior guesses: (3^4 - 1) / 2 = 40 *)
-  check Alcotest.int "interior guesses" 40 r.Explorer.stats.Core.Stats.guesses;
+  check Alcotest.int "interior guesses" 40 (M.get r.Explorer.metrics N.search_guesses);
   check Alcotest.int "extensions = 3 * guesses" 120
-    r.Explorer.stats.Core.Stats.extensions_pushed
+    (M.get r.Explorer.metrics N.search_extensions_pushed)
 
 let recycling_is_invisible () =
   (* Frame recycling must not change a single observable: the fixed
@@ -110,7 +115,7 @@ let audit_passes_every_scheduler () =
       match strategy with
       | `Sma _ | `Beam _ ->
         check Alcotest.bool (name ^ ": evicted") true
-          (r.Explorer.stats.Core.Stats.evicted > 0)
+          ((M.get r.Explorer.metrics N.search_evicted) > 0)
       | _ -> ())
     [ "dfs", `Dfs, None, true;
       "bfs", `Bfs, None, true;
@@ -472,22 +477,23 @@ let timeout_kills_runaway_extension () =
   let r = Explorer.run_image image in
   check Alcotest.int "scope exhausted normally" 7 (completed r);
   check Alcotest.int "runaway killed" 1 r.Explorer.stats.Core.Stats.kills;
-  check Alcotest.int "survivor exited" 1 r.Explorer.stats.Core.Stats.exits;
+  check Alcotest.int "survivor exited" 1 (M.get r.Explorer.metrics N.search_exits);
   (* The timeout bounds the whole segment, also when it runs in quanta:
      the quantum is clamped to the timeout, and a path killed only at
      [fuel_per_step] would retire 50M instructions. *)
-  let check_row name (s : Core.Stats.t) =
-    check Alcotest.int (name ^ ": runaway killed") 1 s.kills;
-    check Alcotest.int (name ^ ": survivor exited") 1 s.exits;
-    check Alcotest.int (name ^ ": instructions") 20_021 s.instructions
+  let check_row name metrics =
+    let get = M.get metrics in
+    check Alcotest.int (name ^ ": runaway killed") 1 (get N.search_kills);
+    check Alcotest.int (name ^ ": survivor exited") 1 (get N.search_exits);
+    check Alcotest.int (name ^ ": instructions") 20_021 (get N.vcpu_instructions)
   in
-  check_row "one worker" r.Explorer.stats;
+  check_row "one worker" r.Explorer.metrics;
   List.iter
     (fun (workers, quantum) ->
       let r = Explorer.run_image ~workers ~quantum image in
       let name = Printf.sprintf "%d workers, quantum %d" workers quantum in
       check Alcotest.int (name ^ ": scope exhausted") 7 (completed r);
-      check_row name r.Explorer.stats)
+      check_row name r.Explorer.metrics)
     [ 1, 5_000; 1, 50_000; 2, 5_000; 2, 50_000 ];
   let r =
     Core.Parallel.run
@@ -496,7 +502,7 @@ let timeout_kills_runaway_extension () =
   in
   check Alcotest.int "2 domains: scope exhausted" 7
     (match r.Core.Parallel.outcome with Explorer.Completed s -> s | _ -> -1);
-  check_row "2 domains, quantum 5000" r.Core.Parallel.stats
+  check_row "2 domains, quantum 5000" r.Core.Parallel.metrics
 
 let beam_strategy_runs () =
   let maze = Workloads.Grid.generate ~width:7 ~height:7 ~wall_density:0.2 ~seed:3 in
@@ -517,7 +523,7 @@ let dfs_bounded_prunes_depth () =
   let r = Explorer.run_image ~strategy_override:(`Dfs_bounded 3) image in
   check Alcotest.int "completed" 0 (completed r);
   check Alcotest.bool "pruned extensions reported" true
-    (r.Explorer.stats.Core.Stats.evicted > 0);
+    ((M.get r.Explorer.metrics N.search_evicted) > 0);
   check Alcotest.int "no leaf reached" 0 r.Explorer.stats.Core.Stats.fails
 
 (* {1 Snapshot tree properties} *)
@@ -554,7 +560,7 @@ let path_lineage_length () =
   let image = Workloads.Counting.program ~depth:3 ~branch:2 in
   let machine = Libos.boot (Mem.Phys_mem.create ()) image in
   let path : Core.Path.t = Core.Path.create machine in
-  let stats = Core.Stats.create () in
+  let stats = Obs.Metrics.create () in
   let ids = Snapshot.ids () in
   (match Libos.run machine ~fuel:100000 with
   | Libos.Guess_strategy _ -> ()
@@ -748,7 +754,7 @@ let explorer_survives_memory_pressure () =
   check Alcotest.bool "demoted payloads were promoted back" true
     (r.Explorer.stats.Core.Stats.promotions > 0);
   check Alcotest.int "nothing was truncated outright" 0
-    r.Explorer.stats.Core.Stats.payload_evictions;
+    (M.get r.Explorer.metrics N.reclaim_evictions);
   check Alcotest.int "no reconstruction fell back to replay" 0
     r.Explorer.stats.Core.Stats.replays;
   check Alcotest.int "replay work is excluded from the instruction count"
@@ -900,12 +906,12 @@ let counting_tree_invariants =
       let interior =
         if branch = 1 then depth else (leaves - 1) / (branch - 1)
       in
-      let s = r.Explorer.stats in
+      let get = M.get r.Explorer.metrics in
       (match r.Explorer.outcome with Explorer.Completed 0 -> true | _ -> false)
-      && s.Core.Stats.fails = leaves
-      && s.Core.Stats.guesses = interior
-      && s.Core.Stats.extensions_pushed = branch * interior
-      && s.Core.Stats.extensions_evaluated = branch * interior)
+      && get N.search_fails = leaves
+      && get N.search_guesses = interior
+      && get N.search_extensions_pushed = branch * interior
+      && get N.search_extensions = branch * interior)
 
 let parallel_counts_match_sequential =
   qtest ~count:20 "parallel explorer matches sequential counts"
@@ -915,8 +921,8 @@ let parallel_counts_match_sequential =
       let seq = Explorer.run_image image in
       let par = Explorer.run_image ~workers ~quantum:700 image in
       seq.Explorer.stats.Core.Stats.fails = par.Explorer.stats.Core.Stats.fails
-      && seq.Explorer.stats.Core.Stats.guesses
-         = par.Explorer.stats.Core.Stats.guesses)
+      && (M.get seq.Explorer.metrics N.search_guesses)
+         = (M.get par.Explorer.metrics N.search_guesses))
 
 (* {1 Reclaim: the tiered payload store, driven directly}
 
@@ -948,11 +954,12 @@ let boot_store () =
   in
   let m = Libos.boot phys image in
   ignore (run_to_guess m);
-  let store = Reclaim.create m in
+  let metrics = M.create () in
+  let store = Reclaim.create ~metrics m in
   let ids = Reclaim.snapshot_ids store in
   let root = Snapshot.capture ~ids ~depth:0 m in
   let h0 = Reclaim.add_root store root in
-  (phys, m, store, ids, h0)
+  (phys, m, store, ids, h0, M.get metrics)
 
 (* Resume [parent] with [choice], run to the next publish, register it —
    captured with the restored record as its parent, the lineage the
@@ -972,7 +979,7 @@ let snap_image (s : Snapshot.t) =
     List.sort compare (Mem.Addr_space.snapshot_contents s.Snapshot.mem) )
 
 let reclaim_tier_transitions () =
-  let phys, m, store, ids, h0 = boot_store () in
+  let phys, m, store, ids, h0, count = boot_store () in
   let h1 = extend store ids m h0 ~choice:0 in
   let h2 = extend store ids m h1 ~choice:1 in
   let img2 = snap_image (Reclaim.get store h2) in
@@ -986,15 +993,15 @@ let reclaim_tier_transitions () =
   let s2 = Reclaim.get store h2 in
   check Alcotest.int "get promotes back to tier 0" 0 (Reclaim.tier store h2);
   check Alcotest.bool "promotion is bit-identical" true (snap_image s2 = img2);
-  check Alcotest.int "promotion accounted" 1 (Reclaim.promotions store);
+  check Alcotest.int "promotion accounted" 1 (count N.reclaim_promotions);
   check Alcotest.int "delta bytes drained by promotion" 0
     (Mem.Phys_mem.delta_bytes_held phys);
-  check Alcotest.int "no edge was re-executed" 0 (Reclaim.replays store);
+  check Alcotest.int "no edge was re-executed" 0 (count N.reclaim_replays);
   check Alcotest.int "no get needed the replay fallback" 0
-    (Reclaim.replay_fallbacks store)
+    (count N.reclaim_replay_fallbacks)
 
 let reclaim_pressure_handler_allocates_no_frames () =
-  let phys, m, store, ids, h0 = boot_store () in
+  let phys, m, store, ids, h0, count = boot_store () in
   let h1 = extend store ids m h0 ~choice:0 in
   let _h2 = extend store ids m h1 ~choice:0 in
   (* Any frame allocation inside the handler would trip the injected
@@ -1004,13 +1011,13 @@ let reclaim_pressure_handler_allocates_no_frames () =
   let n = Reclaim.demote_under_pressure store in
   Mem.Phys_mem.set_alloc_fault phys None;
   check Alcotest.bool "pressure demoted something" true (n >= 1);
-  check Alcotest.int "pressure never replays" 0 (Reclaim.replays store);
-  check Alcotest.int "demotions counted" n (Reclaim.demotions store);
+  check Alcotest.int "pressure never replays" 0 (count N.reclaim_replays);
+  check Alcotest.int "demotions counted" n (count N.reclaim_demotions);
   check Alcotest.int "deepest payload went first" 1
     (Reclaim.tier store _h2)
 
 let reclaim_truncated_chain_falls_back_to_replay () =
-  let _phys, m, store, ids, h0 = boot_store () in
+  let _phys, m, store, ids, h0, count = boot_store () in
   let h1 = extend store ids m h0 ~choice:0 in
   let h2 = extend store ids m h1 ~choice:1 in
   let img2 = snap_image (Reclaim.get store h2) in
@@ -1024,14 +1031,14 @@ let reclaim_truncated_chain_falls_back_to_replay () =
   check Alcotest.bool "identical across the truncation" true
     (snap_image s2 = img2);
   check Alcotest.int "exactly the missing edge replayed" 1
-    (Reclaim.replays store);
+    (count N.reclaim_replays);
   check Alcotest.int "the get counts as a replay fallback" 1
-    (Reclaim.replay_fallbacks store);
+    (count N.reclaim_replay_fallbacks);
   check Alcotest.int "the truncated base is live again" 0
     (Reclaim.tier store h1)
 
 let reclaim_pinned_root_stops_at_tier1 () =
-  let _phys, m, store, ids, h0 = boot_store () in
+  let _phys, m, store, ids, h0, count = boot_store () in
   let _h1 = extend store ids m h0 ~choice:0 in
   let img0 = snap_image (Reclaim.get store h0) in
   check Alcotest.bool "root refuses truncation" false (Reclaim.evict store h0);
@@ -1041,7 +1048,7 @@ let reclaim_pinned_root_stops_at_tier1 () =
   check Alcotest.bool "root promotes from its full image" true
     (snap_image (Reclaim.get store h0) = img0);
   check Alcotest.int "full-image promotion replays nothing" 0
-    (Reclaim.replays store)
+    (count N.reclaim_replays)
 
 let reclaim_tier_roundtrip_prop =
   (* Random walk over the candidate tree with random demotions and
@@ -1052,7 +1059,7 @@ let reclaim_tier_roundtrip_prop =
       list_size (int_range 1 12)
         (triple (int_range 0 1000) (int_range 0 1) (int_range 0 4)))
     (fun script ->
-      let _phys, m, store, ids, h0 = boot_store () in
+      let _phys, m, store, ids, h0, _ = boot_store () in
       let published = ref [ (h0, snap_image (Reclaim.get store h0)) ] in
       List.iter
         (fun (pick, choice, action) ->
@@ -1180,7 +1187,7 @@ let tenancy_dedup_shares_image_frames () =
   check Alcotest.int "one reference per mapped page per tenant"
     (8 * pages) (Mem.Phys_mem.dedup_refs phys);
   check Alcotest.int "all but the first-sight pages came from the table"
-    ((8 * pages) - entries) (Mem.Phys_mem.dedup_hits phys);
+    ((8 * pages) - entries) (M.get (Mem.Phys_mem.registry phys) N.mem_dedup_hits);
   check Alcotest.bool "sharing multiplier at least the tenant count" true
     (Tenancy.dedup_ratio pool >= 8.0);
   (* refcounts return to zero at teardown *)
@@ -1226,7 +1233,7 @@ let tenancy_fault_containment () =
     | _ -> Alcotest.fail "victim not marked crashed");
     check Alcotest.bool "crashed tenant refuses new work" false
       (Tenancy.post pool t1 r1 ~choice:0 ());
-    check Alcotest.int "one crash counted" 1 (Tenancy.crashes pool);
+    check Alcotest.int "one crash counted" 1 (tenancy pool N.tenancy_crashes);
     (* survivors: bit-identical to their fault-free resumes *)
     same_outcome "survivor t0 after the storm" baseline0 (run t0 r0 ~choice:0);
     (match run t2 r2 ~choice:0 with
@@ -1284,8 +1291,8 @@ let tenancy_admission_control () =
   in
   pump_until 20;
   check Alcotest.int "queue drained" 0 (Tenancy.pending_boots pool);
-  check Alcotest.int "admissions counted" 3 (Tenancy.admits pool);
-  check Alcotest.int "rejections counted" 1 (Tenancy.rejects pool);
+  check Alcotest.int "admissions counted" 3 (tenancy pool N.tenancy_admits);
+  check Alcotest.int "rejections counted" 1 (tenancy pool N.tenancy_rejects);
   quiesce pool
 
 let tenancy_deadline_kills_runaway () =
@@ -1307,7 +1314,7 @@ let tenancy_deadline_kills_runaway () =
     | Some (id, Service.Crashed _) -> check Alcotest.int "runaway killed" t0 id
     | _ -> Alcotest.fail "expected a deadline kill");
     check Alcotest.int "classified as deadline kill" 1
-      (Tenancy.deadline_kills pool);
+      (tenancy pool N.tenancy_deadline_kills);
     (match Tenancy.state pool t0 with
     | Some (Tenancy.Crashed _) -> ()
     | _ -> Alcotest.fail "runaway not marked crashed");
@@ -1375,7 +1382,7 @@ let tenancy_frame_budget_degrades_fairly () =
     fan pool id root 12;
     check Alcotest.bool "tenant still running" true
       (Tenancy.state pool id = Some Tenancy.Running);
-    check Alcotest.int "no eviction needed" 0 (Tenancy.budget_evictions pool);
+    check Alcotest.int "no eviction needed" 0 (tenancy pool N.tenancy_budget_evictions);
     check Alcotest.bool "payloads were demoted to fit" true
       (Service.demotions (Tenancy.service pool id) > 0);
     check Alcotest.bool "budget respected after degradation" true
@@ -1390,7 +1397,7 @@ let tenancy_frame_budget_degrades_fairly () =
     drive pool2 id root 1;
     check Alcotest.bool "incompressible tenant evicted" true
       (Tenancy.state pool2 id = Some (Tenancy.Evicted "frame budget"));
-    check Alcotest.int "eviction counted" 1 (Tenancy.budget_evictions pool2);
+    check Alcotest.int "eviction counted" 1 (tenancy pool2 N.tenancy_budget_evictions);
     check Alcotest.int "eviction returned every frame" 0
       (Tenancy.tenant_frames pool2 id);
     quiesce pool2
@@ -1526,7 +1533,7 @@ let tenancy_budget_decided_without_collection () =
             ignore (Tenancy.step pool);
             ( Tenancy.tenant_frames pool id,
               Service.demotions (Tenancy.service pool id),
-              Tenancy.budget_evictions pool ))
+              tenancy pool N.tenancy_budget_evictions ))
       | _ -> Alcotest.fail "budgeted boot failed"
     in
     ignore (Sys.opaque_identity !garbage);
@@ -1589,6 +1596,69 @@ let budgeted_run_returns_frames () =
         (live_after ?tier_stress capacity))
     [ "capacity 30", None, 30; "capacity 60", None, 60;
       "capacity 90", None, 90; "tier_stress:0", Some 0, 0 ]
+
+(* A [Stats] view reads its run's registry field for field, and the
+   counts under tier stress equal the ones recorded before the registry
+   became the only store: replayed instructions and reconstruction's
+   memory events stay excluded exactly.  A session's getters read its
+   registry. *)
+let registry_and_stats_view_agree () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let run ?tier_stress () =
+    Explorer.run ?tier_stress (Libos.boot (Mem.Phys_mem.create ()) image)
+  in
+  let fields (s : Core.Stats.t) =
+    let m = s.mem in
+    [ s.instructions; s.snapshots_created; s.restores; s.adopting_restores;
+      s.extensions_evaluated; s.fails; s.max_frontier; s.kills; s.requeues;
+      s.demotions; s.promotions; s.replays; m.cow_faults; m.zero_fills;
+      m.frames_allocated; m.frames_recycled; m.frames_freed; m.tlb_misses;
+      m.pt_walks; m.snapshots; m.restores ]
+  in
+  let slots metrics =
+    List.map (M.get metrics)
+      N.[ vcpu_instructions; snapshot_captures; snapshot_restores ]
+    @ [ 0 ]
+    @ List.map (M.get metrics)
+        N.[ search_extensions; search_fails; search_max_frontier; search_kills;
+            sched_requeues; reclaim_demotions; reclaim_promotions;
+            reclaim_replays; mem_cow_faults; mem_zero_fills;
+            mem_frames_allocated; mem_frames_recycled; mem_frames_freed;
+            mem_tlb_misses; mem_pt_walks; mem_snapshots; mem_restores ]
+  in
+  let plain = run () and stressed = run ~tier_stress:1 () in
+  List.iter
+    (fun (name, (r : Explorer.result), expected) ->
+      check Alcotest.(list int) (name ^ ": view = registry") (slots r.metrics)
+        (fields r.stats);
+      check Alcotest.(list int) (name ^ ": counts") expected (fields r.stats))
+    [ ( "plain", plain,
+        [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 0; 0; 0; 152; 1; 153; 146;
+          153; 135; 135; 150; 895 ] );
+      ( "tier_stress:1", stressed,
+        [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 3283; 2448; 685; 147; 6; 153;
+          151; 3715; 1203; 1203; 150; 895 ] ) ];
+  check Alcotest.int "replayed instructions counted apart" 21738
+    (M.get stressed.metrics N.reclaim_replayed_instructions);
+  let svc, outcome =
+    Service.boot
+      (Workloads.Locality.program
+         { depth = 3; branch = 2; touch_pages = 2; work = 1; arena_pages = 8 })
+  in
+  (match outcome with
+  | Service.Ready { candidate; _ } -> (
+    match Service.resume svc candidate ~choice:0 () with
+    | Service.Ready { candidate = child; _ } ->
+      check Alcotest.bool "demoted" true (Service.demote_all svc >= 1);
+      ignore (Service.resume svc child ~choice:0 ())
+    | _ -> Alcotest.fail "expected a child choice point")
+  | _ -> Alcotest.fail "expected a choice point");
+  let get = M.get (Service.metrics svc) in
+  check Alcotest.bool "the session demoted and promoted" true
+    (Service.demotions svc > 0 && Service.promotions svc > 0);
+  check Alcotest.(list int) "session getters read its registry"
+    [ get N.reclaim_demotions; get N.reclaim_promotions; get N.reclaim_replays ]
+    [ Service.demotions svc; Service.promotions svc; Service.replays svc ]
 
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
@@ -1681,4 +1751,6 @@ let tests =
     Alcotest.test_case "in-scope stop keeps only the map" `Quick
       in_scope_stop_keeps_only_the_map;
     Alcotest.test_case "armed plan restores alike" `Quick
-      armed_plan_restores_alike ]
+      armed_plan_restores_alike;
+    Alcotest.test_case "registry and stats view agree" `Quick
+      registry_and_stats_view_agree ]

@@ -5,6 +5,8 @@ module As = Mem.Addr_space
 module Ept = Mem.Ept
 module Page = Mem.Page
 module Phys = Mem.Phys_mem
+module M = Obs.Metrics
+module N = Obs.Names
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -174,9 +176,9 @@ let snapshot_zero_cost () =
     As.map_zero t ~vpn
   done;
   As.write_u64 t 0 7;
-  let before = (Phys.metrics phys).Mem.Mem_metrics.pages_copied in
+  let before = (M.get (Phys.registry phys) N.mem_pages_copied) in
   let _snapshots = List.init 100 (fun _ -> As.snapshot t) in
-  let after = (Phys.metrics phys).Mem.Mem_metrics.pages_copied in
+  let after = (M.get (Phys.registry phys) N.mem_pages_copied) in
   check Alcotest.int "capture copies nothing" before after
 
 let cow_accounting () =
@@ -185,13 +187,13 @@ let cow_accounting () =
   As.map_data t ~vpn:0 "a";
   As.map_data t ~vpn:1 "b";
   let _snap = As.snapshot t in
-  let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
+  let m0 = M.copy (Phys.registry phys) in
   As.write_u8 t 0 1;
   As.write_u8 t 1 2;      (* same page: no second fault *)
   As.write_u8 t 4096 3;   (* second page *)
-  let diff = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
-  check Alcotest.int "two COW faults" 2 diff.Mem.Mem_metrics.cow_faults;
-  check Alcotest.int "two pages copied" 2 diff.Mem.Mem_metrics.pages_copied
+  let diff = M.sub (Phys.registry phys) m0 in
+  check Alcotest.int "two COW faults" 2 (M.get diff N.mem_cow_faults);
+  check Alcotest.int "two pages copied" 2 (M.get diff N.mem_pages_copied)
 
 let zero_page_sharing () =
   let phys = Phys.create () in
@@ -199,9 +201,10 @@ let zero_page_sharing () =
   for vpn = 0 to 999 do
     As.map_zero t ~vpn
   done;
-  check Alcotest.int "no frames for zero pages" 0 (Phys.frames_allocated phys);
+  let allocated () = M.get (Phys.registry phys) N.mem_frames_allocated in
+  check Alcotest.int "no frames for zero pages" 0 (allocated ());
   As.write_u8 t 0 1;
-  check Alcotest.int "one frame after write" 1 (Phys.frames_allocated phys);
+  check Alcotest.int "one frame after write" 1 (allocated ());
   let m = Phys.metrics phys in
   check Alcotest.int "counted as zero fill" 1 m.Mem.Mem_metrics.zero_fills
 
@@ -245,13 +248,13 @@ let shared_pages_never_cow () =
   let phys = Phys.create () in
   let t = As.create phys in
   As.map_shared t ~vpn:0;
-  let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
+  let m0 = M.copy (Phys.registry phys) in
   for round = 1 to 10 do
     let _ = As.snapshot t in
     As.write_u64 t 0 round
   done;
-  let diff = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
-  check Alcotest.int "no COW on shared writes" 0 diff.Mem.Mem_metrics.cow_faults;
+  let diff = M.sub (Phys.registry phys) m0 in
+  check Alcotest.int "no COW on shared writes" 0 (M.get diff N.mem_cow_faults);
   check Alcotest.int "accumulated" 10 (As.read_u64 t 0)
 
 let shared_preserves_content () =
@@ -281,12 +284,13 @@ let ept_snapshot_pt_cow () =
   let t = Ept.create phys in
   Ept.map_data t ~vpn:0 "x";
   let snap = Ept.snapshot t in
-  let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
+  let m0 = M.copy (Phys.registry phys) in
   Ept.write_u8 t 0 9;
-  let diff = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
+  let diff = M.sub (Phys.registry phys) m0 in
   (* first post-snapshot write path-copies the table: root + 3 levels *)
-  check Alcotest.int "page-table nodes copied" Ept.levels diff.Mem.Mem_metrics.pt_node_copies;
-  check Alcotest.int "one data COW" 1 diff.Mem.Mem_metrics.cow_faults;
+  check Alcotest.int "page-table nodes copied" Ept.levels
+    (M.get diff N.mem_pt_node_copies);
+  check Alcotest.int "one data COW" 1 (M.get diff N.mem_cow_faults);
   Ept.restore t snap;
   check Alcotest.int "snapshot intact" (Char.code 'x') (Ept.read_u8 t 0)
 
@@ -597,13 +601,13 @@ let crossing_u64_is_chunked () =
     As.map_data t ~vpn:1 "x";
     As.map_data t ~vpn:2 "y";
     let addr = (2 * Page.size) - 3 in
-    let m0 = Mem.Mem_metrics.copy (Phys.metrics phys) in
+    let m0 = M.copy (Phys.registry phys) in
     access t addr;
-    let d = Mem.Mem_metrics.diff (Phys.metrics phys) m0 in
+    let d = M.sub (Phys.registry phys) m0 in
     check Alcotest.bool (label ^ ": at most 2 walks") true
-      (d.Mem.Mem_metrics.pt_walks <= 2);
+      (M.get d N.mem_pt_walks <= 2);
     check Alcotest.bool (label ^ ": at most 2 tlb misses") true
-      (d.Mem.Mem_metrics.tlb_misses <= 2)
+      (M.get d N.mem_tlb_misses <= 2)
   in
   check_one (fun t addr -> As.write_u64 t addr 0x1122_3344_5566_7788) "write";
   check_one (fun t addr -> ignore (As.read_u64 t addr)) "read"
@@ -611,46 +615,46 @@ let crossing_u64_is_chunked () =
 (* The two backends' TLB-facing surface, so one test body checks both. *)
 type ('t, 's) mmu = {
   label : string;
-  create : unit -> 't;
+  create : Phys.t -> 't;
   map_zero : 't -> vpn:int -> unit;
   read : 't -> int -> int;
   write : 't -> int -> int -> unit;
   snapshot : 't -> 's;
   restore : 't -> 's -> unit;
-  metrics : 't -> Mem.Mem_metrics.t;
 }
 
 let trie_mmu =
-  { label = "trie"; create = fresh; map_zero = (fun t ~vpn -> As.map_zero t ~vpn);
+  { label = "trie"; create = As.create; map_zero = (fun t ~vpn -> As.map_zero t ~vpn);
     read = As.read_u8; write = As.write_u8; snapshot = As.snapshot;
-    restore = As.restore; metrics = As.metrics }
+    restore = As.restore }
 
 let radix_mmu =
-  { label = "radix"; create = ept_fresh;
+  { label = "radix"; create = Ept.create;
     map_zero = (fun t ~vpn -> Ept.map_zero t ~vpn); read = Ept.read_u8;
-    write = Ept.write_u8; snapshot = Ept.snapshot; restore = Ept.restore;
-    metrics = Ept.metrics }
+    write = Ept.write_u8; snapshot = Ept.snapshot; restore = Ept.restore }
 
-(* Map [n] zero pages and touch them all; returns the space and a
-   re-touch that counts the page-table walks it took. *)
+(* Map [n] zero pages and touch them all; returns the space, its memory's
+   counts, and a re-touch that counts the page-table walks it took. *)
 let touched_space m n =
-  let t = m.create () in
+  let phys = Phys.create () in
+  let t = m.create phys in
+  let count = M.get (Phys.registry phys) in
   let pages = List.init n Fun.id in
   List.iter (fun vpn -> m.map_zero t ~vpn) pages;
   let touch () =
-    let w0 = (m.metrics t).pt_walks in
+    let w0 = count N.mem_pt_walks in
     List.iter (fun vpn -> ignore (m.read t (Page.addr_of_vpn vpn))) pages;
-    (m.metrics t).pt_walks - w0
+    count N.mem_pt_walks - w0
   in
   ignore (touch ());
-  t, touch
+  t, count, touch
 
 (* The TLB survives capture and restore: re-touching the working set costs
    no walk after a capture, none after restoring the snapshot a read-only
    segment left, and at most one per page that differs after restoring a
    snapshot the segment diverged from. *)
 let walks_after_switch m =
-  let t, touch = touched_space m 8 in
+  let t, _, touch = touched_space m 8 in
   let s = m.snapshot t in
   check Alcotest.int (m.label ^ ": capture keeps the TLB") 0 (touch ());
   m.restore t s;
@@ -672,14 +676,14 @@ let walks_after_switch m =
    snapshot's byte, including those past the point where it gave up. *)
 let switch_past_tlb_size m =
   let n = 300 in
-  let t, touch = touched_space m n in
+  let t, count, touch = touched_space m n in
   let s = m.snapshot t in
   List.iter (fun vpn -> m.write t (Page.addr_of_vpn vpn) 7) (List.init n Fun.id);
   ignore (touch ());
-  let flushes = (m.metrics t).tlb_flushes in
+  let flushes = count N.mem_tlb_flushes in
   m.restore t s;
   check Alcotest.int (m.label ^ ": one flush") (flushes + 1)
-    (m.metrics t).tlb_flushes;
+    (count N.mem_tlb_flushes);
   List.iter
     (fun vpn ->
       check Alcotest.int
@@ -740,7 +744,7 @@ let recycled_data_frame_clears_tail () =
   check Alcotest.int "tail end cleared" 0
     (Char.code (Bytes.get g.Phys.bytes (Page.size - 1)));
   check Alcotest.bool "elision counted" true
-    ((Phys.metrics phys).Mem.Mem_metrics.zero_fills_elided >= 1)
+    ((M.get (Phys.registry phys) N.mem_zero_fills_elided) >= 1)
 
 let release_snapshot_frees_delta () =
   let phys = Phys.create () in

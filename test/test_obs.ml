@@ -1,13 +1,12 @@
-(* The observability layer: ring tracer, metrics registry, exporters,
-   and the Stats -> Metrics publishing bridge. *)
+(* The observability layer: ring tracer, metrics registry, exporters. *)
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
+module N = Obs.Names
 module Export = Obs.Export
 module Json = Obs.Json
 module Explorer = Core.Explorer
 module Stats = Core.Stats
-
 let check = Alcotest.check
 
 let qtest ?(count = 200) name gen prop =
@@ -213,8 +212,8 @@ let traced_domains_run_matches_untraced () =
       Trace.stop ();
       check Alcotest.int "fails" plain.Core.Parallel.stats.Stats.fails
         traced.Core.Parallel.stats.Stats.fails;
-      check Alcotest.int "exits" plain.Core.Parallel.stats.Stats.exits
-        traced.Core.Parallel.stats.Stats.exits;
+      check Alcotest.int "exits" (Metrics.get plain.Core.Parallel.metrics N.search_exits)
+        (Metrics.get traced.Core.Parallel.metrics N.search_exits);
       check (Alcotest.list Alcotest.string) "same solutions" (lines plain)
         (lines traced);
       let worker_spans =
@@ -229,51 +228,24 @@ let traced_domains_run_matches_untraced () =
 
 (* {1 Metrics registry} *)
 
-let histogram_bucket_edges () =
-  check Alcotest.int "negative" 0 (Metrics.bucket_of (-5));
-  check Alcotest.int "zero" 0 (Metrics.bucket_of 0);
-  check Alcotest.int "one" 1 (Metrics.bucket_of 1);
-  check Alcotest.int "two" 2 (Metrics.bucket_of 2);
-  check Alcotest.int "three" 2 (Metrics.bucket_of 3);
-  check Alcotest.int "four" 3 (Metrics.bucket_of 4);
-  (* OCaml's max_int is 2^62 - 1: 62 significant bits *)
-  check Alcotest.int "max_int" 62 (Metrics.bucket_of max_int);
-  check Alcotest.bool "max_int under the cap" true
-    (Metrics.bucket_of max_int <= Metrics.bucket_count - 1);
-  (* buckets past the int width are unreachable; bucket_lo must still
-     not overflow into a negative bound for them *)
-  for i = 0 to min (Metrics.bucket_count - 1) (Sys.int_size - 2) do
-    check Alcotest.int "bucket_lo lands in its bucket" i
-      (Metrics.bucket_of (Metrics.bucket_lo i))
-  done;
-  check Alcotest.bool "bucket_lo never negative" true
-    (Metrics.bucket_lo (Metrics.bucket_count - 1) > 0)
+(* Registries built from random op sequences over a few counter and peak
+   slots. *)
+let counters = N.[ search_fails; mem_cow_faults ]
+let peaks = N.[ search_max_frontier; snapshot_max_live ]
 
-let kind_mismatch_rejected () =
-  let r = Metrics.create () in
-  Metrics.incr r "n";
-  Alcotest.check_raises "gauge on a counter name"
-    (Invalid_argument "Obs.Metrics: n used with two kinds") (fun () ->
-      Metrics.gauge_set r "n" 1)
-
-(* Registries built from random op sequences; names are per-kind so the
-   generator never trips the kind-mismatch check. *)
 let ops_gen =
   QCheck2.Gen.(
     list_size (int_range 0 40)
       (oneof
-         [ map2 (fun n v -> `C (n, v)) (oneofl [ "c1"; "c2" ]) (int_range 0 1000);
-           map2 (fun n v -> `G (n, v)) (oneofl [ "g1"; "g2" ]) (int_range 0 1000);
-           map2 (fun n v -> `H (n, v)) (oneofl [ "h1" ]) (int_range (-4) 100_000)
-         ]))
+         [ map2 (fun s v -> `C (s, v)) (oneofl counters) (int_range 0 1000);
+           map2 (fun s v -> `P (s, v)) (oneofl peaks) (int_range 0 1000) ]))
 
 let build ops =
   let r = Metrics.create () in
   List.iter
     (function
-      | `C (n, v) -> Metrics.incr r ~by:v n
-      | `G (n, v) -> Metrics.gauge_max r n v
-      | `H (n, v) -> Metrics.observe r n v)
+      | `C (s, v) -> Metrics.add r s v
+      | `P (s, v) -> Metrics.peak r s v)
     ops;
   r
 
@@ -283,69 +255,61 @@ let merged a b =
   Metrics.merge ~into:acc b;
   acc
 
+let equal a b = Metrics.to_list a = Metrics.to_list b
+
 let merge_commutes =
   qtest "Metrics.merge commutes"
     QCheck2.Gen.(pair ops_gen ops_gen)
     (fun (x, y) ->
       let a = build x and b = build y in
-      Metrics.equal (merged a b) (merged b a))
+      equal (merged a b) (merged b a))
 
 let merge_associates =
   qtest "Metrics.merge associates"
     QCheck2.Gen.(triple ops_gen ops_gen ops_gen)
     (fun (x, y, z) ->
       let a = build x and b = build y and c = build z in
-      Metrics.equal (merged (merged a b) c) (merged a (merged b c)))
+      equal (merged (merged a b) c) (merged a (merged b c)))
 
 let merge_builds_the_concatenation =
   qtest "merge of split op list = registry of whole list"
     QCheck2.Gen.(pair ops_gen ops_gen)
+    (fun (x, y) -> equal (merged (build x) (build y)) (build (x @ y)))
+
+(* [sub] is [merge]'s inverse on counters; a peak keeps its first
+   argument's value. *)
+let sub_undoes_merge =
+  qtest "sub undoes merge"
+    QCheck2.Gen.(pair ops_gen ops_gen)
     (fun (x, y) ->
-      Metrics.equal (merged (build x) (build y)) (build (x @ y)))
+      let a = build x and b = build y in
+      let counts r =
+        List.filter
+          (fun (name, _) -> not (List.exists (fun p -> Metrics.find name = Some p) peaks))
+          (Metrics.to_list r)
+      in
+      counts (Metrics.sub (merged a b) b) = counts a)
 
-(* {1 Stats -> Metrics publishing} *)
-
-let stats_gen =
-  QCheck2.Gen.(
-    array_size (return 8) (int_range 0 10_000))
-
-let mk_stats a =
-  let s = Stats.create () in
-  s.Stats.guesses <- a.(0);
-  s.Stats.fails <- a.(1);
-  s.Stats.max_frontier <- a.(2);
-  s.Stats.max_live_snapshots <- a.(3);
-  s.Stats.instructions <- a.(4);
-  s.Stats.replayed_instructions <- a.(5);
-  s.Stats.mem.Mem.Mem_metrics.cow_faults <- a.(6);
-  s.Stats.mem.Mem.Mem_metrics.bytes_copied <- a.(7);
-  s
-
-let publish s =
+(* Every slot is declared under its own name, which [find] resolves, and
+   every registry lists each one, zeros included. *)
+let slot_names_resolve () =
+  let names = List.map fst (Metrics.to_list (Metrics.create ())) in
+  check Alcotest.bool "several slots" true (List.length names > 40);
+  check Alcotest.int "names are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
   let r = Metrics.create () in
-  Stats.publish s r;
-  r
-
-let publish_agrees_with_merge =
-  qtest "per-worker publish = merge then publish"
-    QCheck2.Gen.(pair stats_gen stats_gen)
-    (fun (x, y) ->
-      let separate = Metrics.create () in
-      Stats.publish (mk_stats x) separate;
-      Stats.publish (mk_stats y) separate;
-      let acc = mk_stats x in
-      Stats.merge acc (mk_stats y);
-      Metrics.equal separate (publish acc))
-
-let stats_merge_commutes =
-  qtest "Stats.merge commutes (observed through publish)"
-    QCheck2.Gen.(pair stats_gen stats_gen)
-    (fun (x, y) ->
-      let ab = mk_stats x in
-      Stats.merge ab (mk_stats y);
-      let ba = mk_stats y in
-      Stats.merge ba (mk_stats x);
-      Metrics.equal (publish ab) (publish ba))
+  List.iteri
+    (fun i name ->
+      match Metrics.find name with
+      | None -> Alcotest.failf "%s does not resolve" name
+      | Some s -> Metrics.add r s (i + 1))
+    names;
+  check (Alcotest.list Alcotest.string) "the slots' names" names
+    (List.map fst (Metrics.to_list r));
+  check (Alcotest.list Alcotest.int) "find resolves each name to its own slot"
+    (List.init (List.length names) (fun i -> i + 1))
+    (List.map snd (Metrics.to_list r));
+  check Alcotest.bool "an unknown name" true (Metrics.find "no.such_slot" = None)
 
 let tests =
   [ Alcotest.test_case "disabled tracer records nothing" `Quick
@@ -366,10 +330,9 @@ let tests =
       tree_export_is_sane;
     Alcotest.test_case "traced Domains run matches untraced" `Quick
       traced_domains_run_matches_untraced;
-    Alcotest.test_case "histogram bucket edges" `Quick histogram_bucket_edges;
-    Alcotest.test_case "kind mismatch rejected" `Quick kind_mismatch_rejected;
     merge_commutes;
     merge_associates;
     merge_builds_the_concatenation;
-    publish_agrees_with_merge;
-    stats_merge_commutes ]
+    sub_undoes_merge;
+    Alcotest.test_case "slot names are unique and resolve" `Quick
+      slot_names_resolve ]

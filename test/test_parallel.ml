@@ -10,6 +10,8 @@ module R = Isa.Reg
 module Wl_common = Workloads.Wl_common
 open Isa.Asm
 
+module M = Obs.Metrics
+module N = Obs.Names
 let check = Alcotest.check
 
 (* The cooperative scheduler: [workers] machines in rounds of [quantum]. *)
@@ -48,7 +50,7 @@ let counting_tree_all_leaves () =
   let r = coop ~workers:4 (Workloads.Counting.program ~depth:5 ~branch:3) in
   check Alcotest.int "completed" 0 (completed r);
   check Alcotest.int "all leaves" 243 r.Explorer.stats.Core.Stats.fails;
-  check Alcotest.int "all guesses" 121 r.Explorer.stats.Core.Stats.guesses
+  check Alcotest.int "all guesses" 121 (M.get r.Explorer.metrics N.search_guesses)
 
 let makespan_shrinks_with_workers () =
   let rounds workers =
@@ -133,7 +135,7 @@ let isolation_between_workers () =
   in
   let r = coop ~workers:8 ~quantum:100 image in
   check Alcotest.int "no cross-worker corruption" 0 (completed r);
-  check Alcotest.int "no path saw corruption" 0 r.Explorer.stats.Core.Stats.exits
+  check Alcotest.int "no path saw corruption" 0 (M.get r.Explorer.metrics N.search_exits)
 
 let busy_rounds_reported () =
   let r = coop ~workers:3 (Workloads.Counting.program ~depth:4 ~branch:2) in
@@ -158,11 +160,12 @@ let one_domain_is_the_explorer ?strategy_override name image =
   check Alcotest.string (name ^ ": transcript") e.transcript d.transcript;
   check Alcotest.bool (name ^ ": terminals, in order") true
     (e.terminals = d.terminals);
-  let counts (s : Core.Stats.t) =
-    [ s.fails; s.exits; s.guesses; s.restores; s.snapshots_created;
-      s.extensions_evaluated ]
+  let counts metrics =
+    List.map (M.get metrics)
+      N.[ search_fails; search_exits; search_guesses; snapshot_restores;
+          snapshot_captures; search_extensions ]
   in
-  check Alcotest.(list int) (name ^ ": counts") (counts e.stats) (counts d.stats)
+  check Alcotest.(list int) (name ^ ": counts") (counts e.metrics) (counts d.metrics)
 
 let domains_same_solutions () =
   one_domain_is_the_explorer "queens(6)" (Workloads.Nqueens.program ~n:6);
@@ -185,7 +188,7 @@ let domains_counting_tree_all_leaves () =
   in
   check Alcotest.int "completed" 0 (dcompleted r);
   check Alcotest.int "all leaves" 243 r.Parallel.stats.Core.Stats.fails;
-  check Alcotest.int "all guesses" 121 r.Parallel.stats.Core.Stats.guesses;
+  check Alcotest.int "all guesses" 121 (M.get r.Parallel.metrics N.search_guesses);
   check Alcotest.int "every extension evaluated once" 363
     r.Parallel.stats.Core.Stats.extensions_evaluated;
   check Alcotest.int "work split across domains" 363
@@ -234,24 +237,22 @@ let domains_per_domain_metrics () =
   check Alcotest.int "completed" 0 (dcompleted r);
   check Alcotest.int "one registry per domain" workers
     (Array.length r.Parallel.domain_metrics);
-  let summed name =
-    Array.fold_left
-      (fun acc reg -> acc + Obs.Metrics.get_counter reg name)
-      0 r.Parallel.domain_metrics
+  let summed slot =
+    Array.fold_left (fun acc reg -> acc + M.get reg slot) 0 r.Parallel.domain_metrics
   in
   check Alcotest.int "per-domain evaluation counts sum to the aggregate"
     r.Parallel.stats.Core.Stats.extensions_evaluated
-    (summed "explorer.extensions_evaluated");
+    (summed N.search_extensions);
   check Alcotest.int "per-domain recycling counts sum to the aggregate"
     r.Parallel.stats.Core.Stats.mem.Mem.Mem_metrics.frames_recycled
-    (summed "mem.frames_recycled");
+    (summed N.mem_frames_recycled);
   (* Every domain owns its memory: each free is either recycled by a later
      allocation or still pooled at the end, exactly, while the pool stays
      under its 4,096-buffer cap (beyond it a free drops the buffer). *)
   let law reg =
-    let get = Obs.Metrics.get_counter reg in
-    let pool = Obs.Metrics.get_gauge reg "mem.free_buffers" in
-    get "mem.frames_freed" = get "mem.frames_recycled" + pool && pool < 4096
+    let get = M.get reg in
+    let pool = get N.mem_free_buffers in
+    get N.mem_frames_freed = get N.mem_frames_recycled + pool && pool < 4096
   in
   Array.iteri
     (fun dom reg ->
@@ -264,20 +265,16 @@ let domains_per_domain_metrics () =
   let busiest =
     Array.fold_left
       (fun best reg ->
-        if
-          Obs.Metrics.get_counter reg "mem.frames_recycled"
-          > Obs.Metrics.get_counter best "mem.frames_recycled"
+        if M.get reg N.mem_frames_recycled > M.get best N.mem_frames_recycled
         then reg
         else best)
       r.Parallel.domain_metrics.(0) r.Parallel.domain_metrics
   in
-  let doctored = Obs.Metrics.create () in
-  Obs.Metrics.incr doctored ~by:(Obs.Metrics.get_counter busiest "mem.frames_freed")
-    "mem.frames_freed";
-  Obs.Metrics.gauge_set doctored "mem.free_buffers"
-    (Obs.Metrics.get_gauge busiest "mem.free_buffers");
+  let doctored = M.create () in
+  M.add doctored N.mem_frames_freed (M.get busiest N.mem_frames_freed);
+  M.peak doctored N.mem_free_buffers (M.get busiest N.mem_free_buffers);
   check Alcotest.bool "some domain recycled" true
-    (Obs.Metrics.get_counter busiest "mem.frames_recycled" > 0);
+    (M.get busiest N.mem_frames_recycled > 0);
   check Alcotest.bool "a row reading frames_recycled = 0 breaks the law" false
     (law doctored)
 
@@ -343,9 +340,9 @@ let max_live_snapshots_tracked () =
   let r = coop ~workers:4 (Workloads.Nqueens.program ~n:5) in
   check Alcotest.int "completed" 0 (completed r);
   check Alcotest.bool "live-snapshot extent tracked" true
-    (r.Explorer.stats.Core.Stats.max_live_snapshots > 0);
+    ((M.get r.Explorer.metrics N.snapshot_max_live) > 0);
   check Alcotest.bool "extent covers the frontier" true
-    (r.Explorer.stats.Core.Stats.max_live_snapshots
+    ((M.get r.Explorer.metrics N.snapshot_max_live)
     >= r.Explorer.stats.Core.Stats.max_frontier)
 
 (* {1 Supervision and fault injection} *)
@@ -363,7 +360,7 @@ let coop_crash_recovery () =
   check Alcotest.bool "the crash was retried" true
     (r.Explorer.stats.Core.Stats.requeues >= 1);
   check Alcotest.int "nothing quarantined" 0
-    r.Explorer.stats.Core.Stats.quarantined
+    (M.get r.Explorer.metrics N.sched_quarantined)
 
 let domains_crash_recovery () =
   let expected = List.sort compare (Workloads.Nqueens.host_boards 6) in
@@ -378,7 +375,7 @@ let domains_crash_recovery () =
   check Alcotest.bool "the crash was retried" true
     (r.Parallel.stats.Core.Stats.requeues >= 1);
   check Alcotest.int "nothing quarantined" 0
-    r.Parallel.stats.Core.Stats.quarantined
+    (M.get r.Parallel.metrics N.sched_quarantined)
 
 let coop_alloc_failure_recovery () =
   (* Several ordinals so at least one lands inside worker-path evaluation
@@ -391,7 +388,7 @@ let coop_alloc_failure_recovery () =
   check (Alcotest.list Alcotest.string) "all solutions despite failed allocations"
     expected (solutions r);
   check Alcotest.int "nothing quarantined" 0
-    r.Explorer.stats.Core.Stats.quarantined
+    (M.get r.Explorer.metrics N.sched_quarantined)
 
 let quarantine_after_budget () =
   (* A retry budget of 1 turns the first crash into a quarantined path:
@@ -404,7 +401,7 @@ let quarantine_after_budget () =
   in
   check Alcotest.int "completed despite the quarantine" 0 (completed r);
   check Alcotest.int "one path quarantined" 1
-    r.Explorer.stats.Core.Stats.quarantined;
+    (M.get r.Explorer.metrics N.sched_quarantined);
   check Alcotest.bool "quarantine recorded as a killed path" true
     (List.exists
        (fun (t : Explorer.terminal) ->

@@ -228,7 +228,8 @@ let cow_copies_less () =
   let eager = run Engine.Eager_copy in
   check Alcotest.int "no eager copies under cow" 0 cow.Engine.eager_pages_copied;
   check Alcotest.bool "eager copies dwarf COW faults" true
-    (eager.Engine.eager_pages_copied > 10 * cow.Engine.mem.Mem.Mem_metrics.cow_faults)
+    (eager.Engine.eager_pages_copied
+     > 10 * Obs.Metrics.get cow.Engine.mem Obs.Names.mem_cow_faults)
 
 let classifier_outputs_contained () =
   let config = { Engine.default_config with symbolic_stdin = 2 } in
