@@ -367,6 +367,12 @@ let discard t =
     t.epoch <- -1
   end
 
+let resume t store h ~rax =
+  discard t;
+  (* after the discard: a promotion or replay clobbers the machine *)
+  let snap = Reclaim.get store h in
+  restore t snap ~rax ~depth:(Reclaim.depth store h + 1)
+
 let retire t =
   discard t;
   if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;

@@ -132,8 +132,16 @@ val switch :
     retired. *)
 
 val restore : t -> Snapshot.t -> rax:int -> depth:int -> unit
-(** {!enter} with a plain restore, not counted, origin unchanged:
-    {!Service.resume}'s steps and {!restart}. *)
+(** {!enter} with a plain restore, not counted, origin unchanged: what
+    {!resume} and {!restart} do once they have their snapshot. *)
+
+val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> unit
+(** One {!Service.resume} step, as {!switch} is one scheduler step:
+    {!discard} the last step's tail, get the handle's snapshot from the
+    store (after the discard, which a rebuild needs), and {!restore} it
+    one level below the handle's depth with [rax].  Counts nothing and
+    leaves the origin alone.  If the store raises, the tail is already
+    freed and nothing is restored. *)
 
 val restart : t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
 (** In-place crash retry: {!restore} the origin, resolved again (a store

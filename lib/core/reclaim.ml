@@ -63,26 +63,32 @@ type t = {
   machine : Libos.t;
   fuel : int;
   ids : Snapshot.ids;
-  entries : (handle, entry) Hashtbl.t;
-  mutable next : int;
+  entries : entry Stdx.Vec.t;
+      (* indexed by handle: handles are issued in order and never
+         removed, a released entry keeps its skeleton *)
   mutable clock : int;
-  mutable anchor : Snapshot.t option;
+  mutable anchor : Snapshot.t;
       (* the record whose materialisation the machine's current state
          derives from (last capture or [get]); the store keeps an
          extension ref on it so explicit freeing never touches frames the
-         live address space still maps *)
+         live address space still maps; [Snapshot.none] before the
+         first *)
   metrics : M.t;  (* the owner's: [reclaim.*] counts, and the memory
                      events reconstruction redid, taken back out *)
 }
+
+(* Fills the unused capacity of [entries]; never a real entry. *)
+let no_entry =
+  { e_parent = None; e_choice = 0; e_stdin = None; e_depth = 0;
+    e_pinned = true; e_payload = None; e_last_used = 0; e_released = true }
 
 let create ?(fuel_per_step = 50_000_000) ~metrics (machine : Libos.t) =
   { machine;
     fuel = fuel_per_step;
     ids = Snapshot.ids ();
-    entries = Hashtbl.create 64;
-    next = 0;
+    entries = Stdx.Vec.create ~capacity:64 ~dummy:no_entry ();
     clock = 0;
-    anchor = None;
+    anchor = Snapshot.none;
     metrics }
 
 let phys_of t = As.phys t.machine.Libos.aspace
@@ -98,25 +104,20 @@ let tick t =
   t.clock
 
 let entry t h =
-  match Hashtbl.find_opt t.entries h with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Reclaim: unknown reference %d" h)
+  if h < 0 || h >= Stdx.Vec.length t.entries then
+    invalid_arg (Printf.sprintf "Reclaim: unknown reference %d" h);
+  Stdx.Vec.get t.entries h
 
-let fresh t e =
-  let h = t.next in
-  t.next <- h + 1;
-  Hashtbl.replace t.entries h e;
-  h
+let fresh t e = Stdx.Vec.push t.entries e
 
 (* The machine's state now derives from [snap]'s materialisation: move the
    store's machine ref there.  Retain-before-release so re-anchoring on the
    same record is a no-op rather than a transient zero. *)
 let set_anchor t snap =
   Snapshot.retain snap;
-  (match t.anchor with
-  | Some prev -> Snapshot.release_ext ~phys:(phys_of t) prev
-  | None -> ());
-  t.anchor <- Some snap
+  if t.anchor != Snapshot.none then
+    Snapshot.release_ext ~phys:(phys_of t) t.anchor;
+  t.anchor <- snap
 
 let add_root t snap =
   Snapshot.retain snap;
@@ -386,6 +387,16 @@ let evict t h =
 
 (* {1 Pressure policy} *)
 
+(* The handles whose entries [keep] accepts, in handle order. *)
+let handles t keep =
+  let hs = ref [] in
+  for h = Stdx.Vec.length t.entries - 1 downto 0 do
+    if keep (Stdx.Vec.get t.entries h) then hs := h :: !hs
+  done;
+  !hs
+
+let is_live e = match e.e_payload with Some (Live _) -> true | _ -> false
+
 (* Deepest first, then least-recently-resumed: deep payloads carry the
    longest COW tails (the frames worth shedding) and cold payloads are the
    least likely to be resumed soon.  Deepest-first also means every victim
@@ -402,34 +413,36 @@ let demote_under_pressure t =
   let rec go n = function
     | [] -> n
     | _ when n > 0 && Mem.Phys_mem.below_watermark phys -> n
-    | (_, _, h) :: rest -> go (if demote t h then n + 1 else n) rest
+    | h :: rest -> go (if demote t h then n + 1 else n) rest
   in
-  Hashtbl.fold
-    (fun h e acc ->
-      match e.e_payload with
-      | Some (Live _) when not e.e_pinned ->
-        (e.e_depth, e.e_last_used, h) :: acc
-      | _ -> acc)
-    t.entries []
-  |> List.sort (fun (d1, u1, _) (d2, u2, _) ->
-         match compare d2 d1 with 0 -> compare u1 u2 | c -> c)
+  let deeper_then_colder h1 h2 =
+    let e1 = Stdx.Vec.get t.entries h1 and e2 = Stdx.Vec.get t.entries h2 in
+    match Int.compare e2.e_depth e1.e_depth with
+    | 0 -> Int.compare e1.e_last_used e2.e_last_used
+    | c -> c
+  in
+  handles t (fun e -> is_live e && not e.e_pinned)
+  |> List.sort deeper_then_colder
   |> go 0
 
 (* Demote every live payload, deepest first (so each diffs against a
-   still-live parent), pinned roots included. *)
+   still-live parent), pinned roots included.  Equal depths go newest
+   handle first: a child is issued after its parent, and a scope root and
+   its first capture share depth 0. *)
 let demote_all t =
-  Hashtbl.fold
-    (fun h e acc ->
-      match e.e_payload with
-      | Some (Live _) -> (e.e_depth, h) :: acc
-      | _ -> acc)
-    t.entries []
-  |> List.sort (fun (d1, _) (d2, _) -> compare d2 d1)
-  |> List.fold_left (fun n (_, h) -> if demote t h then n + 1 else n) 0
+  let depth h = (Stdx.Vec.get t.entries h).e_depth in
+  let deeper_then_newer h1 h2 =
+    match Int.compare (depth h2) (depth h1) with
+    | 0 -> Int.compare h2 h1
+    | c -> c
+  in
+  handles t is_live
+  |> List.sort deeper_then_newer
+  |> List.fold_left (fun n h -> if demote t h then n + 1 else n) 0
 
 let evict_all t =
-  Hashtbl.fold (fun h _ acc -> h :: acc) t.entries []
-  |> List.fold_left (fun n h -> if evict t h then n + 1 else n) 0
+  List.fold_left (fun n h -> if evict t h then n + 1 else n) 0
+    (handles t (fun _ -> true))
 
 let pressure_handler t = fun () -> ignore (demote_under_pressure t)
 
@@ -441,8 +454,8 @@ let pressure_handler t = fun () -> ignore (demote_under_pressure t)
    reads as released. *)
 let release_all t =
   let phys = phys_of t in
-  Hashtbl.iter
-    (fun _ e ->
+  Stdx.Vec.iter
+    (fun e ->
       (match e.e_payload with
       | Some (Live snap) -> Snapshot.release_ext ~phys snap
       | Some (Demoted d) -> drop_delta t d
@@ -450,28 +463,23 @@ let release_all t =
       e.e_payload <- None;
       e.e_released <- true)
     t.entries;
-  Option.iter (Snapshot.release_ext ~phys) t.anchor;
-  t.anchor <- None
+  if t.anchor != Snapshot.none then Snapshot.release_ext ~phys t.anchor;
+  t.anchor <- Snapshot.none
 
 (* {1 Introspection} *)
 
 let snapshot_ids t = t.ids
 
 let materialised t =
-  Hashtbl.fold
-    (fun _ e acc ->
+  Stdx.Vec.fold
+    (fun acc e ->
       match e.e_payload with Some (Live s) -> s :: acc | _ -> acc)
-    t.entries []
+    [] t.entries
 
-let anchor t = t.anchor
+let anchor t = if t.anchor == Snapshot.none then None else Some t.anchor
 
 let live_entries t =
-  Hashtbl.fold
-    (fun _ e n -> if e.e_released then n else n + 1)
-    t.entries 0
+  Stdx.Vec.fold (fun n e -> if e.e_released then n else n + 1) 0 t.entries
 
 let materialised_count t =
-  Hashtbl.fold
-    (fun _ e n ->
-      match e.e_payload with Some (Live _) -> n + 1 | _ -> n)
-    t.entries 0
+  Stdx.Vec.fold (fun n e -> if is_live e then n + 1 else n) 0 t.entries

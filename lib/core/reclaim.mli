@@ -94,9 +94,12 @@ val demote : t -> handle -> bool
     guest code. *)
 
 val demote_all : t -> int
-(** Demote every live payload, deepest first (so every delta is against a
-    still-live parent), pinned roots included; returns the number
-    demoted. *)
+(** Demote every live payload, pinned roots included; returns the number
+    demoted.  Order: deepest first and, among equal depths, the newest
+    handle first.  Handles are issued parent before child, so every delta
+    is against a still-live parent, even for a child recorded at its
+    parent's depth (a scope root and its first capture both sit at depth
+    0). *)
 
 val evict : t -> handle -> bool
 (** Truncate: drop the payload entirely (tier 2); [false] if pinned or
@@ -105,11 +108,12 @@ val evict : t -> handle -> bool
 
 val evict_all : t -> int
 (** Truncate every non-pinned payload (testing / worst-case
-    introspection); returns the number truncated. *)
+    introspection), in handle order; returns the number truncated. *)
 
 val demote_under_pressure : t -> int
 (** The pressure policy: demote live non-pinned payloads — deepest first,
-    least-recently-resumed first among equals — until the allocator's
+    least-recently-resumed first among equals (no two entries share a
+    last use, so the order is total) — until the allocator's
     live count drops back below its watermark (at least one victim; every
     victim when the explicit frees never clear the mark).  Returns the
     number demoted.  Safe to call from a {!Mem.Phys_mem} pressure
@@ -126,9 +130,10 @@ val release_all : t -> unit
 (** Give back every ref the store holds — every payload, pinned roots
     included, and the anchor on the machine's current state — so the
     snapshot refcount cascade returns every record frame to the allocator
-    (parentless records too, when captured [owns_image]).  Frames the
-    machine acquired beyond its anchor are the driver's to discard first.
-    Every handle reads as released afterwards. *)
+    (parentless records too, when captured [owns_image]).  Entries are
+    visited in handle order, the anchor last.  Frames the machine
+    acquired beyond its anchor are the driver's to discard first.  Every
+    handle reads as released afterwards. *)
 
 val snapshot_ids : t -> Snapshot.ids
 (** The id allocator reconstruction captures under; drivers that capture

@@ -8,10 +8,12 @@ type t = {
   machine : Libos.t;
   metrics : Obs.Metrics.t;  (* the session's, which its store counts into *)
   store : Reclaim.t;
-  (* the resume edge that leads to the next publish: (parent, choice,
-     stdin).  [None] only before the first publish, whose snapshot is the
-     pinned replay root. *)
-  mutable pending : (ref_ * int * string option) option;
+  (* the resume edge that leads to the next publish: parent, choice and
+     stdin.  No parent (-1) only before the first publish, whose snapshot
+     is the pinned replay root, and after a crash. *)
+  mutable parent : ref_;
+  mutable choice : int;
+  mutable stdin : string option;
   path : Path.t;
       (* the stdout marker, the segment epoch, and the record the
          machine's state derives from — threaded as the parent of the next
@@ -37,10 +39,10 @@ type outcome =
    restore, so the path's base is the published record's parent. *)
 let publish t =
   let snap = Path.capture t.path ~ids:(Reclaim.snapshot_ids t.store) in
-  match t.pending with
-  | None -> Reclaim.add_root t.store snap
-  | Some (parent, choice, stdin) ->
-    Reclaim.add t.store ~parent ~choice ?stdin ~depth:(Path.depth t.path) snap
+  if t.parent < 0 then Reclaim.add_root t.store snap
+  else
+    Reclaim.add t.store ~parent:t.parent ~choice:t.choice ?stdin:t.stdin
+      ~depth:(Path.depth t.path) snap
 
 let rec advance_unguarded t =
   match Libos.run t.machine ~fuel:t.fuel_per_step with
@@ -73,7 +75,7 @@ let advance t =
   try advance_unguarded t
   with Mem.Phys_mem.Out_of_frames { capacity; live } ->
     t.last_crash <- None;
-    t.pending <- None;
+    t.parent <- -1;
     Crashed (Printf.sprintf "out of frames (capacity %d, live %d)" capacity live)
 
 let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
@@ -96,7 +98,9 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
     { machine;
       metrics;
       store;
-      pending = None;
+      parent = -1;
+      choice = 0;
+      stdin = None;
       (* before any capture the whole map is the session's own segment *)
       path = Path.create ~refcount:false ~owns_map:true machine;
       fuel_per_step;
@@ -107,12 +111,10 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
 
 let resume t r ~choice ?stdin () =
   try
-    (* the last step's tail, unless a capture froze it: before [get] may
-       rebuild the machine *)
-    Path.discard t.path;
-    let snap = Reclaim.get t.store r in
-    Path.restore t.path snap ~rax:choice ~depth:(Reclaim.depth t.store r + 1);
-    t.pending <- Some (r, choice, stdin);
+    Path.resume t.path t.store r ~rax:choice;
+    t.parent <- r;
+    t.choice <- choice;
+    t.stdin <- stdin;
     Option.iter (Libos.set_stdin t.machine) stdin;
     advance t
   with Mem.Phys_mem.Out_of_frames { capacity; live } ->
@@ -120,7 +122,7 @@ let resume t r ~choice ?stdin () =
        store keeps the entry (its delta or skeleton is intact), so the
        same reference can be resumed again once pressure relents. *)
     t.last_crash <- None;
-    t.pending <- None;
+    t.parent <- -1;
     Crashed (Printf.sprintf "out of frames (capacity %d, live %d)" capacity live)
 
 let release t r = Reclaim.release t.store r

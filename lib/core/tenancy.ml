@@ -79,12 +79,14 @@ type t = {
   max_tenants : int;
   queue_limit : int;
   dedup : bool;
-  tenants : (id, tenant) Hashtbl.t;
-  mutable next_id : int;
+  mutable tenants : tenant array;
+      (* indexed by id, the first [count] slots: ids are issued densely
+         from 0 and a tenant is never removed, only retired *)
+  mutable count : int;
   mutable tick : int;
   run_queue : id Queue.t;
   mutable pending : pending_boot list; (* FIFO; admitted from the head *)
-  mutable running : tenant option;     (* the pressure offender *)
+  mutable running : id;                (* the pressure offender; -1 none *)
   metrics : M.t;                       (* the pool's [tenancy.*] counts *)
 }
 
@@ -95,29 +97,43 @@ type admission =
 
 (* {1 Pressure} *)
 
+(* A pattern, not [=]: [state] carries strings, so [=] would be the
+   polymorphic compare, on every step. *)
+let is_running tn = match tn.st with Running -> true | _ -> false
+
+let known t id = id >= 0 && id < t.count
+
+let tenant t id ~fn =
+  if not (known t id) then
+    invalid_arg (Printf.sprintf "Tenancy.%s: unknown tenant" fn);
+  t.tenants.(id)
+
 let live_tenant_count t =
-  Hashtbl.fold (fun _ tn n -> if tn.st = Running then n + 1 else n) t.tenants 0
+  let n = ref 0 in
+  for id = 0 to t.count - 1 do
+    if is_running t.tenants.(id) then incr n
+  done;
+  !n
 
 (* Level 1: the offender is whoever is allocating — the running tenant, or
    the booting one (admission already gated on the watermark, so a boot
    that trips pressure is squeezed like anyone else).  Level 2: remaining
-   tenants, least-recently-scheduled first.  Demotion only — reads frame
-   bytes, allocates nothing, so this is legal inside [Phys_mem.alloc]. *)
+   tenants, least-recently-scheduled first, ties in id order.  Demotion
+   only — reads frame bytes, allocates nothing, so this is legal inside
+   [Phys_mem.alloc]. *)
 let pressure t () =
-  (match t.running with
-  | Some tn when tn.st = Running -> ignore (Service.shed tn.svc)
-  | Some _ | None -> ());
+  if t.running >= 0 && is_running t.tenants.(t.running) then
+    ignore (Service.shed t.tenants.(t.running).svc);
   if not (Phys.below_watermark t.phys) then begin
     M.incr t.metrics N.tenancy_pressure_level2;
-    let others =
-      Hashtbl.fold
-        (fun _ tn acc ->
-          match t.running with
-          | Some r when r.id = tn.id -> acc
-          | _ -> if tn.st = Running then tn :: acc else acc)
-        t.tenants []
+    let others = ref [] in
+    for id = t.count - 1 downto 0 do
+      let tn = t.tenants.(id) in
+      if id <> t.running && is_running tn then others := tn :: !others
+    done;
+    let lru =
+      List.stable_sort (fun a b -> Int.compare a.last_tick b.last_tick) !others
     in
-    let lru = List.sort (fun a b -> compare a.last_tick b.last_tick) others in
     List.iter
       (fun tn ->
         if not (Phys.below_watermark t.phys) then ignore (Service.shed tn.svc))
@@ -136,12 +152,12 @@ let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
       max_tenants;
       queue_limit;
       dedup;
-      tenants = Hashtbl.create 64;
-      next_id = 0;
+      tenants = [||];
+      count = 0;
       tick = 0;
       run_queue = Queue.create ();
       pending = [];
-      running = None;
+      running = -1;
       metrics = M.create () }
   in
   if capacity > 0 then Phys.set_pressure_handler phys (Some (pressure t));
@@ -153,7 +169,7 @@ let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
    and its dedup-table references are returned.  The service record stays
    (clients may still query state and counters). *)
 let teardown_tenant tn st =
-  if tn.st = Running then begin
+  if is_running tn then begin
     tn.st <- st;
     Queue.clear tn.requests;
     ignore (Service.teardown tn.svc);
@@ -161,10 +177,7 @@ let teardown_tenant tn st =
       Obs.Trace.instant ~a:tn.id Obs.Names.tenancy_evict
   end
 
-let kill t id =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> invalid_arg "Tenancy.kill: unknown tenant"
-  | Some tn -> teardown_tenant tn Retired
+let kill t id = teardown_tenant (tenant t id ~fn:"kill") Retired
 
 (* {1 Admission} *)
 
@@ -172,9 +185,18 @@ let admissible t =
   (t.max_tenants = 0 || live_tenant_count t < t.max_tenants)
   && (Phys.capacity t.phys = 0 || Phys.below_watermark t.phys)
 
+(* The tenant takes the next id once its boot has returned. *)
+let add_tenant t tn =
+  if t.count = Array.length t.tenants then begin
+    let a = Array.make (max 8 (2 * t.count)) tn in
+    Array.blit t.tenants 0 a 0 t.count;
+    t.tenants <- a
+  end;
+  t.tenants.(t.count) <- tn;
+  t.count <- t.count + 1
+
 let admit t image files stdin =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = t.count in
   let account = Phys.fresh_account t.phys in
   let fuel_per_step =
     if t.deadline > 0 then min t.fuel_per_step t.deadline else t.fuel_per_step
@@ -193,7 +215,7 @@ let admit t image files stdin =
       queued_up = false;
       requests = Queue.create () }
   in
-  Hashtbl.add t.tenants id tn;
+  add_tenant t tn;
   M.incr t.metrics N.tenancy_admits;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:id ~b:(live_tenant_count t) Obs.Names.tenancy_admit;
@@ -260,22 +282,20 @@ let pump t =
 (* {1 Scheduling} *)
 
 let enqueue_run t tn =
-  if (not tn.queued_up) && tn.st = Running && not (Queue.is_empty tn.requests)
+  if (not tn.queued_up) && is_running tn && not (Queue.is_empty tn.requests)
   then begin
     tn.queued_up <- true;
     Queue.push tn.id t.run_queue
   end
 
 let post t id r ~choice ?stdin () =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> invalid_arg "Tenancy.post: unknown tenant"
-  | Some tn ->
-    if tn.st <> Running then false
-    else begin
-      Queue.push (r, choice, stdin) tn.requests;
-      enqueue_run t tn;
-      true
-    end
+  let tn = tenant t id ~fn:"post" in
+  if not (is_running tn) then false
+  else begin
+    Queue.push (r, choice, stdin) tn.requests;
+    enqueue_run t tn;
+    true
+  end
 
 let next_tenant t = Queue.peek_opt t.run_queue
 
@@ -295,7 +315,7 @@ let police t tn outcome =
     M.incr t.metrics N.tenancy_crashes;
     teardown_tenant tn (Crashed msg)
   | Ready _ | Finished _ | Failed _ -> ());
-  if tn.st = Running && t.frame_budget > 0
+  if is_running tn && t.frame_budget > 0
      && Phys.account_frames_live t.phys tn.account > t.frame_budget
   then begin
     ignore (Service.demote_all tn.svc);
@@ -306,50 +326,43 @@ let police t tn outcome =
   end
 
 let rec step t =
-  match Queue.take_opt t.run_queue with
-  | None -> None
-  | Some id ->
+  if Queue.is_empty t.run_queue then None
+  else begin
+    let id = Queue.take t.run_queue in
     t.tick <- t.tick + 1;
-    let tn = Hashtbl.find t.tenants id in
+    let tn = t.tenants.(id) in
     tn.queued_up <- false;
-    if tn.st <> Running || Queue.is_empty tn.requests then step t
+    if not (is_running tn) || Queue.is_empty tn.requests then step t
     else begin
       let r, choice, stdin = Queue.pop tn.requests in
       tn.last_tick <- t.tick;
       tn.resumes <- tn.resumes + 1;
-      t.running <- Some tn;
+      t.running <- id;
       let outcome =
         match Service.resume tn.svc r ~choice ?stdin () with
-        | o -> t.running <- None; o
-        | exception e -> t.running <- None; raise e
+        | o -> t.running <- -1; o
+        | exception e -> t.running <- -1; raise e
       in
       police t tn outcome;
       enqueue_run t tn;
       Some (id, outcome)
     end
+  end
 
 (* {1 Introspection} *)
 
 let phys t = t.phys
-let service t id =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> invalid_arg "Tenancy.service: unknown tenant"
-  | Some tn -> tn.svc
+let service t id = (tenant t id ~fn:"service").svc
 
-let state t id =
-  Option.map (fun tn -> tn.st) (Hashtbl.find_opt t.tenants id)
+let state t id = if known t id then Some t.tenants.(id).st else None
 
-let tenant_count t = Hashtbl.length t.tenants
+let tenant_count t = t.count
 let live_tenants t = live_tenant_count t
 let tenant_frames t id =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> 0
-  | Some tn -> Phys.account_frames_live t.phys tn.account
+  if known t id then Phys.account_frames_live t.phys t.tenants.(id).account
+  else 0
 
-let resumes_of t id =
-  match Hashtbl.find_opt t.tenants id with
-  | None -> 0
-  | Some tn -> tn.resumes
+let resumes_of t id = if known t id then t.tenants.(id).resumes else 0
 
 let pending_boots t = List.length t.pending
 let metrics t = t.metrics

@@ -13,7 +13,8 @@
     overrun, frame-budget blowout, injected allocation fault —
     is contained to its own session.  Pressure demotes the offender's
     candidates first (through the tiered {!Reclaim} store), then the rest
-    of the pool least-recently-scheduled first; admission control queues or
+    of the pool least-recently-scheduled first, tenants scheduled at the
+    same tick in id order (a stable sort of the tenants by id); admission control queues or
     rejects new boots past the high watermark instead of letting them fail
     allocations mid-resume; scheduling is round-robin, one resume per
     tenant per round, under a per-resume instruction deadline.  Every
@@ -22,7 +23,8 @@
 type t
 
 type id = int
-(** Tenant handle; dense from 0 in admission order. *)
+(** Tenant handle; dense from 0 in admission order, and the index of the
+    tenant in the pool.  A boot that raises takes no id. *)
 
 type state =
   | Running

@@ -92,7 +92,9 @@ let record t op =
   match t.trace with None -> () | Some sink -> sink op
 
 let phys t = t.phys
-let set_account t account = t.account <- account
+let set_account t account =
+  if account < 0 then invalid_arg "Addr_space.set_account: negative account";
+  t.account <- account
 let account t = t.account
 let generation t = t.gen
 let epoch t = t.epoch
@@ -126,8 +128,9 @@ let tlb_switch t map =
 
 (* The shared page backing [vpn] as seen by THIS address space. *)
 let shared_frame t vpn =
-  if Ptmap.mem vpn t.shared_hidden then None
-  else Phys_mem.shared_page t.phys ~vpn
+  match Phys_mem.shared_page t.phys ~vpn with
+  | Some _ when Ptmap.mem vpn t.shared_hidden -> None
+  | found -> found
 
 (* Catch up with sharing-registry changes made by sibling machines since
    this space last looked.  This is the simulated TLB shootdown: the

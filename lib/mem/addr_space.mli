@@ -66,7 +66,8 @@ val drop_dedup_refs : t -> int
 val set_account : t -> int -> unit
 (** Charge every frame this space allocates from now on (COW copies,
     zero-fills, data maps) to the given {!Phys_mem.fresh_account} session;
-    0 (the default) leaves allocations unattributed. *)
+    0 (the default) leaves allocations unattributed.  Raises
+    [Invalid_argument] on a negative account. *)
 
 val account : t -> int
 

@@ -55,7 +55,9 @@ type t = {
   poison : bool;
       (* testing: fill released buffers with [poison_byte] immediately, so
          a frame freed while still reachable diverges loudly *)
-  mutable free_bufs : Bytes.t list;
+  mutable free_bufs : Bytes.t array;
+      (* a LIFO stack of released page buffers, [free_len] deep; grows by
+         doubling up to [max_free_bufs] *)
   mutable free_len : int;
   mutable delta_bytes : int;
       (* bytes of demoted snapshot deltas currently held in host memory by
@@ -65,10 +67,11 @@ type t = {
          reclaimed-snapshot store to host heap outside guest frame RAM *)
   mutable peak_delta_bytes : int;
   mutable next_account : int;
-  account_live_tbl : (int, int ref) Hashtbl.t;
-      (* live frames charged to each non-zero account — the per-tenant
-         frame accounting the tenancy layer's budgets read.  Account 0 is
-         the shared/unattributed pool and is never tracked. *)
+  mutable account_live : int array;
+      (* live frames charged to each account, indexed by account id — the
+         per-tenant frame accounting the tenancy layer's budgets read.
+         Account 0 is the shared/unattributed pool and is never counted;
+         the array grows on the first charge past its end. *)
   dedup : (string, dedup_entry) Hashtbl.t;
       (* content digest -> hash-consed read-only frame.  Entries are owned
          by [dedup_owner], a reserved pseudo-generation that never matches
@@ -101,9 +104,9 @@ let create ?(capacity = 0) ?(poison = false) () =
     capacity; live = 0; peak_live = 0;
     on_pressure = None; watermark_armed = true;
     alloc_fault = None;
-    poison; free_bufs = []; free_len = 0;
+    poison; free_bufs = [||]; free_len = 0;
     delta_bytes = 0; peak_delta_bytes = 0;
-    next_account = 1; account_live_tbl = Hashtbl.create 8;
+    next_account = 1; account_live = [||];
     dedup = Hashtbl.create 64; dedup_rev = Hashtbl.create 64;
     dedup_refs = 0 }
 
@@ -176,64 +179,80 @@ let ensure_frame_available t =
 
    Accounts attribute live frames to the session (tenant) whose address
    space allocated them, independently of generation ownership.  Account 0
-   is the shared/unattributed pool and is never tracked, so the tables stay
+   is the shared/unattributed pool and is never counted, so the array stays
    empty (and the per-allocation cost stays one integer compare) for every
-   user that never calls {!fresh_account}. *)
+   user that never charges another account; a charged frame costs one
+   array store. *)
 
 let fresh_account t =
   let a = t.next_account in
   t.next_account <- a + 1;
   a
 
-let account_cell t account =
-  match Hashtbl.find_opt t.account_live_tbl account with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace t.account_live_tbl account r;
-    r
+let grow_accounts t account =
+  let a = Array.make (max (account + 1) (2 * Array.length t.account_live)) 0 in
+  Array.blit t.account_live 0 a 0 (Array.length t.account_live);
+  t.account_live <- a
 
 let charge_account t account =
-  if account <> 0 then incr (account_cell t account)
+  if account <> 0 then begin
+    if account >= Array.length t.account_live then grow_accounts t account;
+    t.account_live.(account) <- t.account_live.(account) + 1
+  end
 
+(* A frame's account was charged when it was minted: its slot exists. *)
 let credit_account t account =
-  if account <> 0 then decr (account_cell t account)
+  if account <> 0 then
+    t.account_live.(account) <- t.account_live.(account) - 1
 
 let account_frames_live t account =
-  if account = 0 then 0
-  else match Hashtbl.find_opt t.account_live_tbl account with
-    | Some r -> !r
-    | None -> 0
+  if account > 0 && account < Array.length t.account_live then
+    t.account_live.(account)
+  else 0
 
 let assert_quiescent t =
-  let charged =
-    Hashtbl.fold (fun a r acc -> if !r <> 0 then (a, !r) :: acc else acc)
-      t.account_live_tbl []
-  in
-  if t.live <> 0 || charged <> [] then
+  let charged = ref [] in
+  for a = Array.length t.account_live - 1 downto 1 do
+    let n = t.account_live.(a) in
+    if n <> 0 then
+      charged := Printf.sprintf ", account %d holds %d" a n :: !charged
+  done;
+  if t.live <> 0 || !charged <> [] then
     failwith
       (Printf.sprintf "Phys_mem.assert_quiescent: %d frames live%s" t.live
-         (String.concat ""
-            (List.map (fun (a, n) -> Printf.sprintf ", account %d holds %d" a n)
-               (List.sort compare charged))))
+         (String.concat "" !charged))
 
 let account_live t f =
   t.live <- t.live + 1;
   if t.live > t.peak_live then t.peak_live <- t.live;
   charge_account t f.account
 
-(* Pop a released page buffer, if the pool has one.  The buffer comes back
-   with arbitrary contents (possibly poisoned): callers overwrite it. *)
+(* Pop the most recently released page buffer, or [Bytes.empty] when the
+   pool has none.  The buffer comes back with arbitrary contents (possibly
+   poisoned): callers overwrite it. *)
 let take_buf t =
-  match t.free_bufs with
-  | [] -> None
-  | b :: rest ->
-    t.free_bufs <- rest;
-    t.free_len <- t.free_len - 1;
+  let n = t.free_len in
+  if n = 0 then Bytes.empty
+  else begin
+    let n = n - 1 in
+    let b = Array.unsafe_get t.free_bufs n in
+    Array.unsafe_set t.free_bufs n Bytes.empty;
+    t.free_len <- n;
     Obs.Metrics.incr t.metrics Obs.Names.mem_frames_recycled;
     if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:t.free_len Obs.Names.frame_recycle;
-    Some b
+      Obs.Trace.instant ~a:n Obs.Names.frame_recycle;
+    b
+  end
+
+let push_buf t b =
+  let n = t.free_len in
+  if n = Array.length t.free_bufs then begin
+    let a = Array.make (min max_free_bufs (max 16 (2 * n))) Bytes.empty in
+    Array.blit t.free_bufs 0 a 0 n;
+    t.free_bufs <- a
+  end;
+  Array.unsafe_set t.free_bufs n b;
+  t.free_len <- n + 1
 
 let mint t ~owner ~account bytes =
   let f = { id = t.next_frame; bytes; owner; freed = false; account } in
@@ -244,10 +263,10 @@ let mint t ~owner ~account bytes =
 
 let alloc ?(account = 0) t ~owner =
   ensure_frame_available t;
+  let b = take_buf t in
   let bytes =
-    match take_buf t with
-    | Some b -> Bytes.fill b 0 Page.size '\000'; b
-    | None -> Bytes.make Page.size '\000'
+    if b == Bytes.empty then Bytes.make Page.size '\000'
+    else (Bytes.fill b 0 Page.size '\000'; b)
   in
   mint t ~owner ~account bytes
 
@@ -257,9 +276,8 @@ let alloc ?(account = 0) t ~owner =
 let alloc_overwritten t ~owner ~account =
   ensure_frame_available t;
   Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills_elided;
-  let bytes =
-    match take_buf t with Some b -> b | None -> Bytes.create Page.size
-  in
+  let b = take_buf t in
+  let bytes = if b == Bytes.empty then Bytes.create Page.size else b in
   mint t ~owner ~account bytes
 
 let alloc_copy t ?(account = 0) ~owner src =
@@ -288,8 +306,7 @@ let free_frame t (f : frame) =
   credit_account t f.account;
   if t.free_len < max_free_bufs then begin
     if t.poison then Bytes.fill f.bytes 0 Page.size poison_byte;
-    t.free_bufs <- f.bytes :: t.free_bufs;
-    t.free_len <- t.free_len + 1
+    push_buf t f.bytes
   end
 
 (* The frame audit: [reachable] walks the caller's live state, labelling
@@ -368,7 +385,10 @@ let dedup_unref t (f : frame) =
 let dedup_entries t = Hashtbl.length t.dedup
 let dedup_refs t = t.dedup_refs
 
-let shared_page t ~vpn = Hashtbl.find_opt t.shared_pages vpn
+(* Most memories never share a page: a TLB miss then probes nothing. *)
+let shared_page t ~vpn =
+  if Hashtbl.length t.shared_pages = 0 then None
+  else Hashtbl.find_opt t.shared_pages vpn
 
 let log_share_change t vpn =
   t.share_epoch <- t.share_epoch + 1;

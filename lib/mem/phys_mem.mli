@@ -34,7 +34,7 @@ val create : ?capacity:int -> ?poison:bool -> unit -> t
 (** [capacity] (default 0 = unbounded) bounds the number of
     simultaneously-live frames.
 
-    {!free_frame} keeps released page buffers in a free list for reuse,
+    {!free_frame} keeps released page buffers on a LIFO stack for reuse,
     and full-page-overwrite allocations ({!alloc_copy}, {!alloc_data})
     skip the zero fill.  [poison] (default [false], testing only) fills
     released buffers with a recognizable byte immediately, so a frame
@@ -118,8 +118,8 @@ val alloc_data : t -> ?account:int -> owner:int -> string -> frame
 
 val free_frame : t -> frame -> unit
 (** Explicitly release a frame: its live slot is returned immediately and
-    its buffer joins the free list (up to 4,096 buffers) for the next
-    allocation.  The caller asserts no live page map, snapshot, or TLB can
+    its buffer is pushed on the free-buffer stack (up to 4,096 buffers),
+    whose top the next allocation takes.  The caller asserts no live page map, snapshot, or TLB can
     reach the frame any more — see {!Addr_space.release_snapshot} for the
     discipline that makes the assertion checkable.  Raises
     [Invalid_argument] on a double free or on the zero frame; shared
@@ -135,13 +135,15 @@ val audit :
 
 val poisoning : t -> bool
 val free_buffers : t -> int
-(** Buffers currently pooled in the free list. *)
+(** Buffers currently pooled on the free-buffer stack. *)
 
 val shared_page : t -> vpn:int -> frame option
 (** Explicitly-shared frames are registered system-globally so that every
     address space over this physical memory resolves the same frame — how
     §3.1's "explicit sharing mechanisms" stay coherent across parallel
-    workers. *)
+    workers.  While nothing is registered this returns [None] without a
+    lookup, so a TLB miss on a memory that never shares costs no hashing;
+    the shootdown below keys on {!share_epoch}, not on this probe. *)
 
 val set_shared_page : t -> vpn:int -> frame -> unit
 val clear_shared_page : t -> vpn:int -> unit
@@ -172,18 +174,22 @@ val fresh_generation : t -> int
     Accounts attribute live frames to the session that allocated them —
     the quantity a multi-tenant pool's per-tenant frame budgets are
     enforced against.  Account 0 is the shared pool and is never
-    tracked. *)
+    counted.  The counts are an [int] array indexed by account id, grown
+    on the first charge past its end: charging or crediting a frame is
+    one array store, and a memory whose frames all stay on account 0
+    holds an empty array. *)
 
 val fresh_account : t -> int
-(** A fresh non-zero account id. *)
+(** A fresh non-zero account id: 1, 2, 3… in order. *)
 
 val account_frames_live : t -> int -> int
-(** Frames charged to the account and not yet freed.  Always 0 for
-    account 0. *)
+(** Frames charged to the account and not yet freed.  0 for account 0
+    and for an id no frame was ever charged to. *)
 
 val assert_quiescent : t -> unit
 (** The leak check: raises [Failure] naming the live count and every
-    non-zero account unless no frame is live.  Holds once every session
+    account still charged, in increasing id order, unless no frame is
+    live.  Holds once every session
     over the memory has been torn down (see [Core.Tenancy.kill]); frames
     registered with {!set_shared_page} are pool-lifetime and count as
     live. *)

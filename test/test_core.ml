@@ -964,12 +964,14 @@ let boot_store () =
 (* Resume [parent] with [choice], run to the next publish, register it —
    captured with the restored record as its parent, the lineage the
    store's explicit frees rely on. *)
-let extend store ids m parent ~choice =
+let extend ?depth store ids m parent ~choice =
   let base = Reclaim.get store parent in
   Snapshot.restore m base;
   Vcpu.Cpu.set m.Libos.cpu R.rax choice;
   ignore (run_to_guess m);
-  let depth = Reclaim.depth store parent + 1 in
+  let depth =
+    match depth with Some d -> d | None -> Reclaim.depth store parent + 1
+  in
   Reclaim.add store ~parent ~choice ~depth
     (Snapshot.capture ~ids ~parent:base ~depth m)
 
@@ -1049,6 +1051,52 @@ let reclaim_pinned_root_stops_at_tier1 () =
     (snap_image (Reclaim.get store h0) = img0);
   check Alcotest.int "full-image promotion replays nothing" 0
     (count N.reclaim_replays)
+
+(* The bulk operations visit entries in a fixed order, not a hash
+   table's: [demote_all] deepest first and, among equal depths, newest
+   handle first, so a child recorded at its parent's depth (as a scope
+   root and its first capture are) still diffs against its live parent;
+   [evict_all] in handle order.  Every handle reconstructs afterwards.
+   Unknown handles raise as before. *)
+let reclaim_bulk_order () =
+  let _phys, m, store, ids, h0, count = boot_store () in
+  let h1 = extend store ids m h0 ~choice:0 in
+  let h2 = extend store ids m h0 ~choice:1 in
+  let h3 = extend store ids m h0 ~choice:0 in
+  let h4 = extend ~depth:1 store ids m h1 ~choice:1 in
+  let handles = [ h0; h1; h2; h3; h4 ] in
+  let images = List.map (fun h -> snap_image (Reclaim.get store h)) handles in
+  let visited name f =
+    Obs.Trace.start ();
+    let n = f store in
+    Obs.Trace.stop ();
+    let order =
+      List.filter_map
+        (fun (e : Obs.Trace.view) ->
+          if e.v_name = name then Some e.v_a else None)
+        (Obs.Trace.events ())
+    in
+    Obs.Trace.clear ();
+    (n, order)
+  in
+  let n, order = visited N.reclaim_demote Reclaim.demote_all in
+  check Alcotest.int "every live payload demoted" 5 n;
+  check Alcotest.(list int) "deepest first, equal depths newest first"
+    [ h4; h3; h2; h1; h0 ] order;
+  let n, order = visited N.reclaim_evict Reclaim.evict_all in
+  check Alcotest.int "every unpinned payload truncated" 4 n;
+  check Alcotest.(list int) "evicted in handle order" [ h1; h2; h3; h4 ] order;
+  check Alcotest.bool "every handle reconstructs bit-identically" true
+    (List.map (fun h -> snap_image (Reclaim.get store h)) handles = images);
+  check Alcotest.bool "through replays" true (count N.reclaim_replays > 0);
+  List.iter
+    (fun h ->
+      match Reclaim.get store h with
+      | _ -> Alcotest.failf "handle %d is unknown" h
+      | exception Invalid_argument msg ->
+        check Alcotest.string "unknown handle"
+          (Printf.sprintf "Reclaim: unknown reference %d" h) msg)
+    [ -1; h4 + 1; 1000 ]
 
 let reclaim_tier_roundtrip_prop =
   (* Random walk over the candidate tree with random demotions and
@@ -1171,6 +1219,52 @@ let quiesce pool =
   Mem.Phys_mem.assert_quiescent (Tenancy.phys pool);
   check Alcotest.int "dedup references drained" 0
     (Mem.Phys_mem.dedup_refs (Tenancy.phys pool))
+
+(* Tenant ids are dense from 0 and index the pool directly, past its
+   initial table size too; an id never issued is unknown everywhere. *)
+let tenancy_ids_index_the_pool () =
+  let pool = Tenancy.create () in
+  let tenants = pool_roots pool 9 locality_image in
+  check Alcotest.(list int) "ids dense in admission order"
+    (List.init 9 Fun.id) (List.map fst tenants);
+  List.iter
+    (fun (id, r) ->
+      if id mod 3 = 0 then
+        check Alcotest.bool "post accepted" true
+          (Tenancy.post pool id r ~choice:0 ()))
+    tenants;
+  let served = ref [] in
+  let rec drain () =
+    match Tenancy.step pool with
+    | Some (id, _) -> served := id :: !served; drain ()
+    | None -> ()
+  in
+  drain ();
+  check Alcotest.(list int) "each request served by its tenant" [ 0; 3; 6 ]
+    (List.rev !served);
+  List.iter
+    (fun (id, _) ->
+      check Alcotest.int "resumes land on the posting tenant"
+        (if id mod 3 = 0 then 1 else 0) (Tenancy.resumes_of pool id))
+    tenants;
+  List.iter
+    (fun id ->
+      check Alcotest.bool "unknown id has no state" true
+        (Tenancy.state pool id = None);
+      check Alcotest.int "unknown id holds nothing" 0
+        (Tenancy.tenant_frames pool id);
+      (match Tenancy.kill pool id with
+      | () -> Alcotest.fail "kill of an unknown tenant"
+      | exception Invalid_argument msg ->
+        check Alcotest.string "kill names itself" "Tenancy.kill: unknown tenant"
+          msg);
+      match Tenancy.service pool id with
+      | _ -> Alcotest.fail "service of an unknown tenant"
+      | exception Invalid_argument msg ->
+        check Alcotest.string "service names itself"
+          "Tenancy.service: unknown tenant" msg)
+    [ -1; 9; 100 ];
+  quiesce pool
 
 let tenancy_dedup_shares_image_frames () =
   let pool = Tenancy.create () in
@@ -1713,11 +1807,15 @@ let tests =
       reclaim_truncated_chain_falls_back_to_replay;
     Alcotest.test_case "reclaim pinned root stops at tier 1" `Quick
       reclaim_pinned_root_stops_at_tier1;
+    Alcotest.test_case "reclaim bulk operations visit in order" `Quick
+      reclaim_bulk_order;
     reclaim_tier_roundtrip_prop;
     Alcotest.test_case "service alloc fail contained" `Quick
       service_alloc_fail_contained;
     Alcotest.test_case "service failed resumes keep live flat" `Quick
       service_failed_resumes_keep_live_flat;
+    Alcotest.test_case "tenancy ids index the pool" `Quick
+      tenancy_ids_index_the_pool;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
       tenancy_dedup_shares_image_frames;
     Alcotest.test_case "tenancy fault containment" `Quick

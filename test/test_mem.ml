@@ -140,6 +140,38 @@ let share_shoots_down_sibling_tlbs () =
   check Alcotest.int "B falls back to its private frame" 7
     (As.read_u8 b (3 * 4096))
 
+(* The TLB-miss probe skips the registry while it is empty; the shootdown
+   still runs, because it keys on the share epoch, not on the probe.  A
+   translation cached while nothing was shared must die when a sibling
+   shares the vpn, and a shared one when the last shared page goes. *)
+let empty_registry_keeps_shootdowns () =
+  let phys = Phys.create () in
+  let a = As.create phys and b = As.create phys in
+  As.map_data a ~vpn:4 "\011";
+  As.map_data a ~vpn:6 "\013";
+  check Alcotest.int "nothing shared yet" 0 (Phys.shared_page_count phys);
+  check Alcotest.bool "no shared page while the registry is empty" true
+    (Phys.shared_page phys ~vpn:4 = None);
+  check Alcotest.int "A caches its private frame" 11 (As.read_u8 a (4 * 4096));
+  check Alcotest.int "and reads it from the TLB" 11 (As.read_u8 a (4 * 4096));
+  As.map_shared b ~vpn:4;
+  As.write_u8 b (4 * 4096) 99;
+  check Alcotest.int "A's next read is the shared frame" 99
+    (As.read_u8 a (4 * 4096));
+  check Alcotest.int "an unshared vpn keeps its translation" 13
+    (As.read_u8 a (6 * 4096));
+  Phys.clear_shared_page phys ~vpn:4;
+  check Alcotest.int "the registry is empty again" 0
+    (Phys.shared_page_count phys);
+  check Alcotest.int "A falls back to its own map" 11 (As.read_u8 a (4 * 4096));
+  (match As.read_u8 b (4 * 4096) with
+  | _ -> Alcotest.fail "B had no private page under the shared one"
+  | exception As.Page_fault _ -> ());
+  (* and sharing again, from empty, shoots the fallback down once more *)
+  As.map_shared b ~vpn:4;
+  As.write_u8 b (4 * 4096) 55;
+  check Alcotest.int "A sees the new shared frame" 55 (As.read_u8 a (4 * 4096))
+
 let snapshot_immutable () =
   let t = fresh () in
   As.map_zero t ~vpn:0;
@@ -1086,6 +1118,66 @@ let live_always_counted () =
     (Phys.account_frames_live phys account);
   Phys.assert_quiescent phys
 
+(* Per-account counts are an array indexed by account id that grows on
+   the first charge past its end: counts stay exact across the growth,
+   ids never issued read 0, and the leak check lists holders in order. *)
+let account_counts_survive_growth () =
+  let phys = Phys.create () in
+  let accounts = Array.init 40 (fun _ -> Phys.fresh_account phys) in
+  (* account a holds (a mod 3) + 1 frames, charged in id order, so the
+     array grows several times under counts already held *)
+  let held =
+    Array.map
+      (fun a ->
+        List.init ((a mod 3) + 1) (fun _ -> Phys.alloc ~account:a phys ~owner:1))
+      accounts
+  in
+  Array.iter
+    (fun a ->
+      check Alcotest.int (Printf.sprintf "account %d charged" a) ((a mod 3) + 1)
+        (Phys.account_frames_live phys a))
+    accounts;
+  check Alcotest.int "every frame is live"
+    (Array.fold_left (fun n l -> n + List.length l) 0 held)
+    (Phys.frames_live phys);
+  let never = accounts.(39) + 1 in
+  List.iter
+    (fun a ->
+      check Alcotest.int (Printf.sprintf "account %d reads 0" a) 0
+        (Phys.account_frames_live phys a))
+    [ 0; -1; never; never + 1000 ];
+  (* free all but one frame of account 3 and two of account 17 *)
+  Array.iter
+    (fun frames ->
+      match frames with
+      | (f : Phys.frame) :: rest when f.account = 3 ->
+        List.iter (Phys.free_frame phys) rest
+      | (f : Phys.frame) :: g :: rest when f.account = 17 ->
+        ignore g;
+        List.iter (Phys.free_frame phys) rest
+      | frames -> List.iter (Phys.free_frame phys) frames)
+    held;
+  check Alcotest.int "account 3 credited down to 1" 1
+    (Phys.account_frames_live phys 3);
+  check Alcotest.int "account 17 keeps 2" 2 (Phys.account_frames_live phys 17);
+  check Alcotest.int "account 4 drained" 0 (Phys.account_frames_live phys 4);
+  (match Phys.assert_quiescent phys with
+  | () -> Alcotest.fail "held frames must fail the leak check"
+  | exception Failure msg ->
+    check Alcotest.string "holders listed in account order"
+      "Phys_mem.assert_quiescent: 3 frames live, account 3 holds 1, \
+       account 17 holds 2"
+      msg);
+  (* a charge to an id nobody issued still counts, and exactly *)
+  let f = Phys.alloc ~account:(never + 100) phys ~owner:1 in
+  check Alcotest.int "an unissued id past the end is counted" 1
+    (Phys.account_frames_live phys (never + 100));
+  Phys.free_frame phys f;
+  check Alcotest.int "and credited" 0 (Phys.account_frames_live phys (never + 100));
+  match As.set_account (As.create phys) (-1) with
+  | () -> Alcotest.fail "a negative account has no slot"
+  | exception Invalid_argument _ -> ()
+
 let tests =
   [ Alcotest.test_case "page geometry" `Quick page_geometry;
     Alcotest.test_case "read/write roundtrip" `Quick rw_roundtrip;
@@ -1097,6 +1189,10 @@ let tests =
       u64_crossing_into_unmapped_faults;
     Alcotest.test_case "shared-page unmap is per-machine" `Quick
       shared_page_unmap_is_local;
+    Alcotest.test_case "empty registry keeps shootdowns" `Quick
+      empty_registry_keeps_shootdowns;
+    Alcotest.test_case "account counts survive growth" `Quick
+      account_counts_survive_growth;
     Alcotest.test_case "sharing shoots down sibling TLBs" `Quick
       share_shoots_down_sibling_tlbs;
     Alcotest.test_case "snapshot immutability" `Quick snapshot_immutable;
