@@ -962,7 +962,7 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* E12: exploration under a frame budget (reclaim: evict + replay)    *)
+(* E12: exploration under a frame budget (reclaim: demote + promote)  *)
 (* ------------------------------------------------------------------ *)
 
 let e12 () =
@@ -973,18 +973,17 @@ let e12 () =
      frame budget the store no longer forgets payloads - it demotes \
      them (deepest, least-recently-resumed first) to dirty-page \
      deltas against a live ancestor and promotes them back by apply \
-     when the scheduler pops them; re-execution is only the fallback \
-     for truncated chains, which pressure alone never produces.  Every \
+     when the scheduler pops them, re-executing no guest code.  Every \
      budgeted run must visit the same terminals in the same order as \
      the unbounded one, peak live frames must never exceed the budget, \
      no budgeted run may leave more frames live after it returns than \
      the unbounded one, and the quarter-peak run must stay within 3x \
      of the unbounded time (the old evict-and-replay store sat at \
      32-75x here).";
-  let row = U.row_format [ 10; 9; 10; 8; 8; 8; 9; 8; 8; 9 ] in
+  let row = U.row_format [ 10; 9; 10; 8; 8; 9; 8; 9 ] in
   row
-    [ "budget"; "capacity"; "peak-live"; "demote"; "promote"; "replays";
-      "delta-KB"; "hit%"; "ms"; "slowdown" ];
+    [ "budget"; "capacity"; "peak-live"; "demote"; "promote"; "delta-KB";
+      "ms"; "slowdown" ];
   let params =
     { Workloads.Locality.depth = (if !quick then 3 else 4); branch = 3;
       touch_pages = 3; work = (if !quick then 5 else 50); arena_pages = 16 }
@@ -1012,12 +1011,11 @@ let e12 () =
      own wall clock (the skew dwarfs the tier machinery being measured).
      Same discipline as E13; median of 3 after one warmup. *)
   (* Pressure decisions read exact frame counts, never GC timing, so every
-     repetition of a row must demote, promote, truncate and replay exactly
-     alike and peak at the same live count — the determinism gate. *)
+     repetition of a row must demote and promote exactly alike and peak at
+     the same live count — the determinism gate. *)
   let decisions (phys, (r : Explorer.result)) =
     let get = M.get r.Explorer.metrics in
     [ get N.reclaim_demotions; get N.reclaim_promotions;
-      get N.reclaim_evictions; get N.reclaim_replays;
       Phys.peak_frames_live phys; Phys.pressure_events phys ]
   in
   let timed capacity =
@@ -1039,15 +1037,8 @@ let e12 () =
   let base_live_after = Phys.frames_live phys0 in
   let base_terminals = List.length base.Explorer.terminals in
   row
-    [ "unbounded"; "-"; U.fint peak; "0"; "0"; "0"; "0"; "-"; U.fms base_ms;
+    [ "unbounded"; "-"; U.fint peak; "0"; "0"; "0"; U.fms base_ms;
       U.fratio 1.0 ];
-  (* Fraction of reconstructions served from the delta tiers without
-     re-executing a single guest instruction. *)
-  let tier_hit_rate metrics =
-    let promotions = M.get metrics N.reclaim_promotions in
-    let total = promotions + M.get metrics N.reclaim_replay_fallbacks in
-    if total = 0 then 1.0 else Float.of_int promotions /. Float.of_int total
-  in
   let json_row ~label ~capacity ~peak_live ~peak_delta ~live_after ~ms
       ~slowdown metrics =
     Obs.Json.Obj
@@ -1056,7 +1047,6 @@ let e12 () =
         "peak_live", Obs.Json.Int peak_live;
         "peak_delta_bytes", Obs.Json.Int peak_delta;
         "frames_live_after", Obs.Json.Int live_after;
-        "tier_hit_rate", Obs.Json.Float (tier_hit_rate metrics);
         "ms", Obs.Json.Float ms;
         "slowdown", Obs.Json.Float slowdown;
         "metrics", M.to_json metrics ]
@@ -1105,13 +1095,11 @@ let e12 () =
       row
         [ label; U.fint capacity; U.fint (Phys.peak_frames_live phys);
           U.fint s.Core.Stats.demotions; U.fint s.Core.Stats.promotions;
-          U.fint s.Core.Stats.replays;
-          U.fint (Phys.peak_delta_bytes phys / 1024);
-          Printf.sprintf "%.0f%%" (100.0 *. tier_hit_rate r.Explorer.metrics); U.fms ms;
+          U.fint (Phys.peak_delta_bytes phys / 1024); U.fms ms;
           U.fratio slowdown ])
     [ "3/4 peak", 3, 4; "1/2 peak", 1, 2; "1/3 peak", 1, 3;
       "1/4 peak", 1, 4 ];
-  U.emit_json ~schema:2 ~experiment:"E12" ~quick:!quick
+  U.emit_json ~schema:3 ~experiment:"E12" ~quick:!quick
     ~params:
       [ "depth", Obs.Json.Int params.Workloads.Locality.depth;
         "branch", Obs.Json.Int params.Workloads.Locality.branch;

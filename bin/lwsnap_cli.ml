@@ -60,8 +60,8 @@ let capacity_arg =
   Arg.(value & opt int 0
        & info [ "capacity" ] ~docv:"FRAMES"
            ~doc:"Bound physical memory to FRAMES frames (0 = unbounded).  \
-                 Under pressure, snapshot payloads are evicted and rebuilt \
-                 by replay when scheduled.")
+                 Under pressure, snapshot payloads are demoted to page \
+                 deltas and promoted back when scheduled.")
 
 let size_arg ~default =
   Arg.(value & opt int default & info [ "n" ] ~docv:"N" ~doc:"Problem size.")

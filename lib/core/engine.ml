@@ -113,10 +113,9 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
 
   (* Memory-pressure integration: a bounded physical memory gets a tiered
      payload store, so snapshots can be demoted to page deltas when
-     frames run out and promoted back (or, past a truncation, rebuilt by
-     replay) when their extension is finally scheduled.  [tier_stress]
-     forces the store on and exercises the tiers on an unbounded memory —
-     the fuzz oracle's hammer. *)
+     frames run out and promoted back when their extension is finally
+     scheduled.  [tier_stress] forces the store on and exercises the
+     tiers on an unbounded memory — the fuzz oracle's hammer. *)
   let phys = Mem.Addr_space.phys machine.aspace in
   let reclaim = Mem.Phys_mem.capacity phys > 0 || tier_stress <> None in
   (* The replay log and the [Reclaim] anchor each follow one machine. *)
@@ -124,21 +123,20 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     invalid_arg "Explorer: recording or a reclaim store needs one worker";
   let store =
     if reclaim then begin
-      let st = Reclaim.create ~fuel_per_step ~metrics machine in
+      let st = Reclaim.create ~metrics machine in
       Mem.Phys_mem.set_pressure_handler phys (Some (Reclaim.pressure_handler st));
       Some st
     end
     else None
   in
   (* Recording assumes snapshot ids in the log resolve to states the
-     replayer has itself captured; a reclaim store rebuilds evicted
-     payloads by replay under *fresh* ids the log has never seen. *)
+     replayer has itself captured; a reclaim store promotes demoted
+     payloads under *fresh* ids the log has never seen. *)
   if probe <> None && store <> None then
     invalid_arg "Explorer: recording requires an unbounded in-memory store";
   (* Tier-stress hook: every [n]-th scheduler stop demotes every live
-     payload, and every 5[n]-th additionally truncates everything
-     non-pinned so the replay fallback is exercised too.  Pure store
-     operations: the running machine is never touched. *)
+     payload.  A pure store operation: the running machine is never
+     touched. *)
   let stress_clock = ref 0 in
   let stress_every =
     match (tier_stress, store) with Some n, Some _ when n > 0 -> n | _ -> 0
@@ -146,12 +144,8 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   let stress_tick () =
     match store with
     | Some st when stress_every > 0 ->
-      let n = stress_every in
       incr stress_clock;
-      if !stress_clock mod n = 0 then begin
-        ignore (Reclaim.demote_all st);
-        if !stress_clock mod (5 * n) = 0 then ignore (Reclaim.evict_all st)
-      end
+      if !stress_clock mod stress_every = 0 then ignore (Reclaim.demote_all st)
     | _ -> ()
   in
   (* Reclaim mode manages payload lifetime itself (see [Reclaim]), so the
@@ -170,7 +164,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   in
   let fuel = Option.value quantum ~default:fuel_per_step in
   let preempt = Option.map (fun _ -> fuel_per_step) quantum in
-  (* In reclaim mode, replays capture through the store's id allocator;
+  (* In reclaim mode, promotions capture through the store's id allocator;
      sharing it keeps snapshot ids unique across originals and rebuilds. *)
   let ids =
     match store, domain with
@@ -180,7 +174,6 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   in
   (* The path's record in the store: the parent of its captures. *)
   let current_handle : Reclaim.handle option ref = ref None in
-  let current_choice = ref 1 in
 
   (* The frame audit (see [run] in the interface): at every stop and at the
      end on a poisoned allocator, and at the end of a domain's run.
@@ -310,18 +303,14 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       end;
       Obs.Trace.counter Obs.Names.instructions instructions
     end;
-    (* Replays re-execute work the original run already performed and
-       accounted; reporting it again would make eviction look like extra
-       guest progress.  The store took their memory events back out of
-       [metrics] already. *)
-    M.add metrics N.vcpu_instructions
-      (instructions - M.get metrics N.reclaim_replayed_instructions);
-    M.merge ~into:metrics (M.sub (Mem.Phys_mem.registry phys) mem_before);
-    (* The counters are read: give back every frame the store still holds
-       (the anchor, undrained payloads), once the machine has left the
-       scope.  A run with a store stopped inside it keeps them: the
-       machine's map still derives from the anchor. *)
+    (* Give back every frame the store still holds (the anchor, undrained
+       payloads) once the machine has left the scope, before the memory's
+       events are read, so the run's frees pair its allocations.  A run
+       with a store stopped inside it keeps them: the machine's map still
+       derives from the anchor. *)
     if !scope = None then Option.iter Reclaim.release_all store;
+    M.add metrics N.vcpu_instructions instructions;
+    M.merge ~into:metrics (M.sub (Mem.Phys_mem.registry phys) mem_before);
     { outcome;
       transcript = Buffer.contents transcript;
       terminals = Path.terminals terminals;
@@ -350,9 +339,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       | snap ->
         probe_resume snap index;
         (match e.parent with
-        | Ext.Ref h ->
-          current_handle := Some h;
-          current_choice := index
+        | Ext.Ref h -> current_handle := Some h
         | Ext.Snap _ -> ());
         M.incr metrics N.search_extensions
       | exception ex ->
@@ -372,12 +359,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       Obs.Trace.counter Obs.Names.frontier_len frontier_len;
     M.peak metrics N.search_max_frontier frontier_len;
     let lineage_len =
-      match store with
-      | Some _ ->
-        (* managed captures carry no parent link (eviction must be able to
-           free ancestors), so count the path itself; one machine *)
-        Path.depth path + 1
-      | None -> Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
+      Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
     in
     M.peak metrics N.snapshot_max_live (frontier_len + lineage_len)
   in
@@ -447,7 +429,6 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
         p.Probe.capture ~snap:root.Snapshot.id;
         p.Probe.set_rax 1);
       current_handle := Option.map (fun st -> Reclaim.add_root st root) store;
-      current_choice := 1;
       enter_scope root strat
 
   and enter_scope root strat =
@@ -521,9 +502,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
             | Some h -> h
             | None -> invalid_arg "Explorer: scope path without a handle"
           in
-          Ext.Ref
-            (Reclaim.add st ~parent ~choice:!current_choice
-               ~depth:(Path.depth w) snap)
+          Ext.Ref (Reclaim.add st ~parent ~depth:(Path.depth w) snap)
       in
       sc.frontier.Frontier.push_batch [ Frontier.guess payload ~count:n meta ];
       track_extents sc;

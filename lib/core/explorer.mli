@@ -111,11 +111,10 @@ val run :
     ({!Mem.Phys_mem.capacity} > 0), the run installs a tiered {!Reclaim}
     store as the pressure handler — snapshot payloads are demoted to
     dirty-page deltas in host memory under frame pressure and promoted
-    back by applying them when scheduled (replay remains the fallback
-    past a truncation), so exploration completes within budgets smaller
-    than its fault-free peak.  A run that leaves its scope returns with
-    every frame the store held given back, so it leaves as many frames
-    live as a storeless run; one stopped inside the scope (first exit,
+    back by applying them when scheduled, so exploration completes
+    within budgets smaller than its fault-free peak.  A run that leaves
+    its scope returns with every frame the store held given back, so it
+    leaves as many frames live as a storeless run; one stopped inside the scope (first exit,
     an abort) keeps them, since the machine's map still derives from
     them.  A storeless run stopped inside its scope gives back everything
     the scope holds — the frontier's entries, the other workers' paths,
@@ -123,8 +122,8 @@ val run :
     which stays the stopping path's (the root's if worker 0 was idle).
     [tier_stress] forces the store on even with
     unbounded memory and hammers it: every [n]-th scheduler stop demotes
-    every live payload, every 5[n]-th additionally truncates so the
-    replay fallback runs too — the fuzz oracle's tier-stress pipeline.
+    every live payload, so the next resume of each promotes — the fuzz
+    oracle's tier-stress pipeline.
     [tier_stress:0] attaches the store without hammering it: the
     unbounded footprint of reclaim mode, which a frame budget has to
     undercut.
@@ -150,7 +149,7 @@ val run :
     ([Record.Recorder.probe]) turns it into a replay log; pair it with
     {!Record.Recorder.install} on the machine so the ordinary-syscall
     stream is logged too.  Recording composes only with the plain
-    in-memory scheduler: a reclaim store rebuilds evicted payloads under
+    in-memory scheduler: a reclaim store promotes demoted payloads under
     fresh snapshot ids the log has never seen, so [probe] together with a
     bounded capacity or [tier_stress] raises [Invalid_argument]. *)
 

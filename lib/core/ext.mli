@@ -12,7 +12,7 @@ type payload =
           frontier) *)
   | Ref of Reclaim.handle
       (** the parent held through a {!Reclaim} store, so its snapshot can
-          be evicted under memory pressure and rebuilt by replay when the
-          extension is finally scheduled *)
+          be demoted to a page delta under memory pressure and promoted
+          back when the extension is finally scheduled *)
 
 type t = payload Search.Frontier.entry

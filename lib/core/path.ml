@@ -369,7 +369,7 @@ let discard t =
 
 let resume t store h ~rax =
   discard t;
-  (* after the discard: a promotion or replay clobbers the machine *)
+  (* after the discard: a promotion clobbers the machine *)
   let snap = Reclaim.get store h in
   restore t snap ~rax ~depth:(Reclaim.depth store h + 1)
 
@@ -389,7 +389,7 @@ let abandon t =
 let switch t metrics ~resolve origin ~index ~depth =
   discard t;
   if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
-  (* after the discard: a store's promotion or replay clobbers the machine *)
+  (* after the discard: a store's promotion clobbers the machine *)
   let snap =
     match resolve origin with
     | snap -> snap

@@ -27,8 +27,8 @@
       COW tail (the frames acquired since the last restore, when no capture
       froze them) by diffing against the live map, so it must run before
       anything rebuilds or restores the machine — including resolving the
-      next extension through a {!Reclaim} store, whose promotions and
-      replays clobber the machine.
+      next extension through a {!Reclaim} store, whose promotions clobber
+      the machine.
     - {b One switch.}  {!switch} retires the ended segment, resolves the
       next extension and enters it, in the order the rule above asks for;
       the caller pops the frontier before it and has nothing to do

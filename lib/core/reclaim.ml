@@ -1,19 +1,15 @@
 module Libos = Os.Libos
 module Cpu = Vcpu.Cpu
-module Reg = Isa.Reg
 module As = Mem.Addr_space
 module M = Obs.Metrics
 module N = Obs.Names
-
-exception Replay_diverged of string
 
 type handle = int
 
 (* Payload tiers.  Tier 0 holds the live snapshot (its page map pins
    physical frames).  A demotion replaces it with the byte delta against
    the nearest still-live ancestor, as raw page copies in host memory
-   (tier 1).  A truncated entry (payload [None], tier 2) keeps only the
-   skeleton and falls back to deterministic replay. *)
+   (tier 1). *)
 type delta = {
   d_pages : (int * string) list; (* (vpn, bytes) changed against the base *)
   d_dead : int list;           (* vpns unmapped relative to the base *)
@@ -30,14 +26,16 @@ type payload =
   | Demoted of delta
 
 (* The skeleton is permanent and tiny (a few ints per entry); only the
-   payload is reclaimable, and it degrades through the tiers above before
-   the store ever falls back to re-execution.
+   payload is reclaimable.  A delta names its base by handle, so a base's
+   payload must outlive every delta based on it: a released entry keeps
+   its payload while [e_bases] > 0, and drops it — cascading to its own
+   base — when the last such delta is promoted or dropped.
 
    Frame lifetime rides on the {!Snapshot} extension-refcount discipline:
    the store holds one extension ref per Live payload (taken at
-   [add]/[add_root] and at every reconstruction) plus one on the record the
-   machine's current state derives from ([t.anchor]).  Demoting, releasing
-   or truncating a Live payload gives its ref back, and [Snapshot.try_free]
+   [add]/[add_root] and at every promotion) plus one on the record the
+   machine's current state derives from ([t.anchor]).  Demoting or
+   dropping a Live payload gives its ref back, and [Snapshot.try_free]
    returns the record's delta-vs-parent frames to the allocator the moment
    no child record and no extension shares them — cascading up abandoned
    chains — so the pressure handler frees frames on the spot.  Parentless
@@ -49,19 +47,17 @@ type payload =
    frames is counted in its [child_refs]. *)
 type entry = {
   e_parent : handle option;
-  e_choice : int;              (* rax delivered when re-running the edge *)
-  e_stdin : string option;     (* stdin installed alongside (Service) *)
   e_depth : int;
-  e_pinned : bool;             (* roots: never truncated *)
-  mutable e_payload : payload option;
+  e_pinned : bool;             (* roots: no pressure victim, and a release
+                                  keeps the payload until [release_all] *)
+  mutable e_payload : payload option;  (* [None] once dropped *)
   mutable e_last_used : int;
-  mutable e_released : bool;   (* dropped by the client; skeleton kept for
-                                  descendants' replays *)
+  mutable e_released : bool;   (* dropped by the client *)
+  mutable e_bases : int;       (* deltas whose [d_base] is this entry *)
 }
 
 type t = {
   machine : Libos.t;
-  fuel : int;
   ids : Snapshot.ids;
   entries : entry Stdx.Vec.t;
       (* indexed by handle: handles are issued in order and never
@@ -73,18 +69,16 @@ type t = {
          extension ref on it so explicit freeing never touches frames the
          live address space still maps; [Snapshot.none] before the
          first *)
-  metrics : M.t;  (* the owner's: [reclaim.*] counts, and the memory
-                     events reconstruction redid, taken back out *)
+  metrics : M.t;  (* the owner's: [reclaim.*] counts *)
 }
 
 (* Fills the unused capacity of [entries]; never a real entry. *)
 let no_entry =
-  { e_parent = None; e_choice = 0; e_stdin = None; e_depth = 0;
-    e_pinned = true; e_payload = None; e_last_used = 0; e_released = true }
+  { e_parent = None; e_depth = 0; e_pinned = true; e_payload = None;
+    e_last_used = 0; e_released = true; e_bases = 0 }
 
-let create ?(fuel_per_step = 50_000_000) ~metrics (machine : Libos.t) =
+let create ~metrics (machine : Libos.t) =
   { machine;
-    fuel = fuel_per_step;
     ids = Snapshot.ids ();
     entries = Stdx.Vec.create ~capacity:64 ~dummy:no_entry ();
     clock = 0;
@@ -92,12 +86,6 @@ let create ?(fuel_per_step = 50_000_000) ~metrics (machine : Libos.t) =
     metrics }
 
 let phys_of t = As.phys t.machine.Libos.aspace
-
-(* Reconstruction rebuilds state the original run already paid for: take
-   the memory events since [mem0], a copy of the memory's registry, back
-   out of the owner's counts, so its figures stay fault-free. *)
-let uncount_mem t mem0 =
-  M.merge ~into:t.metrics (M.sub mem0 (Mem.Phys_mem.registry (phys_of t)))
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -123,34 +111,49 @@ let add_root t snap =
   Snapshot.retain snap;
   set_anchor t snap;
   fresh t
-    { e_parent = None; e_choice = 0; e_stdin = None; e_depth = 0;
-      e_pinned = true; e_payload = Some (Live snap); e_last_used = tick t;
-      e_released = false }
+    { e_parent = None; e_depth = 0; e_pinned = true;
+      e_payload = Some (Live snap); e_last_used = tick t; e_released = false;
+      e_bases = 0 }
 
-let add t ~parent ~choice ?stdin ~depth snap =
+let add t ~parent ~depth snap =
   ignore (entry t parent);
   Snapshot.retain snap;
   set_anchor t snap;
   fresh t
-    { e_parent = Some parent; e_choice = choice; e_stdin = stdin;
-      e_depth = depth; e_pinned = false; e_payload = Some (Live snap);
-      e_last_used = tick t; e_released = false }
+    { e_parent = Some parent; e_depth = depth; e_pinned = false;
+      e_payload = Some (Live snap); e_last_used = tick t; e_released = false;
+      e_bases = 0 }
 
 let depth t h = (entry t h).e_depth
+
+let no_payload h =
+  invalid_arg (Printf.sprintf "Reclaim: reference %d has no payload" h)
 
 let tier t h =
   match (entry t h).e_payload with
   | Some (Live _) -> 0
   | Some (Demoted _) -> 1
-  | None -> 2
+  | None -> no_payload h
 
-let is_materialised t h = tier t h = 0
-let is_released t h = (entry t h).e_released
+(* Give a payload up: a live one's ref goes back to the snapshot refcount,
+   a delta's page bytes leave the host-memory count in {!Mem.Phys_mem},
+   and its base loses a dependent — and its own payload with the last one,
+   if the client released it. *)
+let rec drop t e =
+  (match e.e_payload with
+  | Some (Live snap) -> Snapshot.release_ext ~phys:(phys_of t) snap
+  | Some (Demoted d) -> drop_delta t d
+  | None -> ());
+  e.e_payload <- None
 
-(* The delta's page bytes leave the host-memory count in
-   {!Mem.Phys_mem}. *)
-let drop_delta t (d : delta) =
-  Mem.Phys_mem.note_delta_bytes (phys_of t) (-d.d_bytes)
+and drop_delta t (d : delta) =
+  Mem.Phys_mem.note_delta_bytes (phys_of t) (-d.d_bytes);
+  match d.d_base with
+  | None -> ()
+  | Some b ->
+    let eb = entry t b in
+    eb.e_bases <- eb.e_bases - 1;
+    if eb.e_bases = 0 && eb.e_released && not eb.e_pinned then drop t eb
 
 (* {1 Demotion (tier 0 -> 1)} *)
 
@@ -158,9 +161,9 @@ let drop_delta t (d : delta) =
    still-live ancestor (or the full image when none exists — always the
    case for roots).  Reads frame bytes and allocates only OCaml heap,
    never frames, so it is safe inside the allocator's pressure handler.
-   The delta is pure data: snapshot contents are logically deterministic,
-   so it stays valid however the base is later rebuilt (promotion or
-   replay). *)
+   The delta is pure data: it stays valid however often the base is
+   demoted and promoted again, and the base keeps a payload while it is
+   counted in the base's [e_bases]. *)
 let demote t h =
   let e = entry t h in
   match e.e_payload with
@@ -185,6 +188,9 @@ let demote t h =
       List.fold_left (fun n (_, data) -> n + String.length data) 0 pages
     in
     Mem.Phys_mem.note_delta_bytes (phys_of t) bytes;
+    (match base with
+    | Some (b, _) -> (entry t b).e_bases <- (entry t b).e_bases + 1
+    | None -> ());
     e.e_payload <-
       Some
         (Demoted
@@ -203,38 +209,27 @@ let demote t h =
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_demote;
     true
 
-(* {1 Reconstruction (promotion, with replay as the fallback)} *)
+(* {1 Reconstruction (promotion)} *)
 
-(* Rebuild the entry's live snapshot.  A demoted entry promotes by
-   applying its delta — zero guest instructions: materialise its base (the
-   recursion bottoms out at a live ancestor, a full-image delta, or a
-   pinned root), restore the base's page map, apply the byte delta, load
-   the saved registers and OS state, capture.  A truncated entry replays
-   its one edge from its parent's materialisation, exactly as before the
-   tiers existed.  Both paths clobber the machine (every driver restores a
-   snapshot right after a [get], so this is free) and both re-stamp the
-   serial chain: fresh frames mean a fresh materialisation. *)
+(* Rebuild the entry's live snapshot by applying its delta — zero guest
+   instructions: materialise its base (the recursion bottoms out at a live
+   ancestor or a full-image delta), restore the base's page map, apply the
+   byte delta, load the saved registers and OS state, capture.  This
+   clobbers the machine (every driver restores a snapshot right after a
+   [get], so this is free) and re-stamps the serial chain: fresh frames
+   mean a fresh materialisation.  A base always has a payload: it keeps
+   one while a delta is based on it. *)
 let rec materialise t h =
   let e = entry t h in
   match e.e_payload with
   | Some (Live s) -> s
   | Some (Demoted d) -> promote t h e d
-  | None -> (
-    match e.e_parent with
-    | Some p ->
-      let base = materialise t p in
-      replay_edge t e base;
-      (match e.e_payload with
-      | Some (Live s) -> s
-      | _ -> assert false)
-    | None ->
-      (* unreachable: roots are pinned and never truncated *)
-      invalid_arg "Reclaim: evicted entry with no materialised ancestor")
+  | None -> no_payload h
 
 and promote t h e d =
   let base =
     match d.d_base with
-    | Some bh -> Some (bh, materialise t bh)
+    | Some bh -> Some (materialise t bh)
     | None -> None
   in
   let m = t.machine in
@@ -242,31 +237,28 @@ and promote t h e d =
     Obs.Trace.span_begin ~a:h Obs.Names.reclaim_promote;
   (* The machine is about to derive from the base's map: anchor it before
      the page applications below allocate (and possibly fire pressure). *)
-  (match base with Some (_, bs) -> set_anchor t bs | None -> ());
-  let mem0 = M.copy (Mem.Phys_mem.registry (phys_of t)) in
+  Option.iter (set_anchor t) base;
   Cpu.load m.Libos.cpu d.d_regs;
   let aspace = m.Libos.aspace in
   (try
      As.restore_pages aspace
-       ~base:(Option.map (fun (_, s) -> s.Snapshot.mem) base)
+       ~base:(Option.map (fun (s : Snapshot.t) -> s.mem) base)
        ~pages:d.d_pages ~dead:d.d_dead
    with ex ->
      (* Ran out of frames half way: the pages applied so far are private
         to the unfrozen map.  The delta itself is intact, so the entry
         stays demoted and can be promoted again later. *)
      (match base with
-     | Some (_, bs) -> ignore (As.discard_segment aspace ~base:bs.Snapshot.mem)
+     | Some bs -> ignore (As.discard_segment aspace ~base:bs.Snapshot.mem)
      | None -> ignore (As.discard_map aspace));
      raise ex);
   Libos.os_restore m d.d_os;
   (* A full-image rebuild shares no frame with anything that came before:
      its image dies with it. *)
   let snap =
-    Snapshot.capture ~ids:t.ids
-      ?parent:(Option.map snd base)
-      ~owns_image:(base = None) ~depth:e.e_depth m
+    Snapshot.capture ~ids:t.ids ?parent:base ~owns_image:(base = None)
+      ~depth:e.e_depth m
   in
-  uncount_mem t mem0;
   drop_delta t d;
   e.e_payload <- Some (Live snap);
   Snapshot.retain snap;
@@ -278,112 +270,28 @@ and promote t h e d =
       Obs.Names.reclaim_promote;
   snap
 
-(* Re-execute one edge: restore the parent's payload, deliver the recorded
-   choice (and stdin), run to the next publish, capture.  The re-run's
-   output and costs are not new information: stdout is discarded (the
-   caller resets its harvest marker after the restore that follows), the
-   instructions count as replayed, and the memory events are taken back
-   out of the owner's counts. *)
-and replay_edge t e base =
-  let m = t.machine in
-  if Obs.Trace.enabled () then
-    Obs.Trace.span_begin ~a:1 Obs.Names.reclaim_replay;
-  let retired0 = m.Libos.cpu.Cpu.retired in
-  let mem0 = M.copy (Mem.Phys_mem.registry (phys_of t)) in
-  Snapshot.restore m base;
-  set_anchor t base;
-  Cpu.set m.Libos.cpu Reg.rax e.e_choice;
-  Option.iter (Libos.set_stdin m) e.e_stdin;
-  (* the re-executed segment is captured only on success; otherwise its
-     COW tail dies here *)
-  let discard () =
-    ignore (As.discard_segment m.Libos.aspace ~base:base.Snapshot.mem)
-  in
-  (* the shared replay engine auto-resumes hint/strategy stops exactly as
-     the recorder's replayer does — one deterministic re-execution path *)
-  (match Record.Engine.run_to_publish m ~fuel:t.fuel with
-  | Libos.Guess _ -> ()
-  | stop ->
-    discard ();
-    raise
-      (Replay_diverged
-         (Format.asprintf
-            "replay reached %a where the original run published a \
-             choice point" Libos.pp_stop stop))
-  | exception ex ->
-    discard ();
-    raise ex);
-  M.incr t.metrics N.reclaim_replays;
-  let snap = Snapshot.capture ~ids:t.ids ~parent:base ~depth:e.e_depth m in
-  e.e_payload <- Some (Live snap);
-  Snapshot.retain snap;
-  set_anchor t snap;
-  e.e_last_used <- tick t;
-  M.add t.metrics N.reclaim_replayed_instructions
-    (m.Libos.cpu.Cpu.retired - retired0);
-  if Obs.Trace.enabled () then
-    Obs.Trace.span_end ~a:1
-      ~b:(m.Libos.cpu.Cpu.retired - retired0)
-      Obs.Names.reclaim_replay;
-  uncount_mem t mem0
-
 let get t h =
   let e = entry t h in
   if e.e_released then
     invalid_arg (Printf.sprintf "Reclaim: reference %d was released" h);
   e.e_last_used <- tick t;
-  let s =
-    match e.e_payload with
-    | Some (Live s) -> s
-    | Some (Demoted _) | None ->
-      let replays0 = M.get t.metrics N.reclaim_replays in
-      let s = materialise t h in
-      (* A reconstruction that had to re-execute even one edge means a
-         delta chain was truncated under it: the promotion path alone
-         could not serve this [get]. *)
-      if M.get t.metrics N.reclaim_replays > replays0 then
-        M.incr t.metrics N.reclaim_replay_fallbacks;
-      s
-  in
-  (* Every driver restores the snapshot it just got (reconstruction
-     already clobbered the machine with it anyway), so the machine's state
-     now derives from this record. *)
+  let s = materialise t h in
+  (* Every driver restores the snapshot it just got (a promotion already
+     clobbered the machine with it anyway), so the machine's state now
+     derives from this record. *)
   set_anchor t s;
   s
 
 (* {1 Lifecycle} *)
 
+(* A pinned root keeps its payload until [release_all]; any other entry
+   keeps it while a delta is based on it. *)
 let release t h =
   let e = entry t h in
   if not e.e_released then begin
     e.e_released <- true;
-    if not e.e_pinned then begin
-      (match e.e_payload with
-      | Some (Live snap) ->
-        (* The store's ref drains; [try_free] feeds the record's
-           branch-private frames to the allocator's free list right now
-           unless a child record or the machine still shares them. *)
-        Snapshot.release_ext ~phys:(phys_of t) snap
-      | Some (Demoted d) -> drop_delta t d
-      | None -> ());
-      e.e_payload <- None
-    end
+    if e.e_bases = 0 && not e.e_pinned then drop t e
   end
-
-let evict t h =
-  let e = entry t h in
-  match e.e_payload with
-  | None -> false
-  | Some _ when e.e_pinned -> false
-  | Some payload ->
-    (match payload with
-    | Live snap -> Snapshot.release_ext ~phys:(phys_of t) snap
-    | Demoted d -> drop_delta t d);
-    e.e_payload <- None;
-    M.incr t.metrics N.reclaim_evictions;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_evict;
-    true
 
 (* {1 Pressure policy} *)
 
@@ -440,10 +348,6 @@ let demote_all t =
   |> List.sort deeper_then_newer
   |> List.fold_left (fun n h -> if demote t h then n + 1 else n) 0
 
-let evict_all t =
-  List.fold_left (fun n h -> if evict t h then n + 1 else n) 0
-    (handles t (fun _ -> true))
-
 let pressure_handler t = fun () -> ignore (demote_under_pressure t)
 
 (* {1 Teardown} *)
@@ -453,17 +357,13 @@ let pressure_handler t = fun () -> ignore (demote_under_pressure t)
    frame to the allocator.  The store is dead afterwards: every handle
    reads as released. *)
 let release_all t =
-  let phys = phys_of t in
   Stdx.Vec.iter
     (fun e ->
-      (match e.e_payload with
-      | Some (Live snap) -> Snapshot.release_ext ~phys snap
-      | Some (Demoted d) -> drop_delta t d
-      | None -> ());
-      e.e_payload <- None;
-      e.e_released <- true)
+      e.e_released <- true;
+      drop t e)
     t.entries;
-  if t.anchor != Snapshot.none then Snapshot.release_ext ~phys t.anchor;
+  if t.anchor != Snapshot.none then
+    Snapshot.release_ext ~phys:(phys_of t) t.anchor;
   t.anchor <- Snapshot.none
 
 (* {1 Introspection} *)

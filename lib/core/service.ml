@@ -8,12 +8,10 @@ type t = {
   machine : Libos.t;
   metrics : Obs.Metrics.t;  (* the session's, which its store counts into *)
   store : Reclaim.t;
-  (* the resume edge that leads to the next publish: parent, choice and
-     stdin.  No parent (-1) only before the first publish, whose snapshot
-     is the pinned replay root, and after a crash. *)
+  (* the candidate the next publish extends.  No parent (-1) only before
+     the first publish, whose snapshot is the pinned root, and after a
+     crash. *)
   mutable parent : ref_;
-  mutable choice : int;
-  mutable stdin : string option;
   path : Path.t;
       (* the stdout marker, the segment epoch, and the record the
          machine's state derives from — threaded as the parent of the next
@@ -41,8 +39,7 @@ let publish t =
   let snap = Path.capture t.path ~ids:(Reclaim.snapshot_ids t.store) in
   if t.parent < 0 then Reclaim.add_root t.store snap
   else
-    Reclaim.add t.store ~parent:t.parent ~choice:t.choice ?stdin:t.stdin
-      ~depth:(Path.depth t.path) snap
+    Reclaim.add t.store ~parent:t.parent ~depth:(Path.depth t.path) snap
 
 let rec advance_unguarded t =
   match Libos.run t.machine ~fuel:t.fuel_per_step with
@@ -90,7 +87,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
   List.iter (fun (path, content) -> Libos.add_file machine ~path content) files;
   Option.iter (Libos.set_stdin machine) stdin;
   let metrics = Obs.Metrics.create () in
-  let store = Reclaim.create ~fuel_per_step ~metrics machine in
+  let store = Reclaim.create ~metrics machine in
   if manage_pressure && Mem.Phys_mem.capacity phys > 0 then
     Mem.Phys_mem.set_pressure_handler phys
       (Some (Reclaim.pressure_handler store));
@@ -99,8 +96,6 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
       metrics;
       store;
       parent = -1;
-      choice = 0;
-      stdin = None;
       (* before any capture the whole map is the session's own segment *)
       path = Path.create ~refcount:false ~owns_map:true machine;
       fuel_per_step;
@@ -113,14 +108,12 @@ let resume t r ~choice ?stdin () =
   try
     Path.resume t.path t.store r ~rax:choice;
     t.parent <- r;
-    t.choice <- choice;
-    t.stdin <- stdin;
     Option.iter (Libos.set_stdin t.machine) stdin;
     advance t
   with Mem.Phys_mem.Out_of_frames { capacity; live } ->
     (* Promotion of the target candidate itself ran out of frames.  The
-       store keeps the entry (its delta or skeleton is intact), so the
-       same reference can be resumed again once pressure relents. *)
+       store keeps the entry (its delta is intact), so the same reference
+       can be resumed again once pressure relents. *)
     t.last_crash <- None;
     t.parent <- -1;
     Crashed (Printf.sprintf "out of frames (capacity %d, live %d)" capacity live)
@@ -129,22 +122,20 @@ let release t r = Reclaim.release t.store r
 
 let depth t r = Reclaim.depth t.store r
 let pages t r =
-  (* a reconstruction clobbers the machine: retire the tail first *)
+  (* a promotion clobbers the machine: retire the tail first *)
   Path.discard t.path;
   Snapshot.pages (Reclaim.get t.store r)
 let live_candidates t = Reclaim.live_entries t.store
 
 let distinct_frames t = Snapshot.distinct_frames (Reclaim.materialised t.store)
 
-let evict_all t = Reclaim.evict_all t.store
 let demote_all t = Reclaim.demote_all t.store
-let candidate_tier t r = Reclaim.tier t.store r
 
 let materialised_candidates t = Reclaim.materialised_count t.store
 let metrics t = t.metrics
 let demotions t = Obs.Metrics.get t.metrics Obs.Names.reclaim_demotions
 let promotions t = Obs.Metrics.get t.metrics Obs.Names.reclaim_promotions
-let replays t = Obs.Metrics.get t.metrics Obs.Names.reclaim_replays
+let replays _ = 0
 
 let machine t = t.machine
 let phys t = Mem.Addr_space.phys t.machine.Libos.aspace

@@ -14,10 +14,8 @@
     Candidates live in a tiered {!Reclaim} store: under memory pressure
     (a bounded physical memory, or an explicit {!demote_all}) their
     snapshot payloads are demoted to dirty-page deltas held in host memory
-    and promoted back by applying them on the next resume; only an
-    outright truncation ({!evict_all}) degrades reconstruction to
-    deterministic replay — the immutability guarantee of {!resume}
-    survives both. *)
+    and promoted back by applying them on the next resume — the
+    immutability guarantee of {!resume} survives the round trip. *)
 
 type t
 
@@ -61,8 +59,8 @@ val boot :
     {!Mem.Phys_mem.fresh_account} for per-tenant budgeting. *)
 
 val resume : t -> ref_ -> choice:int -> ?stdin:string -> unit -> outcome
-(** Restore the candidate's snapshot (reconstructing it by replay if its
-    payload was evicted), deliver [choice] as the guess result (and replace
+(** Restore the candidate's snapshot (promoting it if its payload was
+    demoted), deliver [choice] as the guess result (and replace
     the guest's stdin if given), and run to the next event.  A reference
     stays valid until released and can be resumed any number of times —
     that is the immutability guarantee.  The previous step's uncaptured
@@ -70,14 +68,15 @@ val resume : t -> ref_ -> choice:int -> ?stdin:string -> unit -> outcome
 
 val release : t -> ref_ -> unit
 (** Drop a published candidate: its snapshot payload is discarded (frames
-    are reclaimed once no other candidate shares them), though a skeleton
-    remains so descendants can still replay through it.  Resuming a
-    released reference raises [Invalid_argument]. *)
+    are reclaimed once no other candidate shares them) — once no other
+    candidate's delta is based on it, and never for the first candidate,
+    which stays until {!teardown}.  Resuming a released reference raises
+    [Invalid_argument]. *)
 
 val depth : t -> ref_ -> int
 
 val pages : t -> ref_ -> int
-(** Pages in the candidate's snapshot (reconstructs if evicted). *)
+(** Pages in the candidate's snapshot (promotes it if demoted). *)
 
 val live_candidates : t -> int
 (** Published candidates not yet released. *)
@@ -85,29 +84,25 @@ val live_candidates : t -> int
 val distinct_frames : t -> int
 (** Physical frames backing all {e materialised} candidates together. *)
 
-val evict_all : t -> int
-(** Truncate every non-pinned candidate payload (worst case: the next
-    resume of each falls back to replay); returns the number truncated. *)
-
 val demote_all : t -> int
 (** Demote every live candidate payload to its page delta; returns
     the number demoted. *)
-
-val candidate_tier : t -> ref_ -> int
-(** 0 live, 1 in-memory delta, 2 truncated. *)
 
 val materialised_candidates : t -> int
 
 val metrics : t -> Obs.Metrics.t
 (** The session's registry: its store's [reclaim.*] counts.  Its [mem.*]
-    slots read minus the memory events reconstruction cost: a session
-    does not own its memory, so it never adds the memory's own events
-    (see {!Reclaim.create}). *)
+    slots read 0: a session does not own its memory, so it never adds the
+    memory's own events. *)
 
 val demotions : t -> int
 val promotions : t -> int
+(** [reclaim.demotions] and [reclaim.promotions]. *)
+
 val replays : t -> int
-(** [reclaim.demotions], [reclaim.promotions] and [reclaim.replays]. *)
+(** Always 0: the store reconstructs by promotion alone and never
+    re-executes guest code.  Kept for the repo benchmark, which reports
+    it. *)
 
 val machine : t -> Os.Libos.t
 val phys : t -> Mem.Phys_mem.t

@@ -109,13 +109,6 @@ let release_ext ~phys t =
   t.ext_refs <- t.ext_refs - 1;
   try_free ~phys t
 
-let free_delta ~phys ~parent t =
-  if t.freed then 0
-  else begin
-    t.freed <- true;
-    As.release_snapshot ~phys ~parent:parent.mem t.mem
-  end
-
 let import ~ids ~root ~base (machine : Os.Libos.t) t =
   restore machine root;
   ignore (As.import_delta machine.aspace ~base:base.mem ~target:t.mem);

@@ -65,12 +65,6 @@ val restore : Os.Libos.t -> t -> unit
 val retain : ?n:int -> t -> unit
 val release_ext : phys:Mem.Phys_mem.t -> t -> unit
 
-val free_delta : phys:Mem.Phys_mem.t -> parent:t -> t -> int
-(** Directly free this snapshot's frames beyond [parent] (for stores that
-    track lineage outside the [parent] field, e.g. {!Reclaim}).  The
-    caller asserts the same death conditions as {!release_ext}.  Idempotent
-    via the [freed] flag; returns the number of frames freed. *)
-
 val import : ids:ids -> root:t -> base:t -> Os.Libos.t -> t -> t
 (** [import ~ids ~root ~base machine t]: a copy of [t], a snapshot another
     machine took on its own memory below [base], captured on [machine]

@@ -28,5 +28,5 @@ let of_metrics m =
     requeues = get N.sched_requeues;
     demotions = get N.reclaim_demotions;
     promotions = get N.reclaim_promotions;
-    replays = get N.reclaim_replays;
+    replays = 0;
     mem = Mem.Mem_metrics.of_metrics m }

@@ -15,7 +15,8 @@ type t = {
   requeues : int;              (** [sched.requeues] *)
   demotions : int;             (** [reclaim.demotions] *)
   promotions : int;            (** [reclaim.promotions] *)
-  replays : int;               (** [reclaim.replays] *)
+  replays : int;               (** always 0: the reclaim store never
+                                   re-executes guest code *)
   mem : Mem.Mem_metrics.t;     (** the [mem.*] slots *)
 }
 

@@ -21,7 +21,7 @@
      tripped the watermark (it is the one running).  Level 2, only if the
      mark is still exceeded, sheds the remaining tenants least-recently-
      scheduled first.  Both levels demote payloads through the tiered
-     [Reclaim] store (allocation-free), never truncate.
+     [Reclaim] store (allocation-free).
    - {e admission control}: past the high watermark (or the tenant cap)
      a new boot is queued with exponential backoff, or rejected when the
      queue is full — allocations mid-resume never fail on behalf of an

@@ -292,11 +292,10 @@ let check_pipelines ~ckpt_every image =
       (fun () ->
         (* Tiered payload store under maximum stress: a frame budget below
            the baseline's live peak and a hook that demotes every live
-           payload to its page delta at every scheduler stop (truncating
-           everything every 5th, so the replay fallback runs too) — on a
-           poisoned, audited allocator, without snapshot refcounts.
-           Reconstruction is supposed to be invisible: exact agreement,
-           instruction count included. *)
+           payload to its page delta at every scheduler stop, so every
+           resume promotes — on a poisoned, audited allocator, without
+           snapshot refcounts.  Promotion is supposed to be invisible:
+           exact agreement, instruction count included. *)
         let phys =
           Mem.Phys_mem.create ~capacity:(max 64 (peak / 3)) ~poison:true ()
         in

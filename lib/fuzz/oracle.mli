@@ -28,10 +28,10 @@
     + {b tiered-store}: the explorer under a frame budget below the
       baseline's exact live peak with the tiered {!Core.Reclaim} store
       hammered at every scheduler stop — every live payload demoted to
-      its page delta (truncated outright every 5th stop, so the replay
-      fallback runs too) — on a poisoned, audited allocator (the store
-      runs without snapshot refcounts).  Reconstruction is supposed to be
-      invisible: exact agreement, retired instruction count included;
+      its page delta, so every resume promotes — on a poisoned, audited
+      allocator (the store runs without snapshot refcounts).  Promotion
+      is supposed to be invisible: exact agreement, retired instruction
+      count included;
     + {b parallel-coop} / {b parallel-domains}: 4 workers, as
       {!Core.Explorer.run_image}'s cooperative rounds on a poisoned,
       audited allocator and as {!Core.Parallel}'s domains.  Path

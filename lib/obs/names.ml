@@ -57,8 +57,6 @@ let tenancy_deadline_kill = "tenancy.deadline_kill" (* instant; a = tenant id *)
 let tenancy_evict = "tenancy.evict" (* instant; a = tenant id *)
 
 (* reclaim *)
-let reclaim_evict = "reclaim.evict" (* instant; a = handle, b = depth *)
-let reclaim_replay = "reclaim.replay" (* span; a = chain length, b = instrs *)
 let reclaim_demote = "reclaim.demote" (* instant; a = handle, b = depth *)
 let reclaim_promote = "reclaim.promote" (* span; a = handle, b = pages applied *)
 
@@ -99,7 +97,7 @@ let mem_frames_live = peak "mem.frames_live" (* a domain's, after its run *)
 let mem_free_buffers = peak "mem.free_buffers" (* a domain's, after its run *)
 
 (* a run's, a session's or a pool's own registry *)
-let vcpu_instructions = counter "vcpu.instructions" (* retired, replays excluded *)
+let vcpu_instructions = counter "vcpu.instructions" (* retired *)
 let snapshot_captures = counter "snapshot.captures"
 let snapshot_restores = counter "snapshot.restores"
 let snapshot_max_live = peak "snapshot.max_live" (* frontier plus lineages *)
@@ -118,10 +116,6 @@ let queue_steal_batches = counter "queue.steal_batches"
 let queue_stolen_items = counter "queue.stolen_items"
 let reclaim_demotions = counter "reclaim.demotions" (* live payloads made deltas *)
 let reclaim_promotions = counter "reclaim.promotions" (* deltas applied back *)
-let reclaim_replays = counter "reclaim.replays" (* edges re-executed *)
-let reclaim_evictions = counter "reclaim.evictions" (* payloads truncated *)
-let reclaim_replay_fallbacks = counter "reclaim.replay_fallbacks" (* gets that replayed *)
-let reclaim_replayed_instructions = counter "reclaim.replayed_instructions"
 let tenancy_admits = counter "tenancy.admits"
 let tenancy_rejects = counter "tenancy.rejects"
 let tenancy_queued_boots = counter "tenancy.queued_boots"

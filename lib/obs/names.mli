@@ -40,8 +40,6 @@ val tenancy_reject : string
 val tenancy_queue : string
 val tenancy_deadline_kill : string
 val tenancy_evict : string
-val reclaim_evict : string
-val reclaim_replay : string
 val reclaim_demote : string
 val reclaim_promote : string
 val record_append : string
@@ -96,10 +94,6 @@ val queue_steal_batches : Metrics.slot
 val queue_stolen_items : Metrics.slot
 val reclaim_demotions : Metrics.slot
 val reclaim_promotions : Metrics.slot
-val reclaim_replays : Metrics.slot
-val reclaim_evictions : Metrics.slot
-val reclaim_replay_fallbacks : Metrics.slot
-val reclaim_replayed_instructions : Metrics.slot
 val tenancy_admits : Metrics.slot
 val tenancy_rejects : Metrics.slot
 val tenancy_queued_boots : Metrics.slot

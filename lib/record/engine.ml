@@ -1,6 +1,5 @@
 module As = Mem.Addr_space
 module Cpu = Vcpu.Cpu
-module Reg = Isa.Reg
 module Libos = Os.Libos
 
 exception Diverged of string
@@ -20,19 +19,6 @@ let restore (m : Libos.t) ck =
   Cpu.load m.Libos.cpu ck.ck_regs;
   As.restore m.Libos.aspace ck.ck_mem;
   Libos.os_restore m ck.ck_os
-
-let run_to_publish (m : Libos.t) ~fuel =
-  let rec step () =
-    match Libos.run m ~fuel with
-    | Libos.Guess_hint _ ->
-      Cpu.set m.Libos.cpu Reg.rax 0;
-      step ()
-    | Libos.Guess_strategy _ ->
-      Cpu.set m.Libos.cpu Reg.rax 1;
-      step ()
-    | stop -> stop
-  in
-  step ()
 
 let run_until_retired (m : Libos.t) ~target =
   let cpu = m.Libos.cpu in

@@ -1,11 +1,6 @@
-(** The shared deterministic re-execution engine.
-
-    Both consumers of "run this guest again and get the same run" sit on
-    top of this module: {!Core.Reclaim} re-derives truncated snapshot
-    payloads with {!run_to_publish}, and {!Replay} drives a time-travel
-    cursor with {!run_until_retired} over {!checkpoint}s.  Keeping them on
-    one engine is the point — reconstruction and replay-debugging must not
-    grow divergent ideas of what re-execution means. *)
+(** Deterministic re-execution: the machine checkpoints and the
+    no-overshoot fueled stepping that {!Replay}'s time-travel cursor drives
+    with {!run_until_retired} over {!checkpoint}s. *)
 
 exception Diverged of string
 (** Replay departed from the recorded run: a stop fired where the original
@@ -20,13 +15,6 @@ type checkpoint
 
 val checkpoint : Os.Libos.t -> checkpoint
 val restore : Os.Libos.t -> checkpoint -> unit
-
-val run_to_publish : Os.Libos.t -> fuel:int -> Os.Libos.stop
-(** Run the guest, auto-resuming the stops that never reach a scheduler
-    during re-execution — [Guess_hint] (rax←0) and [Guess_strategy]
-    (rax←1) — until a publishable stop: [Guess], [Guess_fail], [Exited]
-    or [Killed].  Each resumed leg gets a fresh [fuel] grant, matching the
-    live scheduler's per-stop accounting. *)
 
 val run_until_retired : Os.Libos.t -> target:int -> Os.Libos.stop option
 (** Run the guest until its retired-instruction counter reaches [target]

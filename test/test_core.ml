@@ -724,7 +724,7 @@ let service_release () =
     | _ -> Alcotest.fail "expected a child choice point")
   | _ -> Alcotest.fail "expected a choice point"
 
-(* {1 Reclaim: eviction and replay under memory pressure} *)
+(* {1 Reclaim: demotion and promotion under memory pressure} *)
 
 let explorer_survives_memory_pressure () =
   let image =
@@ -753,44 +753,11 @@ let explorer_survives_memory_pressure () =
     (r.Explorer.stats.Core.Stats.demotions > 0);
   check Alcotest.bool "demoted payloads were promoted back" true
     (r.Explorer.stats.Core.Stats.promotions > 0);
-  check Alcotest.int "nothing was truncated outright" 0
-    (M.get r.Explorer.metrics N.reclaim_evictions);
-  check Alcotest.int "no reconstruction fell back to replay" 0
-    r.Explorer.stats.Core.Stats.replays;
-  check Alcotest.int "replay work is excluded from the instruction count"
+  check Alcotest.int "promotion retires no guest instruction"
     base.Explorer.stats.Core.Stats.instructions
     r.Explorer.stats.Core.Stats.instructions;
   check Alcotest.bool "frame budget was respected" true
     (Mem.Phys_mem.peak_frames_live phys <= capacity)
-
-let service_resume_survives_eviction () =
-  let svc, outcome =
-    Service.boot
-      (Workloads.Locality.program
-         { depth = 3; branch = 2; touch_pages = 2; work = 1; arena_pages = 8 })
-  in
-  match outcome with
-  | Service.Ready { candidate; _ } -> (
-    match Service.resume svc candidate ~choice:0 () with
-    | Service.Ready { candidate = child; arity; output } ->
-      (* Drop every materialised payload, then resume the child: the store
-         must rebuild it by replaying from the pinned root, and the resume
-         must be indistinguishable from the pre-eviction one. *)
-      let evicted = Service.evict_all svc in
-      check Alcotest.bool "something was evicted" true (evicted >= 1);
-      check Alcotest.int "only the pinned root stays materialised" 1
-        (Service.materialised_candidates svc);
-      (match Service.resume svc child ~choice:0 () with
-      | Service.Ready { arity = arity'; output = output'; _ } ->
-        check Alcotest.int "same arity after replay" arity arity';
-        check Alcotest.string "same output after replay" output output'
-      | Service.Finished _ | Service.Failed _ ->
-        Alcotest.fail "expected another choice point"
-      | Service.Crashed msg -> Alcotest.fail ("resume crashed: " ^ msg));
-      check Alcotest.bool "resume went through replay" true
-        (Service.replays svc >= 1)
-    | _ -> Alcotest.fail "expected a child choice point")
-  | _ -> Alcotest.fail "expected a choice point"
 
 let divergent_path_killed_by_fuel () =
   (* Extension 1 spins forever; a finite [fuel_per_step] must kill that
@@ -957,7 +924,7 @@ let boot_store () =
   let metrics = M.create () in
   let store = Reclaim.create ~metrics m in
   let ids = Reclaim.snapshot_ids store in
-  let root = Snapshot.capture ~ids ~depth:0 m in
+  let root = Snapshot.capture ~ids ~owns_image:true ~depth:0 m in
   let h0 = Reclaim.add_root store root in
   (phys, m, store, ids, h0, M.get metrics)
 
@@ -972,8 +939,7 @@ let extend ?depth store ids m parent ~choice =
   let depth =
     match depth with Some d -> d | None -> Reclaim.depth store parent + 1
   in
-  Reclaim.add store ~parent ~choice ~depth
-    (Snapshot.capture ~ids ~parent:base ~depth m)
+  Reclaim.add store ~parent ~depth (Snapshot.capture ~ids ~parent:base ~depth m)
 
 (* Bit-level identity of a snapshot: resume point plus every mapped page. *)
 let snap_image (s : Snapshot.t) =
@@ -997,69 +963,39 @@ let reclaim_tier_transitions () =
   check Alcotest.bool "promotion is bit-identical" true (snap_image s2 = img2);
   check Alcotest.int "promotion accounted" 1 (count N.reclaim_promotions);
   check Alcotest.int "delta bytes drained by promotion" 0
-    (Mem.Phys_mem.delta_bytes_held phys);
-  check Alcotest.int "no edge was re-executed" 0 (count N.reclaim_replays);
-  check Alcotest.int "no get needed the replay fallback" 0
-    (count N.reclaim_replay_fallbacks)
+    (Mem.Phys_mem.delta_bytes_held phys)
 
 let reclaim_pressure_handler_allocates_no_frames () =
   let phys, m, store, ids, h0, count = boot_store () in
   let h1 = extend store ids m h0 ~choice:0 in
   let _h2 = extend store ids m h1 ~choice:0 in
   (* Any frame allocation inside the handler would trip the injected
-     fault; the policy must demote without allocating a single frame —
-     and without replaying guest code (replays capture, which allocates). *)
+     fault; the policy must demote without allocating a single frame. *)
   Mem.Phys_mem.set_alloc_fault phys (Some (fun _ -> true));
   let n = Reclaim.demote_under_pressure store in
   Mem.Phys_mem.set_alloc_fault phys None;
   check Alcotest.bool "pressure demoted something" true (n >= 1);
-  check Alcotest.int "pressure never replays" 0 (count N.reclaim_replays);
   check Alcotest.int "demotions counted" n (count N.reclaim_demotions);
   check Alcotest.int "deepest payload went first" 1
     (Reclaim.tier store _h2)
 
-let reclaim_truncated_chain_falls_back_to_replay () =
-  let _phys, m, store, ids, h0, count = boot_store () in
-  let h1 = extend store ids m h0 ~choice:0 in
-  let h2 = extend store ids m h1 ~choice:1 in
-  let img2 = snap_image (Reclaim.get store h2) in
-  check Alcotest.bool "child demotes against its live parent" true
-    (Reclaim.demote store h2);
-  check Alcotest.bool "the base truncates" true (Reclaim.evict store h1);
-  check Alcotest.int "truncated entry is tier 2" 2 (Reclaim.tier store h1);
-  (* h2's delta now hangs off a truncated base: reconstruction must
-     replay exactly the missing edge and promote the rest. *)
-  let s2 = Reclaim.get store h2 in
-  check Alcotest.bool "identical across the truncation" true
-    (snap_image s2 = img2);
-  check Alcotest.int "exactly the missing edge replayed" 1
-    (count N.reclaim_replays);
-  check Alcotest.int "the get counts as a replay fallback" 1
-    (count N.reclaim_replay_fallbacks);
-  check Alcotest.int "the truncated base is live again" 0
-    (Reclaim.tier store h1)
-
 let reclaim_pinned_root_stops_at_tier1 () =
-  let _phys, m, store, ids, h0, count = boot_store () in
+  let _phys, m, store, ids, h0, _ = boot_store () in
   let _h1 = extend store ids m h0 ~choice:0 in
   let img0 = snap_image (Reclaim.get store h0) in
-  check Alcotest.bool "root refuses truncation" false (Reclaim.evict store h0);
   check Alcotest.bool "root demotes to a full image" true
     (Reclaim.demote store h0);
   check Alcotest.int "root stops at tier 1" 1 (Reclaim.tier store h0);
   check Alcotest.bool "root promotes from its full image" true
-    (snap_image (Reclaim.get store h0) = img0);
-  check Alcotest.int "full-image promotion replays nothing" 0
-    (count N.reclaim_replays)
+    (snap_image (Reclaim.get store h0) = img0)
 
 (* The bulk operations visit entries in a fixed order, not a hash
    table's: [demote_all] deepest first and, among equal depths, newest
    handle first, so a child recorded at its parent's depth (as a scope
-   root and its first capture are) still diffs against its live parent;
-   [evict_all] in handle order.  Every handle reconstructs afterwards.
-   Unknown handles raise as before. *)
+   root and its first capture are) still diffs against its live parent.
+   Every handle promotes back afterwards.  Unknown handles raise. *)
 let reclaim_bulk_order () =
-  let _phys, m, store, ids, h0, count = boot_store () in
+  let _phys, m, store, ids, h0, _ = boot_store () in
   let h1 = extend store ids m h0 ~choice:0 in
   let h2 = extend store ids m h0 ~choice:1 in
   let h3 = extend store ids m h0 ~choice:0 in
@@ -1083,12 +1019,8 @@ let reclaim_bulk_order () =
   check Alcotest.int "every live payload demoted" 5 n;
   check Alcotest.(list int) "deepest first, equal depths newest first"
     [ h4; h3; h2; h1; h0 ] order;
-  let n, order = visited N.reclaim_evict Reclaim.evict_all in
-  check Alcotest.int "every unpinned payload truncated" 4 n;
-  check Alcotest.(list int) "evicted in handle order" [ h1; h2; h3; h4 ] order;
   check Alcotest.bool "every handle reconstructs bit-identically" true
     (List.map (fun h -> snap_image (Reclaim.get store h)) handles = images);
-  check Alcotest.bool "through replays" true (count N.reclaim_replays > 0);
   List.iter
     (fun h ->
       match Reclaim.get store h with
@@ -1098,17 +1030,46 @@ let reclaim_bulk_order () =
           (Printf.sprintf "Reclaim: unknown reference %d" h) msg)
     [ -1; h4 + 1; 1000 ]
 
+(* The frame audit of a bare store: every live frame is reachable from
+   the machine's map, a live payload, the anchor, or the unfreed records
+   those derive from — and no reachable frame was freed. *)
+let audit_store phys m store =
+  let live = Hashtbl.create 16 in
+  let rec add (s : Snapshot.t) =
+    if not (s.freed || Hashtbl.mem live s.id) then begin
+      Hashtbl.replace live s.id s;
+      Option.iter add s.parent
+    end
+  in
+  List.iter add
+    (Option.to_list (Reclaim.anchor store) @ Reclaim.materialised store);
+  let reachable visit =
+    Mem.Addr_space.iter_frames m.Libos.aspace (visit "machine map");
+    Hashtbl.iter
+      (fun id (s : Snapshot.t) ->
+        Stdx.Ptmap.iter
+          (fun _ -> visit (Printf.sprintf "snapshot %d" id))
+          (Mem.Addr_space.snapshot_map_for_debug s.mem))
+      live
+  in
+  match Mem.Phys_mem.audit phys ~reachable with
+  | Ok () -> ()
+  | Error detail -> Alcotest.fail detail
+
 let reclaim_tier_roundtrip_prop =
   (* Random walk over the candidate tree with random demotions and
-     truncations interleaved; every handle must then reconstruct to
-     the bit-identical snapshot it published, on a poisoned allocator. *)
+     releases interleaved, audited after every action on a poisoned
+     allocator; every unreleased handle must then reconstruct to the
+     bit-identical snapshot it published, and every released one must
+     have dropped its payload once the store lets go of the rest. *)
   qtest ~count:25 "tiered store reconstructs bit-identical snapshots"
     QCheck2.Gen.(
       list_size (int_range 1 12)
         (triple (int_range 0 1000) (int_range 0 1) (int_range 0 4)))
     (fun script ->
-      let _phys, m, store, ids, h0, _ = boot_store () in
+      let phys, m, store, ids, h0, _ = boot_store () in
       let published = ref [ (h0, snap_image (Reclaim.get store h0)) ] in
+      let released = ref [] in
       List.iter
         (fun (pick, choice, action) ->
           let h, _ = List.nth !published (pick mod List.length !published) in
@@ -1123,11 +1084,33 @@ let reclaim_tier_roundtrip_prop =
             end
           | 2 -> ignore (Reclaim.demote store h)
           | 3 -> ignore (Reclaim.demote_all store)
-          | _ -> ignore (Reclaim.evict store h)))
+          | _ ->
+            if h <> h0 then begin
+              Reclaim.release store h;
+              published := List.remove_assoc h !published;
+              released := h :: !released
+            end);
+          audit_store phys m store)
         script;
-      List.for_all
-        (fun (h, img) -> snap_image (Reclaim.get store h) = img)
-        !published)
+      (* restore what [get] returns, as every driver does: the store's
+         anchor follows the [get] *)
+      let identical =
+        List.for_all
+          (fun (h, img) ->
+            let s = Reclaim.get store h in
+            Snapshot.restore m s;
+            snap_image s = img)
+          !published
+      in
+      audit_store phys m store;
+      let rest = List.filter (( <> ) h0) (List.map fst !published) in
+      List.iter (Reclaim.release store) rest;
+      let dropped h =
+        match Reclaim.tier store h with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      identical && List.for_all dropped (!released @ rest))
 
 (* {1 Service robustness: fault containment} *)
 
@@ -1173,6 +1156,49 @@ let service_alloc_fail_contained () =
     same_outcome "sibling resume after injected crash" baseline
       (Service.resume svc candidate ~choice:0 ())
   | _ -> Alcotest.fail "expected a choice point"
+
+(* The session machine's whole state: registers and every mapped page. *)
+let machine_image svc =
+  let m = Service.machine svc in
+  let page vpn =
+    Mem.Addr_space.read_bytes m.Libos.aspace ~addr:(vpn * Mem.Page.size)
+      ~len:Mem.Page.size
+  in
+  ( Vcpu.Cpu.save m.Libos.cpu,
+    List.map
+      (fun vpn -> (vpn, page vpn))
+      (Mem.Addr_space.mapped_vpns m.Libos.aspace) )
+
+(* Resume root -> a -> b, demote everything, release a, resume b: b's
+   delta is based on a, so a keeps its payload until b has promoted
+   through it, and drops it then. *)
+let service_release_keeps_a_delta_base () =
+  let svc, outcome = Service.boot locality_image in
+  let ready = function
+    | Service.Ready { candidate; _ } -> candidate
+    | _ -> Alcotest.fail "expected a choice point"
+  in
+  let root = ready outcome in
+  let a = ready (Service.resume svc root ~choice:0 ()) in
+  let b = ready (Service.resume svc a ~choice:0 ()) in
+  let before = Service.resume svc b ~choice:0 () in
+  let image = machine_image svc in
+  check Alcotest.int "root, a and b demoted" 3 (Service.demote_all svc);
+  Service.release svc a;
+  let promotions = Service.promotions svc in
+  let after = Service.resume svc b ~choice:0 () in
+  same_outcome "b resumes alike through its released base" before after;
+  check Alcotest.bool "bit-identical machine state" true
+    (machine_image svc = image);
+  check Alcotest.int "b, a and the root promoted" 3
+    (Service.promotions svc - promotions);
+  check Alcotest.int "a dropped its payload once b promoted" 2
+    (Service.materialised_candidates svc);
+  Service.release svc b;
+  check Alcotest.int "no delta bytes held" 0
+    (Mem.Phys_mem.delta_bytes_held (Service.phys svc));
+  check Alcotest.int "only the root stays" 1
+    (Service.materialised_candidates svc)
 
 let service_failed_resumes_keep_live_flat () =
   (* Every leaf of this tree dirties its pages and then fails, so no
@@ -1692,10 +1718,8 @@ let budgeted_run_returns_frames () =
       "capacity 90", None, 90; "tier_stress:0", Some 0, 0 ]
 
 (* A [Stats] view reads its run's registry field for field, and the
-   counts under tier stress equal the ones recorded before the registry
-   became the only store: replayed instructions and reconstruction's
-   memory events stay excluded exactly.  A session's getters read its
-   registry. *)
+   counts, plain and under tier stress, are pinned.  A session's getters
+   read its registry, whose [mem.*] slots read 0. *)
 let registry_and_stats_view_agree () =
   let image = Workloads.Nqueens.program ~n:6 in
   let run ?tier_stress () =
@@ -1715,10 +1739,12 @@ let registry_and_stats_view_agree () =
     @ [ 0 ]
     @ List.map (M.get metrics)
         N.[ search_extensions; search_fails; search_max_frontier; search_kills;
-            sched_requeues; reclaim_demotions; reclaim_promotions;
-            reclaim_replays; mem_cow_faults; mem_zero_fills;
-            mem_frames_allocated; mem_frames_recycled; mem_frames_freed;
-            mem_tlb_misses; mem_pt_walks; mem_snapshots; mem_restores ]
+            sched_requeues; reclaim_demotions; reclaim_promotions ]
+    @ [ 0 ]
+    @ List.map (M.get metrics)
+        N.[ mem_cow_faults; mem_zero_fills; mem_frames_allocated;
+            mem_frames_recycled; mem_frames_freed; mem_tlb_misses;
+            mem_pt_walks; mem_snapshots; mem_restores ]
   in
   let plain = run () and stressed = run ~tier_stress:1 () in
   List.iter
@@ -1730,10 +1756,8 @@ let registry_and_stats_view_agree () =
         [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 0; 0; 0; 152; 1; 153; 146;
           153; 135; 135; 150; 895 ] );
       ( "tier_stress:1", stressed,
-        [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 3283; 2448; 685; 147; 6; 153;
-          151; 3715; 1203; 1203; 150; 895 ] ) ];
-  check Alcotest.int "replayed instructions counted apart" 21738
-    (M.get stressed.metrics N.reclaim_replayed_instructions);
+        [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 895; 745; 0; 147; 6; 2383;
+          2375; 2383; 1499; 1499; 895; 1640 ] ) ];
   let svc, outcome =
     Service.boot
       (Workloads.Locality.program
@@ -1751,8 +1775,38 @@ let registry_and_stats_view_agree () =
   check Alcotest.bool "the session demoted and promoted" true
     (Service.demotions svc > 0 && Service.promotions svc > 0);
   check Alcotest.(list int) "session getters read its registry"
-    [ get N.reclaim_demotions; get N.reclaim_promotions; get N.reclaim_replays ]
-    [ Service.demotions svc; Service.promotions svc; Service.replays svc ]
+    [ get N.reclaim_demotions; get N.reclaim_promotions ]
+    [ Service.demotions svc; Service.promotions svc ];
+  check Alcotest.(list int) "a session's mem slots read 0" [ 0; 0; 0 ]
+    (List.map get N.[ mem_frames_allocated; mem_frames_freed; mem_cow_faults ])
+
+(* A run's frees pair its allocations: [mem.frames_allocated] minus
+   [mem.frames_freed] is the run's change in live frames, with a store or
+   without, stressed or under a frame budget. *)
+let run_frames_pair () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let peak =
+    let phys = Mem.Phys_mem.create () in
+    ignore (Explorer.run ~tier_stress:0 (Libos.boot phys image));
+    Mem.Phys_mem.peak_frames_live phys
+  in
+  List.iter
+    (fun (label, tier_stress, capacity) ->
+      let phys = Mem.Phys_mem.create ~capacity () in
+      let m = Libos.boot phys image in
+      let live0 = Mem.Phys_mem.frames_live phys in
+      let r = Explorer.run ?tier_stress m in
+      check Alcotest.int (label ^ ": completes") 0 (completed r);
+      if capacity > 0 then
+        check Alcotest.bool (label ^ ": demoted and promoted") true
+          (r.Explorer.stats.Core.Stats.demotions > 0
+          && r.Explorer.stats.Core.Stats.promotions > 0);
+      let get = M.get r.Explorer.metrics in
+      check Alcotest.int (label ^ ": allocated - freed = change in live")
+        (Mem.Phys_mem.frames_live phys - live0)
+        (get N.mem_frames_allocated - get N.mem_frames_freed))
+    [ "plain", None, 0; "tier_stress:0", Some 0, 0;
+      "tier_stress:1", Some 1, 0; "half the peak", None, peak / 2 ]
 
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
@@ -1797,14 +1851,10 @@ let tests =
     Alcotest.test_case "service release" `Quick service_release;
     Alcotest.test_case "explorer survives memory pressure" `Quick
       explorer_survives_memory_pressure;
-    Alcotest.test_case "service resume survives eviction" `Quick
-      service_resume_survives_eviction;
     Alcotest.test_case "reclaim tier transitions" `Quick
       reclaim_tier_transitions;
     Alcotest.test_case "reclaim pressure allocates no frames" `Quick
       reclaim_pressure_handler_allocates_no_frames;
-    Alcotest.test_case "reclaim truncated chain replays" `Quick
-      reclaim_truncated_chain_falls_back_to_replay;
     Alcotest.test_case "reclaim pinned root stops at tier 1" `Quick
       reclaim_pinned_root_stops_at_tier1;
     Alcotest.test_case "reclaim bulk operations visit in order" `Quick
@@ -1814,6 +1864,8 @@ let tests =
       service_alloc_fail_contained;
     Alcotest.test_case "service failed resumes keep live flat" `Quick
       service_failed_resumes_keep_live_flat;
+    Alcotest.test_case "service release keeps a delta's base" `Quick
+      service_release_keeps_a_delta_base;
     Alcotest.test_case "tenancy ids index the pool" `Quick
       tenancy_ids_index_the_pool;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
@@ -1846,6 +1898,8 @@ let tests =
       switch_allocation;
     Alcotest.test_case "budgeted run returns every frame" `Quick
       budgeted_run_returns_frames;
+    Alcotest.test_case "a run's frees pair its allocations" `Quick
+      run_frames_pair;
     Alcotest.test_case "in-scope stop keeps only the map" `Quick
       in_scope_stop_keeps_only_the_map;
     Alcotest.test_case "armed plan restores alike" `Quick
