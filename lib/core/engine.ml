@@ -148,12 +148,8 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       if !stress_clock mod stress_every = 0 then ignore (Reclaim.demote_all st)
     | _ -> ()
   in
-  (* Reclaim mode manages payload lifetime itself (see [Reclaim]), so the
-     snapshot refcounts run only in the plain in-memory scheduler. *)
   let paths : Path.t array =
-    Array.map
-      (Path.create ~refcount:(store = None) ~inj ~transcript ~terminals)
-      machines
+    Array.map (Path.create ?store ~inj ~transcript ~terminals) machines
   in
   let path = paths.(0) in
   (* Faults fire only inside the scope: the allocation hook is armed while
@@ -218,18 +214,32 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
             (Mem.Addr_space.snapshot_map_for_debug s.mem))
         live
     in
-    let held = Hashtbl.fold (fun _ (s : Snapshot.t) n -> n + s.ext_refs) live 0 in
-    (* the frontier's refs, and one per running path *)
+    (* The extension refs: the snapshots' without a store, the unpinned
+       entries' with one (the scope-opening path holds the pinned root's
+       snapshot directly). *)
+    let held =
+      match store with
+      | None -> Hashtbl.fold (fun _ (s : Snapshot.t) n -> n + s.ext_refs) live 0
+      | Some st -> Reclaim.held_refs st
+    in
+    let holds w =
+      Path.live w
+      &&
+      match store, Path.origin w with
+      | None, _ | Some _, Ext.Ref _ -> true
+      | Some _, Ext.Snap _ -> false
+    in
+    (* the frontier's refs, and one per running path that holds one *)
     let owed =
       match !scope with
       | Some sc ->
-        Array.fold_left (fun k w -> k + Bool.to_int (Path.live w))
+        Array.fold_left (fun k w -> k + Bool.to_int (holds w))
           (sc.frontier.Frontier.length ()) paths
       | None -> 0
     in
     match Mem.Phys_mem.audit phys ~reachable with
     | Error detail -> raise (Audit_failed (where ^ ": " ^ detail))
-    | Ok () when store = None && held <> owed ->
+    | Ok () when held <> owed ->
       raise
         (Audit_failed
            (Printf.sprintf "%s: %d extension refs held, %d owed" where held owed))
@@ -502,7 +512,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
             | Some h -> h
             | None -> invalid_arg "Explorer: scope path without a handle"
           in
-          Ext.Ref (Reclaim.add st ~parent ~depth:(Path.depth w) snap)
+          Ext.Ref (Reclaim.add st ~parent ~depth:(Path.depth w) ~refs:n snap)
       in
       sc.frontier.Frontier.push_batch [ Frontier.guess payload ~count:n meta ];
       track_extents sc;

@@ -112,21 +112,25 @@ val run :
     store as the pressure handler — snapshot payloads are demoted to
     dirty-page deltas in host memory under frame pressure and promoted
     back by applying them when scheduled, so exploration completes
-    within budgets smaller than its fault-free peak.  A run that leaves
+    within budgets smaller than its fault-free peak.  The store frees
+    payloads by the rule a storeless run frees snapshots by: an entry
+    counts the unfinished extensions of its guess, and the path that
+    finishes (or the strategy that evicts) the last one releases it, so
+    the store holds only what can still be resumed.  A run that leaves
     its scope returns with every frame the store held given back, so it
-    leaves as many frames live as a storeless run; one stopped inside the scope (first exit,
-    an abort) keeps them, since the machine's map still derives from
-    them.  A storeless run stopped inside its scope gives back everything
-    the scope holds — the frontier's entries, the other workers' paths,
-    the snapshots and the root — but the frames of the machine's map,
-    which stays the stopping path's (the root's if worker 0 was idle).
+    leaves as many frames live as a storeless run; one stopped inside the
+    scope (first exit, an abort) keeps them, since the machine's map
+    still derives from them.  A storeless run stopped inside its scope
+    gives back everything the scope holds — the frontier's entries, the
+    other workers' paths, the snapshots and the root — but the frames of
+    the machine's map, which stays the stopping path's (the root's if
+    worker 0 was idle).
     [tier_stress] forces the store on even with
     unbounded memory and hammers it: every [n]-th scheduler stop demotes
     every live payload, so the next resume of each promotes — the fuzz
     oracle's tier-stress pipeline.
-    [tier_stress:0] attaches the store without hammering it: the
-    unbounded footprint of reclaim mode, which a frame budget has to
-    undercut.
+    [tier_stress:0] attaches the store without hammering it; its
+    footprint is the storeless run's.
     An exception escaping guest evaluation (an injected crash, a genuine
     out-of-frames) is retried from the path's origin up to [retry_budget]
     total attempts (default 3) before the path is quarantined as a
@@ -139,9 +143,12 @@ val run :
     every unfreed snapshot of the run (scope root included), the
     {!Reclaim} store's materialised payloads and anchor, shared and dedup
     frames — may be freed; those frames must be exactly
-    {!Mem.Phys_mem.frames_live}; without a store, the extension refs held
-    across unfreed snapshots must be the frontier's length plus the
-    running path's one.  The run must be its memory's only user.
+    {!Mem.Phys_mem.frames_live}; and the extension refs held must be the
+    frontier's length plus one per running path that holds one: without
+    a store, the refs across unfreed snapshots; with one, the holders of
+    its unpinned entries (the scope-opening path holds the pinned root
+    directly, so it is not counted).  The run must be its memory's only
+    user.
 
     [probe] observes every scheduler decision — evaluation outcomes,
     snapshot captures, restores with the delivered [rax] — which is

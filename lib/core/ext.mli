@@ -13,6 +13,9 @@ type payload =
   | Ref of Reclaim.handle
       (** the parent held through a {!Reclaim} store, so its snapshot can
           be demoted to a page delta under memory pressure and promoted
-          back when the extension is finally scheduled *)
+          back when the extension is finally scheduled.  Each extension
+          holds one of the entry's refs ({!Reclaim.add}), given back by
+          {!Reclaim.release} as a [Snap]'s is by
+          {!Snapshot.release_ext}. *)
 
 type t = payload Search.Frontier.entry

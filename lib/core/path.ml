@@ -59,7 +59,7 @@ let log_code log code =
 type t = {
   machine : Libos.t;
   phys : Mem.Phys_mem.t;
-  refcount : bool;  (* the snapshot refcount discipline runs *)
+  store : Reclaim.t option;  (* what a [Ref] origin is released to *)
   inj : Inject.t;
   armed : bool;     (* [inj] injects something *)
   transcript : Buffer.t option;
@@ -68,7 +68,9 @@ type t = {
   mutable depth : int;
   mutable hint : int;            (* pending [sys_guess_hint] *)
   mutable base : Snapshot.t;  (* [Snapshot.none] while no segment runs *)
-  mutable origin : Ext.payload;  (* what a crash retry restores *)
+  mutable origin : Ext.payload;
+      (* what a crash retry restores; the path holds one extension ref on
+         it while it is live *)
   mutable origin_index : int;    (* and the [rax] it delivers there *)
   mutable epoch : int;
       (* the address-space epoch right after the segment began; while it is
@@ -79,14 +81,15 @@ type t = {
 }
 
 (* The origin of a path entered outside any scope, which never crashes
-   into a retry: one static box, so [enter] allocates nothing. *)
+   into a retry and holds no ref: one static box, so [enter] allocates
+   nothing. *)
 let no_origin = Ext.Snap Snapshot.none
 
-let create ?(refcount = true) ?(inj = Inject.none) ?transcript
+let create ?store ?(inj = Inject.none) ?transcript
     ?(terminals = terminal_log ()) ?(owns_map = false) (machine : Libos.t) =
   { machine;
     phys = As.phys machine.aspace;
-    refcount;
+    store;
     inj;
     armed = not (Inject.is_none inj);
     transcript;
@@ -104,6 +107,7 @@ let create ?(refcount = true) ?(inj = Inject.none) ?transcript
 let machine t = t.machine
 let depth t = t.depth
 let live t = t.base != Snapshot.none
+let origin t = t.origin
 
 (* 0 when not live: the placeholder's *)
 let lineage_length t = t.base.Snapshot.lineage_length
@@ -219,7 +223,7 @@ let open_scope t metrics ~ids =
   Cpu.set t.machine.cpu Reg.rax 0;
   let root = Snapshot.capture ~ids ~depth:0 t.machine in
   M.incr metrics N.snapshot_captures;
-  if t.refcount then Snapshot.retain root;
+  Snapshot.retain root;
   t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
@@ -318,8 +322,9 @@ let branch t metrics ~ids ~n =
   M.incr metrics N.search_guesses;
   M.incr metrics N.snapshot_captures;
   M.add metrics N.search_extensions_pushed n;
-  (* refs must exist before another worker can pop the extensions *)
-  if t.refcount then Snapshot.retain ~n snap;
+  (* refs must exist before another worker can pop the extensions; a
+     store counts a [Ref]'s itself ({!Reclaim.add}) *)
+  if t.store = None then Snapshot.retain ~n snap;
   let meta = { Frontier.depth = t.depth + 1; hint = t.hint } in
   t.hint <- 0;
   snap, meta
@@ -339,7 +344,17 @@ let outside t (stop : Libos.stop) =
     ignore (harvest t);
     `Abort (reason_to_string reason)
 
-let release t snap = if t.refcount then Snapshot.release_ext ~phys:t.phys snap
+(* Give one extension ref on [payload] back, whichever kind it is. *)
+let release t (payload : Ext.payload) =
+  match payload, t.store with
+  | Snap s, _ -> Snapshot.release_ext ~phys:t.phys s
+  | Ref h, Some st -> Reclaim.release st h
+  | Ref _, None -> invalid_arg "Path: a managed extension without a store"
+
+(* The ended path's ref on its origin goes back; the caller then marks the
+   path not live. *)
+let release_origin t =
+  if live t && t.origin != no_origin then release t t.origin
 
 let evict t metrics (frontier : Ext.payload Frontier.t) =
   match frontier.evicted () with
@@ -351,12 +366,9 @@ let evict t metrics (frontier : Ext.payload Frontier.t) =
       (fun (e : Ext.t) ->
         let n = Frontier.remaining e in
         M.add metrics N.search_evicted n;
-        match e.parent with
-        | Snap s ->
-          for _ = 1 to n do
-            release t s
-          done
-        | Ref _ -> ())
+        for _ = 1 to n do
+          release t e.parent
+        done)
       dropped
 
 let discard t =
@@ -371,11 +383,12 @@ let resume t store h ~rax =
   discard t;
   (* after the discard: a promotion clobbers the machine *)
   let snap = Reclaim.get store h in
-  restore t snap ~rax ~depth:(Reclaim.depth store h + 1)
+  restore t snap ~rax ~depth:(Reclaim.depth store h + 1);
+  snap
 
 let retire t =
   discard t;
-  if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
+  release_origin t;
   t.base <- Snapshot.none
 
 let abandon t =
@@ -388,13 +401,15 @@ let abandon t =
    overwrites it, unless [resolve] fails. *)
 let switch t metrics ~resolve origin ~index ~depth =
   discard t;
-  if t.refcount && live t then Snapshot.release_ext ~phys:t.phys t.base;
+  release_origin t;
   (* after the discard: a store's promotion clobbers the machine *)
   let snap =
     match resolve origin with
     | snap -> snap
     | exception e ->
+      (* the popped extension's ref goes back with the path *)
       t.base <- Snapshot.none;
+      release t origin;
       raise e
   in
   if t.origin != origin then t.origin <- origin;

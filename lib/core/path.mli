@@ -84,12 +84,15 @@ type t
     and the retry count. *)
 
 val create :
-  ?refcount:bool -> ?inj:Inject.t -> ?transcript:Buffer.t ->
+  ?store:Reclaim.t -> ?inj:Inject.t -> ?transcript:Buffer.t ->
   ?terminals:terminal_log -> ?owns_map:bool -> Os.Libos.t -> t
-(** Path state over a booted machine.  Segment tails are always freed;
-    unless [refcount] is [false] because a {!Reclaim} store manages
-    snapshot lifetime, the snapshot refcounts run too ({!Snapshot.retain},
-    [release_ext]).  [inj] is the fault plan {!run} applies; it changes
+(** Path state over a booted machine.  Segment tails are always freed, and
+    one release rule holds in every mode: a path holds one extension ref
+    on its origin while it is live, and {!retire}, {!switch} and {!evict}
+    give refs back to whichever kind of payload holds them — a [Snap]'s to
+    {!Snapshot.release_ext}, a [Ref]'s to [store] ({!Reclaim.release}),
+    which {!branch} leaves to count its own holders.  [inj] is the fault
+    plan {!run} applies; it changes
     nothing else, so a faulted path restores exactly as a fault-free one.
     Harvested stdout goes to [transcript], finished paths to
     [terminals] (in completion order).  [owns_map] starts a segment on the
@@ -101,6 +104,11 @@ val depth : t -> int
 
 val live : t -> bool
 (** Entered (or opened at a scope root) and not yet retired. *)
+
+val origin : t -> Ext.payload
+(** What the path was last switched to (the scope root after
+    {!open_scope}): while the path is live it holds one ref on it, unless
+    it was {!enter}ed outside any scope. *)
 
 val lineage_length : t -> int
 (** Snapshots on the lineage of the segment's base (0 when not live), as
@@ -127,21 +135,23 @@ val switch :
 (** End the path, if one runs, and start extension [index] of [origin]:
     {!retire}; resolve the origin's snapshot (after the discard, which a
     store's rebuild needs); then {!enter} it at [depth] with [index] in
-    [rax], with [origin] as the path's origin and no retries spent.
-    Returns the snapshot entered.  If [resolve] raises, the path is left
-    retired. *)
+    [rax], with [origin] as the path's origin and no retries spent.  The
+    popped extension's ref becomes the path's.  Returns the snapshot
+    entered.  If [resolve] raises, that ref goes back and the path is
+    left retired. *)
 
 val restore : t -> Snapshot.t -> rax:int -> depth:int -> unit
 (** {!enter} with a plain restore, not counted, origin unchanged: what
     {!resume} and {!restart} do once they have their snapshot. *)
 
-val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> unit
+val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> Snapshot.t
 (** One {!Service.resume} step, as {!switch} is one scheduler step:
     {!discard} the last step's tail, get the handle's snapshot from the
     store (after the discard, which a rebuild needs), and {!restore} it
-    one level below the handle's depth with [rax].  Counts nothing and
-    leaves the origin alone.  If the store raises, the tail is already
-    freed and nothing is restored. *)
+    one level below the handle's depth with [rax], so the machine derives
+    from the record the store now anchors on.  Returns that snapshot.
+    Counts nothing and leaves the origin alone.  If the store raises, the
+    tail is already freed and nothing is restored. *)
 
 val restart : t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
 (** In-place crash retry: {!restore} the origin, resolved again (a store
@@ -187,9 +197,11 @@ val capture : t -> ids:Snapshot.ids -> Snapshot.t
 
 val branch :
   t -> Obs.Metrics.t -> ids:Snapshot.ids -> n:int -> Snapshot.t * Search.Frontier.meta
-(** {!capture} the partial candidate of a [Branch n], retained [n] times
-    before any extension can be published, and the extensions' metadata;
-    the pending hint is consumed. *)
+(** {!capture} the partial candidate of a [Branch n] and the extensions'
+    metadata; the pending hint is consumed.  Without a store the snapshot
+    is retained [n] times before any extension can be published; with one
+    the caller publishes it as a [Ref] whose entry counts the [n]
+    ({!Reclaim.add}). *)
 
 val outside :
   t -> Os.Libos.stop -> [ `Scope of int | `Continue | `Exit of int | `Abort of string ]
@@ -207,7 +219,7 @@ val discard : t -> unit
 (** Free the segment's COW tail if no capture froze it; idempotent. *)
 
 val retire : t -> unit
-(** End the path: {!discard}, then give the entered snapshot's ref back. *)
+(** End the path: {!discard}, then give its origin's ref back. *)
 
 val abandon : t -> Snapshot.t
 (** End the path without freeing or releasing anything, and return its

@@ -26,10 +26,12 @@ type payload =
   | Demoted of delta
 
 (* The skeleton is permanent and tiny (a few ints per entry); only the
-   payload is reclaimable.  A delta names its base by handle, so a base's
-   payload must outlive every delta based on it: a released entry keeps
-   its payload while [e_bases] > 0, and drops it — cascading to its own
-   base — when the last such delta is promoted or dropped.
+   payload is reclaimable.  An entry counts its holders ([e_refs]: a
+   guess's unfinished extensions, or a client's one ref) and is released
+   when the last one lets go.  A delta names its base by handle, so a
+   base's payload must outlive every delta based on it: a released entry
+   keeps its payload while [e_bases] > 0, and drops it — cascading to its
+   own base — when the last such delta is promoted or dropped.
 
    Frame lifetime rides on the {!Snapshot} extension-refcount discipline:
    the store holds one extension ref per Live payload (taken at
@@ -52,7 +54,7 @@ type entry = {
                                   keeps the payload until [release_all] *)
   mutable e_payload : payload option;  (* [None] once dropped *)
   mutable e_last_used : int;
-  mutable e_released : bool;   (* dropped by the client *)
+  mutable e_refs : int;        (* holders; 0 once released *)
   mutable e_bases : int;       (* deltas whose [d_base] is this entry *)
 }
 
@@ -75,7 +77,7 @@ type t = {
 (* Fills the unused capacity of [entries]; never a real entry. *)
 let no_entry =
   { e_parent = None; e_depth = 0; e_pinned = true; e_payload = None;
-    e_last_used = 0; e_released = true; e_bases = 0 }
+    e_last_used = 0; e_refs = 0; e_bases = 0 }
 
 let create ~metrics (machine : Libos.t) =
   { machine;
@@ -112,16 +114,17 @@ let add_root t snap =
   set_anchor t snap;
   fresh t
     { e_parent = None; e_depth = 0; e_pinned = true;
-      e_payload = Some (Live snap); e_last_used = tick t; e_released = false;
+      e_payload = Some (Live snap); e_last_used = tick t; e_refs = 1;
       e_bases = 0 }
 
-let add t ~parent ~depth snap =
+let add t ~parent ~depth ~refs snap =
   ignore (entry t parent);
+  if refs <= 0 then invalid_arg "Reclaim.add: an entry needs a holder";
   Snapshot.retain snap;
   set_anchor t snap;
   fresh t
     { e_parent = Some parent; e_depth = depth; e_pinned = false;
-      e_payload = Some (Live snap); e_last_used = tick t; e_released = false;
+      e_payload = Some (Live snap); e_last_used = tick t; e_refs = refs;
       e_bases = 0 }
 
 let depth t h = (entry t h).e_depth
@@ -153,7 +156,7 @@ and drop_delta t (d : delta) =
   | Some b ->
     let eb = entry t b in
     eb.e_bases <- eb.e_bases - 1;
-    if eb.e_bases = 0 && eb.e_released && not eb.e_pinned then drop t eb
+    if eb.e_bases = 0 && eb.e_refs = 0 && not eb.e_pinned then drop t eb
 
 (* {1 Demotion (tier 0 -> 1)} *)
 
@@ -272,7 +275,7 @@ and promote t h e d =
 
 let get t h =
   let e = entry t h in
-  if e.e_released then
+  if e.e_refs = 0 then
     invalid_arg (Printf.sprintf "Reclaim: reference %d was released" h);
   e.e_last_used <- tick t;
   let s = materialise t h in
@@ -284,13 +287,14 @@ let get t h =
 
 (* {1 Lifecycle} *)
 
-(* A pinned root keeps its payload until [release_all]; any other entry
-   keeps it while a delta is based on it. *)
+(* The last holder's release drops the payload, but a pinned root keeps
+   it until [release_all] and any other entry while a delta is based on
+   it.  A released entry ignores further releases. *)
 let release t h =
   let e = entry t h in
-  if not e.e_released then begin
-    e.e_released <- true;
-    if e.e_bases = 0 && not e.e_pinned then drop t e
+  if e.e_refs > 0 then begin
+    e.e_refs <- e.e_refs - 1;
+    if e.e_refs = 0 && e.e_bases = 0 && not e.e_pinned then drop t e
   end
 
 (* {1 Pressure policy} *)
@@ -359,7 +363,7 @@ let pressure_handler t = fun () -> ignore (demote_under_pressure t)
 let release_all t =
   Stdx.Vec.iter
     (fun e ->
-      e.e_released <- true;
+      e.e_refs <- 0;
       drop t e)
     t.entries;
   if t.anchor != Snapshot.none then
@@ -379,7 +383,12 @@ let materialised t =
 let anchor t = if t.anchor == Snapshot.none then None else Some t.anchor
 
 let live_entries t =
-  Stdx.Vec.fold (fun n e -> if e.e_released then n else n + 1) 0 t.entries
+  Stdx.Vec.fold (fun n e -> if e.e_refs > 0 then n + 1 else n) 0 t.entries
+
+let held_refs t =
+  Stdx.Vec.fold
+    (fun n e -> if e.e_pinned then n else n + e.e_refs)
+    0 t.entries
 
 let materialised_count t =
   Stdx.Vec.fold (fun n e -> if is_live e then n + 1 else n) 0 t.entries

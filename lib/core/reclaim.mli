@@ -18,13 +18,17 @@
     zero guest instructions.  Its memory events count in the memory's
     registry like any other.
 
-    A delta's base must be reconstructible for as long as the delta
-    exists, so a released entry keeps its payload (live or delta) while
-    any delta is based on it, and stays a pressure victim meanwhile.  It
-    drops the payload once the last such delta has been promoted or
-    dropped, and that drop releases its own base in turn.  Roots are
-    pinned: the pressure policy never picks them, and a released root
-    keeps its payload until {!release_all}. *)
+    An entry counts its holders — the unfinished extensions of the guess
+    that published it under {!Explorer}, the client's one ref under
+    {!Service} — and is released when the last one lets go: it refuses
+    {!get}s from then on and drops its payload, so a run holds only the
+    snapshots someone can still resume.  A delta's base must be
+    reconstructible for as long as the delta exists, so a released entry
+    keeps its payload (live or delta) while any delta is based on it, and
+    stays a pressure victim meanwhile.  It drops the payload once the last
+    such delta has been promoted or dropped, and that drop releases its
+    own base in turn.  Roots are pinned: the pressure policy never picks
+    them, and a released root keeps its payload until {!release_all}. *)
 
 type handle = int
 
@@ -38,13 +42,18 @@ val create : metrics:Obs.Metrics.t -> Os.Libos.t -> t
     after, so this is free). *)
 
 val add_root : t -> Snapshot.t -> handle
-(** Register a pinned root. *)
+(** Register a pinned root with one holder. *)
 
-val add : t -> parent:handle -> depth:int -> Snapshot.t -> handle
-(** Register a snapshot captured below [parent]'s materialisation. *)
+val add : t -> parent:handle -> depth:int -> refs:int -> Snapshot.t -> handle
+(** Register a snapshot captured below [parent]'s materialisation, held
+    [refs] times ([refs > 0]): once per extension of the guess that
+    captured it, or once for a client. *)
 
 val get : t -> handle -> Snapshot.t
-(** The entry's snapshot, promoted from its delta if not live.
+(** The entry's snapshot, promoted from its delta if not live.  The store
+    moves its anchor there, so the caller must restore it before anything
+    else releases: the machine's map would otherwise derive from a record
+    the store no longer holds.
     @raise Invalid_argument on an unknown or released handle. *)
 
 val depth : t -> handle -> int
@@ -55,8 +64,9 @@ val tier : t -> handle -> int
     payload has been dropped. *)
 
 val release : t -> handle -> unit
-(** Refuse future {!get}s and drop the payload, unless a delta is based
-    on it (see above) or the entry is a root. *)
+(** Drop one holder.  The last one's release refuses future {!get}s and
+    drops the payload, unless a delta is based on it (see above) or the
+    entry is a root.  Releasing a released entry does nothing. *)
 
 (** {1 Tier transitions} *)
 
@@ -114,5 +124,9 @@ val anchor : t -> Snapshot.t option
 
 val live_entries : t -> int
 (** Entries not released. *)
+
+val held_refs : t -> int
+(** Holders of the entries not pinned, summed: what a frame audit checks
+    against the extensions that can still resume them. *)
 
 val materialised_count : t -> int

@@ -39,7 +39,8 @@ let publish t =
   let snap = Path.capture t.path ~ids:(Reclaim.snapshot_ids t.store) in
   if t.parent < 0 then Reclaim.add_root t.store snap
   else
-    Reclaim.add t.store ~parent:t.parent ~depth:(Path.depth t.path) snap
+    Reclaim.add t.store ~parent:t.parent ~depth:(Path.depth t.path) ~refs:1
+      snap
 
 let rec advance_unguarded t =
   match Libos.run t.machine ~fuel:t.fuel_per_step with
@@ -97,7 +98,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
       store;
       parent = -1;
       (* before any capture the whole map is the session's own segment *)
-      path = Path.create ~refcount:false ~owns_map:true machine;
+      path = Path.create ~owns_map:true machine;
       fuel_per_step;
       manages_pressure = manage_pressure;
       last_crash = None }
@@ -106,7 +107,7 @@ let boot ?(fuel_per_step = 50_000_000) ?capacity ?(files = [])
 
 let resume t r ~choice ?stdin () =
   try
-    Path.resume t.path t.store r ~rax:choice;
+    ignore (Path.resume t.path t.store r ~rax:choice);
     t.parent <- r;
     Option.iter (Libos.set_stdin t.machine) stdin;
     advance t
@@ -122,9 +123,11 @@ let release t r = Reclaim.release t.store r
 
 let depth t r = Reclaim.depth t.store r
 let pages t r =
-  (* a promotion clobbers the machine: retire the tail first *)
-  Path.discard t.path;
-  Snapshot.pages (Reclaim.get t.store r)
+  (* The store re-anchors on the record it returns, so restore it as a
+     resume does: the machine then derives from the anchor, and a release
+     of the record it derived from before cannot free frames its map still
+     names.  The next resume restores its own candidate anyway. *)
+  Snapshot.pages (Path.resume t.path t.store r ~rax:0)
 let live_candidates t = Reclaim.live_entries t.store
 
 let distinct_frames t = Snapshot.distinct_frames (Reclaim.materialised t.store)
@@ -138,6 +141,7 @@ let promotions t = Obs.Metrics.get t.metrics Obs.Names.reclaim_promotions
 let replays _ = 0
 
 let machine t = t.machine
+let store t = t.store
 let phys t = Mem.Addr_space.phys t.machine.Libos.aspace
 let last_crash_reason t = t.last_crash
 

@@ -67,16 +67,20 @@ val resume : t -> ref_ -> choice:int -> ?stdin:string -> unit -> outcome
     COW tail (a failed, finished or crashed path) is freed first. *)
 
 val release : t -> ref_ -> unit
-(** Drop a published candidate: its snapshot payload is discarded (frames
-    are reclaimed once no other candidate shares them) — once no other
+(** Drop a published candidate.  The client is its one holder
+    ({!Reclaim.add} with one ref), so this is the store's release rule at
+    its last holder: the snapshot payload is discarded (frames are
+    reclaimed once no other candidate shares them) — once no other
     candidate's delta is based on it, and never for the first candidate,
     which stays until {!teardown}.  Resuming a released reference raises
-    [Invalid_argument]. *)
+    [Invalid_argument]; releasing it again does nothing. *)
 
 val depth : t -> ref_ -> int
 
 val pages : t -> ref_ -> int
-(** Pages in the candidate's snapshot (promotes it if demoted). *)
+(** Pages in the candidate's snapshot (promotes it if demoted).  Frees the
+    last step's uncaptured tail and leaves the machine restored to the
+    candidate, as {!resume} does before it runs. *)
 
 val live_candidates : t -> int
 (** Published candidates not yet released. *)
@@ -106,6 +110,11 @@ val replays : t -> int
 
 val machine : t -> Os.Libos.t
 val phys : t -> Mem.Phys_mem.t
+
+val store : t -> Reclaim.t
+(** The session's candidate store, for inspection (a frame audit reads its
+    anchor and live payloads); drive the session through this interface,
+    not through the store. *)
 
 val last_crash_reason : t -> Os.Libos.reason option
 (** After a [Crashed] outcome: [Some reason] when the guest was killed

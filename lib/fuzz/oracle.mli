@@ -29,9 +29,9 @@
       baseline's exact live peak with the tiered {!Core.Reclaim} store
       hammered at every scheduler stop — every live payload demoted to
       its page delta, so every resume promotes — on a poisoned, audited
-      allocator (the store runs without snapshot refcounts).  Promotion
-      is supposed to be invisible: exact agreement, retired instruction
-      count included;
+      allocator (the audit counts the store's entry holders against the
+      frontier).  Promotion is supposed to be invisible: exact agreement,
+      retired instruction count included;
     + {b parallel-coop} / {b parallel-domains}: 4 workers, as
       {!Core.Explorer.run_image}'s cooperative rounds on a poisoned,
       audited allocator and as {!Core.Parallel}'s domains.  Path

@@ -731,18 +731,21 @@ let explorer_survives_memory_pressure () =
     Workloads.Locality.program
       { depth = 4; branch = 3; touch_pages = 3; work = 5; arena_pages = 16 }
   in
-  (* Fault-free run on unbounded memory establishes the footprint: the
-     tiered store attached but never pressured, so every frontier payload
-     stays live — the exact peak a budget has to undercut. *)
+  (* Breadth-first, the frontier holds a whole level of the tree.  The
+     fault-free run on unbounded memory establishes the footprint, the
+     exact peak a budget has to undercut: with a store attached it would
+     be the same, since a store frees a payload when its last extension
+     is done, as a storeless run does. *)
+  let run phys = Explorer.run ~strategy_override:`Bfs (Libos.boot phys image) in
   let phys0 = Mem.Phys_mem.create () in
-  let base = Explorer.run ~tier_stress:0 (Libos.boot phys0 image) in
+  let base = run phys0 in
   let peak = Mem.Phys_mem.peak_frames_live phys0 in
   let capacity = max 24 (peak / 10) in
   check Alcotest.bool "budget is genuinely below the fault-free peak" true
     (capacity < peak);
   (* Same exploration under a frame budget the footprint does not fit. *)
   let phys = Mem.Phys_mem.create ~capacity () in
-  let r = Explorer.run (Libos.boot phys image) in
+  let r = run phys in
   check Alcotest.int "same exit status" (completed base) (completed r);
   check (Alcotest.list Alcotest.string) "same transcript, same order"
     (transcript_lines base) (transcript_lines r);
@@ -939,7 +942,8 @@ let extend ?depth store ids m parent ~choice =
   let depth =
     match depth with Some d -> d | None -> Reclaim.depth store parent + 1
   in
-  Reclaim.add store ~parent ~depth (Snapshot.capture ~ids ~parent:base ~depth m)
+  Reclaim.add store ~parent ~depth ~refs:1
+    (Snapshot.capture ~ids ~parent:base ~depth m)
 
 (* Bit-level identity of a snapshot: resume point plus every mapped page. *)
 let snap_image (s : Snapshot.t) =
@@ -978,6 +982,34 @@ let reclaim_pressure_handler_allocates_no_frames () =
   check Alcotest.int "demotions counted" n (count N.reclaim_demotions);
   check Alcotest.int "deepest payload went first" 1
     (Reclaim.tier store _h2)
+
+(* An entry counts its holders: every release but the last keeps the
+   payload, the last drops it, and a released entry ignores another. *)
+let reclaim_counts_holders () =
+  let _phys, m, store, ids, h0, _ = boot_store () in
+  let base = Reclaim.get store h0 in
+  Snapshot.restore m base;
+  Vcpu.Cpu.set m.Libos.cpu R.rax 0;
+  ignore (run_to_guess m);
+  let h =
+    Reclaim.add store ~parent:h0 ~depth:1 ~refs:3
+      (Snapshot.capture ~ids ~parent:base ~depth:1 m)
+  in
+  Reclaim.release store h;
+  Reclaim.release store h;
+  check Alcotest.int "two releases keep the payload live" 0
+    (Reclaim.tier store h);
+  check Alcotest.int "and the entry held" 1 (Reclaim.held_refs store);
+  Reclaim.release store h;
+  Alcotest.check_raises "the third drops it"
+    (Invalid_argument (Printf.sprintf "Reclaim: reference %d has no payload" h))
+    (fun () -> ignore (Reclaim.tier store h));
+  Alcotest.check_raises "and refuses gets"
+    (Invalid_argument (Printf.sprintf "Reclaim: reference %d was released" h))
+    (fun () -> ignore (Reclaim.get store h));
+  Reclaim.release store h;
+  check Alcotest.int "a fourth release does nothing" 0
+    (Reclaim.held_refs store)
 
 let reclaim_pinned_root_stops_at_tier1 () =
   let _phys, m, store, ids, h0, _ = boot_store () in
@@ -1199,6 +1231,25 @@ let service_release_keeps_a_delta_base () =
     (Mem.Phys_mem.delta_bytes_held (Service.phys svc));
   check Alcotest.int "only the root stays" 1
     (Service.materialised_candidates svc)
+
+(* [Service.pages] restores the candidate it reads, so the machine derives
+   from the store's anchor again: releasing the candidate the machine
+   stood at before frees no frame its map still names. *)
+let service_pages_keeps_the_anchor () =
+  let phys = Mem.Phys_mem.create ~poison:true () in
+  let svc, outcome = Service.boot ~phys locality_image in
+  let ready = function
+    | Service.Ready { candidate; _ } -> candidate
+    | _ -> Alcotest.fail "expected a choice point"
+  in
+  let root = ready outcome in
+  let child = ready (Service.resume svc root ~choice:0 ()) in
+  check Alcotest.bool "the root has pages" true (Service.pages svc root > 0);
+  Service.release svc child;
+  audit_store phys (Service.machine svc) (Service.store svc);
+  same_outcome "the root resumes alike after pages"
+    (Service.resume svc root ~choice:0 ())
+    (Service.resume svc root ~choice:0 ())
 
 let service_failed_resumes_keep_live_flat () =
   (* Every leaf of this tree dirties its pages and then fails, so no
@@ -1697,7 +1748,8 @@ let switch_allocation () =
 (* A run with a reclaim store leaves the memory as a storeless run does:
    once the counters are read, the store gives back the pinned root, its
    anchor and every payload still live, at any frame budget and with the
-   store attached but unpressured. *)
+   store attached but unpressured.  Breadth-first, the tree peaks at 121
+   frames, so every budget below puts the tiers to work. *)
 let budgeted_run_returns_frames () =
   let image =
     Workloads.Locality.program
@@ -1705,7 +1757,11 @@ let budgeted_run_returns_frames () =
   in
   let live_after ?tier_stress capacity =
     let phys = Mem.Phys_mem.create ~capacity () in
-    let r = Explorer.run ?tier_stress (Libos.boot phys image) in
+    let r =
+      Explorer.run ~strategy_override:`Bfs ?tier_stress (Libos.boot phys image)
+    in
+    if capacity > 0 then
+      check Alcotest.bool "demoted" true (r.Explorer.stats.Core.Stats.demotions > 0);
     check Alcotest.int "completes" 0 (completed r);
     Mem.Phys_mem.frames_live phys
   in
@@ -1716,6 +1772,30 @@ let budgeted_run_returns_frames () =
         (live_after ?tier_stress capacity))
     [ "capacity 30", None, 30; "capacity 60", None, 60;
       "capacity 90", None, 90; "tier_stress:0", Some 0, 0 ]
+
+(* A store frees a payload when its last extension is done, as a
+   storeless run frees a snapshot: nqueens(6) with the store attached but
+   unpressured peaks at the storeless run's frames, and a budget a few
+   frames above that peak demotes nothing. *)
+let store_run_frees_by_extension_count () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let run ?tier_stress capacity =
+    let phys = Mem.Phys_mem.create ~capacity () in
+    let r = Explorer.run ?tier_stress (Libos.boot phys image) in
+    check Alcotest.int "completes" 0 (completed r);
+    Mem.Phys_mem.peak_frames_live phys, r
+  in
+  let storeless, plain = run 0 in
+  check Alcotest.int "storeless peak" 9 storeless;
+  let stored, _ = run ~tier_stress:0 0 in
+  check Alcotest.int "tier_stress:0 peaks at the storeless peak" storeless
+    stored;
+  let budgeted, r = run (storeless + 3) in
+  check Alcotest.int "a budget above the peak demotes nothing" 0
+    r.Explorer.stats.Core.Stats.demotions;
+  check Alcotest.int "nor raises the peak" storeless budgeted;
+  check Alcotest.string "same transcript" plain.Explorer.transcript
+    r.Explorer.transcript
 
 (* A [Stats] view reads its run's registry field for field, and the
    counts, plain and under tier stress, are pinned.  A session's getters
@@ -1785,18 +1865,23 @@ let registry_and_stats_view_agree () =
    without, stressed or under a frame budget. *)
 let run_frames_pair () =
   let image = Workloads.Nqueens.program ~n:6 in
+  (* the budgeted row runs breadth-first, whose frontier holds a whole
+     level: half its unbounded peak puts the tiers to work while every
+     path still runs *)
   let peak =
     let phys = Mem.Phys_mem.create () in
-    ignore (Explorer.run ~tier_stress:0 (Libos.boot phys image));
+    ignore (Explorer.run ~strategy_override:`Bfs (Libos.boot phys image));
     Mem.Phys_mem.peak_frames_live phys
   in
   List.iter
-    (fun (label, tier_stress, capacity) ->
+    (fun (label, strategy_override, tier_stress, capacity) ->
       let phys = Mem.Phys_mem.create ~capacity () in
       let m = Libos.boot phys image in
       let live0 = Mem.Phys_mem.frames_live phys in
-      let r = Explorer.run ?tier_stress m in
+      let r = Explorer.run ?strategy_override ?tier_stress m in
       check Alcotest.int (label ^ ": completes") 0 (completed r);
+      check Alcotest.int (label ^ ": every terminal") 746
+        (List.length r.Explorer.terminals);
       if capacity > 0 then
         check Alcotest.bool (label ^ ": demoted and promoted") true
           (r.Explorer.stats.Core.Stats.demotions > 0
@@ -1805,8 +1890,8 @@ let run_frames_pair () =
       check Alcotest.int (label ^ ": allocated - freed = change in live")
         (Mem.Phys_mem.frames_live phys - live0)
         (get N.mem_frames_allocated - get N.mem_frames_freed))
-    [ "plain", None, 0; "tier_stress:0", Some 0, 0;
-      "tier_stress:1", Some 1, 0; "half the peak", None, peak / 2 ]
+    [ "plain", None, None, 0; "tier_stress:0", None, Some 0, 0;
+      "tier_stress:1", None, Some 1, 0; "half the peak", Some `Bfs, None, peak / 2 ]
 
 let tests =
   [ Alcotest.test_case "nqueens all sizes" `Quick nqueens_all_sizes;
@@ -1855,6 +1940,7 @@ let tests =
       reclaim_tier_transitions;
     Alcotest.test_case "reclaim pressure allocates no frames" `Quick
       reclaim_pressure_handler_allocates_no_frames;
+    Alcotest.test_case "reclaim counts holders" `Quick reclaim_counts_holders;
     Alcotest.test_case "reclaim pinned root stops at tier 1" `Quick
       reclaim_pinned_root_stops_at_tier1;
     Alcotest.test_case "reclaim bulk operations visit in order" `Quick
@@ -1866,6 +1952,8 @@ let tests =
       service_failed_resumes_keep_live_flat;
     Alcotest.test_case "service release keeps a delta's base" `Quick
       service_release_keeps_a_delta_base;
+    Alcotest.test_case "service pages keeps the anchor" `Quick
+      service_pages_keeps_the_anchor;
     Alcotest.test_case "tenancy ids index the pool" `Quick
       tenancy_ids_index_the_pool;
     Alcotest.test_case "tenancy dedup shares image frames" `Quick
@@ -1898,6 +1986,8 @@ let tests =
       switch_allocation;
     Alcotest.test_case "budgeted run returns every frame" `Quick
       budgeted_run_returns_frames;
+    Alcotest.test_case "a store-mode run frees by extension count" `Quick
+      store_run_frees_by_extension_count;
     Alcotest.test_case "a run's frees pair its allocations" `Quick
       run_frames_pair;
     Alcotest.test_case "in-scope stop keeps only the map" `Quick
