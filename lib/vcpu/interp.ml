@@ -191,13 +191,16 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
 
    A cache miss decodes forward through straight-line code — stopping at
    control flow, [syscall]/[hlt], the page edge, and a maximum block
-   length — and compiles the run into an array of closures, one per
-   instruction.  Dispatch then executes whole blocks, resolving the fetch
-   frame once per block instead of once per instruction.  The one hazard
-   the per-block grain adds is a store COWing the block's own code page
-   mid-block (self-modifying straight-line code), which is caught by
-   re-checking the fetch mapping after every fused store and splitting
-   the block there.
+   length — and compiles the run into one chain of continuation closures:
+   each instruction's closure ends by tail-calling the next one's, so a
+   whole block is a single call, with no loop, index or array between
+   instructions.  Dispatch resolves the fetch frame once per block
+   instead of once per instruction.  The one hazard the per-block grain
+   adds is a store COWing the block's own code page mid-block
+   (self-modifying straight-line code), which is caught by re-checking
+   the fetch mapping after every fused store but the last and stopping
+   the chain there.  A block longer than the remaining fuel (only at a
+   preemption boundary) is not entered: [step] runs the budget out.
 
    Every instruction shape compiles ([compile_op]): register numbers,
    immediates, the rip delta and the addressing form of a memory operand
@@ -227,27 +230,24 @@ let exec (cpu : Cpu.t) aspace insn sz : vmexit option =
 
    A cache serves one address space: its ops close over the address space
    they load and store through, so each is a one-argument closure that
-   dispatch calls directly (a two-argument call of an unknown closure goes
+   calls the next directly (a two-argument call of an unknown closure goes
    through [caml_apply2]). *)
 let max_insn_bytes = 24
 let max_block_insns = 64
 
 type op = Cpu.t -> vmexit option
-(* One fused instruction, compiled to a closure at fuse time.  Contract:
-   behaves exactly like [exec insn sz] — retires-and-returns-[None],
-   returns [Some] for syscall/hlt, or raises [As.Page_fault]/[Exit_run]
-   with [cpu.rip] still at the instruction. *)
+(* The rest of a fused block from one instruction on, compiled to a chain
+   of closures at fuse time.  Contract: behaves exactly like running
+   [exec] over those instructions — [None] once the chain retired, [Some]
+   for syscall/hlt, or raises [As.Page_fault]/[Exit_run] with [cpu.rip]
+   still at the faulting instruction. *)
 
 type block = {
   b_fid : int;
       (* frame the block was fused from; compared against the live fetch
          mapping after fused stores to catch self-modifying code *)
-  b_ops : op array;
-      (* straight-line run, terminator (branch/syscall/hlt) last *)
-  b_writes : bool array;
-      (* b_writes.(i): instruction i may store to guest memory, so the
-         fetch mapping must be re-verified before running i+1 *)
-  b_has_writes : bool; (* false lets dispatch skip the per-insn check *)
+  b_run : op; (* the whole straight-line run, terminator last *)
+  b_len : int; (* instructions in the block *)
   b_linkable : bool; (* the last op does not store: links may be followed *)
   mutable b_off1 : int; (* page offset of the first link's target; -1 none *)
   mutable b_next1 : block;
@@ -255,11 +255,13 @@ type block = {
   mutable b_next2 : block;
 }
 
+(* The end of every chain: the block retired whole. *)
+let block_end : op = fun _ -> None
+
 (* The empty link target, and the "no predecessor to link from" marker of
    the dispatch loop: its frame id matches no real frame. *)
 let rec unlinked =
-  { b_fid = -1; b_ops = [||]; b_writes = [||]; b_has_writes = false;
-    b_linkable = false;
+  { b_fid = -1; b_run = block_end; b_len = 0; b_linkable = false;
     b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
 
 type icache = {
@@ -321,38 +323,39 @@ let writes_memory (insn : Isa.Insn.t) =
 
    Each arm of [compile_op] re-derives exactly the semantics of the
    corresponding [exec] arm — keep them in lockstep.  The helpers below
-   are the shared tails; ops only move [cpu.rip] as the last step of a
-   retiring instruction, after every access that can fault. *)
+   are the shared tails; a retiring op ends with [next cpu sz k], which
+   moves [cpu.rip] after every access that can fault, then tail-calls
+   [k], the rest of the block.  Terminators ignore [k] and return. *)
 
 let[@inline] reg (cpu : Cpu.t) r = Array.unsafe_get cpu.regs r
 let[@inline] set_reg (cpu : Cpu.t) r v = Array.unsafe_set cpu.regs r v
 
-let[@inline] next (cpu : Cpu.t) sz =
+let[@inline] next (cpu : Cpu.t) sz (k : op) =
   cpu.rip <- cpu.rip + sz;
   cpu.retired <- cpu.retired + 1;
-  None
+  k cpu
 
-let[@inline] alu cpu r v sz =
+let[@inline] alu cpu r v sz k =
   set_reg cpu r v;
   cpu.Cpu.flags.zf <- v = 0;
   cpu.Cpu.flags.sf <- v < 0;
-  next cpu sz
+  next cpu sz k
 
-let[@inline] cmp_flags cpu a b sz =
+let[@inline] cmp_flags cpu a b sz k =
   let f = cpu.Cpu.flags in
   f.zf <- a = b;
   f.sf <- a - b < 0;
   f.lt_s <- a < b;
   f.lt_u <- unsigned_lt a b;
-  next cpu sz
+  next cpu sz k
 
-let[@inline] test_flags cpu v sz =
+let[@inline] test_flags cpu v sz k =
   let f = cpu.Cpu.flags in
   f.zf <- v = 0;
   f.sf <- v < 0;
   f.lt_s <- false;
   f.lt_u <- false;
-  next cpu sz
+  next cpu sz k
 
 let div_fault (cpu : Cpu.t) =
   raise (Exit_run (Fault (Div_by_zero { rip = cpu.rip })))
@@ -394,82 +397,82 @@ let ea_of (m : Isa.Insn.mem) =
   | None, Some (x, s) -> Ea_index (r x, s, m.disp)
   | None, None -> Ea_abs m.disp
 
-let[@inline] lea cpu r addr sz =
+let[@inline] lea cpu r addr sz k =
   set_reg cpu r addr;
-  next cpu sz
+  next cpu sz k
 
-let[@inline] ldq cpu aspace r addr sz =
+let[@inline] ldq cpu aspace r addr sz k =
   set_reg cpu r (As.read_u64 aspace addr);
-  next cpu sz
+  next cpu sz k
 
-let[@inline] ldb cpu aspace r addr sz =
+let[@inline] ldb cpu aspace r addr sz k =
   set_reg cpu r (As.read_u8 aspace addr);
-  next cpu sz
+  next cpu sz k
 
-let[@inline] stq cpu aspace addr v sz =
+let[@inline] stq cpu aspace addr v sz k =
   As.write_u64 aspace addr v;
-  next cpu sz
+  next cpu sz k
 
-let[@inline] stb cpu aspace addr v sz =
+let[@inline] stb cpu aspace addr v sz k =
   As.write_u8 aspace addr v;
-  next cpu sz
+  next cpu sz k
 
 (* Two-operand ALU ops.  Faulting shapes check at run time; an immediate
    that always faults compiles to a closure that always raises. *)
-let compile_bin (op : Isa.Insn.binop) r (operand : Isa.Insn.operand) sz : op
-    =
+let compile_bin (op : Isa.Insn.binop) r (operand : Isa.Insn.operand) sz k
+    : op =
   let r = Isa.Reg.to_int r in
   match op, operand with
-  | Add, Imm v -> fun cpu -> alu cpu r (reg cpu r + v) sz
-  | Sub, Imm v -> fun cpu -> alu cpu r (reg cpu r - v) sz
-  | Imul, Imm v -> fun cpu -> alu cpu r (reg cpu r * v) sz
-  | And, Imm v -> fun cpu -> alu cpu r (reg cpu r land v) sz
-  | Or, Imm v -> fun cpu -> alu cpu r (reg cpu r lor v) sz
-  | Xor, Imm v -> fun cpu -> alu cpu r (reg cpu r lxor v) sz
+  | Add, Imm v -> fun cpu -> alu cpu r (reg cpu r + v) sz k
+  | Sub, Imm v -> fun cpu -> alu cpu r (reg cpu r - v) sz k
+  | Imul, Imm v -> fun cpu -> alu cpu r (reg cpu r * v) sz k
+  | And, Imm v -> fun cpu -> alu cpu r (reg cpu r land v) sz k
+  | Or, Imm v -> fun cpu -> alu cpu r (reg cpu r lor v) sz k
+  | Xor, Imm v -> fun cpu -> alu cpu r (reg cpu r lxor v) sz k
   | (Div | Rem), Imm 0 -> fun cpu -> div_fault cpu
-  | Div, Imm v -> fun cpu -> alu cpu r (reg cpu r / v) sz
-  | Rem, Imm v -> fun cpu -> alu cpu r (reg cpu r mod v) sz
+  | Div, Imm v -> fun cpu -> alu cpu r (reg cpu r / v) sz k
+  | Rem, Imm v -> fun cpu -> alu cpu r (reg cpu r mod v) sz k
   | (Shl | Shr | Sar), Imm v when bad_shift v -> fun cpu -> shift_fault cpu v
-  | Shl, Imm v -> fun cpu -> alu cpu r (reg cpu r lsl v) sz
-  | Shr, Imm v -> fun cpu -> alu cpu r (reg cpu r lsr v) sz
-  | Sar, Imm v -> fun cpu -> alu cpu r (reg cpu r asr v) sz
+  | Shl, Imm v -> fun cpu -> alu cpu r (reg cpu r lsl v) sz k
+  | Shr, Imm v -> fun cpu -> alu cpu r (reg cpu r lsr v) sz k
+  | Sar, Imm v -> fun cpu -> alu cpu r (reg cpu r asr v) sz k
   | op, Reg r2 -> (
     let r2 = Isa.Reg.to_int r2 in
     match op with
-    | Add -> fun cpu -> alu cpu r (reg cpu r + reg cpu r2) sz
-    | Sub -> fun cpu -> alu cpu r (reg cpu r - reg cpu r2) sz
-    | Imul -> fun cpu -> alu cpu r (reg cpu r * reg cpu r2) sz
-    | And -> fun cpu -> alu cpu r (reg cpu r land reg cpu r2) sz
-    | Or -> fun cpu -> alu cpu r (reg cpu r lor reg cpu r2) sz
-    | Xor -> fun cpu -> alu cpu r (reg cpu r lxor reg cpu r2) sz
+    | Add -> fun cpu -> alu cpu r (reg cpu r + reg cpu r2) sz k
+    | Sub -> fun cpu -> alu cpu r (reg cpu r - reg cpu r2) sz k
+    | Imul -> fun cpu -> alu cpu r (reg cpu r * reg cpu r2) sz k
+    | And -> fun cpu -> alu cpu r (reg cpu r land reg cpu r2) sz k
+    | Or -> fun cpu -> alu cpu r (reg cpu r lor reg cpu r2) sz k
+    | Xor -> fun cpu -> alu cpu r (reg cpu r lxor reg cpu r2) sz k
     | Div ->
       fun cpu ->
         let b = reg cpu r2 in
-        if b = 0 then div_fault cpu else alu cpu r (reg cpu r / b) sz
+        if b = 0 then div_fault cpu else alu cpu r (reg cpu r / b) sz k
     | Rem ->
       fun cpu ->
         let b = reg cpu r2 in
-        if b = 0 then div_fault cpu else alu cpu r (reg cpu r mod b) sz
+        if b = 0 then div_fault cpu else alu cpu r (reg cpu r mod b) sz k
     | Shl ->
       fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
-        else alu cpu r (reg cpu r lsl b) sz
+        else alu cpu r (reg cpu r lsl b) sz k
     | Shr ->
       fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
-        else alu cpu r (reg cpu r lsr b) sz
+        else alu cpu r (reg cpu r lsr b) sz k
     | Sar ->
       fun cpu ->
         let b = reg cpu r2 in
         if bad_shift b then shift_fault cpu b
-        else alu cpu r (reg cpu r asr b) sz)
+        else alu cpu r (reg cpu r asr b) sz k)
 
-let compile_op a (insn : Isa.Insn.t) sz : op =
+let compile_op a (insn : Isa.Insn.t) sz k : op =
   let open Isa.Insn in
   match insn with
-  | Nop -> fun cpu -> next cpu sz
+  | Nop -> fun cpu -> next cpu sz k
   | Hlt ->
     fun (cpu : Cpu.t) ->
       cpu.retired <- cpu.retired + 1;
@@ -483,89 +486,89 @@ let compile_op a (insn : Isa.Insn.t) sz : op =
     let r = Isa.Reg.to_int r in
     fun cpu ->
       set_reg cpu r v;
-      next cpu sz
+      next cpu sz k
   | Mov (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
     fun cpu ->
       set_reg cpu r (reg cpu r2);
-      next cpu sz
+      next cpu sz k
   (* memory operands: one closure per width and addressing form *)
   | Lea (r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> lea cpu r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> lea cpu r (reg cpu b + d) sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> lea cpu r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu -> lea cpu r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu -> lea cpu r d sz)
+      fun cpu -> lea cpu r (reg cpu b + (reg cpu x * s) + d) sz k
+    | Ea_index (x, s, d) -> fun cpu -> lea cpu r ((reg cpu x * s) + d) sz k
+    | Ea_abs d -> fun cpu -> lea cpu r d sz k)
   | Ld (Q, r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> ldq cpu a r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> ldq cpu a r (reg cpu b + d) sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> ldq cpu a r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu -> ldq cpu a r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu -> ldq cpu a r d sz)
+      fun cpu -> ldq cpu a r (reg cpu b + (reg cpu x * s) + d) sz k
+    | Ea_index (x, s, d) -> fun cpu -> ldq cpu a r ((reg cpu x * s) + d) sz k
+    | Ea_abs d -> fun cpu -> ldq cpu a r d sz k)
   | Ld (B, r, m) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> ldb cpu a r (reg cpu b + d) sz
+    | Ea_base (b, d) -> fun cpu -> ldb cpu a r (reg cpu b + d) sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> ldb cpu a r (reg cpu b + (reg cpu x * s) + d) sz
-    | Ea_index (x, s, d) -> fun cpu -> ldb cpu a r ((reg cpu x * s) + d) sz
-    | Ea_abs d -> fun cpu -> ldb cpu a r d sz)
+      fun cpu -> ldb cpu a r (reg cpu b + (reg cpu x * s) + d) sz k
+    | Ea_index (x, s, d) -> fun cpu -> ldb cpu a r ((reg cpu x * s) + d) sz k
+    | Ea_abs d -> fun cpu -> ldb cpu a r d sz k)
   | St (Q, m, r) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) (reg cpu r) sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz k
     | Ea_index (x, s, d) ->
-      fun cpu -> stq cpu a ((reg cpu x * s) + d) (reg cpu r) sz
-    | Ea_abs d -> fun cpu -> stq cpu a d (reg cpu r) sz)
+      fun cpu -> stq cpu a ((reg cpu x * s) + d) (reg cpu r) sz k
+    | Ea_abs d -> fun cpu -> stq cpu a d (reg cpu r) sz k)
   | St (B, m, r) -> (
     let r = Isa.Reg.to_int r in
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) (reg cpu r) sz
+    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) (reg cpu r) sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz
+      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) (reg cpu r) sz k
     | Ea_index (x, s, d) ->
-      fun cpu -> stb cpu a ((reg cpu x * s) + d) (reg cpu r) sz
-    | Ea_abs d -> fun cpu -> stb cpu a d (reg cpu r) sz)
+      fun cpu -> stb cpu a ((reg cpu x * s) + d) (reg cpu r) sz k
+    | Ea_abs d -> fun cpu -> stb cpu a d (reg cpu r) sz k)
   | Sti (Q, m, v) -> (
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) v sz
+    | Ea_base (b, d) -> fun cpu -> stq cpu a (reg cpu b + d) v sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) v sz
-    | Ea_index (x, s, d) -> fun cpu -> stq cpu a ((reg cpu x * s) + d) v sz
-    | Ea_abs d -> fun cpu -> stq cpu a d v sz)
+      fun cpu -> stq cpu a (reg cpu b + (reg cpu x * s) + d) v sz k
+    | Ea_index (x, s, d) -> fun cpu -> stq cpu a ((reg cpu x * s) + d) v sz k
+    | Ea_abs d -> fun cpu -> stq cpu a d v sz k)
   | Sti (B, m, v) -> (
     match ea_of m with
-    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) v sz
+    | Ea_base (b, d) -> fun cpu -> stb cpu a (reg cpu b + d) v sz k
     | Ea_base_index (b, x, s, d) ->
-      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) v sz
-    | Ea_index (x, s, d) -> fun cpu -> stb cpu a ((reg cpu x * s) + d) v sz
-    | Ea_abs d -> fun cpu -> stb cpu a d v sz)
-  | Bin (op, r, operand) -> compile_bin op r operand sz
+      fun cpu -> stb cpu a (reg cpu b + (reg cpu x * s) + d) v sz k
+    | Ea_index (x, s, d) -> fun cpu -> stb cpu a ((reg cpu x * s) + d) v sz k
+    | Ea_abs d -> fun cpu -> stb cpu a d v sz k)
+  | Bin (op, r, operand) -> compile_bin op r operand sz k
   | Un (op, r) -> (
     let r = Isa.Reg.to_int r in
     match op with
-    | Inc -> fun cpu -> alu cpu r (reg cpu r + 1) sz
-    | Dec -> fun cpu -> alu cpu r (reg cpu r - 1) sz
-    | Neg -> fun cpu -> alu cpu r (-reg cpu r) sz
-    | Not -> fun cpu -> alu cpu r (lnot (reg cpu r)) sz)
+    | Inc -> fun cpu -> alu cpu r (reg cpu r + 1) sz k
+    | Dec -> fun cpu -> alu cpu r (reg cpu r - 1) sz k
+    | Neg -> fun cpu -> alu cpu r (-reg cpu r) sz k
+    | Not -> fun cpu -> alu cpu r (lnot (reg cpu r)) sz k)
   | Cmp (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun cpu -> cmp_flags cpu (reg cpu r) v sz
+    fun cpu -> cmp_flags cpu (reg cpu r) v sz k
   | Cmp (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun cpu -> cmp_flags cpu (reg cpu r) (reg cpu r2) sz
+    fun cpu -> cmp_flags cpu (reg cpu r) (reg cpu r2) sz k
   | Test (r, Imm v) ->
     let r = Isa.Reg.to_int r in
-    fun cpu -> test_flags cpu (reg cpu r land v) sz
+    fun cpu -> test_flags cpu (reg cpu r land v) sz k
   | Test (r, Reg r2) ->
     let r = Isa.Reg.to_int r and r2 = Isa.Reg.to_int r2 in
-    fun cpu -> test_flags cpu (reg cpu r land reg cpu r2) sz
+    fun cpu -> test_flags cpu (reg cpu r land reg cpu r2) sz k
   | Jmp target ->
     fun (cpu : Cpu.t) ->
       cpu.rip <- target;
@@ -580,21 +583,21 @@ let compile_op a (insn : Isa.Insn.t) sz : op =
     let r = Isa.Reg.to_int r in
     fun cpu ->
       set_reg cpu r (if Cpu.eval_cond cpu c then 1 else 0);
-      next cpu sz
+      next cpu sz k
   | Push (Reg r2) ->
     let r2 = Isa.Reg.to_int r2 in
     fun cpu ->
       push cpu a (reg cpu r2);
-      next cpu sz
+      next cpu sz k
   | Push (Imm v) ->
     fun cpu ->
       push cpu a v;
-      next cpu sz
+      next cpu sz k
   | Pop r ->
     let r = Isa.Reg.to_int r in
     fun cpu ->
       set_reg cpu r (pop cpu a);
-      next cpu sz
+      next cpu sz k
   | Call target ->
     fun (cpu : Cpu.t) ->
       push cpu a (cpu.rip + sz);
@@ -644,64 +647,45 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
   match !insns with
   | [] -> None
   | (last, _) :: _ as l ->
-    let arr = Array.of_list (List.rev l) in
-    let writes = Array.map (fun (insn, _) -> writes_memory insn) arr in
+    let fid = frame.Mem.Phys_mem.id in
+    (* thread the chain from the last instruction back; a store that is
+       not the last re-verifies the fetch mapping before its successor
+       runs: a mismatch means it COW'd the block's own code page
+       (self-modifying straight-line code), so the fused tail decodes
+       stale bytes — stop there, and dispatch sees fewer ops retired than
+       the block holds and re-dispatches at the (now mutable) frame *)
+    let chain (k, n) (insn, sz) =
+      let k =
+        if n > 0 && writes_memory insn then fun (cpu : Cpu.t) ->
+          if (As.reading_frame cache.aspace cpu.rip).Mem.Phys_mem.id <> fid
+          then None
+          else k cpu
+        else k
+      in
+      (compile_op cache.aspace insn sz k, n + 1)
+    in
+    let b_run, b_len = List.fold_left chain (block_end, 0) l in
     Some
-      { b_fid = frame.Mem.Phys_mem.id;
-        b_ops = Array.map (fun (insn, sz) -> compile_op cache.aspace insn sz) arr;
-        b_writes = writes;
-        b_has_writes = Array.exists Fun.id writes;
+      { b_fid = fid; b_run; b_len;
         b_linkable = not (writes_memory last);
         b_off1 = -1; b_next1 = unlinked; b_off2 = -1; b_next2 = unlinked }
-
-(* Run ops [i, limit) of a block.  [None] means every one retired. *)
-let rec run_ops ops cpu i limit =
-  if i >= limit then None
-  else
-    match (Array.unsafe_get ops i) cpu with
-    | None -> run_ops ops cpu (i + 1) limit
-    | Some _ as e -> e (* syscall/hlt terminator: always last *)
-
-(* [run_ops] for a block with stores: after each store that is not the
-   last op to run, re-verify the fetch mapping.  A mismatch means the
-   store COW'd the block's own code page (self-modifying straight-line
-   code): the fused tail decodes stale bytes, so stop there — the caller
-   sees fewer ops retired than the block holds and re-dispatches at the
-   (now mutable) frame. *)
-let rec run_ops_checked (b : block) (cpu : Cpu.t) aspace i limit =
-  if i >= limit then None
-  else
-    match (Array.unsafe_get b.b_ops i) cpu with
-    | None ->
-      if
-        i + 1 < limit
-        && Array.unsafe_get b.b_writes i
-        && (As.reading_frame aspace cpu.rip).Mem.Phys_mem.id <> b.b_fid
-      then None
-      else run_ops_checked b cpu aspace (i + 1) limit
-    | Some _ as e -> e
 
 let[@inline] same_page a b =
   Mem.Page.vpn_of_addr a = Mem.Page.vpn_of_addr b
 
-(* Execute up to [budget] instructions of [b] from its head (cpu.rip is the
-   head).  Returns the vmexit if one materialised; [None] means no exit —
-   the caller recomputes consumed fuel from the retired delta, which keeps
-   block dispatch bit-identical to [step]'s fuel accounting, and
-   learns from the same delta whether the whole block ran.
+(* Run a whole block from its head (cpu.rip is the head).  Returns the
+   vmexit if one materialised; [None] means no exit — the caller
+   recomputes consumed fuel from the retired delta, which keeps block
+   dispatch bit-identical to [step]'s fuel accounting, and learns from
+   the same delta whether the whole block ran.
 
-   The exception handler is hoisted out of the per-instruction loop: ops
-   (like [exec], whose contract they share) only move [cpu.rip] as the
-   last step of a retiring instruction, so when [As.Page_fault] or
-   [Exit_run] escapes, [cpu.rip] still addresses the faulting
-   instruction — exactly the rip [step] reports. *)
-let exec_block cache (cpu : Cpu.t) aspace (b : block) ~budget =
-  let n = Array.length b.b_ops in
-  let limit = if budget < n then budget else n in
-  match
-    if b.b_has_writes then run_ops_checked b cpu aspace 0 limit
-    else run_ops b.b_ops cpu 0 limit
-  with
+   One exception handler covers the whole chain: ops (like [exec], whose
+   contract they share) only move [cpu.rip] as the last step of a
+   retiring instruction, so when [As.Page_fault] or [Exit_run] escapes,
+   [cpu.rip] still addresses the faulting instruction — exactly the rip
+   [step] reports. *)
+let exec_block cache (cpu : Cpu.t) (b : block) =
+  match b.b_run cpu with
   | result -> result
   | exception As.Page_fault { addr; access } ->
     cache.block_splits <- cache.block_splits + 1;
@@ -723,6 +707,13 @@ let link prev offset b =
       prev.b_off2 <- offset;
       prev.b_next2 <- b
     end
+
+let rec run_uncached cpu aspace remaining =
+  if remaining <= 0 then Out_of_fuel
+  else
+    match step cpu aspace with
+    | None -> run_uncached cpu aspace (remaining - 1)
+    | Some e -> e
 
 (* The dispatch loop.  [lookup] resolves cpu.rip through the TLB, the
    immutability check and the block table; [prev] is the block that just
@@ -773,44 +764,45 @@ let rec lookup cache (cpu : Cpu.t) aspace remaining prev =
   end
 
 and dispatch cache cpu aspace b remaining =
-  let entry = cpu.rip and before = cpu.retired in
-  match exec_block cache cpu aspace b ~budget:remaining with
-  | Some e -> e
-  | None ->
-    let ran = cpu.retired - before in
-    let remaining = remaining - ran in
-    let rip = cpu.rip in
-    if ran < Array.length b.b_ops then begin
-      (* cut short by the fuel budget or split by a self-modifying store *)
-      cache.block_splits <- cache.block_splits + 1;
-      lookup cache cpu aspace remaining unlinked
-    end
-    else if b.b_linkable && remaining > 0 && same_page rip entry then begin
-      let offset = Mem.Page.offset_of_addr rip in
-      if offset = b.b_off1 then begin
-        cache.block_hits <- cache.block_hits + 1;
-        dispatch cache cpu aspace b.b_next1 remaining
+  if remaining < b.b_len then begin
+    (* the fuel runs out inside the block: split it, and let the
+       reference [step] retire exactly what is left *)
+    cache.block_splits <- cache.block_splits + 1;
+    run_uncached cpu aspace remaining
+  end
+  else begin
+    let entry = cpu.rip and before = cpu.retired in
+    match exec_block cache cpu b with
+    | Some e -> e
+    | None ->
+      let ran = cpu.retired - before in
+      let remaining = remaining - ran in
+      let rip = cpu.rip in
+      if ran < b.b_len then begin
+        (* split by a self-modifying store *)
+        cache.block_splits <- cache.block_splits + 1;
+        lookup cache cpu aspace remaining unlinked
       end
-      else if offset = b.b_off2 then begin
-        cache.block_hits <- cache.block_hits + 1;
-        dispatch cache cpu aspace b.b_next2 remaining
+      else if b.b_linkable && remaining > 0 && same_page rip entry then begin
+        let offset = Mem.Page.offset_of_addr rip in
+        if offset = b.b_off1 then begin
+          cache.block_hits <- cache.block_hits + 1;
+          dispatch cache cpu aspace b.b_next1 remaining
+        end
+        else if offset = b.b_off2 then begin
+          cache.block_hits <- cache.block_hits + 1;
+          dispatch cache cpu aspace b.b_next2 remaining
+        end
+        else lookup cache cpu aspace remaining b
       end
-      else lookup cache cpu aspace remaining b
-    end
-    else lookup cache cpu aspace remaining unlinked
+      else lookup cache cpu aspace remaining unlinked
+  end
 
 and slow_step cache cpu aspace remaining =
   cache.slow_decodes <- cache.slow_decodes + 1;
   match step cpu aspace with
   | None -> lookup cache cpu aspace (remaining - 1) unlinked
   | Some e -> e
-
-let rec run_uncached cpu aspace remaining =
-  if remaining <= 0 then Out_of_fuel
-  else
-    match step cpu aspace with
-    | None -> run_uncached cpu aspace (remaining - 1)
-    | Some e -> e
 
 let run ?icache cpu aspace ~fuel =
   match icache with

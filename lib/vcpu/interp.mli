@@ -21,16 +21,19 @@ type vmexit =
 
 type icache
 (** Block cache, one per address space: straight-line runs compiled on first
-    execution into per-frame basic-block tables and dispatched whole,
+    execution into per-frame basic-block tables, each block one chain of
+    continuation closures that runs the whole block in a single call,
     bit-identical to {!step} in semantics, fuel accounting and vmexit
     placement.  Sound with no invalidation because blocks are only fused
     from frames of a retired generation, which never change in place;
     a store COWing the block's own code page mid-block is caught by
-    re-verifying the fetch mapping after every fused store.  Same-page
-    successor links are only followed inside one {!run}, after a block
-    that ran whole and whose last op does not store.  Each compiled
-    instruction closes over the address space the cache was created for,
-    so dispatch calls it with the CPU alone. *)
+    re-verifying the fetch mapping after every fused store but the
+    block's last.  A block longer than the fuel left is not entered:
+    {!step} retires the rest of the budget.  Same-page successor links
+    are only followed inside one {!run}, after a block that ran whole and
+    whose last op does not store.  Each compiled instruction closes over
+    the address space the cache was created for, and takes the CPU
+    alone. *)
 
 val create_icache : Mem.Addr_space.t -> icache
 (** An empty cache serving this address space only. *)

@@ -658,6 +658,91 @@ let every_shape () =
       "base byte 0x20", "\x08\x00\x20\xff\x00" ^ disp;
       "index byte 0x30", "\x08\x00\xff\x30\x01" ^ disp ]
 
+let block_fuel_cut_everywhere () =
+  (* Three fused blocks: [a] loads and stores short of its end, [c] holds
+     a store that patches the immediate of a later instruction of its own
+     block (its chain splits there and the rest of the page runs slow),
+     and [d], on the next page, a store that faults mid-block.  At every
+     fuel value a block dispatch the fuel runs out in is cut: it counts
+     one split and steps the rest, and must stop where stepping stops. *)
+  let items =
+    [ label "main";
+      mov R.r8 (i (data_base + 64));
+      mov R.rax (i 7);
+      st (R.r8 @+ 0) R.rax;
+      ld R.rbx (R.r8 @+ 0);
+      st (R.r8 @+ 8) R.rbx;
+      add R.rax (r R.rbx);
+      movl R.r9 "patch";
+      jmp "c";
+      label "c";
+      add R.rax (i 1);
+      (* [add rax, imm]: opcode, operation and register bytes, then the
+         immediate *)
+      sti (R.r9 @+ 3) 1000;
+      label "patch";
+      add R.rax (i 10);
+      add R.rax (r R.rbx);
+      jmp "d";
+      align 4096;
+      label "d";
+      ld R.rcx (R.r8 @+ 8);
+      mov R.r10 (i 0);
+      st (R.r10 @+ 0) R.rcx;  (* vpn 0 is unmapped until the fault *)
+      add R.rax (r R.rcx);
+      hlt ]
+  in
+  let a = 0, 8 and c = 8, 5 and d = 13, 5 in
+  let boot () =
+    let cpu, aspace = load items in
+    As.seal aspace;
+    cpu, aspace
+  in
+  (* run to halt, mapping vpn 0 at the fault *)
+  let rec finish run cpu aspace =
+    match run cpu aspace with
+    | Interp.Fault (Interp.Page_fault { addr = 0; _ }) ->
+      As.map_zero aspace ~vpn:0;
+      finish run cpu aspace
+    | e -> e
+  in
+  let off cpu aspace = Interp.run cpu aspace ~fuel:1_000 in
+  let total =
+    let cpu, aspace = boot () in
+    check exit_testable "off halts" Interp.Halt (finish off cpu aspace);
+    cpu.Cpu.retired
+  in
+  check Alcotest.int "one pass retires the three blocks" (snd a + snd c + snd d)
+    total;
+  for fuel = 1 to total do
+    let name = Printf.sprintf "fuel %d" fuel in
+    let cpu_off, as_off = boot () in
+    let e_off = Interp.run cpu_off as_off ~fuel in
+    let cpu, aspace = boot () in
+    let cache = Interp.create_icache aspace in
+    let e = Interp.run ~icache:cache cpu aspace ~fuel in
+    check exit_testable (name ^ ": same vmexit") e_off e;
+    compare_cpus name cpu_off cpu;
+    compare_flags name cpu_off cpu;
+    let inside (s, l) = s < fuel && fuel < s + l in
+    let whole (s, l) = fuel >= s + l in
+    (* a cut dispatch splits once; so do [c]'s patching store and [d]'s
+       fault, when their chains run *)
+    let splits =
+      Bool.to_int (List.exists inside [ a; c; d ])
+      + Bool.to_int (whole c) + Bool.to_int (whole d)
+    in
+    let _, _, got = Interp.block_counts cache in
+    check Alcotest.int (name ^ ": block splits") splits got;
+    let block cpu aspace = Interp.run ~icache:cache cpu aspace ~fuel:1_000 in
+    check exit_testable (name ^ ": off resumes to halt") Interp.Halt
+      (finish off cpu_off as_off);
+    check exit_testable (name ^ ": block resumes to halt") Interp.Halt
+      (finish block cpu aspace);
+    compare_cpus (name ^ " at halt") cpu_off cpu;
+    compare_flags (name ^ " at halt") cpu_off cpu
+  done
+
 (* {2 Successor links}
 
    Links are only followed inside one [run], after a block that retired
@@ -885,6 +970,8 @@ let tests =
     Alcotest.test_case "shared page is never decode- or block-cached" `Quick
       shared_page_never_cached;
     Alcotest.test_case "block: every shape matches step" `Quick every_shape;
+    Alcotest.test_case "block: fuel cut at every instruction" `Quick
+      block_fuel_cut_everywhere;
     Alcotest.test_case "link: alternating snapshots at one vpn" `Quick
       link_alternating_snapshots;
     Alcotest.test_case "link: call COWs its own code page" `Quick
