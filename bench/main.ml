@@ -1433,62 +1433,41 @@ let e15 () =
      the ordinary-syscall stream, lib/record) must not slow exploration \
      by 10% or more; the time-travel cursor's reverse-step must cost \
      O(anchor interval), not O(run length).  Runs n-queens unrecorded \
-     and recorded (interleaved reps of back-to-back explorations, min \
-     of 15 each, identical exploration asserted), then replays the \
-     bundle and measures forward-pass and reverse-step latency at \
-     anchor spacings 1/4/16/64.";
-  let n = 6 in
+     and recorded (min of 5 each, identical exploration asserted), then \
+     replays the bundle and measures forward-pass and reverse-step \
+     latency at anchor spacings 1/4/16/64.";
+  let n = if !quick then 5 else 6 in
   let image = Workloads.Nqueens.program ~n in
-  (* One n=6 exploration takes under a millisecond: too short to tell a
-     few percent of recording cost from timer and cache noise.  A timed
-     rep explores [batch] freshly booted machines back to back, and the
-     off and on reps alternate so that drift in the host's load hits
-     both sides alike. *)
-  let batch = if !quick then 10 else 20 and reps = 15 in
+  let reps = 5 in
   let boot () = Os.Libos.boot (Phys.create ()) image in
-  let off_rep () =
-    let machines = Array.init batch (fun _ -> boot ()) in
-    Gc.full_major ();
-    U.time_once_ms (fun () -> Array.map (fun m -> Explorer.run m) machines)
+  let min_ms f =
+    ignore (f ());
+    let best = ref infinity in
+    let last = ref None in
+    for _ = 1 to reps do
+      let ms, r = f () in
+      if ms < !best then best := ms;
+      last := Some r
+    done;
+    (!best, Option.get !last)
   in
-  let on_rep () =
-    let machines =
-      Array.init batch (fun _ ->
-          let m = boot () in
-          let recorder = Record.Recorder.create () in
-          Record.Recorder.install recorder m;
-          m, recorder)
-    in
-    Gc.full_major ();
-    U.time_once_ms (fun () ->
-        Array.map
-          (fun (m, recorder) ->
-            Explorer.run ~probe:(Record.Recorder.probe recorder) m, recorder)
-          machines)
+  let off_ms, off_r =
+    min_ms (fun () ->
+        let m = boot () in
+        Gc.full_major ();
+        U.time_once_ms (fun () -> Explorer.run m))
   in
-  ignore (off_rep ());
-  ignore (on_rep ());
-  let off_best = ref infinity and on_best = ref infinity in
-  let off_last = ref [||] and on_last = ref [||] in
-  let timed best last rep =
-    let ms, results = rep () in
-    if ms < !best then best := ms;
-    last := results
+  let last_recorder = ref (Record.Recorder.create ()) in
+  let on_ms, on_r =
+    min_ms (fun () ->
+        let m = boot () in
+        let recorder = Record.Recorder.create () in
+        Record.Recorder.install recorder m;
+        last_recorder := recorder;
+        Gc.full_major ();
+        U.time_once_ms (fun () ->
+            Explorer.run ~probe:(Record.Recorder.probe recorder) m))
   in
-  for i = 1 to reps do
-    if i land 1 = 1 then begin
-      timed off_best off_last off_rep;
-      timed on_best on_last on_rep
-    end
-    else begin
-      timed on_best on_last on_rep;
-      timed off_best off_last off_rep
-    end
-  done;
-  let per_run best = !best /. Float.of_int batch in
-  let off_ms = per_run off_best and on_ms = per_run on_best in
-  let off_r = !off_last.(batch - 1) in
-  let on_r, last_recorder = !on_last.(batch - 1) in
   let signature (r : Explorer.result) =
     ( r.Explorer.stats.Core.Stats.fails,
       M.get r.Explorer.metrics N.search_exits,
@@ -1497,13 +1476,13 @@ let e15 () =
   if signature off_r <> signature on_r then
     failwith "E15: recording changed the exploration result";
   let overhead_pct = 100.0 *. ((on_ms /. off_ms) -. 1.0) in
-  let log = Record.Recorder.log last_recorder in
+  let log = Record.Recorder.log !last_recorder in
   let log_bytes = String.length (Record.Log.encode log) in
-  let events = Record.Recorder.events last_recorder in
+  let events = Record.Recorder.events !last_recorder in
   let instructions = off_r.Explorer.stats.Core.Stats.instructions in
   let row = U.row_format [ 26; 16 ] in
-  row [ "recording off (per run)"; U.fms off_ms ^ " ms" ];
-  row [ "recording on  (per run)"; U.fms on_ms ^ " ms" ];
+  row [ "recording off (min of 5)"; U.fms off_ms ^ " ms" ];
+  row [ "recording on  (min of 5)"; U.fms on_ms ^ " ms" ];
   row [ "record overhead"; Printf.sprintf "%.1f%%" overhead_pct ];
   row [ "guest instructions"; U.fint instructions ];
   row [ "events logged"; U.fint events ];
@@ -1552,7 +1531,6 @@ let e15 () =
       [ "workload", Obs.Json.Str "nqueens";
         "n", Obs.Json.Int n;
         "reps", Obs.Json.Int reps;
-        "batch", Obs.Json.Int batch;
         "rsteps", Obs.Json.Int rsteps_wanted ]
     (Obs.Json.Obj
        [ "off_ms", Obs.Json.Float off_ms;

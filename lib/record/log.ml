@@ -33,37 +33,26 @@ let version = 1
 
    Every integer is zigzag-mapped then LEB128-varint-packed (rax may be -1,
    syscall results are negative errnos, exit statuses are arbitrary);
-   strings are a varint length plus raw bytes.  Writes go to a [writer],
-   bytes the GC never scans, grown by doubling: a recorder appends at
-   every scheduler stop, so an append allocates nothing.  Reads go through
-   a mutable cursor and raise [Short] past the end — [decode] turns that
-   into the typed [Truncated] error with the count of complete events. *)
+   strings are a varint length plus raw bytes.  Reads go through a mutable
+   cursor and raise [Short] past the end — [decode] turns that into the
+   typed [Truncated] error with the count of complete events. *)
 
 exception Short
 
-type writer = { mutable bytes : Bytes.t; mutable len : int }
+let put_int buf n =
+  let n = (n lsl 1) lxor (n asr 62) in
+  let rec go n =
+    if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
+    end
+  in
+  go (n land max_int)
 
-let put_byte w b =
-  if w.len = Bytes.length w.bytes then begin
-    let bytes = Bytes.create (2 * w.len) in
-    Bytes.blit w.bytes 0 bytes 0 w.len;
-    w.bytes <- bytes
-  end;
-  Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr b);
-  w.len <- w.len + 1
-
-let rec put_leb w n =
-  if n land lnot 0x7f = 0 then put_byte w n
-  else begin
-    put_byte w (0x80 lor (n land 0x7f));
-    put_leb w (n lsr 7)
-  end
-
-let put_int w n = put_leb w (((n lsl 1) lxor (n asr 62)) land max_int)
-
-let put_string w s =
-  put_int w (String.length s);
-  String.iter (fun c -> put_byte w (Char.code c)) s
+let put_string buf s =
+  put_int buf (String.length s);
+  Buffer.add_string buf s
 
 type cursor = { s : string; mutable pos : int }
 
@@ -87,14 +76,14 @@ let get_string c =
 
 (* {1 Events} *)
 
-let put_stop w = function
-  | Guess n -> put_byte w 0; put_int w n
-  | Guess_fail -> put_byte w 1
-  | Strategy s -> put_byte w 2; put_int w s
-  | Hint d -> put_byte w 3; put_int w d
-  | Exit s -> put_byte w 4; put_int w s
-  | Kill m -> put_byte w 5; put_string w m
-  | Crash m -> put_byte w 6; put_string w m
+let put_stop buf = function
+  | Guess n -> Buffer.add_char buf '\000'; put_int buf n
+  | Guess_fail -> Buffer.add_char buf '\001'
+  | Strategy s -> Buffer.add_char buf '\002'; put_int buf s
+  | Hint d -> Buffer.add_char buf '\003'; put_int buf d
+  | Exit s -> Buffer.add_char buf '\004'; put_int buf s
+  | Kill m -> Buffer.add_char buf '\005'; put_string buf m
+  | Crash m -> Buffer.add_char buf '\006'; put_string buf m
 
 exception Bad_tag of string
 
@@ -112,31 +101,21 @@ let get_stop c =
   | 6 -> Crash (get_string c)
   | n -> raise (Bad_tag (Printf.sprintf "stop tag %d" n))
 
-let add_capture w ~snap = put_byte w 1; put_int w snap
-
-let add_resume w ~snap ~rax =
-  put_byte w 2;
-  put_int w snap;
-  put_int w rax
-
-let add_set_rax w v = put_byte w 3; put_int w v
-
-let add_sys w ~number ~ret =
-  put_byte w 4;
-  put_int w number;
-  put_int w ret
-
-let add_eval w ~retired stop =
-  put_byte w 5;
-  put_int w retired;
-  put_stop w stop
-
-let put_event w = function
-  | Capture { snap } -> add_capture w ~snap
-  | Resume { snap; rax } -> add_resume w ~snap ~rax
-  | Set_rax v -> add_set_rax w v
-  | Sys { number; ret } -> add_sys w ~number ~ret
-  | Eval { retired; stop } -> add_eval w ~retired stop
+let put_event buf = function
+  | Capture { snap } -> Buffer.add_char buf '\001'; put_int buf snap
+  | Resume { snap; rax } ->
+    Buffer.add_char buf '\002';
+    put_int buf snap;
+    put_int buf rax
+  | Set_rax v -> Buffer.add_char buf '\003'; put_int buf v
+  | Sys { number; ret } ->
+    Buffer.add_char buf '\004';
+    put_int buf number;
+    put_int buf ret
+  | Eval { retired; stop } ->
+    Buffer.add_char buf '\005';
+    put_int buf retired;
+    put_stop buf stop
 
 let get_event c =
   let tag = Char.code c.s.[c.pos] in
@@ -158,20 +137,14 @@ let get_event c =
     Eval { retired; stop }
   | n -> raise (Bad_tag (Printf.sprintf "event tag %d" n))
 
-let writer ~fuel_per_step ~meta =
-  let w = { bytes = Bytes.create 1024; len = 0 } in
-  String.iter (fun c -> put_byte w (Char.code c)) magic;
-  put_byte w version;
-  put_int w fuel_per_step;
-  put_string w meta;
-  w
-
-let contents w = Bytes.sub_string w.bytes 0 w.len
-
 let encode t =
-  let w = writer ~fuel_per_step:t.fuel_per_step ~meta:t.meta in
-  List.iter (put_event w) t.events;
-  contents w
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf magic;
+  Buffer.add_char buf (Char.chr version);
+  put_int buf t.fuel_per_step;
+  put_string buf t.meta;
+  List.iter (put_event buf) t.events;
+  Buffer.contents buf
 
 let decode s =
   let mlen = String.length magic in

@@ -58,26 +58,6 @@ val encode : t -> string
 
 val decode : string -> (t, error) result
 
-(** {1 Writing a log as it grows}
-
-    The encoding of a log whose events arrive one at a time, appended
-    without allocating. *)
-
-type writer
-
-val writer : fuel_per_step:int -> meta:string -> writer
-(** A log with this header and no events yet. *)
-
-val add_capture : writer -> snap:int -> unit
-val add_resume : writer -> snap:int -> rax:int -> unit
-val add_set_rax : writer -> int -> unit
-val add_sys : writer -> number:int -> ret:int -> unit
-val add_eval : writer -> retired:int -> stop -> unit
-(** Append the event of the same name. *)
-
-val contents : writer -> string
-(** The log written so far, as {!encode} renders it. *)
-
 val error_to_string : error -> string
 val pp_stop : Format.formatter -> stop -> unit
 val pp_event : Format.formatter -> event -> unit

@@ -1,14 +1,17 @@
 module Libos = Os.Libos
 
-(* The log is kept encoded: a boxed event list survives every minor
-   collection of the run it records, and building and promoting it cost a
-   recorded n-queens(8) exploration ~40% of its time. *)
-type t = { log : Log.writer; mutable count : int }
+type t = {
+  mutable rev_events : Log.event list;
+  mutable count : int;
+  fuel_per_step : int;
+  meta : string;
+}
 
 let create ?(fuel_per_step = 50_000_000) ?(meta = "") () =
-  { log = Log.writer ~fuel_per_step ~meta; count = 0 }
+  { rev_events = []; count = 0; fuel_per_step; meta }
 
-let appended t =
+let append t e =
+  t.rev_events <- e :: t.rev_events;
   t.count <- t.count + 1;
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:t.count Obs.Names.record_append
@@ -25,35 +28,19 @@ let stop_code (stop : Libos.stop) : Log.stop =
 let probe t : Probe.t =
   { Probe.eval =
       (fun ~retired stop ->
-        Log.add_eval t.log ~retired (stop_code stop);
-        appended t);
+        append t (Log.Eval { retired; stop = stop_code stop }));
     crash =
-      (fun ~retired msg ->
-        Log.add_eval t.log ~retired (Log.Crash msg);
-        appended t);
-    capture =
-      (fun ~snap ->
-        Log.add_capture t.log ~snap;
-        appended t);
-    resume =
-      (fun ~snap ~rax ->
-        Log.add_resume t.log ~snap ~rax;
-        appended t);
-    set_rax =
-      (fun v ->
-        Log.add_set_rax t.log v;
-        appended t) }
+      (fun ~retired msg -> append t (Log.Eval { retired; stop = Log.Crash msg }));
+    capture = (fun ~snap -> append t (Log.Capture { snap }));
+    resume = (fun ~snap ~rax -> append t (Log.Resume { snap; rax }));
+    set_rax = (fun v -> append t (Log.Set_rax v)) }
 
 let install t m =
-  Libos.set_sys_hook m
-    (Some
-       (fun number ret ->
-         Log.add_sys t.log ~number ~ret;
-         appended t))
+  Libos.set_sys_hook m (Some (fun number ret -> append t (Log.Sys { number; ret })))
 
 let events t = t.count
 
 let log t =
-  match Log.decode (Log.contents t.log) with
-  | Ok log -> log
-  | Error e -> failwith ("Recorder.log: " ^ Log.error_to_string e)
+  { Log.fuel_per_step = t.fuel_per_step;
+    meta = t.meta;
+    events = List.rev t.rev_events }
