@@ -282,13 +282,16 @@ let replay_cmd =
         | [ ("quit" | "q" | "exit") ] -> Ok false
         | [ "info" ] ->
           Printf.printf
-            "bundle: %d stop segments, %d instructions, fuel/step %d%s\n"
+            "bundle: %d stop segments, %d instructions, fuel/step %d%s\n\
+             live frames: %d\n"
             (Record.Replay.segments cur)
             (Record.Replay.total_time cur)
             bundle.Record.Bundle.log.Record.Log.fuel_per_step
             (match Record.Replay.meta cur with
             | "" -> ""
-            | m -> Printf.sprintf "\nmeta: %s" m);
+            | m -> Printf.sprintf "\nmeta: %s" m)
+            (Mem.Phys_mem.frames_live
+               (Mem.Addr_space.phys machine.Os.Libos.aspace));
           Ok true
         | [ "where" ] | [ "w" ] ->
           where ();
@@ -406,7 +409,7 @@ let replay_cmd =
             | Some line -> if exec_report line then loop () else 0
           in
           loop ()
-      with Record.Engine.Diverged msg ->
+      with Record.Replay.Diverged msg ->
         Printf.eprintf "lwsnap: replay diverged from the record: %s\n" msg;
         3)
   in

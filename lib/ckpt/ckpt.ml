@@ -32,39 +32,33 @@ let full_bytes f = f.bytes
    but the checkpoint data itself is an eager copy, which is the cost being
    measured. *)
 type incr_chain = {
-  mutable marks : As.snapshot list;  (* most recent first, for diffing *)
-  mutable states : full list;        (* page images, most recent first *)
+  mutable mark : As.snapshot;  (* the latest capture, for diffing *)
+  mutable states : full list;  (* page images, most recent first *)
 }
 
 let incr_start aspace =
-  { marks = [ As.snapshot aspace ]; states = [ full_capture aspace ] }
+  { mark = As.snapshot aspace; states = [ full_capture aspace ] }
 
 let incr_capture chain aspace =
   let mark = As.snapshot aspace in
-  let pages, dead =
-    match chain.marks with
-    | [] -> (copy_pages aspace (As.mapped_vpns aspace), [])
-    | prev :: _ ->
-      (* Dirty pages come straight out of the snapshot byte delta — the
-         same machinery the tiered payload store demotes with.  Two
-         corrections keep the checkpoint equal to what the guest actually
-         sees, which an explicitly-shared page overrides: a dirty vpn that
-         is (also) shared re-reads through the address space, and a vpn
-         dropped from the private map stays live while a shared page still
-         backs it. *)
-      let pages, dropped = As.snapshot_delta ~parent:prev mark in
-      let pages =
-        List.map
-          (fun ((vpn, _) as page) ->
-            if As.is_shared aspace ~vpn then copy_page aspace vpn else page)
-          pages
-      in
-      let live, dead =
-        List.partition (fun vpn -> As.is_mapped aspace ~vpn) dropped
-      in
-      (pages @ copy_pages aspace live, dead)
+  (* Dirty pages come straight out of the snapshot byte delta — the same
+     machinery the tiered payload store demotes with.  Two corrections keep
+     the checkpoint equal to what the guest actually sees, which an
+     explicitly-shared page overrides: a dirty vpn that is (also) shared
+     re-reads through the address space, and a vpn dropped from the private
+     map stays live while a shared page still backs it. *)
+  let pages, dropped = As.snapshot_delta ~parent:chain.mark mark in
+  let pages =
+    List.map
+      (fun ((vpn, _) as page) ->
+        if As.is_shared aspace ~vpn then copy_page aspace vpn else page)
+      pages
   in
-  chain.marks <- mark :: chain.marks;
+  let live, dead =
+    List.partition (fun vpn -> As.is_mapped aspace ~vpn) dropped
+  in
+  let pages = pages @ copy_pages aspace live in
+  chain.mark <- mark;
   chain.states <-
     { pages; dead; bytes = List.length pages * Mem.Page.size } :: chain.states
 

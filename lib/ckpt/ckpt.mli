@@ -21,7 +21,11 @@ val full_restore : Mem.Addr_space.t -> full -> unit
 val full_bytes : full -> int
 
 type incr_chain
-(** A base checkpoint plus a chain of dirty-page deltas. *)
+(** A base checkpoint plus a chain of dirty-page deltas.  The chain finds
+    dirty pages by diffing the latest capture's {!Mem.Addr_space.snapshot}
+    against the next one.  That mark is a borrowed view of the caller's map:
+    [Ckpt] frees nothing, and the frames stay the map owner's to release
+    (in the fuzz oracle's [ckpt-roundtrip] pipeline, the explorer's). *)
 
 val incr_start : Mem.Addr_space.t -> incr_chain
 val incr_capture : incr_chain -> Mem.Addr_space.t -> unit

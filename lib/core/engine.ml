@@ -53,7 +53,7 @@ type mode = [ `Run_to_completion | `First_exit ]
 
 exception Audit_failed of string
 
-type scope = { root : Snapshot.t; frontier : Ext.payload Frontier.t }
+type scope = { root : Os.Snapshot.t; frontier : Ext.payload Frontier.t }
 
 let make_frontier : strategy -> Ext.payload Frontier.t = function
   | `Dfs -> Frontier.dfs ()
@@ -80,11 +80,11 @@ let default_fuel_per_step = 50_000_000
    each on its own memory ([Parallel]).  The single-domain run has none:
    none of these is called on its hot path. *)
 type domain = {
-  ids : Snapshot.ids;  (* the run's, shared by its domains *)
-  joins : (Snapshot.t * strategy) option;
+  ids : Os.Snapshot.ids;  (* the run's, shared by its domains *)
+  joins : (Os.Snapshot.t * strategy) option;
       (* a replica of the scope root and the scope's strategy: the machine
          starts inside the scope, idle, and never leaves it *)
-  shard : Path.t -> strategy -> Snapshot.t -> Ext.payload Frontier.t;
+  shard : Path.t -> strategy -> Os.Snapshot.t -> Ext.payload Frontier.t;
       (* the scope's frontier on this machine's path, given its root: a
          shard of the work queue *)
   stopped : unit -> bool;
@@ -166,7 +166,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     match store, domain with
     | Some st, _ -> Reclaim.snapshot_ids st
     | None, Some d -> d.ids
-    | None, None -> Snapshot.ids ()
+    | None, None -> Os.Snapshot.ids ()
   in
   (* The path's record in the store: the parent of its captures. *)
   let current_handle : Reclaim.handle option ref = ref None in
@@ -184,10 +184,10 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   let note_capture snap = if audits_end then captured := snap :: !captured in
   let stops = ref 0 in
   let audit where =
-    captured := List.filter (fun (s : Snapshot.t) -> not s.freed) !captured;
+    captured := List.filter (fun (s : Os.Snapshot.t) -> not s.freed) !captured;
     (* every unfreed snapshot the run holds, with its unfreed ancestors *)
     let live = Hashtbl.create 64 in
-    let rec add (s : Snapshot.t) =
+    let rec add (s : Os.Snapshot.t) =
       if not (s.freed || Hashtbl.mem live s.id) then begin
         Hashtbl.replace live s.id s;
         Option.iter add s.parent
@@ -208,7 +208,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
               (visit (Printf.sprintf "worker %d's map" i)))
         paths;
       Hashtbl.iter
-        (fun id (s : Snapshot.t) ->
+        (fun id (s : Os.Snapshot.t) ->
           let label = Printf.sprintf "snapshot %d" id in
           Stdx.Ptmap.iter (fun _ -> visit label)
             (Mem.Addr_space.snapshot_map_for_debug s.mem))
@@ -219,7 +219,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
        snapshot directly). *)
     let held =
       match store with
-      | None -> Hashtbl.fold (fun _ (s : Snapshot.t) n -> n + s.ext_refs) live 0
+      | None -> Hashtbl.fold (fun _ (s : Os.Snapshot.t) n -> n + s.ext_refs) live 0
       | Some st -> Reclaim.held_refs st
     in
     let holds w =
@@ -246,7 +246,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     | Ok () -> ()
   in
 
-  let probe_resume (snap : Snapshot.t) rax =
+  let probe_resume (snap : Os.Snapshot.t) rax =
     match probe with
     | None -> ()
     | Some p -> p.Probe.resume ~snap:snap.id ~rax
@@ -268,7 +268,9 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
      the paths' tails and snapshots, their lineages and the root. *)
   let abandon sc =
     if not (Path.live path) then Path.restore path sc.root ~rax:0 ~depth:0;
-    let free = Snapshot.abandon ~phys ~keep:(Mem.Addr_space.snapshot machine.aspace) in
+    let free =
+      Os.Snapshot.abandon ~phys ~keep:(Mem.Addr_space.snapshot machine.aspace)
+    in
     let free_entry (e : Ext.t) =
       match e.parent with Ext.Snap s -> free s | Ext.Ref _ -> ()
     in
@@ -330,7 +332,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       stats = Stats.of_metrics metrics }
   in
 
-  let resolve : Ext.payload -> Snapshot.t = function
+  let resolve : Ext.payload -> Os.Snapshot.t = function
     | Ext.Snap s -> s
     | Ext.Ref h -> (
       match store with
@@ -436,7 +438,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       | None -> ()
       | Some p ->
         p.Probe.set_rax 0;
-        p.Probe.capture ~snap:root.Snapshot.id;
+        p.Probe.capture ~snap:root.Os.Snapshot.id;
         p.Probe.set_rax 1);
       current_handle := Option.map (fun st -> Reclaim.add_root st root) store;
       enter_scope root strat
@@ -500,7 +502,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       note_capture snap;
       (match probe with
       | None -> ()
-      | Some p -> p.Probe.capture ~snap:snap.Snapshot.id);
+      | Some p -> p.Probe.capture ~snap:snap.Os.Snapshot.id);
       (* Thread lineage in reclaim mode too: the store's explicit-free
          discipline ([Reclaim]) rides on the record parent chain. *)
       let payload =

@@ -1,5 +1,5 @@
 type payload =
-  | Snap of Snapshot.t
+  | Snap of Os.Snapshot.t
   | Ref of Reclaim.handle
 
 type t = payload Search.Frontier.entry

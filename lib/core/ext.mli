@@ -6,7 +6,7 @@
     range of extension numbers still to run, and their metadata. *)
 
 type payload =
-  | Snap of Snapshot.t
+  | Snap of Os.Snapshot.t
       (** the parent partial candidate, held directly (or the scope root,
           as the origin of the scope-opening path, which is never on a
           frontier) *)
@@ -16,6 +16,6 @@ type payload =
           back when the extension is finally scheduled.  Each extension
           holds one of the entry's refs ({!Reclaim.add}), given back by
           {!Reclaim.release} as a [Snap]'s is by
-          {!Snapshot.release_ext}. *)
+          {!Os.Snapshot.release_ext}. *)
 
 type t = payload Search.Frontier.entry

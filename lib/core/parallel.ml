@@ -36,8 +36,8 @@ type result = {
    everything a stolen entry references. *)
 type shared = {
   queue : Ext.payload Work_queue.t;
-  roots : Snapshot.t array;  (* each domain's root: the base of its deltas *)
-  mailboxes : (Snapshot.t * int) list Atomic.t array;
+  roots : Os.Snapshot.t array;  (* each domain's root: the base of its deltas *)
+  mailboxes : (Os.Snapshot.t * int) list Atomic.t array;
       (* refs given back to each domain, the only one to touch its refcounts *)
   outcome : Explorer.outcome option Atomic.t;  (* the first stop *)
 }
@@ -53,7 +53,7 @@ let stop sh o =
 (* Domain [dom]'s hooks into the engine on machine [m], over the scope
    [sh ()].  Its frontier is its shard: a pop first finishes its previous
    path and releases the refs thieves gave back; a stolen entry becomes a
-   snapshot of its own once ([Snapshot.import], with allocation faults held
+   snapshot of its own once ([Os.Snapshot.import], with allocation faults held
    off), its refs posted back to the victim at once.  Once every domain is
    done ([Work_queue.leave]: no steal reads its frames any more), [halt]
    gives back the rest; only domain 0 leaves an exhausted scope. *)
@@ -61,7 +61,7 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) metrics =
   let phys = As.phys m.aspace in
   let give_back (s, n) =
     for _ = 1 to n do
-      Snapshot.release_ext ~phys s
+      Os.Snapshot.release_ext ~phys s
     done
   in
   let settle sh = List.iter give_back (Atomic.exchange sh.mailboxes.(dom) []) in
@@ -71,9 +71,12 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) metrics =
     | Ext.Snap foreign ->
       Mem.Phys_mem.set_alloc_fault phys None;
       Path.discard path (* the previous segment's tail, before the rebuild *);
-      let local = Snapshot.import ~ids ~root:sh.roots.(dom) ~base:sh.roots.(victim) m foreign in
+      let local =
+        Os.Snapshot.import ~ids ~root:sh.roots.(dom) ~base:sh.roots.(victim) m
+          foreign
+      in
       let n = Search.Frontier.remaining e in
-      Snapshot.retain ~n local;
+      Os.Snapshot.retain ~n local;
       post sh.mailboxes.(victim) (foreign, n);
       Mem.Phys_mem.set_alloc_fault phys (Inject.alloc_hook inj);
       M.incr metrics N.snapshot_captures;
@@ -120,7 +123,7 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) metrics =
 (* Domain 0's scope root as data, taken before any other domain runs — its
    private pages, the explicitly shared ones, registers and OS state — and
    the machine that rebuilds it on a fresh private memory, with its root. *)
-let replica ~ids image (m : Libos.t) (root : Snapshot.t) =
+let replica ~ids image (m : Libos.t) (root : Os.Snapshot.t) =
   let pages = As.snapshot_contents root.mem in
   let page vpn = As.read_bytes m.aspace ~addr:(Mem.Page.addr_of_vpn vpn) ~len:Mem.Page.size in
   let shared =
@@ -135,13 +138,13 @@ let replica ~ids image (m : Libos.t) (root : Snapshot.t) =
     List.iter (fun (vpn, data) -> As.map_data m.aspace ~vpn data; As.map_shared m.aspace ~vpn) shared;
     Vcpu.Cpu.load m.cpu root.regs;
     Libos.os_restore m root.os;
-    m, Snapshot.capture ~ids ~depth:0 m
+    m, Os.Snapshot.capture ~ids ~depth:0 m
 
 let run ?(config = default_config) (image : Isa.Asm.image) =
   if config.workers < 1 then invalid_arg "Parallel.run: need at least one worker";
   (* one armed plan for every domain: its fire-state is atomic *)
   let inj = Option.fold ~none:Inject.none ~some:Inject.arm config.faults in
-  let ids = Snapshot.ids () in
+  let ids = Os.Snapshot.ids () in
   let scope = ref None and spawned = ref [] in
   (* Domain [dom]'s engine on its machine, counting into [metrics] *)
   let engine ?(sh = fun () -> Option.get !scope) ?(opens = fun _ _ -> ()) ?joins ~dom
@@ -164,7 +167,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   (* Domain 0 opens the scope; every other domain joins it on a private
      memory, at a replica of its root.  A domain that fails stops the scope
      rather than leave the others waiting. *)
-  let opens strat (root : Snapshot.t) =
+  let opens strat (root : Os.Snapshot.t) =
     let sh =
       { queue =
           Work_queue.create ~shards:config.workers ~initial_paths:1 (fun () ->

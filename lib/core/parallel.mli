@@ -11,7 +11,7 @@
     of its own guesses, which it pops like any frontier's.  A thief
     resolves a stolen entry once — restores its root replica, grafts a
     private copy of the victim's delta pages on top
-    ({!Snapshot.import}) and captures a snapshot of its own — and posts
+    ({!Os.Snapshot.import}) and captures a snapshot of its own — and posts
     the victim's refs straight back to it, so refcounts stay
     single-writer.  This is §3's "parallel depth-first-search strategy
     [that] simply forks without waiting", on real cores.  A crashed path

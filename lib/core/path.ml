@@ -67,7 +67,7 @@ type t = {
   mutable marker : string list;  (* stdout harvest point *)
   mutable depth : int;
   mutable hint : int;            (* pending [sys_guess_hint] *)
-  mutable base : Snapshot.t;  (* [Snapshot.none] while no segment runs *)
+  mutable base : Os.Snapshot.t;  (* [Os.Snapshot.none] while no segment runs *)
   mutable origin : Ext.payload;
       (* what a crash retry restores; the path holds one extension ref on
          it while it is live *)
@@ -83,7 +83,7 @@ type t = {
 (* The origin of a path entered outside any scope, which never crashes
    into a retry and holds no ref: one static box, so [enter] allocates
    nothing. *)
-let no_origin = Ext.Snap Snapshot.none
+let no_origin = Ext.Snap Os.Snapshot.none
 
 let create ?store ?(inj = Inject.none) ?transcript
     ?(terminals = terminal_log ()) ?(owns_map = false) (machine : Libos.t) =
@@ -97,7 +97,7 @@ let create ?store ?(inj = Inject.none) ?transcript
     marker = Libos.stdout_chunks machine;
     depth = 0;
     hint = 0;
-    base = Snapshot.none;
+    base = Os.Snapshot.none;
     origin = no_origin;
     origin_index = 1;
     epoch = (if owns_map then As.epoch machine.aspace else -1);
@@ -106,11 +106,11 @@ let create ?store ?(inj = Inject.none) ?transcript
 
 let machine t = t.machine
 let depth t = t.depth
-let live t = t.base != Snapshot.none
+let live t = t.base != Os.Snapshot.none
 let origin t = t.origin
 
 (* 0 when not live: the placeholder's *)
-let lineage_length t = t.base.Snapshot.lineage_length
+let lineage_length t = t.base.Os.Snapshot.lineage_length
 
 let harvest t =
   let cur = Libos.stdout_chunks t.machine in
@@ -198,7 +198,7 @@ let begin_segment t snap ~rax =
    origin's, at this depth. *)
 let enter_at t metrics snap ~rax ~depth =
   t.depth <- depth;
-  Snapshot.restore t.machine snap;
+  Os.Snapshot.restore t.machine snap;
   M.incr metrics N.snapshot_restores;
   begin_segment t snap ~rax
 
@@ -209,7 +209,7 @@ let enter t metrics snap ~rax ~depth =
   enter_at t metrics snap ~rax ~depth
 
 let restore t snap ~rax ~depth =
-  Snapshot.restore t.machine snap;
+  Os.Snapshot.restore t.machine snap;
   t.depth <- depth;
   begin_segment t snap ~rax
 
@@ -221,9 +221,9 @@ let restart t ~resolve =
 let open_scope t metrics ~ids =
   ignore (harvest t);
   Cpu.set t.machine.cpu Reg.rax 0;
-  let root = Snapshot.capture ~ids ~depth:0 t.machine in
+  let root = Os.Snapshot.capture ~ids ~depth:0 t.machine in
   M.incr metrics N.snapshot_captures;
-  Snapshot.retain root;
+  Os.Snapshot.retain root;
   t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
   t.seg_retired <- t.machine.cpu.Cpu.retired;
@@ -241,7 +241,7 @@ let run ?a ?(armed = true) t ~fuel ~span =
   let stop =
     if Obs.Trace.enabled () then begin
       (* the placeholder's id is -1 *)
-      let a = match a with Some a -> a | None -> t.base.Snapshot.id in
+      let a = match a with Some a -> a | None -> t.base.Os.Snapshot.id in
       let r0 = m.cpu.Cpu.retired in
       Obs.Trace.span_begin ~a span;
       match Libos.run m ~fuel with
@@ -313,7 +313,7 @@ let classify ?(preempt = 0) t metrics (stop : Libos.stop) =
 
 let capture t ~ids =
   let live = live t in
-  Snapshot.capture ~ids
+  Os.Snapshot.capture ~ids
     ?parent:(if live then Some t.base else None)
     ~owns_image:(not live) ~depth:t.depth t.machine
 
@@ -324,7 +324,7 @@ let branch t metrics ~ids ~n =
   M.add metrics N.search_extensions_pushed n;
   (* refs must exist before another worker can pop the extensions; a
      store counts a [Ref]'s itself ({!Reclaim.add}) *)
-  if t.store = None then Snapshot.retain ~n snap;
+  if t.store = None then Os.Snapshot.retain ~n snap;
   let meta = { Frontier.depth = t.depth + 1; hint = t.hint } in
   t.hint <- 0;
   snap, meta
@@ -347,7 +347,7 @@ let outside t (stop : Libos.stop) =
 (* Give one extension ref on [payload] back, whichever kind it is. *)
 let release t (payload : Ext.payload) =
   match payload, t.store with
-  | Snap s, _ -> Snapshot.release_ext ~phys:t.phys s
+  | Snap s, _ -> Os.Snapshot.release_ext ~phys:t.phys s
   | Ref h, Some st -> Reclaim.release st h
   | Ref _, None -> invalid_arg "Path: a managed extension without a store"
 
@@ -374,7 +374,7 @@ let evict t metrics (frontier : Ext.payload Frontier.t) =
 let discard t =
   if As.epoch t.machine.aspace = t.epoch then begin
     if live t then
-      ignore (As.discard_segment t.machine.aspace ~base:t.base.Snapshot.mem)
+      ignore (As.discard_segment t.machine.aspace ~base:t.base.Os.Snapshot.mem)
     else ignore (As.discard_map t.machine.aspace);
     t.epoch <- -1
   end
@@ -389,11 +389,11 @@ let resume t store h ~rax =
 let retire t =
   discard t;
   release_origin t;
-  t.base <- Snapshot.none
+  t.base <- Os.Snapshot.none
 
 let abandon t =
   let base = t.base in
-  t.base <- Snapshot.none;
+  t.base <- Os.Snapshot.none;
   t.epoch <- -1;
   base
 
@@ -408,7 +408,7 @@ let switch t metrics ~resolve origin ~index ~depth =
     | snap -> snap
     | exception e ->
       (* the popped extension's ref goes back with the path *)
-      t.base <- Snapshot.none;
+      t.base <- Os.Snapshot.none;
       release t origin;
       raise e
   in

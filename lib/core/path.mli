@@ -33,7 +33,7 @@
       next extension and enters it, in the order the rule above asks for;
       the caller pops the frontier before it and has nothing to do
       between.  It allocates nothing: the base and the origin are stored
-      unboxed ({!Snapshot.none} and one static [Snap Snapshot.none] stand
+      unboxed ({!Os.Snapshot.none} and one static [Snap Os.Snapshot.none] stand
       for "none"), and {!run} and {!classify} return the stop and an
       event that carry no box on the way to a terminal.  Siblings of one guess share their
       base, origin and stdout list, so the switch between them writes
@@ -90,7 +90,7 @@ val create :
     one release rule holds in every mode: a path holds one extension ref
     on its origin while it is live, and {!retire}, {!switch} and {!evict}
     give refs back to whichever kind of payload holds them — a [Snap]'s to
-    {!Snapshot.release_ext}, a [Ref]'s to [store] ({!Reclaim.release}),
+    {!Os.Snapshot.release_ext}, a [Ref]'s to [store] ({!Reclaim.release}),
     which {!branch} leaves to count its own holders.  [inj] is the fault
     plan {!run} applies; it changes
     nothing else, so a faulted path restores exactly as a fault-free one.
@@ -123,15 +123,15 @@ val record : ?depth:int -> t -> terminal_kind -> string -> unit
 
 (** {1 Entry} *)
 
-val enter : t -> Obs.Metrics.t -> Snapshot.t -> rax:int -> depth:int -> unit
+val enter : t -> Obs.Metrics.t -> Os.Snapshot.t -> rax:int -> depth:int -> unit
 (** Start a path at [snap] outside any scope: restore it; record the
     segment epoch; reset the stdout marker and the pending hint; deliver
     [rax].  Counts the restore.  The path has no origin to retry, and no
     retries spent. *)
 
 val switch :
-  t -> Obs.Metrics.t -> resolve:(Ext.payload -> Snapshot.t) -> Ext.payload ->
-  index:int -> depth:int -> Snapshot.t
+  t -> Obs.Metrics.t -> resolve:(Ext.payload -> Os.Snapshot.t) -> Ext.payload ->
+  index:int -> depth:int -> Os.Snapshot.t
 (** End the path, if one runs, and start extension [index] of [origin]:
     {!retire}; resolve the origin's snapshot (after the discard, which a
     store's rebuild needs); then {!enter} it at [depth] with [index] in
@@ -140,11 +140,11 @@ val switch :
     entered.  If [resolve] raises, that ref goes back and the path is
     left retired. *)
 
-val restore : t -> Snapshot.t -> rax:int -> depth:int -> unit
+val restore : t -> Os.Snapshot.t -> rax:int -> depth:int -> unit
 (** {!enter} with a plain restore, not counted, origin unchanged: what
     {!resume} and {!restart} do once they have their snapshot. *)
 
-val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> Snapshot.t
+val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> Os.Snapshot.t
 (** One {!Service.resume} step, as {!switch} is one scheduler step:
     {!discard} the last step's tail, get the handle's snapshot from the
     store (after the discard, which a rebuild needs), and {!restore} it
@@ -153,14 +153,14 @@ val resume : t -> Reclaim.t -> Reclaim.handle -> rax:int -> Snapshot.t
     Counts nothing and leaves the origin alone.  If the store raises, the
     tail is already freed and nothing is restored. *)
 
-val restart : t -> resolve:(Ext.payload -> Snapshot.t) -> Snapshot.t
+val restart : t -> resolve:(Ext.payload -> Os.Snapshot.t) -> Os.Snapshot.t
 (** In-place crash retry: {!restore} the origin, resolved again (a store
     may have rebuilt it as a new record, which later captures must name as
     their parent), with its extension index in [rax]: the scope-opening
     path's origin is the scope root, with 1.  Returns the snapshot
     restored. *)
 
-val open_scope : t -> Obs.Metrics.t -> ids:Snapshot.ids -> Snapshot.t
+val open_scope : t -> Obs.Metrics.t -> ids:Os.Snapshot.ids -> Os.Snapshot.t
 (** [sys_guess_strategy] accepted: harvest, capture the scope root with 0
     in [rax] (what the program sees once the scope is exhausted) and go on
     as the root path with 1, the root as its origin.  The root path holds
@@ -191,12 +191,13 @@ val classify : ?preempt:int -> t -> Obs.Metrics.t -> Os.Libos.stop -> event
     if that is smaller, and then kills it: a runaway path dies under
     quanta as it does without them. *)
 
-val capture : t -> ids:Snapshot.ids -> Snapshot.t
+val capture : t -> ids:Os.Snapshot.ids -> Os.Snapshot.t
 (** Capture at the path's depth, parented to the snapshot the segment
     derives from; without one (a fresh boot map) it owns its image. *)
 
 val branch :
-  t -> Obs.Metrics.t -> ids:Snapshot.ids -> n:int -> Snapshot.t * Search.Frontier.meta
+  t -> Obs.Metrics.t -> ids:Os.Snapshot.ids -> n:int ->
+  Os.Snapshot.t * Search.Frontier.meta
 (** {!capture} the partial candidate of a [Branch n] and the extensions'
     metadata; the pending hint is consumed.  Without a store the snapshot
     is retained [n] times before any extension can be published; with one
@@ -221,10 +222,10 @@ val discard : t -> unit
 val retire : t -> unit
 (** End the path: {!discard}, then give its origin's ref back. *)
 
-val abandon : t -> Snapshot.t
+val abandon : t -> Os.Snapshot.t
 (** End the path without freeing or releasing anything, and return its
-    base ({!Snapshot.none} when it was not live): how a run that stops
-    inside its scope hands its paths' snapshots to {!Snapshot.abandon}.
+    base ({!Os.Snapshot.none} when it was not live): how a run that stops
+    inside its scope hands its paths' snapshots to {!Os.Snapshot.abandon}.
     Free a tail the caller does not keep with {!discard} first. *)
 
 val supervise :

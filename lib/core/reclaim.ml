@@ -22,7 +22,7 @@ type delta = {
 }
 
 type payload =
-  | Live of Snapshot.t
+  | Live of Os.Snapshot.t
   | Demoted of delta
 
 (* The skeleton is permanent and tiny (a few ints per entry); only the
@@ -33,11 +33,11 @@ type payload =
    keeps its payload while [e_bases] > 0, and drops it — cascading to its
    own base — when the last such delta is promoted or dropped.
 
-   Frame lifetime rides on the {!Snapshot} extension-refcount discipline:
+   Frame lifetime rides on the {!Os.Snapshot} extension-refcount discipline:
    the store holds one extension ref per Live payload (taken at
    [add]/[add_root] and at every promotion) plus one on the record the
    machine's current state derives from ([t.anchor]).  Demoting or
-   dropping a Live payload gives its ref back, and [Snapshot.try_free]
+   dropping a Live payload gives its ref back, and [Os.Snapshot.try_free]
    returns the record's delta-vs-parent frames to the allocator the moment
    no child record and no extension shares them — cascading up abandoned
    chains — so the pressure handler frees frames on the spot.  Parentless
@@ -60,16 +60,16 @@ type entry = {
 
 type t = {
   machine : Libos.t;
-  ids : Snapshot.ids;
+  ids : Os.Snapshot.ids;
   entries : entry Stdx.Vec.t;
       (* indexed by handle: handles are issued in order and never
          removed, a released entry keeps its skeleton *)
   mutable clock : int;
-  mutable anchor : Snapshot.t;
+  mutable anchor : Os.Snapshot.t;
       (* the record whose materialisation the machine's current state
          derives from (last capture or [get]); the store keeps an
          extension ref on it so explicit freeing never touches frames the
-         live address space still maps; [Snapshot.none] before the
+         live address space still maps; [Os.Snapshot.none] before the
          first *)
   metrics : M.t;  (* the owner's: [reclaim.*] counts *)
 }
@@ -81,10 +81,10 @@ let no_entry =
 
 let create ~metrics (machine : Libos.t) =
   { machine;
-    ids = Snapshot.ids ();
+    ids = Os.Snapshot.ids ();
     entries = Stdx.Vec.create ~capacity:64 ~dummy:no_entry ();
     clock = 0;
-    anchor = Snapshot.none;
+    anchor = Os.Snapshot.none;
     metrics }
 
 let phys_of t = As.phys t.machine.Libos.aspace
@@ -104,13 +104,13 @@ let fresh t e = Stdx.Vec.push t.entries e
    store's machine ref there.  Retain-before-release so re-anchoring on the
    same record is a no-op rather than a transient zero. *)
 let set_anchor t snap =
-  Snapshot.retain snap;
-  if t.anchor != Snapshot.none then
-    Snapshot.release_ext ~phys:(phys_of t) t.anchor;
+  Os.Snapshot.retain snap;
+  if t.anchor != Os.Snapshot.none then
+    Os.Snapshot.release_ext ~phys:(phys_of t) t.anchor;
   t.anchor <- snap
 
 let add_root t snap =
-  Snapshot.retain snap;
+  Os.Snapshot.retain snap;
   set_anchor t snap;
   fresh t
     { e_parent = None; e_depth = 0; e_pinned = true;
@@ -120,7 +120,7 @@ let add_root t snap =
 let add t ~parent ~depth ~refs snap =
   ignore (entry t parent);
   if refs <= 0 then invalid_arg "Reclaim.add: an entry needs a holder";
-  Snapshot.retain snap;
+  Os.Snapshot.retain snap;
   set_anchor t snap;
   fresh t
     { e_parent = Some parent; e_depth = depth; e_pinned = false;
@@ -144,7 +144,7 @@ let tier t h =
    if the client released it. *)
 let rec drop t e =
   (match e.e_payload with
-  | Some (Live snap) -> Snapshot.release_ext ~phys:(phys_of t) snap
+  | Some (Live snap) -> Os.Snapshot.release_ext ~phys:(phys_of t) snap
   | Some (Demoted d) -> drop_delta t d
   | None -> ());
   e.e_payload <- None
@@ -184,8 +184,8 @@ let demote t h =
     let pages, dead =
       match base with
       | Some (_, bs) ->
-        As.snapshot_delta ~parent:bs.Snapshot.mem snap.Snapshot.mem
-      | None -> (As.snapshot_contents snap.Snapshot.mem, [])
+        As.snapshot_delta ~parent:bs.Os.Snapshot.mem snap.Os.Snapshot.mem
+      | None -> (As.snapshot_contents snap.Os.Snapshot.mem, [])
     in
     let bytes =
       List.fold_left (fun n (_, data) -> n + String.length data) 0 pages
@@ -197,16 +197,16 @@ let demote t h =
     e.e_payload <-
       Some
         (Demoted
-           { d_pages = pages; d_dead = dead; d_regs = snap.Snapshot.regs;
-             d_os = snap.Snapshot.os; d_base = Option.map fst base;
+           { d_pages = pages; d_dead = dead; d_regs = snap.Os.Snapshot.regs;
+             d_os = snap.Os.Snapshot.os; d_base = Option.map fst base;
              d_bytes = bytes });
     (* The delta above copied every byte it needs; give the store's ref on
-       the record back.  [Snapshot.try_free] returns its delta-vs-parent
+       the record back.  [Os.Snapshot.try_free] returns its delta-vs-parent
        frames to the allocator right here — and cascades up released
        chains — unless a child record still inherits them or the machine's
        current state derives from this record (the anchor ref), in which
        case the frames come back the moment the last sharer drains. *)
-    Snapshot.release_ext ~phys:(phys_of t) snap;
+    Os.Snapshot.release_ext ~phys:(phys_of t) snap;
     M.incr t.metrics N.reclaim_demotions;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_demote;
@@ -245,26 +245,26 @@ and promote t h e d =
   let aspace = m.Libos.aspace in
   (try
      As.restore_pages aspace
-       ~base:(Option.map (fun (s : Snapshot.t) -> s.mem) base)
+       ~base:(Option.map (fun (s : Os.Snapshot.t) -> s.mem) base)
        ~pages:d.d_pages ~dead:d.d_dead
    with ex ->
      (* Ran out of frames half way: the pages applied so far are private
         to the unfrozen map.  The delta itself is intact, so the entry
         stays demoted and can be promoted again later. *)
      (match base with
-     | Some bs -> ignore (As.discard_segment aspace ~base:bs.Snapshot.mem)
+     | Some bs -> ignore (As.discard_segment aspace ~base:bs.Os.Snapshot.mem)
      | None -> ignore (As.discard_map aspace));
      raise ex);
   Libos.os_restore m d.d_os;
   (* A full-image rebuild shares no frame with anything that came before:
      its image dies with it. *)
   let snap =
-    Snapshot.capture ~ids:t.ids ?parent:base ~owns_image:(base = None)
+    Os.Snapshot.capture ~ids:t.ids ?parent:base ~owns_image:(base = None)
       ~depth:e.e_depth m
   in
   drop_delta t d;
   e.e_payload <- Some (Live snap);
-  Snapshot.retain snap;
+  Os.Snapshot.retain snap;
   set_anchor t snap;
   e.e_last_used <- tick t;
   M.incr t.metrics N.reclaim_promotions;
@@ -366,9 +366,9 @@ let release_all t =
       e.e_refs <- 0;
       drop t e)
     t.entries;
-  if t.anchor != Snapshot.none then
-    Snapshot.release_ext ~phys:(phys_of t) t.anchor;
-  t.anchor <- Snapshot.none
+  if t.anchor != Os.Snapshot.none then
+    Os.Snapshot.release_ext ~phys:(phys_of t) t.anchor;
+  t.anchor <- Os.Snapshot.none
 
 (* {1 Introspection} *)
 
@@ -380,7 +380,7 @@ let materialised t =
       match e.e_payload with Some (Live s) -> s :: acc | _ -> acc)
     [] t.entries
 
-let anchor t = if t.anchor == Snapshot.none then None else Some t.anchor
+let anchor t = if t.anchor == Os.Snapshot.none then None else Some t.anchor
 
 let live_entries t =
   Stdx.Vec.fold (fun n e -> if e.e_refs > 0 then n + 1 else n) 0 t.entries

@@ -41,15 +41,15 @@ val create : metrics:Obs.Metrics.t -> Os.Libos.t -> t
     clobbered across {!get} (every driver restores a snapshot right
     after, so this is free). *)
 
-val add_root : t -> Snapshot.t -> handle
+val add_root : t -> Os.Snapshot.t -> handle
 (** Register a pinned root with one holder. *)
 
-val add : t -> parent:handle -> depth:int -> refs:int -> Snapshot.t -> handle
+val add : t -> parent:handle -> depth:int -> refs:int -> Os.Snapshot.t -> handle
 (** Register a snapshot captured below [parent]'s materialisation, held
     [refs] times ([refs > 0]): once per extension of the guess that
     captured it, or once for a client. *)
 
-val get : t -> handle -> Snapshot.t
+val get : t -> handle -> Os.Snapshot.t
 (** The entry's snapshot, promoted from its delta if not live.  The store
     moves its anchor there, so the caller must restore it before anything
     else releases: the machine's map would otherwise derive from a record
@@ -110,15 +110,15 @@ val release_all : t -> unit
     acquired beyond its anchor are the driver's to discard first.  Every
     handle reads as released afterwards. *)
 
-val snapshot_ids : t -> Snapshot.ids
+val snapshot_ids : t -> Os.Snapshot.ids
 (** The id allocator reconstruction captures under; drivers that capture
     into the store themselves must use it too, so ids stay unique per
     store. *)
 
-val materialised : t -> Snapshot.t list
+val materialised : t -> Os.Snapshot.t list
 (** Live (tier-0) snapshots only. *)
 
-val anchor : t -> Snapshot.t option
+val anchor : t -> Os.Snapshot.t option
 (** The record the machine's current state derives from (the store holds
     a ref on it). *)
 

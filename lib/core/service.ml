@@ -127,10 +127,10 @@ let pages t r =
      resume does: the machine then derives from the anchor, and a release
      of the record it derived from before cannot free frames its map still
      names.  The next resume restores its own candidate anyway. *)
-  Snapshot.pages (Path.resume t.path t.store r ~rax:0)
+  Os.Snapshot.pages (Path.resume t.path t.store r ~rax:0)
 let live_candidates t = Reclaim.live_entries t.store
 
-let distinct_frames t = Snapshot.distinct_frames (Reclaim.materialised t.store)
+let distinct_frames t = Os.Snapshot.distinct_frames (Reclaim.materialised t.store)
 
 let demote_all t = Reclaim.demote_all t.store
 

@@ -460,7 +460,7 @@ let free_map phys map = Ptmap.fold (fun _ f n -> free_private phys n f) map 0
 (* Release a dead snapshot: return the frames it acquired since [parent] to
    the allocator.  The caller asserts the snapshot left the frontier, every
    descendant is already dead, and the current map was restored away — the
-   Snapshot/Explorer refcount discipline (see lib/core/snapshot.ml) is what
+   Snapshot/Explorer refcount discipline (see lib/os/snapshot.ml) is what
    makes each of those checkable.  Takes the physical memory, not the
    address space: releases happen after the machine restored away. *)
 let release_snapshot ~phys ~parent s =

@@ -143,7 +143,7 @@ val iter_frames : t -> (Phys_mem.frame -> unit) -> unit
     base it was derived from.  Under the generation discipline those frames are private to the
     one execution path between the two maps, which is what makes eager
     reclamation sound — provided the caller really holds the last
-    reference (see the refcount discipline in [Core.Snapshot]). *)
+    reference (see the refcount discipline in [Os.Snapshot]). *)
 
 val epoch : t -> int
 (** Bumped on every [snapshot], [restore] and [seal].  A caller that

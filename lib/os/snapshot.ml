@@ -4,7 +4,7 @@ type t = {
   id : int;
   regs : Vcpu.Cpu.saved;
   mem : As.snapshot;
-  os : Os.Libos.os_state;
+  os : Libos.os_state;
   parent : t option;
   depth : int;
   lineage_length : int;  (* this snapshot and its ancestors *)
@@ -30,7 +30,7 @@ type ids = int Atomic.t
 
 let ids () = Atomic.make 0
 
-let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Os.Libos.t) =
+let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Libos.t) =
   if owns_image && parent <> None then
     invalid_arg "Snapshot.capture: only a parentless snapshot owns its image";
   let id = Atomic.fetch_and_add ids 1 in
@@ -42,7 +42,7 @@ let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Os.Libos.t) =
   { id;
     regs = Vcpu.Cpu.save machine.cpu;
     mem = As.snapshot machine.aspace;
-    os = Os.Libos.os_capture machine;
+    os = Libos.os_capture machine;
     parent;
     depth;
     lineage_length =
@@ -57,7 +57,7 @@ let none =
   { id = -1;
     regs = Vcpu.Cpu.save (Vcpu.Cpu.create ~entry:0);
     mem = As.empty_snapshot;
-    os = Os.Libos.initial_os;
+    os = Libos.initial_os;
     parent = None;
     depth = 0;
     lineage_length = 0;
@@ -66,12 +66,12 @@ let none =
     freed = true;
     owns_image = false }
 
-let restore (machine : Os.Libos.t) t =
+let restore (machine : Libos.t) t =
   if Obs.Trace.enabled () then
     Obs.Trace.instant ~a:t.id Obs.Names.snap_restore;
   Vcpu.Cpu.load machine.cpu t.regs;
   As.restore machine.aspace t.mem;
-  Os.Libos.os_restore machine t.os
+  Libos.os_restore machine t.os
 
 (* {1 Explicit release}
 
@@ -109,11 +109,11 @@ let release_ext ~phys t =
   t.ext_refs <- t.ext_refs - 1;
   try_free ~phys t
 
-let import ~ids ~root ~base (machine : Os.Libos.t) t =
+let import ~ids ~root ~base (machine : Libos.t) t =
   restore machine root;
   ignore (As.import_delta machine.aspace ~base:base.mem ~target:t.mem);
   Vcpu.Cpu.load machine.cpu t.regs;
-  Os.Libos.os_restore machine t.os;
+  Libos.os_restore machine t.os;
   capture ~ids ~parent:root ~depth:t.depth machine
 
 let rec abandon ~phys ~keep t =

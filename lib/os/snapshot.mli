@@ -6,13 +6,18 @@
     logical copy of open files.  Capture is O(1): the register file is one
     small array copy, the other two are persistent-value grabs.  Each
     snapshot records its parent, forming the partial-candidate tree whose
-    structural sharing is what makes the encoding space-efficient. *)
+    structural sharing is what makes the encoding space-efficient.
+
+    It is the only capture of the register/memory/OS triple: the
+    schedulers in [Core] keep their partial candidates as snapshots, and
+    [Record.Replay] keeps its anchors and recorded checkpoints as
+    snapshots too, under the same release discipline. *)
 
 type t = private {
   id : int;
   regs : Vcpu.Cpu.saved;
   mem : Mem.Addr_space.snapshot;
-  os : Os.Libos.os_state;
+  os : Libos.os_state;
   parent : t option;
   depth : int;  (** guesses from the exploration root *)
   lineage_length : int;
@@ -28,14 +33,14 @@ type t = private {
 
 type ids
 (** A per-run snapshot-id allocator.  Every exploration run creates its
-    own ([Explorer.run], each domain of [Parallel.run], [Service.boot]),
-    so concurrent runs never share a counter; allocation is atomic all the
+    own ([Explorer.run], each domain of [Parallel.run], [Service.boot],
+    [Replay.create]), so concurrent runs never share a counter; allocation is atomic all the
     same. *)
 
 val ids : unit -> ids
 
 val capture :
-  ids:ids -> ?parent:t -> ?owns_image:bool -> depth:int -> Os.Libos.t -> t
+  ids:ids -> ?parent:t -> ?owns_image:bool -> depth:int -> Libos.t -> t
 (** Capturing with a parent also counts this snapshot in the parent's
     [child_refs] — part of the release discipline below.  [owns_image]
     (default [false]; only without a parent) marks a root whose every
@@ -48,7 +53,7 @@ val none : t
     captured, restored or released (it is born {!field-freed}), with id
     -1 and lineage length 0. *)
 
-val restore : Os.Libos.t -> t -> unit
+val restore : Libos.t -> t -> unit
 
 (** {1 Explicit release}
 
@@ -65,7 +70,7 @@ val restore : Os.Libos.t -> t -> unit
 val retain : ?n:int -> t -> unit
 val release_ext : phys:Mem.Phys_mem.t -> t -> unit
 
-val import : ids:ids -> root:t -> base:t -> Os.Libos.t -> t -> t
+val import : ids:ids -> root:t -> base:t -> Libos.t -> t -> t
 (** [import ~ids ~root ~base machine t]: a copy of [t], a snapshot another
     machine took on its own memory below [base], captured on [machine]
     below [root], [machine]'s replica of [base]'s contents: restore [root],

@@ -2,6 +2,9 @@ module As = Mem.Addr_space
 module Cpu = Vcpu.Cpu
 module Reg = Isa.Reg
 module Libos = Os.Libos
+module Snapshot = Os.Snapshot
+
+exception Diverged of string
 
 type segment = {
   pre : Log.event list;     (* boundary actions entering this segment *)
@@ -21,15 +24,27 @@ type halt =
   | Break of int * bp
   | End
 
+(* Snapshots follow [Core.Path]'s release rule.  Each table entry holds one
+   extension ref, and so does the cursor on its base.  Every capture is
+   parented to the base and becomes the new base; before every restore the
+   segment left behind is discarded, its tail freed if no capture froze it.
+   So an entry a re-executed [Capture] replaces, or a base the cursor
+   leaves, dies as soon as no other entry descends from it. *)
 type t = {
   machine : Libos.t;
+  phys : Mem.Phys_mem.t;
+  ids : Snapshot.ids;
   meta : string;
   segs : segment array;
   total : int;
   anchor_every : int;
-  anchors : (int, Engine.checkpoint) Hashtbl.t;  (* stop index -> state at
-                                                    its start *)
-  snaps : (int, Engine.checkpoint) Hashtbl.t;    (* recorded snapshot id *)
+  anchors : (int, Snapshot.t) Hashtbl.t;  (* stop index -> state at its
+                                             start *)
+  snaps : (int, Snapshot.t) Hashtbl.t;    (* recorded snapshot id *)
+  mutable base : Snapshot.t;  (* last captured or restored *)
+  mutable epoch : int;
+      (* the address-space epoch when [base] was set; while it is current
+         the map's frames beyond [base] are the segment's private tail *)
   mutable seg : int;
   mutable off : int;         (* instructions retired into the segment *)
   mutable sys_seen : (int * int) list;  (* this segment so far, reversed *)
@@ -39,7 +54,71 @@ type t = {
   mutable bp_list : (int * bp) list;
 }
 
-let diverged fmt = Format.kasprintf (fun s -> raise (Engine.Diverged s)) fmt
+let diverged fmt = Format.kasprintf (fun s -> raise (Diverged s)) fmt
+
+(* Fuel is granted in [target - retired] slices: an instruction costs one
+   fuel and a page-fault service one more, so fuel runs dry at or before
+   the target retirement and execution never overshoots it.  [Some stop]
+   is a non-fuel stop exactly at the target. *)
+let run_until_retired (m : Libos.t) ~target =
+  let cpu = m.Libos.cpu in
+  let rec go stalls =
+    let cur = cpu.Cpu.retired in
+    if cur >= target then None
+    else
+      match Libos.run m ~fuel:(target - cur) with
+      | Libos.Killed Libos.Fuel_exhausted ->
+        let cur' = cpu.Cpu.retired in
+        if cur' >= target then None
+        else if cur' = cur then begin
+          (* A guest-set sys_timeout can clamp the grant and an instruction
+             may need a few fault services before retiring, but dozens of
+             fuel-only rounds with zero retirement means replay is stuck. *)
+          if stalls >= 64 then
+            diverged "no forward progress at instruction %d (target %d)" cur'
+              target;
+          go (stalls + 1)
+        end
+        else go 0
+      | stop ->
+        let cur' = cpu.Cpu.retired in
+        if cur' >= target then Some stop
+        else
+          diverged "premature stop %a at instruction %d (target %d)"
+            Libos.pp_stop stop cur' target
+  in
+  go 0
+
+let release_base t =
+  if t.base != Snapshot.none then Snapshot.release_ext ~phys:t.phys t.base
+
+let set_base t snap =
+  t.base <- snap;
+  t.epoch <- As.epoch t.machine.Libos.aspace
+
+(* Capture into [table] at [key]: the snapshot, parented to the base,
+   becomes the base, so the cursor's ref moves to it beside the table's.
+   A replaced entry gives its ref back. *)
+let record_snap t table key =
+  let live = t.base != Snapshot.none in
+  let snap =
+    Snapshot.capture ~ids:t.ids
+      ?parent:(if live then Some t.base else None)
+      ~owns_image:(not live) ~depth:0 t.machine
+  in
+  Snapshot.retain ~n:2 snap;
+  release_base t;
+  Option.iter (Snapshot.release_ext ~phys:t.phys) (Hashtbl.find_opt table key);
+  Hashtbl.replace table key snap;
+  set_base t snap
+
+let restore t snap =
+  if As.epoch t.machine.Libos.aspace = t.epoch then
+    ignore (As.discard_segment t.machine.Libos.aspace ~base:t.base.Snapshot.mem);
+  Snapshot.retain snap;
+  release_base t;
+  Snapshot.restore t.machine snap;
+  set_base t snap
 
 let segments_of_log (log : Log.t) =
   let segs = ref [] in
@@ -83,13 +162,12 @@ let apply_pre t k =
   List.iter
     (fun (e : Log.event) ->
       match e with
-      | Log.Capture { snap } ->
-        Hashtbl.replace t.snaps snap (Engine.checkpoint t.machine)
+      | Log.Capture { snap } -> record_snap t t.snaps snap
       | Log.Resume { snap; rax } -> (
         match Hashtbl.find_opt t.snaps snap with
         | None -> diverged "stop %d: resume of unknown snapshot %d" k snap
-        | Some ck ->
-          Engine.restore t.machine ck;
+        | Some s ->
+          restore t s;
           if rax >= 0 then Cpu.set t.machine.Libos.cpu Reg.rax rax)
       | Log.Set_rax v -> Cpu.set t.machine.Libos.cpu Reg.rax v
       | Log.Sys _ | Log.Eval _ -> assert false)
@@ -124,7 +202,7 @@ let advance t delta =
   let stop =
     if delta = 0 then None
     else
-      Engine.run_until_retired t.machine
+      run_until_retired t.machine
         ~target:(t.machine.Libos.cpu.Cpu.retired + delta)
   in
   t.off <- t.off + delta;
@@ -184,7 +262,7 @@ let advance t delta =
       t.off <- 0;
       t.sys_seen <- [];
       if k mod t.anchor_every = 0 && not (Hashtbl.mem t.anchors k) then
-        Hashtbl.replace t.anchors k (Engine.checkpoint t.machine)
+        record_snap t t.anchors k
     end
   end
 
@@ -238,7 +316,7 @@ let goto t target =
     let a = find (target.p_seg - (target.p_seg mod t.anchor_every)) in
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~a Obs.Names.replay_anchor_restore;
-    Engine.restore t.machine (Hashtbl.find t.anchors a);
+    restore t (Hashtbl.find t.anchors a);
     t.seg <- a;
     t.off <- 0;
     t.sys_seen <- [];
@@ -258,12 +336,16 @@ let create ?(anchor_every = 8) (b : Bundle.t) =
   let total = Array.fold_left (fun acc s -> acc + s.retired) 0 segs in
   let t =
     { machine;
+      phys;
+      ids = Snapshot.ids ();
       meta = b.Bundle.log.Log.meta;
       segs;
       total;
       anchor_every;
       anchors = Hashtbl.create 64;
       snaps = Hashtbl.create 64;
+      base = Snapshot.none;
+      epoch = -1;
       seg = 0;
       off = 0;
       sys_seen = [];
@@ -279,7 +361,7 @@ let create ?(anchor_every = 8) (b : Bundle.t) =
          t.sys_count <- t.sys_count + 1;
          t.last_sys <- Some (number, ret)));
   if Array.length segs > 0 then apply_pre t 0;
-  Hashtbl.replace t.anchors 0 (Engine.checkpoint machine);
+  record_snap t t.anchors 0;
   t
 
 (* {1 Breakpoints} *)
@@ -463,3 +545,23 @@ let read_mem t ~addr ~len =
     match As.read_bytes t.machine.Libos.aspace ~addr ~len with
     | b -> Some (Bytes.to_string b)
     | exception As.Page_fault _ -> None
+
+let audit t =
+  let live = Hashtbl.create 64 in
+  let rec add (s : Snapshot.t) =
+    if not (s.freed || Hashtbl.mem live s.id) then begin
+      Hashtbl.replace live s.id s;
+      Option.iter add s.parent
+    end
+  in
+  add t.base;
+  Hashtbl.iter (fun _ s -> add s) t.anchors;
+  Hashtbl.iter (fun _ s -> add s) t.snaps;
+  Mem.Phys_mem.audit t.phys ~reachable:(fun visit ->
+      As.iter_frames t.machine.Libos.aspace (visit "the cursor's map");
+      Hashtbl.iter
+        (fun id (s : Snapshot.t) ->
+          Stdx.Ptmap.iter
+            (fun _ -> visit (Printf.sprintf "snapshot %d" id))
+            (As.snapshot_map_for_debug s.mem))
+        live)

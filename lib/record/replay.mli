@@ -12,17 +12,30 @@
     instructions, never a from-scratch rerun.
 
     Scheduler restores recorded as [Resume] events are replayed from a
-    table of checkpoints keyed by the recorded snapshot ids, re-captured
+    table of snapshots keyed by the recorded snapshot ids, re-captured
     as the cursor passes each [Capture] event; re-passing a capture
-    replaces the entry with an equivalent checkpoint, which the
+    replaces the entry with an equivalent snapshot, which the
     generation discipline makes sound.
+
+    Anchors and recorded snapshots are {!Os.Snapshot}s under the release
+    rule the schedulers follow: every capture is parented to the cursor's
+    base (the snapshot it last captured or restored), the cursor and each
+    table entry hold one extension ref, a replaced entry gives its ref
+    back, and the segment the cursor leaves is discarded before every
+    restore.  A re-executed stretch therefore frees the snapshots it
+    replaces, and the frames a cursor holds stay bounded however often it
+    moves.
 
     Positions sit on two axes: [time] (global retired-instruction index)
     and [stop_index] (scheduler stops completed).  A position is always
     "inside" a stop segment, after the boundary actions that started it.
 
-    After a {!Engine.Diverged} escape the cursor's machine state is
+    After a {!Diverged} escape the cursor's machine state is
     unspecified; create a fresh cursor. *)
+
+exception Diverged of string
+(** Replay departed from the recorded run: a stop fired where the original
+    kept executing, or execution stalled without retiring instructions. *)
 
 type t
 
@@ -63,7 +76,7 @@ type halt =
 
 (** {1 Motion}
 
-    All motion validates against the record and raises {!Engine.Diverged}
+    All motion validates against the record and raises {!Diverged}
     on any departure. *)
 
 val step : t -> halt
@@ -78,3 +91,8 @@ val seek_stop : t -> int -> halt
 
 val read_mem : t -> addr:int -> len:int -> string option
 (** Guest memory at the cursor, [None] if any byte is unmapped. *)
+
+val audit : t -> (unit, string) result
+(** {!Mem.Phys_mem.audit} of the cursor's memory: the frames its machine's
+    map, its base, its anchors, its recorded snapshots and their unfreed
+    ancestors reach must be exactly the live frames, none of them freed. *)

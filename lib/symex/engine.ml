@@ -122,6 +122,14 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   let stdin_pos = ref 0 in
   let out = ref [] in
   let cur_aspace = ref shared_aspace in
+  (* Frame lifetime under [Cow]: the running path derives from [base] (the
+     snapshot it last restored or captured, [None] on the boot map), and
+     while the epoch is [seg_epoch] its frames beyond [base] are its own
+     tail.  Fork snapshots are kept with their parents, newest first, and
+     released child-first once the run is over. *)
+  let base = ref None in
+  let seg_epoch = ref (As.epoch shared_aspace) in
+  let fork_snaps = ref [] in
 
   let frontier = make_frontier config.strategy in
   let covered = ref Stdx.Intset.empty in
@@ -173,8 +181,45 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
     match p.p_mem with
     | Shared snap ->
       As.restore shared_aspace snap;
+      base := Some snap;
+      seg_epoch := As.epoch shared_aspace;
       cur_aspace := shared_aspace
     | Own aspace -> cur_aspace := aspace
+  in
+
+  (* Free the ended path's frames: an eager copy's whole map, or the COW
+     tail no fork froze.  The map dangles until the next [install]. *)
+  let end_path () =
+    match config.fork_mode with
+    | Eager_copy -> ignore (As.discard_map !cur_aspace)
+    | Cow ->
+      if As.epoch shared_aspace = !seg_epoch then begin
+        (match !base with
+        | Some b -> ignore (As.discard_segment shared_aspace ~base:b)
+        | None -> ignore (As.discard_map shared_aspace));
+        seg_epoch := -1
+      end
+  in
+
+  (* After the last path: eager copies left on the frontier, then the fork
+     snapshots child-first, the first of them owning the boot image. *)
+  let release_all () =
+    let rec drain () =
+      match frontier.Frontier.pop () with
+      | exception Frontier.Empty -> ()
+      | e ->
+        (match e.Frontier.parent.p_mem with
+        | Own aspace -> ignore (As.discard_map aspace)
+        | Shared _ -> ());
+        drain ()
+    in
+    drain ();
+    List.iter
+      (fun (snap, parent) ->
+        match parent with
+        | Some parent -> ignore (As.release_snapshot ~phys ~parent snap)
+        | None -> ignore (As.release_image ~phys snap))
+      !fork_snaps
   in
 
   (* Solver results are memoised on the structural constraint list; path
@@ -342,7 +387,12 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
       (* defer the false side; continue on the true side *)
       let mem =
         match config.fork_mode with
-        | Cow -> Shared (As.snapshot !cur_aspace)
+        | Cow ->
+          let snap = As.snapshot !cur_aspace in
+          fork_snaps := (snap, !base) :: !fork_snaps;
+          base := Some snap;
+          seg_epoch := As.epoch !cur_aspace;
+          Shared snap
         | Eager_copy -> Own (clone_eager !cur_aspace)
       in
       prep_false ();
@@ -598,10 +648,12 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
 
   (* main loop *)
   let rec drive () =
-    if List.length !reports >= config.max_paths then ()
+    (* at [max_paths] the path just installed never runs *)
+    if List.length !reports >= config.max_paths then end_path ()
     else begin
       let end_ = run_path () in
       finish_path end_;
+      end_path ();
       match frontier.Frontier.pop () with
       | exception Frontier.Empty -> ()
       | e ->
@@ -614,6 +666,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   regs.(Reg.to_int Reg.rsp) <- Expr.const stack_top;
   rip := image.entry;
   drive ();
+  release_all ();
   { paths = List.rev !reports;
     explored = !explored;
     infeasible = !infeasible;

@@ -2,7 +2,7 @@
    externally-driven service, and the replay ablation. *)
 
 module Explorer = Core.Explorer
-module Snapshot = Core.Snapshot
+module Snapshot = Os.Snapshot
 module Service = Core.Service
 module Tenancy = Core.Tenancy
 module Native_bt = Core.Native_bt

@@ -852,7 +852,7 @@ let divergent_delta_counts () =
 (* Random map/write/snapshot/restore/release interleavings on a poisoned
    allocator, against a first-byte model.  A release is only issued when
    the snapshot is provably dead (no live children, current map elsewhere,
-   has a parent) — exactly the discipline [Core.Snapshot]'s refcounts
+   has a parent) — exactly the discipline [Os.Snapshot]'s refcounts
    enforce — and then no byte readable through any live snapshot or the
    current map may come from a freed (poisoned, recyclable) buffer.  Reads
    happen mid-script too, so a TLB entry that outlived its translation (the

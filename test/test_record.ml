@@ -425,6 +425,59 @@ let cursor_seek_stop_and_clamp () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The cursor's snapshots obey the release rule: rounds of seeks and
+   reverse steps re-capture what they pass, and each replaced snapshot is
+   freed.  After every motion the frames its machine's map and its
+   snapshots reach are exactly the live frames, and once the first round
+   has dropped every anchor, later rounds hold no more frames. *)
+let cursor_frames_stay_bounded () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let machine = Libos.boot (Mem.Phys_mem.create ()) image in
+  let recorder = Recorder.create () in
+  Recorder.install recorder machine;
+  let (_ : Core.Explorer.result) =
+    Core.Explorer.run ~probe:(Recorder.probe recorder) machine
+  in
+  Libos.set_sys_hook machine None;
+  let bundle = Bundle.of_image image (Recorder.log recorder) in
+  List.iter
+    (fun anchor_every ->
+      let cur = Replay.create ~anchor_every bundle in
+      let phys = As.phys (Replay.machine cur).Libos.aspace in
+      let audit what =
+        match Replay.audit cur with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "anchor_every %d, %s: %s" anchor_every what e
+      in
+      let motion what halt =
+        (match halt with
+        | Replay.Stopped | Replay.End -> ()
+        | Replay.Break _ -> Alcotest.failf "%s: unexpected breakpoint" what);
+        audit what
+      in
+      audit "create";
+      let total = Replay.total_time cur in
+      let round () =
+        motion "seek end" (Replay.seek cur total);
+        motion "seek 0" (Replay.seek cur 0);
+        motion "seek middle" (Replay.seek cur (total / 2));
+        for _ = 1 to 50 do
+          motion "rstep" (Replay.rstep cur)
+        done;
+        Mem.Phys_mem.frames_live phys
+      in
+      let live = List.init 5 (fun _ -> round ()) in
+      let second = List.nth live 1 in
+      List.iteri
+        (fun i n ->
+          if i >= 1 then
+            check Alcotest.int
+              (Printf.sprintf "anchor_every %d: round %d frames = round 2's"
+                 anchor_every (i + 1))
+              second n)
+        live)
+    [ 1; 4; 8; 64 ]
+
 (* Recording composes only with the plain in-memory scheduler. *)
 let recording_rejects_reclaim () =
   let image = Isa.Asm_parser.assemble_text guess_three_source in
@@ -457,5 +510,7 @@ let tests =
       `Quick cursor_breakpoints;
     Alcotest.test_case "seek clamping and seek-stop" `Quick
       cursor_seek_stop_and_clamp;
+    Alcotest.test_case "cursor frames stay bounded across seeks" `Quick
+      cursor_frames_stay_bounded;
     Alcotest.test_case "recording rejects the reclaim scheduler" `Quick
       recording_rejects_reclaim ]

@@ -231,6 +231,31 @@ let cow_copies_less () =
     (eager.Engine.eager_pages_copied
      > 10 * Obs.Metrics.get cow.Engine.mem Obs.Names.mem_cow_faults)
 
+(* Every frame a run allocates is freed by its end, under both fork modes:
+   path tails and eager copies as their paths end, paths left on the
+   frontier at [max_paths], and the fork snapshots with the boot image. *)
+let frames_return () =
+  let run mode max_paths =
+    let config =
+      { Engine.default_config with symbolic_stdin = 8; fork_mode = mode; max_paths }
+    in
+    let r = Engine.run ~config (Workloads.Symex_targets.branch_tree ~depth:8) in
+    let get = Obs.Metrics.get r.Engine.mem in
+    let name =
+      Printf.sprintf "%s, max_paths %d"
+        (match mode with Engine.Cow -> "cow" | Engine.Eager_copy -> "eager")
+        max_paths
+    in
+    check Alcotest.bool (name ^ ": frames allocated") true
+      (get Obs.Names.mem_frames_allocated > 0);
+    check Alcotest.int (name ^ ": frames allocated = freed")
+      (get Obs.Names.mem_frames_allocated)
+      (get Obs.Names.mem_frames_freed)
+  in
+  List.iter
+    (fun mode -> List.iter (run mode) [ Engine.default_config.max_paths; 40 ])
+    [ Engine.Cow; Engine.Eager_copy ]
+
 let classifier_outputs_contained () =
   let config = { Engine.default_config with symbolic_stdin = 2 } in
   let r = Engine.run ~config Workloads.Symex_targets.classifier in
@@ -376,6 +401,7 @@ let tests =
     Alcotest.test_case "inputs replay concretely" `Quick inputs_replay_concretely;
     Alcotest.test_case "fork modes equivalent" `Quick fork_modes_equivalent;
     Alcotest.test_case "cow copies less" `Quick cow_copies_less;
+    Alcotest.test_case "frames return after a run" `Quick frames_return;
     Alcotest.test_case "classifier outputs contained" `Quick classifier_outputs_contained;
     Alcotest.test_case "strategies explore same paths" `Quick strategies_explore_same_paths;
     Alcotest.test_case "infeasible pruned" `Quick infeasible_paths_pruned;
