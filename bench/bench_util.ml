@@ -17,24 +17,31 @@ let time_ms ?(reps = 3) f =
   let _, result = List.nth samples (reps - 1) in
   median_ms, result
 
-(* Fastest of [reps] runs after one warmup, for a per-operation cost on a
-   shared host: load only ever adds time, and a median of three swings
-   with it (two runs of one binary read one E9 row as 11.5 and 5.3 ms). *)
-let min_ms ~reps f =
-  ignore (f ());
-  let best = ref infinity and result = ref None in
-  for _ = 1 to reps do
-    let t0 = now_ms () in
-    let r = f () in
-    best := Float.min !best (now_ms () -. t0);
-    result := Some r
-  done;
-  !best, Option.get !result
-
 let time_once_ms f =
   let t0 = now_ms () in
   let result = f () in
   now_ms () -. t0, result
+
+(* Fastest of [reps] runs after one warmup, for a per-operation cost on a
+   shared host: load only ever adds time, and a median of three swings
+   with it (two runs of one binary read one E9 row as 11.5 and 5.3 ms).
+   Several measurements run round-robin, one rep of each in turn, so a
+   burst of host load spreads over all of them instead of covering one.
+   Each keeps its fastest time and its last result.  A measurement returns
+   its own time, so its setup can stay outside the timed region. *)
+let min_ms_interleaved ~reps fs =
+  List.iter (fun f -> ignore (f ())) fs;
+  let fs = Array.of_list fs in
+  let best = Array.map (fun _ -> infinity) fs and last = Array.map (fun _ -> None) fs in
+  for _ = 1 to reps do
+    Array.iteri
+      (fun i f ->
+        let ms, r = f () in
+        best.(i) <- Float.min best.(i) ms;
+        last.(i) <- Some r)
+      fs
+  done;
+  Array.to_list (Array.mapi (fun i ms -> ms, Option.get last.(i)) best)
 
 (* {1 Tables} *)
 

@@ -574,13 +574,13 @@ let e8 () =
 
 let e9 () =
   U.header "E9  ablation: interpreter dispatch"
-    "Two fetch pipelines over identical semantics: no cache (every      fetch decodes from guest memory) and basic-block superinstruction      dispatch (fuse straight-line runs into one chain of closures, resolve      the fetch frame once per block).  Each row is the fastest of 7 runs.      The work-heavy row is the off >= 10.85x block gate; the      cliff rows re-measure the data/code-page-separation penalty, which      block dispatch makes steeper.  Infrastructure, not a paper claim.";
+    "Two fetch pipelines over identical semantics: no cache (every      fetch decodes from guest memory) and basic-block superinstruction      dispatch (fuse straight-line runs into one chain of closures, resolve      the fetch frame once per block).  Each row is the fastest of 7 runs,      taken round-robin across the rows.  The work-heavy row is the      off >= 10.85x block gate; the cliff rows re-measure the data/code-page-separation penalty, which      block dispatch makes steeper.  Infrastructure, not a paper claim.";
   let row = U.row_format [ 12; 10; 10; 14; 12 ] in
   row [ "workload"; "dispatch"; "ms"; "instructions"; "ns/instr" ];
   (* Drive a guest to completion on a bare interpreter (serving brk and
      demand-zero faults inline), with or without the block cache. *)
-  let measure image cached =
-    U.min_ms ~reps:7 (fun () ->
+  let measure image cached () =
+    U.time_once_ms (fun () ->
         let machine = Os.Libos.boot (Phys.create ()) image in
         let cpu = machine.Os.Libos.cpu in
         let aspace = machine.Os.Libos.aspace in
@@ -614,48 +614,54 @@ let e9 () =
         cpu.Vcpu.Cpu.retired)
   in
   let mode_name cached = if cached then "block" else "off" in
-  let json_rows = ref [] in
-  let bench workload image mode =
-    let ms, retired = measure image mode in
-    let ns = ms *. 1e6 /. Float.of_int retired in
-    row
-      [ workload; mode_name mode; U.fms ms; U.fint retired;
-        Printf.sprintf "%.1f" ns ];
-    json_rows :=
-      Obs.Json.Obj
-        [ "workload", Obs.Json.Str workload;
-          "dispatch", Obs.Json.Str (mode_name mode);
-          "ms", Obs.Json.Float ms;
-          "instructions", Obs.Json.Int retired;
-          "ns_per_instr", Obs.Json.Float ns ]
-      :: !json_rows;
-    ns
-  in
-  let modes = [ false; true ] in
   (* Row group 1: the locality search guest (branchy; short blocks). *)
   let p =
     { Workloads.Locality.depth = 4; branch = 3; touch_pages = 1;
       work = (if !quick then 500 else 2000); arena_pages = 8 }
   in
   let locality = Workloads.Locality.program_handcoded p in
-  List.iter (fun m -> ignore (bench "locality" locality m)) modes;
   (* Row group 2: work-heavy straight-line ALU (the gated configuration). *)
   let iters = if !quick then 20_000 else 200_000 in
   let work = Workloads.Dispatch_micro.work_heavy ~iters () in
-  let work_ns = List.map (fun m -> bench "work-heavy" work m) modes in
   (* Row group 3: the data/code-page-separation cliff under block dispatch. *)
   let cliff_iters = if !quick then 20_000 else 200_000 in
-  let sep_ns =
-    bench "cliff-sep"
-      (Workloads.Dispatch_micro.cliff ~separate_data:true ~iters:cliff_iters)
-      true
+  let rows =
+    [ "locality", locality, false;
+      "locality", locality, true;
+      "work-heavy", work, false;
+      "work-heavy", work, true;
+      "cliff-sep",
+      Workloads.Dispatch_micro.cliff ~separate_data:true ~iters:cliff_iters, true;
+      "cliff-mixed",
+      Workloads.Dispatch_micro.cliff ~separate_data:false ~iters:cliff_iters, true ]
   in
-  let mixed_ns =
-    bench "cliff-mixed"
-      (Workloads.Dispatch_micro.cliff ~separate_data:false ~iters:cliff_iters)
-      true
+  (* every row's reps round-robin, so a burst of load cannot cover a row *)
+  let timings =
+    U.min_ms_interleaved ~reps:7
+      (List.map (fun (_, image, cached) -> measure image cached) rows)
   in
-  let off_ns = List.nth work_ns 0 and block_ns = List.nth work_ns 1 in
+  let measured =
+    List.map2
+      (fun (workload, _, cached) (ms, retired) ->
+        let ns = ms *. 1e6 /. Float.of_int retired in
+        row
+          [ workload; mode_name cached; U.fms ms; U.fint retired;
+            Printf.sprintf "%.1f" ns ];
+        ( (workload, cached),
+          ns,
+          Obs.Json.Obj
+            [ "workload", Obs.Json.Str workload;
+              "dispatch", Obs.Json.Str (mode_name cached);
+              "ms", Obs.Json.Float ms;
+              "instructions", Obs.Json.Int retired;
+              "ns_per_instr", Obs.Json.Float ns ] ))
+      rows timings
+  in
+  let ns key =
+    Option.get (List.find_map (fun (k, ns, _) -> if k = key then Some ns else None) measured)
+  in
+  let off_ns = ns ("work-heavy", false) and block_ns = ns ("work-heavy", true)
+  and sep_ns = ns ("cliff-sep", true) and mixed_ns = ns ("cliff-mixed", true) in
   Printf.printf
     "\n  work-heavy block vs off: %s   data/code separation cliff: %s\n"
     (U.fratio (off_ns /. block_ns))
@@ -674,7 +680,7 @@ let e9 () =
         "work_heavy_unroll",
         Obs.Json.Int Workloads.Dispatch_micro.default_unroll;
         "cliff_iters", Obs.Json.Int cliff_iters ]
-    (List.rev !json_rows)
+    (List.map (fun (_, _, json) -> json) measured)
 
 (* ------------------------------------------------------------------ *)
 (* E10: parallel exploration (Figure 2)                               *)
@@ -1112,10 +1118,11 @@ let e12 () =
 
 let e13 () =
   U.header "E13  tracing overhead: the obs ring tracer on an E3 workload"
-    "The lib/obs tracer must be effectively free when disabled (one \
-     boolean load per guarded record call) and cheap when enabled.  Runs \
-     an E3-style locality workload with tracing off and on (min of 5 \
-     runs each), measures the per-call cost of a disabled record call \
+    "The lib/obs tracer must be effectively free when disabled (the count \
+     it makes anyway plus one boolean load per record call) and cheap \
+     when enabled.  Runs an E3-style locality workload with tracing off \
+     and on (5 alternating off/on pairs, each side the fastest of its \
+     5), measures the per-call cost of a disabled record call \
      directly, and projects the disabled overhead from the number of \
      events the traced run actually records — the projection is the \
      assertable form of the <1% claim, since the true cost sits below \
@@ -1128,37 +1135,31 @@ let e13 () =
   in
   let image = Workloads.Locality.program p in
   let reps = 5 in
-  (* min over [reps] runs, one warmup; a full major collection right
-     before each timed run keeps GC state comparable between the two
-     modes (the enabled mode allocates its ring just before running) *)
-  let min_ms f =
-    ignore (f ());
-    let best = ref infinity in
-    let last = ref None in
-    for _ = 1 to reps do
-      let ms, r = f () in
-      if ms < !best then best := ms;
-      last := Some r
-    done;
-    (!best, Option.get !last)
-  in
-  let off_ms, off_r =
-    min_ms (fun () ->
-        Gc.full_major ();
-        U.time_once_ms (fun () -> Explorer.run_image image))
+  (* a full major collection right before each timed run keeps GC state
+     comparable between the two modes (the enabled mode allocates its ring
+     just before running) *)
+  let off () =
+    Gc.full_major ();
+    U.time_once_ms (fun () -> Explorer.run_image image)
   in
   (* enabled: a fresh ring per rep so every rep pays full recording, but
      ring allocation itself stays outside the timed region (one
      pre-touch record forces this domain's lazy buffer registration) *)
   let capacity = 1 lsl 16 in
-  let on_ms, on_r =
-    min_ms (fun () ->
-        Obs.Trace.start ~capacity ();
-        Obs.Trace.instant Obs.Names.pressure;
-        Gc.full_major ();
-        let timed = U.time_once_ms (fun () -> Explorer.run_image image) in
-        Obs.Trace.stop ();
-        timed)
+  let scratch = M.create () in
+  let on () =
+    Obs.Trace.start ~capacity ();
+    Obs.Trace.instant scratch N.mem_pressure_events 0 0;
+    Gc.full_major ();
+    let timed = U.time_once_ms (fun () -> Explorer.run_image image) in
+    Obs.Trace.stop ();
+    timed
+  in
+  (* off and on alternate, so a burst of host load lands on both sides *)
+  let (off_ms, off_r), (on_ms, on_r) =
+    match U.min_ms_interleaved ~reps [ off; on ] with
+    | [ off; on ] -> off, on
+    | _ -> assert false
   in
   let recorded = Obs.Trace.recorded () in
   let dropped = Obs.Trace.dropped () in
@@ -1172,7 +1173,7 @@ let e13 () =
   let guard_ms, () =
     U.time_once_ms (fun () ->
         for i = 0 to guard_iters - 1 do
-          Obs.Trace.instant ~a:i Obs.Names.cow_fault
+          Obs.Trace.instant scratch N.mem_cow_faults i 0
         done)
   in
   let guard_ns = guard_ms *. 1e6 /. Float.of_int guard_iters in

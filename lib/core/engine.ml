@@ -107,6 +107,24 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     Array.fold_left (fun k (m : Libos.t) -> k + m.cpu.Cpu.retired) 0 machines
   in
   let retired_before = retired () in
+  (* The machines' block caches count for their lifetime: a run counts the
+     difference, summed over the machines (all have a cache or none). *)
+  let vcpu_counts () =
+    let r = M.create () in
+    Array.iter
+      (fun m ->
+        match Libos.icache_counts m, Libos.block_counts m with
+        | Some (misses, slow), Some (fuses, hits, splits) ->
+          M.add r N.vcpu_icache_misses misses;
+          M.add r N.vcpu_icache_slow slow;
+          M.add r N.vcpu_block_fuses fuses;
+          M.add r N.vcpu_block_hits hits;
+          M.add r N.vcpu_block_splits splits
+        | _ -> ())
+      machines;
+    r
+  in
+  let vcpu_before = vcpu_counts () in
   let transcript = Buffer.create 256 in
   let terminals = Path.terminal_log () in
   let scope : scope option ref = ref None in
@@ -295,33 +313,14 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     arm false;
     (match !scope with Some sc when store = None -> abandon sc | _ -> ());
     if audits_end then audit "end of run";
-    let instructions = retired () - retired_before in
-    if Obs.Trace.enabled () then begin
-      (* summed over the machines, which all have a block cache or none *)
-      let sum counts pick =
-        Array.fold_left
-          (fun k m -> k + Option.fold ~none:0 ~some:pick (counts m))
-          0 machines
-      in
-      if Option.is_some (Libos.icache_counts machine) then begin
-        Obs.Trace.counter Obs.Names.icache_misses (sum Libos.icache_counts fst);
-        Obs.Trace.counter Obs.Names.icache_slow (sum Libos.icache_counts snd);
-        Obs.Trace.counter Obs.Names.block_fuse
-          (sum Libos.block_counts (fun (fuses, _, _) -> fuses));
-        Obs.Trace.counter Obs.Names.block_hit
-          (sum Libos.block_counts (fun (_, hits, _) -> hits));
-        Obs.Trace.counter Obs.Names.block_split
-          (sum Libos.block_counts (fun (_, _, splits) -> splits))
-      end;
-      Obs.Trace.counter Obs.Names.instructions instructions
-    end;
     (* Give back every frame the store still holds (the anchor, undrained
        payloads) once the machine has left the scope, before the memory's
        events are read, so the run's frees pair its allocations.  A run
        with a store stopped inside it keeps them: the machine's map still
        derives from the anchor. *)
     if !scope = None then Option.iter Reclaim.release_all store;
-    M.add metrics N.vcpu_instructions instructions;
+    M.add metrics N.vcpu_instructions (retired () - retired_before);
+    M.merge ~into:metrics (M.sub (vcpu_counts ()) vcpu_before);
     M.merge ~into:metrics (M.sub (Mem.Phys_mem.registry phys) mem_before);
     { outcome;
       transcript = Buffer.contents transcript;
@@ -357,7 +356,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
       | exception ex ->
         (* Reconstruction failed (e.g. genuinely out of frames): this path
            dies; the search itself survives. *)
-        M.incr metrics N.search_kills;
+        Obs.Trace.instant metrics N.search_kills 0 0;
         Path.record w ~depth
           (Path_killed
              (Printf.sprintf "reconstruction failed: %s" (Printexc.to_string ex)))
@@ -367,9 +366,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
 
   let track_extents sc =
     let frontier_len = sc.frontier.Frontier.length () in
-    if Obs.Trace.enabled () then
-      Obs.Trace.counter Obs.Names.frontier_len frontier_len;
-    M.peak metrics N.search_max_frontier frontier_len;
+    Obs.Trace.peak metrics N.search_max_frontier frontier_len;
     let lineage_len =
       Array.fold_left (fun k w -> k + Path.lineage_length w) 0 paths
     in
@@ -402,9 +399,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
   (* Outside the scope: machine 0 runs the program, unarmed. *)
   let rec outside () =
     let retired0 = machine.cpu.Cpu.retired in
-    match
-      Path.run ~armed:false path ~fuel:fuel_per_step ~span:Obs.Names.explorer_eval
-    with
+    match Path.run ~armed:false path metrics ~fuel:fuel_per_step with
     | exception e ->
       if observed then observe_crash path ~retired0 e;
       finish
@@ -413,7 +408,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
               (Printexc.to_string e)))
     | stop -> (
       if observed then observe path ~retired0 stop;
-      match Path.outside path stop with
+      match Path.outside path metrics stop with
       | `Scope strategy -> open_scope strategy
       | `Continue ->
         probe_set_rax 0;
@@ -468,7 +463,7 @@ let explore ?(mode = `Run_to_completion) ?(fuel_per_step = default_fuel_per_step
     if Path.live w then begin
       busy_rounds.(i) <- busy_rounds.(i) + 1;
       let retired0 = (Path.machine w).cpu.Cpu.retired in
-      match Path.run w ~fuel ~span:Obs.Names.explorer_eval with
+      match Path.run w metrics ~fuel with
       | exception e ->
         if observed then observe_crash w ~retired0 e;
         crashed sc i w e

@@ -79,9 +79,10 @@ let hooks sh ~opens ~dom ~ids ~inj (m : Libos.t) metrics =
       Os.Snapshot.retain ~n local;
       post sh.mailboxes.(victim) (foreign, n);
       Mem.Phys_mem.set_alloc_fault phys (Inject.alloc_hook inj);
-      M.incr metrics N.snapshot_captures;
+      Obs.Trace.instant metrics N.snapshot_captures local.Os.Snapshot.id
+        sh.roots.(dom).Os.Snapshot.id;
+      Obs.Trace.instant metrics N.queue_imports victim dom;
       M.add metrics N.queue_steals n;
-      if Obs.Trace.enabled () then Obs.Trace.instant ~a:victim ~b:dom Obs.Names.queue_steal;
       { e with parent = Ext.Snap local }
   in
   let shard path strat root =
@@ -150,7 +151,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
   let engine ?(sh = fun () -> Option.get !scope) ?(opens = fun _ _ -> ()) ?joins ~dom
       ~metrics ~mem_before (m : Libos.t) =
     let domain = { (hooks sh ~opens ~dom ~ids ~inj m metrics) with joins } in
-    if Obs.Trace.enabled () then Obs.Trace.span_begin ~a:dom Obs.Names.worker;
+    Obs.Trace.span_begin N.sched_workers dom;
     (* the engine audits the domain's frames when it ends *)
     let r =
       try
@@ -160,7 +161,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
       with Explorer.Audit_failed d ->
         raise (Explorer.Audit_failed (Printf.sprintf "domain %d, %s" dom d))
     in
-    if Obs.Trace.enabled () then Obs.Trace.span_end ~a:dom Obs.Names.worker;
+    Obs.Trace.span_end metrics N.sched_workers dom 0;
     m, r
   in
   let m0 = Libos.boot (Mem.Phys_mem.create ()) image in
@@ -182,7 +183,7 @@ let run ?(config = default_config) (image : Isa.Asm.image) =
         let m, root = rebuild () in
         sh.roots.(dom) <- root;
         let metrics = M.create () in
-        M.incr metrics N.snapshot_captures (* the root *);
+        Obs.Trace.instant metrics N.snapshot_captures root.Os.Snapshot.id (-1);
         engine ~sh:(fun () -> sh) ~joins:(root, strat) ~dom ~metrics
           ~mem_before:(M.create ()) m
       with e ->

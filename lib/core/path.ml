@@ -199,7 +199,7 @@ let begin_segment t snap ~rax =
 let enter_at t metrics snap ~rax ~depth =
   t.depth <- depth;
   Os.Snapshot.restore t.machine snap;
-  M.incr metrics N.snapshot_restores;
+  Obs.Trace.instant metrics N.snapshot_restores snap.Os.Snapshot.id 0;
   begin_segment t snap ~rax
 
 let enter t metrics snap ~rax ~depth =
@@ -222,7 +222,8 @@ let open_scope t metrics ~ids =
   ignore (harvest t);
   Cpu.set t.machine.cpu Reg.rax 0;
   let root = Os.Snapshot.capture ~ids ~depth:0 t.machine in
-  M.incr metrics N.snapshot_captures;
+  Obs.Trace.instant metrics N.search_scopes root.id 0;
+  Obs.Trace.instant metrics N.snapshot_captures root.id (-1);
   Os.Snapshot.retain root;
   t.base <- root;
   t.epoch <- As.epoch t.machine.aspace;
@@ -234,27 +235,21 @@ let open_scope t metrics ~ids =
   Cpu.set t.machine.cpu Reg.rax 1;
   root
 
-let run ?a ?(armed = true) t ~fuel ~span =
+let run ?(armed = true) t metrics ~fuel =
   let m = t.machine in
   let armed = armed && t.armed in
   let fuel = if armed then Inject.jitter t.inj ~base:fuel else fuel in
+  (* the placeholder's id is -1 *)
+  let a = t.base.Os.Snapshot.id and r0 = m.cpu.Cpu.retired in
+  Obs.Trace.span_begin N.os_segments a;
   let stop =
-    if Obs.Trace.enabled () then begin
-      (* the placeholder's id is -1 *)
-      let a = match a with Some a -> a | None -> t.base.Os.Snapshot.id in
-      let r0 = m.cpu.Cpu.retired in
-      Obs.Trace.span_begin ~a span;
-      match Libos.run m ~fuel with
-      | stop ->
-        Obs.Trace.span_end ~a ~b:(m.cpu.Cpu.retired - r0) span;
-        Obs.Trace.instant (Libos.stop_trace_name stop);
-        stop
-      | exception e ->
-        Obs.Trace.span_end ~a ~b:(m.cpu.Cpu.retired - r0) span;
-        raise e
-    end
-    else Libos.run m ~fuel
+    match Libos.run m ~fuel with
+    | stop -> stop
+    | exception e ->
+      Obs.Trace.span_end metrics N.os_segments a (m.cpu.Cpu.retired - r0);
+      raise e
   in
+  Obs.Trace.span_end metrics N.os_segments a (m.cpu.Cpu.retired - r0);
   if armed then Inject.stop_tick t.inj;
   stop
 
@@ -267,7 +262,8 @@ type event =
 
 let reason_to_string r = Format.asprintf "%a" Libos.pp_reason r
 
-let hinted t dist =
+let hinted t metrics dist =
+  Obs.Trace.instant metrics N.search_hints dist 0;
   t.hint <- dist;
   Cpu.set t.machine.cpu Reg.rax 0
 
@@ -289,14 +285,14 @@ let classify ?(preempt = 0) t metrics (stop : Libos.stop) =
     Branch n
   | Guess _ ->
     ignore (harvest t);
-    M.incr metrics N.search_fails;
+    Obs.Trace.instant metrics N.search_fails 0 0;
     terminal t Fail ""
   | Guess_fail ->
     let output = harvest t in
-    M.incr metrics N.search_fails;
+    Obs.Trace.instant metrics N.search_fails 0 0;
     terminal t Fail output
   | Guess_hint { dist } ->
-    hinted t dist;
+    hinted t metrics dist;
     Hinted
   | Guess_strategy { strategy } -> Scope strategy
   | Killed Fuel_exhausted
@@ -304,11 +300,11 @@ let classify ?(preempt = 0) t metrics (stop : Libos.stop) =
     Preempted
   | Exited { status } ->
     let output = harvest t in
-    M.incr metrics N.search_exits;
+    Obs.Trace.instant metrics N.search_exits status 0;
     terminal t (Exit status) output
   | Killed reason ->
     let output = harvest t in
-    M.incr metrics N.search_kills;
+    Obs.Trace.instant metrics N.search_kills 0 0;
     terminal t (Path_killed (reason_to_string reason)) output
 
 let capture t ~ids =
@@ -319,8 +315,9 @@ let capture t ~ids =
 
 let branch t metrics ~ids ~n =
   let snap = capture t ~ids in
-  M.incr metrics N.search_guesses;
-  M.incr metrics N.snapshot_captures;
+  Obs.Trace.instant metrics N.search_guesses n 0;
+  Obs.Trace.instant metrics N.snapshot_captures snap.Os.Snapshot.id
+    (match snap.parent with Some p -> p.id | None -> -1);
   M.add metrics N.search_extensions_pushed n;
   (* refs must exist before another worker can pop the extensions; a
      store counts a [Ref]'s itself ({!Reclaim.add}) *)
@@ -329,11 +326,11 @@ let branch t metrics ~ids ~n =
   t.hint <- 0;
   snap, meta
 
-let outside t (stop : Libos.stop) =
+let outside t metrics (stop : Libos.stop) =
   match stop with
   | Guess_strategy { strategy } -> `Scope strategy
   | Guess_hint { dist } ->
-    hinted t dist;
+    hinted t metrics dist;
     `Continue
   | Guess _ -> `Abort "sys_guess outside a strategy scope"
   | Guess_fail -> `Abort "sys_guess_fail outside a strategy scope"
@@ -419,9 +416,8 @@ let switch t metrics ~resolve origin ~index ~depth =
   snap
 
 let quarantine t metrics ~budget e =
-  if Obs.Trace.enabled () then Obs.Trace.instant Obs.Names.sched_quarantine;
-  M.incr metrics N.sched_quarantined;
-  M.incr metrics N.search_kills;
+  Obs.Trace.instant metrics N.sched_quarantined 0 0;
+  Obs.Trace.instant metrics N.search_kills 0 0;
   record t
     (Path_killed
        (Printf.sprintf "crash: %s (quarantined after %d attempts)"
@@ -435,9 +431,7 @@ let supervise t metrics ~budget ~retry e =
   if t.retries >= budget - 1 then quarantine t metrics ~budget e
   else begin
     t.retries <- t.retries + 1;
-    M.incr metrics N.sched_requeues;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:t.retries Obs.Names.sched_requeue;
+    Obs.Trace.instant metrics N.sched_requeues t.retries 0;
     match retry () with
     | () -> `Retried
     | exception e' -> quarantine t metrics ~budget e'

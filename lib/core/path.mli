@@ -168,13 +168,13 @@ val open_scope : t -> Obs.Metrics.t -> ids:Os.Snapshot.ids -> Os.Snapshot.t
 
 (** {1 Running and classifying} *)
 
-val run :
-  ?a:int -> ?armed:bool -> t -> fuel:int -> span:string -> Os.Libos.stop
-(** Run one quantum inside a trace [span] (argument [a], by default the
-    base snapshot's id), with the path's fault plan jittering the fuel and
-    ticking at the stop unless [armed] is [false] (the phases outside a
-    scope).  Any exception — an injected crash, an allocation failure —
-    escapes to the caller, which supervises it. *)
+val run : ?armed:bool -> t -> Obs.Metrics.t -> fuel:int -> Os.Libos.stop
+(** Run one quantum as an [os.segments] span (payloads: the base
+    snapshot's id and the instructions retired), with the path's fault plan
+    jittering the fuel and ticking at the stop unless [armed] is [false]
+    (the phases outside a scope).  Any exception — an injected crash, an
+    allocation failure — ends the span and escapes to the caller, which
+    supervises it. *)
 
 type event =
   | Terminal
@@ -205,7 +205,8 @@ val branch :
     ({!Reclaim.add}). *)
 
 val outside :
-  t -> Os.Libos.stop -> [ `Scope of int | `Continue | `Exit of int | `Abort of string ]
+  t -> Obs.Metrics.t -> Os.Libos.stop ->
+  [ `Scope of int | `Continue | `Exit of int | `Abort of string ]
 (** Classify a stop outside any scope: a hint is recorded and the program
     continues; guesses abort; an exit or a kill harvests and ends the run. *)
 

@@ -207,9 +207,7 @@ let demote t h =
        current state derives from this record (the anchor ref), in which
        case the frames come back the moment the last sharer drains. *)
     Os.Snapshot.release_ext ~phys:(phys_of t) snap;
-    M.incr t.metrics N.reclaim_demotions;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:h ~b:e.e_depth Obs.Names.reclaim_demote;
+    Obs.Trace.instant t.metrics N.reclaim_demotions h e.e_depth;
     true
 
 (* {1 Reconstruction (promotion)} *)
@@ -236,8 +234,7 @@ and promote t h e d =
     | None -> None
   in
   let m = t.machine in
-  if Obs.Trace.enabled () then
-    Obs.Trace.span_begin ~a:h Obs.Names.reclaim_promote;
+  Obs.Trace.span_begin N.reclaim_promotions h;
   (* The machine is about to derive from the base's map: anchor it before
      the page applications below allocate (and possibly fire pressure). *)
   Option.iter (set_anchor t) base;
@@ -267,10 +264,7 @@ and promote t h e d =
   Os.Snapshot.retain snap;
   set_anchor t snap;
   e.e_last_used <- tick t;
-  M.incr t.metrics N.reclaim_promotions;
-  if Obs.Trace.enabled () then
-    Obs.Trace.span_end ~a:h ~b:(List.length d.d_pages)
-      Obs.Names.reclaim_promote;
+  Obs.Trace.span_end t.metrics N.reclaim_promotions h (List.length d.d_pages);
   snap
 
 let get t h =

@@ -168,16 +168,15 @@ let create ?(capacity = 0) ?(fuel_per_step = 50_000_000)
 (* Retire a tenant's footprint: every frame it holds goes back to the pool
    and its dedup-table references are returned.  The service record stays
    (clients may still query state and counters). *)
-let teardown_tenant tn st =
+let teardown_tenant t tn st =
   if is_running tn then begin
     tn.st <- st;
     Queue.clear tn.requests;
     ignore (Service.teardown tn.svc);
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:tn.id Obs.Names.tenancy_evict
+    Obs.Trace.instant t.metrics N.tenancy_teardowns tn.id 0
   end
 
-let kill t id = teardown_tenant (tenant t id ~fn:"kill") Retired
+let kill t id = teardown_tenant t (tenant t id ~fn:"kill") Retired
 
 (* {1 Admission} *)
 
@@ -216,15 +215,13 @@ let admit t image files stdin =
       requests = Queue.create () }
   in
   add_tenant t tn;
-  M.incr t.metrics N.tenancy_admits;
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:id ~b:(live_tenant_count t) Obs.Names.tenancy_admit;
+  Obs.Trace.instant t.metrics N.tenancy_admits id (live_tenant_count t);
   (* A boot that crashed on arrival (e.g. allocation failure despite the
      admission gate) is contained exactly like a crashed resume. *)
   (match first with
   | Service.Crashed msg ->
     M.incr t.metrics N.tenancy_crashes;
-    teardown_tenant tn (Crashed msg)
+    teardown_tenant t tn (Crashed msg)
   | _ -> ());
   (id, first)
 
@@ -234,9 +231,7 @@ let boot ?(files = []) ?stdin t image =
     Admitted (id, first)
   end
   else if List.length t.pending >= t.queue_limit then begin
-    M.incr t.metrics N.tenancy_rejects;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:(live_tenant_count t) Obs.Names.tenancy_reject;
+    Obs.Trace.instant t.metrics N.tenancy_rejects (live_tenant_count t) 0;
     Rejected
   end
   else begin
@@ -247,10 +242,8 @@ let boot ?(files = []) ?stdin t image =
             p_stdin = stdin;
             retry_at = t.tick + 1;
             backoff = 1 } ];
-    M.incr t.metrics N.tenancy_queued_boots;
     let pos = List.length t.pending in
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:pos Obs.Names.tenancy_queue;
+    Obs.Trace.instant t.metrics N.tenancy_queued_boots pos 0;
     Queued pos
   end
 
@@ -308,12 +301,10 @@ let police t tn outcome =
   | Crashed msg ->
     (match Service.last_crash_reason tn.svc with
     | Some Libos.Fuel_exhausted when t.deadline > 0 ->
-      M.incr t.metrics N.tenancy_deadline_kills;
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~a:tn.id Obs.Names.tenancy_deadline_kill
+      Obs.Trace.instant t.metrics N.tenancy_deadline_kills tn.id 0
     | _ -> ());
     M.incr t.metrics N.tenancy_crashes;
-    teardown_tenant tn (Crashed msg)
+    teardown_tenant t tn (Crashed msg)
   | Ready _ | Finished _ | Failed _ -> ());
   if is_running tn && t.frame_budget > 0
      && Phys.account_frames_live t.phys tn.account > t.frame_budget
@@ -321,7 +312,7 @@ let police t tn outcome =
     ignore (Service.demote_all tn.svc);
     if Phys.account_frames_live t.phys tn.account > t.frame_budget then begin
       M.incr t.metrics N.tenancy_budget_evictions;
-      teardown_tenant tn (Evicted "frame budget")
+      teardown_tenant t tn (Evicted "frame budget")
     end
   end
 

@@ -75,7 +75,7 @@ let sample_len t =
     if len > cur && not (Atomic.compare_and_set t.max_len cur len) then bump ()
   in
   bump ();
-  if Obs.Trace.enabled () then Obs.Trace.counter Obs.Names.queue_len len
+  Obs.Trace.sample Obs.Names.search_max_frontier len
 
 (* Wake at most [n] sleepers — one per extension made available, never the
    whole fleet. *)

@@ -148,9 +148,8 @@ let share_catch_up t epoch =
   in
   if targeted then Obs.Metrics.add t.metrics Obs.Names.mem_tlb_shootdowns !n
   else tlb_flush t;
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:epoch ~b:(if targeted then !n else -1)
-      Obs.Names.share_flush;
+  Obs.Trace.instant t.metrics Obs.Names.mem_share_flushes epoch
+    (if targeted then !n else -1);
   t.seen_share_epoch <- epoch
 
 (* Look up the frame backing [vpn]; raises [Page_fault] when unmapped. *)
@@ -185,13 +184,11 @@ let cow t vpn (f : Phys_mem.frame) =
   let zero = Phys_mem.zero_frame t.phys in
   let f' =
     if f == zero then begin
-      Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills;
-      if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.zero_fill;
+      Obs.Trace.instant t.metrics Obs.Names.mem_zero_fills vpn 0;
       Phys_mem.alloc ~account:t.account t.phys ~owner:t.gen
     end
     else begin
-      Obs.Metrics.incr t.metrics Obs.Names.mem_cow_faults;
-      if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.cow_fault;
+      Obs.Trace.instant t.metrics Obs.Names.mem_cow_faults vpn 0;
       Phys_mem.alloc_copy t.phys ~account:t.account ~owner:t.gen f
     end
   in
@@ -219,7 +216,7 @@ let drop_private t vpn =
 let map_zero t ~vpn =
   t.map <- Ptmap.add vpn (Phys_mem.zero_frame t.phys) t.map;
   tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
+  Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
   record t (T_map_zero vpn)
 
 let map_data t ~vpn data =
@@ -228,7 +225,7 @@ let map_data t ~vpn data =
   let f = Phys_mem.alloc_data t.phys ~account:t.account ~owner:t.gen data in
   t.map <- Ptmap.add vpn f t.map;
   tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
+  Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
   record t (T_map_data (vpn, data))
 
 (* Map [data] through the system-global dedup table: tenants booting the
@@ -244,7 +241,7 @@ let map_dedup t ~vpn data =
   t.dedup_held <- f :: t.dedup_held;
   t.map <- Ptmap.add vpn f t.map;
   tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
+  Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
   record t (T_map_data (vpn, data))
 
 let drop_dedup_refs t =
@@ -254,7 +251,7 @@ let drop_dedup_refs t =
   List.length held
 
 let map_shared t ~vpn =
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.map;
+  Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
   record t (T_map_shared vpn);
   t.shared_hidden <- Ptmap.remove vpn t.shared_hidden;
   match Phys_mem.shared_page t.phys ~vpn with
@@ -283,7 +280,7 @@ let unmap t ~vpn =
   if Phys_mem.shared_page t.phys ~vpn <> None then
     t.shared_hidden <- Ptmap.add vpn () t.shared_hidden;
   tlb_invalidate t vpn;
-  if Obs.Trace.enabled () then Obs.Trace.instant ~a:vpn Obs.Names.unmap;
+  Obs.Trace.instant t.metrics Obs.Names.mem_unmaps vpn 0;
   record t (T_unmap vpn)
 
 let is_mapped t ~vpn = Ptmap.mem vpn t.map || is_shared t ~vpn
@@ -467,8 +464,7 @@ let release_snapshot ~phys ~parent s =
   let freed =
     Ptmap.fold_diff_now frame_eq free_now phys parent.snap_map s.snap_map 0
   in
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:s.snap_id ~b:freed Obs.Names.snap_release;
+  Obs.Trace.instant (Phys_mem.registry phys) Obs.Names.mem_releases s.snap_id freed;
   freed
 
 (* Free what the current map acquired since [base] was restored — the COW
@@ -485,8 +481,7 @@ let discard_segment t ~base =
    the delta versions, with the empty map as the base. *)
 let release_image ~phys s =
   let freed = free_map phys s.snap_map in
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:s.snap_id ~b:freed Obs.Names.snap_release;
+  Obs.Trace.instant (Phys_mem.registry phys) Obs.Names.mem_releases s.snap_id freed;
   freed
 
 let discard_map t = free_map t.phys t.map

@@ -159,11 +159,11 @@ let writable_frame t vpn addr =
     let zero = Phys_mem.zero_frame t.phys in
     let f' =
       if f == zero then begin
-        Obs.Metrics.incr t.metrics Obs.Names.mem_zero_fills;
+        Obs.Trace.instant t.metrics Obs.Names.mem_zero_fills vpn 0;
         Phys_mem.alloc t.phys ~owner:t.gen
       end
       else begin
-        Obs.Metrics.incr t.metrics Obs.Names.mem_cow_faults;
+        Obs.Trace.instant t.metrics Obs.Names.mem_cow_faults vpn 0;
         Phys_mem.alloc_copy t.phys ~owner:t.gen f
       end
     in

@@ -139,9 +139,7 @@ let below_watermark t = t.capacity > 0 && t.live < high_watermark t
    returns their frames through {!free_frame}, which moves [live] on the
    spot; the caller re-checks the count. *)
 let pressure t =
-  Obs.Metrics.incr t.metrics Obs.Names.mem_pressure_events;
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:t.live ~b:t.capacity Obs.Names.pressure;
+  Obs.Trace.instant t.metrics Obs.Names.mem_pressure_events t.live t.capacity;
   match t.on_pressure with Some f -> f () | None -> ()
 
 let ensure_frame_available t =
@@ -158,8 +156,7 @@ let ensure_frame_available t =
       pressure t;
       let live = t.live in
       if live >= t.capacity then begin
-        if Obs.Trace.enabled () then
-          Obs.Trace.instant ~a:live ~b:t.capacity Obs.Names.out_of_frames;
+        Obs.Trace.instant t.metrics Obs.Names.mem_out_of_frames live t.capacity;
         raise (Out_of_frames { capacity = t.capacity; live })
       end
     end
@@ -238,9 +235,7 @@ let take_buf t =
     let b = Array.unsafe_get t.free_bufs n in
     Array.unsafe_set t.free_bufs n Bytes.empty;
     t.free_len <- n;
-    Obs.Metrics.incr t.metrics Obs.Names.mem_frames_recycled;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:n Obs.Names.frame_recycle;
+    Obs.Trace.instant t.metrics Obs.Names.mem_frames_recycled n 0;
     b
   end
 
@@ -356,9 +351,7 @@ let dedup_frame t data =
   | Some e ->
     e.d_refs <- e.d_refs + 1;
     t.dedup_refs <- t.dedup_refs + 1;
-    Obs.Metrics.incr t.metrics Obs.Names.mem_dedup_hits;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:e.d_frame.id ~b:e.d_refs Obs.Names.dedup_hit;
+    Obs.Trace.instant t.metrics Obs.Names.mem_dedup_hits e.d_frame.id e.d_refs;
     e.d_frame
   | None ->
     let f = alloc_data t ~owner:dedup_owner data in

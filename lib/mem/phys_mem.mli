@@ -43,7 +43,8 @@ val create : ?capacity:int -> ?poison:bool -> unit -> t
 
 val registry : t -> Obs.Metrics.t
 (** The memory's counters: every [mem.*] slot of {!Obs.Names}, counted
-    here, by {!Addr_space} and by {!Ept}. *)
+    here, by {!Addr_space} and by {!Ept}, and the [sys.*] spans of the
+    libOS machines booted on it. *)
 
 val metrics : t -> Mem_metrics.t
 (** A view of {!registry}, built on each call. *)

@@ -3,7 +3,7 @@
    - Chrome trace_event JSON, loadable in Perfetto / chrome://tracing;
    - a flat text summary (span aggregates, instant counts, counters);
    - a snapshot-tree dump (DOT or JSON) annotated with per-node cost,
-     rebuilt from snap.capture instants and explorer.eval spans. *)
+     rebuilt from snapshot.captures instants and os.segments spans. *)
 
 let category name =
   match String.index_opt name '.' with
@@ -167,7 +167,7 @@ let summary events =
 type node = {
   n_id : int;
   n_parent : int; (* -1: root; -2: synthetic (referenced, never captured) *)
-  mutable n_visits : int; (* explorer.eval spans attributed to this node *)
+  mutable n_visits : int; (* os.segments spans attributed to this node *)
   mutable n_us : int;
   mutable n_instr : int;
   mutable n_restores : int;
@@ -186,20 +186,16 @@ let snapshot_tree events =
         Hashtbl.replace nodes id n;
         n
   in
-  (* eval spans never nest per domain, so one open slot per tid. *)
+  (* segment spans never nest per domain, so one open slot per tid. *)
   let open_eval : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (e : Trace.view) ->
-      if String.equal e.v_name Names.snap_capture then
-        ignore (ensure ~parent:e.v_b e.v_a)
-      else if String.equal e.v_name Names.snap_restore then begin
-        match e.v_kind with
-        | Trace.Instant ->
-            let n = ensure e.v_a in
-            n.n_restores <- n.n_restores + 1
-        | _ -> ()
+      if e.v_slot = Names.snapshot_captures then ignore (ensure ~parent:e.v_b e.v_a)
+      else if e.v_slot = Names.snapshot_restores then begin
+        let n = ensure e.v_a in
+        n.n_restores <- n.n_restores + 1
       end
-      else if String.equal e.v_name Names.explorer_eval then
+      else if e.v_slot = Names.os_segments then
         match e.v_kind with
         | Trace.Span_begin -> Hashtbl.replace open_eval e.v_tid (e.v_a, e.v_ts)
         | Trace.Span_end -> (

@@ -34,9 +34,10 @@ type node = {
 }
 
 val snapshot_tree : Trace.view list -> node list
-(** Snapshot tree rebuilt from [snap.capture]/[snap.restore] instants
-    and [explorer.eval] spans, each node annotated with its evaluation
-    cost (visits, microseconds, instructions retired, restores). *)
+(** Snapshot tree rebuilt from [snapshot.captures]/[snapshot.restores]
+    instants and [os.segments] spans, each node annotated with its
+    evaluation cost (visits, microseconds, instructions retired,
+    restores). *)
 
 val tree_json : Trace.view list -> Json.t
 val tree_dot : Trace.view list -> string

@@ -4,7 +4,7 @@
    exists; [create] freezes it.  So every registry is as long as the table,
    a slot always indexes inside it, and counting needs no bounds check. *)
 
-type kind = Counter | Peak
+type kind = Counter | Peak | Span
 type slot = int
 type t = int array
 
@@ -32,14 +32,16 @@ let[@inline] get (t : t) s = Array.unsafe_get t s
 let merge ~(into : t) (src : t) =
   Array.iteri
     (fun s -> function
-      | Counter -> into.(s) <- into.(s) + src.(s)
+      | Counter | Span -> into.(s) <- into.(s) + src.(s)
       | Peak -> if src.(s) > into.(s) then into.(s) <- src.(s))
     !kinds
 
 let copy = Array.copy
 
 let sub (a : t) (b : t) =
-  Array.mapi (fun s -> function Counter -> a.(s) - b.(s) | Peak -> a.(s)) !kinds
+  Array.mapi (fun s -> function Counter | Span -> a.(s) - b.(s) | Peak -> a.(s)) !kinds
+
+let name s = !names.(s)
 
 let find name =
   let rec go s =

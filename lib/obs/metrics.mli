@@ -2,12 +2,13 @@
 
     Every slot is declared once, in {!Names}, when the program starts: a
     name ([layer.event]) and a kind.  A counter adds on {!merge}; a peak
-    takes the max.  A registry is a plain array over the table, so
+    takes the max; a span counts the completed spans of its event and adds
+    like a counter.  {!Trace} records events under the same slots.  A registry is a plain array over the table, so
     counting is one array store, and {!merge}, {!copy} and {!sub} are
     loops over it.  {!merge} is commutative and associative, so per-domain
     registries combine in any order. *)
 
-type kind = Counter | Peak
+type kind = Counter | Peak | Span
 type slot = private int
 type t
 
@@ -38,6 +39,8 @@ val sub : t -> t -> t
 
 val find : string -> slot option
 (** The slot declared under a name. *)
+
+val name : slot -> string
 
 val to_list : t -> (string * int) list
 (** Every slot, zeros included, sorted by name. *)

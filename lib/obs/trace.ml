@@ -1,10 +1,13 @@
-(* Fixed-capacity, allocation-light ring-buffer tracer.
+(* Fixed-capacity, allocation-light ring-buffer tracer over the metric
+   slots.
 
    Design constraints (see DESIGN.md "Observability"):
 
-   - Disabled path is one mutable-bool load and a conditional branch;
-     record functions take only immediate ints and static strings so
-     call sites allocate nothing when tracing is off.
+   - One name per event: a record call counts into a registry slot and
+     traces under that slot; the ring stores the slot, and [events] looks
+     its name up.  Payloads are plain ints, so no call site allocates.
+   - Disabled path is the count plus one mutable-bool load and a
+     conditional branch.
    - Enabled path writes into a preallocated ring of mutable event
      records: no allocation per event, one [Unix.gettimeofday] call.
    - Domains safety: each domain lazily registers its own buffer via
@@ -22,7 +25,7 @@ type kind = Span_begin | Span_end | Instant | Counter
 
 type event = {
   mutable e_kind : kind;
-  mutable e_name : string;
+  mutable e_slot : Metrics.slot;
   mutable e_ts : int; (* microseconds since session epoch *)
   mutable e_a : int;
   mutable e_b : int;
@@ -30,6 +33,7 @@ type event = {
 
 type view = {
   v_kind : kind;
+  v_slot : Metrics.slot;
   v_name : string;
   v_ts : int;
   v_tid : int;
@@ -53,13 +57,14 @@ let capacity = ref default_capacity
 let epoch = ref 0.0
 let registry : buffer list ref = ref []
 let registry_mutex = Mutex.create ()
-let enabled () = !enabled_flag
 
 let fresh_buffer () =
   let cap = !capacity in
   let slots =
+    (* any slot: an entry is written before it is read *)
     Array.init cap (fun _ ->
-        { e_kind = Instant; e_name = ""; e_ts = 0; e_a = 0; e_b = 0 })
+        { e_kind = Instant; e_slot = Names.vcpu_instructions; e_ts = 0; e_a = 0;
+          e_b = 0 })
   in
   let b =
     {
@@ -88,26 +93,37 @@ let buffer () =
 
 let now_us () = int_of_float ((Unix.gettimeofday () -. !epoch) *. 1e6)
 
-let record kind name a b =
-  if !enabled_flag then begin
-    let buf = buffer () in
-    let e = buf.bu_slots.(buf.bu_len mod buf.bu_cap) in
-    let ts = now_us () in
-    (* Clamp monotone per buffer: gettimeofday can step backwards. *)
-    let ts = if ts >= buf.bu_last_ts then ts else buf.bu_last_ts in
-    buf.bu_last_ts <- ts;
-    e.e_kind <- kind;
-    e.e_name <- name;
-    e.e_ts <- ts;
-    e.e_a <- a;
-    e.e_b <- b;
-    buf.bu_len <- buf.bu_len + 1
-  end
+(* Called only while tracing: the record calls below test the flag
+   inline, so the disabled path makes no call. *)
+let record kind slot a b =
+  let buf = buffer () in
+  let e = buf.bu_slots.(buf.bu_len mod buf.bu_cap) in
+  let ts = now_us () in
+  (* Clamp monotone per buffer: gettimeofday can step backwards. *)
+  let ts = if ts >= buf.bu_last_ts then ts else buf.bu_last_ts in
+  buf.bu_last_ts <- ts;
+  e.e_kind <- kind;
+  e.e_slot <- slot;
+  e.e_ts <- ts;
+  e.e_a <- a;
+  e.e_b <- b;
+  buf.bu_len <- buf.bu_len + 1
 
-let span_begin ?(a = 0) ?(b = 0) name = record Span_begin name a b
-let span_end ?(a = 0) ?(b = 0) name = record Span_end name a b
-let instant ?(a = 0) ?(b = 0) name = record Instant name a b
-let counter name v = record Counter name v 0
+let[@inline] instant m slot a b =
+  Metrics.incr m slot;
+  if !enabled_flag then record Instant slot a b
+
+let[@inline] span_begin slot a = if !enabled_flag then record Span_begin slot a 0
+
+let[@inline] span_end m slot a b =
+  Metrics.incr m slot;
+  if !enabled_flag then record Span_end slot a b
+
+let[@inline] peak m slot v =
+  Metrics.peak m slot v;
+  if !enabled_flag then record Counter slot v 0
+
+let[@inline] sample slot v = if !enabled_flag then record Counter slot v 0
 
 let start ?capacity:(cap = default_capacity) () =
   Mutex.lock registry_mutex;
@@ -146,7 +162,8 @@ let events () =
         let e = b.bu_slots.((oldest + i) mod b.bu_cap) in
         {
           v_kind = e.e_kind;
-          v_name = e.e_name;
+          v_slot = e.e_slot;
+          v_name = Metrics.name e.e_slot;
           v_ts = e.e_ts;
           v_tid = b.bu_tid;
           v_a = e.e_a;

@@ -347,23 +347,23 @@ let count_syscall t n =
   if n >= 0 && n < Array.length t.counters.syscall_count then
     t.counters.syscall_count.(n) <- t.counters.syscall_count.(n) + 1
 
-(* Trace-event names precomputed per syscall number so the record sites
-   allocate nothing ("sys.write", "sys.guess", ...). *)
-let sys_span_names = Array.init 32 (fun n -> "sys." ^ Sys_abi.name_of_syscall n)
-let sys_other_name = "sys.other"
+(* The span slot of each ordinary syscall number. *)
+let sys_slots =
+  let slots = Array.make 32 Obs.Names.sys_other in
+  List.iter
+    (fun (number, slot) -> slots.(number) <- slot)
+    Obs.Names.
+      [ (Sys_abi.sys_write, sys_write); (Sys_abi.sys_read, sys_read);
+        (Sys_abi.sys_open, sys_open); (Sys_abi.sys_close, sys_close);
+        (Sys_abi.sys_brk, sys_brk); (Sys_abi.sys_lseek, sys_lseek);
+        (Sys_abi.sys_unlink, sys_unlink); (Sys_abi.sys_vtime, sys_vtime);
+        (Sys_abi.sys_timeout, sys_timeout); (Sys_abi.sys_share, sys_share);
+        (Sys_abi.sys_socket, sys_socket); (Sys_abi.sys_ioctl, sys_ioctl) ];
+  slots
 
-let sys_span_name number =
-  if number >= 0 && number < Array.length sys_span_names then
-    sys_span_names.(number)
-  else sys_other_name
-
-let stop_trace_name = function
-  | Guess _ -> Obs.Names.stop_guess
-  | Guess_fail -> Obs.Names.stop_guess_fail
-  | Guess_strategy _ -> Obs.Names.stop_strategy
-  | Guess_hint _ -> Obs.Names.stop_hint
-  | Exited _ -> Obs.Names.stop_exit
-  | Killed _ -> Obs.Names.stop_kill
+let sys_slot number =
+  if number >= 0 && number < Array.length sys_slots then sys_slots.(number)
+  else Obs.Names.sys_other
 
 let icache_counts t = Option.map Interp.icache_counts t.icache
 let block_counts t = Option.map Interp.block_counts t.icache
@@ -391,19 +391,16 @@ let rec run_loop t cpu remaining =
       let arg1 = Cpu.get cpu Reg.rsi in
       let arg2 = Cpu.get cpu Reg.rdx in
       count_syscall t number;
-      let traced = Obs.Trace.enabled () in
-      (* The guess family (and exit) suspend the guest rather than
-         return into it, so they trace as instants — the time until
-         resume belongs to the scheduler, not the syscall. *)
-      if traced && (number = Sys_abi.sys_exit || (number >= Sys_abi.sys_guess && number <= Sys_abi.sys_guess_hint))
-      then Obs.Trace.instant ~a:arg0 (sys_span_name number);
+      (* The guess family and exit suspend the guest rather than return
+         into it: the scheduler counts and traces the stop. *)
       if number = Sys_abi.sys_exit then Exited { status = arg0 }
       else if number = Sys_abi.sys_guess then Guess { n = arg0 }
       else if number = Sys_abi.sys_guess_fail then Guess_fail
       else if number = Sys_abi.sys_guess_strategy then Guess_strategy { strategy = arg0 }
       else if number = Sys_abi.sys_guess_hint then Guess_hint { dist = arg0 }
       else begin
-        if traced then Obs.Trace.span_begin ~a:arg0 (sys_span_name number);
+        let slot = sys_slot number in
+        Obs.Trace.span_begin slot arg0;
         let result =
           if number = Sys_abi.sys_write then do_write t arg0 arg1 arg2
           else if number = Sys_abi.sys_read then do_read t arg0 arg1 arg2
@@ -430,7 +427,7 @@ let rec run_loop t cpu remaining =
             -Sys_abi.enosys
           end
         in
-        if traced then Obs.Trace.span_end ~b:result (sys_span_name number);
+        Obs.Trace.span_end (Mem.Phys_mem.registry (As.phys t.aspace)) slot 0 result;
         (match t.sys_hook with None -> () | Some f -> f number result);
         Cpu.set cpu Reg.rax result;
         run_loop t cpu remaining

@@ -85,15 +85,14 @@ val set_sys_hook : t -> (int -> int -> unit) option -> unit
 val run : t -> fuel:int -> stop
 (** Execute the guest until a scheduler-visible stop, serving ordinary
     syscalls and demand paging internally.  [fuel] bounds retired guest
-    instructions (approximately: faulted fetches count). *)
+    instructions (approximately: faulted fetches count).  Each ordinary
+    syscall is a span of its [sys.*] slot, counted into the registry of
+    the machine's memory. *)
 
 val timeout : t -> int
 (** The guest's [sys_timeout] bound on the instructions of one {!run}
     (0 = none).  A scheduler that runs a path in several quanta applies it
     to the whole segment. *)
-
-val stop_trace_name : stop -> string
-(** The static [Obs.Names.stop_*] event name for a stop reason. *)
 
 val icache_counts : t -> (int * int) option
 (** Block-cache [(misses, slow_decodes)]; [None] when booted with

@@ -34,10 +34,6 @@ let capture ~ids ?parent ?(owns_image = false) ~depth (machine : Libos.t) =
   if owns_image && parent <> None then
     invalid_arg "Snapshot.capture: only a parentless snapshot owns its image";
   let id = Atomic.fetch_and_add ids 1 in
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:id
-      ~b:(match parent with Some p -> p.id | None -> -1)
-      Obs.Names.snap_capture;
   (match parent with Some p -> p.child_refs <- p.child_refs + 1 | None -> ());
   { id;
     regs = Vcpu.Cpu.save machine.cpu;
@@ -67,8 +63,6 @@ let none =
     owns_image = false }
 
 let restore (machine : Libos.t) t =
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:t.id Obs.Names.snap_restore;
   Vcpu.Cpu.load machine.cpu t.regs;
   As.restore machine.aspace t.mem;
   Libos.os_restore machine t.os

@@ -2,19 +2,19 @@ module Libos = Os.Libos
 
 type t = {
   mutable rev_events : Log.event list;
-  mutable count : int;
+  metrics : Obs.Metrics.t;  (* [record.appends] *)
   fuel_per_step : int;
   meta : string;
 }
 
 let create ?(fuel_per_step = 50_000_000) ?(meta = "") () =
-  { rev_events = []; count = 0; fuel_per_step; meta }
+  { rev_events = []; metrics = Obs.Metrics.create (); fuel_per_step; meta }
+
+let events t = Obs.Metrics.get t.metrics Obs.Names.record_appends
 
 let append t e =
   t.rev_events <- e :: t.rev_events;
-  t.count <- t.count + 1;
-  if Obs.Trace.enabled () then
-    Obs.Trace.instant ~a:t.count Obs.Names.record_append
+  Obs.Trace.instant t.metrics Obs.Names.record_appends (events t + 1) 0
 
 let stop_code (stop : Libos.stop) : Log.stop =
   match stop with
@@ -37,8 +37,6 @@ let probe t : Probe.t =
 
 let install t m =
   Libos.set_sys_hook m (Some (fun number ret -> append t (Log.Sys { number; ret })))
-
-let events t = t.count
 
 let log t =
   { Log.fuel_per_step = t.fuel_per_step;

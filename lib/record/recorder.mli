@@ -3,8 +3,8 @@
     Attach it twice — {!probe} goes to [Core.Explorer.run ?probe] for the
     scheduler-boundary events, {!install} puts the ordinary-syscall hook
     on the machine — then run, then take {!log}.  Appends are per-segment
-    and per-syscall, never per-instruction; with tracing enabled each
-    append emits a static [record.append] instant (E13's cost rules). *)
+    and per-syscall, never per-instruction; each counts one
+    [record.appends], traced as an instant (E13's cost rules). *)
 
 type t
 

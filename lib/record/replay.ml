@@ -314,8 +314,7 @@ let goto t target =
       if Hashtbl.mem t.anchors k then k else find (max 0 (k - t.anchor_every))
     in
     let a = find (target.p_seg - (target.p_seg mod t.anchor_every)) in
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a Obs.Names.replay_anchor_restore;
+    Obs.Trace.instant (Mem.Phys_mem.registry t.phys) Obs.Names.replay_anchor_restores a 0;
     restore t (Hashtbl.find t.anchors a);
     t.seg <- a;
     t.off <- 0;
@@ -420,8 +419,7 @@ let seek t n =
   if nsegs t = 0 then End
   else begin
     let target = pos_of_time t n in
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~a:target.p_seg Obs.Names.replay_seek;
+    Obs.Trace.instant (Mem.Phys_mem.registry t.phys) Obs.Names.replay_seeks target.p_seg 0;
     goto t target;
     Stopped
   end
@@ -430,7 +428,7 @@ let seek_stop t k =
   if nsegs t = 0 then End
   else begin
     let k = max 0 (min k (nsegs t - 1)) in
-    if Obs.Trace.enabled () then Obs.Trace.instant ~a:k Obs.Names.replay_seek;
+    Obs.Trace.instant (Mem.Phys_mem.registry t.phys) Obs.Names.replay_seeks k 0;
     goto t { p_seg = k; p_off = 0 };
     Stopped
   end

@@ -30,6 +30,10 @@
     and [stop_index] (scheduler stops completed).  A position is always
     "inside" a stop segment, after the boundary actions that started it.
 
+    The cursor owns its memory, and counts its seeks and anchor restores
+    ([replay.seeks], [replay.anchor_restores]) into that memory's
+    registry beside the [mem.*] slots.
+
     After a {!Diverged} escape the cursor's machine state is
     unspecified; create a fresh cursor. *)
 

@@ -568,7 +568,7 @@ let path_lineage_length () =
   let root = Core.Path.open_scope path stats ~ids in
   check Alcotest.int "at the root" 1 (Core.Path.lineage_length path);
   let rec descend depth =
-    match Core.Path.run path ~fuel:100000 ~span:"test" with
+    match Core.Path.run path stats ~fuel:100000 with
     | Libos.Guess { n } ->
       let snap, _ = Core.Path.branch path stats ~ids ~n in
       Core.Path.enter path stats snap ~rax:0 ~depth:(depth + 1);
@@ -1034,20 +1034,20 @@ let reclaim_bulk_order () =
   let h4 = extend ~depth:1 store ids m h1 ~choice:1 in
   let handles = [ h0; h1; h2; h3; h4 ] in
   let images = List.map (fun h -> snap_image (Reclaim.get store h)) handles in
-  let visited name f =
+  let visited slot f =
     Obs.Trace.start ();
     let n = f store in
     Obs.Trace.stop ();
     let order =
       List.filter_map
         (fun (e : Obs.Trace.view) ->
-          if e.v_name = name then Some e.v_a else None)
+          if e.v_slot = slot then Some e.v_a else None)
         (Obs.Trace.events ())
     in
     Obs.Trace.clear ();
     (n, order)
   in
-  let n, order = visited N.reclaim_demote Reclaim.demote_all in
+  let n, order = visited N.reclaim_demotions Reclaim.demote_all in
   check Alcotest.int "every live payload demoted" 5 n;
   check Alcotest.(list int) "deepest first, equal depths newest first"
     [ h4; h3; h2; h1; h0 ] order;

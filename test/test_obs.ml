@@ -20,20 +20,27 @@ let with_trace ?capacity f =
 
 (* {1 Ring tracer} *)
 
+(* A record call counts whether or not it traces. *)
 let disabled_records_nothing () =
   Trace.clear ();
-  Trace.instant ~a:1 "x";
-  Trace.counter "c" 5;
-  Trace.span_begin "s";
-  Trace.span_end "s";
+  let r = Metrics.create () in
+  Trace.instant r N.mem_cow_faults 1 0;
+  Trace.peak r N.search_max_frontier 5;
+  Trace.sample N.search_max_frontier 7;
+  Trace.span_begin N.sys_write 0;
+  Trace.span_end r N.sys_write 0 0;
   check Alcotest.int "recorded" 0 (Trace.recorded ());
   check Alcotest.int "dropped" 0 (Trace.dropped ());
-  check Alcotest.int "events" 0 (List.length (Trace.events ()))
+  check Alcotest.int "events" 0 (List.length (Trace.events ()));
+  check Alcotest.int "instant counted" 1 (Metrics.get r N.mem_cow_faults);
+  check Alcotest.int "peak raised" 5 (Metrics.get r N.search_max_frontier);
+  check Alcotest.int "span counted" 1 (Metrics.get r N.sys_write)
 
 let ring_wraparound_keeps_newest () =
+  let r = Metrics.create () in
   with_trace ~capacity:16 (fun () ->
       for i = 0 to 39 do
-        Trace.instant ~a:i "tick"
+        Trace.instant r N.mem_cow_faults i 0
       done;
       Trace.stop ();
       check Alcotest.int "recorded counts overwritten" 40 (Trace.recorded ());
@@ -46,33 +53,35 @@ let ring_wraparound_keeps_newest () =
         surviving)
 
 let span_pairing_survives_wraparound () =
+  let r = Metrics.create () in
   with_trace ~capacity:16 (fun () ->
-      Trace.span_begin "orphan";
+      Trace.span_begin N.sys_write 0 (* an orphan *);
       for _ = 1 to 12 do
-        Trace.span_begin "s";
-        Trace.span_end "s"
+        Trace.span_begin N.sys_read 0;
+        Trace.span_end r N.sys_read 0 0
       done;
       Trace.stop ();
       (* 25 events; the ring keeps the last 16 = pairs 5..12 intact *)
       let aggs = Export.span_summary (Trace.events ()) in
-      (match List.assoc_opt "s" aggs with
-      | None -> Alcotest.fail "no aggregate for s"
+      (match List.assoc_opt "sys.read" aggs with
+      | None -> Alcotest.fail "no aggregate for sys.read"
       | Some a ->
         check Alcotest.int "complete pairs" 8 a.Export.s_count;
         check Alcotest.int "unmatched" 0 a.Export.s_unmatched);
       check Alcotest.bool "overwritten orphan leaves no aggregate" true
-        (not (List.mem_assoc "orphan" aggs)))
+        (not (List.mem_assoc "sys.write" aggs)))
 
 let truncated_span_counts_unmatched () =
+  let r = Metrics.create () in
   with_trace ~capacity:16 (fun () ->
-      Trace.span_begin "t";
+      Trace.span_begin N.sys_brk 0;
       for i = 0 to 14 do
-        Trace.instant ~a:i "filler"
+        Trace.instant r N.mem_maps i 0
       done;
-      Trace.span_end "t";
+      Trace.span_end r N.sys_brk 0 0;
       Trace.stop ();
       (* 17 events: the begin fell off the ring, its end survives *)
-      let a = List.assoc "t" (Export.span_summary (Trace.events ())) in
+      let a = List.assoc "sys.brk" (Export.span_summary (Trace.events ())) in
       check Alcotest.int "dangling end is unmatched" 1 a.Export.s_unmatched;
       check Alcotest.int "no complete pairs" 0 a.Export.s_count)
 
@@ -81,9 +90,10 @@ let four_domains_produce_clean_records () =
       let n = 5000 in
       let doms =
         List.init 4 (fun d ->
+            let r = Metrics.create () in
             Domain.spawn (fun () ->
                 for i = 0 to n - 1 do
-                  Trace.instant ~a:d ~b:i "d.tick"
+                  Trace.instant r N.mem_zero_fills d i
                 done))
       in
       List.iter Domain.join doms;
@@ -99,8 +109,9 @@ let four_domains_produce_clean_records () =
       let last_ts = ref min_int in
       List.iter
         (fun e ->
-          if not (String.equal e.Trace.v_name "d.tick") then
-            Alcotest.failf "corrupt name %S" e.Trace.v_name;
+          if e.Trace.v_slot <> N.mem_zero_fills
+             || not (String.equal e.Trace.v_name "mem.zero_fills")
+          then Alcotest.failf "corrupt event %S" e.Trace.v_name;
           if e.Trace.v_ts < !last_ts then Alcotest.fail "timestamps regress";
           last_ts := e.Trace.v_ts;
           let expect =
@@ -153,9 +164,9 @@ let chrome_json_roundtrips () =
           evs
       in
       let has n = List.exists (String.equal n) names in
-      check Alcotest.bool "guess stop traced" true (has "stop.guess");
-      check Alcotest.bool "syscall span traced" true (has "sys.guess");
-      check Alcotest.bool "snapshot capture traced" true (has "snap.capture"))
+      check Alcotest.bool "guess traced" true (has "search.guesses");
+      check Alcotest.bool "syscall span traced" true (has "sys.write");
+      check Alcotest.bool "snapshot capture traced" true (has "snapshot.captures"))
 
 let json_string_escaping_roundtrips () =
   let s = "a\"b\\c\nd\te\x01f\127 \xcf\x80" in
@@ -184,7 +195,7 @@ let tree_export_is_sane () =
           (List.filter
              (fun e ->
                e.Trace.v_kind = Trace.Span_begin
-               && String.equal e.Trace.v_name "explorer.eval")
+               && String.equal e.Trace.v_name "os.segments")
              evs)
       in
       let visits = List.fold_left (fun s n -> s + n.Export.n_visits) 0 nodes in
@@ -220,11 +231,178 @@ let traced_domains_run_matches_untraced () =
         List.filter
           (fun e ->
             e.Trace.v_kind = Trace.Span_begin
-            && String.equal e.Trace.v_name "worker")
+            && String.equal e.Trace.v_name "sched.workers")
           (Trace.events ())
       in
       check Alcotest.int "one span per worker domain" 4
-        (List.length worker_spans))
+        (List.length worker_spans);
+      check Alcotest.int "one worker counted per domain" 4
+        (Metrics.get traced.Core.Parallel.metrics N.sched_workers))
+
+(* {1 The trace and the registry agree} *)
+
+(* Every slot the program traces as an instant. *)
+let instant_slots =
+  N.[ mem_cow_faults; mem_zero_fills; mem_frames_recycled; mem_releases; mem_maps;
+      mem_unmaps; mem_share_flushes; mem_pressure_events; mem_out_of_frames;
+      mem_dedup_hits; snapshot_captures; snapshot_restores; search_scopes;
+      search_guesses; search_hints; search_fails; search_exits; search_kills;
+      sched_requeues; sched_quarantined; queue_imports; reclaim_demotions;
+      tenancy_admits; tenancy_rejects; tenancy_queued_boots; tenancy_deadline_kills;
+      tenancy_teardowns; record_appends; replay_seeks; replay_anchor_restores ]
+
+(* Every span slot, and every peak the program samples. *)
+let span_slots =
+  N.[ sys_write; sys_read; sys_open; sys_close; sys_brk; sys_lseek; sys_unlink;
+      sys_vtime; sys_timeout; sys_share; sys_socket; sys_ioctl; sys_other;
+      os_segments; sched_workers; reclaim_promotions ]
+
+let sampled_slots = N.[ search_max_frontier ]
+
+(* A traced stretch of work against the registry it counted into: every
+   event is a declared slot, of the kind it is recorded as, every instant
+   slot's events number its count (none where it counted none), every span
+   slot's completed pairs its count, and a sampled peak's largest sample
+   is its value. *)
+let agree what (reg : Metrics.t) =
+  check Alcotest.int (what ^ ": nothing dropped") 0 (Trace.dropped ());
+  let evs = Trace.events () in
+  let instants = Hashtbl.create 16 and samples = Hashtbl.create 4 in
+  let bump tbl slot f =
+    Hashtbl.replace tbl slot (f (Hashtbl.find_opt tbl slot))
+  in
+  List.iter
+    (fun (e : Trace.view) ->
+      if Metrics.find e.v_name <> Some e.v_slot then
+        Alcotest.failf "%s: %S is not its slot's name" what e.v_name;
+      let among slots kind =
+        if not (List.mem e.v_slot slots) then
+          Alcotest.failf "%s: %s recorded as %s" what e.v_name kind
+      in
+      match e.v_kind with
+      | Trace.Instant ->
+        among instant_slots "an instant";
+        bump instants e.v_slot (fun n -> 1 + Option.value n ~default:0)
+      | Trace.Counter ->
+        among sampled_slots "a sample";
+        bump samples e.v_slot (fun m -> max e.v_a (Option.value m ~default:min_int))
+      | Trace.Span_begin | Trace.Span_end -> among span_slots "a span")
+    evs;
+  let expect kind slot n =
+    check Alcotest.int
+      (Printf.sprintf "%s: %s %s" what (Metrics.name slot) kind)
+      (Metrics.get reg slot) n
+  in
+  List.iter
+    (fun slot ->
+      expect "instants" slot (Option.value (Hashtbl.find_opt instants slot) ~default:0))
+    instant_slots;
+  Hashtbl.iter (expect "largest sample") samples;
+  let spans = Export.span_summary evs in
+  List.iter
+    (fun slot ->
+      let a =
+        Option.value (List.assoc_opt (Metrics.name slot) spans)
+          ~default:{ Export.s_count = 0; s_total_us = 0; s_max_us = 0; s_unmatched = 0 }
+      in
+      check Alcotest.int
+        (Printf.sprintf "%s: %s unmatched" what (Metrics.name slot))
+        0 a.Export.s_unmatched;
+      expect "pairs" slot a.Export.s_count)
+    span_slots;
+  (* the scenarios below exercise both kinds of record call *)
+  check Alcotest.bool (what ^ ": instants traced") true (Hashtbl.length instants > 0);
+  check Alcotest.bool (what ^ ": spans traced") true (spans <> [])
+
+let traced f =
+  with_trace (fun () ->
+      let r = f () in
+      Trace.stop ();
+      r)
+
+(* [run_image] boots its first machine before the run's registry starts
+   counting: the boot's [mem.*] events are the rest of the trace. *)
+let boot_counts image =
+  let phys = Mem.Phys_mem.create () in
+  ignore (Os.Libos.boot phys image);
+  Mem.Phys_mem.registry phys
+
+let explorer_trace_agrees () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let boot = boot_counts image in
+  List.iter
+    (fun (what, workers, quantum) ->
+      traced (fun () ->
+          let r = Explorer.run_image ~workers ?quantum image in
+          let reg = Metrics.copy r.Explorer.metrics in
+          Metrics.merge ~into:reg boot;
+          agree what reg))
+    [ ("1 worker", 1, None); ("2 cooperative workers", 2, Some 500) ]
+
+(* A pool counts [tenancy.*] into its own registry, each session
+   [reclaim.*] into the session's, and the memory the rest. *)
+let tenancy_trace_agrees () =
+  let image = Workloads.Nqueens.program ~n:5 in
+  traced (fun () ->
+      let pool = Core.Tenancy.create () in
+      let ready = function
+        | Core.Service.Ready { candidate; arity; _ } -> Some (candidate, arity)
+        | _ -> None
+      in
+      let roots =
+        List.map
+          (fun _ ->
+            match Core.Tenancy.boot pool image with
+            | Core.Tenancy.Admitted (id, first) -> (id, Option.get (ready first))
+            | _ -> Alcotest.fail "tenant refused")
+          [ 0; 1 ]
+      in
+      let post id (r, arity) k = ignore (Core.Tenancy.post pool id r ~choice:(k mod arity) ()) in
+      List.iter (fun (id, root) -> post id root 0) roots;
+      (* each tenant walks down and starts over from its root at every
+         leaf, 40 steps in all; halfway, tenant 0's candidates are demoted,
+         so its next resume promotes one *)
+      for k = 1 to 40 do
+        if k = 20 then ignore (Core.Service.demote_all (Core.Tenancy.service pool 0));
+        match Core.Tenancy.step pool with
+        | None -> Alcotest.fail "no request queued"
+        | Some (id, outcome) ->
+          post id (Option.value (ready outcome) ~default:(List.assoc id roots)) k
+      done;
+      for id = 0 to Core.Tenancy.tenant_count pool - 1 do
+        Core.Tenancy.kill pool id
+      done;
+      let reg = Metrics.copy (Core.Tenancy.metrics pool) in
+      for id = 0 to Core.Tenancy.tenant_count pool - 1 do
+        Metrics.merge ~into:reg (Core.Service.metrics (Core.Tenancy.service pool id))
+      done;
+      Metrics.merge ~into:reg (Mem.Phys_mem.registry (Core.Tenancy.phys pool));
+      check Alcotest.int "both tenants retired" 2 (Metrics.get reg N.tenancy_teardowns);
+      check Alcotest.bool "a promotion" true (Metrics.get reg N.reclaim_promotions > 0);
+      agree "2 tenants" reg)
+
+(* A replay cursor counts into its own memory's registry. *)
+let replay_trace_agrees () =
+  let image = Workloads.Nqueens.program ~n:6 in
+  let machine = Os.Libos.boot (Mem.Phys_mem.create ()) image in
+  let recorder = Record.Recorder.create () in
+  Record.Recorder.install recorder machine;
+  ignore (Explorer.run ~probe:(Record.Recorder.probe recorder) machine);
+  let bundle = Record.Bundle.of_image image (Record.Recorder.log recorder) in
+  traced (fun () ->
+      let cur = Record.Replay.create ~anchor_every:8 bundle in
+      let total = Record.Replay.total_time cur in
+      List.iter
+        (fun n -> ignore (Record.Replay.seek cur n))
+        [ total; 0; total / 2; total / 3 ];
+      let reg =
+        Mem.Phys_mem.registry
+          (Mem.Addr_space.phys (Record.Replay.machine cur).Os.Libos.aspace)
+      in
+      check Alcotest.int "every seek counted" 4 (Metrics.get reg N.replay_seeks);
+      check Alcotest.bool "a backward seek restored an anchor" true
+        (Metrics.get reg N.replay_anchor_restores > 0);
+      agree "replay" reg)
 
 (* {1 Metrics registry} *)
 
@@ -330,6 +508,12 @@ let tests =
       tree_export_is_sane;
     Alcotest.test_case "traced Domains run matches untraced" `Quick
       traced_domains_run_matches_untraced;
+    Alcotest.test_case "trace agrees with the registry: explorer" `Quick
+      explorer_trace_agrees;
+    Alcotest.test_case "trace agrees with the registry: tenancy" `Quick
+      tenancy_trace_agrees;
+    Alcotest.test_case "trace agrees with the registry: replay seek" `Quick
+      replay_trace_agrees;
     merge_commutes;
     merge_associates;
     merge_builds_the_concatenation;
