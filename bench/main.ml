@@ -949,13 +949,26 @@ let micro () =
   let tests =
     [ Test.make ~name:"snapshot_capture" (Staged.stage (fun () -> As.snapshot aspace));
       Test.make ~name:"snapshot_restore" (Staged.stage (fun () -> As.restore aspace snap));
+      (* each segment discards its COW frame before the restore, as
+         [Path.switch] does, so the buffer is recycled, not leaked *)
       Test.make ~name:"cow_fault_roundtrip"
         (Staged.stage (fun () ->
              let s = As.snapshot aspace in
              As.write_u64 aspace 0 1;
+             ignore (As.discard_segment aspace ~base:s);
              As.restore aspace s));
       Test.make ~name:"write_u64_no_fault"
         (Staged.stage (fun () -> As.write_u64 aspace 8 42));
+      (* one discarded leaf segment: restore, a read-modify-write on each
+         of 8 pages, discard *)
+      Test.make ~name:"leaf_segment_8_pages"
+        (Staged.stage (fun () ->
+             As.restore aspace snap;
+             for k = 0 to 7 do
+               let addr = Mem.Page.addr_of_vpn k in
+               As.write_u64 aspace addr (As.read_u64 aspace addr + 1)
+             done;
+             ignore (As.discard_segment aspace ~base:snap)));
       Test.make ~name:"ptmap_find_10k"
         (Staged.stage (fun () -> Stdx.Ptmap.find_opt 0x1234 ptmap));
       Test.make ~name:"ptmap_add_10k"

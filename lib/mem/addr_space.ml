@@ -5,13 +5,18 @@ type access = Read | Write
 exception Page_fault of { addr : int; access : access }
 
 (* Direct-mapped TLB.  Entries cache vpn -> frame for the current page map
-   (plus the shared registry); they stay valid across stores (COW updates
-   the entry in place) and across capture, which changes no translation.
-   A restore invalidates only the vpns the incoming map binds differently —
-   the software analogue of a VPID/PCID-tagged TLB. *)
+   (plus the shared registry and the write set); they stay valid across
+   stores (COW updates the entry in place) and across capture, which
+   changes no translation.  A restore invalidates only the vpns the
+   incoming map binds differently — the software analogue of a
+   VPID/PCID-tagged TLB. *)
 let tlb_bits = 8
 let tlb_size = 1 lsl tlb_bits
 let tlb_mask = tlb_size - 1
+
+(* Capacity of the write set (see [cow]): a segment that COWs more pages
+   than this folds the set into the trie and starts a new one. *)
+let ws_cap = 64
 
 (* Frames with this owner are explicitly shared: never COW'd, excluded
    from snapshots (they live in [shared], not in the snapshot map). *)
@@ -59,6 +64,16 @@ type t = {
   mutable dedup_held : Phys_mem.frame list;
       (* boot-lifetime references into the phys dedup table taken by
          [map_dedup]; returned wholesale by [drop_dedup_refs] at teardown *)
+  ws_vpn : int array;
+  ws_frame : Phys_mem.frame array;
+  ws_displaced : Phys_mem.frame array;
+  mutable ws_len : int;
+      (* The write set: entry [k < ws_len] is a page the current generation
+         COW'd, its private frame, and the frame the COW displaced.  [map]
+         still binds [ws_vpn.(k)] to [ws_displaced.(k)]; the set overrides
+         it.  A vpn is in the set at most once (its frame is private after
+         the COW), and [map] is never edited while the set is not empty:
+         every edit folds the set in first ([fold_writes]). *)
   mutable epoch : int;
       (* bumped on every capture, restore and seal.  A caller that restored
          a snapshot and sees the epoch unchanged knows no other map has
@@ -84,6 +99,10 @@ let create phys =
     trace = None;
     account = 0;
     dedup_held = [];
+    ws_vpn = Array.make ws_cap (-1);
+    ws_frame = Array.make ws_cap zero;
+    ws_displaced = Array.make ws_cap zero;
+    ws_len = 0;
     epoch = 0 }
 
 let set_trace t sink = t.trace <- sink
@@ -152,7 +171,25 @@ let share_catch_up t epoch =
     (if targeted then !n else -1);
   t.seen_share_epoch <- epoch
 
-(* Look up the frame backing [vpn]; raises [Page_fault] when unmapped. *)
+(* The write-set index of [vpn], searching down from [k]; -1 if absent. *)
+let rec ws_find t vpn k =
+  if k < 0 || Array.unsafe_get t.ws_vpn k = vpn then k else ws_find t vpn (k - 1)
+
+(* Make [map] exact: bind every write-set page to its private frame, and
+   empty the set.  The one place a COW'd page reaches the trie. *)
+let fold_writes t =
+  let n = t.ws_len in
+  if n > 0 then begin
+    let m = ref t.map in
+    for k = 0 to n - 1 do
+      m := Ptmap.add t.ws_vpn.(k) t.ws_frame.(k) !m
+    done;
+    t.map <- !m;
+    t.ws_len <- 0
+  end
+
+(* Look up the frame backing [vpn]: the sharing registry, then the write
+   set, then the trie.  Raises [Page_fault] when unmapped. *)
 let lookup t vpn access addr =
   let epoch = Phys_mem.share_epoch t.phys in
   if t.seen_share_epoch <> epoch then share_catch_up t epoch;
@@ -164,22 +201,27 @@ let lookup t vpn access addr =
   else begin
     Obs.Metrics.incr t.metrics Obs.Names.mem_tlb_misses;
     Obs.Metrics.incr t.metrics Obs.Names.mem_pt_walks;
-    let resolved =
+    let f =
       match shared_frame t vpn with
-      | Some _ as hit -> hit
-      | None -> Ptmap.find_opt vpn t.map
+      | Some f -> f
+      | None ->
+        let k = ws_find t vpn (t.ws_len - 1) in
+        if k >= 0 then Array.unsafe_get t.ws_frame k
+        else
+          match Ptmap.find_opt vpn t.map with
+          | Some f -> f
+          | None -> raise (Page_fault { addr; access })
     in
-    match resolved with
-    | None -> raise (Page_fault { addr; access })
-    | Some f ->
-      t.tlb_vpn.(i) <- vpn;
-      t.tlb_frame.(i) <- f;
-      f
+    t.tlb_vpn.(i) <- vpn;
+    t.tlb_frame.(i) <- f;
+    f
   end
 
 (* The COW fault path: the frame belongs to an older generation (a snapshot
    may still reference it), so service the write by copying it.  A write to
-   the shared zero frame materialises a fresh zero page instead. *)
+   the shared zero frame materialises a fresh zero page instead.  The copy
+   goes into the write set and the TLB, not into the trie: a segment that
+   is discarded never path-copies [map]. *)
 let cow t vpn (f : Phys_mem.frame) =
   let zero = Phys_mem.zero_frame t.phys in
   let f' =
@@ -192,10 +234,27 @@ let cow t vpn (f : Phys_mem.frame) =
       Phys_mem.alloc_copy t.phys ~account:t.account ~owner:t.gen f
     end
   in
-  t.map <- Ptmap.add vpn f' t.map;
+  if t.ws_len = ws_cap then fold_writes t;
+  let n = t.ws_len in
+  t.ws_vpn.(n) <- vpn;
+  t.ws_frame.(n) <- f';
+  t.ws_displaced.(n) <- f;
+  t.ws_len <- n + 1;
   let i = vpn land tlb_mask in
   if t.tlb_vpn.(i) = vpn then t.tlb_frame.(i) <- f';
   f'
+
+(* Whether the last two COWs of the current generation include [vpn].  A
+   store COWs at most two pages, so a store that just COW'd [vpn] makes it
+   true; it may also be true when the store did not.  A full set folds
+   before the append, so the newest entry is always in the set, and when a
+   fold emptied it between the two halves of a page-crossing store the
+   older half's vpn is still in the array's last slot. *)
+let last_cows_include t vpn =
+  let n = t.ws_len in
+  n > 0
+  && (Array.unsafe_get t.ws_vpn (n - 1) = vpn
+     || Array.unsafe_get t.ws_vpn (if n > 1 then n - 2 else ws_cap - 1) = vpn)
 
 let writable_frame t vpn addr =
   let f = lookup t vpn Write addr in
@@ -214,6 +273,7 @@ let drop_private t vpn =
 (* {1 Mapping} *)
 
 let map_zero t ~vpn =
+  fold_writes t;
   t.map <- Ptmap.add vpn (Phys_mem.zero_frame t.phys) t.map;
   tlb_invalidate t vpn;
   Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
@@ -222,6 +282,7 @@ let map_zero t ~vpn =
 let map_data t ~vpn data =
   if String.length data > Page.size then
     invalid_arg "Addr_space.map_data: more than a page";
+  fold_writes t;
   let f = Phys_mem.alloc_data t.phys ~account:t.account ~owner:t.gen data in
   t.map <- Ptmap.add vpn f t.map;
   tlb_invalidate t vpn;
@@ -237,6 +298,7 @@ let map_data t ~vpn data =
 let map_dedup t ~vpn data =
   if String.length data > Page.size then
     invalid_arg "Addr_space.map_dedup: more than a page";
+  fold_writes t;
   let f = Phys_mem.dedup_frame t.phys data in
   t.dedup_held <- f :: t.dedup_held;
   t.map <- Ptmap.add vpn f t.map;
@@ -251,6 +313,7 @@ let drop_dedup_refs t =
   List.length held
 
 let map_shared t ~vpn =
+  fold_writes t;
   Obs.Trace.instant t.metrics Obs.Names.mem_maps vpn 0;
   record t (T_map_shared vpn);
   t.shared_hidden <- Ptmap.remove vpn t.shared_hidden;
@@ -273,6 +336,7 @@ let map_shared t ~vpn =
 let is_shared t ~vpn = shared_frame t vpn <> None
 
 let unmap t ~vpn =
+  fold_writes t;
   drop_private t vpn;
   t.map <- Ptmap.remove vpn t.map;
   (* A shared page is unmapped from this address space only: the registry
@@ -385,7 +449,11 @@ let write_u64 t addr v =
    restore and seal each retire the current generation for a fresh one; a
    retired generation never becomes current again, and a frame's owner
    never changes.  So, without exception: once a capture or restore
-   retires a generation, none of its frames is written again.  Every frame
+   retires a generation, none of its frames is written again.  Every
+   write-set frame belongs to the current generation (a [cow] made it),
+   and capture, restore and seal empty the set before they retire that
+   generation: capture and seal fold it into the map they keep, restore
+   drops it with the map it leaves.  Every frame
    a snapshot maps belongs to a generation its capture retired, or an older
    one, so the snapshot's contents are fixed while its frames live.  Frame
    ids are never reused, so an id never names two contents: the decode
@@ -393,6 +461,7 @@ let write_u64 t addr v =
    exactly this. *)
 
 let seal t =
+  fold_writes t;
   tlb_flush t;
   t.gen <- Phys_mem.fresh_generation t.phys;
   t.epoch <- t.epoch + 1;
@@ -402,6 +471,7 @@ let empty_snapshot = { snap_id = -1; snap_map = Ptmap.empty }
 
 let snapshot t =
   Obs.Metrics.incr t.metrics Obs.Names.mem_snapshots;
+  fold_writes t;
   let s = { snap_id = t.next_snap_id; snap_map = t.map } in
   t.next_snap_id <- t.next_snap_id + 1;
   (* From now on every frame in [s] belongs to a retired generation, so the
@@ -414,6 +484,12 @@ let snapshot t =
 
 let restore t s =
   Obs.Metrics.incr t.metrics Obs.Names.mem_restores;
+  (* A write set no discard emptied dies with the map it leaves; its
+     pages' TLB slots may hold frames the trie never saw. *)
+  for k = 0 to t.ws_len - 1 do
+    tlb_invalidate t t.ws_vpn.(k)
+  done;
+  t.ws_len <- 0;
   tlb_switch t s.snap_map;
   (* a segment that wrote nothing left the map it was restored to *)
   if t.map != s.snap_map then t.map <- s.snap_map;
@@ -473,7 +549,26 @@ let release_snapshot ~phys ~parent s =
    map in between) and when the caller restores another snapshot
    immediately after, before any further access through the map. *)
 let discard_segment t ~base =
-  Ptmap.fold_diff_now frame_eq free_now t.phys base.snap_map t.map 0
+  if t.map == base.snap_map then begin
+    (* Only the write set differs from [base]: free its frames and put
+       each displaced frame, [base]'s translation, back in a TLB slot that
+       still holds the private one.  No trie is walked, and restoring
+       [base] next finds nothing to invalidate. *)
+    let freed = ref 0 in
+    for k = 0 to t.ws_len - 1 do
+      let f = t.ws_frame.(k) in
+      freed := free_private t.phys !freed f;
+      let i = t.ws_vpn.(k) land tlb_mask in
+      if t.tlb_vpn.(i) = t.ws_vpn.(k) && t.tlb_frame.(i) == f then
+        t.tlb_frame.(i) <- t.ws_displaced.(k)
+    done;
+    t.ws_len <- 0;
+    !freed
+  end
+  else begin
+    fold_writes t;
+    Ptmap.fold_diff_now frame_eq free_now t.phys base.snap_map t.map 0
+  end
 
 (* The whole-image counterparts: a parentless snapshot (a boot image, a
    full-image rebuild) owns every private frame of its map, and so does a
@@ -484,7 +579,9 @@ let release_image ~phys s =
   Obs.Trace.instant (Phys_mem.registry phys) Obs.Names.mem_releases s.snap_id freed;
   freed
 
-let discard_map t = free_map t.phys t.map
+let discard_map t =
+  fold_writes t;
+  free_map t.phys t.map
 
 (* Rebuild, in THIS address space, the page delta between two snapshots a
    sibling address space captured over the same logical root contents: map
@@ -559,6 +656,7 @@ let restore_pages t ~base ~pages ~dead =
   | None ->
     Obs.Metrics.incr t.metrics Obs.Names.mem_restores;
     tlb_flush t;
+    t.ws_len <- 0;
     t.map <- Ptmap.empty;
     t.gen <- Phys_mem.fresh_generation t.phys;
     t.epoch <- t.epoch + 1);
@@ -584,13 +682,22 @@ let delta_pages a b =
 
 let snapshot_map_for_debug s = s.snap_map
 
-let iter_frames t f = Ptmap.iter (fun _ frame -> f frame) t.map
+let iter_frames t f =
+  Ptmap.iter
+    (fun vpn frame ->
+      let k = ws_find t vpn (t.ws_len - 1) in
+      f (if k >= 0 then t.ws_frame.(k) else frame))
+    t.map
 
+(* A write-set frame belongs to the current generation: never immutable. *)
 let immutable_frame t ~addr =
-  match Ptmap.find_opt (Page.vpn_of_addr addr) t.map with
-  | Some (f : Phys_mem.frame) when f.owner <> t.gen && f.owner <> shared_owner ->
-    Some (f.id, f.bytes)
-  | Some _ | None -> None
+  let vpn = Page.vpn_of_addr addr in
+  if ws_find t vpn (t.ws_len - 1) >= 0 then None
+  else
+    match Ptmap.find_opt vpn t.map with
+    | Some (f : Phys_mem.frame) when f.owner <> t.gen && f.owner <> shared_owner ->
+      Some (f.id, f.bytes)
+    | Some _ | None -> None
 
 let frame_is_immutable t (f : Phys_mem.frame) =
   f.owner <> t.gen && f.owner <> shared_owner

@@ -8,11 +8,19 @@
     Stores check the owning generation of the target frame: a mismatch is a
     simulated COW page fault, serviced by copying exactly one 4 KiB frame —
     the same event the paper's nested-page-table implementation takes in
-    hardware.  A direct-mapped TLB sits in front of the trie and survives
-    both capture and restore — the software analogue of a VPID/PCID-tagged
-    TLB: capture is O(1) and leaves it alone, and restore is O(pages that
-    differ), invalidating only the vpns the incoming map binds differently
-    (with a full flush once that exceeds the TLB's size). *)
+    hardware.  The copy goes into a bounded write set of the current
+    generation's COWs and into the TLB, not into the trie: a COW costs the
+    page copy, and the set is folded into the trie (a path copy per page)
+    only at a capture, a seal, a full set, or a cold path that edits or
+    walks the map.  A direct-mapped TLB sits in front of the write set and
+    the trie and survives both capture and restore — the software analogue
+    of a VPID/PCID-tagged TLB: capture is O(1) plus that fold and leaves
+    the TLB alone, and restore is O(pages that differ), invalidating only
+    the vpns the incoming map binds differently (with a full flush once
+    that exceeds the TLB's size).  A segment discarded against the map it
+    was restored to ({!discard_segment}) differs from it only by its write
+    set: the discard frees those frames and puts the base's translations
+    back in the TLB, so restoring the base again walks nothing. *)
 
 type access = Read | Write
 
@@ -106,11 +114,13 @@ val seal : t -> unit
     instruction. *)
 
 val snapshot : t -> snapshot
-(** O(1): grabs the map and retires the generation; the TLB is kept. *)
+(** O(1) plus folding the write set (at most 64 pages) into the map: grabs
+    the map and retires the generation; the TLB is kept. *)
 
 val restore : t -> snapshot -> unit
 (** O(pages that differ): invalidates the TLB entries of the vpns the
-    snapshot binds differently from the current map. *)
+    snapshot binds differently from the current map, and of the pages in
+    a write set no discard emptied. *)
 
 val empty_snapshot : snapshot
 (** A snapshot of no pages, taken of no address space: a placeholder that
@@ -164,7 +174,8 @@ val discard_segment : t -> base:snapshot -> int
     tail of a finished path segment that no capture froze.  Requires
     {!epoch} unchanged since that restore, and the caller must restore
     another snapshot immediately after, before any access through the
-    now-dangling map. *)
+    now-dangling map.  When the segment only COW'd pages (the map is still
+    [base]'s), it frees the write set and walks no trie. *)
 
 val release_image : phys:Phys_mem.t -> snapshot -> int
 (** {!release_snapshot} for a snapshot with no parent (a boot image, a
@@ -251,6 +262,13 @@ val reading_frame : t -> int -> Phys_mem.frame
     path of the interpreter).  A frame whose [owner] is not the current
     {!generation} is immutable until COW'd, which callers may exploit for
     caching. @raise Page_fault when unmapped. *)
+
+val last_cows_include : t -> int -> bool
+(** [last_cows_include t vpn] holds when one of the last two pages the
+    current generation COW'd is [vpn].  A store COWs at most two pages, so
+    right after a store that COW'd [vpn] it holds; it may hold otherwise
+    too.  The interpreter asks it after a fused store, and translates its
+    code page again only when it holds. *)
 
 val immutable_frame : t -> addr:int -> (int * Bytes.t) option
 (** [Some (frame_id, bytes)] when the page backing [addr] is owned by a

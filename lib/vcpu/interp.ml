@@ -650,19 +650,23 @@ let fuse_block cache (frame : Mem.Phys_mem.frame) start_offset start_rip =
     let fid = frame.Mem.Phys_mem.id in
     (* thread the chain from the last instruction back; a store that is
        not the last re-verifies the fetch mapping before its successor
-       runs: a mismatch means it COW'd the block's own code page
-       (self-modifying straight-line code), so the fused tail decodes
-       stale bytes — stop there, and dispatch sees fewer ops retired than
-       the block holds and re-dispatches at the (now mutable) frame *)
+       runs when it COW'd the page [cpu.rip] is on: a changed frame means
+       it replaced the block's own code page (self-modifying straight-line
+       code), so the fused tail decodes stale bytes — stop there, and
+       dispatch sees fewer ops retired than the block holds and
+       re-dispatches at the (now mutable) frame.  The page's frame changes
+       only by a COW, and every COW enters the write set. *)
     let chain (k, n) (insn, sz) =
+      let a = cache.aspace in
       let k =
         if n > 0 && writes_memory insn then fun (cpu : Cpu.t) ->
-          if (As.reading_frame cache.aspace cpu.rip).Mem.Phys_mem.id <> fid
+          if As.last_cows_include a (Mem.Page.vpn_of_addr cpu.rip)
+             && (As.reading_frame a cpu.rip).Mem.Phys_mem.id <> fid
           then None
           else k cpu
         else k
       in
-      (compile_op cache.aspace insn sz k, n + 1)
+      (compile_op a insn sz k, n + 1)
     in
     let b_run, b_len = List.fold_left chain (block_end, 0) l in
     Some

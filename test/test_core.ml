@@ -1834,7 +1834,7 @@ let registry_and_stats_view_agree () =
       check Alcotest.(list int) (name ^ ": counts") expected (fields r.stats))
     [ ( "plain", plain,
         [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 0; 0; 0; 152; 1; 153; 146;
-          153; 135; 135; 150; 895 ] );
+          153; 131; 131; 150; 895 ] );
       ( "tier_stress:1", stressed,
         [ 13048; 150; 895; 0; 894; 746; 21; 0; 0; 895; 745; 0; 147; 6; 2383;
           2375; 2383; 1499; 1499; 895; 1640 ] ) ];

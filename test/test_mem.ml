@@ -346,6 +346,11 @@ type op =
   | Snapshot
   | Restore of int
   | Read of int
+  | Discard  (* discard the segment, restore its base; Ept just restores *)
+  | Touch_many of int  (* write more pages than the write set holds *)
+
+(* [Touch_many] writes these pages, mapped before the script runs. *)
+let many_vpns = List.init 100 (fun k -> 32 + k)
 
 let op_gen =
   QCheck2.Gen.(
@@ -358,7 +363,9 @@ let op_gen =
         return Seal;
         return Snapshot;
         map (fun k -> Restore k) small_int;
-        map (fun v -> Read (v land 15)) small_int ])
+        map (fun v -> Read (v land 15)) small_int;
+        return Discard;
+        map (fun x -> Touch_many (x land 0xff)) small_int ])
 
 let backends_agree =
   qtest ~count:100 "Addr_space and Ept agree on random scripts"
@@ -366,7 +373,11 @@ let backends_agree =
     (fun script ->
       let a = fresh () in
       let e = ept_fresh () in
+      List.iter (fun vpn -> As.map_zero a ~vpn; Ept.map_zero e ~vpn) many_vpns;
       let a_snaps = ref [] and e_snaps = ref [] in
+      (* the snapshot the segment started from, and the epoch it started at *)
+      let base = ref None in
+      let set_base sa se = base := Some (sa, se, As.epoch a) in
       let agree = ref true in
       List.iter
         (fun op ->
@@ -403,15 +414,34 @@ let backends_agree =
                so equivalence with Ept must survive it *)
             As.seal a
           | Snapshot ->
-            a_snaps := As.snapshot a :: !a_snaps;
-            e_snaps := Ept.snapshot e :: !e_snaps
+            let sa = As.snapshot a and se = Ept.snapshot e in
+            a_snaps := sa :: !a_snaps;
+            e_snaps := se :: !e_snaps;
+            set_base sa se
           | Restore k -> (
             match !a_snaps, !e_snaps with
             | [], [] -> ()
             | sa, se ->
               let k = k mod List.length sa in
-              As.restore a (List.nth sa k);
-              Ept.restore e (List.nth se k))
+              let sa = List.nth sa k and se = List.nth se k in
+              As.restore a sa;
+              Ept.restore e se;
+              set_base sa se)
+          | Discard -> (
+            match !base with
+            | Some (sa, se, epoch) when As.epoch a = epoch ->
+              ignore (As.discard_segment a ~base:sa);
+              As.restore a sa;
+              Ept.restore e se;
+              set_base sa se
+            | Some _ | None -> ())
+          | Touch_many v ->
+            List.iter
+              (fun vpn ->
+                let addr = Page.addr_of_vpn vpn + v in
+                As.write_u8 a addr v;
+                Ept.write_u8 e addr v)
+              many_vpns
           | Read vpn ->
             (* mid-script, so a stale TLB entry left by a capture or
                restore is read through before anything refills it *)
@@ -431,7 +461,15 @@ let backends_agree =
                  let re = try `V (Ept.read_u8 e addr) with As.Page_fault _ -> `F in
                  ra = re)
                [ Page.addr_of_vpn vpn; Page.addr_of_vpn vpn + Page.size - 1 ])
-           (List.init 17 Fun.id))
+           (List.init 17 Fun.id)
+      && List.for_all
+           (fun vpn ->
+             List.for_all
+               (fun off ->
+                 let addr = Page.addr_of_vpn vpn + off in
+                 As.read_u8 a addr = Ept.read_u8 e addr)
+               (List.init 256 Fun.id))
+           many_vpns)
 
 (* Two address spaces on one Phys_mem, exercising explicit sharing,
    unmap-of-shared locality (the PR 1 fix) and snapshot/restore
@@ -809,6 +847,79 @@ let discard_segment_frees_cow_tail () =
   check Alcotest.int "base intact after the mandated restore" (Char.code 'a')
     (As.read_u8 t 0);
   check Alcotest.int "buffer pooled" 1 (Phys.free_buffers phys)
+
+(* A discarded segment's COWs never reach the trie: the discard puts each
+   displaced frame back in its TLB slot, so restoring the base and reading
+   the pages again walks nothing.  A slot another vpn took over keeps that
+   vpn's translation. *)
+let discard_reverts_tlb () =
+  let phys = Phys.create () in
+  let t = As.create phys in
+  let pages = List.init 8 Fun.id in
+  List.iter (fun vpn -> As.map_data t ~vpn (String.make 1 (Char.chr (65 + vpn)))) pages;
+  (* vpn 256 shares vpn 0's TLB slot *)
+  As.map_data t ~vpn:256 "z";
+  let s = As.snapshot t in
+  let count = M.get (Phys.registry phys) in
+  let read_all () = List.map (fun vpn -> As.read_u8 t (Page.addr_of_vpn vpn)) pages in
+  let original = read_all () in
+  As.restore t s;
+  List.iter (fun vpn -> As.write_u8 t (Page.addr_of_vpn vpn) 0) pages;
+  let freed0 = count N.mem_frames_freed in
+  check Alcotest.int "discard frees the 8 COW frames" 8 (As.discard_segment t ~base:s);
+  check Alcotest.int "8 frames freed" 8 (count N.mem_frames_freed - freed0);
+  As.restore t s;
+  let w0 = count N.mem_pt_walks in
+  check Alcotest.(list int) "base contents" original (read_all ());
+  check Alcotest.int "no walk after the discard" 0 (count N.mem_pt_walks - w0);
+  As.write_u8 t 0 0;
+  check Alcotest.int "the evicting vpn reads its page" (Char.code 'z')
+    (As.read_u8 t (Page.addr_of_vpn 256));
+  ignore (As.discard_segment t ~base:s);
+  As.restore t s;
+  check Alcotest.int "vpn 256 after the discard" (Char.code 'z')
+    (As.read_u8 t (Page.addr_of_vpn 256));
+  check Alcotest.int "vpn 0 after the discard" (Char.code 'A') (As.read_u8 t 0)
+
+(* A segment that writes more pages than the write set holds folds it into
+   the trie part way; a capture folds the rest.  The discard after the
+   capture frees exactly the second round's frames, and releasing the
+   capture the first round's. *)
+let write_set_past_capacity () =
+  let phys = Phys.create () in
+  let t = As.create phys in
+  let n = 100 in
+  let pages = List.init n Fun.id and later = List.init n (fun k -> n + k) in
+  List.iter (fun vpn -> As.map_data t ~vpn "i") (pages @ later);
+  let base = As.snapshot t in
+  let count = M.get (Phys.registry phys) in
+  let alloc0 = count N.mem_frames_allocated and freed0 = count N.mem_frames_freed in
+  As.restore t base;
+  List.iter (fun vpn -> As.write_u8 t (Page.addr_of_vpn vpn) 1) pages;
+  let c = As.snapshot t in
+  List.iter (fun vpn -> As.write_u8 t (Page.addr_of_vpn vpn) 2) (pages @ later);
+  check Alcotest.int "the second round's frames" (2 * n) (As.discard_segment t ~base:c);
+  As.restore t c;
+  List.iter
+    (fun vpn ->
+      check Alcotest.int (Printf.sprintf "vpn %d in the capture" vpn)
+        (if vpn < n then 1 else Char.code 'i')
+        (As.read_u8 t (Page.addr_of_vpn vpn)))
+    (pages @ later);
+  As.restore t base;
+  check Alcotest.int "the first round's frames" n
+    (As.release_snapshot ~phys ~parent:base c);
+  List.iter
+    (fun vpn ->
+      check Alcotest.int (Printf.sprintf "vpn %d in the base" vpn) (Char.code 'i')
+        (As.read_u8 t (Page.addr_of_vpn vpn)))
+    (pages @ later);
+  check Alcotest.int "frames allocated = freed"
+    (count N.mem_frames_allocated - alloc0)
+    (count N.mem_frames_freed - freed0);
+  check Alcotest.(result unit string) "audit" (Ok ())
+    (Phys.audit phys ~reachable:(fun visit ->
+         As.iter_frames t (visit "the map")))
 
 (* A segment that maps one page and unmaps another changes the trie's
    shape, so the delta walk must pair keys across diverging regions.  The
@@ -1229,6 +1340,9 @@ let tests =
       discard_segment_frees_cow_tail;
     Alcotest.test_case "divergent delta: discard counts" `Quick
       divergent_delta_counts;
+    Alcotest.test_case "discard reverts the TLB" `Quick discard_reverts_tlb;
+    Alcotest.test_case "a write set past its capacity" `Quick
+      write_set_past_capacity;
     released_frames_never_alias_live_state;
     Alcotest.test_case "delta restore keeps zero sharing" `Quick
       delta_restore_keeps_zero_sharing;

@@ -882,6 +882,68 @@ let link_after_self_modifying_split () =
     [ "store to data", data_base, 30; "store to code", imm, 3000;
       "store to data again", data_base, 30 ]
 
+(* The store that COWs the block's own code page after the host has
+   COW'd [k] other pages in the same segment, for every [k] up to twice
+   the write set's capacity and more: somewhere the code page's entry
+   fills the set, and somewhere the next COW folds a full set.  [regs]
+   sets the registers and [observe] reads the guest's result; block
+   dispatch must agree with the uncached reference at every [k]. *)
+let write_set_fill_cases name items ~regs ~observe =
+  let image, _, aspace = boot_sealed items in
+  let scratch = List.init 140 (fun j -> 200 + j) in
+  List.iter (fun vpn -> As.map_zero aspace ~vpn) scratch;
+  let snap = As.snapshot aspace in
+  let cache = Interp.create_icache aspace in
+  for k = 0 to List.length scratch do
+    let run go =
+      As.restore aspace snap;
+      List.iteri
+        (fun j vpn -> if j < k then As.write_u8 aspace (Mem.Page.addr_of_vpn vpn) 1)
+        scratch;
+      let cpu = fresh_cpu image in
+      regs image cpu;
+      let e = go cpu in
+      e, cpu, observe aspace
+    in
+    let e_ref, cpu_ref, seen_ref = run (fun cpu -> step_n cpu aspace 1_000) in
+    let e, cpu, seen =
+      run (fun cpu -> Interp.run ~icache:cache cpu aspace ~fuel:1_000)
+    in
+    let name = Printf.sprintf "%s, %d pages first" name k in
+    check exit_testable (name ^ ": halts") Interp.Halt e_ref;
+    check exit_testable (name ^ ": same vmexit") e_ref e;
+    compare_cpus name cpu_ref cpu;
+    check Alcotest.int (name ^ ": same result") seen_ref seen
+  done
+
+let block_store_fills_write_set () =
+  (* the store patches the immediate of the [add] right after it *)
+  write_set_fill_cases "one-page store"
+    [ label "main"; mov R.rax (i 0); sti (R.r9 @+ 0) 1000;
+      label "body"; add R.rax (i 10); hlt ]
+    ~regs:(fun image cpu -> Cpu.set cpu R.r9 (List.assoc "body" image.symbols + 3))
+    ~observe:(fun _ -> 0);
+  (* A page-crossing store whose low half patches the high bytes of the
+     [sti]'s immediate, the last fused instruction of the code page, and
+     whose high half lands on the next page: when the code page's entry
+     fills the set, the next page's COW folds it before it appends. *)
+  let tail = Mem.Page.size - 24 - 13 in
+  let imm = 0x0102030405060708 in
+  let items =
+    [ label "main"; jmp "tail"; zeros (tail - 9);
+      label "tail"; st (R.r8 @+ 0) R.r9; sti (R.r10 @+ 0) imm; hlt; zeros 8 ]
+  in
+  let patch = Mem.Page.size - 7 in
+  let image = assemble ~entry:"main" items in
+  check Alcotest.int "the store opens the block" tail (List.assoc "tail" image.symbols - image.origin);
+  let old = Int64.to_int (String.get_int64_le image.code patch) in
+  write_set_fill_cases "store crossing out of the code page" items
+    ~regs:(fun image cpu ->
+      Cpu.set cpu R.r8 (image.origin + patch);
+      Cpu.set cpu R.r9 (old lxor 0xff);
+      Cpu.set cpu R.r10 data_base)
+    ~observe:(fun aspace -> As.read_u64 aspace data_base)
+
 let link_frame_at_two_vpns () =
   (* One deduplicated code frame mapped at two vpns; its loop branch is
      absolute, so the copy at the second vpn jumps into the first page.
@@ -980,6 +1042,8 @@ let tests =
       link_fuel_at_linked_transfer;
     Alcotest.test_case "link: same-page jump after a self-modifying split"
       `Quick link_after_self_modifying_split;
+    Alcotest.test_case "block: self-modifying store fills the write set"
+      `Quick block_store_fills_write_set;
     Alcotest.test_case "link: one frame mapped at two vpns" `Quick
       link_frame_at_two_vpns;
     Alcotest.test_case "icache serves one address space" `Quick
